@@ -35,10 +35,10 @@ from . import __version__
 from .core import TimeSeries1, TimeSeries3, magnitude, sample_on_grid
 from .detect import EventPair, ImpactEvent, ImpactWindow, align_events, \
     detect_impacts, extract_window
-from .errors import DataError, FormatError, KinerecoError
+from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, load_session_config, \
-    parse_imu_csv, parse_reference_csv
+    parse_imu_csv, parse_reference_csv, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics, \
     reconstruct_headband_event, reconstruct_reference_event
 from .synth import load_profile, simulate_session, write_simulated_session
@@ -243,7 +243,8 @@ def _write_kinematics_csv(path: Path, kin: KinematicsSet, pair_id: int,
     comments = manifest.comments() + (
         f"pair_id={pair_id}", f"label={label}", f"f0_hz={kin.f0:.9g}",
     )
-    _write_table(path, cols, comments)
+    names, columns = zip(*cols)
+    write_table(path, names, columns, comments, "%.12g")
 
 
 def _write_reference_csv(path: Path, kin: ReferenceKinematics, pair_id: int,
@@ -255,16 +256,8 @@ def _write_reference_csv(path: Path, kin: ReferenceKinematics, pair_id: int,
     comments = manifest.comments() + (
         f"pair_id={pair_id}", f"label={label}", f"residual_lag_s={lag:.9g}",
     )
-    _write_table(path, cols, comments)
-
-
-def _write_table(path: Path, cols, comments):
-    data = np.column_stack([c[1] for c in cols])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(c[0] for c in cols) + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.12g")
+    names, columns = zip(*cols)
+    write_table(path, names, columns, comments, "%.12g")
 
 
 def _read_table(path: Path) -> tuple[dict, list[str], np.ndarray]:
@@ -440,6 +433,7 @@ def _build_window(recs: dict[str, ImuRecording], event: ImpactEvent,
 
 
 def _cmd_reconstruct(args) -> int:
+    _require_positive(args, "workers")
     config = load_session_config(args.config)
     in_dir = Path(args.in_dir)
     manifest = RunManifest(
@@ -513,28 +507,26 @@ def _block_for(blocks: list[ImuRecording], t0: float) -> ImuRecording:
 
 
 def _write_scalograms(path: Path, omega: TimeSeries3, manifest: RunManifest):
-    rows = []
-    for k, ax in enumerate("xyz"):
+    grids = []
+    for k in range(3):
         comp = omega.component(k)
-        if not comp.values.any():
-            continue
-        sc = cwt(comp)
-        tt, ff = np.meshgrid(sc.times, sc.freqs)
-        rows.append(np.column_stack([
-            np.full(tt.size, float(k)), tt.ravel(), ff.ravel(),
-            sc.coeffs.ravel(),
-        ]))
-    if not rows:
+        if comp.values.any():
+            grids.append((float(k), cwt(comp)))
+    if not grids:
         return
-    data = np.vstack(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in manifest.comments():
-            fh.write(f"# {comment}\n")
-        fh.write("axis,time_s,freq_hz,coeff\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.9g")
+    # Row order: axis, then frequency, then time.
+    columns = [
+        np.concatenate([np.full(sc.coeffs.size, k) for k, sc in grids]),
+        np.concatenate([np.tile(sc.times, len(sc.freqs)) for _, sc in grids]),
+        np.concatenate([np.repeat(sc.freqs, len(sc.times)) for _, sc in grids]),
+        np.concatenate([sc.coeffs.ravel() for _, sc in grids]),
+    ]
+    write_table(path, ("axis", "time_s", "freq_hz", "coeff"), columns,
+                manifest.comments(), "%.9g")
 
 
 def _cmd_evaluate(args) -> int:
+    _require_positive(args, "nrmse_window", "max_shift_fraction")
     load_session_config(args.config)  # validated for provenance/consistency
     manifest = RunManifest(
         subcommand="evaluate", config_path=str(args.config),
@@ -609,7 +601,8 @@ def _cmd_report(args) -> int:
         raise FormatError(f"{in_path}: invalid JSON ({exc})") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stamp = f"# manifest_sha256={report.get('manifest_sha256', 'unknown')}\n"
+    comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
+    stamp = f"# {comments[0]}\n"
 
     with open(out / "cora.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(stamp)
@@ -669,12 +662,12 @@ def _cmd_report(args) -> int:
                          f"{str(entry['significant']).lower()}\n")
 
     if args.hb and args.ref:
-        _write_overlays(Path(args.hb), Path(args.ref), out, stamp)
+        _write_overlays(Path(args.hb), Path(args.ref), out, comments)
     log.info("report: tables written to %s", out)
     return 0
 
 
-def _write_overlays(hb_dir: Path, ref_dir: Path, out: Path, stamp: str):
+def _write_overlays(hb_dir: Path, ref_dir: Path, out: Path, comments):
     """Per-event resultant time histories for plotting (headband vs reference)."""
     from .evaluate import QUANTITIES
 
@@ -694,12 +687,9 @@ def _write_overlays(hb_dir: Path, ref_dir: Path, out: Path, stamp: str):
             hb_on_grid = sample_on_grid(hb_series, grid)
             hb_mag = np.linalg.norm(hb_on_grid.samples, axis=1)
             ref_mag = np.linalg.norm(ref_series.samples, axis=1)
-            opath = out / f"timehistory_ev{pair_id:03d}_{name}.csv"
-            with open(opath, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(stamp)
-                fh.write("t_s,headband,reference\n")
-                np.savetxt(fh, np.column_stack([grid, hb_mag, ref_mag]),
-                           delimiter=",", fmt="%.9g")
+            write_table(out / f"timehistory_ev{pair_id:03d}_{name}.csv",
+                        ("t_s", "headband", "reference"), (grid, hb_mag, ref_mag),
+                        comments, "%.9g")
 
 
 def _write_manifest(path: Path, manifest: RunManifest):
@@ -712,6 +702,14 @@ def _write_manifest(path: Path, manifest: RunManifest):
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+def _require_positive(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value <= 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive, "
+                              f"got {value:g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

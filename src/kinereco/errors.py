@@ -10,7 +10,8 @@ class KinerecoError(Exception):
 
 
 class ConfigError(KinerecoError):
-    """Invalid session configuration (bad rotation, collinear geometry, ...)."""
+    """Invalid session configuration (bad rotation, collinear geometry, ...)
+    or command-line parameter."""
 
 
 class FormatError(KinerecoError):

@@ -44,6 +44,8 @@ __all__ = [
     "parse_reference_csv",
     "load_session_config",
     "write_imu_csv",
+    "write_table",
+    "write_rows",
 ]
 
 log = logging.getLogger(__name__)
@@ -562,20 +564,43 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
         else:
             high_separate = rec.accel_high
 
-    _write_table(path, [c for c, _ in cols], arrays, header_comments)
+    write_table(path, [c for c, _ in cols], arrays, header_comments, "%.14g")
     if high_separate is not None:
         hpath = path.with_name(path.stem + "_high" + path.suffix)
         harrays = [high_separate.times] + [
             high_separate.samples[:, k] / G_STANDARD for k in range(3)
         ]
-        _write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays, header_comments)
+        write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays, header_comments,
+                    "%.14g")
     return path
 
 
-def _write_table(path, names, arrays, header_comments):
-    data = np.column_stack(arrays)
+def write_table(path, names, columns, comments, fmt: str):
+    """Write a CSV table: ``# comment`` lines, the header, then one row per
+    sample of the equal-length ``columns``, every cell formatted with ``fmt``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in header_comments:
+        for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.14g")
+        # Stacked one chunk at a time: the whole table is never copied.
+        for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+            write_rows(fh, np.column_stack(
+                [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]), fmt)
+
+
+#: Rows formatted per ``%`` operation by :func:`write_rows`.  The speed is
+#: flat from 256 to 4096 rows; fewer rows hold fewer temporary floats.
+_ROWS_PER_CHUNK = 512
+
+
+def write_rows(fh, data: np.ndarray, fmt: str):
+    """Write a 2-D array as comma-separated lines, each cell as ``fmt % x``.
+
+    Same bytes as ``np.savetxt(fh, data, delimiter=",", fmt=fmt)``, but one
+    ``%`` operation formats a whole chunk of rows instead of a single row.
+    """
+    n_rows, n_cols = data.shape
+    row = ",".join([fmt] * n_cols) + "\n"
+    for lo in range(0, n_rows, _ROWS_PER_CHUNK):
+        chunk = data[lo:lo + _ROWS_PER_CHUNK]
+        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

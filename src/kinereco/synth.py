@@ -19,6 +19,7 @@ the observed field ranges (PRV 4-10 rad/s, PRA 610-3200 rad/s^2, PLA
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,10 +84,26 @@ class HarmonicComponent:
         return self.amplitude * (denv * osc + env * dosc)
 
 
+#: exp(-x**2) underflows to exactly 0.0 once |x| > sqrt(745.2) ~ 27.3, so a
+#: windowed term is exactly +-0.0 beyond this many widths from its center.
+_ENVELOPE_SUPPORT = 28.0
+
+
 def _axis_eval(components, t, deriv=False):
+    """Sum of the components (or of their derivatives) at ``t``.
+
+    A windowed term is evaluated only within its envelope's support; outside
+    it the term is +-0.0, and adding that leaves the sum bit for bit the same.
+    """
     out = np.zeros_like(t)
     for c in components:
-        out += c.derivative(t) if deriv else c.value(t)
+        term = c.derivative if deriv else c.value
+        if c.width_s is None:
+            out += term(t)
+            continue
+        live = np.flatnonzero(
+            np.abs(t - c.center_s) <= _ENVELOPE_SUPPORT * abs(c.width_s))
+        out[live] += term(t[live])
     return out
 
 
@@ -118,13 +135,16 @@ class MotionProfile:
 
     def acceleration_at(self, t: np.ndarray, position, gravity=(0, 0, 0)) -> np.ndarray:
         """Translational acceleration at a head-frame point, gravity included."""
-        r = np.asarray(position, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
-        w = self.omega_at(t)
-        alpha = self.alpha_at(t)
-        r_b = np.broadcast_to(r, (len(t), 3))
-        return (np.cross(alpha, r_b) + np.cross(w, np.cross(w, r_b))
-                + self.q_at(t) + np.asarray(gravity, dtype=np.float64))
+        return _rigid_acceleration(self.omega_at(t), self.alpha_at(t),
+                                   self.q_at(t), position, gravity)
+
+
+def _rigid_acceleration(omega, alpha, q, position, gravity) -> np.ndarray:
+    """alpha x r + omega x (omega x r) + q + g, row by row."""
+    r_b = np.broadcast_to(np.asarray(position, dtype=np.float64), (len(omega), 3))
+    return (np.cross(alpha, r_b) + np.cross(omega, np.cross(omega, r_b))
+            + q + np.asarray(gravity, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -202,21 +222,31 @@ class SimulatedSession:
     profile: SessionProfile
 
 
+#: exp(-x) underflows to exactly 0.0 once x > 745.2.
+_BURST_SUPPORT = 750.0
+
+
 def _burst_waveform(t_rel: np.ndarray, burst: BurstSpec, amplitude: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Sum of decaying in-band tones starting at t_rel = 0."""
+    """Sum of decaying in-band tones starting at t_rel = 0.
+
+    Tones are evaluated only while the decay has not underflowed: beyond
+    ``_BURST_SUPPORT`` time constants exp(-t/tau) is exactly 0.0.
+    """
     if amplitude == 0.0 or burst.duration_s == 0.0:
         return np.zeros_like(t_rel)
     tau = burst.duration_s / 3.0
-    active = t_rel >= 0.0
-    out = np.zeros_like(t_rel)
+    live = np.flatnonzero((t_rel >= 0.0) & (t_rel <= _BURST_SUPPORT * tau))
+    t = t_rel[live]
+    decay = np.exp(-t / tau)
+    tones = np.zeros_like(t)
     for _ in range(burst.n_tones):
         f = rng.uniform(burst.center_hz - burst.bandwidth_hz / 2.0,
                         burst.center_hz + burst.bandwidth_hz / 2.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        out[active] += np.exp(-t_rel[active] / tau) * np.sin(
-            2.0 * np.pi * f * t_rel[active] + phi
-        )
+        tones += decay * np.sin(2.0 * np.pi * f * t + phi)
+    out = np.zeros_like(t_rel)
+    out[live] = tones
     return amplitude / burst.n_tones * out
 
 
@@ -227,9 +257,9 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
         out += rng.normal(scale=sigma, size=out.shape)
     if burst_amp > 0.0:
         for t_imp in impact_times:
+            t_rel = times - t_imp
             for axis in range(3):
-                out[:, axis] += _burst_waveform(times - t_imp, noise.burst,
-                                                burst_amp, rng)
+                out[:, axis] += _burst_waveform(t_rel, noise.burst, burst_amp, rng)
     return out
 
 
@@ -248,6 +278,14 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     Noise is deterministic for a given seed, independent of which other
     sensors are simulated.
     """
+    def stamps_at(rate):
+        return np.arange(int(math.floor(duration * rate)) + 1) / rate
+
+    @functools.cache
+    def on_grid(evaluate, rate):
+        # Motion is shared by every channel sampled at the same rate.
+        return evaluate(stamps_at(rate) + clock_offset)
+
     recordings = []
     for i_spec, spec in enumerate(specs):
         channels: dict[str, TimeSeries3 | None] = {
@@ -256,14 +294,15 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
             ch = spec.channel(kind)
             if ch is None:
                 continue
-            n = int(math.floor(duration * ch.rate)) + 1
-            stamps = np.arange(n) / ch.rate
-            physical = stamps + clock_offset
+            stamps = stamps_at(ch.rate)
+            omega = on_grid(motion.omega_at, ch.rate)
             if kind == "gyro":
-                head = motion.omega_at(physical)
+                head = omega
                 sigma, burst_amp = noise.gyro_sigma, noise.burst.gyro_amplitude
             else:
-                head = motion.acceleration_at(physical, spec.position, gravity)
+                head = _rigid_acceleration(
+                    omega, on_grid(motion.alpha_at, ch.rate),
+                    on_grid(motion.q_at, ch.rate), spec.position, gravity)
                 sigma, burst_amp = noise.accel_sigma, noise.burst.accel_amplitude
             sensor_frame = head @ spec.orientation  # == (R^T @ head^T)^T
             scale = noise.scale_for(spec.id)
@@ -294,8 +333,8 @@ def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[Truth
         t = imp.time_s + np.linspace(-pre, post, 4001)
         w = profile.motion.omega_at(t)
         alpha = profile.motion.alpha_at(t)
-        a4 = profile.motion.acceleration_at(t, config.reference_point,
-                                            profile.gravity)
+        a4 = _rigid_acceleration(w, alpha, profile.motion.q_at(t),
+                                 config.reference_point, profile.gravity)
         events.append(TruthEvent(
             t0=imp.time_s,
             label=imp.label,

@@ -217,3 +217,22 @@ class TestErrorReporting:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "kinereco: error:" in capsys.readouterr().err
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--config", "c.json", "--in", "session",
+         "--events", "events.csv", "--out", "kin", "--workers", "0"],
+        ["evaluate", "--config", "c.json", "--hb", "kin", "--ref", "kin",
+         "--pairs", "events.csv", "--out", "report.json", "--nrmse-window", "0"],
+        ["evaluate", "--config", "c.json", "--hb", "kin", "--ref", "kin",
+         "--pairs", "events.csv", "--out", "report.json",
+         "--max-shift-fraction", "-1"],
+    ], ids=["workers_0", "nrmse_window_0", "max_shift_fraction_neg"])
+    def test_nonpositive_value_gives_single_error_line(self, argv, capsys):
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        flag = argv[-2]
+        assert err[0].startswith("kinereco: error: ConfigError: " + flag)

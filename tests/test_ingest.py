@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kinereco import ingest
 from kinereco.core import TimeSeries3
 from kinereco.errors import ConfigError, DataError, FormatError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
@@ -185,3 +186,36 @@ class TestSessionConfig:
         from dataclasses import replace
         with pytest.raises(ConfigError, match="not in sensor list"):
             replace(config, a3g1_sensor_ids=("nope", "bt_back", "bt_left_outer"))
+
+
+class TestWriteRows:
+    """The bulk row writer produces exactly np.savetxt's bytes."""
+
+    SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+               -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.0, -7.0,
+               42.0, 2.0 ** 53, 123456789012345.0, 0.1, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("fmt", ["%.14g", "%.12g", "%.9g"])
+    def test_matches_savetxt(self, tmp_path, fmt, n_rows):
+        rng = np.random.default_rng(n_rows)
+        cells = n_rows * 7
+        values = rng.standard_normal(cells) * 10.0 ** rng.integers(-315, 300, cells)
+        if cells >= len(self.SPECIAL):
+            values[:len(self.SPECIAL)] = self.SPECIAL
+            values[-len(self.SPECIAL):] = self.SPECIAL
+        else:
+            values[:] = rng.choice(self.SPECIAL, cells)
+        data = values.reshape(n_rows, 7)
+
+        def written(write, name):
+            path = tmp_path / name
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+            return path.read_bytes()
+
+        want = written(lambda fh: np.savetxt(fh, data, delimiter=",", fmt=fmt),
+                       "savetxt.csv")
+        got = written(lambda fh: ingest.write_rows(fh, data, fmt), "bulk.csv")
+        assert got == want
+        assert got.count(b"\n") == n_rows

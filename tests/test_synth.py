@@ -1,3 +1,6 @@
+from dataclasses import replace
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,9 +11,9 @@ from kinereco.errors import DataError
 from kinereco.ingest import G_STANDARD, parse_imu_csv, parse_reference_csv
 from kinereco.kinematics import adaptive_filter
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
-                            NoiseSpec, load_profile, dump_profile,
-                            simulate_sensors, standard_session_profile,
-                            write_session)
+                            NoiseSpec, _axis_eval, _burst_waveform,
+                            load_profile, dump_profile, simulate_sensors,
+                            standard_session_profile, write_session)
 
 
 def still_motion():
@@ -174,3 +177,95 @@ class TestBurstChangesSelectedCutoff:
             _, cutoff = adaptive_filter(window)
             f0s.append(cutoff.f0)
         assert f0s[1] >= f0s[0] or f0s[1] == 180.0
+
+
+def full_axis_sum(components, t, deriv=False):
+    """Every component evaluated over the whole of ``t``, envelope or not."""
+    out = np.zeros_like(t)
+    for c in components:
+        out += c.derivative(t) if deriv else c.value(t)
+    return out
+
+
+def full_burst_waveform(t_rel, burst, amplitude, rng):
+    """Every tone evaluated over the whole post-impact span."""
+    if amplitude == 0.0 or burst.duration_s == 0.0:
+        return np.zeros_like(t_rel)
+    tau = burst.duration_s / 3.0
+    active = t_rel >= 0.0
+    out = np.zeros_like(t_rel)
+    for _ in range(burst.n_tones):
+        f = rng.uniform(burst.center_hz - burst.bandwidth_hz / 2.0,
+                        burst.center_hz + burst.bandwidth_hz / 2.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        out[active] += np.exp(-t_rel[active] / tau) * np.sin(
+            2.0 * np.pi * f * t_rel[active] + phi
+        )
+    return amplitude / burst.n_tones * out
+
+
+class TestWindowedEvaluation:
+    """Terms skipped where their envelope is exactly 0.0 leave every sample
+    bit for bit equal to the full per-component sum."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        return load_profile(files("kinereco") / "profiles" / "field_session_18.json")
+
+    @pytest.fixture(scope="class")
+    def times(self, bundled):
+        sorted_t = np.arange(int(bundled.duration_s * 1600.0) + 1) / 1600.0
+        rng = np.random.default_rng(17)
+        unsorted_t = rng.uniform(-1.0, bundled.duration_s + 1.0, 20000)
+        return {"sorted": sorted_t, "unsorted": unsorted_t}
+
+    @staticmethod
+    def negated_widths(axes):
+        return tuple(tuple(c if c.width_s is None else replace(c, width_s=-c.width_s)
+                           for c in comps) for comps in axes)
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_axis_eval_equals_full_sum(self, bundled, times, order, deriv, negate):
+        t = times[order]
+        motion = bundled.motion
+        for axes in (motion.omega_components, motion.q_components):
+            if negate:
+                axes = self.negated_widths(axes)
+            for comps in axes:
+                assert _axis_eval(comps, t, deriv).tobytes() == \
+                    full_axis_sum(comps, t, deriv).tobytes()
+
+    def test_public_motion_api_with_negative_widths(self, bundled, times):
+        motion = bundled.motion
+        flipped = MotionProfile(self.negated_widths(motion.omega_components),
+                                self.negated_widths(motion.q_components))
+        t = times["unsorted"]
+        for got, axes, deriv in (
+                (flipped.omega_at(t), motion.omega_components, False),
+                (flipped.alpha_at(t), motion.omega_components, True),
+                (flipped.q_at(t), motion.q_components, False)):
+            want = np.column_stack([full_axis_sum(c, t, deriv) for c in axes])
+            assert got.tobytes() == want.tobytes()
+
+
+class TestBurstWaveform:
+    """The burst evaluated only until its decay underflows equals the tones
+    evaluated over the whole post-impact span, and draws the same numbers."""
+
+    @pytest.mark.parametrize("burst", [
+        BurstSpec(center_hz=300.0, bandwidth_hz=140.0, duration_s=0.015),
+        BurstSpec(center_hz=500.0, bandwidth_hz=50.0, duration_s=0.0004,
+                  n_tones=5),
+    ])
+    @pytest.mark.parametrize("amplitude", [25.0, -2.5])
+    def test_equals_full_evaluation(self, burst, amplitude):
+        grid = np.arange(-1600, 8001) / 1600.0  # -1 s .. 5 s, past 750 tau
+        unsorted = np.random.default_rng(4).permutation(grid)
+        for t_rel in (grid, unsorted):
+            rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+            got = _burst_waveform(t_rel, burst, amplitude, rng)
+            want = full_burst_waveform(t_rel, burst, amplitude, ref_rng)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
