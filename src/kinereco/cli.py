@@ -599,6 +599,10 @@ def _cmd_report(args) -> int:
         raise FormatError(f"cannot open {in_path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{in_path}: invalid JSON ({exc})") from None
+    for key in ("events", "aggregate"):
+        if not isinstance(report, dict) or key not in report:
+            raise FormatError(f"{in_path}: not an agreement report "
+                              f"(missing key {key!r})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
@@ -707,9 +711,9 @@ def _write_manifest(path: Path, manifest: RunManifest):
 def _require_positive(args, *names):
     for name in names:
         value = getattr(args, name)
-        if value <= 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive, "
-                              f"got {value:g}")
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive "
+                              f"and finite, got {value:g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ Rotation matrices map sensor-frame vectors into this head frame.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,21 @@ __all__ = [
     "rotate_series",
     "resample",
     "magnitude",
+    "lagged_correlation",
+    "best_shift",
     "validate_rotation",
     "is_rotation",
 ]
 
 #: Orthonormality tolerance for rotation matrices (R^T R = I, det = +1).
 ROTATION_TOL = 1e-9
+#: Overlap energies the lag screen trusts (besides exact zeros): squares and
+#: products of samples stay normal floats in between.
+SCREEN_ENERGY_RANGE = (1e-200, 1e200)
+#: Screened correlations within this (or 16*n*eps, if larger) of the
+#: screened maximum are re-scored exactly.  The screen and the exact score
+#: each err by a few n*eps at most, so every exact maximizer is among them.
+SCREEN_TOL = 1e-9
 
 
 def _as_grid_array(values, name: str, ncols: int | None) -> np.ndarray:
@@ -269,3 +279,79 @@ def same_clock(a, b, rel: float = 1e-9) -> bool:
     return (len(a) == len(b)
             and abs(a.sample_rate - b.sample_rate) <= rel * a.sample_rate
             and abs(a.start_time - b.start_time) <= 1e-9)
+
+
+def lagged_correlation(x: np.ndarray, y: np.ndarray, max_shift: int) -> np.ndarray:
+    """Normalized cross-correlation of two equal-length arrays at every shift.
+
+    Element ``k`` is rho at shift ``s = k - max_shift``: the sum of
+    ``x[i] * y[i + s]`` over the indices where both exist, divided by the
+    square root of both overlaps' energies.  It is 0.0 where either energy is
+    zero, including every ``|s| >= len(x)``, and NaN where an energy lies
+    outside ``{0} | [1e-200, 1e200]``, where rounding is not bounded.  The
+    dot products come from one ``np.correlate`` and the energies from prefix
+    sums of squares, so rho is off the exact value by about ``n * eps``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(x)
+    dots = np.correlate(np.pad(y, max_shift), x, "valid")
+    shifts = np.arange(-max_shift, max_shift + 1)
+    length = n - np.minimum(np.abs(shifts), n)  # overlap length per shift
+
+    def energies(v):
+        # Energy of the first and of the last L samples, for L = 0..n.
+        sq = v * v
+        head = np.concatenate(([0.0], np.cumsum(sq)))
+        tail = np.concatenate(([0.0], np.cumsum(sq[::-1])))
+        return head[length], tail[length]
+
+    x_head, x_tail = energies(x)
+    y_head, y_tail = energies(y)
+    # s >= 0 overlaps x[:n-s] with y[s:]; s < 0 overlaps x[-s:] with y[:n+s].
+    ex = np.where(shifts >= 0, x_head, x_tail)
+    ey = np.where(shifts >= 0, y_tail, y_head)
+    denom = np.sqrt(ex) * np.sqrt(ey)
+    rho = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    lo, hi = SCREEN_ENERGY_RANGE
+    for e in (ex, ey):
+        rho[(e != 0.0) & ~((e >= lo) & (e <= hi))] = np.nan
+    return rho
+
+
+def best_shift(x: np.ndarray, y: np.ndarray, max_shift: int,
+               score: Callable[[np.ndarray, np.ndarray], float],
+               ) -> tuple[int, float]:
+    """The shift in ``-max_shift..max_shift`` that maximizes ``score``.
+
+    ``score(x_part, y_part)`` rates the overlap of ``x[i]`` with ``y[i + s]``
+    (``x[:n-s]`` with ``y[s:]`` for ``s >= 0``, ``x[-s:]`` with ``y[:n+s]``
+    otherwise; both empty when ``|s| >= n``) and must compute the normalized
+    cross-correlation to within a few ``n * eps``.  The largest score wins;
+    on equal scores the smaller ``|s|`` wins, and ``-s`` over ``+s``.
+    Returns ``(shift, score)``.
+
+    Only the shifts whose :func:`lagged_correlation` lies within
+    ``SCREEN_TOL`` of its maximum are scored, in ascending order; every
+    maximizer of ``score`` is among them, so the result is the one a scan of
+    every shift gives.  If the screen has a NaN, every shift is scored.
+    """
+    n = len(x)
+    # Every |s| >= n has an empty overlap, so it scores the same as s = -n,
+    # which the tie rule prefers: a bound beyond n changes nothing.
+    max_shift = min(max_shift, n)
+    rho = lagged_correlation(x, y, max_shift)
+    if np.isnan(rho).any():
+        candidates = range(-max_shift, max_shift + 1)
+    else:
+        tol = max(SCREEN_TOL, 16 * n * np.finfo(np.float64).eps)
+        candidates = np.flatnonzero(rho >= rho.max() - tol) - max_shift
+    best_s, best_score = 0, -np.inf
+    for s in map(int, candidates):
+        if s >= 0:
+            value = score(x[:max(n - s, 0)], y[s:])
+        else:
+            value = score(x[-s:], y[:max(n + s, 0)])
+        if value > best_score or (value == best_score and abs(s) < abs(best_s)):
+            best_s, best_score = s, value
+    return best_s, best_score

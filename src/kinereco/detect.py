@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries1, TimeSeries3, sample_on_grid
+from .core import TimeSeries1, TimeSeries3, best_shift, sample_on_grid
 from .errors import DataError, WindowError
 from .ingest import ImuRecording
 
@@ -185,18 +185,15 @@ def refine_offset(hb_mag: TimeSeries1, ref_mag: TimeSeries1,
     a = a - a.mean()
     b = b - b.mean()
     max_shift = max(1, int(round(max_lag * rate)))
-    best_lag, best_rho = 0, -np.inf
-    for s in range(-max_shift, max_shift + 1):
-        if s >= 0:
-            x, y = a[s:], b[:n - s]
-        else:
-            x, y = a[:n + s], b[-s:]
-        denom = np.linalg.norm(x) * np.linalg.norm(y)
-        rho = float(x @ y) / denom if denom > 0 else 0.0
-        if rho > best_rho or (rho == best_rho and abs(s) < abs(best_lag)):
-            best_rho, best_lag = rho, s
+    best_lag, _ = best_shift(b, a, max_shift, _correlation)
     # Positive s aligns a[s:] with b: the headband feature sits s samples later.
     return best_lag / rate
+
+
+def _correlation(b_part: np.ndarray, a_part: np.ndarray) -> float:
+    """Normalized cross-correlation of two overlaps; 0.0 if either is zero."""
+    denom = np.linalg.norm(a_part) * np.linalg.norm(b_part)
+    return float(a_part @ b_part) / denom if denom > 0 else 0.0
 
 
 def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
@@ -248,18 +245,16 @@ def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
 
 def _pair_lag(h: ImpactEvent, r: ImpactEvent, hb_mag: TimeSeries1,
               ref_mag: TimeSeries1, pre: float, post: float) -> float:
-    hb_rel = TimeSeries1(hb_mag.start_time - h.t0, hb_mag.sample_rate, hb_mag.values)
-    ref_rel = TimeSeries1(ref_mag.start_time - r.t0, ref_mag.sample_rate,
-                          ref_mag.values)
-    hb_win = _clip_scalar(hb_rel, -pre, post)
-    ref_win = _clip_scalar(ref_rel, -pre, post)
-    return refine_offset(hb_win, ref_win)
+    return refine_offset(_clip_scalar(hb_mag, h.t0, -pre, post),
+                         _clip_scalar(ref_mag, r.t0, -pre, post))
 
 
-def _clip_scalar(ts: TimeSeries1, lo: float, hi: float) -> TimeSeries1:
+def _clip_scalar(ts: TimeSeries1, t0: float, lo: float, hi: float) -> TimeSeries1:
+    """The samples within [lo, hi] s of ``t0``, on a clock with t = 0 at ``t0``."""
     rate = ts.sample_rate
-    i0 = max(0, int(np.ceil((lo - ts.start_time) * rate - 1e-9)))
-    i1 = min(len(ts) - 1, int(np.floor((hi - ts.start_time) * rate + 1e-9)))
+    start = ts.start_time - t0
+    i0 = max(0, int(np.ceil((lo - start) * rate - 1e-9)))
+    i1 = min(len(ts) - 1, int(np.floor((hi - start) * rate + 1e-9)))
     if i1 - i0 < 4:
         raise WindowError(f"series does not cover [{lo:.4f}, {hi:.4f}] s")
-    return TimeSeries1(ts.start_time + i0 / rate, rate, ts.values[i0:i1 + 1])
+    return TimeSeries1(start + i0 / rate, rate, ts.values[i0:i1 + 1])

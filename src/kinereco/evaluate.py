@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import t as t_distribution
 
-from .core import TimeSeries1, same_clock
+from .core import TimeSeries1, best_shift, magnitude, same_clock
 from .errors import DataError, DegenerateSignalError, WindowError
 
 __all__ = [
@@ -146,18 +146,10 @@ def cora_score(ref: TimeSeries1, test: TimeSeries1,
     if np.ptp(r) == 0.0:
         raise DegenerateSignalError("zero-variance reference curve")
 
-    n = len(r)
-    max_shift = max(1, int(round(max_shift_fraction * n)))
-    best_shift, best_rho = 0, -np.inf
-    for s in range(-max_shift, max_shift + 1):
-        if s >= 0:
-            rho = _correlation(r[:n - s], y[s:])
-        else:
-            rho = _correlation(r[-s:], y[:n + s])
-        if rho > best_rho or (rho == best_rho and abs(s) < abs(best_shift)):
-            best_rho, best_shift = rho, s
+    max_shift = max(1, int(round(max_shift_fraction * len(r))))
+    shift, best_rho = best_shift(r, y, max_shift, _correlation)
 
-    phase = 1.0 - abs(best_shift) / max_shift
+    phase = 1.0 - abs(shift) / max_shift
     shape = max(0.0, best_rho)
     peak_ref = float(np.max(np.abs(r)))
     peak_test = float(np.max(np.abs(y)))
@@ -297,11 +289,6 @@ def _common_pair(hb_series, ref_series):
     return hb_on_grid, ref_series
 
 
-def _series_magnitude(ts) -> TimeSeries1:
-    return TimeSeries1(ts.start_time, ts.sample_rate,
-                       np.linalg.norm(ts.samples, axis=1))
-
-
 def _cora_to_dict(score: CoraScore) -> dict:
     return {"phase": score.phase, "magnitude": score.magnitude,
             "shape": score.shape, "total": score.total, "band": score.band}
@@ -344,8 +331,8 @@ def build_agreement_report(events: list[EventComparison],
                 continue
             ref_series = getattr(ev.reference, ref_attr)
             hb_on_grid, ref_on_grid = _common_pair(hb_series, ref_series)
-            hb_mag = _series_magnitude(hb_on_grid)
-            ref_mag = _series_magnitude(ref_on_grid)
+            hb_mag = magnitude(hb_on_grid)
+            ref_mag = magnitude(ref_on_grid)
             headline = cora_score(ref_mag, hb_mag, max_shift_fraction)
             axes = {}
             for k, ax in enumerate("xyz"):

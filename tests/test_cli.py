@@ -207,6 +207,20 @@ class TestErrorReporting:
         assert len(err) == 1
         assert err[0].startswith("kinereco: error: FormatError:")
 
+    @pytest.mark.parametrize("content, key", [
+        ("{}", "events"), ('{"events": []}', "aggregate"), ("[]", "events"),
+    ], ids=["empty", "no_aggregate", "list"])
+    def test_report_without_required_key(self, tmp_path, capsys, content, key):
+        report = tmp_path / "report.json"
+        report.write_text(content)
+        code = main(["report", "--in", str(report), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: FormatError:")
+        assert repr(key) in err[0]
+        assert not (tmp_path / "t").exists()
+
     def test_bad_events_file_reported(self, tmp_path, capsys, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_json_dict(config)))
@@ -235,4 +249,15 @@ class TestParameterValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         flag = argv[-2]
+        assert err[0].startswith("kinereco: error: ConfigError: " + flag)
+
+    @pytest.mark.parametrize("flag", ["--nrmse-window", "--max-shift-fraction"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_gives_single_error_line(self, flag, value, capsys):
+        code = main(["evaluate", "--config", "c.json", "--hb", "kin",
+                     "--ref", "kin", "--pairs", "events.csv",
+                     "--out", "report.json", f"{flag}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
         assert err[0].startswith("kinereco: error: ConfigError: " + flag)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco.core import (TimeSeries1, TimeSeries3, magnitude, resample,
-                           rotate_series, validate_rotation)
+from kinereco.core import (TimeSeries1, TimeSeries3, lagged_correlation,
+                           magnitude, resample, rotate_series,
+                           validate_rotation)
 from kinereco.errors import ConfigError, DataError
+from kinereco.evaluate import _correlation
 
 from conftest import random_rotation, rotation_about
 
@@ -140,3 +142,42 @@ class TestSeriesTypes:
     def test_validate_rotation_accepts_proper_rotation(self):
         R = rotation_about(1, 0.3)
         assert_allclose(validate_rotation(R), R)
+
+
+class TestLaggedCorrelation:
+    @staticmethod
+    def overlap_correlation(x, y, s):
+        n = len(x)
+        if s >= 0:
+            return _correlation(x[:max(n - s, 0)], y[s:])
+        return _correlation(x[min(-s, n):], y[:max(n + s, 0)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 97, 600])
+    @pytest.mark.parametrize("max_shift", [1, 5, 150, 900])
+    def test_matches_scalar_correlation(self, n, max_shift):
+        rng = np.random.default_rng(n * 1000 + max_shift)
+        x = rng.normal(size=n)
+        y = np.roll(x, 2) + rng.normal(scale=0.3, size=n)
+        y[: n // 3] = 0.0  # zero head: empty-energy overlaps on one side
+        rho = lagged_correlation(x, y, max_shift)
+        assert rho.shape == (2 * max_shift + 1,)
+        expected = [self.overlap_correlation(x, y, s)
+                    for s in range(-max_shift, max_shift + 1)]
+        assert_allclose(rho, expected, rtol=0.0, atol=1e-12)
+
+    def test_empty_and_zero_overlaps_are_zero(self):
+        x = np.array([1.0, 2.0, 3.0])
+        rho = lagged_correlation(x, np.zeros(3), 5)
+        assert (rho == 0.0).all()
+        rho = lagged_correlation(x, np.array([0.0, 0.0, 4.0]), 5)
+        shifts = np.arange(-5, 6)
+        assert (rho[np.abs(shifts) >= 3] == 0.0).all()
+        assert rho[shifts == 2][0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-105, 1e110])
+    def test_untrusted_energies_are_nan(self, scale):
+        x = np.array([1.0, -2.0, 0.5, 3.0]) * scale
+        rho = lagged_correlation(x, x[::-1], 2)
+        assert np.isnan(rho).all()
+        rho = lagged_correlation(np.r_[1.0, 2.0, 1e-150], np.ones(3), 2)
+        assert np.isnan(rho[0]) and not np.isnan(rho[1:]).any()

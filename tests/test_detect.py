@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kinereco.core import TimeSeries1, TimeSeries3, magnitude
-from kinereco.detect import (ImpactEvent, align_events, detect_impacts,
-                             extract_window, refine_offset)
+from kinereco.core import TimeSeries1, TimeSeries3, magnitude, sample_on_grid
+from kinereco.detect import (ImpactEvent, _clip_scalar, align_events,
+                             detect_impacts, extract_window, refine_offset)
 from kinereco.errors import WindowError
 from kinereco.ingest import G_STANDARD, ImuRecording
 
@@ -172,6 +172,32 @@ class TestOffsetRefinement:
         lag = refine_offset(a, b)
         assert lag == pytest.approx(0.0025, abs=1.0 / rate)
 
+    def test_pair_offset_refined_from_late_trigger(self):
+        rate = 3200.0
+        t = np.arange(int(2.0 * rate)) / rate
+        def bump(center):
+            return np.exp(-(((t - center) / 0.004) ** 2)) * 120.0 + G_STANDARD
+        ref = TimeSeries1(0.0, rate, bump(1.0))
+        hb = TimeSeries1(0.0, rate, bump(1.05))
+        # The headband trigger fired 2 ms late: raw difference 52 ms.
+        pairs, _, _ = align_events([ImpactEvent(1.052, "headband")],
+                                   [ImpactEvent(1.0, "reference")], 0.1,
+                                   hb_accel_mag=hb, ref_accel_mag=ref)
+        assert pairs[0].offset == pytest.approx(0.050, abs=0.5 / rate)
+
+    @pytest.mark.parametrize("start, t0", [(0.0, 1.0), (0.1, 1.2345678),
+                                           (-3.3, -2.0071), (12.5, 40.0 / 3.0)])
+    def test_clip_matches_clip_of_shifted_clock(self, start, t0):
+        rate = 3200.0
+        ts = TimeSeries1(start, rate, np.arange(9600.0))
+        shifted = TimeSeries1(ts.start_time - t0, rate, ts.values)
+        lo, hi = -0.03125, 0.09375
+        i0 = max(0, int(np.ceil((lo - shifted.start_time) * rate - 1e-9)))
+        i1 = int(np.floor((hi - shifted.start_time) * rate + 1e-9))
+        clip = _clip_scalar(ts, t0, lo, hi)
+        assert repr(clip.start_time) == repr(shifted.start_time + i0 / rate)
+        assert np.array_equal(clip.values, shifted.values[i0:i1 + 1])
+
     def test_clock_skew_recovered_on_full_session(self, config, skewed_session):
         sim = skewed_session
         recs = {r.sensor_id: r for r in sim.headband}
@@ -197,3 +223,71 @@ class TestOffsetRefinement:
         assert len(pairs) == 18 and not un_h and not un_r
         offsets = np.array([p.offset for p in pairs])
         assert np.abs(offsets - 0.020).max() < 0.001
+
+
+def full_scan_refine_offset(hb_mag, ref_mag, max_lag=0.010):
+    """refine_offset as it was before the lag screen: every lag scored."""
+    rate = max(hb_mag.sample_rate, ref_mag.sample_rate)
+    lo = max(hb_mag.start_time, ref_mag.start_time)
+    hi = min(hb_mag.end_time, ref_mag.end_time)
+    n = int(np.floor((hi - lo) * rate)) + 1
+    grid = lo + np.arange(n) / rate
+    a = sample_on_grid(hb_mag, grid).values
+    b = sample_on_grid(ref_mag, grid).values
+    a = a - a.mean()
+    b = b - b.mean()
+    max_shift = max(1, int(round(max_lag * rate)))
+    best_lag, best_rho = 0, -np.inf
+    for s in range(-max_shift, max_shift + 1):
+        if s >= 0:
+            x, y = a[s:], b[:n - s]
+        else:
+            x, y = a[:n + s], b[-s:]
+        denom = np.linalg.norm(x) * np.linalg.norm(y)
+        rho = float(x @ y) / denom if denom > 0 else 0.0
+        if rho > best_rho or (rho == best_rho and abs(s) < abs(best_lag)):
+            best_rho, best_lag = rho, s
+    return best_lag / rate
+
+
+def refine_cases():
+    """(id, headband series, reference series) pairs for the lag search."""
+    rng = np.random.default_rng(77)
+    rate = 3200.0
+    t = np.arange(int(0.125 * rate)) / rate - 0.03125
+    shape = np.exp(-(((t - 0.004) / 0.006) ** 2)) * 120.0 + G_STANDARD
+    for lag in (-0.012, -0.0025, 0.0, 0.001, 0.0093, 0.02):
+        noisy = np.interp(t - lag, t, shape) + rng.normal(scale=2.0, size=len(t))
+        yield (f"pulse_lag_{lag}", TimeSeries1(t[0], rate, noisy),
+               TimeSeries1(t[0], rate, shape))
+    yield ("noise", TimeSeries1(t[0], rate, rng.normal(size=len(t))),
+           TimeSeries1(t[0], rate, rng.normal(size=len(t))))
+    # Different rates and partly overlapping supports: resampled first.
+    t_hb = np.arange(int(0.125 * 1600.0)) / 1600.0 - 0.03
+    yield ("mixed_rates",
+           TimeSeries1(t_hb[0], 1600.0, np.interp(t_hb - 0.003, t, shape)),
+           TimeSeries1(t[0], rate, shape))
+    # Six samples against a +/-32 sample search: |s| >= n is scanned.
+    yield ("short", TimeSeries1(0.0, rate, [1.0, 3.0, 2.0, 5.0, 4.0, 1.0]),
+           TimeSeries1(0.0, rate, [2.0, 1.0, 4.0, 3.0, 1.0, 2.0]))
+    # A pulse against copies one sample either side: +1 and -1 tie.
+    ref = np.zeros(64)
+    ref[32] = 1.0
+    yield ("symmetric_tie", TimeSeries1(0.0, rate, np.roll(ref, 1) + np.roll(ref, -1)),
+           TimeSeries1(0.0, rate, ref))
+    yield ("constant", TimeSeries1(0.0, rate, np.full(64, G_STANDARD)),
+           TimeSeries1(0.0, rate, shape[:64]))
+    small = rng.normal(size=64)
+    yield ("tiny_values", TimeSeries1(0.0, rate, small * 1e-105),
+           TimeSeries1(0.0, rate, np.roll(small, 5) * 1e-105))
+
+
+REFINE_CASES = list(refine_cases())
+
+
+@pytest.mark.parametrize("case", REFINE_CASES, ids=[c[0] for c in REFINE_CASES])
+def test_refine_offset_equals_full_lag_scan(case):
+    _, hb, ref = case
+    new = refine_offset(hb, ref)
+    old = full_scan_refine_offset(hb, ref)
+    assert new == old and repr(new) == repr(old)

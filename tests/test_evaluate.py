@@ -7,8 +7,9 @@ from scipy.integrate import quad
 
 from kinereco.core import TimeSeries1, TimeSeries3
 from kinereco.errors import DataError, DegenerateSignalError, WindowError
-from kinereco.evaluate import (bland_altman, cora_band, cora_score,
-                               nrmse_windowed, paired_t_test, peak_resultant)
+from kinereco.evaluate import (CoraScore, _correlation, bland_altman, cora_band,
+                               cora_score, nrmse_windowed, paired_t_test,
+                               peak_resultant)
 
 
 def scalar(values, rate=3200.0, start=-0.03125):
@@ -235,3 +236,109 @@ class TestPairedTTest:
     def test_short_input_rejected(self):
         with pytest.raises(DataError):
             paired_t_test([1.0], [0.5])
+
+
+def full_scan_cora_score(ref, test, max_shift_fraction=0.2):
+    """cora_score as it was before the lag screen: every shift scored."""
+    r = ref.values
+    y = test.values
+    n = len(r)
+    max_shift = max(1, int(round(max_shift_fraction * n)))
+    best_shift, best_rho = 0, -np.inf
+    for s in range(-max_shift, max_shift + 1):
+        if s >= 0:
+            rho = _correlation(r[:n - s], y[s:])
+        else:
+            rho = _correlation(r[-s:], y[:n + s])
+        if rho > best_rho or (rho == best_rho and abs(s) < abs(best_shift)):
+            best_rho, best_shift = rho, s
+    phase = 1.0 - abs(best_shift) / max_shift
+    shape = max(0.0, best_rho)
+    peak_ref = float(np.max(np.abs(r)))
+    peak_test = float(np.max(np.abs(y)))
+    if max(peak_ref, peak_test) == 0.0:
+        mag = 1.0
+    elif min(peak_ref, peak_test) == 0.0:
+        mag = 0.0
+    else:
+        mag = min(peak_ref, peak_test) / max(peak_ref, peak_test)
+    total = (phase + mag + shape) / 3.0
+    return CoraScore(phase=phase, magnitude=mag, shape=shape, total=total,
+                     band=cora_band(total))
+
+
+def cora_cases():
+    """(id, ref values, test values) pairs covering the shift search."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4, 5, 7, 16, 41, 100, 257, 400, 600):
+        yield f"noise_{n}", rng.normal(size=n), rng.normal(size=n)
+        base = np.exp(-((np.arange(n) - n / 3) / (n / 8 + 1)) ** 2)
+        lag = int(rng.integers(-n // 4, n // 4 + 1))
+        noisy = np.roll(base, lag) * 0.8 + rng.normal(scale=0.05, size=n)
+        yield f"shifted_pulse_{n}", base, noisy
+    ref = pulse_curve().values
+    yield "identical", ref, ref
+    yield "c7_doubled", ref, 2.0 * ref
+    yield "c7_flipped", ref, -ref
+    yield "test_all_zero", ref, np.zeros_like(ref)
+    tail = np.zeros(300)
+    tail[:40] = np.sin(np.linspace(0.0, np.pi, 40))
+    yield "zero_tails", tail, np.roll(tail, 25)
+    yield "zero_tails_far", tail, np.roll(tail, 250)
+    # A delta against two deltas one sample either side: +1 and -1 tie.
+    yield "symmetric_tie", np.array([0.0, 0.0, 1.0, 0.0, 0.0]), \
+        np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    # Geometric curves overlap a copy of themselves in one direction at every
+    # shift: exact ties the screen rounds apart.
+    for q, n in ((2.0, 10), (-0.5, 10), (0.75, 40), (1.5, 100), (1.25, 300)):
+        geometric = q ** np.arange(n)
+        yield f"geometric_{q}_{n}", geometric, geometric
+    pulse = np.exp(-((np.arange(81) - 40.0) / 6.0) ** 2)
+    yield "symmetric_pulse", pulse, np.roll(pulse, 10) + np.roll(pulse, -10)
+    positive = 1.0 + rng.random(30)
+    yield "anticorrelated", positive, -np.roll(positive, 4)
+    yield "plateau", np.r_[np.zeros(20), np.ones(60), np.zeros(20)], np.ones(100)
+    # Energies outside the screen's trusted range: every shift is scored.
+    small = rng.normal(size=64)
+    yield "tiny_values", small * 1e-105, np.roll(small, 3) * 1e-105
+    yield "huge_values", small * 1e110, np.roll(small, 3) * 1e110
+    yield "tiny_tail", np.r_[small, 1e-150], np.r_[1e-150, small]
+    yield "subnormal_tail", np.r_[small, 1e-310], np.r_[1e-310, small]
+
+
+CORA_CASES = list(cora_cases())
+
+
+class TestCoraShiftScreen:
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("case", CORA_CASES, ids=[c[0] for c in CORA_CASES])
+    def test_equals_full_shift_scan(self, case, fraction):
+        _, r, y = case
+        ref, test = scalar(r), scalar(y)
+        new = cora_score(ref, test, fraction)
+        old = full_scan_cora_score(ref, test, fraction)
+        for field in ("phase", "magnitude", "shape", "total", "band"):
+            assert getattr(new, field) == getattr(old, field), field
+        assert repr(new) == repr(old)  # also the sign of any zero
+
+    @pytest.mark.parametrize("case", [c for c in CORA_CASES if len(c[1]) <= 41],
+                             ids=[c[0] for c in CORA_CASES if len(c[1]) <= 41])
+    def test_shift_bound_far_beyond_length(self, case):
+        _, r, y = case
+        ref, test = scalar(r), scalar(y)
+        assert repr(cora_score(ref, test, 25.0)) == \
+            repr(full_scan_cora_score(ref, test, 25.0))
+
+    def test_huge_shift_bound_scores_empty_overlap(self):
+        ref = scalar(1.0 + np.arange(10.0))
+        score = cora_score(ref, ref.with_values(-ref.values), 1e5)
+        # Every overlap is anticorrelated; the empty one at s = -10 wins.
+        assert score.shape == 0.0
+        assert score.phase == 1.0 - 10 / round(1e5 * 10)
+
+    def test_identical_inputs_total_exactly_one(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 50, 600):
+            ref = scalar(rng.normal(size=n))
+            for fraction in (0.05, 0.2, 1.0, 1.5):
+                assert cora_score(ref, ref, fraction).total == 1.0
