@@ -355,6 +355,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _require_positive(args, "max_offset")
     config = load_session_config(args.config)
     in_dir = Path(args.in_dir)
     manifest = RunManifest(
@@ -514,15 +515,22 @@ def _write_scalograms(path: Path, omega: TimeSeries3, manifest: RunManifest):
             grids.append((float(k), cwt(comp)))
     if not grids:
         return
-    # Row order: axis, then frequency, then time.
-    columns = [
-        np.concatenate([np.full(sc.coeffs.size, k) for k, sc in grids]),
-        np.concatenate([np.tile(sc.times, len(sc.freqs)) for _, sc in grids]),
-        np.concatenate([np.repeat(sc.freqs, len(sc.times)) for _, sc in grids]),
-        np.concatenate([sc.coeffs.ravel() for _, sc in grids]),
-    ]
-    write_table(path, ("axis", "time_s", "freq_hz", "coeff"), columns,
-                manifest.comments(), "%.9g")
+    # Row order: axis, then frequency, then time.  Each label is formatted
+    # once and every row refers to the same string.
+    axes, times, freqs = [], [], []
+    for k, sc in grids:
+        axes += ["%.9g" % k] * sc.coeffs.size
+        times += _labels(sc.times) * len(sc.freqs)
+        for freq in _labels(sc.freqs):
+            freqs += [freq] * len(sc.times)
+    coeffs = np.concatenate([sc.coeffs.ravel() for _, sc in grids])
+    write_table(path, ("axis", "time_s", "freq_hz", "coeff"),
+                (axes, times, freqs, coeffs), manifest.comments(), "%.9g")
+
+
+def _labels(values: np.ndarray) -> list[str]:
+    """``['%.9g' % x for x in values]``, in one ``%`` operation."""
+    return ("%.9g\n" * len(values) % tuple(values.tolist())).split()
 
 
 def _cmd_evaluate(args) -> int:
@@ -603,72 +611,78 @@ def _cmd_report(args) -> int:
         if not isinstance(report, dict) or key not in report:
             raise FormatError(f"{in_path}: not an agreement report "
                               f"(missing key {key!r})")
+    # Every table is rendered before any file is opened, so a malformed
+    # report leaves no partial table behind.
+    try:
+        tables = _report_tables(report["events"], report["aggregate"])
+    except KeyError as exc:
+        raise FormatError(f"{in_path}: not an agreement report "
+                          f"(missing key {exc.args[0]!r})") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{in_path}: malformed agreement report "
+                          f"({type(exc).__name__}: {exc})") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
-    stamp = f"# {comments[0]}\n"
-
-    with open(out / "cora.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
-        fh.write("pair_id,label,quantity,phase,magnitude,shape,total,band\n")
-        for ev in report["events"]:
-            for quantity, score in sorted(ev["cora"].items()):
-                fh.write(f"{ev['pair_id']},{ev['label']},{quantity},"
-                         f"{score['phase']:.6f},{score['magnitude']:.6f},"
-                         f"{score['shape']:.6f},{score['total']:.6f},"
-                         f"{score['band']}\n")
-
-    with open(out / "peaks.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
-        fh.write("pair_id,label,quantity,headband,reference,bias\n")
-        for ev in report["events"]:
-            for quantity, peak in sorted(ev["peaks"].items()):
-                fh.write(f"{ev['pair_id']},{ev['label']},{quantity},"
-                         f"{peak['headband']:.9g},{peak['reference']:.9g},"
-                         f"{peak['bias']:.9g}\n")
-
-    with open(out / "nrmse.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
-        fh.write("pair_id,label,quantity,nrms_pct,rms_abs,signed_mean_pct\n")
-        for ev in report["events"]:
-            for quantity, entry in sorted(ev["nrmse"].items()):
-                fh.write(f"{ev['pair_id']},{ev['label']},{quantity},"
-                         f"{entry['nrms_pct']:.6f},{entry['rms_abs']:.9g},"
-                         f"{entry['signed_mean_pct']:.6f}\n")
-
-    agg = report["aggregate"]
-    with open(out / "bland_altman.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
-        fh.write("scope,quantity,n,mean_bias,sd_bias,loa_low,loa_high,"
-                 "mean_normalized_bias\n")
-        for quantity, ba in sorted(agg["bland_altman"].items()):
-            fh.write(f"all,{quantity},{len(ba['bias'])},{ba['mean_bias']:.9g},"
-                     f"{ba['sd_bias']:.9g},{ba['loa_low']:.9g},"
-                     f"{ba['loa_high']:.9g},{ba['mean_normalized_bias']:.9g}\n")
-        for label, group in sorted(agg["by_label"].items()):
-            for quantity, entry in sorted(group.items()):
-                ba = entry.get("bland_altman")
-                if ba is None:
-                    continue
-                fh.write(f"{label},{quantity},{entry['n']},"
-                         f"{ba['mean_bias']:.9g},{ba['sd_bias']:.9g},"
-                         f"{ba['loa_low']:.9g},{ba['loa_high']:.9g},"
-                         f"{ba['mean_normalized_bias']:.9g}\n")
-
-    with open(out / "ttests.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
-        fh.write("quantity,t,p,significant\n")
-        for quantity, entry in sorted(agg["t_tests"].items()):
-            if entry is None:
-                fh.write(f"{quantity},,,\n")
-            else:
-                fh.write(f"{quantity},{entry['t']:.6f},{entry['p']:.6g},"
-                         f"{str(entry['significant']).lower()}\n")
+    for name, lines in tables.items():
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# {comments[0]}\n")
+            fh.writelines(line + "\n" for line in lines)
 
     if args.hb and args.ref:
         _write_overlays(Path(args.hb), Path(args.ref), out, comments)
     log.info("report: tables written to %s", out)
     return 0
+
+
+def _report_tables(events, agg) -> dict[str, list[str]]:
+    """The header and rows of each ``report`` table, by file name."""
+    cora = ["pair_id,label,quantity,phase,magnitude,shape,total,band"]
+    peaks = ["pair_id,label,quantity,headband,reference,bias"]
+    nrmse = ["pair_id,label,quantity,nrms_pct,rms_abs,signed_mean_pct"]
+    for ev in events:
+        pair = f"{ev['pair_id']},{ev['label']}"
+        for quantity, score in sorted(ev["cora"].items()):
+            cora.append(f"{pair},{quantity},"
+                        f"{score['phase']:.6f},{score['magnitude']:.6f},"
+                        f"{score['shape']:.6f},{score['total']:.6f},"
+                        f"{score['band']}")
+        for quantity, peak in sorted(ev["peaks"].items()):
+            peaks.append(f"{pair},{quantity},"
+                         f"{peak['headband']:.9g},{peak['reference']:.9g},"
+                         f"{peak['bias']:.9g}")
+        for quantity, entry in sorted(ev["nrmse"].items()):
+            nrmse.append(f"{pair},{quantity},"
+                         f"{entry['nrms_pct']:.6f},{entry['rms_abs']:.9g},"
+                         f"{entry['signed_mean_pct']:.6f}")
+
+    bland_altman = ["scope,quantity,n,mean_bias,sd_bias,loa_low,loa_high,"
+                    "mean_normalized_bias"]
+    for quantity, ba in sorted(agg["bland_altman"].items()):
+        bland_altman.append(
+            f"all,{quantity},{len(ba['bias'])},{ba['mean_bias']:.9g},"
+            f"{ba['sd_bias']:.9g},{ba['loa_low']:.9g},"
+            f"{ba['loa_high']:.9g},{ba['mean_normalized_bias']:.9g}")
+    for label, group in sorted(agg["by_label"].items()):
+        for quantity, entry in sorted(group.items()):
+            ba = entry.get("bland_altman")
+            if ba is None:
+                continue
+            bland_altman.append(
+                f"{label},{quantity},{entry['n']},"
+                f"{ba['mean_bias']:.9g},{ba['sd_bias']:.9g},"
+                f"{ba['loa_low']:.9g},{ba['loa_high']:.9g},"
+                f"{ba['mean_normalized_bias']:.9g}")
+
+    ttests = ["quantity,t,p,significant"]
+    for quantity, entry in sorted(agg["t_tests"].items()):
+        if entry is None:
+            ttests.append(f"{quantity},,,")
+        else:
+            ttests.append(f"{quantity},{entry['t']:.6f},{entry['p']:.6g},"
+                          f"{str(entry['significant']).lower()}")
+    return {"cora.csv": cora, "peaks.csv": peaks, "nrmse.csv": nrmse,
+            "bland_altman.csv": bland_altman, "ttests.csv": ttests}
 
 
 def _write_overlays(hb_dir: Path, ref_dir: Path, out: Path, comments):

@@ -577,15 +577,30 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
 
 def write_table(path, names, columns, comments, fmt: str):
     """Write a CSV table: ``# comment`` lines, the header, then one row per
-    sample of the equal-length ``columns``, every cell formatted with ``fmt``."""
+    sample of the equal-length ``columns``.
+
+    A column whose cells are ``str`` is written verbatim, so a label repeated
+    on many rows is formatted once by the caller; every other cell is
+    formatted with ``fmt``.
+    """
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    row = ",".join(["%s" if t else fmt for t in text]) + "\n"
+    k, mixed = len(columns), any(text)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        # Stacked one chunk at a time: the whole table is never copied.
+        # One chunk at a time: the whole table is never copied.
         for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-            write_rows(fh, np.column_stack(
-                [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]), fmt)
+            parts = [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]
+            if not mixed:
+                write_rows(fh, np.column_stack(parts), fmt)
+                continue
+            n = len(parts[0])
+            args = [None] * (n * k)
+            for j, (part, t) in enumerate(zip(parts, text)):
+                args[j::k] = part if t else part.tolist()
+            fh.write((row * n) % tuple(args))
 
 
 #: Rows formatted per ``%`` operation by :func:`write_rows`.  The speed is

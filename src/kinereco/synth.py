@@ -174,6 +174,9 @@ class NoiseSpec:
             raise DataError("noise sigmas must be non-negative")
         if self.burst.duration_s < 0:
             raise DataError("burst duration must be non-negative")
+        if self.burst.n_tones < 1:
+            raise DataError(f"burst n_tones must be at least 1, "
+                            f"got {self.burst.n_tones}")
 
     def scale_for(self, sensor_id: str) -> float:
         return float(self.per_sensor_scale.get(sensor_id, 1.0))
@@ -275,8 +278,9 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     the channel's own rate.  ``clock_offset`` shifts the device clock:
     a sample stamped t was taken at physical time t + clock_offset.
 
-    Noise is deterministic for a given seed, independent of which other
-    sensors are simulated.
+    Noise is deterministic for a given seed.  Each channel draws from its own
+    stream, keyed by the sensor's index in ``specs``: simulating ``specs[1:2]``
+    alone gives ``specs[1]`` different noise than simulating ``specs[:2]``.
     """
     def stamps_at(rate):
         return np.arange(int(math.floor(duration * rate)) + 1) / rate

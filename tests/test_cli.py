@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinereco.cli import main
+from kinereco.cli import RunManifest, _write_scalograms, main
+from kinereco.core import TimeSeries3
+from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
                             standard_session_profile,
                             write_simulated_session)
+from kinereco.wavelet import cwt
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,62 @@ class TestReconstructCommand:
                            if not ln.startswith(("#", "axis"))], delimiter=",")
         assert data.shape[1] == 4
         assert (data[:, 3] >= 0).all()
+
+
+def _old_write_scalograms(path, omega, manifest):
+    """The scalogram export that formats every cell, labels included."""
+    grids = []
+    for k in range(3):
+        comp = omega.component(k)
+        if comp.values.any():
+            grids.append((float(k), cwt(comp)))
+    if not grids:
+        return
+    columns = [
+        np.concatenate([np.full(sc.coeffs.size, k) for k, sc in grids]),
+        np.concatenate([np.tile(sc.times, len(sc.freqs)) for _, sc in grids]),
+        np.concatenate([np.repeat(sc.freqs, len(sc.times)) for _, sc in grids]),
+        np.concatenate([sc.coeffs.ravel() for _, sc in grids]),
+    ]
+    write_table(path, ("axis", "time_s", "freq_hz", "coeff"), columns,
+                manifest.comments(), "%.9g")
+
+
+class TestScalogramExport:
+    """Labels formatted once give the bytes of formatting every cell."""
+
+    MANIFEST = RunManifest(subcommand="reconstruct", config_path="c.json",
+                           inputs=("session",), params={}, seed=None)
+
+    @pytest.mark.parametrize("rate, n, start, zero_axes", [
+        (1125.0, 205, -0.03125, ()),
+        (1125.0, 205, -0.03125, (1,)),
+        (3200.0, 401, -0.03125, ()),
+        (3200.0, 401, -0.03125, (0,)),
+        (1125.0, 205, 12.468, (2,)),
+        (1125.0, 205, -0.03125, (0, 1, 2)),
+    ], ids=["headband", "headband_zero_y", "reference", "reference_zero_x",
+            "session_clock_zero_z", "all_zero"])
+    def test_equals_every_cell_formatted(self, tmp_path, rate, n, start,
+                                         zero_axes):
+        rng = np.random.default_rng(n + len(zero_axes))
+        t = np.arange(n) / rate + start
+        pulse = np.exp(-0.5 * ((t - start - 0.03125) / 0.004) ** 2)
+        samples = (pulse[:, None] * rng.uniform(5.0, 40.0, 3)
+                   + rng.standard_normal((n, 3)))
+        samples[:, list(zero_axes)] = 0.0
+        omega = TimeSeries3(start, rate, samples)
+
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_scalograms(new, omega, self.MANIFEST)
+        _old_write_scalograms(old, omega, self.MANIFEST)
+        if len(zero_axes) == 3:
+            assert not new.exists() and not old.exists()
+            return
+        assert new.read_bytes() == old.read_bytes()
+        axes = {line.split(",", 1)[0]
+                for line in new.read_text().splitlines()[2:]}
+        assert axes == {str(k) for k in range(3) if k not in zero_axes}
 
 
 class TestEvaluateAndReport:
@@ -221,6 +280,116 @@ class TestErrorReporting:
         assert repr(key) in err[0]
         assert not (tmp_path / "t").exists()
 
+    @staticmethod
+    def rejected_report_line(tmp_path, capsys, content) -> str:
+        """Run ``report`` on ``content``; it must fail with one FormatError
+        line and write no table."""
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(content))
+        code = main(["report", "--in", str(report), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: FormatError:")
+        assert not (tmp_path / "t").exists()
+        return err[0]
+
+    def test_report_with_bare_event_writes_no_table(self, tmp_path, capsys):
+        line = self.rejected_report_line(
+            tmp_path, capsys,
+            {"events": [{"pair_id": 1, "label": "x"}], "aggregate": {}})
+        assert "'cora'" in line
+
+    @staticmethod
+    def minimal_report():
+        score = {"phase": 0.9, "magnitude": 0.8, "shape": 0.7, "total": 0.8,
+                 "band": "good"}
+        ba = {"bias": [1.0], "mean_bias": 1.0, "sd_bias": 0.0, "loa_low": 1.0,
+              "loa_high": 1.0, "mean_normalized_bias": 0.1}
+        return {
+            "events": [{
+                "pair_id": 1, "label": "x",
+                "cora": {"angular_velocity": score},
+                "peaks": {"angular_velocity": {"headband": 1.0,
+                                               "reference": 2.0, "bias": -1.0}},
+                "nrmse": {"angular_velocity": {"nrms_pct": 5.0, "rms_abs": 0.1,
+                                               "signed_mean_pct": 1.0}},
+            }],
+            "aggregate": {
+                "bland_altman": {"angular_velocity": ba},
+                "by_label": {"x": {"angular_velocity": {"n": 1,
+                                                        "bland_altman": ba}}},
+                "t_tests": {"angular_velocity": {"t": 1.0, "p": 0.5,
+                                                 "significant": False}},
+            },
+        }
+
+    @pytest.mark.parametrize("path", [
+        ("events", 0, "cora"),
+        ("events", 0, "peaks"),
+        ("events", 0, "nrmse"),
+        ("events", 0, "label"),
+        ("events", 0, "cora", "angular_velocity", "band"),
+        ("events", 0, "nrmse", "angular_velocity", "rms_abs"),
+        ("aggregate", "bland_altman"),
+        ("aggregate", "bland_altman", "angular_velocity", "bias"),
+        ("aggregate", "by_label"),
+        ("aggregate", "by_label", "x", "angular_velocity", "n"),
+        ("aggregate", "t_tests"),
+        ("aggregate", "t_tests", "angular_velocity", "significant"),
+    ], ids=lambda path: "-".join(map(str, path)))
+    def test_report_missing_nested_key(self, tmp_path, capsys, path):
+        content = self.minimal_report()
+        parent = content
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        line = self.rejected_report_line(tmp_path, capsys, content)
+        assert repr(path[-1]) in line
+
+    @pytest.mark.parametrize("path, value", [
+        (("events", 0, "cora"), []),
+        (("events", 0, "peaks", "angular_velocity", "bias"), "big"),
+        (("events", 0), "not an event"),
+        (("aggregate", "t_tests", "angular_velocity", "t"), None),
+    ], ids=["cora_list", "bias_text", "event_text", "t_null"])
+    def test_report_wrong_type_writes_no_table(self, tmp_path, capsys, path,
+                                               value):
+        content = self.minimal_report()
+        parent = content
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        self.rejected_report_line(tmp_path, capsys, content)
+
+    def test_minimal_report_writes_every_table(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(self.minimal_report()))
+        assert main(["report", "--in", str(report),
+                     "--out", str(tmp_path / "t")]) == 0
+        assert (tmp_path / "t" / "ttests.csv").read_text().splitlines()[1:] == [
+            "quantity,t,p,significant",
+            "angular_velocity,1.000000,0.5,false"]
+
+    def test_profile_burst_without_tones_gives_single_error_line(
+            self, tmp_path, capsys, config):
+        profile = standard_session_profile(seed=30, with_noise=True,
+                                           n_per_tier=1)
+        profile_path = dump_profile(profile, tmp_path / "profile.json")
+        raw = json.loads(profile_path.read_text())
+        raw["noise"]["burst"]["n_tones"] = 0
+        profile_path.write_text(json.dumps(raw))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        code = main(["simulate", "--profile", str(profile_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "session")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: DataError:")
+        assert "n_tones" in err[0]
+
     def test_bad_events_file_reported(self, tmp_path, capsys, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_json_dict(config)))
@@ -242,7 +411,12 @@ class TestParameterValidation:
         ["evaluate", "--config", "c.json", "--hb", "kin", "--ref", "kin",
          "--pairs", "events.csv", "--out", "report.json",
          "--max-shift-fraction", "-1"],
-    ], ids=["workers_0", "nrmse_window_0", "max_shift_fraction_neg"])
+        ["detect", "--config", "c.json", "--in", "session",
+         "--out", "events.csv", "--max-offset", "0"],
+        ["detect", "--config", "c.json", "--in", "session",
+         "--out", "events.csv", "--max-offset", "-1"],
+    ], ids=["workers_0", "nrmse_window_0", "max_shift_fraction_neg",
+            "max_offset_0", "max_offset_neg"])
     def test_nonpositive_value_gives_single_error_line(self, argv, capsys):
         code = main(argv)
         assert code == 1
@@ -251,12 +425,18 @@ class TestParameterValidation:
         flag = argv[-2]
         assert err[0].startswith("kinereco: error: ConfigError: " + flag)
 
-    @pytest.mark.parametrize("flag", ["--nrmse-window", "--max-shift-fraction"])
+    @pytest.mark.parametrize("flag", ["--nrmse-window", "--max-shift-fraction",
+                                      "--max-offset"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_gives_single_error_line(self, flag, value, capsys):
-        code = main(["evaluate", "--config", "c.json", "--hb", "kin",
-                     "--ref", "kin", "--pairs", "events.csv",
-                     "--out", "report.json", f"{flag}={value}"])
+        if flag == "--max-offset":
+            command = ["detect", "--config", "c.json", "--in", "session",
+                       "--out", "events.csv"]
+        else:
+            command = ["evaluate", "--config", "c.json", "--hb", "kin",
+                       "--ref", "kin", "--pairs", "events.csv",
+                       "--out", "report.json"]
+        code = main(command + [f"{flag}={value}"])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1

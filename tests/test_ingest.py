@@ -219,3 +219,32 @@ class TestWriteRows:
         got = written(lambda fh: ingest.write_rows(fh, data, fmt), "bulk.csv")
         assert got == want
         assert got.count(b"\n") == n_rows
+
+
+class TestWriteTable:
+    """Columns of str cells are written verbatim next to formatted floats."""
+
+    SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300,
+               -2.5e-310, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1100])
+    def test_string_and_float_columns(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        floats = []
+        for _ in range(2):
+            values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(
+                -300, 300, n_rows)
+            values[::3] = np.resize(self.SPECIAL, len(values[::3]))
+            floats.append(values)
+        labels = ["%.9g" % x for x in rng.standard_normal(7)] + ["nan", "-0"]
+        axis = ["2"] * n_rows
+        text = (labels * n_rows)[:n_rows]
+        columns = (axis, floats[0], text, floats[1])
+        path = tmp_path / "table.csv"
+        ingest.write_table(path, ("a", "b", "c", "d"), columns, ("k=v",), "%.9g")
+
+        rows = ["# k=v", "a,b,c,d"] + [
+            f"{a},{'%.9g' % b},{c},{'%.9g' % d}"
+            for a, b, c, d in zip(*columns)]
+        assert path.read_bytes() == "".join(r + "\n" for r in rows).encode()
+

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from importlib.resources import files
 
@@ -71,6 +72,16 @@ class TestSimulateSensors:
         assert not np.array_equal(a[0].gyro.samples, c[0].gyro.samples)
 
 
+    def test_noise_keyed_by_sensor_index(self, config):
+        noise = NoiseSpec(gyro_sigma=0.1)
+        specs = list(config.headband_sensors)
+        pair = simulate_sensors(still_motion(), specs[:2], noise, 0.1, seed=3)
+        alone = simulate_sensors(still_motion(), specs[1:2], noise, 0.1, seed=3)
+        longer = simulate_sensors(still_motion(), specs[:3], noise, 0.1, seed=3)
+        assert np.array_equal(pair[1].gyro.samples, longer[1].gyro.samples)
+        assert not np.array_equal(pair[1].gyro.samples, alone[0].gyro.samples)
+
+
 class TestWriteSession:
     def test_round_trip_through_files(self, tmp_path, config, clean_session_small):
         sim = clean_session_small
@@ -119,6 +130,16 @@ class TestProfileSerialization:
                         atol=1e-12)
         assert_allclose(back.motion.alpha_at(t), profile.motion.alpha_at(t),
                         atol=1e-12)
+
+    @pytest.mark.parametrize("n_tones", [0, -1])
+    def test_burst_without_tones_rejected(self, tmp_path, n_tones):
+        profile = standard_session_profile(seed=5, with_noise=True)
+        path = dump_profile(profile, tmp_path / "profile.json")
+        raw = json.loads(path.read_text())
+        raw["noise"]["burst"]["n_tones"] = n_tones
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match="n_tones"):
+            load_profile(path)
 
     def test_analytic_derivative_matches_numeric(self):
         profile = standard_session_profile(seed=2, with_noise=False, n_per_tier=1)
