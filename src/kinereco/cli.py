@@ -517,20 +517,16 @@ def _write_scalograms(path: Path, omega: TimeSeries3, manifest: RunManifest):
         return
     # Row order: axis, then frequency, then time.  Each label is formatted
     # once and every row refers to the same string.
+    fmt = "%.9g"
     axes, times, freqs = [], [], []
     for k, sc in grids:
-        axes += ["%.9g" % k] * sc.coeffs.size
-        times += _labels(sc.times) * len(sc.freqs)
-        for freq in _labels(sc.freqs):
-            freqs += [freq] * len(sc.times)
+        axes += [fmt % k] * sc.coeffs.size
+        times += [fmt % t for t in sc.times.tolist()] * len(sc.freqs)
+        for freq in sc.freqs.tolist():
+            freqs += [fmt % freq] * len(sc.times)
     coeffs = np.concatenate([sc.coeffs.ravel() for _, sc in grids])
     write_table(path, ("axis", "time_s", "freq_hz", "coeff"),
-                (axes, times, freqs, coeffs), manifest.comments(), "%.9g")
-
-
-def _labels(values: np.ndarray) -> list[str]:
-    """``['%.9g' % x for x in values]``, in one ``%`` operation."""
-    return ("%.9g\n" * len(values) % tuple(values.tolist())).split()
+                (axes, times, freqs, coeffs), manifest.comments(), fmt)
 
 
 def _cmd_evaluate(args) -> int:

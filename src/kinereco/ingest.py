@@ -45,7 +45,6 @@ __all__ = [
     "load_session_config",
     "write_imu_csv",
     "write_table",
-    "write_rows",
 ]
 
 log = logging.getLogger(__name__)
@@ -581,21 +580,19 @@ def write_table(path, names, columns, comments, fmt: str):
 
     A column whose cells are ``str`` is written verbatim, so a label repeated
     on many rows is formatted once by the caller; every other cell is
-    formatted with ``fmt``.
+    formatted as ``fmt % x``, the same bytes as ``np.savetxt`` with ``fmt``.
     """
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
     row = ",".join(["%s" if t else fmt for t in text]) + "\n"
-    k, mixed = len(columns), any(text)
+    k = len(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        # One chunk at a time: the whole table is never copied.
+        # One ``%`` operation formats a chunk of rows; the whole table is
+        # never copied.
         for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
             parts = [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]
-            if not mixed:
-                write_rows(fh, np.column_stack(parts), fmt)
-                continue
             n = len(parts[0])
             args = [None] * (n * k)
             for j, (part, t) in enumerate(zip(parts, text)):
@@ -603,19 +600,6 @@ def write_table(path, names, columns, comments, fmt: str):
             fh.write((row * n) % tuple(args))
 
 
-#: Rows formatted per ``%`` operation by :func:`write_rows`.  The speed is
+#: Rows formatted per ``%`` operation by :func:`write_table`.  The speed is
 #: flat from 256 to 4096 rows; fewer rows hold fewer temporary floats.
 _ROWS_PER_CHUNK = 512
-
-
-def write_rows(fh, data: np.ndarray, fmt: str):
-    """Write a 2-D array as comma-separated lines, each cell as ``fmt % x``.
-
-    Same bytes as ``np.savetxt(fh, data, delimiter=",", fmt=fmt)``, but one
-    ``%`` operation formats a whole chunk of rows instead of a single row.
-    """
-    n_rows, n_cols = data.shape
-    row = ",".join([fmt] * n_cols) + "\n"
-    for lo in range(0, n_rows, _ROWS_PER_CHUNK):
-        chunk = data[lo:lo + _ROWS_PER_CHUNK]
-        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -189,7 +189,7 @@ class TestSessionConfig:
 
 
 class TestWriteRows:
-    """The bulk row writer produces exactly np.savetxt's bytes."""
+    """An all-float table is written as exactly np.savetxt's bytes."""
 
     SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
                -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.0, -7.0,
@@ -207,18 +207,18 @@ class TestWriteRows:
         else:
             values[:] = rng.choice(self.SPECIAL, cells)
         data = values.reshape(n_rows, 7)
+        names = [f"c{j}" for j in range(7)]
 
-        def written(write, name):
-            path = tmp_path / name
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                write(fh)
-            return path.read_bytes()
-
-        want = written(lambda fh: np.savetxt(fh, data, delimiter=",", fmt=fmt),
-                       "savetxt.csv")
-        got = written(lambda fh: ingest.write_rows(fh, data, fmt), "bulk.csv")
-        assert got == want
-        assert got.count(b"\n") == n_rows
+        want_path = tmp_path / "savetxt.csv"
+        with open(want_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("# k=v\n" + ",".join(names) + "\n")
+            np.savetxt(fh, data, delimiter=",", fmt=fmt)
+        path = tmp_path / "table.csv"
+        ingest.write_table(path, names, [data[:, j] for j in range(7)],
+                           ("k=v",), fmt)
+        got = path.read_bytes()
+        assert got == want_path.read_bytes()
+        assert got.count(b"\n") == n_rows + 2
 
 
 class TestWriteTable:
