@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import t as t_distribution
 
-from .core import TimeSeries1, best_shift, magnitude, same_clock
+from .core import TimeSeries1, best_shift, magnitude, same_clock, sample_on_grid
 from .errors import DataError, DegenerateSignalError, WindowError
 
 __all__ = [
@@ -282,11 +282,8 @@ class EventComparison:
 
 
 def _common_pair(hb_series, ref_series):
-    from .core import sample_on_grid
-
-    grid = ref_series.times
-    hb_on_grid = sample_on_grid(hb_series, grid)
-    return hb_on_grid, ref_series
+    """The headband series sampled on the reference grid, and the reference."""
+    return sample_on_grid(hb_series, ref_series.times), ref_series
 
 
 def _cora_to_dict(score: CoraScore) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -290,12 +291,14 @@ class ImuRecording:
                 "accel_high": self.accel_high}[kind]
 
 
-def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header names + float data matrix; '#' lines are comments."""
+def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray, dict]:
+    """Header names, float data matrix, and the ``# key=value`` comments
+    before the header row; every '#' line is a comment."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
+    meta = {}
     with fh:
         header = None
         while header is None:
@@ -303,10 +306,17 @@ def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray]:
             if not line:
                 raise FormatError(f"{path}: no header row found")
             stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
+            if stripped.startswith("#"):
+                key, eq, value = stripped[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif stripped:
                 header = [c.strip() for c in stripped.split(",")]
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # An empty table is reported below as a DataError.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"{path}: unparseable cell ({exc})") from None
     if data.size == 0:
@@ -315,10 +325,10 @@ def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray]:
         raise FormatError(
             f"{path}: {data.shape[1]} data columns vs {len(header)} header names"
         )
-    return header, data
+    return header, data, meta
 
 
-def _column_triple(header, names, path, column_map):
+def _column_indices(header, names, path, column_map):
     cmap = column_map or {}
     idx = []
     for canonical in names:
@@ -327,14 +337,6 @@ def _column_triple(header, names, path, column_map):
             raise FormatError(f"{path}: missing column {actual!r}")
         idx.append(header.index(actual))
     return idx
-
-
-def _time_column(header, path, column_map):
-    cmap = column_map or {}
-    actual = cmap.get("time_s", "time_s")
-    if actual not in header:
-        raise FormatError(f"{path}: missing column {actual!r}")
-    return header.index(actual)
 
 
 def _validated_times(t: np.ndarray, rate: float, path) -> float:
@@ -387,21 +389,21 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None) -> Imu
         NaN cells, non-monotone or non-uniform time columns, rate mismatch.
     """
     path = Path(path)
-    header, data = _read_csv_columns(path)
-    t_idx = _time_column(header, path, column_map)
+    header, data, _ = _read_csv_columns(path)
+    t_idx, = _column_indices(header, ("time_s",), path, column_map)
     t0 = None
 
     gyro_spec = spec.channel("gyro")
     if gyro_spec is None:
         raise ConfigError(f"sensor {spec.id!r} declares no gyro channel")
-    gcols = _column_triple(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
+    gcols = _column_indices(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
     t0 = _validated_times(data[:, t_idx], gyro_spec.rate, path)
     gyro = _channel_series(data, t0, gyro_spec.rate, gcols, _DEG2RAD, path)
 
     accel_low = None
     low_spec = spec.channel("accel_low")
     if low_spec is not None:
-        lcols = _column_triple(header, _CHANNEL_COLUMNS["accel_low"], path, column_map)
+        lcols = _column_indices(header, _CHANNEL_COLUMNS["accel_low"], path, column_map)
         if low_spec.rate != gyro_spec.rate:
             raise ConfigError(
                 f"sensor {spec.id!r}: accel_low rate {low_spec.rate:g} Hz must "
@@ -416,7 +418,7 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None) -> Imu
         cmap = column_map or {}
         in_main = all(cmap.get(n, n) in header for n in names)
         if in_main and high_spec.rate == gyro_spec.rate:
-            hcols = _column_triple(header, names, path, column_map)
+            hcols = _column_indices(header, names, path, column_map)
             accel_high = _channel_series(data, t0, high_spec.rate, hcols,
                                          G_STANDARD, path)
         else:
@@ -426,10 +428,10 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None) -> Imu
                     f"{path}: high-g channel at {high_spec.rate:g} Hz expects "
                     f"companion file {hpath.name}"
                 )
-            hheader, hdata = _read_csv_columns(hpath)
-            ht_idx = _time_column(hheader, hpath, column_map)
+            hheader, hdata, _ = _read_csv_columns(hpath)
+            ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
             ht0 = _validated_times(hdata[:, ht_idx], high_spec.rate, hpath)
-            hcols = _column_triple(hheader, names, hpath, column_map)
+            hcols = _column_indices(hheader, names, hpath, column_map)
             accel_high = _channel_series(hdata, ht0, high_spec.rate, hcols,
                                          G_STANDARD, hpath)
 
@@ -572,6 +574,13 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
         write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays, header_comments,
                     "%.14g")
     return path
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_table(path, names, columns, comments, fmt: str):

@@ -303,12 +303,10 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
         head_frame = rotate_series(rec.gyro, spec.orientation)
         rotated_gyros.append(sample_on_grid(head_frame, grid))
     omega_h = average_angular_velocity(rotated_gyros)
-    omega_hf, cutoff = adaptive_filter(
-        omega_h,
-        coeff_threshold=config.filter.coeff_threshold,
-        cap_hz=config.filter.max_cutoff_hz,
-        end_time=config.filter.end_time_ms / 1000.0,
-    )
+    tuning = dict(coeff_threshold=config.filter.coeff_threshold,
+                  cap_hz=config.filter.max_cutoff_hz,
+                  end_time=config.filter.end_time_ms / 1000.0)
+    omega_hf, cutoff = adaptive_filter(omega_h, **tuning)
 
     omega_for_a3g1 = omega_hf
     if config.a3g1_gyro != "averaged":
@@ -317,12 +315,7 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
         if rec is None:
             raise DataError(f"a3g1_gyro sensor {config.a3g1_gyro!r} not in window")
         single = sample_on_grid(rotate_series(rec.gyro, spec.orientation), grid)
-        omega_for_a3g1, _ = adaptive_filter(
-            single,
-            coeff_threshold=config.filter.coeff_threshold,
-            cap_hz=config.filter.max_cutoff_hz,
-            end_time=config.filter.end_time_ms / 1000.0,
-        )
+        omega_for_a3g1, _ = adaptive_filter(single, **tuning)
 
     alpha_diff = None
     if alpha_method in ("diff", "both"):

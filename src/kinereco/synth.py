@@ -29,9 +29,9 @@ import numpy as np
 
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
-from .errors import DataError
+from .errors import DataError, FormatError
 from .ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
-                     SessionConfig, write_imu_csv)
+                     SessionConfig, write_imu_csv, write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -170,8 +170,13 @@ class NoiseSpec:
     per_sensor_scale: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.gyro_sigma < 0 or self.accel_sigma < 0:
-            raise DataError("noise sigmas must be non-negative")
+        for name, value in (("gyro_sigma", self.gyro_sigma),
+                            ("accel_sigma", self.accel_sigma),
+                            ("burst gyro_amplitude", self.burst.gyro_amplitude),
+                            ("burst accel_amplitude", self.burst.accel_amplitude)):
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"noise {name} must be finite and "
+                                f"non-negative, got {value!r}")
         if self.burst.duration_s < 0:
             raise DataError("burst duration must be non-negative")
         if self.burst.n_tones < 1:
@@ -180,12 +185,6 @@ class NoiseSpec:
 
     def scale_for(self, sensor_id: str) -> float:
         return float(self.per_sensor_scale.get(sensor_id, 1.0))
-
-    @property
-    def silent(self) -> bool:
-        return (self.gyro_sigma == 0.0 and self.accel_sigma == 0.0
-                and self.burst.gyro_amplitude == 0.0
-                and self.burst.accel_amplitude == 0.0)
 
 
 @dataclass(frozen=True)
@@ -432,9 +431,7 @@ def write_session(recordings, config: SessionConfig, path,
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg_path, payload)
     written.append(cfg_path)
     return written
 
@@ -453,12 +450,10 @@ def write_simulated_session(sim: SimulatedSession, config: SessionConfig,
     written = write_session(list(sim.headband) + list(sim.reference_blocks),
                             config, out, header_comments)
     labels_path = out / "labels.csv"
-    with open(labels_path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
-        fh.write("time_s,label\n")
-        for imp in sim.profile.impacts:
-            fh.write(f"{imp.time_s:.6f},{imp.label}\n")
+    impacts = sim.profile.impacts
+    write_table(labels_path, ("time_s", "label"),
+                (np.array([imp.time_s for imp in impacts]),
+                 [imp.label for imp in impacts]), header_comments, "%.6f")
     written.append(labels_path)
     truth_path = out / "truth.json"
     payload = {
@@ -473,9 +468,7 @@ def write_simulated_session(sim: SimulatedSession, config: SessionConfig,
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, payload)
     written.append(truth_path)
     return written
 
@@ -673,16 +666,12 @@ def profile_to_json_dict(profile: SessionProfile) -> dict:
 
 def dump_profile(profile: SessionProfile, path) -> Path:
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_json_dict(profile), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, profile_to_json_dict(profile))
     return path
 
 
 def load_profile(path) -> SessionProfile:
     """Load a session profile from its JSON form (inverse of dump_profile)."""
-    from .errors import FormatError
-
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:

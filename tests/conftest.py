@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kinereco.cli import main
 from kinereco.synth import (SessionProfile, example_session_config,
-                            simulate_session, standard_session_profile)
+                            simulate_session, standard_session_profile,
+                            write_simulated_session)
 
 
 def rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -37,6 +39,24 @@ def clean_profile_small() -> SessionProfile:
 @pytest.fixture(scope="session")
 def clean_session_small(config, clean_profile_small):
     return simulate_session(clean_profile_small, config, seed=5)
+
+
+@pytest.fixture(scope="session")
+def small_pipeline(tmp_path_factory, config, clean_session_small):
+    """clean_session_small written out -> detect -> reconstruct, via the CLI."""
+    root = tmp_path_factory.mktemp("pipeline")
+    session = root / "session"
+    write_simulated_session(clean_session_small, config, session)
+    config_path = session / "config.json"
+    events = root / "events.csv"
+    assert main(["detect", "--config", str(config_path), "--in", str(session),
+                 "--out", str(events)]) == 0
+    kin = root / "kin"
+    assert main(["reconstruct", "--config", str(config_path),
+                 "--in", str(session), "--events", str(events),
+                 "--out", str(kin), "--alpha-method", "both"]) == 0
+    return dict(root=root, session=session, config=config_path, events=events,
+                kin=kin)
 
 
 @pytest.fixture(scope="session")

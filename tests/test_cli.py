@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,28 +9,8 @@ from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
-                            standard_session_profile,
-                            write_simulated_session)
+                            standard_session_profile)
 from kinereco.wavelet import cwt
-
-
-@pytest.fixture(scope="module")
-def small_pipeline(tmp_path_factory, config, clean_session_small,
-                   clean_profile_small):
-    """simulate (pre-built fixture) -> detect -> reconstruct on 3 events."""
-    root = tmp_path_factory.mktemp("pipeline")
-    session = root / "session"
-    write_simulated_session(clean_session_small, config, session)
-    config_path = session / "config.json"
-    events = root / "events.csv"
-    assert main(["detect", "--config", str(config_path), "--in", str(session),
-                 "--out", str(events)]) == 0
-    kin = root / "kin"
-    assert main(["reconstruct", "--config", str(config_path),
-                 "--in", str(session), "--events", str(events),
-                 "--out", str(kin), "--alpha-method", "both"]) == 0
-    return dict(root=root, session=session, config=config_path, events=events,
-                kin=kin)
 
 
 class TestDetectCommand:
@@ -390,6 +371,84 @@ class TestErrorReporting:
         assert err[0].startswith("kinereco: error: DataError:")
         assert "n_tones" in err[0]
 
+    @staticmethod
+    def broken_kinematics(small_pipeline, tmp_path, case) -> Path:
+        """A copy of the headband kinematics with hb_ev001.csv broken."""
+        src = small_pipeline["kin"] / "hb_ev001.csv"
+        lines = src.read_text().splitlines(keepends=True)
+        n_comments = sum(line.startswith("#") for line in lines)
+        if case == "no_t_s":
+            lines[n_comments] = lines[n_comments].replace("t_s,", "time,", 1)
+        elif case == "bad_cell":
+            lines[n_comments + 3] = "abc" + lines[n_comments + 3][
+                lines[n_comments + 3].index(","):]
+        elif case == "one_row":
+            lines = lines[:n_comments + 2]
+        elif case == "no_rows":
+            lines = lines[:n_comments + 1]
+        bad = tmp_path / "hb"
+        bad.mkdir()
+        (bad / "hb_ev001.csv").write_text("".join(lines))
+        return bad
+
+    BROKEN = pytest.mark.parametrize("case, error", [
+        ("no_t_s", "FormatError: {path}: missing column 't_s'"),
+        ("bad_cell", "DataError: {path}: unparseable cell"),
+        ("one_row", "DataError: {path}: kinematics tables need at least 2 rows"),
+        ("no_rows", "DataError: {path}: no data rows"),
+    ], ids=["no_t_s", "bad_cell", "one_row", "no_rows"])
+
+    @staticmethod
+    def main_without_warnings(argv) -> int:
+        """``main`` with every warning raised as an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    @BROKEN
+    def test_evaluate_bad_kinematics_gives_single_error_line(
+            self, small_pipeline, tmp_path, capsys, case, error):
+        bad = self.broken_kinematics(small_pipeline, tmp_path, case)
+        out = tmp_path / "report.json"
+        code = self.main_without_warnings([
+            "evaluate", "--config", str(small_pipeline["config"]),
+            "--hb", str(bad), "--ref", str(small_pipeline["kin"]),
+            "--pairs", str(small_pipeline["events"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: " + error.format(
+            path=bad / "hb_ev001.csv"))
+        assert not out.exists()
+
+    @BROKEN
+    def test_report_bad_kinematics_writes_no_table(
+            self, small_pipeline, tmp_path, capsys, case, error):
+        bad = self.broken_kinematics(small_pipeline, tmp_path, case)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(self.minimal_report()))
+        code = self.main_without_warnings([
+            "report", "--in", str(report), "--out", str(tmp_path / "t"),
+            "--hb", str(bad), "--ref", str(small_pipeline["kin"])])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: " + error.format(
+            path=bad / "hb_ev001.csv"))
+        assert not (tmp_path / "t").exists()
+
+    def test_missing_events_file_gives_single_error_line(self, tmp_path,
+                                                         capsys, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        code = main(["reconstruct", "--config", str(config_path),
+                     "--in", str(tmp_path), "--events", str(tmp_path / "no.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: FormatError: cannot open")
+
     def test_bad_events_file_reported(self, tmp_path, capsys, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_json_dict(config)))
@@ -404,8 +463,6 @@ class TestErrorReporting:
 
 class TestParameterValidation:
     @pytest.mark.parametrize("argv", [
-        ["reconstruct", "--config", "c.json", "--in", "session",
-         "--events", "events.csv", "--out", "kin", "--workers", "0"],
         ["evaluate", "--config", "c.json", "--hb", "kin", "--ref", "kin",
          "--pairs", "events.csv", "--out", "report.json", "--nrmse-window", "0"],
         ["evaluate", "--config", "c.json", "--hb", "kin", "--ref", "kin",
@@ -415,7 +472,7 @@ class TestParameterValidation:
          "--out", "events.csv", "--max-offset", "0"],
         ["detect", "--config", "c.json", "--in", "session",
          "--out", "events.csv", "--max-offset", "-1"],
-    ], ids=["workers_0", "nrmse_window_0", "max_shift_fraction_neg",
+    ], ids=["nrmse_window_0", "max_shift_fraction_neg",
             "max_offset_0", "max_offset_neg"])
     def test_nonpositive_value_gives_single_error_line(self, argv, capsys):
         code = main(argv)
@@ -441,3 +498,34 @@ class TestParameterValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("kinereco: error: ConfigError: " + flag)
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["reconstruct", "--config", "c.json", "--in", "session",
+          "--events", "events.csv", "--out", "kin", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["detect", "--config", "c.json", "--in", "session"],
+         "required: --out"),
+        (["reconstruct", "--config", "c.json", "--in", "session",
+          "--events", "events.csv", "--out", "kin", "--alpha-method", "fast"],
+         "argument --alpha-method: invalid choice: 'fast'"),
+        (["simulate", "--profile", "p.json", "--config", "c.json",
+          "--out", "session", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        ([], "required: subcommand"),
+    ], ids=["unknown_flag", "missing_required", "bad_choice", "bad_int",
+            "no_subcommand"])
+    def test_usage_error_gives_single_error_line(self, argv, needle, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kinereco: error: ConfigError: ")
+        assert needle in err[0]
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out

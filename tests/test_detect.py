@@ -215,7 +215,7 @@ class TestOffsetRefinement:
             ref_events.append(ImpactEvent(found[0].t0, "reference"))
         assert len(hb_events) == len(ref_events) == 18
 
-        from kinereco.cli import _concat_scalar
+        from kinereco.pipeline import _concat_scalar
         pairs, un_h, un_r = align_events(
             hb_events, ref_events, 0.5,
             hb_accel_mag=trig, ref_accel_mag=_concat_scalar(ref_mag_parts),

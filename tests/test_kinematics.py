@@ -260,7 +260,7 @@ class TestAdaptiveFilter:
         # noiseless rigid-body data: every gyro reads the same field, so the
         # single-gyro A3G1 variant must agree with the averaged one
         from dataclasses import replace
-        from kinereco.cli import _build_window
+        from kinereco.pipeline import _build_window
         from kinereco.core import magnitude
         from kinereco.detect import detect_impacts
         from kinereco.kinematics import reconstruct_headband_event

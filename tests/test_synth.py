@@ -141,6 +141,33 @@ class TestProfileSerialization:
         with pytest.raises(DataError, match="n_tones"):
             load_profile(path)
 
+    BAD_NOISE = pytest.mark.parametrize("key, value", [
+        ("gyro_sigma", float("nan")), ("accel_sigma", float("inf")),
+        ("gyro_sigma", -0.1), ("gyro_amplitude", -5.0),
+        ("accel_amplitude", float("nan")), ("gyro_amplitude", float("-inf")),
+    ], ids=["gyro_sigma_nan", "accel_sigma_inf", "gyro_sigma_neg",
+            "burst_gyro_neg", "burst_accel_nan", "burst_gyro_neg_inf"])
+
+    @BAD_NOISE
+    def test_bad_noise_spec_rejected(self, key, value):
+        if key.endswith("amplitude"):
+            kwargs = {"burst": BurstSpec(**{key: value})}
+        else:
+            kwargs = {key: value}
+        with pytest.raises(DataError, match=key):
+            NoiseSpec(**kwargs)
+
+    @BAD_NOISE
+    def test_bad_noise_profile_rejected(self, tmp_path, key, value):
+        profile = standard_session_profile(seed=5, with_noise=True)
+        path = dump_profile(profile, tmp_path / "profile.json")
+        raw = json.loads(path.read_text())
+        noise = raw["noise"]["burst"] if key.endswith("amplitude") else raw["noise"]
+        noise[key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=key):
+            load_profile(path)
+
     def test_analytic_derivative_matches_numeric(self):
         profile = standard_session_profile(seed=2, with_noise=False, n_per_tier=1)
         t = np.linspace(0.5, 2.5, 20001)
