@@ -43,8 +43,9 @@ from .ingest import ImuRecording, SessionConfig, _read_csv_columns, \
     load_session_config, parse_imu_csv, parse_reference_csv, write_json, \
     write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
-from .pipeline import PairRow, clip_reference_to, detect_session, \
-    overlay_resultants, reconstruct_pair, report_tables
+from .pipeline import PairRow, clip_reference_to, detect_channels, \
+    detect_session, overlay_resultants, reconstruct_channels, \
+    reconstruct_pair, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
 from .wavelet import cwt
 
@@ -85,13 +86,18 @@ class RunManifest:
 # Shared session I/O
 
 
-def _load_headband(config: SessionConfig, in_dir: Path) -> dict[str, ImuRecording]:
+def _load_headband(config: SessionConfig, in_dir: Path,
+                   channels: dict[str, tuple[str, ...]],
+                   ) -> dict[str, ImuRecording]:
+    """Each headband sensor's ``channels``; only the files holding them are
+    opened."""
     recs = {}
     for spec in config.headband_sensors:
         path = in_dir / f"{spec.id}.csv"
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
-        recs[spec.id] = parse_imu_csv(path, spec, config.column_map)
+        recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
+                                      channels[spec.id])
     return recs
 
 
@@ -125,8 +131,12 @@ def _load_labels(in_dir: Path) -> list[tuple[float, str]]:
         raise FormatError(f"{path}: expected 'time_s,label' header")
     out = []
     for line in lines[1:]:
-        t, label = line.split(",", 1)
-        out.append((float(t), label.strip()))
+        try:
+            t, label = line.split(",", 1)
+            out.append((float(t), label.strip()))
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed label row {line!r} "
+                            f"({exc})") from None
     return out
 
 
@@ -300,7 +310,7 @@ def _cmd_detect(args) -> int:
         inputs=(str(in_dir),),
         params={"max_offset_s": args.max_offset}, seed=None,
     )
-    hb_recs = _load_headband(config, in_dir)
+    hb_recs = _load_headband(config, in_dir, detect_channels(config))
     ref_blocks = _load_reference_blocks(config, in_dir)
     pairs, unpaired = detect_session(config, hb_recs, ref_blocks,
                                      args.max_offset, _load_labels(in_dir))
@@ -325,7 +335,8 @@ def _cmd_reconstruct(args) -> int:
     pairs = _read_events_csv(Path(args.events))
     if not pairs:
         raise DataError(f"{args.events}: no paired events to reconstruct")
-    hb_recs = _load_headband(config, in_dir)
+    hb_recs = _load_headband(config, in_dir,
+                             reconstruct_channels(config, args.alpha_method))
     ref_blocks = _load_reference_blocks(config, in_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

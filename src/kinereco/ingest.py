@@ -271,10 +271,14 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class ImuRecording:
-    """Parsed channels of one IMU, in SI units on the sensor's own clocks."""
+    """Parsed channels of one IMU, in SI units on the sensor's own clocks.
+
+    A channel is None when the sensor does not declare it or when it was not
+    requested from :func:`parse_imu_csv`.
+    """
 
     sensor_id: str
-    gyro: TimeSeries3
+    gyro: TimeSeries3 | None
     accel_low: TimeSeries3 | None = None
     accel_high: TimeSeries3 | None = None
 
@@ -373,7 +377,8 @@ def _channel_series(data, t0, rate, cols, scale, path) -> TimeSeries3:
     return TimeSeries3(t0, rate, block * scale)
 
 
-def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None) -> ImuRecording:
+def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
+                  channels=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
     The main file carries the gyro (deg/s) plus any accelerometer triples (g)
@@ -381,68 +386,106 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None) -> Imu
     read from the ``<stem>_high.csv`` companion.  Channel rates are checked
     against the sensor's channel declaration.
 
+    ``channels`` names the kinds to return; ``None`` means every declared
+    channel.  Kinds not requested are ``None`` in the recording, and a file
+    holding none of the requested kinds is never opened.  A file that is
+    opened is parsed and validated whole, whatever is requested from it.
+
     Raises
     ------
+    ConfigError
+        A requested kind the sensor does not declare, no gyro declared, or an
+        ``accel_low`` rate other than the gyro's.
     FormatError
         Missing file or column.
     DataError
         NaN cells, non-monotone or non-uniform time columns, rate mismatch.
     """
     path = Path(path)
-    header, data, _ = _read_csv_columns(path)
-    t_idx, = _column_indices(header, ("time_s",), path, column_map)
-    t0 = None
-
+    declared = [c.kind for c in spec.channels]
+    wanted = set(declared if channels is None else channels)
+    undeclared = sorted(wanted - set(declared))
+    if undeclared:
+        raise ConfigError(f"sensor {spec.id!r}: requested channels {undeclared} "
+                          f"are not declared (declared: {', '.join(declared)})")
     gyro_spec = spec.channel("gyro")
     if gyro_spec is None:
         raise ConfigError(f"sensor {spec.id!r} declares no gyro channel")
-    gcols = _column_indices(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
-    t0 = _validated_times(data[:, t_idx], gyro_spec.rate, path)
-    gyro = _channel_series(data, t0, gyro_spec.rate, gcols, _DEG2RAD, path)
-
-    accel_low = None
     low_spec = spec.channel("accel_low")
-    if low_spec is not None:
-        lcols = _column_indices(header, _CHANNEL_COLUMNS["accel_low"], path, column_map)
-        if low_spec.rate != gyro_spec.rate:
-            raise ConfigError(
-                f"sensor {spec.id!r}: accel_low rate {low_spec.rate:g} Hz must "
-                f"match the gyro rate {gyro_spec.rate:g} Hz in a shared file"
-            )
-        accel_low = _channel_series(data, t0, low_spec.rate, lcols, G_STANDARD, path)
-
-    accel_high = None
+    if low_spec is not None and low_spec.rate != gyro_spec.rate:
+        raise ConfigError(
+            f"sensor {spec.id!r}: accel_low rate {low_spec.rate:g} Hz must "
+            f"match the gyro rate {gyro_spec.rate:g} Hz in a shared file"
+        )
     high_spec = spec.channel("accel_high")
-    if high_spec is not None:
-        names = _CHANNEL_COLUMNS["accel_high"]
-        cmap = column_map or {}
-        in_main = all(cmap.get(n, n) in header for n in names)
-        if in_main and high_spec.rate == gyro_spec.rate:
-            hcols = _column_indices(header, names, path, column_map)
-            accel_high = _channel_series(data, t0, high_spec.rate, hcols,
-                                         G_STANDARD, path)
-        else:
-            hpath = path.with_name(path.stem + "_high" + path.suffix)
-            if not hpath.exists():
-                raise FormatError(
-                    f"{path}: high-g channel at {high_spec.rate:g} Hz expects "
-                    f"companion file {hpath.name}"
-                )
-            hheader, hdata, _ = _read_csv_columns(hpath)
-            ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
-            ht0 = _validated_times(hdata[:, ht_idx], high_spec.rate, hpath)
-            hcols = _column_indices(hheader, names, hpath, column_map)
-            accel_high = _channel_series(hdata, ht0, high_spec.rate, hcols,
-                                         G_STANDARD, hpath)
 
-    rec = ImuRecording(spec.id, gyro, accel_low, accel_high)
+    # The main file holds the gyro clock's channels; a high-g channel on
+    # that clock is looked for there before the companion.
+    series = {}
+    if wanted & {"gyro", "accel_low"} or (
+            "accel_high" in wanted and high_spec.rate == gyro_spec.rate):
+        series = _parse_main_file(path, spec, column_map)
+    if "accel_high" in wanted and series.get("accel_high") is None:
+        series["accel_high"] = _parse_companion_file(path, high_spec, column_map)
+
+    rec = ImuRecording(spec.id, *(series[k] if k in wanted else None
+                                  for k in CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
 
 
+def _parse_main_file(path: Path, spec: SensorSpec,
+                     column_map) -> dict[str, TimeSeries3 | None]:
+    """Every declared channel of ``<stem>.csv``; ``accel_high`` is None unless
+    its columns are there and it shares the gyro rate."""
+    gyro_spec = spec.channel("gyro")
+    low_spec = spec.channel("accel_low")
+    high_spec = spec.channel("accel_high")
+    header, data, _ = _read_csv_columns(path)
+    t_idx, = _column_indices(header, ("time_s",), path, column_map)
+    gcols = _column_indices(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
+    t0 = _validated_times(data[:, t_idx], gyro_spec.rate, path)
+    series = {"gyro": _channel_series(data, t0, gyro_spec.rate, gcols,
+                                      _DEG2RAD, path),
+              "accel_low": None, "accel_high": None}
+    if low_spec is not None:
+        lcols = _column_indices(header, _CHANNEL_COLUMNS["accel_low"], path,
+                                column_map)
+        series["accel_low"] = _channel_series(data, t0, low_spec.rate, lcols,
+                                              G_STANDARD, path)
+    if high_spec is not None and high_spec.rate == gyro_spec.rate:
+        names = _CHANNEL_COLUMNS["accel_high"]
+        cmap = column_map or {}
+        if all(cmap.get(n, n) in header for n in names):
+            hcols = _column_indices(header, names, path, column_map)
+            series["accel_high"] = _channel_series(data, t0, high_spec.rate,
+                                                   hcols, G_STANDARD, path)
+    return series
+
+
+def _parse_companion_file(path: Path, high_spec: ChannelSpec,
+                          column_map) -> TimeSeries3:
+    """The high-g channel from the ``<stem>_high.csv`` companion of ``path``."""
+    hpath = path.with_name(path.stem + "_high" + path.suffix)
+    if not hpath.exists():
+        raise FormatError(
+            f"{path}: high-g channel at {high_spec.rate:g} Hz expects "
+            f"companion file {hpath.name}"
+        )
+    names = _CHANNEL_COLUMNS["accel_high"]
+    hheader, hdata, _ = _read_csv_columns(hpath)
+    ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
+    ht0 = _validated_times(hdata[:, ht_idx], high_spec.rate, hpath)
+    hcols = _column_indices(hheader, names, hpath, column_map)
+    return _channel_series(hdata, ht0, high_spec.rate, hcols, G_STANDARD, hpath)
+
+
 def _check_overlap(rec: ImuRecording, path):
+    """The returned channels must share some stretch of time."""
     spans = [(ts.start_time, ts.end_time)
              for ts in (rec.gyro, rec.accel_low, rec.accel_high) if ts is not None]
+    if not spans:
+        return
     lo = max(s for s, _ in spans)
     hi = min(e for _, e in spans)
     if hi <= lo:

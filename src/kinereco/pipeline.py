@@ -84,13 +84,26 @@ def _label_for(t0: float, labels, tolerance: float = 0.5) -> str:
     return best
 
 
+def detect_channels(config: SessionConfig) -> dict[str, tuple[str, ...]]:
+    """The channels :func:`detect_session` reads, by headband sensor id: the
+    trigger channel, ``accel_high`` when declared and else ``accel_low``
+    (none for a sensor without an accelerometer, which detection rejects)."""
+    reads = {}
+    for spec in config.headband_sensors:
+        declared = [kind for kind in ("accel_high", "accel_low")
+                    if spec.channel(kind) is not None]
+        reads[spec.id] = tuple(declared[:1])
+    return reads
+
+
 def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
                    ref_blocks: list[ImuRecording], max_offset: float, labels=(),
                    ) -> tuple[list[PairRow], list[tuple[ImpactEvent, str]]]:
     """Find the impacts on both devices, pair them and label every event.
 
-    ``headband`` maps sensor id to its recording; ``ref_blocks`` are the
-    reference device's event blocks.  ``labels`` holds ``(time_s, label)``
+    ``headband`` maps sensor id to its recording, which needs only the
+    channels :func:`detect_channels` names; ``ref_blocks`` are the reference
+    device's event blocks, parsed whole.  ``labels`` holds ``(time_s, label)``
     tuples; an event takes the nearest label within 0.5 s of its trigger
     (a pair, that of its headband trigger).  Returns the pairs, numbered from
     1, and the unpaired events with their labels.
@@ -152,11 +165,27 @@ def _block_for(blocks: list[ImuRecording], t0: float) -> ImuRecording:
     raise DataError(f"no reference block covers t0={t0:.4f} s")
 
 
+def reconstruct_channels(config: SessionConfig,
+                         alpha_method: str = "both") -> dict[str, tuple[str, ...]]:
+    """The channels :func:`reconstruct_pair` reads, by headband sensor id:
+    every gyro, plus ``a3g1_channel`` of the A3G1 sensors when the A3G1
+    method runs."""
+    reads = {s.id: ("gyro",) for s in config.headband_sensors}
+    if alpha_method in ("a3g1", "both"):
+        for sid in config.a3g1_sensor_ids:
+            if sid in reads:
+                reads[sid] += (config.a3g1_channel,)
+    return reads
+
+
 def reconstruct_pair(config: SessionConfig, headband: dict[str, ImuRecording],
                      ref_blocks: list[ImuRecording], row: PairRow,
                      alpha_method: str = "both",
                      ) -> tuple[KinematicsSet, ReferenceKinematics | None]:
     """Headband kinematics of one paired event, and the reference device's.
+
+    ``headband`` needs only the channels :func:`reconstruct_channels` names
+    for ``alpha_method``.
 
     The reference kinematics are shifted by the pair's residual lag onto the
     headband clock; they are None when the session has no reference blocks.

@@ -1,10 +1,12 @@
 import json
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kinereco import ingest
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.ingest import write_table
@@ -236,6 +238,138 @@ class TestSideEffects:
             "manifest_sha256"] == sha
         first_line = (session / "bt_back.csv").read_text().splitlines()[0]
         assert first_line == f"# manifest_sha256={sha}"
+
+
+def copy_session(small_pipeline, tmp_path) -> Path:
+    return Path(shutil.copytree(small_pipeline["session"], tmp_path / "session"))
+
+
+def put_nan(path: Path, column: str, row: int = 100):
+    """Overwrite one cell of a session CSV's data row with ``nan``."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = lines[head + 1 + row].rstrip("\n").split(",")
+    cells[lines[head].strip().split(",").index(column)] = "nan"
+    lines[head + 1 + row] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+class TestFilesEachStageReads:
+    """Each stage opens only the session files holding channels it uses."""
+
+    @pytest.fixture
+    def names(self, small_pipeline, config):
+        """File names of the headband main files, their companions, the A3G1
+        sensors' companions and the reference blocks."""
+        headband = [s.id for s in config.headband_sensors]
+        blocks = sorted(p.name for p in small_pipeline["session"].glob(
+            f"{config.reference_sensor.id}_ev*.csv"))
+        assert len(headband) == 5 and len(blocks) == 3
+        return dict(main=[f"{sid}.csv" for sid in headband],
+                    high=[f"{sid}_high.csv" for sid in headband],
+                    a3g1=[f"{sid}_high.csv" for sid in config.a3g1_sensor_ids],
+                    blocks=blocks)
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        names = []
+        real = ingest._read_csv_columns
+
+        def spy(path):
+            names.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(ingest, "_read_csv_columns", spy)
+        return names
+
+    def test_detect_reads_trigger_companions(self, small_pipeline, tmp_path,
+                                             names, opened):
+        assert main(["detect", "--config", str(small_pipeline["config"]),
+                     "--in", str(small_pipeline["session"]),
+                     "--out", str(tmp_path / "events.csv")]) == 0
+        assert sorted(opened) == sorted(names["high"] + names["blocks"])
+
+    @pytest.mark.parametrize("method", ["both", "a3g1", "diff"])
+    def test_reconstruct_reads_gyros_and_a3g1_channel(
+            self, small_pipeline, tmp_path, names, opened, method):
+        assert main(["reconstruct", "--config", str(small_pipeline["config"]),
+                     "--in", str(small_pipeline["session"]),
+                     "--events", str(small_pipeline["events"]),
+                     "--out", str(tmp_path / "kin"),
+                     "--alpha-method", method]) == 0
+        companions = [] if method == "diff" else names["a3g1"]
+        assert sorted(opened) == sorted(
+            names["main"] + companions + names["blocks"])
+
+    def test_detect_without_high_g_triggers_from_main_file(
+            self, small_pipeline, tmp_path, names, opened, config):
+        raw = config_to_json_dict(config)
+        for sensor in raw["sensors"]:
+            if sensor["role"] == "headband":
+                del sensor["channels"]["accel_high"]
+        raw["a3g1_channel"] = "accel_low"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["detect", "--config", str(config_path),
+                     "--in", str(small_pipeline["session"]),
+                     "--out", str(tmp_path / "events.csv")]) == 0
+        assert sorted(opened) == sorted(names["main"] + names["blocks"])
+
+
+class TestStageErrors:
+    """A file's content errors are reported by the stages that open it."""
+
+    def test_gyro_nan_reported_by_reconstruct_only(self, small_pipeline,
+                                                   tmp_path, capsys):
+        session = copy_session(small_pipeline, tmp_path)
+        events = tmp_path / "events.csv"
+        detect = ["detect", "--config", str(small_pipeline["config"]),
+                  "--in", str(session), "--out", str(events)]
+        assert main(detect) == 0
+        clean = events.read_bytes()
+        put_nan(session / "bt_back.csv", "gy")
+        assert main(detect) == 0
+        assert events.read_bytes() == clean
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(small_pipeline["config"]),
+                     "--in", str(session), "--events", str(events),
+                     "--out", str(tmp_path / "kin")]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("kinereco: error: DataError: ")
+        assert "bt_back.csv: NaN cell" in line
+
+    def test_trigger_companion_nan_fails_detect(self, small_pipeline,
+                                                tmp_path, capsys):
+        session = copy_session(small_pipeline, tmp_path)
+        put_nan(session / "bt_left_inner_high.csv", "hx")
+        assert main(["detect", "--config", str(small_pipeline["config"]),
+                     "--in", str(session),
+                     "--out", str(tmp_path / "events.csv")]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("kinereco: error: DataError: ")
+        assert "bt_left_inner_high.csv: NaN cell" in line
+
+    @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in"],
+                             ids=["no_comma", "bad_time"])
+    def test_malformed_label_row_gives_single_error_line(
+            self, small_pipeline, tmp_path, capsys, row):
+        session = copy_session(small_pipeline, tmp_path)
+        with open(session / "labels.csv", "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        events = tmp_path / "events.csv"
+        assert main(["detect", "--config", str(small_pipeline["config"]),
+                     "--in", str(session), "--out", str(events)]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"kinereco: error: DataError: "
+                               f"{session / 'labels.csv'}: malformed label row "
+                               f"{row!r}")
+        assert not events.exists()
 
 
 class TestErrorReporting:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -101,6 +102,84 @@ class TestParseImuCsv:
         write_rows(path, [[i / 100.0, 1, 0, 0, 0, 0, 0] for i in range(4)])
         with pytest.raises(FormatError, match="_high"):
             parse_imu_csv(path, simple_spec(high_rate=1600.0))
+
+
+def kind_subsets(spec):
+    """Every non-empty subset of the kinds ``spec`` declares."""
+    kinds = [c.kind for c in spec.channels]
+    return [combo for r in range(1, len(kinds) + 1)
+            for combo in itertools.combinations(kinds, r)]
+
+
+class TestChannelSubsets:
+    """``channels=`` returns exactly the full parse's channels it names."""
+
+    @pytest.fixture(scope="class")
+    def session(self, small_pipeline):
+        config = load_session_config(small_pipeline["config"])
+        files = [(small_pipeline["session"] / f"{spec.id}.csv", spec)
+                 for spec in config.headband_sensors]
+        ref = config.reference_sensor
+        files += [(path, ref) for path in sorted(
+            small_pipeline["session"].glob(f"{ref.id}_ev*.csv"))]
+        return config, files
+
+    def test_subset_matches_full_parse(self, session):
+        config, files = session
+        assert len(files) == 5 + 3
+        for path, spec in files:
+            full = parse_imu_csv(path, spec, config.column_map)
+            for subset in kind_subsets(spec):
+                part = parse_imu_csv(path, spec, config.column_map, subset)
+                for kind in ingest.CHANNEL_KINDS:
+                    got = part.channel(kind)
+                    if kind not in subset:
+                        assert got is None, (path.name, subset, kind)
+                        continue
+                    want = full.channel(kind)
+                    assert got.samples.tobytes() == want.samples.tobytes()
+                    assert got.start_time == want.start_time
+                    assert got.sample_rate == want.sample_rate
+
+    def test_unknown_or_undeclared_kind_rejected(self, tmp_path):
+        path = tmp_path / "imu1.csv"
+        write_rows(path, [[i / 100.0, 1, 0, 0, 0, 0, 0] for i in range(4)])
+        with pytest.raises(ConfigError, match="magnetometer"):
+            parse_imu_csv(path, simple_spec(), channels=("gyro", "magnetometer"))
+        with pytest.raises(ConfigError, match="accel_high"):
+            parse_imu_csv(path, simple_spec(), channels=("accel_high",))
+
+    def test_spec_checks_run_before_any_file_is_opened(self, tmp_path):
+        spec = SensorSpec("imu1", "headband", np.zeros(3), np.eye(3),
+                          (ChannelSpec("gyro", 1125.0),
+                           ChannelSpec("accel_low", 1600.0),
+                           ChannelSpec("accel_high", 1600.0)))
+        with pytest.raises(ConfigError, match="accel_low rate"):
+            parse_imu_csv(tmp_path / "absent.csv", spec,
+                          channels=("accel_high",))
+
+    def test_companion_alone_leaves_main_file_unread(self, tmp_path):
+        path = tmp_path / "imu1.csv"
+        write_rows(path, [[0.0, 1, 0, "nan", 0, 0, 0], [0.01, 1, 0, 0, 0, 0, 0]])
+        write_rows(path.with_name("imu1_high.csv"),
+                   [[i / 160.0, 2, 0, 0] for i in range(3)],
+                   header="time_s,hx,hy,hz")
+        spec = simple_spec(high_rate=160.0)
+        rec = parse_imu_csv(path, spec, channels=("accel_high",))
+        assert rec.gyro is None and rec.accel_low is None
+        assert rec.accel_high.samples[0, 0] == pytest.approx(2 * G_STANDARD)
+        with pytest.raises(DataError, match="NaN"):
+            parse_imu_csv(path, spec, channels=("gyro",))
+
+    def test_main_file_read_whole_for_one_channel(self, tmp_path):
+        path = tmp_path / "imu1.csv"
+        write_rows(path, [[0.0, 1, 0, 0, 0, 0, 0], [0.01, 1, 0, 0, "nan", 0, 0]])
+        with pytest.raises(DataError, match="NaN"):
+            parse_imu_csv(path, simple_spec(), channels=("gyro",))
+
+    def test_no_channels_opens_no_file(self, tmp_path):
+        rec = parse_imu_csv(tmp_path / "absent.csv", simple_spec(), channels=())
+        assert (rec.gyro, rec.accel_low, rec.accel_high) == (None, None, None)
 
 
 def reference_spec():

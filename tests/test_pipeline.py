@@ -2,12 +2,15 @@
 same session written to files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from kinereco.cli import _load_comparisons, _read_events_csv, main
 from kinereco.evaluate import EventComparison, build_agreement_report
-from kinereco.pipeline import clip_reference_to, detect_session, reconstruct_pair
+from kinereco.pipeline import (clip_reference_to, detect_channels,
+                               detect_session, reconstruct_channels,
+                               reconstruct_pair)
 
 #: The CLI reads the session back from %.14g CSVs and the kinematics from
 #: %.12g CSVs, so its CORA scores and peaks carry that rounding (measured on
@@ -85,3 +88,19 @@ def test_same_agreement(library_run, cli_report):
             for side in ("headband", "reference"):
                 assert peak[side] == pytest.approx(
                     cli["peaks"][quantity][side], rel=PEAK_REL_TOL)
+
+
+def test_stage_channel_maps(config):
+    headband = [s.id for s in config.headband_sensors]
+    assert detect_channels(config) == {sid: ("accel_high",) for sid in headband}
+    assert reconstruct_channels(config, "diff") == \
+        {sid: ("gyro",) for sid in headband}
+    both = {sid: ("gyro", "accel_high") if sid in config.a3g1_sensor_ids
+            else ("gyro",) for sid in headband}
+    assert reconstruct_channels(config, "both") == both
+    assert reconstruct_channels(config, "a3g1") == both
+    # An A3G1 sensor outside the headband is left to the reconstruction to
+    # reject; the map names headband sensors only.
+    ref_in_a3g1 = replace(config, a3g1_sensor_ids=(
+        "mouthpiece", "bt_left_outer", "bt_back"))
+    assert set(reconstruct_channels(ref_in_a3g1, "both")) == set(headband)
