@@ -40,8 +40,8 @@ from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, _read_csv_columns, \
-    load_session_config, parse_imu_csv, parse_reference_csv, write_json, \
-    write_table
+    load_session_config, parse_imu_csv, parse_reference_csv, read_json, \
+    write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
@@ -146,17 +146,19 @@ def _load_labels(in_dir: Path) -> list[tuple[float, str]]:
 
 def _write_events_csv(path: Path, pairs: list[PairRow], unpaired,
                       manifest: RunManifest):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in manifest.comments():
-            fh.write(f"# {comment}\n")
-        fh.write("pair_id,source,t0_s,label,offset_s\n")
-        for row in pairs:
-            fh.write(f"{row.pair_id},headband,{row.t0_headband:.9f},"
-                     f"{row.label},{row.offset:.9f}\n")
-            fh.write(f"{row.pair_id},reference,{row.t0_reference:.9f},"
-                     f"{row.label},\n")
-        for ev, label in unpaired:
-            fh.write(f",{ev.source},{ev.t0:.9f},{label},\n")
+    """Two rows per pair, headband then reference, then the unpaired events;
+    only a pair's headband row carries its offset."""
+    rows = []
+    for row in pairs:
+        rows.append((str(row.pair_id), "headband", row.t0_headband, row.label,
+                     f"{row.offset:.9f}"))
+        rows.append((str(row.pair_id), "reference", row.t0_reference,
+                     row.label, ""))
+    rows += [("", ev.source, ev.t0, label, "") for ev, label in unpaired]
+    ids, sources, times, labels, offsets = list(zip(*rows)) or [()] * 5
+    write_table(path, ("pair_id", "source", "t0_s", "label", "offset_s"),
+                (ids, sources, np.array(times, dtype=np.float64), labels,
+                 offsets), manifest.comments(), "%.9f")
 
 
 def _read_events_csv(path: Path) -> list[PairRow]:
@@ -414,13 +416,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     in_path = Path(args.in_path)
-    try:
-        with open(in_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot open {in_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{in_path}: invalid JSON ({exc})") from None
+    report = read_json(in_path)
     for key in ("events", "aggregate"):
         if not isinstance(report, dict) or key not in report:
             raise FormatError(f"{in_path}: not an agreement report "
@@ -445,10 +441,8 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
-    for name, lines in tables.items():
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {comments[0]}\n")
-            fh.writelines(line + "\n" for line in lines)
+    for name, (names, columns) in tables.items():
+        write_table(out / name, names, columns, comments, "%s")
     for name, hb_mag, ref_mag in overlays:
         write_table(out / name, ("t_s", "headband", "reference"),
                     (ref_mag.times, hb_mag.values, ref_mag.values), comments,

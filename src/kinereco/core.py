@@ -3,8 +3,7 @@
 All kinematic quantities travel through :class:`TimeSeries3` (3-component) or
 :class:`TimeSeries1` (scalar resultants, filter inputs).  Both are immutable:
 the sample arrays are copied on construction and marked read-only, so every
-operation in the toolkit is a pure function and safe to call from concurrent
-workers.
+operation in the toolkit is a pure function of its inputs.
 
 Head frame convention used throughout (documented, not inferable from data):
 x = posterior -> anterior, y = right -> left, z = inferior -> superior.

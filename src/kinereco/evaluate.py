@@ -21,7 +21,7 @@ reported; the two are never conflated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import t as t_distribution
@@ -92,13 +92,12 @@ def cora_band(total: float) -> str:
 def peak_resultant(s) -> tuple[float, float]:
     """Maximum of the Euclidean norm over time, with its time of occurrence.
 
-    Accepts a TimeSeries3 (norm of each sample) or a TimeSeries1 (absolute
-    value).  Ties resolve to the earliest sample.
+    Accepts a TimeSeries3 (its resultant) or a TimeSeries1 (absolute value).
+    Ties resolve to the earliest sample.
     """
     if hasattr(s, "samples"):
-        norms = np.linalg.norm(s.samples, axis=1)
-    else:
-        norms = np.abs(s.values)
+        s = magnitude(s)
+    norms = np.abs(s.values)
     idx = int(np.argmax(norms))
     return float(norms[idx]), float(s.start_time + idx / s.sample_rate)
 
@@ -286,21 +285,15 @@ def _common_pair(hb_series, ref_series):
     return sample_on_grid(hb_series, ref_series.times), ref_series
 
 
-def _cora_to_dict(score: CoraScore) -> dict:
-    return {"phase": score.phase, "magnitude": score.magnitude,
-            "shape": score.shape, "total": score.total, "band": score.band}
-
-
 def _ba_to_dict(report: BlandAltmanReport) -> dict:
-    return {
-        "bias": [float(b) for b in report.bias],
-        "mean_bias": report.mean_bias,
-        "sd_bias": report.sd_bias,
-        "loa_low": report.loa_low,
-        "loa_high": report.loa_high,
-        "normalized_bias": [float(b) for b in report.normalized_bias],
-        "mean_normalized_bias": report.mean_normalized_bias,
-    }
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(report).items()}
+
+
+def _mean_sd(totals: list[float]) -> tuple[float, float]:
+    """Mean and sample sd (0.0 for a single value) of CORA totals."""
+    sd = float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0
+    return float(np.mean(totals)), sd
 
 
 def build_agreement_report(events: list[EventComparison],
@@ -317,7 +310,7 @@ def build_agreement_report(events: list[EventComparison],
     if not events:
         raise DataError("no paired events to evaluate")
     per_event = []
-    peaks: dict[str, dict[str, list[float]]] = {}
+    per_quantity: dict[str, dict[str, list]] = {}
     for ev in sorted(events, key=lambda e: e.pair_id):
         entry = {"pair_id": ev.pair_id, "label": ev.label, "cora": {},
                  "peaks": {}, "nrmse": {},
@@ -334,14 +327,14 @@ def build_agreement_report(events: list[EventComparison],
             axes = {}
             for k, ax in enumerate("xyz"):
                 try:
-                    axes[ax] = _cora_to_dict(cora_score(
+                    axes[ax] = asdict(cora_score(
                         ref_on_grid.component(k), hb_on_grid.component(k),
                         max_shift_fraction))
                 except (DegenerateSignalError, DataError):
                     axes[ax] = None
-            entry["cora"][name] = {**_cora_to_dict(headline), "per_axis": axes}
-            hb_peak, _ = peak_resultant(hb_on_grid)
-            ref_peak, ref_peak_t = peak_resultant(ref_on_grid)
+            entry["cora"][name] = {**asdict(headline), "per_axis": axes}
+            hb_peak, _ = peak_resultant(hb_mag)
+            ref_peak, ref_peak_t = peak_resultant(ref_mag)
             entry["peaks"][name] = {"headband": hb_peak, "reference": ref_peak,
                                     "bias": hb_peak - ref_peak}
             # Peaks near a window edge: shift the NRMSE window minimally so it
@@ -352,16 +345,17 @@ def build_agreement_report(events: list[EventComparison],
                 ref_mag, hb_mag, window=nrmse_window, center=center)
             entry["nrmse"][name] = {"nrms_pct": nrms_pct, "rms_abs": rms_abs,
                                     "signed_mean_pct": signed_pct}
-            store = peaks.setdefault(name, {"headband": [], "reference": [],
-                                            "labels": []})
+            store = per_quantity.setdefault(name, {
+                "headband": [], "reference": [], "labels": [], "totals": []})
             store["headband"].append(hb_peak)
             store["reference"].append(ref_peak)
             store["labels"].append(ev.label)
+            store["totals"].append(headline.total)
         per_event.append(entry)
 
     aggregate: dict = {"bland_altman": {}, "t_tests": {}, "cora_stats": {},
                        "by_label": {}}
-    for name, store in peaks.items():
+    for name, store in per_quantity.items():
         hb, ref = store["headband"], store["reference"]
         if len(hb) >= 2:
             aggregate["bland_altman"][name] = _ba_to_dict(bland_altman(hb, ref))
@@ -370,22 +364,15 @@ def build_agreement_report(events: list[EventComparison],
                 aggregate["t_tests"][name] = {"t": t, "p": p, "significant": sig}
             except DataError:
                 aggregate["t_tests"][name] = None
-        totals = [e["cora"][name]["total"] for e in per_event
-                  if name in e["cora"]]
-        aggregate["cora_stats"][name] = {
-            "mean": float(np.mean(totals)),
-            "sd": float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0,
-            "n": len(totals),
-        }
+        totals = store["totals"]
+        mean, sd = _mean_sd(totals)
+        aggregate["cora_stats"][name] = {"mean": mean, "sd": sd,
+                                         "n": len(totals)}
         for label in sorted(set(store["labels"])):
             idx = [i for i, lb in enumerate(store["labels"]) if lb == label]
             group = aggregate["by_label"].setdefault(label, {})
-            entry = {"n": len(idx)}
-            ev_totals = [e["cora"][name]["total"] for e in per_event
-                         if name in e["cora"] and e["label"] == label]
-            entry["cora_mean"] = float(np.mean(ev_totals))
-            entry["cora_sd"] = (float(np.std(ev_totals, ddof=1))
-                                if len(ev_totals) > 1 else 0.0)
+            mean, sd = _mean_sd([totals[i] for i in idx])
+            entry = {"n": len(idx), "cora_mean": mean, "cora_sd": sd}
             if len(idx) >= 2:
                 ba = bland_altman([hb[i] for i in idx], [ref[i] for i in idx])
                 entry["bland_altman"] = _ba_to_dict(ba)

@@ -44,7 +44,9 @@ __all__ = [
     "parse_imu_csv",
     "parse_reference_csv",
     "load_session_config",
+    "read_json",
     "write_imu_csv",
+    "write_json",
     "write_table",
 ]
 
@@ -537,14 +539,7 @@ def load_session_config(path) -> SessionConfig:
     collinear reconstruction geometry, or missing sensors.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-
+    raw = read_json(path)
     try:
         sensors = []
         for s in raw["sensors"]:
@@ -617,6 +612,18 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
         write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays, header_comments,
                     "%.14g")
     return path
+
+
+def read_json(path):
+    """The parsed content of a JSON file; a FormatError if it cannot be
+    opened or is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def write_json(path, payload) -> None:

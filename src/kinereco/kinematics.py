@@ -175,7 +175,8 @@ def _skew(r: np.ndarray) -> np.ndarray:
 
 
 class A3g1Geometry:
-    """Time-invariant part of the algebraic solve, factored once per session.
+    """Time-invariant part of the algebraic solve, which depends only on the
+    three accelerometer positions; :func:`a3g1_solve` builds one per call.
 
     Builds the 9x6 design matrix from the three accelerometer positions and
     prepares either a Cholesky factor of the normal equations or, when the

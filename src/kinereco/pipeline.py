@@ -246,51 +246,59 @@ def overlay_resultants(kin: KinematicsSet, ref_kin: ReferenceKinematics,
     return out
 
 
-def report_tables(events, agg) -> dict[str, list[str]]:
-    """The header and rows of each ``report`` table, by file name."""
-    cora = ["pair_id,label,quantity,phase,magnitude,shape,total,band"]
-    peaks = ["pair_id,label,quantity,headband,reference,bias"]
-    nrmse = ["pair_id,label,quantity,nrms_pct,rms_abs,signed_mean_pct"]
-    for ev in events:
-        pair = f"{ev['pair_id']},{ev['label']}"
-        for quantity, score in sorted(ev["cora"].items()):
-            cora.append(f"{pair},{quantity},"
-                        f"{score['phase']:.6f},{score['magnitude']:.6f},"
-                        f"{score['shape']:.6f},{score['total']:.6f},"
-                        f"{score['band']}")
-        for quantity, peak in sorted(ev["peaks"].items()):
-            peaks.append(f"{pair},{quantity},"
-                         f"{peak['headband']:.9g},{peak['reference']:.9g},"
-                         f"{peak['bias']:.9g}")
-        for quantity, entry in sorted(ev["nrmse"].items()):
-            nrmse.append(f"{pair},{quantity},"
-                         f"{entry['nrms_pct']:.6f},{entry['rms_abs']:.9g},"
-                         f"{entry['signed_mean_pct']:.6f}")
+#: Column names of each ``report`` table, by file name.
+_REPORT_COLUMNS = {
+    "cora.csv": ("pair_id", "label", "quantity", "phase", "magnitude", "shape",
+                 "total", "band"),
+    "peaks.csv": ("pair_id", "label", "quantity", "headband", "reference",
+                  "bias"),
+    "nrmse.csv": ("pair_id", "label", "quantity", "nrms_pct", "rms_abs",
+                  "signed_mean_pct"),
+    "bland_altman.csv": ("scope", "quantity", "n", "mean_bias", "sd_bias",
+                         "loa_low", "loa_high", "mean_normalized_bias"),
+    "ttests.csv": ("quantity", "t", "p", "significant"),
+}
 
-    bland_altman = ["scope,quantity,n,mean_bias,sd_bias,loa_low,loa_high,"
-                    "mean_normalized_bias"]
+
+def report_tables(events, agg) -> dict[str, tuple[tuple[str, ...], list]]:
+    """The column names and the columns of formatted cells of each
+    ``report`` table, by file name."""
+    rows = {name: [] for name in _REPORT_COLUMNS}
+    for ev in events:
+        pair = [str(ev["pair_id"]), str(ev["label"])]
+        for quantity, score in sorted(ev["cora"].items()):
+            rows["cora.csv"].append(pair + [
+                quantity, f"{score['phase']:.6f}", f"{score['magnitude']:.6f}",
+                f"{score['shape']:.6f}", f"{score['total']:.6f}",
+                str(score["band"])])
+        for quantity, peak in sorted(ev["peaks"].items()):
+            rows["peaks.csv"].append(pair + [
+                quantity, f"{peak['headband']:.9g}",
+                f"{peak['reference']:.9g}", f"{peak['bias']:.9g}"])
+        for quantity, entry in sorted(ev["nrmse"].items()):
+            rows["nrmse.csv"].append(pair + [
+                quantity, f"{entry['nrms_pct']:.6f}", f"{entry['rms_abs']:.9g}",
+                f"{entry['signed_mean_pct']:.6f}"])
+
+    def ba_row(scope, quantity, n, ba):
+        return [scope, quantity, str(n), f"{ba['mean_bias']:.9g}",
+                f"{ba['sd_bias']:.9g}", f"{ba['loa_low']:.9g}",
+                f"{ba['loa_high']:.9g}", f"{ba['mean_normalized_bias']:.9g}"]
+
     for quantity, ba in sorted(agg["bland_altman"].items()):
-        bland_altman.append(
-            f"all,{quantity},{len(ba['bias'])},{ba['mean_bias']:.9g},"
-            f"{ba['sd_bias']:.9g},{ba['loa_low']:.9g},"
-            f"{ba['loa_high']:.9g},{ba['mean_normalized_bias']:.9g}")
+        rows["bland_altman.csv"].append(
+            ba_row("all", quantity, len(ba["bias"]), ba))
     for label, group in sorted(agg["by_label"].items()):
         for quantity, entry in sorted(group.items()):
             ba = entry.get("bland_altman")
-            if ba is None:
-                continue
-            bland_altman.append(
-                f"{label},{quantity},{entry['n']},"
-                f"{ba['mean_bias']:.9g},{ba['sd_bias']:.9g},"
-                f"{ba['loa_low']:.9g},{ba['loa_high']:.9g},"
-                f"{ba['mean_normalized_bias']:.9g}")
+            if ba is not None:
+                rows["bland_altman.csv"].append(
+                    ba_row(label, quantity, entry["n"], ba))
 
-    ttests = ["quantity,t,p,significant"]
     for quantity, entry in sorted(agg["t_tests"].items()):
-        if entry is None:
-            ttests.append(f"{quantity},,,")
-        else:
-            ttests.append(f"{quantity},{entry['t']:.6f},{entry['p']:.6g},"
-                          f"{str(entry['significant']).lower()}")
-    return {"cora.csv": cora, "peaks.csv": peaks, "nrmse.csv": nrmse,
-            "bland_altman.csv": bland_altman, "ttests.csv": ttests}
+        rows["ttests.csv"].append(
+            [quantity, "", "", ""] if entry is None else
+            [quantity, f"{entry['t']:.6f}", f"{entry['p']:.6g}",
+             str(entry["significant"]).lower()])
+    return {name: (names, list(zip(*rows[name])) or [()] * len(names))
+            for name, names in _REPORT_COLUMNS.items()}

@@ -20,9 +20,8 @@ the observed field ranges (PRV 4-10 rad/s, PRA 610-3200 rad/s^2, PLA
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,8 @@ from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
 from .ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
-                     SessionConfig, write_imu_csv, write_json, write_table)
+                     SessionConfig, read_json, write_imu_csv, write_json,
+                     write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -632,34 +632,16 @@ def example_session_config() -> SessionConfig:
 # JSON (de)serialization of profiles and configurations
 
 
-def _component_to_json(c: HarmonicComponent) -> dict:
-    return {"amplitude": c.amplitude, "freq_hz": c.freq_hz, "phase": c.phase,
-            "center_s": c.center_s, "width_s": c.width_s}
-
-
 def profile_to_json_dict(profile: SessionProfile) -> dict:
     return {
         "duration_s": profile.duration_s,
         "gravity": list(profile.gravity),
         "reference_clock_offset_s": profile.reference_clock_offset_s,
-        "impacts": [{"time_s": i.time_s, "label": i.label}
-                    for i in profile.impacts],
-        "noise": {
-            "gyro_sigma": profile.noise.gyro_sigma,
-            "accel_sigma": profile.noise.accel_sigma,
-            "per_sensor_scale": dict(profile.noise.per_sensor_scale),
-            "burst": {
-                "gyro_amplitude": profile.noise.burst.gyro_amplitude,
-                "accel_amplitude": profile.noise.burst.accel_amplitude,
-                "center_hz": profile.noise.burst.center_hz,
-                "bandwidth_hz": profile.noise.burst.bandwidth_hz,
-                "duration_s": profile.noise.burst.duration_s,
-                "n_tones": profile.noise.burst.n_tones,
-            },
-        },
-        "omega_components": [[_component_to_json(c) for c in axis]
+        "impacts": [asdict(i) for i in profile.impacts],
+        "noise": asdict(profile.noise),
+        "omega_components": [[asdict(c) for c in axis]
                              for axis in profile.motion.omega_components],
-        "q_components": [[_component_to_json(c) for c in axis]
+        "q_components": [[asdict(c) for c in axis]
                          for axis in profile.motion.q_components],
     }
 
@@ -673,13 +655,7 @@ def dump_profile(profile: SessionProfile, path) -> Path:
 def load_profile(path) -> SessionProfile:
     """Load a session profile from its JSON form (inverse of dump_profile)."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path)
     try:
         def axis_components(entries):
             return tuple(HarmonicComponent(
@@ -729,21 +705,10 @@ def config_to_json_dict(config: SessionConfig) -> dict:
         "a3g1_sensors": list(config.a3g1_sensor_ids),
         "a3g1_channel": config.a3g1_channel,
         "a3g1_gyro": config.a3g1_gyro,
-        "trigger": {"threshold_g": config.trigger.threshold_g,
-                    "min_duration_ms": config.trigger.min_duration_ms},
-        "filter": {
-            "end_time_ms": config.filter.end_time_ms,
-            "reference_end_time_ms": config.filter.reference_end_time_ms,
-            "coeff_threshold": config.filter.coeff_threshold,
-            "max_cutoff_hz": config.filter.max_cutoff_hz,
-            "accel_prefilter_hz": config.filter.accel_prefilter_hz,
-        },
-        "cfc": {"trans": config.cfc.trans, "ang_vel": config.cfc.ang_vel},
-        "window": {
-            "pre_ms": config.window.pre_ms,
-            "headband_post_ms": config.window.headband_post_ms,
-            "reference_post_ms": config.window.reference_post_ms,
-        },
+        "trigger": asdict(config.trigger),
+        "filter": asdict(config.filter),
+        "cfc": asdict(config.cfc),
+        "window": asdict(config.window),
         "column_map": config.column_map,
         "sensors": [
             {

@@ -381,6 +381,33 @@ class TestErrorReporting:
         assert len(err) == 1
         assert err[0].startswith("kinereco: error: FormatError:")
 
+    @pytest.mark.parametrize("content", [b'{"sensors": [', b"\xff\xfe{}"],
+                             ids=["truncated", "not_utf8"])
+    @pytest.mark.parametrize("bad_input", ["config", "profile", "report"])
+    def test_invalid_json_gives_single_error_line(self, tmp_path, capsys,
+                                                  config, bad_input, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        profile_path = dump_profile(
+            standard_session_profile(seed=30, n_per_tier=1),
+            tmp_path / "profile.json")
+        out = tmp_path / "out"
+        argv = {
+            "config": ["simulate", "--profile", str(profile_path),
+                       "--config", str(bad), "--out", str(out)],
+            "profile": ["simulate", "--profile", str(bad),
+                        "--config", str(config_path), "--out", str(out)],
+            "report": ["report", "--in", str(bad), "--out", str(out)],
+        }[bad_input]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"kinereco: error: FormatError: {bad}: invalid JSON (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content, key", [
         ("{}", "events"), ('{"events": []}', "aggregate"), ("[]", "events"),
     ], ids=["empty", "no_aggregate", "list"])
