@@ -120,6 +120,8 @@ def _text_lines(path: Path) -> list[str]:
             return [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _load_labels(in_dir: Path) -> list[tuple[float, str]]:
@@ -132,7 +134,7 @@ def _load_labels(in_dir: Path) -> list[tuple[float, str]]:
     out = []
     for line in lines[1:]:
         try:
-            t, label = line.split(",", 1)
+            t, label = line.split(",")
             out.append((float(t), label.strip()))
         except ValueError as exc:
             raise DataError(f"{path}: malformed label row {line!r} "

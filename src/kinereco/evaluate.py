@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import t as t_distribution
 
 from .core import TimeSeries1, best_shift, magnitude, same_clock, sample_on_grid
 from .errors import DataError, DegenerateSignalError, WindowError
@@ -252,8 +251,12 @@ def paired_t_test(a, b) -> tuple[float, float, bool]:
     sd = d.std(ddof=1)
     if sd == 0.0:
         raise DataError("zero-variance differences; t statistic undefined")
+    # scipy.stats.t.sf(x, df) evaluates stdtr(df, -x), the Student-t CDF;
+    # taking it from scipy.special spares the 1 s scipy.stats import.
+    from scipy.special import stdtr
+
     t = float(d.mean() / (sd / np.sqrt(n)))
-    p = float(2.0 * t_distribution.sf(abs(t), n - 1))
+    p = float(2.0 * stdtr(n - 1, -abs(t)))
     return t, p, p < ALPHA
 
 

@@ -307,22 +307,24 @@ def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray, dict]:
     meta = {}
     with fh:
         header = None
-        while header is None:
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"{path}: no header row found")
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                key, eq, value = stripped[1:].partition("=")
-                if eq:
-                    meta[key.strip()] = value.strip()
-            elif stripped:
-                header = [c.strip() for c in stripped.split(",")]
         try:
+            while header is None:
+                line = fh.readline()
+                if not line:
+                    raise FormatError(f"{path}: no header row found")
+                stripped = line.strip()
+                if stripped.startswith("#"):
+                    key, eq, value = stripped[1:].partition("=")
+                    if eq:
+                        meta[key.strip()] = value.strip()
+                elif stripped:
+                    header = [c.strip() for c in stripped.split(",")]
             with warnings.catch_warnings():
                 # An empty table is reported below as a DataError.
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:
             raise DataError(f"{path}: unparseable cell ({exc})") from None
     if data.size == 0:

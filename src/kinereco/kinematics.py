@@ -26,7 +26,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sp_linalg
 
 from .core import TimeSeries1, TimeSeries3, rotate_series, same_clock, sample_on_grid
 from .detect import ImpactWindow
@@ -204,14 +203,18 @@ class A3g1Geometry:
             self._pinv = np.linalg.pinv(self.design)
             self._cho = None
         else:
+            from scipy.linalg import cho_factor
+
             self._pinv = None
-            self._cho = sp_linalg.cho_factor(self.design.T @ self.design)
+            self._cho = cho_factor(self.design.T @ self.design)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Least-squares solve for a (9, n) right-hand-side block."""
         if self._pinv is not None:
             return self._pinv @ rhs
-        return sp_linalg.cho_solve(self._cho, self.design.T @ rhs)
+        from scipy.linalg import cho_solve
+
+        return cho_solve(self._cho, self.design.T @ rhs)
 
 
 def a3g1_solve(accels: list[TimeSeries3], omega: TimeSeries3,

@@ -192,6 +192,12 @@ class PlannedImpact:
     time_s: float
     label: str
 
+    def __post_init__(self):
+        # Labels are written unquoted into labels.csv and events.csv.
+        if any(c in self.label for c in ",\r\n"):
+            raise DataError(f"impact label {self.label!r} contains a comma or "
+                            "a line break")
+
 
 @dataclass(frozen=True)
 class SessionProfile:
@@ -258,10 +264,17 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
     if sigma > 0.0:
         out += rng.normal(scale=sigma, size=out.shape)
     if burst_amp > 0.0:
+        support = _BURST_SUPPORT * noise.burst.duration_s / 3.0
         for t_imp in impact_times:
-            t_rel = times - t_imp
+            # ``times`` is sorted, so the burst's samples lie in one window;
+            # widened by a sample each side, _burst_waveform's own mask still
+            # decides which of them are live.
+            lo = max(int(np.searchsorted(times, t_imp)) - 1, 0)
+            hi = int(np.searchsorted(times, t_imp + support, side="right")) + 1
+            t_rel = times[lo:hi] - t_imp
             for axis in range(3):
-                out[:, axis] += _burst_waveform(t_rel, noise.burst, burst_amp, rng)
+                out[lo:hi, axis] += _burst_waveform(t_rel, noise.burst,
+                                                    burst_amp, rng)
     return out
 
 

@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
-from scipy.fft import fft, ifft, next_fast_len
 
 from .core import TimeSeries1, TimeSeries3
 from .errors import DataError, DegenerateSignalError
@@ -147,6 +145,8 @@ def cwt(x: TimeSeries1, freqs: np.ndarray | None = None) -> Scalogram:
     DataError
         If the series is shorter than 64 samples.
     """
+    from scipy.fft import fft, ifft, next_fast_len
+
     n = len(x)
     if n < MIN_CWT_SAMPLES:
         raise DataError(f"cwt needs at least {MIN_CWT_SAMPLES} samples, got {n}")
@@ -254,11 +254,18 @@ def select_cutoff(slices: CoefficientSlices, threshold: float = 0.1,
     return CutoffResult(f0=f0, f_ss=f_ss, f_n=f_n, slices=slices)
 
 
-def _apply_sos_zero_phase(ts, sos):
+def _butter_zero_phase(ts, order: int, cutoff: float):
+    """``ts`` run forward and backward through a Butterworth low-pass of
+    ``order`` with its -3 dB point at ``cutoff`` Hz."""
+    # scipy.signal (which imports scipy.stats) costs about 1 s to import, so
+    # it is loaded at the first filter, not by every kinereco process.
+    from scipy import signal
+
+    sos = signal.butter(order, cutoff, btype="low", fs=ts.sample_rate,
+                        output="sos")
     if isinstance(ts, TimeSeries3):
-        out = sp_signal.sosfiltfilt(sos, ts.samples, axis=0)
-        return ts.with_samples(out)
-    return ts.with_values(sp_signal.sosfiltfilt(sos, ts.values))
+        return ts.with_samples(signal.sosfiltfilt(sos, ts.samples, axis=0))
+    return ts.with_values(signal.sosfiltfilt(sos, ts.values))
 
 
 def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float, order: int = 4):
@@ -282,9 +289,7 @@ def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float, order: int = 4)
         )
     if order < 2 or order % 2:
         raise DataError(f"order must be a positive even integer, got {order}")
-    sos = sp_signal.butter(order // 2, f0, btype="low", fs=x.sample_rate,
-                           output="sos")
-    return _apply_sos_zero_phase(x, sos)
+    return _butter_zero_phase(x, order // 2, f0)
 
 
 #: SAE J211 per-pass design factor: the 2-pole section is tuned at
@@ -319,5 +324,4 @@ def cfc_filter(x: TimeSeries1 | TimeSeries3, cfc_class: float):
     nyquist = rate / 2.0
     if design >= nyquist:
         design = 0.995 * nyquist
-    sos = sp_signal.butter(2, design, btype="low", fs=rate, output="sos")
-    return _apply_sos_zero_phase(x, sos)
+    return _butter_zero_phase(x, 2, design)

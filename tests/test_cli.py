@@ -209,6 +209,26 @@ class TestSimulateCommand:
         hb = [r for r in rows if r.split(",")[1] == "headband"]
         assert len(hb) == len(profile.impacts)
 
+    @pytest.mark.parametrize("label", ["header,left", "header\nleft"],
+                             ids=["comma", "newline"])
+    def test_label_that_breaks_csv_rejected(self, tmp_path, config, capsys,
+                                            label):
+        profile_path = dump_profile(
+            standard_session_profile(seed=30, with_noise=False, n_per_tier=1),
+            tmp_path / "profile.json")
+        raw = json.loads(profile_path.read_text())
+        raw["impacts"][0]["label"] = label
+        profile_path.write_text(json.dumps(raw))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        session = tmp_path / "session"
+        assert main(["simulate", "--profile", str(profile_path),
+                     "--config", str(config_path), "--out", str(session)]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith(
+            f"kinereco: error: DataError: impact label {label!r} contains ")
+        assert not session.exists()
+
 
 class TestSideEffects:
     def test_subcommands_leave_input_directory_untouched(self, small_pipeline):
@@ -355,8 +375,9 @@ class TestStageErrors:
         assert line.startswith("kinereco: error: DataError: ")
         assert "bt_left_inner_high.csv: NaN cell" in line
 
-    @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in"],
-                             ids=["no_comma", "bad_time"])
+    @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in",
+                                     "2.5,header,left"],
+                             ids=["no_comma", "bad_time", "three_cells"])
     def test_malformed_label_row_gives_single_error_line(
             self, small_pipeline, tmp_path, capsys, row):
         session = copy_session(small_pipeline, tmp_path)
@@ -370,6 +391,36 @@ class TestStageErrors:
                                f"{session / 'labels.csv'}: malformed label row "
                                f"{row!r}")
         assert not events.exists()
+
+    @pytest.mark.parametrize("name, command", [
+        ("labels.csv", "detect"), ("bt_back_high.csv", "detect"),
+        ("events.csv", "reconstruct")])
+    @pytest.mark.parametrize("where", ["first_line", "later_row"])
+    def test_non_utf8_byte_gives_single_error_line(
+            self, small_pipeline, tmp_path, capsys, name, command, where):
+        session = copy_session(small_pipeline, tmp_path)
+        events = tmp_path / "events.csv"
+        shutil.copy(small_pipeline["events"], events)
+        bad = events if name == "events.csv" else session / name
+        lines = bad.read_bytes().splitlines(keepends=True)
+        # A numeric table's first lines are decoded before np.loadtxt runs,
+        # its later rows inside it.
+        at = 0 if where == "first_line" else len(lines) - 1
+        lines.insert(at, b"#\xff\n")
+        bad.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        argv = {
+            "detect": ["detect", "--config", str(small_pipeline["config"]),
+                       "--in", str(session), "--out", str(out)],
+            "reconstruct": ["reconstruct", "--config",
+                            str(small_pipeline["config"]), "--in", str(session),
+                            "--events", str(events), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        line = single_error_line(capsys)
+        assert line.startswith(
+            f"kinereco: error: FormatError: {bad}: not UTF-8 text (")
+        assert not out.exists()
 
 
 class TestErrorReporting:

@@ -237,6 +237,25 @@ class TestPairedTTest:
         with pytest.raises(DataError):
             paired_t_test([1.0], [0.5])
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 40, 1000])
+    def test_p_bit_identical_to_scipy_stats(self, n):
+        """p is 2 * t.sf(|t|, n - 1), bit for bit, over t from 0 to beyond
+        where the tail underflows."""
+        from scipy.stats import t as t_distribution
+
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=n)
+        z = (z - z.mean()) / z.std(ddof=1)  # sample mean 0, sd 1
+        b = rng.normal(size=n)
+        shifts = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 1e8, 60),
+                                 -np.geomspace(1e-3, 1e3, 7)])
+        for shift in shifts:
+            t, p, significant = paired_t_test(b + z + shift, b)
+            want = float(2.0 * t_distribution.sf(abs(t), n - 1))
+            assert np.float64(p).tobytes() == np.float64(want).tobytes(), (
+                n, shift, t, p, want)
+            assert significant == (want < 0.05)
+
 
 def full_scan_cora_score(ref, test, max_shift_fraction=0.2):
     """cora_score as it was before the lag screen: every shift scored."""

@@ -1,0 +1,72 @@
+"""Start-up cost: ``import kinereco`` loads no scipy module.
+
+scipy.signal and scipy.stats take about 1 s to import, more than most
+subcommands spend on their work, so kinereco imports scipy inside the
+functions that use it.  Each check runs in a fresh interpreter, because the
+test process itself has long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Prints the scipy modules loaded after the import and after each command.
+SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+loaded = {}
+import kinereco.cli
+loaded["import"] = scipy_modules()
+for name, argv in json.loads(sys.argv[1]):
+    if kinereco.cli.main(argv) != 0:
+        sys.exit(f"{name} failed")
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def loaded_after(commands):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_simulate_and_detect_load_no_scipy(tmp_path, config):
+    from kinereco.synth import (config_to_json_dict, dump_profile,
+                                standard_session_profile)
+
+    profile = dump_profile(
+        standard_session_profile(seed=30, with_noise=False, n_per_tier=1),
+        tmp_path / "profile.json")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_json_dict(config)))
+    session = tmp_path / "session"
+    loaded = loaded_after([
+        ("simulate", ["simulate", "--profile", str(profile), "--config",
+                      str(config_path), "--out", str(session)]),
+        ("detect", ["detect", "--config", str(config_path), "--in",
+                    str(session), "--out", str(tmp_path / "events.csv")]),
+    ])
+    assert loaded == {"import": [], "simulate": [], "detect": []}
+
+
+def test_evaluate_loads_neither_scipy_signal_nor_stats(tmp_path,
+                                                       small_pipeline):
+    loaded = loaded_after([
+        ("evaluate", ["evaluate", "--config", str(small_pipeline["config"]),
+                      "--hb", str(small_pipeline["kin"]),
+                      "--ref", str(small_pipeline["kin"]),
+                      "--pairs", str(small_pipeline["events"]),
+                      "--out", str(tmp_path / "report.json")]),
+    ])
+    assert loaded["import"] == []
+    assert not {"scipy.signal", "scipy.stats"} & set(loaded["evaluate"])

@@ -11,9 +11,11 @@ from kinereco.detect import detect_impacts
 from kinereco.errors import DataError
 from kinereco.ingest import G_STANDARD, parse_imu_csv, parse_reference_csv
 from kinereco.kinematics import adaptive_filter
+from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
-                            NoiseSpec, _axis_eval, _burst_waveform,
-                            load_profile, dump_profile, simulate_sensors,
+                            NoiseSpec, PlannedImpact, _axis_eval,
+                            _burst_waveform, _channel_noise, load_profile,
+                            dump_profile, simulate_sensors,
                             standard_session_profile, write_session)
 
 
@@ -147,6 +149,11 @@ class TestProfileSerialization:
         ("accel_amplitude", float("nan")), ("gyro_amplitude", float("-inf")),
     ], ids=["gyro_sigma_nan", "accel_sigma_inf", "gyro_sigma_neg",
             "burst_gyro_neg", "burst_accel_nan", "burst_gyro_neg_inf"])
+
+    @pytest.mark.parametrize("label", ["header,left", "a\nb", "a\rb"])
+    def test_label_with_csv_separator_rejected(self, label):
+        with pytest.raises(DataError, match="impact label"):
+            PlannedImpact(1.0, label)
 
     @BAD_NOISE
     def test_bad_noise_spec_rejected(self, key, value):
@@ -317,3 +324,60 @@ class TestBurstWaveform:
             want = full_burst_waveform(t_rel, burst, amplitude, ref_rng)
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def full_grid_channel_noise(times, sigma, burst_amp, noise, impact_times, rng):
+    """_channel_noise as it was before the burst window: every burst is
+    evaluated over the whole session grid."""
+    out = np.zeros((len(times), 3))
+    if sigma > 0.0:
+        out += rng.normal(scale=sigma, size=out.shape)
+    if burst_amp > 0.0:
+        for t_imp in impact_times:
+            t_rel = times - t_imp
+            for axis in range(3):
+                out[:, axis] += _burst_waveform(t_rel, noise.burst, burst_amp, rng)
+    return out
+
+
+class TestChannelNoiseWindow:
+    """Each burst added over its own window only equals the burst added over
+    the whole grid, and leaves the generator in the same state."""
+
+    #: Before t = 0, on a sample, between samples, within 750 tau of the end
+    #: for either duration, and past the end.
+    IMPACTS = (-0.5, -1e-9, 0.0, 1.0, 1.0 + 1.0 / 6400.0, 2.4, 5.95, 6.0, 7.0)
+
+    @pytest.mark.parametrize("rate", [3200.0, 1000.0])
+    @pytest.mark.parametrize("burst", [
+        BurstSpec(gyro_amplitude=25.0, duration_s=0.015),
+        BurstSpec(gyro_amplitude=25.0, center_hz=500.0, bandwidth_hz=50.0,
+                  duration_s=0.0004, n_tones=5),
+    ], ids=["default", "short_5_tones"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_equals_full_grid(self, rate, burst, sigma):
+        times = np.arange(int(6.0 * rate) + 1) / rate
+        noise = NoiseSpec(gyro_sigma=sigma, burst=burst)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = _channel_noise(times, sigma, 25.0, noise, self.IMPACTS, rng)
+        want = full_grid_channel_noise(times, sigma, 25.0, noise, self.IMPACTS,
+                                       ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_simulate_sensors_with_clock_offset(self, config, monkeypatch):
+        noise = NoiseSpec(gyro_sigma=0.05, accel_sigma=0.5, burst=BurstSpec(
+            gyro_amplitude=4.0, accel_amplitude=60.0, n_tones=5))
+        motion = standard_session_profile(seed=3, n_per_tier=1).motion
+        kwargs = dict(seed=4, impact_times=(0.1, 1.3, 2.9),
+                      clock_offset=0.0123)
+        specs = list(config.headband_sensors)
+        got = simulate_sensors(motion, specs, noise, 3.0, **kwargs)
+        monkeypatch.setattr(synth, "_channel_noise", full_grid_channel_noise)
+        want = simulate_sensors(motion, specs, noise, 3.0, **kwargs)
+        for rec, ref in zip(got, want):
+            for kind in ("gyro", "accel_low", "accel_high"):
+                a, b = getattr(rec, kind), getattr(ref, kind)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.samples.tobytes() == b.samples.tobytes()
