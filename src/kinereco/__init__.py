@@ -8,7 +8,7 @@ reference device with CORA scores, Bland-Altman statistics, windowed NRMSE,
 and paired t-tests.
 """
 
-from .core import TimeSeries1, TimeSeries3, magnitude, resample, rotate_series
+from .core import TimeSeries1, TimeSeries3, magnitude, rotate_series
 from .detect import ImpactEvent, align_events, detect_impacts, extract_window
 from .errors import (ConfigError, DataError, DegenerateSignalError, FormatError,
                      KinerecoError, WindowError)

@@ -234,9 +234,10 @@ def _read_kinematics_csv(path: Path, layout, required: int, kind: str):
         raise DataError(f"{path}: kinematics tables need at least 2 rows, "
                         f"got {len(data)}")
     t = data[:, header.index("t_s")]
-    step = float(np.median(np.diff(t)))
-    if not step > 0:
+    steps = np.diff(t)
+    if not (steps > 0).all():
         raise DataError(f"{path}: column 't_s' does not increase")
+    step = float(np.median(steps))
     start, rate = float(t[0]), 1.0 / step
     series = {}
     for prefix, attr in layout:

@@ -23,7 +23,7 @@ __all__ = [
     "TimeSeries1",
     "TimeSeries3",
     "rotate_series",
-    "resample",
+    "shared_grid",
     "magnitude",
     "lagged_correlation",
     "best_shift",
@@ -67,7 +67,46 @@ def _check_rate(rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class TimeSeries1:
+class _Clock:
+    """Uniform sample clock shared by :class:`TimeSeries1` and
+    :class:`TimeSeries3`: the first sample's time and the rate.  Each
+    subclass adds its sample array as a third field and returns it from
+    ``_data``."""
+
+    start_time: float
+    sample_rate: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "start_time", float(self.start_time))
+        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
+
+    def __len__(self) -> int:
+        return self._data.shape[0]
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.sample_rate
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.start_time + np.arange(len(self)) / self.sample_rate
+
+    @property
+    def end_time(self) -> float:
+        return self.start_time + (len(self) - 1) / self.sample_rate
+
+    def span(self, a: float, b: float) -> tuple[int, int]:
+        """``(i0, i1)``: the first and last index of the samples from ``a``
+        to ``b`` seconds after the first sample, with a slack of 1e-9 sample
+        periods at both ends, clamped to the series (no sample when
+        ``i1 < i0``)."""
+        i0 = int(np.ceil(a * self.sample_rate - 1e-9))
+        i1 = int(np.floor(b * self.sample_rate + 1e-9))
+        return max(i0, 0), min(i1, len(self) - 1)
+
+
+@dataclass(frozen=True)
+class TimeSeries1(_Clock):
     """Uniformly sampled scalar signal.
 
     Attributes
@@ -80,29 +119,15 @@ class TimeSeries1:
         Read-only float64 array of shape ``(n,)``.
     """
 
-    start_time: float
-    sample_rate: float
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "start_time", float(self.start_time))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
+        super().__post_init__()
         object.__setattr__(self, "values", _as_grid_array(self.values, "values", None))
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     @property
-    def dt(self) -> float:
-        return 1.0 / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) / self.sample_rate
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + (len(self) - 1) / self.sample_rate
+    def _data(self) -> np.ndarray:
+        return self.values
 
     def with_values(self, values) -> "TimeSeries1":
         """Same clock, new values."""
@@ -110,7 +135,7 @@ class TimeSeries1:
 
 
 @dataclass(frozen=True)
-class TimeSeries3:
+class TimeSeries3(_Clock):
     """Uniformly sampled 3-component signal (the universal kinematics carrier).
 
     Attributes
@@ -123,29 +148,15 @@ class TimeSeries3:
         Read-only float64 array of shape ``(n, 3)``; one row per instant.
     """
 
-    start_time: float
-    sample_rate: float
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "start_time", float(self.start_time))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
+        super().__post_init__()
         object.__setattr__(self, "samples", _as_grid_array(self.samples, "samples", 3))
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
     @property
-    def dt(self) -> float:
-        return 1.0 / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) / self.sample_rate
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + (len(self) - 1) / self.sample_rate
+    def _data(self) -> np.ndarray:
+        return self.samples
 
     def component(self, axis: int) -> TimeSeries1:
         """Scalar series of one component (0=x, 1=y, 2=z)."""
@@ -160,25 +171,34 @@ class TimeSeries3:
         return TimeSeries3(self.start_time + offset, self.sample_rate, self.samples)
 
 
-def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
-    """True when ``R`` is orthonormal with determinant +1 within ``tol``."""
+def shared_grid(series, rate: float) -> np.ndarray:
+    """Times at ``rate`` from the latest start of ``series`` to at most its
+    earliest end (empty when the supports do not overlap)."""
+    lo = max(s.start_time for s in series)
+    hi = min(s.end_time for s in series)
+    return lo + np.arange(int(np.floor((hi - lo) * rate)) + 1) / rate
+
+
+def is_rotation(R) -> bool:
+    """True when ``R`` is orthonormal with determinant +1 within
+    ``ROTATION_TOL``."""
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3) or not np.isfinite(R).all():
         return False
     err = np.abs(R.T @ R - np.eye(3)).max()
-    return err <= tol and abs(np.linalg.det(R) - 1.0) <= tol
+    return err <= ROTATION_TOL and abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL
 
 
-def validate_rotation(R, tol: float = ROTATION_TOL) -> np.ndarray:
+def validate_rotation(R) -> np.ndarray:
     """Return ``R`` as a float64 array, raising :class:`ConfigError` if it is
-    not a proper rotation within ``tol``."""
+    not a proper rotation within ``ROTATION_TOL``."""
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise ConfigError(f"rotation matrix must be 3x3, got shape {R.shape}")
-    if not is_rotation(R, tol):
+    if not is_rotation(R):
         raise ConfigError(
             "matrix is not a proper rotation (orthonormality or det +1 "
-            f"violated beyond {tol:g})"
+            f"violated beyond {ROTATION_TOL:g})"
         )
     return R
 
@@ -235,35 +255,6 @@ def _grid_rate(times: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(times)))
 
 
-def resample(s: TimeSeries3 | TimeSeries1, target_rate: float):
-    """Linearly interpolate onto a uniform grid at ``target_rate``.
-
-    The new grid starts at the series start time and spans the original
-    support; no extrapolation beyond the endpoints.  Resampling at the source
-    rate reproduces the series exactly (bitwise-equal grid).
-
-    Raises
-    ------
-    DataError
-        If the series has fewer than 2 samples or ``target_rate <= 0``.
-    """
-    target_rate = float(target_rate)
-    if target_rate <= 0.0 or not np.isfinite(target_rate):
-        raise DataError(f"target_rate must be positive, got {target_rate}")
-    if len(s) < 2:
-        raise DataError("resample needs at least 2 samples")
-    span = (len(s) - 1) / s.sample_rate
-    n_out = int(np.floor(span * target_rate + 1e-9)) + 1
-    new_times = s.start_time + np.arange(n_out) / target_rate
-    src_t = s.times
-    if isinstance(s, TimeSeries3):
-        out = np.column_stack(
-            [np.interp(new_times, src_t, s.samples[:, k]) for k in range(3)]
-        )
-        return TimeSeries3(s.start_time, target_rate, out)
-    return TimeSeries1(s.start_time, target_rate, np.interp(new_times, src_t, s.values))
-
-
 def magnitude(s: TimeSeries3) -> TimeSeries1:
     """Per-sample Euclidean norm (the resultant); timing preserved."""
     return TimeSeries1(
@@ -271,12 +262,12 @@ def magnitude(s: TimeSeries3) -> TimeSeries1:
     )
 
 
-def same_clock(a, b, rel: float = 1e-9) -> bool:
-    """True when two series share length, rate and start time (within ``rel``
-    on the rate and 1 ns absolute on the start; rates inferred from file
-    grids can differ by an ulp)."""
+def same_clock(a, b) -> bool:
+    """True when two series share length, rate and start time (within 1e-9
+    relative on the rate and 1 ns absolute on the start; rates inferred from
+    file grids can differ by an ulp)."""
     return (len(a) == len(b)
-            and abs(a.sample_rate - b.sample_rate) <= rel * a.sample_rate
+            and abs(a.sample_rate - b.sample_rate) <= 1e-9 * a.sample_rate
             and abs(a.start_time - b.start_time) <= 1e-9)
 
 

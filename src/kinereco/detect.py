@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries1, TimeSeries3, best_shift, sample_on_grid
+from .core import TimeSeries1, TimeSeries3, best_shift, sample_on_grid, shared_grid
 from .errors import DataError, WindowError
 from .ingest import ImuRecording
 
@@ -52,7 +52,6 @@ class ImpactWindow:
     clock has t = 0 at the trigger.  All channels cover [-pre, +post].
     """
 
-    event: ImpactEvent
     channels: dict[str, ImuRecording]
     pre: float
     post: float
@@ -174,12 +173,9 @@ def refine_offset(hb_mag: TimeSeries1, ref_mag: TimeSeries1,
     trails the reference.
     """
     rate = max(hb_mag.sample_rate, ref_mag.sample_rate)
-    lo = max(hb_mag.start_time, ref_mag.start_time)
-    hi = min(hb_mag.end_time, ref_mag.end_time)
-    if hi - lo < 4.0 / rate:
+    grid = shared_grid((hb_mag, ref_mag), rate)
+    if len(grid) < 5:
         raise WindowError("series share too little support for alignment")
-    n = int(np.floor((hi - lo) * rate)) + 1
-    grid = lo + np.arange(n) / rate
     a = sample_on_grid(hb_mag, grid).values
     b = sample_on_grid(ref_mag, grid).values
     a = a - a.mean()
@@ -251,10 +247,9 @@ def _pair_lag(h: ImpactEvent, r: ImpactEvent, hb_mag: TimeSeries1,
 
 def _clip_scalar(ts: TimeSeries1, t0: float, lo: float, hi: float) -> TimeSeries1:
     """The samples within [lo, hi] s of ``t0``, on a clock with t = 0 at ``t0``."""
-    rate = ts.sample_rate
     start = ts.start_time - t0
-    i0 = max(0, int(np.ceil((lo - start) * rate - 1e-9)))
-    i1 = min(len(ts) - 1, int(np.floor((hi - start) * rate + 1e-9)))
+    i0, i1 = ts.span(lo - start, hi - start)
     if i1 - i0 < 4:
         raise WindowError(f"series does not cover [{lo:.4f}, {hi:.4f}] s")
-    return TimeSeries1(start + i0 / rate, rate, ts.values[i0:i1 + 1])
+    return TimeSeries1(start + i0 / ts.sample_rate, ts.sample_rate,
+                       ts.values[i0:i1 + 1])

@@ -224,8 +224,7 @@ def nrmse_windowed(ref: TimeSeries1, test: TimeSeries1,
             f"NRMSE window [{lo:.4f}, {hi:.4f}] s outside support "
             f"[{ref.start_time:.4f}, {ref.end_time:.4f}] s"
         )
-    i0 = int(np.ceil((lo - ref.start_time) * ref.sample_rate - 1e-9))
-    i1 = int(np.floor((hi - ref.start_time) * ref.sample_rate + 1e-9))
+    i0, i1 = ref.span(lo - ref.start_time, hi - ref.start_time)
     err = test.values[i0:i1 + 1] - ref.values[i0:i1 + 1]
     rms_abs = float(np.sqrt(np.mean(err ** 2)))
     nrms_pct = rms_abs / peak * 100.0

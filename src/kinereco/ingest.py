@@ -581,7 +581,7 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
     are converted back to deg/s and g.
     """
     path = Path(path)
-    cols = [("time_s", None)]
+    cols = ["time_s"]
     arrays = [rec.gyro.times]
     for name, series, scale in (("g", rec.gyro, 1.0 / _DEG2RAD),
                                 ("a", rec.accel_low, 1.0 / G_STANDARD)):
@@ -591,7 +591,7 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
                 series.sample_rate != rec.gyro.sample_rate:
             raise DataError("accel_low must share the gyro clock in one file")
         for k, ax in enumerate("xyz"):
-            cols.append((f"{name}{ax}", None))
+            cols.append(f"{name}{ax}")
             arrays.append(series.samples[:, k] * scale)
 
     high_separate = None
@@ -600,12 +600,12 @@ def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()
                 and abs(rec.accel_high.start_time - rec.gyro.start_time) <= 1e-12
                 and len(rec.accel_high) == len(rec.gyro)):
             for k, ax in enumerate("xyz"):
-                cols.append((f"h{ax}", None))
+                cols.append(f"h{ax}")
                 arrays.append(rec.accel_high.samples[:, k] / G_STANDARD)
         else:
             high_separate = rec.accel_high
 
-    write_table(path, [c for c, _ in cols], arrays, header_comments, "%.14g")
+    write_table(path, cols, arrays, header_comments, "%.14g")
     if high_separate is not None:
         hpath = path.with_name(path.stem + "_high" + path.suffix)
         harrays = [high_separate.times] + [

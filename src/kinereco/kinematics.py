@@ -134,11 +134,11 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
             best = result
     if best is None:
         raise DegenerateSignalError("angular velocity is identically zero")
-    filtered = butterworth_lowpass(omega_h, best.f0, order=4)
+    filtered = butterworth_lowpass(omega_h, best.f0)
     return filtered, best
 
 
-def five_point_derivative(x: TimeSeries3 | TimeSeries1, dt: float | None = None):
+def five_point_derivative(x: TimeSeries3 | TimeSeries1):
     """Time derivative via the five-point central stencil.
 
     Interior samples use (-x[i+2] + 8 x[i+1] - 8 x[i-1] + x[i-2]) / (12 dt)
@@ -152,8 +152,7 @@ def five_point_derivative(x: TimeSeries3 | TimeSeries1, dt: float | None = None)
     """
     if len(x) < 5:
         raise DataError(f"five-point stencil needs >= 5 samples, got {len(x)}")
-    if dt is None:
-        dt = x.dt
+    dt = x.dt
     values = x.samples if isinstance(x, TimeSeries3) else x.values[:, None]
     d = np.empty_like(values)
     d[2:-2] = (-values[4:] + 8.0 * values[3:-1]
@@ -338,9 +337,8 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
                 raise DataError(f"a3g1 sensor {sid!r} has no "
                                 f"{config.a3g1_channel!r} channel data")
             head_frame = rotate_series(raw, spec.orientation)
-            prefiltered = butterworth_lowpass(
-                head_frame, config.filter.accel_prefilter_hz, order=4
-            )
+            prefiltered = butterworth_lowpass(head_frame,
+                                              config.filter.accel_prefilter_hz)
             accels.append(sample_on_grid(prefiltered, grid))
             positions.append(spec.position)
         alpha_a3g1, q, a_point, residual = a3g1_solve(

@@ -48,13 +48,10 @@ def _headband_trigger_series(config: SessionConfig,
     """Across-sensor mean of the high-g resultants, on the first sensor's grid."""
     mags = [core.magnitude(recs[s.id].trigger_accel)
             for s in config.headband_sensors]
-    base = mags[0]
-    lo = max(m.start_time for m in mags)
-    hi = min(m.end_time for m in mags)
-    n = int(np.floor((hi - lo) * base.sample_rate)) + 1
-    grid = lo + np.arange(n) / base.sample_rate
+    rate = mags[0].sample_rate
+    grid = core.shared_grid(mags, rate)
     stack = np.mean([core.sample_on_grid(m, grid).values for m in mags], axis=0)
-    return TimeSeries1(lo, base.sample_rate, stack)
+    return TimeSeries1(grid[0], rate, stack)
 
 
 def _concat_scalar(series: list[TimeSeries1]) -> TimeSeries1 | None:
@@ -155,7 +152,7 @@ def _build_window(recs: dict[str, ImuRecording], event: ImpactEvent,
                   pad: float = _WINDOW_PAD_S) -> ImpactWindow:
     channels = {sid: detect.extract_window(rec, event, pre + pad, post + pad)
                 for sid, rec in recs.items()}
-    return ImpactWindow(event=event, channels=channels, pre=pre, post=post)
+    return ImpactWindow(channels=channels, pre=pre, post=post)
 
 
 def _block_for(blocks: list[ImuRecording], t0: float) -> ImuRecording:
@@ -217,10 +214,8 @@ def clip_reference_to(ref_kin: ReferenceKinematics,
     hb = kin.omega_hf
 
     def clip(ts: TimeSeries3) -> TimeSeries3:
-        i0 = int(np.ceil((hb.start_time - ts.start_time) * ts.sample_rate - 1e-9))
-        i1 = int(np.floor((hb.end_time - ts.start_time) * ts.sample_rate + 1e-9))
-        i0 = max(i0, 0)
-        i1 = min(i1, len(ts) - 1)
+        i0, i1 = ts.span(hb.start_time - ts.start_time,
+                         hb.end_time - ts.start_time)
         if i1 <= i0 + 8:
             raise DataError("reference and headband kinematics barely overlap")
         return TimeSeries3(ts.start_time + i0 / ts.sample_rate, ts.sample_rate,

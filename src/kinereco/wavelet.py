@@ -110,9 +110,10 @@ class CutoffResult:
     slices: CoefficientSlices
 
 
-def frequency_grid(sample_rate: float, fmin: float = GRID_FMIN_HZ,
-                   voices: int = VOICES_PER_OCTAVE) -> np.ndarray:
-    """Log-spaced grid from ``fmin`` to Nyquist/2.001 at ``voices`` per octave."""
+def frequency_grid(sample_rate: float) -> np.ndarray:
+    """Log-spaced grid from ``GRID_FMIN_HZ`` to Nyquist/2.001 at
+    ``VOICES_PER_OCTAVE`` voices per octave."""
+    fmin, voices = GRID_FMIN_HZ, VOICES_PER_OCTAVE
     fmax = sample_rate / 2.0 / 2.001
     if fmax <= fmin:
         raise DataError(
@@ -122,7 +123,7 @@ def frequency_grid(sample_rate: float, fmin: float = GRID_FMIN_HZ,
     return fmin * 2.0 ** (np.arange(n_steps + 1) / voices)
 
 
-def cwt(x: TimeSeries1, freqs: np.ndarray | None = None) -> Scalogram:
+def cwt(x: TimeSeries1) -> Scalogram:
     """Continuous wavelet transform magnitude of a scalar series.
 
     Uses an analytic Morlet wavelet evaluated in the frequency domain, with
@@ -135,10 +136,8 @@ def cwt(x: TimeSeries1, freqs: np.ndarray | None = None) -> Scalogram:
     Parameters
     ----------
     x : TimeSeries1
-        Input signal; at least 64 samples.
-    freqs : array-like, optional
-        Frequency grid in Hz; defaults to :func:`frequency_grid` for the
-        series rate.
+        Input signal; at least 64 samples.  The frequency grid is
+        :func:`frequency_grid` of the series rate.
 
     Raises
     ------
@@ -150,11 +149,7 @@ def cwt(x: TimeSeries1, freqs: np.ndarray | None = None) -> Scalogram:
     n = len(x)
     if n < MIN_CWT_SAMPLES:
         raise DataError(f"cwt needs at least {MIN_CWT_SAMPLES} samples, got {n}")
-    if freqs is None:
-        freqs = frequency_grid(x.sample_rate)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.ndim != 1 or freqs.size == 0 or np.any(np.diff(freqs) <= 0):
-        raise DataError("frequency grid must be 1-d and strictly increasing")
+    freqs = frequency_grid(x.sample_rate)
 
     padded = np.pad(x.values, n, mode="symmetric")
     nfft = next_fast_len(3 * n)
@@ -254,42 +249,39 @@ def select_cutoff(slices: CoefficientSlices, threshold: float = 0.1,
     return CutoffResult(f0=f0, f_ss=f_ss, f_n=f_n, slices=slices)
 
 
-def _butter_zero_phase(ts, order: int, cutoff: float):
-    """``ts`` run forward and backward through a Butterworth low-pass of
-    ``order`` with its -3 dB point at ``cutoff`` Hz."""
+def _butter_zero_phase(ts, cutoff: float):
+    """``ts`` run forward and backward through a 2-pole Butterworth low-pass
+    with its -3 dB point at ``cutoff`` Hz."""
     # scipy.signal (which imports scipy.stats) costs about 1 s to import, so
     # it is loaded at the first filter, not by every kinereco process.
     from scipy import signal
 
-    sos = signal.butter(order, cutoff, btype="low", fs=ts.sample_rate,
+    sos = signal.butter(2, cutoff, btype="low", fs=ts.sample_rate,
                         output="sos")
     if isinstance(ts, TimeSeries3):
         return ts.with_samples(signal.sosfiltfilt(sos, ts.samples, axis=0))
     return ts.with_values(signal.sosfiltfilt(sos, ts.values))
 
 
-def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float, order: int = 4):
-    """Zero-phase Butterworth low-pass at cutoff ``f0``.
+def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float):
+    """Zero-phase 4-pole Butterworth low-pass at cutoff ``f0``.
 
-    A Butterworth section of order ``order // 2`` with its -3 dB point at
-    ``f0`` is applied forward and backward, cancelling phase and doubling the
-    magnitude attenuation: the effective response has ``order`` poles and is
-    -6 dB at ``f0``.  DC gain is 1.
+    A 2-pole Butterworth section with its -3 dB point at ``f0`` is applied
+    forward and backward, cancelling phase and doubling the magnitude
+    attenuation: the effective response has 4 poles and is -6 dB at ``f0``.
+    DC gain is 1.
 
     Raises
     ------
     DataError
-        If ``f0`` is not strictly between 0 and the Nyquist frequency, or
-        ``order`` is not a positive even number.
+        If ``f0`` is not strictly between 0 and the Nyquist frequency.
     """
     nyquist = x.sample_rate / 2.0
     if not 0.0 < f0 < nyquist:
         raise DataError(
             f"cutoff {f0} Hz must lie strictly between 0 and Nyquist ({nyquist} Hz)"
         )
-    if order < 2 or order % 2:
-        raise DataError(f"order must be a positive even integer, got {order}")
-    return _butter_zero_phase(x, order // 2, f0)
+    return _butter_zero_phase(x, f0)
 
 
 #: SAE J211 per-pass design factor: the 2-pole section is tuned at
@@ -324,4 +316,4 @@ def cfc_filter(x: TimeSeries1 | TimeSeries3, cfc_class: float):
     nyquist = rate / 2.0
     if design >= nyquist:
         design = 0.995 * nyquist
-    return _butter_zero_phase(x, 2, design)
+    return _butter_zero_phase(x, design)

@@ -598,6 +598,13 @@ class TestErrorReporting:
             lines = lines[:n_comments + 2]
         elif case == "no_rows":
             lines = lines[:n_comments + 1]
+        elif case == "t_s_steps_back":
+            # Swap the t_s cells of two adjacent rows: the median step stays
+            # positive, but one step is negative.
+            i, j = n_comments + 3, n_comments + 4
+            ti, ri = lines[i].split(",", 1)
+            tj, rj = lines[j].split(",", 1)
+            lines[i], lines[j] = f"{tj},{ri}", f"{ti},{rj}"
         bad = tmp_path / "hb"
         bad.mkdir()
         (bad / "hb_ev001.csv").write_text("".join(lines))
@@ -608,7 +615,8 @@ class TestErrorReporting:
         ("bad_cell", "DataError: {path}: unparseable cell"),
         ("one_row", "DataError: {path}: kinematics tables need at least 2 rows"),
         ("no_rows", "DataError: {path}: no data rows"),
-    ], ids=["no_t_s", "bad_cell", "one_row", "no_rows"])
+        ("t_s_steps_back", "DataError: {path}: column 't_s' does not increase"),
+    ], ids=["no_t_s", "bad_cell", "one_row", "no_rows", "t_s_steps_back"])
 
     @staticmethod
     def main_without_warnings(argv) -> int:

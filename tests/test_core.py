@@ -1,12 +1,18 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kinereco.core import (TimeSeries1, TimeSeries3, lagged_correlation,
-                           magnitude, resample, rotate_series,
+                           magnitude, rotate_series, shared_grid,
                            validate_rotation)
-from kinereco.errors import ConfigError, DataError
-from kinereco.evaluate import _correlation
+from kinereco.detect import _clip_scalar
+from kinereco.errors import ConfigError, DataError, WindowError
+from kinereco.evaluate import _correlation, nrmse_windowed
+from kinereco.kinematics import ReferenceKinematics
+from kinereco.pipeline import clip_reference_to
 
 from conftest import random_rotation, rotation_about
 
@@ -55,52 +61,172 @@ class TestRotateSeries:
                         magnitude(s).values, atol=1e-12)
 
 
-class TestResample:
-    def test_linear_ramp_exact_at_double_rate(self):
-        t = np.arange(10) / 100.0
-        s = series3(np.column_stack([t, 2 * t, -t]), rate=100.0)
-        out = resample(s, 200.0)
-        expected = out.times
-        assert_allclose(out.samples[:, 0], expected, atol=1e-12)
-        assert_allclose(out.samples[:, 1], 2 * expected, atol=1e-12)
+def old_clip_scalar(ts, t0, lo, hi):
+    """The index rule of ``detect._clip_scalar`` before ``span``:
+    ``(i0, i1, start time of the clip)``."""
+    rate = ts.sample_rate
+    start = ts.start_time - t0
+    i0 = max(0, int(np.ceil((lo - start) * rate - 1e-9)))
+    i1 = min(len(ts) - 1, int(np.floor((hi - start) * rate + 1e-9)))
+    return i0, i1, start + i0 / rate
 
-    def test_constant_series_stays_constant(self):
-        s = series3(np.tile([2.0, -1.0, 0.5], (7, 1)), rate=33.0)
-        out = resample(s, 180.0)
-        assert_allclose(out.samples, np.tile([2.0, -1.0, 0.5], (len(out), 1)))
 
-    def test_sine_against_analytic_values(self):
-        rate, f = 1125.0, 20.0
-        t = np.arange(int(rate)) / rate
-        s = series3(np.column_stack([np.sin(2 * np.pi * f * t)] * 3), rate=rate)
-        out = resample(s, 3200.0)
-        analytic = np.sin(2 * np.pi * f * out.times)
-        # linear-interpolation midpoint bound: (2*pi*f/rate)^2 / 8 = 1.56e-3
-        assert np.abs(out.samples[:, 0] - analytic).max() < 1.6e-3
+def old_clip_reference(ts, hb):
+    """The index rule of ``pipeline.clip_reference_to`` before ``span``."""
+    i0 = int(np.ceil((hb.start_time - ts.start_time) * ts.sample_rate - 1e-9))
+    i1 = int(np.floor((hb.end_time - ts.start_time) * ts.sample_rate + 1e-9))
+    i0 = max(i0, 0)
+    i1 = min(i1, len(ts) - 1)
+    return i0, i1, ts.start_time + i0 / ts.sample_rate
 
-    def test_idempotent_at_source_rate(self):
-        rng = np.random.default_rng(0)
-        s = series3(rng.normal(size=(31, 3)), rate=1125.0, start=0.37)
-        out = resample(s, 1125.0)
-        assert len(out) == len(s)
-        assert np.array_equal(out.times, s.times)
-        assert_allclose(out.samples, s.samples, atol=1e-12)
 
-    def test_single_sample_rejected(self):
-        s = series3([[1, 2, 3]])
-        with pytest.raises(DataError):
-            resample(s, 200.0)
+def old_nrmse_span(ref, lo, hi):
+    """The index rule of ``evaluate.nrmse_windowed`` before ``span``."""
+    i0 = int(np.ceil((lo - ref.start_time) * ref.sample_rate - 1e-9))
+    i1 = int(np.floor((hi - ref.start_time) * ref.sample_rate + 1e-9))
+    return i0, i1
 
-    def test_no_extrapolation_beyond_support(self):
-        s = series3(np.zeros((11, 3)), rate=100.0)  # spans 0.1 s
-        out = resample(s, 64.0)
-        assert out.end_time <= s.end_time + 1e-12
 
-    def test_scalar_series_resampled_too(self):
-        t = np.arange(20) / 100.0
-        s = TimeSeries1(0.0, 100.0, 3.0 * t)
-        out = resample(s, 250.0)
-        assert_allclose(out.values, 3.0 * out.times, atol=1e-12)
+def old_shared_grid(series, rate):
+    """The shared-support grid of ``detect.refine_offset`` and
+    ``pipeline._headband_trigger_series`` before ``shared_grid``."""
+    lo = max(s.start_time for s in series)
+    hi = min(s.end_time for s in series)
+    n = int(np.floor((hi - lo) * rate)) + 1
+    return lo + np.arange(n) / rate
+
+
+#: Window edges as (sample index, offset in sample periods): on a sample,
+#: inside and just outside the 1e-9-period slack, between samples, and
+#: beyond either end of a 200-sample series.
+EDGES = [(k, d) for k in (-7, 0, 1, 63, 198, 199, 205)
+         for d in (0.0, 1e-9, -1e-9, 2e-9, -2e-9, 0.37)]
+RATES = (1125.0, 1600.0, 3200.0)
+N_SAMPLES = 200
+
+
+def clock_cases():
+    """(rate, series start, trigger time, lo edge, hi edge) combinations."""
+    pairs = [(EDGES[i], EDGES[j]) for i in range(len(EDGES))
+             for j in range(i, len(EDGES), 5)]
+    for rate in RATES:
+        for start, t0 in ((0.0, 0.0), (-0.03125, 0.0), (12.3456789, 12.4)):
+            for lo_edge, hi_edge in pairs:
+                yield rate, start, t0, lo_edge, hi_edge
+
+
+def scalar_series(rate, start, n=N_SAMPLES):
+    return TimeSeries1(start, rate, np.sin(np.arange(n) * 0.37) + 2.0)
+
+
+class TestSampleClock:
+    """``span`` and ``shared_grid`` against the inline copies they replace."""
+
+    def test_span_matches_clip_scalar(self):
+        for rate, start, t0, (k0, d0), (k1, d1) in clock_cases():
+            ts = scalar_series(rate, start)
+            rel = ts.start_time - t0
+            lo, hi = rel + (k0 + d0) / rate, rel + (k1 + d1) / rate
+            i0, i1, clip_start = old_clip_scalar(ts, t0, lo, hi)
+            assert ts.span(lo - rel, hi - rel) == (i0, i1)
+            if i1 - i0 < 4:
+                with pytest.raises(WindowError):
+                    _clip_scalar(ts, t0, lo, hi)
+                continue
+            clip = _clip_scalar(ts, t0, lo, hi)
+            assert repr(clip.start_time) == repr(clip_start)
+            assert clip.values.tobytes() == ts.values[i0:i1 + 1].tobytes()
+
+    def test_span_matches_clip_reference(self):
+        for rate, start, _, (k0, d0), (k1, d1) in clock_cases():
+            ts = TimeSeries3(start, rate, np.tile(
+                scalar_series(rate, start).values[:, None], (1, 3)))
+            hb_start = start + (k0 + d0) / rate
+            hb_end = start + (k1 + d1) / rate
+            if hb_end <= hb_start:
+                continue
+            hb_rate = 1125.0
+            hb = TimeSeries3(hb_start, hb_rate, np.zeros(
+                (int(round((hb_end - hb_start) * hb_rate)) + 1, 3)))
+            i0, i1, clip_start = old_clip_reference(ts, hb)
+            assert ts.span(hb.start_time - ts.start_time,
+                           hb.end_time - ts.start_time) == (i0, i1)
+            ref_kin = ReferenceKinematics(ts, ts, ts)
+            kin = SimpleNamespace(omega_hf=hb)
+            if i1 <= i0 + 8:
+                with pytest.raises(DataError):
+                    clip_reference_to(ref_kin, kin)
+                continue
+            clipped = clip_reference_to(ref_kin, kin)
+            for part in (clipped.omega, clipped.alpha, clipped.a_point):
+                assert repr(part.start_time) == repr(clip_start)
+                assert part.samples.tobytes() == \
+                    ts.samples[i0:i1 + 1].tobytes()
+
+    def test_span_matches_nrmse_window(self):
+        checked = 0
+        for rate, start, _, (k0, d0), (k1, d1) in clock_cases():
+            ref = scalar_series(rate, start)
+            lo, hi = start + (k0 + d0) / rate, start + (k1 + d1) / rate
+            center, window = (lo + hi) / 2.0, hi - lo
+            lo, hi = center - window / 2.0, center + window / 2.0
+            eps = 0.5 / rate * 1e-6
+            if not (ref.start_time - eps <= lo < hi <= ref.end_time + eps):
+                continue
+            i0, i1 = old_nrmse_span(ref, lo, hi)
+            assert ref.span(lo - ref.start_time, hi - ref.start_time) == (i0, i1)
+            if i1 < i0:
+                continue
+            test = ref.with_values(ref.values * 1.1 - 0.05)
+            err = test.values[i0:i1 + 1] - ref.values[i0:i1 + 1]
+            peak = float(np.max(np.abs(ref.values)))
+            rms_abs = float(np.sqrt(np.mean(err ** 2)))
+            expected = (rms_abs / peak * 100.0, rms_abs,
+                        float(err.mean()) / peak * 100.0)
+            assert nrmse_windowed(ref, test, window, center) == expected
+            checked += 1
+        assert checked > 100
+
+    def test_span_clamps_and_empty_overlap(self):
+        ts = scalar_series(1600.0, 2.0)
+        assert ts.span(-1.0, 10.0) == (0, N_SAMPLES - 1)
+        i0, i1 = ts.span(1.0, 2.0)  # wholly after the last sample
+        assert i1 < i0
+        i0, i1 = ts.span(-2.0, -1.0)  # wholly before the first sample
+        assert i1 < i0
+
+    @pytest.mark.parametrize("n_series", [2, 5])
+    def test_shared_grid_matches_old_grid(self, n_series):
+        rng = np.random.default_rng(n_series)
+        for _ in range(50):
+            series = [scalar_series(float(rng.choice(RATES)),
+                                    float(rng.uniform(-0.05, 0.05)),
+                                    int(rng.integers(150, 400)))
+                      for _ in range(n_series)]
+            for rate in {series[0].sample_rate,
+                         max(s.sample_rate for s in series)}:
+                assert shared_grid(series, rate).tobytes() == \
+                    old_shared_grid(series, rate).tobytes()
+
+    def test_shared_grid_of_disjoint_series_is_empty(self):
+        series = [scalar_series(1600.0, 0.0), scalar_series(1600.0, 1.0)]
+        assert shared_grid(series, 1600.0).size == 0
+
+    def test_series_keep_positional_construction_and_repr(self):
+        s1 = TimeSeries1(0.5, 100.0, [1.0, 2.0])
+        s3 = TimeSeries3(-0.25, 8.0, [[1.0, 2.0, 3.0]])
+        assert (s1.start_time, s1.sample_rate) == (0.5, 100.0)
+        assert (s3.start_time, s3.sample_rate) == (-0.25, 8.0)
+        assert repr(s1) == ("TimeSeries1(start_time=0.5, sample_rate=100.0, "
+                            "values=array([1., 2.]))")
+        assert repr(s3) == ("TimeSeries3(start_time=-0.25, sample_rate=8.0, "
+                            "samples=array([[1., 2., 3.]]))")
+        assert [f.name for f in fields(s1)] == ["start_time", "sample_rate",
+                                                "values"]
+        assert [f.name for f in fields(s3)] == ["start_time", "sample_rate",
+                                                "samples"]
+        assert len(s1) == 2 and len(s3) == 1
+        assert s1.end_time == 0.51 and s3.end_time == -0.25
 
 
 class TestMagnitude:
