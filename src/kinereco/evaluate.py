@@ -205,7 +205,8 @@ def nrmse_windowed(ref: TimeSeries1, test: TimeSeries1,
     Raises
     ------
     WindowError
-        If the window does not fit inside the common support.
+        If the window does not fit inside the common support, or holds no
+        sample.
     DataError
         If the curves share no clock or the reference peak is zero.
     """
@@ -225,6 +226,8 @@ def nrmse_windowed(ref: TimeSeries1, test: TimeSeries1,
             f"[{ref.start_time:.4f}, {ref.end_time:.4f}] s"
         )
     i0, i1 = ref.span(lo - ref.start_time, hi - ref.start_time)
+    if i1 < i0:
+        raise WindowError(f"NRMSE window [{lo:.4f}, {hi:.4f}] s holds no sample")
     err = test.values[i0:i1 + 1] - ref.values[i0:i1 + 1]
     rms_abs = float(np.sqrt(np.mean(err ** 2)))
     nrms_pct = rms_abs / peak * 100.0

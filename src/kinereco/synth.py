@@ -94,15 +94,24 @@ def _axis_eval(components, t, deriv=False):
 
     A windowed term is evaluated only within its envelope's support; outside
     it the term is +-0.0, and adding that leaves the sum bit for bit the same.
+    A component is skipped outright when its support misses ``t``: the test
+    applies the support mask's own rounded arithmetic to the nearest end of
+    ``t``, and ``fl(t - c)`` is monotone in ``t``, so a component is skipped
+    only when the mask would keep none of its samples.
     """
     out = np.zeros_like(t)
+    if not len(t):
+        return out
+    t_min, t_max = float(t.min()), float(t.max())
     for c in components:
         term = c.derivative if deriv else c.value
         if c.width_s is None:
             out += term(t)
             continue
-        live = np.flatnonzero(
-            np.abs(t - c.center_s) <= _ENVELOPE_SUPPORT * abs(c.width_s))
+        reach = _ENVELOPE_SUPPORT * abs(c.width_s)
+        if t_max - c.center_s < -reach or t_min - c.center_s > reach:
+            continue
+        live = np.flatnonzero(np.abs(t - c.center_s) <= reach)
         out[live] += term(t[live])
     return out
 
@@ -230,31 +239,58 @@ class SimulatedSession:
     profile: SessionProfile
 
 
-#: exp(-x) underflows to exactly 0.0 once x > 745.2.
+#: exp(-x) underflows to exactly 0.0 once x > 745.2, so a burst is exactly
+#: +-0.0 beyond this many time constants.  On nonzero noise it drops below
+#: half an ulp long before (about 45 time constants for the bundled profile).
 _BURST_SUPPORT = 750.0
 
+#: A term c with |c| < 2**-54 * |b| is below half an ulp of b, so b + c == b
+#: under round-to-nearest.  A burst's term is at most |amplitude| * decay up
+#: to a few roundings, and this bound leaves a 4x margin for them.
+_BELOW_HALF_ULP = 2.0 ** -56
 
-def _burst_waveform(t_rel: np.ndarray, burst: BurstSpec, amplitude: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Sum of decaying in-band tones starting at t_rel = 0.
+#: The envelope |amplitude| * decay is floored here, so a sample is skipped
+#: only on a base above 2**-944: there every rounding in the burst is
+#: relative, as the bound above assumes, and none is the absolute rounding of
+#: a subnormal.
+_ENVELOPE_FLOOR = 2.0 ** -1000
 
-    Tones are evaluated only while the decay has not underflowed: beyond
-    ``_BURST_SUPPORT`` time constants exp(-t/tau) is exactly 0.0.
+
+def _burst_waveform(t_rel: np.ndarray, base: np.ndarray, burst: BurstSpec,
+                    amplitude: float, rng: np.random.Generator) -> np.ndarray:
+    """Decaying in-band tones starting at t_rel = 0, to be added to ``base``.
+
+    ``base`` has one row per sample of ``t_rel``; each of its columns gets its
+    own tones, drawn column after column.  The draws are per tone, so the
+    generator's state does not depend on how many samples are evaluated.
+
+    A column's tones are evaluated only where they can change ``base +
+    burst``; elsewhere its burst is +-0.0:
+
+    - within ``_BURST_SUPPORT`` time constants, beyond which exp(-t/tau) is
+      exactly 0.0;
+    - where |amplitude| * exp(-t/tau) is not below ``_BELOW_HALF_ULP`` times
+      the base, so the burst there is not below half an ulp of the base.
     """
+    out = np.zeros_like(base)
     if amplitude == 0.0 or burst.duration_s == 0.0:
-        return np.zeros_like(t_rel)
+        return out
     tau = burst.duration_s / 3.0
     live = np.flatnonzero((t_rel >= 0.0) & (t_rel <= _BURST_SUPPORT * tau))
     t = t_rel[live]
     decay = np.exp(-t / tau)
-    tones = np.zeros_like(t)
-    for _ in range(burst.n_tones):
-        f = rng.uniform(burst.center_hz - burst.bandwidth_hz / 2.0,
-                        burst.center_hz + burst.bandwidth_hz / 2.0)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        tones += decay * np.sin(2.0 * np.pi * f * t + phi)
-    out = np.zeros_like(t_rel)
-    out[live] = tones
+    envelope = np.maximum(abs(amplitude) * decay, _ENVELOPE_FLOOR)
+    for column in range(base.shape[1]):
+        keep = np.flatnonzero(
+            envelope >= _BELOW_HALF_ULP * np.abs(base[live, column]))
+        t_keep, decay_keep = t[keep], decay[keep]
+        tones = np.zeros_like(t_keep)
+        for _ in range(burst.n_tones):
+            f = rng.uniform(burst.center_hz - burst.bandwidth_hz / 2.0,
+                            burst.center_hz + burst.bandwidth_hz / 2.0)
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            tones += decay_keep * np.sin(2.0 * np.pi * f * t_keep + phi)
+        out[live[keep], column] = tones
     return amplitude / burst.n_tones * out
 
 
@@ -268,13 +304,12 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
         for t_imp in impact_times:
             # ``times`` is sorted, so the burst's samples lie in one window;
             # widened by a sample each side, _burst_waveform's own mask still
-            # decides which of them are live.
+            # decides which of them are live.  Each burst is bounded by the
+            # noise and the earlier bursts it is added to.
             lo = max(int(np.searchsorted(times, t_imp)) - 1, 0)
             hi = int(np.searchsorted(times, t_imp + support, side="right")) + 1
-            t_rel = times[lo:hi] - t_imp
-            for axis in range(3):
-                out[lo:hi, axis] += _burst_waveform(t_rel, noise.burst,
-                                                    burst_amp, rng)
+            out[lo:hi] += _burst_waveform(times[lo:hi] - t_imp, out[lo:hi],
+                                          noise.burst, burst_amp, rng)
     return out
 
 

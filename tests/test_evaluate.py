@@ -198,6 +198,13 @@ class TestNrmseWindowed:
         with pytest.raises(DataError):
             nrmse_windowed(flat, flat)
 
+    def test_window_between_samples_rejected(self):
+        # 0.1 ms is a third of a sample period at 3200 Hz; centred half a
+        # period off the grid, the window holds no sample.
+        ref = pulse_curve()
+        with pytest.raises(WindowError, match="holds no sample"):
+            nrmse_windowed(ref, ref, window=0.0001, center=0.05 + 0.5 / 3200.0)
+
 
 def t_sf_quadrature(t_value, df):
     """Survival function of the t-distribution via direct quadrature of the

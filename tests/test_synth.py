@@ -13,10 +13,11 @@ from kinereco.ingest import G_STANDARD, parse_imu_csv, parse_reference_csv
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
-                            NoiseSpec, PlannedImpact, _axis_eval,
-                            _burst_waveform, _channel_noise, load_profile,
-                            dump_profile, simulate_sensors,
-                            standard_session_profile, write_session)
+                            NoiseSpec, PlannedImpact, SessionProfile,
+                            _axis_eval, _burst_waveform, _channel_noise,
+                            _truth_events, load_profile, dump_profile,
+                            simulate_sensors, standard_session_profile,
+                            write_session)
 
 
 def still_motion():
@@ -242,6 +243,33 @@ def full_axis_sum(components, t, deriv=False):
     return out
 
 
+def masked_axis_sum(components, t, deriv=False):
+    """_axis_eval before whole components were skipped: every windowed
+    component runs its support mask over the whole of ``t``."""
+    out = np.zeros_like(t)
+    for c in components:
+        term = c.derivative if deriv else c.value
+        if c.width_s is None:
+            out += term(t)
+            continue
+        live = np.flatnonzero(np.abs(t - c.center_s) <= 28.0 * abs(c.width_s))
+        out[live] += term(t[live])
+    return out
+
+
+def probe(c):
+    """``c`` with a NaN amplitude: every sample its support mask keeps reads
+    NaN, so a sum shows which samples were evaluated."""
+    return replace(c, amplitude=float("nan"))
+
+
+def ulps(x, k):
+    """``x`` moved by ``k`` ulps."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
 def full_burst_waveform(t_rel, burst, amplitude, rng):
     """Every tone evaluated over the whole post-impact span."""
     if amplitude == 0.0 or burst.duration_s == 0.0:
@@ -260,8 +288,9 @@ def full_burst_waveform(t_rel, burst, amplitude, rng):
 
 
 class TestWindowedEvaluation:
-    """Terms skipped where their envelope is exactly 0.0 leave every sample
-    bit for bit equal to the full per-component sum."""
+    """Terms skipped where their envelope is exactly 0.0, and components
+    skipped whose support misses ``t``, leave every sample bit for bit equal
+    to the full per-component sum."""
 
     @pytest.fixture(scope="class")
     def bundled(self):
@@ -273,6 +302,22 @@ class TestWindowedEvaluation:
         rng = np.random.default_rng(17)
         unsorted_t = rng.uniform(-1.0, bundled.duration_s + 1.0, 20000)
         return {"sorted": sorted_t, "unsorted": unsorted_t}
+
+    @pytest.fixture(scope="class")
+    def windowed(self, bundled):
+        """Every windowed component of the bundled profile, and random ones
+        with centers near and far from zero."""
+        motion = bundled.motion
+        comps = [c for axes in (motion.omega_components, motion.q_components)
+                 for axis in axes for c in axis if c.width_s is not None]
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            comps.append(HarmonicComponent(
+                rng.uniform(-3.0, 3.0), rng.uniform(0.0, 60.0),
+                phase=rng.uniform(0.0, 2.0 * np.pi),
+                center_s=rng.uniform(-2.0, 20.0) * rng.choice([1.0, 1e-3]),
+                width_s=10.0 ** rng.uniform(-3.5, -0.5)))
+        return comps
 
     @staticmethod
     def negated_widths(axes):
@@ -304,31 +349,181 @@ class TestWindowedEvaluation:
             want = np.column_stack([full_axis_sum(c, t, deriv) for c in axes])
             assert got.tobytes() == want.tobytes()
 
+    def test_empty_t_gives_zeros(self, bundled):
+        t = np.array([])
+        motion = bundled.motion
+        for axes in (motion.omega_components, motion.q_components):
+            for comps in axes:
+                for deriv in (False, True):
+                    got = _axis_eval(comps, t, deriv)
+                    assert got.dtype == np.float64 and got.shape == (0,)
+        for got in (motion.omega_at(t), motion.alpha_at(t), motion.q_at(t)):
+            assert got.shape == (0, 3)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_single_sample(self, bundled, deriv):
+        motion = bundled.motion
+        stamps = [-1.0, 0.0, bundled.duration_s]
+        for imp in bundled.impacts[::6]:  # one per tier
+            stamps += [imp.time_s + d for d in (-1.6, -0.03125, 0.002, 0.09, 1.7)]
+        for stamp in stamps:
+            t = np.array([stamp])
+            for axes in (motion.omega_components, motion.q_components):
+                for comps in axes:
+                    assert _axis_eval(comps, t, deriv).tobytes() == \
+                        full_axis_sum(comps, t, deriv).tobytes()
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_t_ending_at_support_edge(self, windowed, side, shift):
+        """``t`` ends at c -+ 28w, or one ulp off it, and lies outside the
+        support beyond that end.  With a NaN amplitude, a skip that drops a
+        sample the support mask keeps reads 0.0 where the mask reads NaN."""
+        kept = 0
+        for c in windowed:
+            width = abs(c.width_s)
+            edge = ulps(c.center_s + side * 28.0 * width, shift)
+            t = edge + side * np.array([0.0, 0.5, 2.0]) * width
+            for case in (t, t[[2, 0, 1]], t[:1]):
+                for deriv in (False, True):
+                    got = _axis_eval((c,), case, deriv)
+                    assert got.tobytes() == full_axis_sum((c,), case, deriv).tobytes()
+                    got = _axis_eval((probe(c),), case, deriv)
+                    assert got.tobytes() == \
+                        masked_axis_sum((probe(c),), case, deriv).tobytes()
+                    kept += bool(np.isnan(got).any())
+        if shift != side:  # one ulp outward the mask may keep no sample
+            assert kept > 0
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_t_in_far_tail(self, windowed, side):
+        """Between 20 and 27 widths from its center a term is tiny but not
+        0.0, so alone on an axis it sets the sum."""
+        for c in windowed:
+            t = c.center_s + side * np.array([27.0, 21.0, 24.0]) * abs(c.width_s)
+            for deriv in (False, True):
+                want = full_axis_sum((c,), t, deriv)
+                assert np.any(want != 0.0)
+                assert _axis_eval((c,), t, deriv).tobytes() == want.tobytes()
+
+
+def full_truth_events(profile, config):
+    """_truth_events with every component evaluated over the whole window."""
+    events = []
+    motion = profile.motion
+    for imp in profile.impacts:
+        t = imp.time_s + np.linspace(-config.window.pre,
+                                     config.window.reference_post, 4001)
+        w = np.column_stack([full_axis_sum(c, t) for c in motion.omega_components])
+        alpha = np.column_stack([full_axis_sum(c, t, True)
+                                 for c in motion.omega_components])
+        q = np.column_stack([full_axis_sum(c, t) for c in motion.q_components])
+        r = np.broadcast_to(np.asarray(config.reference_point, dtype=np.float64),
+                            (len(t), 3))
+        a4 = (np.cross(alpha, r) + np.cross(w, np.cross(w, r)) + q
+              + np.asarray(profile.gravity, dtype=np.float64))
+        events.append((imp.time_s, imp.label,
+                       float(np.linalg.norm(w, axis=1).max()),
+                       float(np.linalg.norm(alpha, axis=1).max()),
+                       float(np.linalg.norm(a4, axis=1).max())))
+    return events
+
+
+def edge_probe_profile(config):
+    """Motion whose only windowed terms lie just outside the truth window:
+    tails 24 widths past its end (scaled so that their squares do not
+    underflow in the peak norms), and a NaN probe whose support mask
+    keeps only the window's first sample.  At the probe's width, c + 28w
+    rounds to below that sample, so a skip that tests the rounded support
+    end drops it.  No gravity, so the tails alone set the peaks."""
+    t_imp = 0.25
+    t = t_imp + np.linspace(-config.window.pre, config.window.reference_post,
+                            4001)
+    t_start, t_end = float(t[0]), float(t[-1])
+    omega = tuple((HarmonicComponent(1e200, 20.0, phase=0.3,
+                                     center_s=t_end + 24.0 * width,
+                                     width_s=width),)
+                  for width in (0.004, 0.05, 0.3))
+    width = 0.01
+    reach = 28.0 * width
+    center = t_start - reach
+    while abs(t_start - center) <= reach:  # walk out of the support ...
+        center = ulps(center, -1)
+    while abs(t_start - center) > reach:   # ... and back onto its edge
+        center = ulps(center, 1)
+    assert center + reach < t_start
+    q = ((probe(HarmonicComponent(1.0, 20.0, center_s=center, width_s=width)),),
+         (), ())
+    return SessionProfile(motion=MotionProfile(omega, q),
+                          impacts=(PlannedImpact(t_imp, "probe"),),
+                          duration_s=1.0, gravity=(0.0, 0.0, 0.0))
+
+
+class TestTruthEvents:
+    """The analytic peaks equal those of the full per-component evaluation."""
+
+    @pytest.mark.parametrize("name", ["bundled", "spaced", "edge_probe"])
+    def test_equals_full_evaluation(self, config, name):
+        if name == "bundled":
+            data = files("kinereco") / "profiles"
+            profile = load_profile(data / "field_session_18.json")
+            # The noisy and the clean bundled profile share their motion, and
+            # the truth depends on nothing else in a profile but gravity.
+            clean = load_profile(data / "field_session_18_clean.json")
+            assert (clean.motion, clean.gravity) == (profile.motion, profile.gravity)
+        elif name == "spaced":
+            profile = standard_session_profile(spacing_s=6.0, n_per_tier=2)
+        else:
+            profile = edge_probe_profile(config)
+        got = [(e.t0, e.label, e.prv, e.pra, e.pla)
+               for e in _truth_events(profile, config)]
+        want = full_truth_events(profile, config)
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        assert np.array([g[2:] for g in got]).tobytes() == \
+            np.array([w[2:] for w in want]).tobytes()
+        if name == "edge_probe":
+            prv, pra, pla = got[0][2:]
+            assert 0.0 < prv < 1e-40 and 0.0 < pra < 1e-40 and np.isnan(pla)
+
 
 class TestBurstWaveform:
-    """The burst evaluated only until its decay underflows equals the tones
-    evaluated over the whole post-impact span, and draws the same numbers."""
+    """On a zero base every sample is live: the burst evaluated only until its
+    decay underflows equals the tones evaluated over the whole post-impact
+    span, column after column, and draws the same numbers."""
 
-    @pytest.mark.parametrize("burst", [
+    BURSTS = pytest.mark.parametrize("burst", [
         BurstSpec(center_hz=300.0, bandwidth_hz=140.0, duration_s=0.015),
         BurstSpec(center_hz=500.0, bandwidth_hz=50.0, duration_s=0.0004,
                   n_tones=5),
     ])
-    @pytest.mark.parametrize("amplitude", [25.0, -2.5])
-    def test_equals_full_evaluation(self, burst, amplitude):
+
+    @staticmethod
+    def check(burst, amplitude, columns):
         grid = np.arange(-1600, 8001) / 1600.0  # -1 s .. 5 s, past 750 tau
         unsorted = np.random.default_rng(4).permutation(grid)
         for t_rel in (grid, unsorted):
             rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-            got = _burst_waveform(t_rel, burst, amplitude, rng)
-            want = full_burst_waveform(t_rel, burst, amplitude, ref_rng)
+            base = np.zeros((len(t_rel), columns))
+            got = _burst_waveform(t_rel, base, burst, amplitude, rng)
+            want = np.column_stack([
+                full_burst_waveform(t_rel, burst, amplitude, ref_rng)
+                for _ in range(columns)])
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @BURSTS
+    @pytest.mark.parametrize("amplitude", [25.0, -2.5])
+    def test_equals_full_evaluation(self, burst, amplitude):
+        self.check(burst, amplitude, columns=1)
+
+    @BURSTS
+    def test_columns_draw_in_turn(self, burst):
+        self.check(burst, -2.5, columns=3)
 
 
 def full_grid_channel_noise(times, sigma, burst_amp, noise, impact_times, rng):
     """_channel_noise as it was before the burst window: every burst is
-    evaluated over the whole session grid."""
+    evaluated over the whole session grid, every tone at every sample."""
     out = np.zeros((len(times), 3))
     if sigma > 0.0:
         out += rng.normal(scale=sigma, size=out.shape)
@@ -336,16 +531,26 @@ def full_grid_channel_noise(times, sigma, burst_amp, noise, impact_times, rng):
         for t_imp in impact_times:
             t_rel = times - t_imp
             for axis in range(3):
-                out[:, axis] += _burst_waveform(t_rel, noise.burst, burst_amp, rng)
+                out[:, axis] += full_burst_waveform(t_rel, noise.burst,
+                                                    burst_amp, rng)
     return out
 
 
+def tiny_base(rng, n):
+    """Values near +-0.0: zeros of both signs, subnormals, the smallest
+    normal, and the region where the skip rule starts to apply."""
+    pool = np.array([0.0, 5e-324, 2.0 ** -1050, 2.0 ** -1022, 1e-300,
+                     2.0 ** -945, 2.0 ** -943, 2.0 ** -900, 1e-200])
+    return rng.choice(pool, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3))
+
+
 class TestChannelNoiseWindow:
-    """Each burst added over its own window only equals the burst added over
-    the whole grid, and leaves the generator in the same state."""
+    """Each burst evaluated only over its window, and only where it can move
+    the noise it is added to, equals the burst added over the whole grid,
+    and leaves the generator in the same state."""
 
     #: Before t = 0, on a sample, between samples, within 750 tau of the end
-    #: for either duration, and past the end.
+    #: for either duration, and past the end; 1.0 and 1.0 + 1/6400 overlap.
     IMPACTS = (-0.5, -1e-9, 0.0, 1.0, 1.0 + 1.0 / 6400.0, 2.4, 5.95, 6.0, 7.0)
 
     @pytest.mark.parametrize("rate", [3200.0, 1000.0])
@@ -364,6 +569,72 @@ class TestChannelNoiseWindow:
                                        ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6, 0.04])
+    def test_overlapping_bursts(self, sigma):
+        """Later bursts land on earlier ones still ringing: on a zero base
+        (sigma = 0) each burst's base is the bursts before it."""
+        rate = 1600.0
+        times = np.arange(int(2.0 * rate) + 1) / rate
+        impacts = (0.2, 0.2, 0.2 + 0.5 / rate, 0.201, 0.23, 0.5)
+        noise = NoiseSpec(gyro_sigma=sigma, burst=BurstSpec(
+            gyro_amplitude=3.0, duration_s=0.015, n_tones=4))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _channel_noise(times, sigma, 3.0, noise, impacts, rng)
+        want = full_grid_channel_noise(times, sigma, 3.0, noise, impacts, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_randomized_cases(self):
+        """Random rates, sigmas, amplitudes, tone counts and clusters of
+        overlapping impacts."""
+        rng = np.random.default_rng(2024)
+        for _ in range(80):
+            rate = float(rng.choice([1000.0, 1125.0, 1600.0, 3200.0]))
+            times = np.arange(int(1.5 * rate) + 1) / rate
+            sigma = float(rng.choice([0.0, 1e-6, 0.04, 0.6, 3.0]))
+            amp = float(10.0 ** rng.uniform(-3.0, np.log10(400.0)))
+            burst = BurstSpec(gyro_amplitude=amp,
+                              center_hz=rng.uniform(100.0, 450.0),
+                              bandwidth_hz=rng.uniform(10.0, 150.0),
+                              duration_s=float(rng.choice([0.0004, 0.005, 0.015])),
+                              n_tones=int(rng.integers(1, 6)))
+            first = rng.uniform(-0.05, 1.4)
+            impacts = tuple(first + np.cumsum(rng.exponential(0.01,
+                                                              rng.integers(1, 8))))
+            noise = NoiseSpec(gyro_sigma=sigma, burst=burst)
+            seed = int(rng.integers(1 << 30))
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _channel_noise(times, sigma, amp, noise, impacts, got_rng)
+            want = full_grid_channel_noise(times, sigma, amp, noise, impacts, ref_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("base_kind", [
+        "power_of_two", "negative_power_of_two", "near_zero", "gaussian"])
+    @pytest.mark.parametrize("amplitude", [25.0, -25.0, 1e-3, -400.0])
+    def test_burst_on_base(self, base_kind, amplitude):
+        """base + burst equals base + the full burst, on bases the noise
+        cannot be steered to: exact powers of two (where the ulp below is
+        half the ulp above), values near +-0.0, and negative amplitudes."""
+        rate = 3200.0
+        t_rel = np.arange(-3, int(0.3 * rate)) / rate
+        n = len(t_rel)
+        rng = np.random.default_rng(11)
+        base = {
+            "power_of_two": np.full((n, 3), [1.0, 0.5, 2.0 ** -30]),
+            "negative_power_of_two": np.full((n, 3), [-1.0, -0.5, -2.0 ** -30]),
+            "near_zero": tiny_base(rng, n),
+            "gaussian": rng.normal(scale=0.04, size=(n, 3)),
+        }[base_kind]
+        burst = BurstSpec(center_hz=300.0, bandwidth_hz=140.0, duration_s=0.015)
+        got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = base + _burst_waveform(t_rel, base, burst, amplitude, got_rng)
+        want = base + np.column_stack([
+            full_burst_waveform(t_rel, burst, amplitude, ref_rng)
+            for _ in range(3)])
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_simulate_sensors_with_clock_offset(self, config, monkeypatch):
         noise = NoiseSpec(gyro_sigma=0.05, accel_sigma=0.5, burst=BurstSpec(
