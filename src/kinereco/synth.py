@@ -701,26 +701,45 @@ def dump_profile(profile: SessionProfile, path) -> Path:
 
 
 def load_profile(path) -> SessionProfile:
-    """Load a session profile from its JSON form (inverse of dump_profile)."""
+    """Load a session profile from its JSON form (inverse of dump_profile).
+
+    Every motion component needs a finite ``amplitude``, ``freq_hz``,
+    ``phase`` and ``center_s``, and a ``width_s`` that is null or finite and
+    positive; a :class:`FormatError` names the first one that has not.
+    """
     path = Path(path)
     raw = read_json(path)
     try:
-        def axis_components(entries):
-            return tuple(HarmonicComponent(
-                amplitude=float(e["amplitude"]), freq_hz=float(e["freq_hz"]),
-                phase=float(e.get("phase", 0.0)),
-                center_s=float(e.get("center_s", 0.0)),
-                width_s=None if e.get("width_s") is None else float(e["width_s"]),
-            ) for e in entries)
+        def components(key):
+            axes = []
+            for i, entries in enumerate(raw[key]):
+                axis = []
+                for j, e in enumerate(entries):
+                    c = HarmonicComponent(
+                        amplitude=float(e["amplitude"]), freq_hz=float(e["freq_hz"]),
+                        phase=float(e.get("phase", 0.0)),
+                        center_s=float(e.get("center_s", 0.0)),
+                        width_s=None if e.get("width_s") is None else float(e["width_s"]),
+                    )
+                    where = f"{path}: {key} axis {i} component {j}"
+                    for name in ("amplitude", "freq_hz", "phase", "center_s"):
+                        if not math.isfinite(getattr(c, name)):
+                            raise FormatError(f"{where}: {name} must be finite, "
+                                              f"got {getattr(c, name)!r}")
+                    if c.width_s is not None and not (math.isfinite(c.width_s)
+                                                      and c.width_s > 0.0):
+                        raise FormatError(f"{where}: width_s must be null or "
+                                          f"finite and > 0, got {c.width_s!r}")
+                    axis.append(c)
+                axes.append(tuple(axis))
+            return tuple(axes)
 
         noise_raw = raw.get("noise", {})
         burst_raw = noise_raw.get("burst", {})
         return SessionProfile(
             motion=MotionProfile(
-                omega_components=tuple(axis_components(a)
-                                       for a in raw["omega_components"]),
-                q_components=tuple(axis_components(a)
-                                   for a in raw["q_components"]),
+                omega_components=components("omega_components"),
+                q_components=components("q_components"),
             ),
             impacts=tuple(PlannedImpact(float(i["time_s"]), str(i["label"]))
                           for i in raw["impacts"]),

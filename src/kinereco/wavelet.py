@@ -249,18 +249,89 @@ def select_cutoff(slices: CoefficientSlices, threshold: float = 0.1,
     return CutoffResult(f0=f0, f_ss=f_ss, f_n=f_n, slices=slices)
 
 
+#: Samples of odd extension at each end of a zero-phase filter: three times
+#: the 3 taps of one 2-pole section, as scipy's ``sosfiltfilt`` pads.
+_PAD = 9
+
+
+def _butter_section(cutoff: float, rate: float):
+    """``(b0, b1, b2, a1, a2)`` and initial state ``(z0, z1)`` of the
+    2-pole Butterworth low-pass with its -3 dB point at ``cutoff`` Hz.
+
+    The steps follow scipy's ``butter(2, cutoff, fs=rate, output="sos")``
+    and ``sosfilt_zi`` one by one (``buttap``, ``lp2lp_zpk``,
+    ``bilinear_zpk``, ``zpk2sos``, ``lfilter_zi``), in the same order and
+    with the same numpy operations, so every coefficient is the same float
+    as scipy's.
+    """
+    wn = np.asarray(cutoff, dtype=np.float64) / (rate / 2)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    p = wo * -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    # The gain is taken before the bilinear map, as bilinear_zpk does.
+    k = wo**2 * np.real(1.0 / np.prod(4.0 - p))
+    pz = (4.0 + p) / (4.0 - p)
+    # zpk2sos keeps the average of the conjugate pair.
+    p1 = ((pz[pz.imag > 0] + pz[pz.imag < 0].conj()) / 2)[0]
+    a = np.real(np.convolve(np.convolve([1.0 + 0j], [1.0, -p1]),
+                            [1.0, -np.conj(p1)]))
+    b = k * np.array([1.0, 2.0, 1.0])
+    # lfilter_zi: the steady state of a unit step, I - companion(a).T.
+    zi = np.linalg.solve(np.array([[1.0 + a[1], -1.0], [a[2], 1.0]]),
+                         b[1:] - a[1:] * b[0])
+    return (*b.tolist(), *a[1:].tolist()), tuple(zi.tolist())
+
+
+def _biquad(coef, xs: list, z0: float, z1: float) -> list:
+    """One pass of the section over ``xs`` in transposed direct form II,
+    with ``sosfilt``'s statement order, from state ``(z0, z1)``."""
+    b0, b1, b2, a1, a2 = coef
+    out = []
+    append = out.append
+    for x in xs:
+        y = b0 * x + z0
+        z0 = b1 * x - a1 * y + z1
+        z1 = b2 * x - a2 * y
+        append(y)
+    return out
+
+
+def _filtfilt(coef, zi, x: np.ndarray) -> list:
+    """``sosfiltfilt`` of one column: odd extension by ``_PAD`` samples,
+    a forward and a backward pass each started at the steady state of its
+    first sample, then the extension trimmed."""
+    ext = np.concatenate((2 * x[0] - x[_PAD:0:-1], x,
+                          2 * x[-1] - x[-2:-_PAD - 2:-1])).tolist()
+    y = _biquad(coef, ext, zi[0] * ext[0], zi[1] * ext[0])
+    y.reverse()
+    y = _biquad(coef, y, zi[0] * y[0], zi[1] * y[0])
+    y.reverse()
+    return y[_PAD:-_PAD]
+
+
 def _butter_zero_phase(ts, cutoff: float):
     """``ts`` run forward and backward through a 2-pole Butterworth low-pass
-    with its -3 dB point at ``cutoff`` Hz."""
-    # scipy.signal (which imports scipy.stats) costs about 1 s to import, so
-    # it is loaded at the first filter, not by every kinereco process.
-    from scipy import signal
+    with its -3 dB point at ``cutoff`` Hz.
 
-    sos = signal.butter(2, cutoff, btype="low", fs=ts.sample_rate,
-                        output="sos")
+    Raises
+    ------
+    DataError
+        If ``cutoff`` is not strictly between 0 and the Nyquist frequency,
+        or the series has fewer than ``_PAD + 1`` samples.
+    """
+    nyquist = ts.sample_rate / 2.0
+    if not 0.0 < cutoff < nyquist:
+        raise DataError(
+            f"cutoff {cutoff} Hz must lie strictly between 0 and Nyquist ({nyquist} Hz)"
+        )
+    if len(ts) <= _PAD:
+        raise DataError(
+            f"zero-phase filter needs at least {_PAD + 1} samples, got {len(ts)}"
+        )
+    coef, zi = _butter_section(cutoff, ts.sample_rate)
     if isinstance(ts, TimeSeries3):
-        return ts.with_samples(signal.sosfiltfilt(sos, ts.samples, axis=0))
-    return ts.with_values(signal.sosfiltfilt(sos, ts.values))
+        return ts.with_samples(np.array(
+            [_filtfilt(coef, zi, col) for col in ts.samples.T]).T)
+    return ts.with_values(np.array(_filtfilt(coef, zi, ts.values)))
 
 
 def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float):
@@ -274,13 +345,9 @@ def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float):
     Raises
     ------
     DataError
-        If ``f0`` is not strictly between 0 and the Nyquist frequency.
+        If ``f0`` is not strictly between 0 and the Nyquist frequency, or the
+        series has fewer than 10 samples.
     """
-    nyquist = x.sample_rate / 2.0
-    if not 0.0 < f0 < nyquist:
-        raise DataError(
-            f"cutoff {f0} Hz must lie strictly between 0 and Nyquist ({nyquist} Hz)"
-        )
     return _butter_zero_phase(x, f0)
 
 
@@ -301,6 +368,12 @@ def cfc_filter(x: TimeSeries1 | TimeSeries3, cfc_class: float):
     Emits a warning (never an error) when the sample rate is below the
     recommended 10x the class -3 dB frequency; if the design frequency would
     reach Nyquist, it is clamped just below it.
+
+    Raises
+    ------
+    DataError
+        If ``cfc_class`` is not a positive number, or the series has fewer
+        than 10 samples.
     """
     if cfc_class <= 0:
         raise DataError(f"CFC class must be positive, got {cfc_class}")

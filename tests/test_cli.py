@@ -375,6 +375,22 @@ class TestStageErrors:
         assert line.startswith("kinereco: error: DataError: ")
         assert "bt_left_inner_high.csv: NaN cell" in line
 
+    def test_reference_window_too_short_to_filter(self, small_pipeline,
+                                                  tmp_path, capsys):
+        raw = json.loads(small_pipeline["config"].read_text())
+        raw["window"] = {"pre_ms": 0.001, "reference_post_ms": 0.5,
+                         "headband_post_ms": 150.0}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "kin"
+        assert main(["reconstruct", "--config", str(config_path),
+                     "--in", str(small_pipeline["session"]),
+                     "--events", str(small_pipeline["events"]),
+                     "--out", str(out)]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("kinereco: error: DataError: ")
+        assert "at least 10 samples" in line
+
     @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in",
                                      "2.5,header,left"],
                              ids=["no_comma", "bad_time", "three_cells"])
@@ -582,6 +598,37 @@ class TestErrorReporting:
         assert len(err) == 1
         assert err[0].startswith("kinereco: error: DataError:")
         assert "n_tones" in err[0]
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("omega_components", "amplitude", float("nan")),
+        ("q_components", "freq_hz", float("inf")),
+        ("omega_components", "phase", float("nan")),
+        ("q_components", "center_s", float("-inf")),
+        ("omega_components", "width_s", 0.0),
+        ("q_components", "width_s", -0.01),
+        ("omega_components", "width_s", float("nan")),
+    ], ids=["amplitude_nan", "freq_hz_inf", "phase_nan", "center_s_neg_inf",
+            "width_s_zero", "width_s_neg", "width_s_nan"])
+    def test_profile_bad_motion_component_gives_single_error_line(
+            self, tmp_path, capsys, config, key, field, value):
+        profile_path = dump_profile(
+            standard_session_profile(seed=30, with_noise=False, n_per_tier=1),
+            tmp_path / "profile.json")
+        raw = json.loads(profile_path.read_text())
+        axis = raw[key][1]
+        axis[-1][field] = value
+        profile_path.write_text(json.dumps(raw))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        code = self.main_without_warnings([
+            "simulate", "--profile", str(profile_path),
+            "--config", str(config_path), "--out", str(tmp_path / "session")])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert line.startswith(
+            f"kinereco: error: FormatError: {profile_path}: {key} axis 1 "
+            f"component {len(axis) - 1}: {field} must be ")
+        assert not (tmp_path / "session").exists()
 
     @staticmethod
     def broken_kinematics(small_pipeline, tmp_path, case) -> Path:

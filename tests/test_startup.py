@@ -1,9 +1,11 @@
-"""Start-up cost: ``import kinereco`` loads no scipy module.
+"""Start-up cost: ``import kinereco`` loads no scipy module, and no
+subcommand loads scipy.signal or scipy.stats.
 
-scipy.signal and scipy.stats take about 1 s to import, more than most
-subcommands spend on their work, so kinereco imports scipy inside the
-functions that use it.  Each check runs in a fresh interpreter, because the
-test process itself has long since imported scipy.
+Importing scipy.signal (which imports scipy.stats) costs most of a second
+and about 40 MB, more than most subcommands spend on their work, so kinereco
+filters with its own numpy code and imports the scipy parts it does use
+inside the functions that use them.  Each check runs in a fresh interpreter, because the test
+process itself has long since imported scipy.
 """
 
 import json
@@ -70,3 +72,15 @@ def test_evaluate_loads_neither_scipy_signal_nor_stats(tmp_path,
     ])
     assert loaded["import"] == []
     assert not {"scipy.signal", "scipy.stats"} & set(loaded["evaluate"])
+
+
+def test_reconstruct_loads_neither_scipy_signal_nor_stats(tmp_path,
+                                                          small_pipeline):
+    loaded = loaded_after([
+        ("reconstruct", ["reconstruct", "--config", str(small_pipeline["config"]),
+                         "--in", str(small_pipeline["session"]),
+                         "--events", str(small_pipeline["events"]),
+                         "--out", str(tmp_path / "kin"), "--alpha-method", "both"]),
+    ])
+    assert loaded["import"] == []
+    assert not {"scipy.signal", "scipy.stats"} & set(loaded["reconstruct"])

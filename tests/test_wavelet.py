@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco.core import TimeSeries1
+from kinereco.core import TimeSeries1, TimeSeries3
 from kinereco.errors import DataError, DegenerateSignalError
-from kinereco.wavelet import (CUTOFF_CAP_HZ, CoefficientSlices, butterworth_lowpass,
-                              cfc_filter, cwt, frequency_grid, normalized_slices,
-                              resolve_cutoff, select_cutoff)
+from kinereco.wavelet import (CUTOFF_CAP_HZ, CoefficientSlices, _butter_section,
+                              butterworth_lowpass, cfc_filter, cwt, frequency_grid,
+                              normalized_slices, resolve_cutoff, select_cutoff)
 
 
 def scalar(values, rate, start=0.0):
@@ -205,6 +205,83 @@ class TestButterworth:
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
+class TestFilterMatchesScipy:
+    """The numpy design and Python biquad give scipy.signal's floats bit for
+    bit: ``butter(2, ..., output="sos")``, ``sosfilt_zi`` and
+    ``sosfiltfilt``.  scipy.signal is imported here only."""
+
+    @staticmethod
+    def workload_designs():
+        """The (rate, cutoff) pairs the pipeline filters with: the CFC design
+        frequencies (clamped below Nyquist), the accelerometer prefilter and
+        every adaptive cutoff the frequency grid and the cap allow."""
+        designs = []
+        for rate in (1125.0, 1600.0, 3200.0, 10000.0, 20000.0):
+            nyquist = rate / 2.0
+            cutoffs = [2.0775 * 155.0, 2.0775 * 1000.0, 2.0, 180.0, 260.0]
+            cutoffs = [c if c < nyquist else 0.995 * nyquist for c in cutoffs]
+            grid = frequency_grid(rate)
+            cutoffs += [0.995 * nyquist, *grid[grid < CUTOFF_CAP_HZ]]
+            designs += [(rate, float(c)) for c in cutoffs]
+        return designs
+
+    @staticmethod
+    def random_designs(n):
+        """Rates from 100 Hz to 40 kHz; cutoffs uniform over (0, Nyquist) for
+        half of them and log-uniform from 1e-6 x Nyquist for the rest."""
+        rng = np.random.default_rng(1996)
+        rates = rng.uniform(100.0, 40000.0, n)
+        fractions = np.where(np.arange(n) % 2 == 0, rng.uniform(0.0, 1.0, n),
+                             10.0 ** rng.uniform(-6.0, 0.0, n))
+        fractions = fractions[(fractions > 0.0) & (fractions < 1.0)]
+        return [(float(r), float(f * r / 2.0)) for r, f in zip(rates, fractions)]
+
+    def test_design_and_initial_state(self):
+        from scipy import signal
+
+        designs = self.workload_designs() + self.random_designs(2100)
+        assert len(designs) >= 2000 + 5
+        for rate, cutoff in designs:
+            sos = signal.butter(2, cutoff, fs=rate, output="sos")
+            (b0, b1, b2, a1, a2), zi = _butter_section(cutoff, rate)
+            ours = np.array([[b0, b1, b2, 1.0, a1, a2]])
+            assert ours.tobytes() == sos.tobytes(), (rate, cutoff)
+            assert np.array([zi]).tobytes() == signal.sosfilt_zi(sos).tobytes(), \
+                (rate, cutoff)
+
+    def test_forward_backward_filter(self):
+        from scipy import signal
+
+        rng = np.random.default_rng(44)
+        for run in range(120):
+            n = 10 + run % 7 if run < 14 else int(rng.integers(10, 5001))
+            rate = float(rng.uniform(500.0, 20000.0))
+            cutoff = float(rng.uniform(0.001, 0.999) * rate / 2.0)
+            scale = 10.0 ** rng.uniform(-4.0, 4.0)
+            sos = signal.butter(2, cutoff, fs=rate, output="sos")
+            if run % 2:
+                x = scale * rng.normal(size=(n, 3))
+                ours = butterworth_lowpass(TimeSeries3(0.0, rate, x), cutoff).samples
+            else:
+                x = scale * rng.normal(size=n)
+                ours = butterworth_lowpass(TimeSeries1(0.0, rate, x), cutoff).values
+            theirs = np.ascontiguousarray(signal.sosfiltfilt(sos, x, axis=0))
+            assert ours.tobytes() == theirs.tobytes(), (run, n, rate, cutoff)
+
+
+class TestFilterLength:
+    @pytest.mark.parametrize("make", [
+        lambda n: TimeSeries1(0.0, 1000.0, np.ones(n)),
+        lambda n: TimeSeries3(0.0, 1000.0, np.ones((n, 3)))], ids=["1d", "3d"])
+    def test_nine_samples_rejected_ten_filtered(self, make):
+        with pytest.raises(DataError, match="at least 10 samples, got 9"):
+            butterworth_lowpass(make(9), 100.0)
+        with pytest.raises(DataError, match="at least 10 samples, got 9"):
+            cfc_filter(make(9), 60.0)
+        assert len(butterworth_lowpass(make(10), 100.0)) == 10
+        assert len(cfc_filter(make(10), 60.0)) == 10
+
+
 class TestCfcFilter:
     @pytest.mark.parametrize("cfc, rate, target", [(1000.0, 20000.0, 1650.0),
                                                    (155.0, 8000.0, 255.75)])
@@ -233,6 +310,10 @@ class TestCfcFilter:
     def test_nonpositive_class_rejected(self):
         with pytest.raises(DataError):
             cfc_filter(sine(5.0, 1000.0, 1.0), 0.0)
+
+    def test_nan_class_rejected(self):
+        with pytest.raises(DataError, match="cutoff nan Hz"):
+            cfc_filter(sine(5.0, 1000.0, 1.0), float("nan"))
 
     def test_matches_classical_channel_class_recursion(self):
         # independent oracle: the textbook two-pass difference-equation form
