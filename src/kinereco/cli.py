@@ -38,7 +38,8 @@ import numpy as np
 from . import __version__
 from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
-from .evaluate import EventComparison, build_agreement_report
+from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
+    EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, _read_csv_columns, \
     load_session_config, parse_imu_csv, parse_reference_csv, read_json, \
     write_json, write_table
@@ -520,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference kinematics directory")
     p.add_argument("--pairs", required=True, help="events CSV from detect")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--nrmse-window", type=float, default=0.0244)
-    p.add_argument("--max-shift-fraction", type=float, default=0.2)
+    p.add_argument("--nrmse-window", type=float, default=DEFAULT_NRMSE_WINDOW_S)
+    p.add_argument("--max-shift-fraction", type=float, default=DEFAULT_MAX_SHIFT_FRACTION)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="flatten a report into CSV tables")

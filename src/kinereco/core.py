@@ -12,6 +12,7 @@ Rotation matrices map sensor-frame vectors into this head frame.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -104,6 +105,18 @@ class _Clock:
         i1 = int(np.floor(b * self.sample_rate + 1e-9))
         return max(i0, 0), min(i1, len(self) - 1)
 
+    def part(self, i0: int, i1: int):
+        """Samples ``i0`` to ``i1`` (inclusive), the first of them stamped
+        ``start_time + i0 / sample_rate``."""
+        return type(self)(self.start_time + i0 / self.sample_rate,
+                          self.sample_rate, self._data[i0:i1 + 1])
+
+    def shifted(self, offset: float):
+        """Same (shared, read-only) data on a clock shifted by ``offset`` s."""
+        new = copy.copy(self)
+        object.__setattr__(new, "start_time", float(self.start_time + offset))
+        return new
+
 
 @dataclass(frozen=True)
 class TimeSeries1(_Clock):
@@ -165,10 +178,6 @@ class TimeSeries3(_Clock):
     def with_samples(self, samples) -> "TimeSeries3":
         """Same clock, new samples."""
         return TimeSeries3(self.start_time, self.sample_rate, samples)
-
-    def shifted(self, offset: float) -> "TimeSeries3":
-        """Same data on a clock shifted by ``offset`` seconds."""
-        return TimeSeries3(self.start_time + offset, self.sample_rate, self.samples)
 
 
 def shared_grid(series, rate: float) -> np.ndarray:
@@ -239,14 +248,11 @@ def sample_on_grid(s: TimeSeries3 | TimeSeries1, times: np.ndarray):
             f"support [{s.start_time:.6f}, {s.end_time:.6f}] s"
         )
     src_t = s.times
-    if isinstance(s, TimeSeries3):
-        out = np.column_stack(
-            [np.interp(times, src_t, s.samples[:, k]) for k in range(3)]
-        )
-        rate = _grid_rate(times)
-        return TimeSeries3(times[0], rate, out)
-    out = np.interp(times, src_t, s.values)
-    return TimeSeries1(times[0], _grid_rate(times), out)
+    data = s._data
+    out = np.array([np.interp(times, src_t, col)
+                    for col in data.reshape(len(s), -1).T]).T
+    return type(s)(times[0], _grid_rate(times),
+                   out.reshape((len(times),) + data.shape[1:]))
 
 
 def _grid_rate(times: np.ndarray) -> float:

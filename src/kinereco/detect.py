@@ -126,7 +126,8 @@ def detect_impacts(accel_mag: TimeSeries1, threshold: float,
 def _excerpt(ts: TimeSeries3, t0: float, pre: float, post: float,
              channel_name: str) -> TimeSeries3:
     """Slice [t0-pre, t0+post] with one extra sample of margin on each side,
-    re-stamped to the impact-relative clock."""
+    re-stamped to the impact-relative clock (cut first, then shifted: the
+    excerpt starts at ``(start + i_first / rate) - t0``)."""
     rate = ts.sample_rate
     i_first = int(np.floor((t0 - pre - ts.start_time) * rate + 1e-9))
     i_last = int(np.ceil((t0 + post - ts.start_time) * rate - 1e-9))
@@ -136,8 +137,7 @@ def _excerpt(ts: TimeSeries3, t0: float, pre: float, post: float,
             f"[{t0 - pre:.4f}, {t0 + post:.4f}] s "
             f"(support [{ts.start_time:.4f}, {ts.end_time:.4f}] s)"
         )
-    rel_start = ts.start_time + i_first / rate - t0
-    return TimeSeries3(rel_start, rate, ts.samples[i_first:i_last + 1])
+    return ts.part(i_first, i_last).shifted(-t0)
 
 
 def extract_window(rec: ImuRecording, event: ImpactEvent, pre: float,
@@ -153,14 +153,8 @@ def extract_window(rec: ImuRecording, event: ImpactEvent, pre: float,
     WindowError
         Naming the channel with insufficient coverage.
     """
-    channels = {}
-    for kind in ("gyro", "accel_low", "accel_high"):
-        ts = rec.channel(kind)
-        channels[kind] = None if ts is None else _excerpt(
-            ts, event.t0, pre, post, f"{rec.sensor_id}/{kind}"
-        )
-    return ImuRecording(rec.sensor_id, channels["gyro"], channels["accel_low"],
-                        channels["accel_high"])
+    return rec.map(lambda kind, ts: _excerpt(ts, event.t0, pre, post,
+                                             f"{rec.sensor_id}/{kind}"))
 
 
 def refine_offset(hb_mag: TimeSeries1, ref_mag: TimeSeries1,
@@ -187,7 +181,11 @@ def refine_offset(hb_mag: TimeSeries1, ref_mag: TimeSeries1,
 
 
 def _correlation(b_part: np.ndarray, a_part: np.ndarray) -> float:
-    """Normalized cross-correlation of two overlaps; 0.0 if either is zero."""
+    """Normalized cross-correlation of two overlaps; 0.0 if either is zero.
+
+    Not ``evaluate._correlation``: CORA's distance form, whose bits reach
+    ``report.json``, differs by ulps that decide near-ties, so the lags in
+    ``events.csv`` would change (see the ``symmetric_pulse`` refine case)."""
     denom = np.linalg.norm(a_part) * np.linalg.norm(b_part)
     return float(a_part @ b_part) / denom if denom > 0 else 0.0
 
@@ -227,8 +225,9 @@ def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
         offset = hb[i].t0 - ref[j].t0
         if hb_accel_mag is not None and ref_accel_mag is not None:
             try:
-                offset += _pair_lag(hb[i], ref[j], hb_accel_mag, ref_accel_mag,
-                                    window_pre, window_post)
+                offset += refine_offset(
+                    _clip_scalar(hb_accel_mag, hb[i].t0, -window_pre, window_post),
+                    _clip_scalar(ref_accel_mag, ref[j].t0, -window_pre, window_post))
             except WindowError as exc:
                 log.warning("offset refinement skipped for pair at t0=%.3f s: %s",
                             hb[i].t0, exc)
@@ -239,17 +238,11 @@ def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
     return pairs, unpaired_hb, unpaired_ref
 
 
-def _pair_lag(h: ImpactEvent, r: ImpactEvent, hb_mag: TimeSeries1,
-              ref_mag: TimeSeries1, pre: float, post: float) -> float:
-    return refine_offset(_clip_scalar(hb_mag, h.t0, -pre, post),
-                         _clip_scalar(ref_mag, r.t0, -pre, post))
-
-
 def _clip_scalar(ts: TimeSeries1, t0: float, lo: float, hi: float) -> TimeSeries1:
-    """The samples within [lo, hi] s of ``t0``, on a clock with t = 0 at ``t0``."""
-    start = ts.start_time - t0
-    i0, i1 = ts.span(lo - start, hi - start)
+    """The samples within [lo, hi] s of ``t0``, on a clock with t = 0 at ``t0``
+    (shifted first, then cut: the cut starts at ``(start - t0) + i0 / rate``)."""
+    rel = ts.shifted(-t0)
+    i0, i1 = rel.span(lo - rel.start_time, hi - rel.start_time)
     if i1 - i0 < 4:
         raise WindowError(f"series does not cover [{lo:.4f}, {hi:.4f}] s")
-    return TimeSeries1(start + i0 / ts.sample_rate, ts.sample_rate,
-                       ts.values[i0:i1 + 1])
+    return rel.part(i0, i1)

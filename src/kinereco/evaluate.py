@@ -48,6 +48,8 @@ CORA_BANDS = (
 )
 #: Maximum allowed correlation shift as a fraction of the window length.
 DEFAULT_MAX_SHIFT_FRACTION = 0.2
+#: Width of the NRMSE window centred on the reference peak, in seconds.
+DEFAULT_NRMSE_WINDOW_S = 0.0244
 #: Significance level for the paired t-test.
 ALPHA = 0.05
 
@@ -193,8 +195,8 @@ def bland_altman(hb_peaks, ref_peaks) -> BlandAltmanReport:
 
 
 def nrmse_windowed(ref: TimeSeries1, test: TimeSeries1,
-                   window: float = 0.0244, center: float | None = None,
-                   ) -> tuple[float, float, float]:
+                   window: float = DEFAULT_NRMSE_WINDOW_S,
+                   center: float | None = None) -> tuple[float, float, float]:
     """RMS error over a window centered on the reference peak.
 
     Returns ``(nrms_pct, rms_abs, signed_mean_pct)``: the RMS of test-ref
@@ -302,7 +304,7 @@ def _mean_sd(totals: list[float]) -> tuple[float, float]:
 
 
 def build_agreement_report(events: list[EventComparison],
-                           nrmse_window: float = 0.0244,
+                           nrmse_window: float = DEFAULT_NRMSE_WINDOW_S,
                            max_shift_fraction: float = DEFAULT_MAX_SHIFT_FRACTION,
                            ) -> dict:
     """Aggregate per-event CORA / peaks / NRMSE and session-level statistics.

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,10 +135,32 @@ class SensorSpec:
         return any(c.kind in ("accel_low", "accel_high") for c in self.channels)
 
 
+class _NumberBlock:
+    """Base of the config blocks that hold only numbers.  Each field must be
+    a finite int or float (not a bool) above 0, or at least 0 when named in
+    ``_non_negative``; else a :class:`ConfigError` names ``block.field``,
+    the block being the class name without ``Config``, in lower case."""
+
+    _non_negative = ()
+
+    def __post_init__(self):
+        block = type(self).__name__.removesuffix("Config").lower()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            zero_ok = f.name in self._non_negative
+            # False for NaN, infinities and ints too large for math.isfinite.
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and abs(value) <= sys.float_info.max
+                    and (value > 0 or (zero_ok and value == 0))):
+                raise ConfigError(f"{block}.{f.name} must be a finite number "
+                                  f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 @dataclass(frozen=True)
-class TriggerConfig:
+class TriggerConfig(_NumberBlock):
     threshold_g: float = 3.0
     min_duration_ms: float = 3.0
+    _non_negative = ("min_duration_ms",)
 
     @property
     def threshold(self) -> float:
@@ -151,7 +174,7 @@ class TriggerConfig:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(_NumberBlock):
     end_time_ms: float = 150.0
     reference_end_time_ms: float = 90.0
     coeff_threshold: float = 0.1
@@ -160,16 +183,17 @@ class FilterConfig:
 
 
 @dataclass(frozen=True)
-class CfcConfig:
+class CfcConfig(_NumberBlock):
     trans: float = 1000.0
     ang_vel: float = 155.0
 
 
 @dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(_NumberBlock):
     pre_ms: float = 31.25
     headband_post_ms: float = 150.0
     reference_post_ms: float = 93.75
+    _non_negative = ("pre_ms",)
 
     @property
     def pre(self) -> float:
@@ -295,6 +319,13 @@ class ImuRecording:
     def channel(self, kind: str) -> TimeSeries3 | None:
         return {"gyro": self.gyro, "accel_low": self.accel_low,
                 "accel_high": self.accel_high}[kind]
+
+    def map(self, fn) -> "ImuRecording":
+        """The recording with each channel ``ts`` present replaced by
+        ``fn(kind, ts)``; absent channels stay None."""
+        return ImuRecording(self.sensor_id, *(
+            None if (ts := self.channel(kind)) is None else fn(kind, ts)
+            for kind in CHANNEL_KINDS))
 
 
 def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray, dict]:

@@ -40,7 +40,6 @@ __all__ = [
     "average_angular_velocity",
     "adaptive_filter",
     "five_point_derivative",
-    "A3g1Geometry",
     "a3g1_solve",
     "reconstruct_headband_event",
     "reconstruct_reference_event",
@@ -153,7 +152,7 @@ def five_point_derivative(x: TimeSeries3 | TimeSeries1):
     if len(x) < 5:
         raise DataError(f"five-point stencil needs >= 5 samples, got {len(x)}")
     dt = x.dt
-    values = x.samples if isinstance(x, TimeSeries3) else x.values[:, None]
+    values = x._data
     d = np.empty_like(values)
     d[2:-2] = (-values[4:] + 8.0 * values[3:-1]
                - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dt)
@@ -161,59 +160,13 @@ def five_point_derivative(x: TimeSeries3 | TimeSeries1):
         d[i] = (-3.0 * values[i] + 4.0 * values[i + 1] - values[i + 2]) / (2.0 * dt)
     for i in (-1, -2):
         d[i] = (3.0 * values[i] - 4.0 * values[i - 1] + values[i - 2]) / (2.0 * dt)
-    if isinstance(x, TimeSeries3):
-        return x.with_samples(d)
-    return x.with_values(d[:, 0])
+    return type(x)(x.start_time, x.sample_rate, d)
 
 
 def _skew(r: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -r[2], r[1]],
                      [r[2], 0.0, -r[0]],
                      [-r[1], r[0], 0.0]])
-
-
-class A3g1Geometry:
-    """Time-invariant part of the algebraic solve, which depends only on the
-    three accelerometer positions; :func:`a3g1_solve` builds one per call.
-
-    Builds the 9x6 design matrix from the three accelerometer positions and
-    prepares either a Cholesky factor of the normal equations or, when the
-    conditioning exceeds :data:`CONDITION_LIMIT`, a pseudo-inverse.
-
-    Raises
-    ------
-    ConfigError
-        When the three positions are (numerically) collinear.
-    """
-
-    def __init__(self, r1, r2, r3):
-        self.positions = [np.asarray(r, dtype=np.float64) for r in (r1, r2, r3)]
-        blocks = [np.hstack([-_skew(r), np.eye(3)]) for r in self.positions]
-        self.design = np.vstack(blocks)  # (9, 6)
-        svals = np.linalg.svd(self.design, compute_uv=False)
-        if svals[-1] < 1e-12 * svals[0]:
-            raise ConfigError(
-                "accelerometer geometry is rank-deficient (collinear positions)"
-            )
-        self.condition = svals[0] / svals[-1]
-        if self.condition > CONDITION_LIMIT:
-            log.warning("geometry condition %.2e exceeds %.0e; using pseudo-inverse",
-                        self.condition, CONDITION_LIMIT)
-            self._pinv = np.linalg.pinv(self.design)
-            self._cho = None
-        else:
-            from scipy.linalg import cho_factor
-
-            self._pinv = None
-            self._cho = cho_factor(self.design.T @ self.design)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Least-squares solve for a (9, n) right-hand-side block."""
-        if self._pinv is not None:
-            return self._pinv @ rhs
-        from scipy.linalg import cho_solve
-
-        return cho_solve(self._cho, self.design.T @ rhs)
 
 
 def a3g1_solve(accels: list[TimeSeries3], omega: TimeSeries3,
@@ -240,6 +193,11 @@ def a3g1_solve(accels: list[TimeSeries3], omega: TimeSeries3,
         Angular acceleration, specific force at the origin, translational
         acceleration at ``ref_point``, and the per-sample Euclidean norm of
         the least-squares misfit.
+
+    Raises
+    ------
+    ConfigError
+        When the three positions are (numerically) collinear.
     """
     if len(accels) != 3:
         raise DataError(f"a3g1_solve needs exactly 3 accelerometer series, "
@@ -248,29 +206,40 @@ def a3g1_solve(accels: list[TimeSeries3], omega: TimeSeries3,
     for s in accels:
         if not same_clock(s, omega):
             raise DataError("accelerometer series are not on the gyro clock")
-    geometry = A3g1Geometry(*positions)
+    positions = [np.asarray(r, dtype=np.float64) for r in positions]
+    design = np.vstack([np.hstack([-_skew(r), np.eye(3)])
+                        for r in positions])  # (9, 6)
+    svals = np.linalg.svd(design, compute_uv=False)
+    if svals[-1] < 1e-12 * svals[0]:
+        raise ConfigError("accelerometer geometry is rank-deficient "
+                          "(collinear positions)")
+    condition = svals[0] / svals[-1]
     r4 = np.asarray(ref_point, dtype=np.float64)
 
     w = omega.samples  # (n, 3)
     rhs = np.empty((9, n))
-    for i, (acc, r) in enumerate(zip(accels, geometry.positions)):
+    for i, (acc, r) in enumerate(zip(accels, positions)):
         centripetal = np.cross(w, np.cross(w, np.broadcast_to(r, (n, 3))))
         rhs[3 * i:3 * i + 3] = (acc.samples - centripetal).T
 
-    u = geometry.solve(rhs)  # (6, n)
-    misfit = geometry.design @ u - rhs
-    residual = np.linalg.norm(misfit, axis=0)
+    if condition > CONDITION_LIMIT:
+        log.warning("geometry condition %.2e exceeds %.0e; using pseudo-inverse",
+                    condition, CONDITION_LIMIT)
+        u = np.linalg.pinv(design) @ rhs  # (6, n)
+    else:
+        from scipy.linalg import cho_factor, cho_solve
+
+        u = cho_solve(cho_factor(design.T @ design), design.T @ rhs)
+    residual = np.linalg.norm(design @ u - rhs, axis=0)
 
     alpha = u[:3].T
     q = u[3:].T
     a_point = (np.cross(alpha, np.broadcast_to(r4, (n, 3)))
                + np.cross(w, np.cross(w, np.broadcast_to(r4, (n, 3))))
                + q)
-    clock = dict(start_time=omega.start_time, sample_rate=omega.sample_rate)
-    return (TimeSeries3(samples=alpha, **clock),
-            TimeSeries3(samples=q, **clock),
-            TimeSeries3(samples=a_point, **clock),
-            TimeSeries1(values=residual, **clock))
+    return (omega.with_samples(alpha), omega.with_samples(q),
+            omega.with_samples(a_point),
+            TimeSeries1(omega.start_time, omega.sample_rate, residual))
 
 
 def _window_grid(pre: float, post: float, rate: float) -> np.ndarray:

@@ -218,8 +218,7 @@ def clip_reference_to(ref_kin: ReferenceKinematics,
                          hb.end_time - ts.start_time)
         if i1 <= i0 + 8:
             raise DataError("reference and headband kinematics barely overlap")
-        return TimeSeries3(ts.start_time + i0 / ts.sample_rate, ts.sample_rate,
-                           ts.samples[i0:i1 + 1])
+        return ts.part(i0, i1)
 
     return ReferenceKinematics(*(
         clip(ts) for ts in (ref_kin.omega, ref_kin.alpha, ref_kin.a_point)))

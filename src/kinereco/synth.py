@@ -29,9 +29,9 @@ import numpy as np
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
-from .ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
-                     SessionConfig, read_json, write_imu_csv, write_json,
-                     write_table)
+from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
+                     SensorSpec, SessionConfig, read_json, write_imu_csv,
+                     write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -339,9 +339,9 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
 
     recordings = []
     for i_spec, spec in enumerate(specs):
-        channels: dict[str, TimeSeries3 | None] = {
-            "gyro": None, "accel_low": None, "accel_high": None}
-        for i_ch, kind in enumerate(("gyro", "accel_low", "accel_high")):
+        channels: dict[str, TimeSeries3 | None] = dict.fromkeys(CHANNEL_KINDS)
+        # A channel's index in CHANNEL_KINDS keys its noise stream.
+        for i_ch, kind in enumerate(CHANNEL_KINDS):
             ch = spec.channel(kind)
             if ch is None:
                 continue
@@ -363,16 +363,8 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
             sensor_frame = sensor_frame + _channel_noise(
                 stamps, sigma, burst_amp * scale, noise, local_impacts, rng)
             channels[kind] = TimeSeries3(0.0, ch.rate, sensor_frame)
-        recordings.append(ImuRecording(spec.id, channels["gyro"],
-                                       channels["accel_low"], channels["accel_high"]))
+        recordings.append(ImuRecording(spec.id, **channels))
     return recordings
-
-
-def _shift_recording(rec: ImuRecording, offset: float) -> ImuRecording:
-    def shift(ts):
-        return None if ts is None else ts.shifted(offset)
-    return ImuRecording(rec.sensor_id, shift(rec.gyro), shift(rec.accel_low),
-                        shift(rec.accel_high))
 
 
 def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[TruthEvent, ...]:
@@ -428,7 +420,7 @@ def simulate_session(profile: SessionProfile, config: SessionConfig,
         for ev in events:
             rel = _extract_window(ref_rec, ev, config.window.pre,
                                   config.window.reference_post)
-            blocks.append(_shift_recording(rel, ev.t0))
+            blocks.append(rel.map(lambda kind, ts: ts.shifted(ev.t0)))
 
     return SimulatedSession(
         headband=tuple(headband),

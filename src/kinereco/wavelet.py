@@ -316,7 +316,8 @@ def _butter_zero_phase(ts, cutoff: float):
     ------
     DataError
         If ``cutoff`` is not strictly between 0 and the Nyquist frequency,
-        or the series has fewer than ``_PAD + 1`` samples.
+        is too small a fraction of it to design the section, or the series
+        has fewer than ``_PAD + 1`` samples.
     """
     nyquist = ts.sample_rate / 2.0
     if not 0.0 < cutoff < nyquist:
@@ -327,11 +328,16 @@ def _butter_zero_phase(ts, cutoff: float):
         raise DataError(
             f"zero-phase filter needs at least {_PAD + 1} samples, got {len(ts)}"
         )
-    coef, zi = _butter_section(cutoff, ts.sample_rate)
-    if isinstance(ts, TimeSeries3):
-        return ts.with_samples(np.array(
-            [_filtfilt(coef, zi, col) for col in ts.samples.T]).T)
-    return ts.with_values(np.array(_filtfilt(coef, zi, ts.values)))
+    try:
+        coef, zi = _butter_section(cutoff, ts.sample_rate)
+    except np.linalg.LinAlgError:
+        raise DataError(f"cutoff {cutoff:.6g} Hz is too low to design a filter at "
+                        f"{ts.sample_rate:g} Hz (singular initial-state solve)"
+                        ) from None
+    data = ts._data
+    out = np.array([_filtfilt(coef, zi, col)
+                    for col in data.reshape(len(ts), -1).T]).T
+    return type(ts)(ts.start_time, ts.sample_rate, out.reshape(data.shape))
 
 
 def butterworth_lowpass(x: TimeSeries1 | TimeSeries3, f0: float):

@@ -391,6 +391,40 @@ class TestStageErrors:
         assert line.startswith("kinereco: error: DataError: ")
         assert "at least 10 samples" in line
 
+    @pytest.mark.parametrize("block, entry, command, expected", [
+        ("cfc", {"ang_vel": "155"}, "reconstruct", "ConfigError: cfc.ang_vel "),
+        ("filter", {"end_time_ms": "x"}, "reconstruct",
+         "ConfigError: filter.end_time_ms "),
+        ("trigger", {"threshold_g": "3"}, "detect",
+         "ConfigError: trigger.threshold_g "),
+        ("trigger", {"threshold_g": float("nan")}, "detect",
+         "ConfigError: trigger.threshold_g "),
+        ("cfc", {"ang_vel": 1e-9}, "reconstruct",
+         "DataError: cutoff 2.0775e-09 Hz is too low to design a filter at "
+         "3200 Hz"),
+    ], ids=["cfc_string", "filter_string", "trigger_string", "trigger_nan",
+            "cfc_tiny"])
+    def test_bad_config_number_gives_single_error_line(
+            self, small_pipeline, tmp_path, capsys, block, entry, command,
+            expected):
+        raw = json.loads(small_pipeline["config"].read_text())
+        raw[block] = {**raw.get(block, {}), **entry}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = {
+            "detect": ["detect", "--config", str(config_path),
+                       "--in", str(small_pipeline["session"]),
+                       "--out", str(out)],
+            "reconstruct": ["reconstruct", "--config", str(config_path),
+                            "--in", str(small_pipeline["session"]),
+                            "--events", str(small_pipeline["events"]),
+                            "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"kinereco: error: {expected}")
+
     @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in",
                                      "2.5,header,left"],
                              ids=["no_comma", "bad_time", "three_cells"])

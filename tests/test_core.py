@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco.core import (TimeSeries1, TimeSeries3, lagged_correlation,
-                           magnitude, rotate_series, shared_grid,
-                           validate_rotation)
-from kinereco.detect import _clip_scalar
+from kinereco.core import (TimeSeries1, TimeSeries3, _grid_rate,
+                           lagged_correlation, magnitude, rotate_series,
+                           sample_on_grid, shared_grid, validate_rotation)
+from kinereco.detect import _clip_scalar, _excerpt
 from kinereco.errors import ConfigError, DataError, WindowError
 from kinereco.evaluate import _correlation, nrmse_windowed
 from kinereco.kinematics import ReferenceKinematics
@@ -71,6 +71,28 @@ def old_clip_scalar(ts, t0, lo, hi):
     return i0, i1, start + i0 / rate
 
 
+def old_excerpt(ts, t0, pre, post):
+    """The inline cut of ``detect._excerpt`` before ``part``:
+    ``(i_first, i_last, start time of the excerpt)``."""
+    rate = ts.sample_rate
+    i_first = int(np.floor((t0 - pre - ts.start_time) * rate + 1e-9))
+    i_last = int(np.ceil((t0 + post - ts.start_time) * rate - 1e-9))
+    return i_first, i_last, ts.start_time + i_first / rate - t0
+
+
+def old_sample_on_grid(s, times):
+    """``sample_on_grid`` with its two branches by series type."""
+    src_t = s.times
+    if isinstance(s, TimeSeries3):
+        out = np.column_stack(
+            [np.interp(times, src_t, s.samples[:, k]) for k in range(3)]
+        )
+        rate = _grid_rate(times)
+        return TimeSeries3(times[0], rate, out)
+    out = np.interp(times, src_t, s.values)
+    return TimeSeries1(times[0], _grid_rate(times), out)
+
+
 def old_clip_reference(ts, hb):
     """The index rule of ``pipeline.clip_reference_to`` before ``span``."""
     i0 = int(np.ceil((hb.start_time - ts.start_time) * ts.sample_rate - 1e-9))
@@ -123,6 +145,10 @@ class TestSampleClock:
     """``span`` and ``shared_grid`` against the inline copies they replace."""
 
     def test_span_matches_clip_scalar(self):
+        # Shifted, then cut: the start is (start - t0) + i/rate.  The other
+        # order rounds differently in some cases, so a swapped order fails
+        # here.
+        checked = orders_differ = 0
         for rate, start, t0, (k0, d0), (k1, d1) in clock_cases():
             ts = scalar_series(rate, start)
             rel = ts.start_time - t0
@@ -136,6 +162,32 @@ class TestSampleClock:
             clip = _clip_scalar(ts, t0, lo, hi)
             assert repr(clip.start_time) == repr(clip_start)
             assert clip.values.tobytes() == ts.values[i0:i1 + 1].tobytes()
+            checked += 1
+            orders_differ += clip_start != (start + i0 / rate) - t0
+        assert checked > 100 and orders_differ > 10
+
+    def test_part_matches_excerpt(self):
+        # Cut, then shifted: the start is (start + i/rate) - t0.  On the
+        # session clock (t0 = 12.4) the other order rounds differently in
+        # some cases, so a swapped order fails here.
+        checked = orders_differ = 0
+        for rate, start, t0, (k0, d0), (k1, d1) in clock_cases():
+            ts = TimeSeries3(start, rate, np.tile(
+                scalar_series(rate, start).values[:, None], (1, 3)))
+            pre = t0 - (start + (k0 + d0) / rate)
+            post = start + (k1 + d1) / rate - t0
+            i_first, i_last, rel_start = old_excerpt(ts, t0, pre, post)
+            if i_first < 0 or i_last >= len(ts):
+                with pytest.raises(WindowError):
+                    _excerpt(ts, t0, pre, post, "s/gyro")
+                continue
+            cut = _excerpt(ts, t0, pre, post, "s/gyro")
+            assert repr(cut.start_time) == repr(rel_start)
+            assert cut.samples.tobytes() == \
+                ts.samples[i_first:i_last + 1].tobytes()
+            checked += 1
+            orders_differ += rel_start != (start - t0) + i_first / rate
+        assert checked > 100 and orders_differ > 10
 
     def test_span_matches_clip_reference(self):
         for rate, start, _, (k0, d0), (k1, d1) in clock_cases():
@@ -227,6 +279,41 @@ class TestSampleClock:
                                                 "samples"]
         assert len(s1) == 2 and len(s3) == 1
         assert s1.end_time == 0.51 and s3.end_time == -0.25
+
+
+class TestClockMethods:
+    """``part``, ``shifted`` and the one body of ``sample_on_grid`` for
+    both series types."""
+
+    def test_part_and_shifted_keep_the_type(self):
+        s1 = TimeSeries1(0.5, 8.0, np.arange(6.0))
+        s3 = TimeSeries3(0.5, 8.0, np.arange(18.0).reshape(6, 3))
+        for s in (s1, s3):
+            part = s.part(2, 4)
+            assert type(part) is type(s)
+            assert (part.start_time, part.sample_rate) == (0.75, 8.0)
+            assert part._data.tobytes() == s._data[2:5].tobytes()
+            moved = s.shifted(-0.25)
+            assert type(moved) is type(s)
+            assert (moved.start_time, moved.sample_rate) == (0.25, 8.0)
+            assert moved._data is s._data and not moved._data.flags.writeable
+            assert type(s.shifted(np.float64(0.25)).start_time) is float
+
+    @pytest.mark.parametrize("rate, grid_rate, start", [
+        (1125.0, 1125.0, -0.03125), (3200.0, 1125.0, 12.3456789),
+        (1600.0, 3200.0, 0.0)])
+    def test_sample_on_grid_matches_typed_branches(self, rate, grid_rate,
+                                                   start):
+        rng = np.random.default_rng(int(rate + grid_rate))
+        s3 = TimeSeries3(start, rate, rng.normal(size=(300, 3)))
+        grid = shared_grid([s3], grid_rate)[3:-3]
+        for s in (s3, s3.component(1), magnitude(s3)):
+            new, old = sample_on_grid(s, grid), old_sample_on_grid(s, grid)
+            assert type(new) is type(old)
+            assert repr((new.start_time, new.sample_rate)) == \
+                repr((old.start_time, old.sample_rate))
+            assert new._data.shape == old._data.shape
+            assert new._data.tobytes() == old._data.tobytes()
 
 
 class TestMagnitude:

@@ -275,6 +275,13 @@ def refine_cases():
     ref[32] = 1.0
     yield ("symmetric_tie", TimeSeries1(0.0, rate, np.roll(ref, 1) + np.roll(ref, -1)),
            TimeSeries1(0.0, rate, ref))
+    # A Gaussian against its copies 10 samples either side: +10 and -10 tie
+    # but for rounding, which the scorer's formula decides (CORA's distance
+    # form picks +10, the dot-product form -10).
+    gauss = np.exp(-0.5 * ((np.arange(81) - 40) / 4.5) ** 2)
+    yield ("symmetric_pulse",
+           TimeSeries1(0.0, rate, np.roll(gauss, 10) + np.roll(gauss, -10)),
+           TimeSeries1(0.0, rate, gauss))
     yield ("constant", TimeSeries1(0.0, rate, np.full(64, G_STANDARD)),
            TimeSeries1(0.0, rate, shape[:64]))
     small = rng.normal(size=64)

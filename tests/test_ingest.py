@@ -216,6 +216,44 @@ class TestParseReferenceCsv:
             parse_reference_csv(path, reference_spec())
 
 
+def test_recording_map_passes_each_present_channel_with_its_kind():
+    gyro = TimeSeries3(0.0, 100.0, np.zeros((4, 3)))
+    high = TimeSeries3(0.5, 200.0, np.ones((6, 3)))
+    rec = ImuRecording("imu1", gyro, None, high)
+    seen = []
+    moved = rec.map(lambda kind, ts: seen.append(kind) or ts.shifted(1.0))
+    assert seen == ["gyro", "accel_high"]
+    assert moved.sensor_id == "imu1" and moved.accel_low is None
+    assert (moved.gyro.start_time, moved.accel_high.start_time) == (1.0, 1.5)
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("block, cls", [
+        ("trigger", ingest.TriggerConfig), ("filter", ingest.FilterConfig),
+        ("cfc", ingest.CfcConfig), ("window", ingest.WindowConfig)])
+    @pytest.mark.parametrize("value", [
+        "1", True, None, [1.0], math.nan, math.inf, -1.0, 10 ** 400])
+    def test_every_field_rejects_a_bad_number(self, block, cls, value):
+        for name in cls.__dataclass_fields__:
+            with pytest.raises(ConfigError, match=rf"^{block}\.{name} must be"):
+                cls(**{name: value})
+
+    def test_zero_allowed_only_for_minimum_duration_and_pre(self):
+        assert ingest.TriggerConfig(min_duration_ms=0).min_duration_ms == 0
+        assert ingest.WindowConfig(pre_ms=0.0).pre_ms == 0.0
+        for cls, name in ((ingest.TriggerConfig, "threshold_g"),
+                          (ingest.FilterConfig, "end_time_ms"),
+                          (ingest.CfcConfig, "trans"),
+                          (ingest.WindowConfig, "reference_post_ms")):
+            with pytest.raises(ConfigError, match=f"{name} must be a finite "
+                                                  "number > 0, got 0"):
+                cls(**{name: 0})
+
+    def test_numbers_are_kept_as_given(self):
+        cfc = ingest.CfcConfig(trans=600, ang_vel=np.float64(100.5))
+        assert type(cfc.trans) is int and type(cfc.ang_vel) is np.float64
+
+
 class TestSessionConfig:
     def test_defaults_applied_when_blocks_absent(self, tmp_path, config):
         raw = config_to_json_dict(config)

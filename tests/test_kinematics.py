@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from kinereco.core import TimeSeries1, TimeSeries3, rotate_series
 from kinereco.errors import ConfigError, DataError, DegenerateSignalError
-from kinereco.kinematics import (A3g1Geometry, a3g1_solve, adaptive_filter,
-                                 average_angular_velocity, five_point_derivative)
+from kinereco.kinematics import (CONDITION_LIMIT, _skew, a3g1_solve,
+                                 adaptive_filter, average_angular_velocity,
+                                 five_point_derivative)
 from kinereco.synth import HarmonicComponent, MotionProfile
 
 from conftest import random_rotation
@@ -125,6 +126,112 @@ class TestFivePointDerivative:
         assert_allclose(out.values[2:-2], 2 * t[2:-2], atol=1e-9)
 
 
+def old_five_point_derivative(x):
+    """``five_point_derivative`` with its two branches by series type."""
+    dt = x.dt
+    values = x.samples if isinstance(x, TimeSeries3) else x.values[:, None]
+    d = np.empty_like(values)
+    d[2:-2] = (-values[4:] + 8.0 * values[3:-1]
+               - 8.0 * values[1:-3] + values[:-4]) / (12.0 * dt)
+    for i in (0, 1):
+        d[i] = (-3.0 * values[i] + 4.0 * values[i + 1] - values[i + 2]) / (2.0 * dt)
+    for i in (-1, -2):
+        d[i] = (3.0 * values[i] - 4.0 * values[i - 1] + values[i - 2]) / (2.0 * dt)
+    if isinstance(x, TimeSeries3):
+        return x.with_samples(d)
+    return x.with_values(d[:, 0])
+
+
+@pytest.mark.parametrize("n", [5, 6, 200])
+def test_five_point_derivative_matches_typed_branches(n):
+    rng = np.random.default_rng(n)
+    s3 = series(rng.normal(size=(n, 3)) * 50.0, start=-0.03125)
+    for s in (s3, s3.component(2)):
+        new, old = five_point_derivative(s), old_five_point_derivative(s)
+        assert type(new) is type(old)
+        assert (new.start_time, new.sample_rate) == (old.start_time,
+                                                     old.sample_rate)
+        assert new._data.tobytes() == old._data.tobytes()
+
+
+class OldA3g1Geometry:
+    """The per-call geometry object ``a3g1_solve`` used to build."""
+
+    def __init__(self, r1, r2, r3):
+        self.positions = [np.asarray(r, dtype=np.float64) for r in (r1, r2, r3)]
+        blocks = [np.hstack([-_skew(r), np.eye(3)]) for r in self.positions]
+        self.design = np.vstack(blocks)
+        svals = np.linalg.svd(self.design, compute_uv=False)
+        if svals[-1] < 1e-12 * svals[0]:
+            raise ConfigError("rank-deficient")
+        self.condition = svals[0] / svals[-1]
+        if self.condition > CONDITION_LIMIT:
+            self._pinv = np.linalg.pinv(self.design)
+            self._cho = None
+        else:
+            from scipy.linalg import cho_factor
+
+            self._pinv = None
+            self._cho = cho_factor(self.design.T @ self.design)
+
+    def solve(self, rhs):
+        if self._pinv is not None:
+            return self._pinv @ rhs
+        from scipy.linalg import cho_solve
+
+        return cho_solve(self._cho, self.design.T @ rhs)
+
+
+def old_a3g1_solve(accels, omega, positions, ref_point):
+    """``a3g1_solve`` as it was with :class:`OldA3g1Geometry`."""
+    n = len(omega)
+    geometry = OldA3g1Geometry(*positions)
+    r4 = np.asarray(ref_point, dtype=np.float64)
+    w = omega.samples
+    rhs = np.empty((9, n))
+    for i, (acc, r) in enumerate(zip(accels, geometry.positions)):
+        centripetal = np.cross(w, np.cross(w, np.broadcast_to(r, (n, 3))))
+        rhs[3 * i:3 * i + 3] = (acc.samples - centripetal).T
+    u = geometry.solve(rhs)
+    residual = np.linalg.norm(geometry.design @ u - rhs, axis=0)
+    alpha, q = u[:3].T, u[3:].T
+    a_point = (np.cross(alpha, np.broadcast_to(r4, (n, 3)))
+               + np.cross(w, np.cross(w, np.broadcast_to(r4, (n, 3))))
+               + q)
+    clock = dict(start_time=omega.start_time, sample_rate=omega.sample_rate)
+    return (TimeSeries3(samples=alpha, **clock),
+            TimeSeries3(samples=q, **clock),
+            TimeSeries3(samples=a_point, **clock),
+            TimeSeries1(values=residual, **clock)), geometry.condition
+
+
+#: A triangle with sides of about 1e-8 m: conditioned beyond
+#: CONDITION_LIMIT, so the solve takes the pseudo-inverse.
+TINY_TRIANGLE = [np.array([0.0, 0.0, 0.0]), np.array([1e-8, 0.0, 0.0]),
+                 np.array([0.0, 1.2e-8, 1e-9])]
+
+
+@pytest.mark.parametrize("positions, pinv", [(POSITIONS, False),
+                                             (TINY_TRIANGLE, True)],
+                         ids=["cholesky", "pseudo_inverse"])
+def test_a3g1_solve_matches_geometry_object(positions, pinv, caplog):
+    rng = np.random.default_rng(21)
+    motion = random_motion(rng)
+    times = -0.03125 + np.arange(240) / RATE
+    omega = series(motion.omega_at(times), start=-0.03125)
+    accels = [series(s.samples + rng.normal(size=s.samples.shape),
+                     start=-0.03125)
+              for s in forward_sensors(motion, times, positions)]
+    old, condition = old_a3g1_solve(accels, omega, positions, REF_POINT)
+    assert (condition > CONDITION_LIMIT) == pinv
+    new = a3g1_solve(accels, omega, positions, REF_POINT)
+    assert ("pseudo-inverse" in caplog.text) == pinv
+    for a, b in zip(new, old):
+        assert type(a) is type(b)
+        assert (a.start_time, a.sample_rate) == (b.start_time, b.sample_rate)
+        assert a._data.tobytes() == b._data.tobytes()
+
+
 class TestA3g1Solve:
     def test_pure_translation_recovered(self):
         n = 50
@@ -200,7 +307,8 @@ class TestA3g1Solve:
         bad = [np.array([0.00, 0.0, 0.0]), np.array([0.03, 0.0, 0.0]),
                np.array([0.07, 0.0, 0.0])]
         with pytest.raises(ConfigError, match="collinear|rank"):
-            A3g1Geometry(*bad)
+            a3g1_solve([series(np.zeros((10, 3)))] * 3, series(np.zeros((10, 3))),
+                       bad, REF_POINT)
 
     def test_mismatched_clock_rejected(self):
         omega = series(np.zeros((10, 3)))

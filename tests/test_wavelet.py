@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from kinereco.core import TimeSeries1, TimeSeries3
 from kinereco.errors import DataError, DegenerateSignalError
 from kinereco.wavelet import (CUTOFF_CAP_HZ, CoefficientSlices, _butter_section,
-                              butterworth_lowpass, cfc_filter, cwt, frequency_grid,
-                              normalized_slices, resolve_cutoff, select_cutoff)
+                              _butter_zero_phase, _filtfilt, butterworth_lowpass,
+                              cfc_filter, cwt, frequency_grid, normalized_slices,
+                              resolve_cutoff, select_cutoff)
 
 
 def scalar(values, rate, start=0.0):
@@ -267,6 +268,40 @@ class TestFilterMatchesScipy:
                 ours = butterworth_lowpass(TimeSeries1(0.0, rate, x), cutoff).values
             theirs = np.ascontiguousarray(signal.sosfiltfilt(sos, x, axis=0))
             assert ours.tobytes() == theirs.tobytes(), (run, n, rate, cutoff)
+
+
+def old_butter_zero_phase(ts, cutoff):
+    """The filtering in ``_butter_zero_phase`` with its two branches by
+    series type."""
+    coef, zi = _butter_section(cutoff, ts.sample_rate)
+    if isinstance(ts, TimeSeries3):
+        return ts.with_samples(np.array(
+            [_filtfilt(coef, zi, col) for col in ts.samples.T]).T)
+    return ts.with_values(np.array(_filtfilt(coef, zi, ts.values)))
+
+
+class TestZeroPhaseBody:
+    @pytest.mark.parametrize("n, rate, cutoff", [
+        (10, 1125.0, 180.0), (205, 1125.0, 63.5), (401, 3200.0, 322.0125)])
+    def test_matches_typed_branches(self, n, rate, cutoff):
+        rng = np.random.default_rng(n)
+        s3 = TimeSeries3(-0.03125, rate, rng.normal(size=(n, 3)) * 30.0)
+        for s in (s3, s3.component(0)):
+            new = _butter_zero_phase(s, cutoff)
+            old = old_butter_zero_phase(s, cutoff)
+            assert type(new) is type(old)
+            assert (new.start_time, new.sample_rate) == (old.start_time,
+                                                         old.sample_rate)
+            assert new._data.shape == old._data.shape
+            assert new._data.tobytes() == old._data.tobytes()
+
+    def test_singular_design_is_a_data_error(self):
+        s = TimeSeries1(0.0, 3200.0, np.ones(20))
+        with pytest.raises(np.linalg.LinAlgError):
+            _butter_section(2.0775e-9, 3200.0)
+        with pytest.raises(DataError, match="cutoff 2.0775e-09 Hz is too low "
+                                            "to design a filter at 3200 Hz"):
+            cfc_filter(s, 1e-9)
 
 
 class TestFilterLength:
