@@ -8,6 +8,15 @@ reference device with CORA scores, Bland-Altman statistics, windowed NRMSE,
 and paired t-tests.
 """
 
+import os
+
+# One OpenBLAS thread unless the user chose a count.  kinereco's linear
+# algebra is small solves, where a second thread only contends for the CPUs
+# with the first and with other processes.  OpenBLAS reads the variable when
+# it loads, so this comes before numpy's import (and scipy's, which loads its
+# own OpenBLAS).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import TimeSeries1, TimeSeries3, magnitude, rotate_series
 from .detect import ImpactEvent, align_events, detect_impacts, extract_window
 from .errors import (ConfigError, DataError, DegenerateSignalError, FormatError,

@@ -40,8 +40,8 @@ from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
-from .ingest import ImuRecording, SessionConfig, _read_csv_columns, \
-    load_session_config, parse_imu_csv, parse_reference_csv, read_json, \
+from .ingest import ImuRecording, SessionConfig, load_session_config, \
+    parse_imu_csv, parse_reference_csv, read_json, read_table, table_clock, \
     write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
@@ -114,37 +114,45 @@ def _load_reference_blocks(config: SessionConfig, in_dir: Path) -> list[ImuRecor
     return blocks
 
 
-def _text_lines(path: Path) -> list[str]:
-    """The stripped lines of a small text table, without comments and blanks."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+def _text_rows(path: Path, names: tuple[str, ...], kind: str, parse) -> list:
+    """``parse(*cells)`` of each row of the text table at ``path``, whose
+    header must be ``names`` and whose rows must have a cell per name; a
+    ``ValueError`` from ``parse`` becomes a DataError naming the row."""
+    _, header, rows = read_table(path, numeric=False)
+    if header != list(names):
+        raise FormatError(f"{path}: expected {','.join(names)!r} header")
+    out = []
+    for cells in rows:
+        try:
+            if len(cells) != len(names):
+                raise ValueError(f"{len(cells)} cells, expected {len(names)}")
+            out.append(parse(*cells))
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed {kind} row "
+                            f"{','.join(cells)!r} ({exc})") from None
+    return out
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
 
 
 def _load_labels(in_dir: Path) -> list[tuple[float, str]]:
     path = in_dir / "labels.csv"
     if not path.exists():
         return []
-    lines = _text_lines(path)
-    if not lines or not lines[0].startswith("time_s"):
-        raise FormatError(f"{path}: expected 'time_s,label' header")
-    out = []
-    for line in lines[1:]:
-        try:
-            t, label = line.split(",")
-            out.append((float(t), label.strip()))
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed label row {line!r} "
-                            f"({exc})") from None
-    return out
+    return _text_rows(path, ("time_s", "label"), "label",
+                      lambda t, label: (_finite(t), label.strip()))
 
 
 # ---------------------------------------------------------------------------
 # events.csv
+
+
+_EVENT_COLUMNS = ("pair_id", "source", "t0_s", "label", "offset_s")
 
 
 def _write_events_csv(path: Path, pairs: list[PairRow], unpaired,
@@ -159,37 +167,38 @@ def _write_events_csv(path: Path, pairs: list[PairRow], unpaired,
                      row.label, ""))
     rows += [("", ev.source, ev.t0, label, "") for ev, label in unpaired]
     ids, sources, times, labels, offsets = list(zip(*rows)) or [()] * 5
-    write_table(path, ("pair_id", "source", "t0_s", "label", "offset_s"),
+    write_table(path, _EVENT_COLUMNS,
                 (ids, sources, np.array(times, dtype=np.float64), labels,
                  offsets), manifest.comments(), "%.9f")
 
 
 def _read_events_csv(path: Path) -> list[PairRow]:
-    lines = _text_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty events file")
-    header = lines[0].split(",")
-    rows: dict[int, dict] = {}
-    for line in lines[1:]:
-        rec = dict(zip(header, line.split(",")))
-        if not rec.get("pair_id"):
-            continue
-        try:
-            pid = int(rec["pair_id"])
-            entry = rows.setdefault(pid, {"label": rec.get("label", "")})
-            entry[rec["source"]] = float(rec["t0_s"])
-            if rec["source"] == "headband" and rec.get("offset_s"):
-                entry["offset"] = float(rec["offset_s"])
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: malformed event row {line!r} "
-                            f"({exc!r})") from None
+    """The pairs of an events table: one headband and one reference row per
+    ``pair_id``, the pair's label taken from its first row."""
+    pairs: dict[int, dict] = {}
+
+    def event(pair_id, source, t0, label, offset):
+        t0 = _finite(t0)
+        offset = _finite(offset) if offset else None
+        if not pair_id:
+            return
+        if source not in ("headband", "reference"):
+            raise ValueError(f"unknown source {source!r}")
+        entry = pairs.setdefault(int(pair_id), {"label": label})
+        if source in entry:
+            raise ValueError(f"a second {source} row for pair {pair_id}")
+        entry[source] = t0
+        if source == "headband" and offset is not None:
+            entry["offset"] = offset
+
+    _text_rows(path, _EVENT_COLUMNS, "event", event)
     out = []
-    for pid in sorted(rows):
-        entry = rows[pid]
+    for pid in sorted(pairs):
+        entry = pairs[pid]
         if "headband" not in entry or "reference" not in entry:
             raise DataError(f"{path}: pair {pid} lacks one of its two rows")
         out.append(PairRow(
-            pair_id=pid, label=entry.get("label", ""),
+            pair_id=pid, label=entry["label"],
             t0_headband=entry["headband"], t0_reference=entry["reference"],
             offset=entry.get("offset", entry["headband"] - entry["reference"]),
         ))
@@ -228,18 +237,13 @@ def _read_kinematics_csv(path: Path, layout, required: int, kind: str):
     """``(pair_id, header comments, series by attribute, residual)`` of a
     kinematics table; the first ``required`` series of ``layout`` must be
     present."""
-    header, data, meta = _read_csv_columns(path)
+    meta, header, data = read_table(path)
     if "t_s" not in header:
         raise FormatError(f"{path}: missing column 't_s'")
     if len(data) < 2:
         raise DataError(f"{path}: kinematics tables need at least 2 rows, "
                         f"got {len(data)}")
-    t = data[:, header.index("t_s")]
-    steps = np.diff(t)
-    if not (steps > 0).all():
-        raise DataError(f"{path}: column 't_s' does not increase")
-    step = float(np.median(steps))
-    start, rate = float(t[0]), 1.0 / step
+    start, rate = table_clock(data[:, header.index("t_s")], path, "t_s")
     series = {}
     for prefix, attr in layout:
         names = [f"{prefix}_{ax}" for ax in "xyz"]

@@ -46,6 +46,8 @@ __all__ = [
     "parse_reference_csv",
     "load_session_config",
     "read_json",
+    "read_table",
+    "table_clock",
     "write_imu_csv",
     "write_json",
     "write_table",
@@ -328,9 +330,24 @@ class ImuRecording:
             for kind in CHANNEL_KINDS))
 
 
-def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray, dict]:
-    """Header names, float data matrix, and the ``# key=value`` comments
-    before the header row; every '#' line is a comment."""
+def read_table(path, numeric: bool = True):
+    """``(meta, header, rows)`` of the CSV table at ``path``.
+
+    ``meta`` holds the ``# key=value`` comments before the header row, and
+    ``header`` the stripped names of that row.  After it, ``#`` lines and
+    blank lines are skipped.  A numeric table's rows are one float matrix
+    from ``np.loadtxt``, with a column per header name; a text table's rows
+    are lists of the cells of each stripped line.
+
+    Raises
+    ------
+    FormatError
+        The file cannot be opened, is not UTF-8, or has no header row, or a
+        numeric table's column count differs from the header's.
+    DataError
+        A numeric table has an unparseable cell, a short or long row, or no
+        data rows.
+    """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -350,21 +367,25 @@ def _read_csv_columns(path: Path) -> tuple[list[str], np.ndarray, dict]:
                         meta[key.strip()] = value.strip()
                 elif stripped:
                     header = [c.strip() for c in stripped.split(",")]
+            if not numeric:
+                rows = [ln.split(",") for ln in map(str.strip, fh)
+                        if ln and not ln.startswith("#")]
+                return meta, header, rows
             with warnings.catch_warnings():
                 # An empty table is reported below as a DataError.
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:
             raise DataError(f"{path}: unparseable cell ({exc})") from None
-    if data.size == 0:
+    if rows.size == 0:
         raise DataError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
+    if rows.shape[1] != len(header):
         raise FormatError(
-            f"{path}: {data.shape[1]} data columns vs {len(header)} header names"
+            f"{path}: {rows.shape[1]} data columns vs {len(header)} header names"
         )
-    return header, data, meta
+    return meta, header, rows
 
 
 def _column_indices(header, names, path, column_map):
@@ -378,18 +399,30 @@ def _column_indices(header, names, path, column_map):
     return idx
 
 
-def _validated_times(t: np.ndarray, rate: float, path) -> float:
-    if np.isnan(t).any():
-        row = int(np.nonzero(np.isnan(t))[0][0])
-        raise DataError(f"{path}: NaN time at data row {row}")
-    dt_steps = np.diff(t)
-    bad = np.nonzero(dt_steps <= 0)[0]
+def table_clock(t: np.ndarray, path, name: str,
+                rate: float | None = None) -> tuple[float, float]:
+    """``(start, rate)`` of the time column ``name`` of the table at ``path``.
+
+    The times must be finite and strictly increasing.  The rate is the
+    declared ``rate``, which the median step must match within 0.5 %, or
+    else the reciprocal of the median step.  Every time must then lie
+    within a quarter sample of ``start + i / rate``.  Each failure is a
+    :class:`DataError` naming the file and the data row.
+    """
+    bad = np.nonzero(~np.isfinite(t))[0]
     if bad.size:
-        row = int(bad[0]) + 1
-        raise DataError(f"{path}: non-monotone time at data row {row}")
-    if len(t) > 1:
-        measured = 1.0 / float(np.median(dt_steps))
-        if abs(measured - rate) > 0.005 * rate:
+        raise DataError(f"{path}: column {name!r} is not finite at data row "
+                        f"{int(bad[0])}")
+    steps = np.diff(t)
+    bad = np.nonzero(steps <= 0)[0]
+    if bad.size:
+        raise DataError(f"{path}: column {name!r} does not increase at data "
+                        f"row {int(bad[0]) + 1}")
+    if steps.size:
+        measured = 1.0 / float(np.median(steps))
+        if rate is None:
+            rate = measured
+        elif abs(measured - rate) > 0.005 * rate:
             raise DataError(
                 f"{path}: measured rate {measured:.2f} Hz does not match the "
                 f"declared {rate:g} Hz"
@@ -401,7 +434,10 @@ def _validated_times(t: np.ndarray, rate: float, path) -> float:
                 f"{path}: non-uniform sampling at data row {worst} "
                 f"(off grid by {drift[worst] * 1e3:.3f} ms)"
             )
-    return float(t[0])
+    elif rate is None:
+        raise DataError(f"{path}: column {name!r} needs 2 rows to measure "
+                        f"its rate")
+    return float(t[0]), rate
 
 
 def _channel_series(data, t0, rate, cols, scale, path) -> TimeSeries3:
@@ -476,10 +512,10 @@ def _parse_main_file(path: Path, spec: SensorSpec,
     gyro_spec = spec.channel("gyro")
     low_spec = spec.channel("accel_low")
     high_spec = spec.channel("accel_high")
-    header, data, _ = _read_csv_columns(path)
+    _, header, data = read_table(path)
     t_idx, = _column_indices(header, ("time_s",), path, column_map)
     gcols = _column_indices(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
-    t0 = _validated_times(data[:, t_idx], gyro_spec.rate, path)
+    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], gyro_spec.rate)
     series = {"gyro": _channel_series(data, t0, gyro_spec.rate, gcols,
                                       _DEG2RAD, path),
               "accel_low": None, "accel_high": None}
@@ -508,9 +544,10 @@ def _parse_companion_file(path: Path, high_spec: ChannelSpec,
             f"companion file {hpath.name}"
         )
     names = _CHANNEL_COLUMNS["accel_high"]
-    hheader, hdata, _ = _read_csv_columns(hpath)
+    _, hheader, hdata = read_table(hpath)
     ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
-    ht0 = _validated_times(hdata[:, ht_idx], high_spec.rate, hpath)
+    ht0, _ = table_clock(hdata[:, ht_idx], hpath, hheader[ht_idx],
+                         high_spec.rate)
     hcols = _column_indices(hheader, names, hpath, column_map)
     return _channel_series(hdata, ht0, high_spec.rate, hcols, G_STANDARD, hpath)
 

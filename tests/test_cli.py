@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinereco import ingest
+from kinereco import cli, ingest
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.ingest import write_table
@@ -298,14 +298,17 @@ class TestFilesEachStageReads:
 
     @pytest.fixture
     def opened(self, monkeypatch):
+        """The name of every table a stage reads: each goes through
+        ``ingest.read_table``, which ``cli`` imports by name."""
         names = []
-        real = ingest._read_csv_columns
+        real = ingest.read_table
 
-        def spy(path):
+        def spy(path, numeric=True):
             names.append(Path(path).name)
-            return real(path)
+            return real(path, numeric)
 
-        monkeypatch.setattr(ingest, "_read_csv_columns", spy)
+        monkeypatch.setattr(ingest, "read_table", spy)
+        monkeypatch.setattr(cli, "read_table", spy)
         return names
 
     def test_detect_reads_trigger_companions(self, small_pipeline, tmp_path,
@@ -313,7 +316,8 @@ class TestFilesEachStageReads:
         assert main(["detect", "--config", str(small_pipeline["config"]),
                      "--in", str(small_pipeline["session"]),
                      "--out", str(tmp_path / "events.csv")]) == 0
-        assert sorted(opened) == sorted(names["high"] + names["blocks"])
+        assert sorted(opened) == sorted(
+            names["high"] + names["blocks"] + ["labels.csv"])
 
     @pytest.mark.parametrize("method", ["both", "a3g1", "diff"])
     def test_reconstruct_reads_gyros_and_a3g1_channel(
@@ -325,7 +329,8 @@ class TestFilesEachStageReads:
                      "--alpha-method", method]) == 0
         companions = [] if method == "diff" else names["a3g1"]
         assert sorted(opened) == sorted(
-            names["main"] + companions + names["blocks"])
+            names["main"] + companions + names["blocks"]
+            + [small_pipeline["events"].name])
 
     def test_detect_without_high_g_triggers_from_main_file(
             self, small_pipeline, tmp_path, names, opened, config):
@@ -339,7 +344,8 @@ class TestFilesEachStageReads:
         assert main(["detect", "--config", str(config_path),
                      "--in", str(small_pipeline["session"]),
                      "--out", str(tmp_path / "events.csv")]) == 0
-        assert sorted(opened) == sorted(names["main"] + names["blocks"])
+        assert sorted(opened) == sorted(
+            names["main"] + names["blocks"] + ["labels.csv"])
 
 
 class TestStageErrors:
@@ -426,8 +432,10 @@ class TestStageErrors:
         assert line.startswith(f"kinereco: error: {expected}")
 
     @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in",
-                                     "2.5,header,left"],
-                             ids=["no_comma", "bad_time", "three_cells"])
+                                     "2.5,header,left", "nan,throw_in",
+                                     "-inf,throw_in"],
+                             ids=["no_comma", "bad_time", "three_cells",
+                                  "nan_time", "inf_time"])
     def test_malformed_label_row_gives_single_error_line(
             self, small_pipeline, tmp_path, capsys, row):
         session = copy_session(small_pipeline, tmp_path)
@@ -441,6 +449,54 @@ class TestStageErrors:
                                f"{session / 'labels.csv'}: malformed label row "
                                f"{row!r}")
         assert not events.exists()
+
+    def test_label_header_must_be_exact(self, small_pipeline, tmp_path,
+                                        capsys):
+        session = copy_session(small_pipeline, tmp_path)
+        labels = session / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        at = lines.index("time_s,label\n")
+        lines[at] = "time_sX,label\n"
+        labels.write_text("".join(lines))
+        events = tmp_path / "events.csv"
+        assert main(["detect", "--config", str(small_pipeline["config"]),
+                     "--in", str(session), "--out", str(events)]) == 1
+        line = single_error_line(capsys)
+        assert line == (f"kinereco: error: FormatError: {labels}: expected "
+                        f"'time_s,label' header")
+        assert not events.exists()
+
+    @pytest.mark.parametrize("case", ["t0_nan", "t0_inf", "offset_nan",
+                                      "three_cells", "second_headband_row"])
+    def test_bad_event_row_gives_single_error_line(
+            self, small_pipeline, tmp_path, capsys, case):
+        """Each edit of pair 1's headband row fails ``reconstruct`` with one
+        DataError line naming the file and the row."""
+        events = tmp_path / "events.csv"
+        lines = small_pipeline["events"].read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("1,headband,"))
+        cells = lines[at].split(",")
+        if case == "t0_nan":
+            cells[2] = "nan"
+        elif case == "t0_inf":
+            cells[2] = "inf"
+        elif case == "offset_nan":
+            cells[4] = "nan"
+        elif case == "three_cells":
+            cells = cells[:3]
+        else:
+            lines.insert(at, lines[at])
+            at += 1
+        lines[at] = ",".join(cells)
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "kin"
+        assert main(["reconstruct", "--config", str(small_pipeline["config"]),
+                     "--in", str(small_pipeline["session"]),
+                     "--events", str(events), "--out", str(out)]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"kinereco: error: DataError: {events}: "
+                               f"malformed event row {lines[at]!r} (")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, command", [
         ("labels.csv", "detect"), ("bt_back_high.csv", "detect"),
@@ -679,6 +735,8 @@ class TestErrorReporting:
             lines = lines[:n_comments + 2]
         elif case == "no_rows":
             lines = lines[:n_comments + 1]
+        elif case == "t_s_gap":
+            lines = lines[:n_comments + 50] + lines[n_comments + 70:]
         elif case == "t_s_steps_back":
             # Swap the t_s cells of two adjacent rows: the median step stays
             # positive, but one step is negative.
@@ -697,7 +755,9 @@ class TestErrorReporting:
         ("one_row", "DataError: {path}: kinematics tables need at least 2 rows"),
         ("no_rows", "DataError: {path}: no data rows"),
         ("t_s_steps_back", "DataError: {path}: column 't_s' does not increase"),
-    ], ids=["no_t_s", "bad_cell", "one_row", "no_rows", "t_s_steps_back"])
+        ("t_s_gap", "DataError: {path}: non-uniform sampling at data row "),
+    ], ids=["no_t_s", "bad_cell", "one_row", "no_rows", "t_s_steps_back",
+            "t_s_gap"])
 
     @staticmethod
     def main_without_warnings(argv) -> int:

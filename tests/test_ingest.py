@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from kinereco import ingest
 from kinereco.core import TimeSeries3
-from kinereco.errors import ConfigError, DataError, FormatError
+from kinereco.errors import ConfigError, DataError, FormatError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
                              load_session_config, parse_imu_csv,
                              parse_reference_csv, write_imu_csv)
@@ -365,3 +366,166 @@ class TestWriteTable:
             for a, b, c, d in zip(*columns)]
         assert path.read_bytes() == "".join(r + "\n" for r in rows).encode()
 
+
+
+def old_read_csv_columns(path):
+    """The numeric table reader before ``read_table``, kept as the oracle."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    meta = {}
+    with fh:
+        header = None
+        try:
+            while header is None:
+                line = fh.readline()
+                if not line:
+                    raise FormatError(f"{path}: no header row found")
+                stripped = line.strip()
+                if stripped.startswith("#"):
+                    key, eq, value = stripped[1:].partition("=")
+                    if eq:
+                        meta[key.strip()] = value.strip()
+                elif stripped:
+                    header = [c.strip() for c in stripped.split(",")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+        except ValueError as exc:
+            raise DataError(f"{path}: unparseable cell ({exc})") from None
+    if data.size == 0:
+        raise DataError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
+        raise FormatError(
+            f"{path}: {data.shape[1]} data columns vs {len(header)} header names"
+        )
+    return header, data, meta
+
+
+def old_text_lines(path):
+    """The text table reader before ``read_table``, kept as the oracle."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+#: Hand-made tables: header and data layouts the session files never have.
+EDGE_TABLES = {
+    "comments_after_header": b"# a=1\n# b = two = 2\ntime_s,x\n# c=3\n0,1\n"
+                             b"# note\n0.5,2\n",
+    "blank_lines": b"\n  \n# k=v\n\n t , x \n\n0,1\n\n1,2\n  \n",
+    "comment_without_key": b"#\n# plain words\n#=empty key\ntime_s\n1\n",
+    "header_only": b"# k=v\ntime_s,x\n",
+    "header_only_with_comments": b"time_s,x\n# c=1\n\n",
+    "bad_cell": b"time_s,x\n0,1\n0.5,abc\n",
+    "nan_and_inf_cells": b"time_s,x\n0,nan\n1,-inf\n2,inf\n",
+    "short_row": b"time_s,x\n0,1\n1\n",
+    "column_count": b"time_s,x,y\n0,1\n1,2\n",
+    "non_utf8_comment": b"#\xff\ntime_s,x\n0,1\n",
+    "non_utf8_header": b"time_s,\xfex\n0,1\n",
+    "non_utf8_row": b"time_s,x\n0,1\n#\xff\n1,2\n",
+    "no_header": b"# k=v\n\n",
+    "empty": b"",
+    "crlf": b"# k=v\r\ntime_s,x\r\n0,1\r\n1,2\r\n",
+}
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except KinerecoError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadTable:
+    """``read_table`` gives the old readers' arrays, headers, comments and
+    errors, byte for byte."""
+
+    @staticmethod
+    def assert_numeric_same(path):
+        old_kind, old = outcome(old_read_csv_columns, path)
+        new_kind, new = outcome(ingest.read_table, path)
+        assert new_kind == old_kind
+        if old_kind != "ok":
+            assert new == old
+            return
+        header, data, meta = old
+        new_meta, new_header, rows = new
+        assert (new_header, new_meta) == (header, meta)
+        assert list(new_meta) == list(meta)
+        assert rows.dtype == data.dtype and rows.shape == data.shape
+        assert rows.tobytes() == data.tobytes()
+
+    @staticmethod
+    def assert_text_same(path):
+        old_kind, old = outcome(old_text_lines, path)
+        new_kind, new = outcome(
+            lambda p: ingest.read_table(p, numeric=False), path)
+        if old_kind != "ok":
+            assert (new_kind, new) == (old_kind, old)
+            return
+        if not old:
+            assert (new_kind, new) == (FormatError, f"{path}: no header row found")
+            return
+        _, header, rows = new
+        assert header == [c.strip() for c in old[0].split(",")]
+        assert [",".join(cells) for cells in rows] == old[1:]
+
+    @pytest.mark.parametrize("name", [
+        "bt_back.csv", "bt_back_high.csv", "bt_left_inner_high.csv",
+        "mouthpiece_ev001.csv", "labels.csv", "kin/hb_ev001.csv",
+        "kin/ref_ev002.csv", "events.csv"])
+    def test_session_files(self, small_pipeline, name):
+        root = small_pipeline["root"]
+        path = root / name if "/" in name or name == "events.csv" else \
+            small_pipeline["session"] / name
+        assert path.exists()
+        self.assert_numeric_same(path)
+        self.assert_text_same(path)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
+    def test_edge_tables(self, tmp_path, name):
+        path = tmp_path / "table.csv"
+        path.write_bytes(EDGE_TABLES[name])
+        self.assert_numeric_same(path)
+        self.assert_text_same(path)
+
+    def test_missing_file(self, tmp_path):
+        self.assert_numeric_same(tmp_path / "absent.csv")
+        self.assert_text_same(tmp_path / "absent.csv")
+
+
+class TestTableClock:
+    """A measured clock is the one the kinematics reader computed inline."""
+
+    @pytest.mark.parametrize("name", ["hb_ev001.csv", "hb_ev003.csv",
+                                      "ref_ev001.csv", "ref_ev002.csv"])
+    def test_measured_rate_matches_median_step(self, small_pipeline, name):
+        path = small_pipeline["kin"] / name
+        _, header, data = ingest.read_table(path)
+        t = data[:, header.index("t_s")]
+        start, rate = ingest.table_clock(t, path, "t_s")
+        assert repr(start) == repr(float(t[0]))
+        assert repr(rate) == repr(1.0 / float(np.median(np.diff(t))))
+
+    @pytest.mark.parametrize("times, rate, message", [
+        ([0.0, float("nan"), 0.2], 10.0, "column 't' is not finite at data row 1"),
+        ([float("-inf"), 0.1, 0.2], None, "column 't' is not finite at data row 0"),
+        ([0.0, 0.1, 0.1], 10.0, "column 't' does not increase at data row 2"),
+        ([0.0, 0.05, 0.1], 10.0, "measured rate 20.00 Hz does not match"),
+        ([0.0, 0.1, 0.2, 0.33, 0.4], None, "non-uniform sampling at data row 3"),
+        ([0.0], None, "column 't' needs 2 rows to measure its rate"),
+    ], ids=["nan", "neg_inf", "repeat", "rate", "off_grid", "one_row"])
+    def test_rejects(self, times, rate, message):
+        with pytest.raises(DataError, match=f"^table.csv: {message}"):
+            ingest.table_clock(np.array(times), "table.csv", "t", rate)
+
+    def test_one_row_at_a_declared_rate(self):
+        assert ingest.table_clock(np.array([2.5]), "table.csv", "t", 8.0) == (2.5, 8.0)

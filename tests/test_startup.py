@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Prints the scipy modules loaded after the import and after each command.
@@ -84,3 +86,51 @@ def test_reconstruct_loads_neither_scipy_signal_nor_stats(tmp_path,
     ])
     assert loaded["import"] == []
     assert not {"scipy.signal", "scipy.stats"} & set(loaded["reconstruct"])
+
+
+#: Prints the thread count of each OpenBLAS library loaded once numpy and the
+#: scipy modules that ``reconstruct`` uses are imported, optionally after
+#: ``kinereco`` itself.
+BLAS_SCRIPT = r"""
+import ctypes, json, re, sys
+if sys.argv[1] == "kinereco":
+    import kinereco.cli
+import numpy, scipy.fft, scipy.linalg
+
+counts = {}
+with open("/proc/self/maps") as fh:
+    libs = sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", fh.read())))
+for lib in libs:
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            counts[lib.rpartition("/")[2]] = fn()
+            break
+print(json.dumps(counts))
+"""
+
+
+def blas_threads(first: str, env: dict) -> dict:
+    proc = subprocess.run([sys.executable, "-c", BLAS_SCRIPT, first],
+                          env={**env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_openblas_runs_one_thread_unless_the_user_sets_a_count():
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to find the loaded libraries in")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    counts = blas_threads("kinereco", env)
+    if not counts:
+        pytest.skip("numpy and scipy use no OpenBLAS here")
+    assert set(counts.values()) == {1}, counts
+    # A count the user set wins: OpenBLAS makes of it what it makes of it
+    # without kinereco (it caps the count at the number of CPUs).
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert blas_threads("kinereco", env) == blas_threads("numpy", env)
