@@ -40,9 +40,9 @@ from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
-from .ingest import ImuRecording, SessionConfig, load_session_config, \
-    parse_imu_csv, parse_reference_csv, read_json, read_table, table_clock, \
-    write_json, write_table
+from .ingest import ImuRecording, SessionConfig, check_number, \
+    load_session_config, parse_imu_csv, parse_reference_csv, read_json, \
+    read_table, table_clock, write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
@@ -233,9 +233,11 @@ def _write_kinematics_csv(path: Path, kin, layout, comments):
     write_table(path, names, columns, comments, "%.12g")
 
 
-def _read_kinematics_csv(path: Path, layout, required: int, kind: str):
-    """``(pair_id, header comments, series by attribute, residual)`` of a
-    kinematics table; the first ``required`` series of ``layout`` must be
+def _read_kinematics_csv(path: Path, pair_id: int, layout, required: int,
+                         kind: str):
+    """``(header comments, series by attribute, residual)`` of the
+    kinematics table of pair ``pair_id``, whose ``pair_id`` comment must
+    name that pair; the first ``required`` series of ``layout`` must be
     present."""
     meta, header, data = read_table(path)
     if "t_s" not in header:
@@ -255,22 +257,27 @@ def _read_kinematics_csv(path: Path, layout, required: int, kind: str):
     if "residual" in header:
         residual = TimeSeries1(start, rate, data[:, header.index("residual")])
     try:
-        return int(meta["pair_id"]), meta, series, residual
+        named = int(meta["pair_id"])
     except (KeyError, ValueError):
         raise FormatError(f"{path}: missing or bad 'pair_id' header comment") \
             from None
+    if named != pair_id:
+        raise FormatError(f"{path}: 'pair_id' header comment {named} does not "
+                          f"match the file name")
+    return meta, series, residual
 
 
 def _load_comparisons(hb_dir: Path, ref_dir: Path,
-                      labels: dict[int, str] | None = None,
-                      ) -> list[EventComparison]:
-    """Every ``hb_ev*.csv`` with its ``ref_ev*.csv``, the reference clipped to
-    the headband support; ``labels`` overrides the files' labels by pair id.
-    A pair without a reference file is skipped with a warning."""
+                      pairs: dict[int, str]) -> list[EventComparison]:
+    """The comparison of each pair in ``pairs`` (pair id to label): its
+    ``hb_ev###.csv`` with its ``ref_ev###.csv``, the reference clipped to the
+    headband support.  A pair without a reference file is skipped with a
+    warning."""
     events = []
-    for path in sorted(hb_dir.glob("hb_ev*.csv")):
-        pair_id, meta, series, residual = _read_kinematics_csv(
-            path, _HB_SERIES, 2, "headband")
+    for pair_id, label in sorted(pairs.items()):
+        path = hb_dir / f"hb_ev{pair_id:03d}.csv"
+        meta, series, residual = _read_kinematics_csv(path, pair_id,
+                                                      _HB_SERIES, 2, "headband")
         try:
             f0 = float(meta.get("f0_hz", "nan"))
         except ValueError:
@@ -280,12 +287,12 @@ def _load_comparisons(hb_dir: Path, ref_dir: Path,
         if not ref_path.exists():
             log.warning("no reference kinematics for pair %d; skipping", pair_id)
             continue
-        _, _, ref_series, _ = _read_kinematics_csv(ref_path, _REF_SERIES, 3,
-                                                   "reference")
+        _, ref_series, _ = _read_kinematics_csv(ref_path, pair_id, _REF_SERIES,
+                                                3, "reference")
         ref_kin = ReferenceKinematics(**ref_series)
         events.append(EventComparison(
             pair_id=pair_id,
-            label=(labels or {}).get(pair_id, meta.get("label", "")),
+            label=label,
             headband=kin,
             reference=clip_reference_to(ref_kin, kin),
         ))
@@ -405,8 +412,8 @@ def _cmd_evaluate(args) -> int:
                 "cora_max_shift_fraction": args.max_shift_fraction},
         seed=None,
     )
-    labels = {row.pair_id: row.label for row in _read_events_csv(Path(args.pairs))}
-    events = _load_comparisons(Path(args.hb), Path(args.ref), labels)
+    pairs = {row.pair_id: row.label for row in _read_events_csv(Path(args.pairs))}
+    events = _load_comparisons(Path(args.hb), Path(args.ref), pairs)
     if not events:
         raise DataError("no overlapping hb/ref kinematics files found")
     report = build_agreement_report(
@@ -433,15 +440,18 @@ def _cmd_report(args) -> int:
     # a malformed input leaves no partial output behind.
     try:
         tables = report_tables(report["events"], report["aggregate"])
+        pairs = {ev["pair_id"]: ev["label"] for ev in report["events"]}
+        if not all(type(pair_id) is int for pair_id in pairs):
+            raise TypeError("a pair_id is not an integer")
     except KeyError as exc:
         raise FormatError(f"{in_path}: not an agreement report "
                           f"(missing key {exc.args[0]!r})") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{in_path}: malformed agreement report "
                           f"({type(exc).__name__}: {exc})") from None
     overlays = []
     if args.hb and args.ref:
-        for ev in _load_comparisons(Path(args.hb), Path(args.ref)):
+        for ev in _load_comparisons(Path(args.hb), Path(args.ref), pairs):
             for name, hb_mag, ref_mag in overlay_resultants(ev.headband,
                                                             ev.reference):
                 overlays.append((f"timehistory_ev{ev.pair_id:03d}_{name}.csv",
@@ -469,10 +479,8 @@ def _write_manifest(path: Path, manifest: RunManifest):
 
 def _require_positive(args, *names):
     for name in names:
-        value = getattr(args, name)
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive "
-                              f"and finite, got {value:g}")
+        check_number(getattr(args, name), f"--{name.replace('_', '-')}",
+                     ConfigError, "> 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,7 +552,14 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # Finite numbers can still be too large for the computation: an
+        # overflow or an invalid operation ends the command, never a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                return args.func(args)
+            except (FloatingPointError, OverflowError) as exc:
+                raise DataError(f"{args.subcommand}: the input numbers "
+                                f"overflow the computation ({exc})") from None
     except KinerecoError as exc:
         message = str(exc).replace("\n", " ")
         print(f"kinereco: error: {type(exc).__name__}: {message}",

@@ -192,7 +192,9 @@ def is_rotation(R) -> bool:
     """True when ``R`` is orthonormal with determinant +1 within
     ``ROTATION_TOL``."""
     R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3) or not np.isfinite(R).all():
+    # No entry of a rotation exceeds 1; the bound also rejects NaN and keeps
+    # the product below from overflowing.
+    if R.shape != (3, 3) or not (np.abs(R) <= 1.0 + ROTATION_TOL).all():
         return False
     err = np.abs(R.T @ R - np.eye(3)).max()
     return err <= ROTATION_TOL and abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL

@@ -45,6 +45,9 @@ __all__ = [
     "parse_imu_csv",
     "parse_reference_csv",
     "load_session_config",
+    "check_number",
+    "check_object",
+    "check_vector",
     "read_json",
     "read_table",
     "table_clock",
@@ -85,8 +88,9 @@ class ChannelSpec:
             raise ConfigError(
                 f"unknown channel kind {self.kind!r}; expected one of {CHANNEL_KINDS}"
             )
-        if self.rate <= 0:
-            raise ConfigError(f"channel rate must be positive, got {self.rate}")
+        rate = check_number(self.rate, f"channels.{self.kind}.rate_hz",
+                            ConfigError, "> 0")
+        object.__setattr__(self, "rate", float(rate))
         if self.rate not in DEVICE_RATES:
             log.warning("channel rate %g Hz is not a declared device rate %s",
                         self.rate, DEVICE_RATES)
@@ -109,12 +113,8 @@ class SensorSpec:
     def __post_init__(self):
         if self.role not in ("headband", "reference"):
             raise ConfigError(f"sensor {self.id!r}: unknown role {self.role!r}")
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.isfinite(pos).all():
-            raise ConfigError(f"sensor {self.id!r}: position must be a finite 3-vector")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "position", check_vector(
+            self.position, 3, f"sensor {self.id!r}: position_m"))
         try:
             R = validate_rotation(self.orientation)
         except ConfigError as exc:
@@ -125,6 +125,8 @@ class SensorSpec:
         kinds = [c.kind for c in self.channels]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"sensor {self.id!r}: duplicate channel kinds")
+        if "gyro" not in kinds:
+            raise ConfigError(f"sensor {self.id!r} declares no gyro channel")
 
     def channel(self, kind: str) -> ChannelSpec | None:
         for c in self.channels:
@@ -137,25 +139,59 @@ class SensorSpec:
         return any(c.kind in ("accel_low", "accel_high") for c in self.channels)
 
 
+def check_number(value, what: str, error=ConfigError, sign: str = ""):
+    """``value``, when it is a finite number within its sign bound.
+
+    A finite number is an ``int`` or a ``float``, not a ``bool`` or a
+    ``str``, with ``|value| <= sys.float_info.max``; ``sign`` is ``""`` for
+    any sign, ``">= 0"`` or ``"> 0"``.  Otherwise ``error`` is raised with
+    ``"{what} must be a finite number[ sign], got {value!r}"``.  The value is
+    returned as given, so an int stays an int.
+    """
+    # False for NaN, and for ints too large for a float.
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (not sign or value > 0 or (sign == ">= 0" and value == 0))):
+        bound = f" {sign}" if sign else ""
+        raise error(f"{what} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def check_object(value, what: str, error=ConfigError) -> dict:
+    """``value``, when it is a JSON object (a ``dict``); otherwise ``error``
+    is raised with ``"{what} must be an object, got <type>"``."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def check_vector(value, n: int, what: str, error=ConfigError) -> np.ndarray:
+    """A read-only float64 copy of ``value``, when it is a list, tuple or
+    1-D array of exactly ``n`` numbers that each pass :func:`check_number`;
+    otherwise ``error`` names ``what``, or ``what[i]`` for a bad number."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(items, (list, tuple)) and len(items) == n):
+        raise error(f"{what} must be a list of {n} numbers, got {value!r}")
+    for i, x in enumerate(items):
+        check_number(x, f"{what}[{i}]", error)
+    out = np.array(items, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
 class _NumberBlock:
-    """Base of the config blocks that hold only numbers.  Each field must be
-    a finite int or float (not a bool) above 0, or at least 0 when named in
-    ``_non_negative``; else a :class:`ConfigError` names ``block.field``,
-    the block being the class name without ``Config``, in lower case."""
+    """Base of the config blocks that hold only numbers.  Each field must
+    pass :func:`check_number` above 0, or at least 0 when named in
+    ``_non_negative``; the error names ``block.field``, the block being the
+    class name without ``Config``, in lower case."""
 
     _non_negative = ()
 
     def __post_init__(self):
         block = type(self).__name__.removesuffix("Config").lower()
         for f in fields(self):
-            value = getattr(self, f.name)
-            zero_ok = f.name in self._non_negative
-            # False for NaN, infinities and ints too large for math.isfinite.
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and abs(value) <= sys.float_info.max
-                    and (value > 0 or (zero_ok and value == 0))):
-                raise ConfigError(f"{block}.{f.name} must be a finite number "
-                                  f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+            check_number(getattr(self, f.name), f"{block}.{f.name}", ConfigError,
+                         ">= 0" if f.name in self._non_negative else "> 0")
 
 
 @dataclass(frozen=True)
@@ -232,12 +268,14 @@ class SessionConfig:
     name: str = ""
 
     def __post_init__(self):
-        pt = np.asarray(self.reference_point, dtype=np.float64)
-        if pt.shape != (3,) or not np.isfinite(pt).all():
-            raise ConfigError("reference_point must be a finite 3-vector")
-        pt = pt.copy()
-        pt.setflags(write=False)
-        object.__setattr__(self, "reference_point", pt)
+        object.__setattr__(self, "reference_point", check_vector(
+            self.reference_point, 3, "reference_point_m"))
+        if self.column_map is not None:
+            cmap = check_object(self.column_map, "column_map")
+            for name, actual in cmap.items():
+                if not isinstance(actual, str):
+                    raise ConfigError(f"column_map.{name} must be a string, "
+                                      f"got {actual!r}")
         self._validate()
 
     def _validate(self):
@@ -465,8 +503,8 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     Raises
     ------
     ConfigError
-        A requested kind the sensor does not declare, no gyro declared, or an
-        ``accel_low`` rate other than the gyro's.
+        A requested kind the sensor does not declare, or an ``accel_low``
+        rate other than the gyro's.
     FormatError
         Missing file or column.
     DataError
@@ -480,8 +518,6 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
         raise ConfigError(f"sensor {spec.id!r}: requested channels {undeclared} "
                           f"are not declared (declared: {', '.join(declared)})")
     gyro_spec = spec.channel("gyro")
-    if gyro_spec is None:
-        raise ConfigError(f"sensor {spec.id!r} declares no gyro channel")
     low_spec = spec.channel("accel_low")
     if low_spec is not None and low_spec.rate != gyro_spec.rate:
         raise ConfigError(
@@ -589,15 +625,15 @@ def parse_reference_csv(path, spec: SensorSpec,
 
 
 def _channels_from_json(obj, sensor_id) -> tuple[ChannelSpec, ...]:
+    where = f"sensor {sensor_id!r}: channels"
     channels = []
-    for kind, entry in obj.items():
-        channels.append(ChannelSpec(
-            kind=kind,
-            rate=float(entry["rate_hz"]),
-            range_label=str(entry.get("range", "")),
-        ))
-    if not channels:
-        raise ConfigError(f"sensor {sensor_id!r} declares no channels")
+    for kind, entry in check_object(obj, where).items():
+        entry = check_object(entry, f"{where}.{kind}")
+        try:
+            channels.append(ChannelSpec(kind, entry["rate_hz"],
+                                        str(entry.get("range", ""))))
+        except ConfigError as exc:
+            raise ConfigError(f"sensor {sensor_id!r}: {exc}") from None
     return tuple(channels)
 
 
@@ -605,32 +641,39 @@ def load_session_config(path) -> SessionConfig:
     """Load and validate a session configuration JSON file.
 
     Absent trigger / filter / cfc / window blocks take the documented
-    defaults.  Raises :class:`ConfigError` on non-orthonormal rotations,
-    collinear reconstruction geometry, or missing sensors.
+    defaults.  Every object, list and number is checked by
+    :func:`check_object`, :func:`check_vector` and :func:`check_number`.
+    Raises :class:`ConfigError` on a field that fails them, non-orthonormal
+    rotations, collinear reconstruction geometry, or missing sensors.
     """
     path = Path(path)
-    raw = read_json(path)
+    raw = check_object(read_json(path), f"{path}: the configuration", FormatError)
     try:
         sensors = []
-        for s in raw["sensors"]:
-            R = np.asarray(s["orientation_row_major"], dtype=np.float64).reshape(3, 3)
+        for i, s in enumerate(raw["sensors"]):
+            s = check_object(s, f"sensors[{i}]")
+            sid = str(s["id"])
             sensors.append(SensorSpec(
-                id=str(s["id"]),
+                id=sid,
                 role=str(s.get("role", "headband")),
-                position=np.asarray(s["position_m"], dtype=np.float64),
-                orientation=R,
-                channels=_channels_from_json(s["channels"], s["id"]),
+                position=s["position_m"],
+                orientation=check_vector(s["orientation_row_major"], 9,
+                                         f"sensor {sid!r}: orientation_row_major"
+                                         ).reshape(3, 3),
+                channels=_channels_from_json(s["channels"], sid),
             ))
+        blocks = {name: check_object(raw.get(name, {}), name)
+                  for name in ("trigger", "filter", "cfc", "window")}
         config = SessionConfig(
             sensors=tuple(sensors),
-            reference_point=np.asarray(raw["reference_point_m"], dtype=np.float64),
+            reference_point=raw["reference_point_m"],
             a3g1_sensor_ids=tuple(str(x) for x in raw["a3g1_sensors"]),
             a3g1_channel=str(raw.get("a3g1_channel", "accel_high")),
             a3g1_gyro=str(raw.get("a3g1_gyro", "averaged")),
-            trigger=TriggerConfig(**raw.get("trigger", {})),
-            filter=FilterConfig(**raw.get("filter", {})),
-            cfc=CfcConfig(**raw.get("cfc", {})),
-            window=WindowConfig(**raw.get("window", {})),
+            trigger=TriggerConfig(**blocks["trigger"]),
+            filter=FilterConfig(**blocks["filter"]),
+            cfc=CfcConfig(**blocks["cfc"]),
+            window=WindowConfig(**blocks["window"]),
             column_map=raw.get("column_map"),
             name=str(raw.get("name", path.stem)),
         )

@@ -30,8 +30,9 @@ from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
-                     SensorSpec, SessionConfig, read_json, write_imu_csv,
-                     write_json, write_table)
+                     SensorSpec, SessionConfig, check_number, check_object,
+                     check_vector, read_json, write_imu_csv, write_json,
+                     write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -156,6 +157,11 @@ def _rigid_acceleration(omega, alpha, q, position, gravity) -> np.ndarray:
             + q + np.asarray(gravity, dtype=np.float64))
 
 
+#: The most tones a burst may have; each costs a sine over the burst's
+#: samples for every axis of every headband channel and impact.
+MAX_BURST_TONES = 1000
+
+
 @dataclass(frozen=True)
 class BurstSpec:
     """Impact-locked transient: decaying sinusoids in a band around
@@ -179,18 +185,24 @@ class NoiseSpec:
     per_sensor_scale: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in (("gyro_sigma", self.gyro_sigma),
-                            ("accel_sigma", self.accel_sigma),
-                            ("burst gyro_amplitude", self.burst.gyro_amplitude),
-                            ("burst accel_amplitude", self.burst.accel_amplitude)):
-            if not (math.isfinite(value) and value >= 0):
-                raise DataError(f"noise {name} must be finite and "
-                                f"non-negative, got {value!r}")
-        if self.burst.duration_s < 0:
-            raise DataError("burst duration must be non-negative")
-        if self.burst.n_tones < 1:
-            raise DataError(f"burst n_tones must be at least 1, "
-                            f"got {self.burst.n_tones}")
+        burst = self.burst
+        for name, value, sign in (
+                ("gyro_sigma", self.gyro_sigma, ">= 0"),
+                ("accel_sigma", self.accel_sigma, ">= 0"),
+                ("burst.gyro_amplitude", burst.gyro_amplitude, ">= 0"),
+                ("burst.accel_amplitude", burst.accel_amplitude, ">= 0"),
+                ("burst.center_hz", burst.center_hz, "> 0"),
+                ("burst.bandwidth_hz", burst.bandwidth_hz, ">= 0"),
+                ("burst.duration_s", burst.duration_s, ">= 0")):
+            check_number(value, f"noise.{name}", DataError, sign)
+        n = burst.n_tones
+        if not (isinstance(n, int) and not isinstance(n, bool)
+                and 1 <= n <= MAX_BURST_TONES):
+            raise DataError(f"noise.burst.n_tones must be an int from 1 to "
+                            f"{MAX_BURST_TONES}, got {n!r}")
+        for sensor_id, scale in self.per_sensor_scale.items():
+            check_number(scale, f"noise.per_sensor_scale.{sensor_id}",
+                         DataError, ">= 0")
 
     def scale_for(self, sensor_id: str) -> float:
         return float(self.per_sensor_scale.get(sensor_id, 1.0))
@@ -313,6 +325,11 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
     return out
 
 
+#: The most samples :func:`simulate_sensors` makes for one channel: over
+#: 8 h at 3200 Hz, and 2.4 GB for the three axes of one channel.
+MAX_CHANNEL_SAMPLES = 10 ** 8
+
+
 def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
                      noise: NoiseSpec, duration: float, *,
                      gravity=DEFAULT_GRAVITY, seed: int = 0,
@@ -329,6 +346,15 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     stream, keyed by the sensor's index in ``specs``: simulating ``specs[1:2]``
     alone gives ``specs[1]`` different noise than simulating ``specs[:2]``.
     """
+    for spec in specs:
+        for ch in spec.channels:
+            # floor(duration * rate) + 1 samples, at most the ceiling.
+            if not duration * ch.rate < MAX_CHANNEL_SAMPLES:
+                raise DataError(
+                    f"sensor {spec.id!r} {ch.kind}: {duration:g} s at "
+                    f"{ch.rate:g} Hz is above the ceiling of "
+                    f"{MAX_CHANNEL_SAMPLES:.0e} samples per channel")
+
     def stamps_at(rate):
         return np.arange(int(math.floor(duration * rate)) + 1) / rate
 
@@ -692,66 +718,77 @@ def dump_profile(profile: SessionProfile, path) -> Path:
     return path
 
 
+def _floats(obj: dict, names, where: str, error) -> dict:
+    """The numbers ``obj`` holds under ``names``, each checked by
+    :func:`~kinereco.ingest.check_number` and stored as a float; a name
+    ``obj`` lacks is left out, so its field takes the dataclass default."""
+    return {name: float(check_number(obj[name], f"{where}{name}", error))
+            for name in names if name in obj}
+
+
 def load_profile(path) -> SessionProfile:
     """Load a session profile from its JSON form (inverse of dump_profile).
 
-    Every motion component needs a finite ``amplitude``, ``freq_hz``,
-    ``phase`` and ``center_s``, and a ``width_s`` that is null or finite and
-    positive; a :class:`FormatError` names the first one that has not.
+    Absent optional fields take the dataclass defaults.  Each number must
+    pass :func:`~kinereco.ingest.check_number` and is stored as a float
+    (``n_tones`` stays the int it must be).  A noise field fails as a
+    :class:`DataError` naming it, any other field as a :class:`FormatError`
+    naming the file and the field: a motion component as ``{key} axis i
+    component j: {field}``, whose ``width_s`` is null or above 0.
     """
     path = Path(path)
-    raw = read_json(path)
+    raw = check_object(read_json(path), f"{path}: the profile", FormatError)
     try:
         def components(key):
-            axes = []
-            for i, entries in enumerate(raw[key]):
-                axis = []
-                for j, e in enumerate(entries):
-                    c = HarmonicComponent(
-                        amplitude=float(e["amplitude"]), freq_hz=float(e["freq_hz"]),
-                        phase=float(e.get("phase", 0.0)),
-                        center_s=float(e.get("center_s", 0.0)),
-                        width_s=None if e.get("width_s") is None else float(e["width_s"]),
-                    )
-                    where = f"{path}: {key} axis {i} component {j}"
-                    for name in ("amplitude", "freq_hz", "phase", "center_s"):
-                        if not math.isfinite(getattr(c, name)):
-                            raise FormatError(f"{where}: {name} must be finite, "
-                                              f"got {getattr(c, name)!r}")
-                    if c.width_s is not None and not (math.isfinite(c.width_s)
-                                                      and c.width_s > 0.0):
-                        raise FormatError(f"{where}: width_s must be null or "
-                                          f"finite and > 0, got {c.width_s!r}")
-                    axis.append(c)
-                axes.append(tuple(axis))
-            return tuple(axes)
+            axes = raw[key]
+            if not (isinstance(axes, list) and len(axes) == 3):
+                raise FormatError(f"{path}: {key} must be a list of 3 axes")
+            return tuple(tuple(component(e, f"{path}: {key} axis {i} "
+                                            f"component {j}: ")
+                               for j, e in enumerate(entries))
+                         for i, entries in enumerate(axes))
 
-        noise_raw = raw.get("noise", {})
-        burst_raw = noise_raw.get("burst", {})
+        def component(e, where):
+            e = check_object(e, where.removesuffix(": "), FormatError)
+            width = e.get("width_s")
+            return HarmonicComponent(
+                **_floats(e, ("amplitude", "freq_hz", "phase", "center_s"),
+                          where, FormatError),
+                width_s=None if width is None else float(check_number(
+                    width, f"{where}width_s", FormatError, "> 0")))
+
+        noise = check_object(raw.get("noise", {}), "noise", DataError)
+        burst = check_object(noise.get("burst", {}), "noise.burst", DataError)
+        scale = check_object(noise.get("per_sensor_scale", {}),
+                             "noise.per_sensor_scale", DataError)
         return SessionProfile(
             motion=MotionProfile(
                 omega_components=components("omega_components"),
                 q_components=components("q_components"),
             ),
-            impacts=tuple(PlannedImpact(float(i["time_s"]), str(i["label"]))
-                          for i in raw["impacts"]),
-            duration_s=float(raw["duration_s"]),
+            impacts=tuple(PlannedImpact(**_floats(i, ("time_s",),
+                                                  f"{path}: impacts[{k}].",
+                                                  FormatError),
+                                        label=str(i["label"]))
+                          for k, i in enumerate(raw["impacts"])),
+            duration_s=float(check_number(raw["duration_s"],
+                                          f"{path}: duration_s", FormatError,
+                                          "> 0")),
+            **_floats(raw, ("reference_clock_offset_s",), f"{path}: ",
+                      FormatError),
+            gravity=tuple(check_vector(raw.get("gravity", SessionProfile.gravity),
+                                       3, f"{path}: gravity", FormatError).tolist()),
             noise=NoiseSpec(
-                gyro_sigma=float(noise_raw.get("gyro_sigma", 0.0)),
-                accel_sigma=float(noise_raw.get("accel_sigma", 0.0)),
+                **_floats(noise, ("gyro_sigma", "accel_sigma"), "noise.",
+                          DataError),
                 burst=BurstSpec(
-                    gyro_amplitude=float(burst_raw.get("gyro_amplitude", 0.0)),
-                    accel_amplitude=float(burst_raw.get("accel_amplitude", 0.0)),
-                    center_hz=float(burst_raw.get("center_hz", 300.0)),
-                    bandwidth_hz=float(burst_raw.get("bandwidth_hz", 140.0)),
-                    duration_s=float(burst_raw.get("duration_s", 0.015)),
-                    n_tones=int(burst_raw.get("n_tones", 3)),
-                ),
-                per_sensor_scale={str(k): float(v) for k, v in
-                                  noise_raw.get("per_sensor_scale", {}).items()},
+                    **_floats(burst, ("gyro_amplitude", "accel_amplitude",
+                                      "center_hz", "bandwidth_hz",
+                                      "duration_s"), "noise.burst.", DataError),
+                    n_tones=burst.get("n_tones", BurstSpec.n_tones)),
+                per_sensor_scale=_floats(scale, scale, "noise.per_sensor_scale.",
+                                         DataError),
             ),
-            gravity=tuple(float(g) for g in raw.get("gravity", DEFAULT_GRAVITY)),
-            reference_clock_offset_s=float(raw.get("reference_clock_offset_s", 0.0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed profile ({exc!r})") from None

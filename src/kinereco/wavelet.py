@@ -330,10 +330,11 @@ def _butter_zero_phase(ts, cutoff: float):
         )
     try:
         coef, zi = _butter_section(cutoff, ts.sample_rate)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, IndexError):
+        # A singular initial-state solve, or poles so close to 1 that their
+        # imaginary parts round to 0.
         raise DataError(f"cutoff {cutoff:.6g} Hz is too low to design a filter at "
-                        f"{ts.sample_rate:g} Hz (singular initial-state solve)"
-                        ) from None
+                        f"{ts.sample_rate:g} Hz") from None
     data = ts._data
     out = np.array([_filtfilt(coef, zi, col)
                     for col in data.reshape(len(ts), -1).T]).T

@@ -408,8 +408,11 @@ class TestStageErrors:
         ("cfc", {"ang_vel": 1e-9}, "reconstruct",
          "DataError: cutoff 2.0775e-09 Hz is too low to design a filter at "
          "3200 Hz"),
+        ("cfc", {"ang_vel": 5e-324}, "reconstruct",
+         "DataError: cutoff 9.88131e-324 Hz is too low to design a filter at "
+         "3200 Hz"),
     ], ids=["cfc_string", "filter_string", "trigger_string", "trigger_nan",
-            "cfc_tiny"])
+            "cfc_tiny", "cfc_subnormal"])
     def test_bad_config_number_gives_single_error_line(
             self, small_pipeline, tmp_path, capsys, block, entry, command,
             expected):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -253,6 +254,69 @@ class TestConfigNumbers:
     def test_numbers_are_kept_as_given(self):
         cfc = ingest.CfcConfig(trans=600, ang_vel=np.float64(100.5))
         assert type(cfc.trans) is int and type(cfc.ang_vel) is np.float64
+
+
+class TestInputRule:
+    """``check_number``, ``check_object`` and ``check_vector``: the one
+    boundary rule every loader calls."""
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, -1e308, sys.float_info.max,
+                                       10 ** 300, np.float64(0.25)])
+    def test_a_finite_number_is_returned_as_given(self, value):
+        assert ingest.check_number(value, "x") is value
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, "1", [1.0], {}, math.nan, math.inf, -math.inf,
+        10 ** 400, -10 ** 400, np.int64(3)],
+        ids=["true", "false", "none", "str", "list", "dict", "nan", "inf",
+             "neg_inf", "big_int", "big_neg_int", "numpy_int"])
+    def test_anything_else_is_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"^x must be a finite number, "
+                                              r"got "):
+            ingest.check_number(value, "x")
+
+    @pytest.mark.parametrize("sign, ok, bad", [
+        (">= 0", [0, 0.0, 5e-324], [-5e-324, -1]),
+        ("> 0", [5e-324, 1], [0, -0.0, -1])])
+    def test_sign_bound(self, sign, ok, bad):
+        for value in ok:
+            assert ingest.check_number(value, "x", sign=sign) == value
+        for value in bad:
+            with pytest.raises(ConfigError, match=rf"^x must be a finite "
+                                                  rf"number {sign}, got "):
+                ingest.check_number(value, "x", sign=sign)
+
+    def test_the_caller_picks_the_error_class(self):
+        with pytest.raises(DataError, match="^noise.x must be"):
+            ingest.check_number("1", "noise.x", DataError)
+        with pytest.raises(FormatError, match="^p: y must be an object, got list"):
+            ingest.check_object([], "p: y", FormatError)
+
+    @pytest.mark.parametrize("value", [None, [], "{}", 3.5])
+    def test_an_object_is_a_dict(self, value):
+        assert ingest.check_object({"a": 1}, "x") == {"a": 1}
+        with pytest.raises(ConfigError, match="^x must be an object"):
+            ingest.check_object(value, "x")
+
+    @pytest.mark.parametrize("value", [[1, 2.5, -3], (1, 2.5, -3),
+                                       np.array([1.0, 2.5, -3.0])])
+    def test_a_vector_is_a_read_only_float_copy(self, value):
+        out = ingest.check_vector(value, 3, "v")
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert out.tolist() == [1.0, 2.5, -3.0]
+
+    @pytest.mark.parametrize("value, message", [
+        ([1, 2], r"v must be a list of 3 numbers"),
+        ([1, 2, 3, 4], r"v must be a list of 3 numbers"),
+        (np.zeros((3, 1)), r"v\[0\] must be a finite number"),
+        ("abc", r"v must be a list of 3 numbers"),
+        ({"a": 1}, r"v must be a list of 3 numbers"),
+        (["0.1", 0, 0], r"v\[0\] must be a finite number, got '0.1'"),
+        ([0, 10 ** 400, 0], r"v\[1\] must be a finite number, got 1000"),
+        ([0, 0, math.nan], r"v\[2\] must be a finite number, got nan")])
+    def test_a_bad_vector_names_itself_or_the_bad_entry(self, value, message):
+        with pytest.raises(ConfigError, match="^" + message):
+            ingest.check_vector(value, 3, "v")
 
 
 class TestSessionConfig:

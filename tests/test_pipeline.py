@@ -64,8 +64,9 @@ def test_same_pairs_and_labels(library_run, small_pipeline):
 
 def test_same_cutoff(library_run, small_pipeline):
     _, f0, _ = library_run
+    pairs = {r.pair_id: r.label for r in _read_events_csv(small_pipeline["events"])}
     cli_f0 = {ev.pair_id: f"{ev.headband.f0:.9g}" for ev in _load_comparisons(
-        small_pipeline["kin"], small_pipeline["kin"])}
+        small_pipeline["kin"], small_pipeline["kin"], pairs)}
     assert cli_f0 == {k: f"{v:.9g}" for k, v in f0.items()}
 
 

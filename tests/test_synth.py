@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 from importlib.resources import files
 
@@ -9,7 +11,8 @@ from numpy.testing import assert_allclose
 from kinereco.core import TimeSeries3, magnitude
 from kinereco.detect import detect_impacts
 from kinereco.errors import DataError
-from kinereco.ingest import G_STANDARD, parse_imu_csv, parse_reference_csv
+from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec, parse_imu_csv,
+                             parse_reference_csv)
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
@@ -83,6 +86,46 @@ class TestSimulateSensors:
         longer = simulate_sensors(still_motion(), specs[:3], noise, 0.1, seed=3)
         assert np.array_equal(pair[1].gyro.samples, longer[1].gyro.samples)
         assert not np.array_equal(pair[1].gyro.samples, alone[0].gyro.samples)
+
+
+class TestSampleCeiling:
+    @staticmethod
+    def spec(rate):
+        return SensorSpec("imu", "headband", (0.0, 0.0, 0.0), np.eye(3),
+                          (ChannelSpec("gyro", rate),))
+
+    def test_one_sample_above_fails_before_any_array(self):
+        """floor(duration * rate) + 1 = MAX_CHANNEL_SAMPLES + 1 samples."""
+        rate = 3200.0
+        duration = synth.MAX_CHANNEL_SAMPLES / rate
+        assert math.floor(duration * rate) + 1 == synth.MAX_CHANNEL_SAMPLES + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^sensor 'imu' gyro: 31250 s "
+                               r"at 3200 Hz is above the ceiling of 1e\+08 "
+                               r"samples per channel$"):
+                simulate_sensors(still_motion(), [self.spec(rate)], NoiseSpec(),
+                                 duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("duration, rate", [
+        (1e308, 1125.0), (1.0, 1e308), (1e200, 1e200)])
+    def test_huge_finite_durations_and_rates_fail(self, duration, rate):
+        with pytest.raises(DataError, match="above the ceiling"):
+            simulate_sensors(still_motion(), [self.spec(rate)], NoiseSpec(),
+                             duration)
+
+    def test_the_ceiling_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_CHANNEL_SAMPLES", 1000)
+        rec, = simulate_sensors(still_motion(), [self.spec(100.0)], NoiseSpec(),
+                                9.99)
+        assert len(rec.gyro) == 1000
+        with pytest.raises(DataError, match="above the ceiling of 1e\\+03"):
+            simulate_sensors(still_motion(), [self.spec(100.0)], NoiseSpec(),
+                             10.0)
 
 
 class TestWriteSession:
