@@ -4,10 +4,10 @@ On-disk formats (full reference in ``docs/formats.md``):
 
 * Per-sensor CSV, canonical columns ``time_s, gx, gy, gz, ax, ay, az``
   with optional ``hx, hy, hz``.  Gyro columns are in deg/s, accelerometer
-  columns in g; parsed recordings are SI (rad/s, m/s^2).  A high-g triple
-  sampled on its own clock lives in a ``<stem>_high.csv`` companion file
-  (``time_s, hx, hy, hz``).  Lines starting with ``#`` are provenance
-  comments and are skipped.
+  columns in g; parsed recordings are SI (rad/s, m/s^2).  The main file
+  holds every channel at the gyro's rate; a high-g triple at another rate
+  lives in a ``<stem>_high.csv`` companion file (``time_s, hx, hy, hz``).
+  Lines starting with ``#`` are provenance comments and are skipped.
 * Session configuration as JSON: sensor geometry (positions in m, row-major
   sensor-to-head rotation matrices), per-channel rates, trigger / filter /
   CFC parameters with documented defaults, and the three sensor ids used by
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeries3, validate_rotation
+from .core import TimeSeries3, same_clock, validate_rotation
 from .errors import ConfigError, DataError, FormatError
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "load_session_config",
     "check_number",
     "check_object",
+    "check_text",
     "check_vector",
     "read_json",
     "read_table",
@@ -62,15 +63,15 @@ log = logging.getLogger(__name__)
 G_STANDARD = 9.80665
 _DEG2RAD = math.pi / 180.0
 
-#: Rates declared by the supported device families (Hz); others only warn.
-DEVICE_RATES = (1125.0, 1600.0, 3200.0)
-
 CHANNEL_KINDS = ("gyro", "accel_low", "accel_high")
 _CHANNEL_COLUMNS = {
     "gyro": ("gx", "gy", "gz"),
     "accel_low": ("ax", "ay", "az"),
     "accel_high": ("hx", "hy", "hz"),
 }
+#: SI value of one file unit of each kind: deg/s for the gyro, g for the
+#: accelerometers.
+_UNITS = {"gyro": _DEG2RAD, "accel_low": G_STANDARD, "accel_high": G_STANDARD}
 #: Reference event blocks span 125 ms: 31.25 ms before + 93.75 ms after trigger.
 REFERENCE_BLOCK_S = 0.125
 
@@ -91,9 +92,6 @@ class ChannelSpec:
         rate = check_number(self.rate, f"channels.{self.kind}.rate_hz",
                             ConfigError, "> 0")
         object.__setattr__(self, "rate", float(rate))
-        if self.rate not in DEVICE_RATES:
-            log.warning("channel rate %g Hz is not a declared device rate %s",
-                        self.rate, DEVICE_RATES)
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,12 @@ class SensorSpec:
             raise ConfigError(f"sensor {self.id!r}: duplicate channel kinds")
         if "gyro" not in kinds:
             raise ConfigError(f"sensor {self.id!r} declares no gyro channel")
+        gyro, low = self.channel("gyro"), self.channel("accel_low")
+        if low is not None and low.rate != gyro.rate:
+            raise ConfigError(
+                f"sensor {self.id!r}: accel_low rate {low.rate:g} Hz must "
+                f"match the gyro rate {gyro.rate:g} Hz in a shared file"
+            )
 
     def channel(self, kind: str) -> ChannelSpec | None:
         for c in self.channels:
@@ -162,6 +166,14 @@ def check_object(value, what: str, error=ConfigError) -> dict:
     is raised with ``"{what} must be an object, got <type>"``."""
     if not isinstance(value, dict):
         raise error(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def check_text(value, what: str, error=ConfigError) -> str:
+    """``value``, when it is a ``str``; otherwise ``error`` is raised with
+    ``"{what} must be a string, got {value!r}"``."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -271,11 +283,9 @@ class SessionConfig:
         object.__setattr__(self, "reference_point", check_vector(
             self.reference_point, 3, "reference_point_m"))
         if self.column_map is not None:
-            cmap = check_object(self.column_map, "column_map")
-            for name, actual in cmap.items():
-                if not isinstance(actual, str):
-                    raise ConfigError(f"column_map.{name} must be a string, "
-                                      f"got {actual!r}")
+            for name, actual in check_object(self.column_map,
+                                             "column_map").items():
+                check_text(actual, f"column_map.{name}")
         self._validate()
 
     def _validate(self):
@@ -480,18 +490,33 @@ def table_clock(t: np.ndarray, path, name: str,
 
 def _channel_series(data, t0, rate, cols, scale, path) -> TimeSeries3:
     block = data[:, cols]
-    if np.isnan(block).any():
-        row, col = np.argwhere(np.isnan(block))[0]
-        raise DataError(f"{path}: NaN cell at data row {int(row)}")
+    if not np.isfinite(block).all():
+        row, col = np.argwhere(~np.isfinite(block))[0]
+        what = "NaN" if np.isnan(block[row, col]) else "infinite"
+        raise DataError(f"{path}: {what} cell at data row {int(row)}")
     return TimeSeries3(t0, rate, block * scale)
+
+
+def _sensor_files(path: Path, rates: dict) -> list:
+    """``(file, kinds, rate)`` of each CSV file of the sensor whose channel
+    kinds run at ``rates``: ``path`` holds every kind on the gyro's clock,
+    and ``<stem>_high.csv`` an ``accel_high`` at another rate."""
+    own_clock = rates.get("accel_high", rates["gyro"]) != rates["gyro"]
+    main = tuple(k for k in CHANNEL_KINDS
+                 if k in rates and not (own_clock and k == "accel_high"))
+    files = [(path, main, rates["gyro"])]
+    if own_clock:
+        files.append((path.with_name(path.stem + "_high" + path.suffix),
+                      ("accel_high",), rates["accel_high"]))
+    return files
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
                   channels=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
-    The main file carries the gyro (deg/s) plus any accelerometer triples (g)
-    that share its clock; a high-g channel declared at a different rate is
+    The main file carries the gyro (deg/s) plus the accelerometer triples
+    (g) at the gyro's rate; a high-g channel declared at another rate is
     read from the ``<stem>_high.csv`` companion.  Channel rates are checked
     against the sensor's channel declaration.
 
@@ -503,12 +528,12 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     Raises
     ------
     ConfigError
-        A requested kind the sensor does not declare, or an ``accel_low``
-        rate other than the gyro's.
+        A requested kind the sensor does not declare.
     FormatError
         Missing file or column.
     DataError
-        NaN cells, non-monotone or non-uniform time columns, rate mismatch.
+        Non-finite cells, non-monotone or non-uniform time columns, rate
+        mismatch.
     """
     path = Path(path)
     declared = [c.kind for c in spec.channels]
@@ -517,75 +542,28 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     if undeclared:
         raise ConfigError(f"sensor {spec.id!r}: requested channels {undeclared} "
                           f"are not declared (declared: {', '.join(declared)})")
-    gyro_spec = spec.channel("gyro")
-    low_spec = spec.channel("accel_low")
-    if low_spec is not None and low_spec.rate != gyro_spec.rate:
-        raise ConfigError(
-            f"sensor {spec.id!r}: accel_low rate {low_spec.rate:g} Hz must "
-            f"match the gyro rate {gyro_spec.rate:g} Hz in a shared file"
-        )
-    high_spec = spec.channel("accel_high")
-
-    # The main file holds the gyro clock's channels; a high-g channel on
-    # that clock is looked for there before the companion.
     series = {}
-    if wanted & {"gyro", "accel_low"} or (
-            "accel_high" in wanted and high_spec.rate == gyro_spec.rate):
-        series = _parse_main_file(path, spec, column_map)
-    if "accel_high" in wanted and series.get("accel_high") is None:
-        series["accel_high"] = _parse_companion_file(path, high_spec, column_map)
-
+    for file, kinds, rate in _sensor_files(
+            path, {c.kind: c.rate for c in spec.channels}):
+        if not wanted.isdisjoint(kinds):
+            series.update(_parse_file(file, kinds, rate, column_map))
     rec = ImuRecording(spec.id, *(series[k] if k in wanted else None
                                   for k in CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
 
 
-def _parse_main_file(path: Path, spec: SensorSpec,
-                     column_map) -> dict[str, TimeSeries3 | None]:
-    """Every declared channel of ``<stem>.csv``; ``accel_high`` is None unless
-    its columns are there and it shares the gyro rate."""
-    gyro_spec = spec.channel("gyro")
-    low_spec = spec.channel("accel_low")
-    high_spec = spec.channel("accel_high")
+def _parse_file(path, kinds, rate, column_map) -> dict[str, TimeSeries3]:
+    """Each of ``kinds`` from the sensor file at ``path``, on its time
+    column at ``rate``.  The table is freed on return, before the next
+    file of the sensor is read."""
     _, header, data = read_table(path)
     t_idx, = _column_indices(header, ("time_s",), path, column_map)
-    gcols = _column_indices(header, _CHANNEL_COLUMNS["gyro"], path, column_map)
-    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], gyro_spec.rate)
-    series = {"gyro": _channel_series(data, t0, gyro_spec.rate, gcols,
-                                      _DEG2RAD, path),
-              "accel_low": None, "accel_high": None}
-    if low_spec is not None:
-        lcols = _column_indices(header, _CHANNEL_COLUMNS["accel_low"], path,
-                                column_map)
-        series["accel_low"] = _channel_series(data, t0, low_spec.rate, lcols,
-                                              G_STANDARD, path)
-    if high_spec is not None and high_spec.rate == gyro_spec.rate:
-        names = _CHANNEL_COLUMNS["accel_high"]
-        cmap = column_map or {}
-        if all(cmap.get(n, n) in header for n in names):
-            hcols = _column_indices(header, names, path, column_map)
-            series["accel_high"] = _channel_series(data, t0, high_spec.rate,
-                                                   hcols, G_STANDARD, path)
-    return series
-
-
-def _parse_companion_file(path: Path, high_spec: ChannelSpec,
-                          column_map) -> TimeSeries3:
-    """The high-g channel from the ``<stem>_high.csv`` companion of ``path``."""
-    hpath = path.with_name(path.stem + "_high" + path.suffix)
-    if not hpath.exists():
-        raise FormatError(
-            f"{path}: high-g channel at {high_spec.rate:g} Hz expects "
-            f"companion file {hpath.name}"
-        )
-    names = _CHANNEL_COLUMNS["accel_high"]
-    _, hheader, hdata = read_table(hpath)
-    ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
-    ht0, _ = table_clock(hdata[:, ht_idx], hpath, hheader[ht_idx],
-                         high_spec.rate)
-    hcols = _column_indices(hheader, names, hpath, column_map)
-    return _channel_series(hdata, ht0, high_spec.rate, hcols, G_STANDARD, hpath)
+    cols = [_column_indices(header, _CHANNEL_COLUMNS[k], path, column_map)
+            for k in kinds]
+    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], rate)
+    return {kind: _channel_series(data, t0, rate, idx, _UNITS[kind], path)
+            for kind, idx in zip(kinds, cols)}
 
 
 def _check_overlap(rec: ImuRecording, path):
@@ -630,8 +608,8 @@ def _channels_from_json(obj, sensor_id) -> tuple[ChannelSpec, ...]:
     for kind, entry in check_object(obj, where).items():
         entry = check_object(entry, f"{where}.{kind}")
         try:
-            channels.append(ChannelSpec(kind, entry["rate_hz"],
-                                        str(entry.get("range", ""))))
+            channels.append(ChannelSpec(kind, entry["rate_hz"], check_text(
+                entry.get("range", ""), f"channels.{kind}.range")))
         except ConfigError as exc:
             raise ConfigError(f"sensor {sensor_id!r}: {exc}") from None
     return tuple(channels)
@@ -641,8 +619,9 @@ def load_session_config(path) -> SessionConfig:
     """Load and validate a session configuration JSON file.
 
     Absent trigger / filter / cfc / window blocks take the documented
-    defaults.  Every object, list and number is checked by
-    :func:`check_object`, :func:`check_vector` and :func:`check_number`.
+    defaults.  Every object, list, number and string is checked by
+    :func:`check_object`, :func:`check_vector`, :func:`check_number` and
+    :func:`check_text`.
     Raises :class:`ConfigError` on a field that fails them, non-orthonormal
     rotations, collinear reconstruction geometry, or missing sensors.
     """
@@ -652,10 +631,11 @@ def load_session_config(path) -> SessionConfig:
         sensors = []
         for i, s in enumerate(raw["sensors"]):
             s = check_object(s, f"sensors[{i}]")
-            sid = str(s["id"])
+            sid = check_text(s["id"], f"sensors[{i}].id")
             sensors.append(SensorSpec(
                 id=sid,
-                role=str(s.get("role", "headband")),
+                role=check_text(s.get("role", "headband"),
+                                f"sensor {sid!r}: role"),
                 position=s["position_m"],
                 orientation=check_vector(s["orientation_row_major"], 9,
                                          f"sensor {sid!r}: orientation_row_major"
@@ -667,15 +647,17 @@ def load_session_config(path) -> SessionConfig:
         config = SessionConfig(
             sensors=tuple(sensors),
             reference_point=raw["reference_point_m"],
-            a3g1_sensor_ids=tuple(str(x) for x in raw["a3g1_sensors"]),
-            a3g1_channel=str(raw.get("a3g1_channel", "accel_high")),
-            a3g1_gyro=str(raw.get("a3g1_gyro", "averaged")),
+            a3g1_sensor_ids=tuple(check_text(x, f"a3g1_sensors[{j}]")
+                                  for j, x in enumerate(raw["a3g1_sensors"])),
+            a3g1_channel=check_text(raw.get("a3g1_channel", "accel_high"),
+                                    "a3g1_channel"),
+            a3g1_gyro=check_text(raw.get("a3g1_gyro", "averaged"), "a3g1_gyro"),
             trigger=TriggerConfig(**blocks["trigger"]),
             filter=FilterConfig(**blocks["filter"]),
             cfc=CfcConfig(**blocks["cfc"]),
             window=WindowConfig(**blocks["window"]),
             column_map=raw.get("column_map"),
-            name=str(raw.get("name", path.stem)),
+            name=check_text(raw.get("name", path.stem), "name"),
         )
     except ConfigError:
         raise
@@ -687,43 +669,32 @@ def load_session_config(path) -> SessionConfig:
 def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()):
     """Write a recording back to the canonical CSV layout (inverse of parse).
 
-    Channels sharing the gyro clock go into the main file; a high-g channel
-    on its own clock goes into the ``<stem>_high.csv`` companion.  SI values
+    The files are those :func:`parse_imu_csv` reads: the main file holds
+    every channel on the gyro's clock, and the ``<stem>_high.csv`` companion
+    a high-g channel at another rate.  A channel of the main file whose
+    start, rate or length differs from the gyro's is a DataError.  SI values
     are converted back to deg/s and g.
     """
     path = Path(path)
-    cols = ["time_s"]
-    arrays = [rec.gyro.times]
-    for name, series, scale in (("g", rec.gyro, 1.0 / _DEG2RAD),
-                                ("a", rec.accel_low, 1.0 / G_STANDARD)):
-        if series is None:
-            continue
-        if abs(series.start_time - rec.gyro.start_time) > 1e-12 or \
-                series.sample_rate != rec.gyro.sample_rate:
-            raise DataError("accel_low must share the gyro clock in one file")
-        for k, ax in enumerate("xyz"):
-            cols.append(f"{name}{ax}")
-            arrays.append(series.samples[:, k] * scale)
-
-    high_separate = None
-    if rec.accel_high is not None:
-        if (rec.accel_high.sample_rate == rec.gyro.sample_rate
-                and abs(rec.accel_high.start_time - rec.gyro.start_time) <= 1e-12
-                and len(rec.accel_high) == len(rec.gyro)):
-            for k, ax in enumerate("xyz"):
-                cols.append(f"h{ax}")
-                arrays.append(rec.accel_high.samples[:, k] / G_STANDARD)
-        else:
-            high_separate = rec.accel_high
-
-    write_table(path, cols, arrays, header_comments, "%.14g")
-    if high_separate is not None:
-        hpath = path.with_name(path.stem + "_high" + path.suffix)
-        harrays = [high_separate.times] + [
-            high_separate.samples[:, k] / G_STANDARD for k in range(3)
-        ]
-        write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays, header_comments,
-                    "%.14g")
+    present = {kind: ts for kind in CHANNEL_KINDS
+               if (ts := rec.channel(kind)) is not None}
+    for file, kinds, _ in _sensor_files(
+            path, {kind: ts.sample_rate for kind, ts in present.items()}):
+        clock = present[kinds[0]]
+        cols, arrays = ["time_s"], [clock.times]
+        for kind in kinds:
+            ts = present[kind]
+            if not same_clock(ts, clock):
+                raise DataError(f"{file}: {kind} must share the {kinds[0]} "
+                                f"clock in one file")
+            # x / g and x * (1 / g) can differ in the last bit: the high-g
+            # triple is divided and the others multiplied, so that session
+            # files keep their bytes.
+            scale = 1.0 / _UNITS[kind]
+            cols += _CHANNEL_COLUMNS[kind]
+            arrays += [ts.samples[:, k] / G_STANDARD if kind == "accel_high"
+                       else ts.samples[:, k] * scale for k in range(3)]
+        write_table(file, cols, arrays, header_comments, "%.14g")
     return path
 
 

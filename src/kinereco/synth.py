@@ -31,8 +31,8 @@ from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
                      SensorSpec, SessionConfig, check_number, check_object,
-                     check_vector, read_json, write_imu_csv, write_json,
-                     write_table)
+                     check_text, check_vector, read_json, write_imu_csv,
+                     write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -766,11 +766,11 @@ def load_profile(path) -> SessionProfile:
                 omega_components=components("omega_components"),
                 q_components=components("q_components"),
             ),
-            impacts=tuple(PlannedImpact(**_floats(i, ("time_s",),
-                                                  f"{path}: impacts[{k}].",
-                                                  FormatError),
-                                        label=str(i["label"]))
-                          for k, i in enumerate(raw["impacts"])),
+            impacts=tuple(PlannedImpact(
+                **_floats(i, ("time_s",), f"{path}: impacts[{k}].", FormatError),
+                label=check_text(i["label"], f"{path}: impacts[{k}].label",
+                                 FormatError))
+                for k, i in enumerate(raw["impacts"])),
             duration_s=float(check_number(raw["duration_s"],
                                           f"{path}: duration_s", FormatError,
                                           "> 0")),

@@ -3,13 +3,18 @@ traceback, a warning, or a silently accepted value."""
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kinereco.cli import main
 from kinereco.synth import dump_profile
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -79,9 +84,31 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
      "ConfigError: trigger must be an object, got list"),
     ("simulate", lambda raw: sensor(raw, "mouthpiece")["channels"].pop("gyro"),
      "ConfigError: sensor 'mouthpiece' declares no gyro channel"),
+    ("simulate", lambda raw: sensor(raw, "bt_back").update(id=None),
+     "ConfigError: sensors[2].id must be a string, got None"),
+    ("detect", lambda raw: sensor(raw, "bt_back").update(role=1),
+     "ConfigError: sensor 'bt_back': role must be a string, got 1"),
+    ("detect",
+     lambda raw: sensor(raw, "bt_back")["channels"]["gyro"].update(range=None),
+     "ConfigError: sensor 'bt_back': channels.gyro.range must be a string, "
+     "got None"),
+    ("detect", put(["name"], 7), "ConfigError: name must be a string, got 7"),
+    ("detect", put(["a3g1_channel"], None),
+     "ConfigError: a3g1_channel must be a string, got None"),
+    ("detect", put(["a3g1_gyro"], ["bt_back"]),
+     "ConfigError: a3g1_gyro must be a string, got ['bt_back']"),
+    ("simulate", put(["a3g1_sensors", 1], None),
+     "ConfigError: a3g1_sensors[1] must be a string, got None"),
+    ("detect",
+     lambda raw: sensor(raw, "bt_back")["channels"]["accel_low"].update(
+         rate_hz=1600.0),
+     "ConfigError: sensor 'bt_back': accel_low rate 1600 Hz must match the "
+     "gyro rate 1125 Hz in a shared file"),
 ], ids=["channels_float", "column_map_list", "column_map_int", "rate_nan",
         "rate_1e308", "position_big_int", "position_strings",
-        "orientation_8_numbers", "trigger_list", "no_gyro"])
+        "orientation_8_numbers", "trigger_list", "no_gyro", "id_null",
+        "role_int", "range_null", "name_int", "a3g1_channel_null",
+        "a3g1_gyro_list", "a3g1_sensor_null", "accel_low_rate"])
 
 
 @CONFIG_ROWS
@@ -134,10 +161,12 @@ PROFILE_ROWS = pytest.mark.parametrize("edit, expected", [
     (put(["noise", "burst", "n_tones"], 1e308),
      "DataError: noise.burst.n_tones must be an int from 1 to 1000, "
      "got 1e+308"),
+    (put(["impacts", 0, "label"], None),
+     "FormatError: {path}: impacts[0].label must be a string, got None"),
 ], ids=["noise_int", "duration_nan", "duration_1e308", "gravity_2_numbers",
         "gravity_big_int", "clock_offset_inf", "impact_time_nan",
         "burst_duration_nan", "scale_nan", "scale_negative", "amplitude_str",
-        "omega_2_axes", "n_tones_2_5", "n_tones_1e308"])
+        "omega_2_axes", "n_tones_2_5", "n_tones_1e308", "label_null"])
 
 
 @PROFILE_ROWS
@@ -150,6 +179,25 @@ def test_bad_profile_gives_one_error_line(small_pipeline, profile_path, tmp_path
     assert (code, len(err)) == (1, 1)
     assert err[0].startswith("kinereco: error: " + expected.format(path=profile))
     assert not out.exists()
+
+
+def test_a_fresh_process_prints_one_line_on_failure(small_pipeline,
+                                                   profile_path, tmp_path):
+    """The logging set-up of a fresh ``python -m kinereco.cli`` adds no
+    line to the error line of a config whose rate is above the ceiling."""
+    config = edited(small_pipeline["config"], tmp_path / "config.json",
+                    lambda raw: sensor(raw, "bt_back")["channels"]
+                    ["accel_high"].update(rate_hz=1e308))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinereco.cli", "simulate", "--profile",
+         str(profile_path), "--config", str(config), "--out",
+         str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "kinereco: error: DataError: sensor 'bt_back' accel_high: 4.5 s at "
+        "1e+308 Hz is above the ceiling of 1e+08 samples per channel"]
 
 
 @pytest.mark.parametrize("edit", [

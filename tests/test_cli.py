@@ -264,12 +264,12 @@ def copy_session(small_pipeline, tmp_path) -> Path:
     return Path(shutil.copytree(small_pipeline["session"], tmp_path / "session"))
 
 
-def put_nan(path: Path, column: str, row: int = 100):
-    """Overwrite one cell of a session CSV's data row with ``nan``."""
+def put_nan(path: Path, column: str, row: int = 100, cell: str = "nan"):
+    """Overwrite one cell of a session CSV's data row with ``cell``."""
     lines = path.read_text().splitlines(keepends=True)
     head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     cells = lines[head + 1 + row].rstrip("\n").split(",")
-    cells[lines[head].strip().split(",").index(column)] = "nan"
+    cells[lines[head].strip().split(",").index(column)] = cell
     lines[head + 1 + row] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
 
@@ -369,6 +369,19 @@ class TestStageErrors:
         line = single_error_line(capsys)
         assert line.startswith("kinereco: error: DataError: ")
         assert "bt_back.csv: NaN cell" in line
+
+    def test_gyro_inf_names_file_and_row(self, small_pipeline, tmp_path,
+                                         capsys):
+        session = copy_session(small_pipeline, tmp_path)
+        events = tmp_path / "events.csv"
+        shutil.copy(small_pipeline["events"], events)
+        put_nan(session / "bt_back.csv", "gy", cell="inf")
+        assert main(["reconstruct", "--config", str(small_pipeline["config"]),
+                     "--in", str(session), "--events", str(events),
+                     "--out", str(tmp_path / "kin")]) == 1
+        assert single_error_line(capsys) == (
+            f"kinereco: error: DataError: {session / 'bt_back.csv'}: infinite "
+            f"cell at data row 100")
 
     def test_trigger_companion_nan_fails_detect(self, small_pipeline,
                                                 tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Every file format has one writer: the events, report and JSON outputs
 written through it carry the bytes of the hand-written serializers they
-replaced, copied here as the oracle."""
+replaced, copied here as the oracle.  The sensor CSVs are written and read
+through one file layout, checked against the writer and reader that each
+decided it on their own."""
 
+import itertools
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,12 @@ from kinereco.core import TimeSeries3
 from kinereco.detect import ImpactEvent
 from kinereco.evaluate import (_ba_to_dict, bland_altman,
                                build_agreement_report, peak_resultant)
-from kinereco.ingest import load_session_config, write_json
+from kinereco.errors import ConfigError, DataError, FormatError
+from kinereco.ingest import (_DEG2RAD, CHANNEL_KINDS, G_STANDARD, ChannelSpec,
+                             ImuRecording, SensorSpec, _check_overlap,
+                             _column_indices, load_session_config,
+                             parse_imu_csv, read_table, table_clock,
+                             write_imu_csv, write_json, write_table)
 from kinereco.pipeline import PairRow
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             NoiseSpec, PlannedImpact, SessionProfile,
@@ -359,3 +368,246 @@ def test_peak_resultant_of_vector_series(seed):
     value, t_peak = peak_resultant(s)
     assert np.float64(value).tobytes() == norms[idx].tobytes()
     assert t_peak == float(s.start_time + idx / s.sample_rate)
+
+
+# ---------------------------------------------------------------------------
+# Sensor CSVs
+
+
+def _old_channel_series(data, t0, rate, cols, scale, path):
+    block = data[:, cols]
+    if np.isnan(block).any():
+        row, col = np.argwhere(np.isnan(block))[0]
+        raise DataError(f"{path}: NaN cell at data row {int(row)}")
+    return TimeSeries3(t0, rate, block * scale)
+
+
+def _old_parse_imu_csv(path, spec, column_map=None, channels=None):
+    """The reader before the shared file layout, less its spec checks."""
+    path = Path(path)
+    wanted = set(c.kind for c in spec.channels) if channels is None \
+        else set(channels)
+    gyro_spec = spec.channel("gyro")
+    high_spec = spec.channel("accel_high")
+    series = {}
+    if wanted & {"gyro", "accel_low"} or (
+            "accel_high" in wanted and high_spec.rate == gyro_spec.rate):
+        series = _old_parse_main_file(path, spec, column_map)
+    if "accel_high" in wanted and series.get("accel_high") is None:
+        series["accel_high"] = _old_parse_companion_file(path, high_spec,
+                                                         column_map)
+    rec = ImuRecording(spec.id, *(series[k] if k in wanted else None
+                                  for k in CHANNEL_KINDS))
+    _check_overlap(rec, path)
+    return rec
+
+
+def _old_parse_main_file(path, spec, column_map):
+    gyro_spec = spec.channel("gyro")
+    low_spec = spec.channel("accel_low")
+    high_spec = spec.channel("accel_high")
+    _, header, data = read_table(path)
+    t_idx, = _column_indices(header, ("time_s",), path, column_map)
+    gcols = _column_indices(header, ("gx", "gy", "gz"), path, column_map)
+    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], gyro_spec.rate)
+    series = {"gyro": _old_channel_series(data, t0, gyro_spec.rate, gcols,
+                                          _DEG2RAD, path),
+              "accel_low": None, "accel_high": None}
+    if low_spec is not None:
+        lcols = _column_indices(header, ("ax", "ay", "az"), path, column_map)
+        series["accel_low"] = _old_channel_series(data, t0, low_spec.rate,
+                                                  lcols, G_STANDARD, path)
+    if high_spec is not None and high_spec.rate == gyro_spec.rate:
+        names = ("hx", "hy", "hz")
+        cmap = column_map or {}
+        if all(cmap.get(n, n) in header for n in names):
+            hcols = _column_indices(header, names, path, column_map)
+            series["accel_high"] = _old_channel_series(
+                data, t0, high_spec.rate, hcols, G_STANDARD, path)
+    return series
+
+
+def _old_parse_companion_file(path, high_spec, column_map):
+    hpath = path.with_name(path.stem + "_high" + path.suffix)
+    if not hpath.exists():
+        raise FormatError(
+            f"{path}: high-g channel at {high_spec.rate:g} Hz expects "
+            f"companion file {hpath.name}"
+        )
+    _, hheader, hdata = read_table(hpath)
+    ht_idx, = _column_indices(hheader, ("time_s",), hpath, column_map)
+    ht0, _ = table_clock(hdata[:, ht_idx], hpath, hheader[ht_idx],
+                         high_spec.rate)
+    hcols = _column_indices(hheader, ("hx", "hy", "hz"), hpath, column_map)
+    return _old_channel_series(hdata, ht0, high_spec.rate, hcols, G_STANDARD,
+                               hpath)
+
+
+def _old_write_imu_csv(path, rec, header_comments=()):
+    path = Path(path)
+    cols = ["time_s"]
+    arrays = [rec.gyro.times]
+    for name, series, scale in (("g", rec.gyro, 1.0 / _DEG2RAD),
+                                ("a", rec.accel_low, 1.0 / G_STANDARD)):
+        if series is None:
+            continue
+        if abs(series.start_time - rec.gyro.start_time) > 1e-12 or \
+                series.sample_rate != rec.gyro.sample_rate:
+            raise DataError("accel_low must share the gyro clock in one file")
+        for k, ax in enumerate("xyz"):
+            cols.append(f"{name}{ax}")
+            arrays.append(series.samples[:, k] * scale)
+
+    high_separate = None
+    if rec.accel_high is not None:
+        if (rec.accel_high.sample_rate == rec.gyro.sample_rate
+                and abs(rec.accel_high.start_time - rec.gyro.start_time) <= 1e-12
+                and len(rec.accel_high) == len(rec.gyro)):
+            for k, ax in enumerate("xyz"):
+                cols.append(f"h{ax}")
+                arrays.append(rec.accel_high.samples[:, k] / G_STANDARD)
+        else:
+            high_separate = rec.accel_high
+
+    write_table(path, cols, arrays, header_comments, "%.14g")
+    if high_separate is not None:
+        hpath = path.with_name(path.stem + "_high" + path.suffix)
+        harrays = [high_separate.times] + [
+            high_separate.samples[:, k] / G_STANDARD for k in range(3)
+        ]
+        write_table(hpath, ["time_s", "hx", "hy", "hz"], harrays,
+                    header_comments, "%.14g")
+    return path
+
+
+def _sensor(role, *channels):
+    return SensorSpec("imu1", role, np.array([0.05, 0.0, 0.0]), np.eye(3),
+                      tuple(ChannelSpec(kind, rate) for kind, rate in channels))
+
+
+def _recording(rng, *channels):
+    """A recording of ``(kind, start, rate, n)`` channels holding SI values
+    of many magnitudes."""
+    series = dict.fromkeys(CHANNEL_KINDS)
+    for kind, start, rate, n in channels:
+        series[kind] = TimeSeries3(start, rate, rng.standard_normal((n, 3))
+                                   * 10.0 ** rng.integers(-3, 4, (n, 3)))
+    return ImuRecording("imu1", **series)
+
+
+#: Layouts the benchmark sessions never write, as ``(spec, recording)``.
+LAYOUTS = {
+    "headband_with_companion": lambda rng: (
+        _sensor("headband", ("gyro", 1125.0), ("accel_low", 1125.0),
+                ("accel_high", 1600.0)),
+        _recording(rng, ("gyro", 0.25, 1125.0, 300),
+                   ("accel_low", 0.25, 1125.0, 300),
+                   ("accel_high", 0.2503, 1600.0, 427))),
+    "high_at_gyro_rate": lambda rng: (
+        _sensor("headband", ("gyro", 1125.0), ("accel_low", 1125.0),
+                ("accel_high", 1125.0)),
+        _recording(rng, ("gyro", 3.5, 1125.0, 300),
+                   ("accel_low", 3.5, 1125.0, 300),
+                   ("accel_high", 3.5, 1125.0, 300))),
+    "reference_with_companion": lambda rng: (
+        _sensor("reference", ("gyro", 3200.0), ("accel_high", 1600.0)),
+        _recording(rng, ("gyro", 2.0 - 0.03125, 3200.0, 401),
+                   ("accel_high", 2.0 - 0.03125, 1600.0, 201))),
+    "gyro_only": lambda rng: (
+        _sensor("headband", ("gyro", 1125.0)),
+        _recording(rng, ("gyro", -1.0, 1125.0, 300))),
+}
+
+
+def _assert_same_recording(new, old):
+    for kind in CHANNEL_KINDS:
+        a, b = new.channel(kind), old.channel(kind)
+        assert (a is None) == (b is None), kind
+        if a is not None:
+            assert (a.start_time, a.sample_rate) == (b.start_time, b.sample_rate)
+            assert a.samples.dtype == b.samples.dtype
+            assert a.samples.tobytes() == b.samples.tobytes(), kind
+
+
+def _assert_same_files_and_reads(tmp_path, spec, rec, name):
+    """The recording written by both writers gives the same files, and the
+    files read by both readers the same bits for every set of kinds."""
+    new_dir, old_dir = tmp_path / "new", tmp_path / "old"
+    new_dir.mkdir(parents=True)
+    old_dir.mkdir()
+    comments = ("manifest_sha256=abc",)
+    assert write_imu_csv(new_dir / name, rec, comments) == new_dir / name
+    _old_write_imu_csv(old_dir / name, rec, comments)
+    written = sorted(p.name for p in new_dir.iterdir())
+    assert written == sorted(p.name for p in old_dir.iterdir())
+    for file in written:
+        assert (new_dir / file).read_bytes() == (old_dir / file).read_bytes()
+    kinds = [c.kind for c in spec.channels]
+    for subset in [None] + [combo for r in range(1, len(kinds) + 1)
+                            for combo in itertools.combinations(kinds, r)]:
+        _assert_same_recording(parse_imu_csv(new_dir / name, spec, None, subset),
+                               _old_parse_imu_csv(new_dir / name, spec, None,
+                                                  subset))
+    return written
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_sensor_csv_layouts(tmp_path, layout):
+    spec, rec = LAYOUTS[layout](np.random.default_rng(len(layout)))
+    written = _assert_same_files_and_reads(tmp_path, spec, rec, "imu1.csv")
+    companion = spec.channel("accel_high") is not None and \
+        spec.channel("accel_high").rate != spec.channel("gyro").rate
+    assert written == ["imu1.csv"] + ["imu1_high.csv"] * companion
+
+
+def test_sensor_csv_small_session(tmp_path, config, clean_session_small):
+    """Headband streams with companions and mouthpiece blocks, as simulated."""
+    names = []
+    for rec in clean_session_small.headband:
+        names += _assert_same_files_and_reads(
+            tmp_path / rec.sensor_id, config.sensor(rec.sensor_id), rec,
+            f"{rec.sensor_id}.csv")
+    for k, rec in enumerate(clean_session_small.reference_blocks, start=1):
+        name = f"{rec.sensor_id}_ev{k:03d}.csv"
+        names += _assert_same_files_and_reads(
+            tmp_path / name, config.sensor(rec.sensor_id), rec, name)
+    assert len(names) == 2 * 5 + len(clean_session_small.reference_blocks)
+
+
+def test_accel_low_off_the_gyro_rate_fails_at_the_spec():
+    with pytest.raises(ConfigError, match=r"^sensor 'imu1': accel_low rate "
+                                          r"1600 Hz must match the gyro rate "
+                                          r"1125 Hz"):
+        _sensor("headband", ("gyro", 1125.0), ("accel_low", 1600.0))
+
+
+def test_same_rate_high_g_is_read_from_the_main_file_only(tmp_path):
+    """The old reader fell back to a companion when the main file had no
+    ``hx`` column; the one layout puts a same-rate high-g in the main file."""
+    spec = _sensor("headband", ("gyro", 100.0), ("accel_low", 100.0),
+                   ("accel_high", 100.0))
+    path = tmp_path / "imu1.csv"
+    times = np.arange(4) / 100.0
+    write_table(path, ["time_s", "gx", "gy", "gz", "ax", "ay", "az"],
+                [times] + [np.ones(4)] * 6, (), "%.14g")
+    write_table(tmp_path / "imu1_high.csv", ["time_s", "hx", "hy", "hz"],
+                [times] + [np.ones(4)] * 3, (), "%.14g")
+    assert _old_parse_imu_csv(path, spec).accel_high is not None
+    with pytest.raises(FormatError, match=r"imu1.csv: missing column 'hx'$"):
+        parse_imu_csv(path, spec)
+
+
+@pytest.mark.parametrize("kind, start, rate, n", [
+    ("accel_low", 0.001, 1125.0, 50), ("accel_low", 0.0, 1125.0, 49),
+    ("accel_low", 0.0, 1600.0, 50), ("accel_high", 0.001, 1125.0, 50),
+    ("accel_high", 0.0, 1125.0, 49)],
+    ids=["low_start", "low_length", "low_rate", "high_start", "high_length"])
+def test_main_file_channel_off_the_gyro_clock_is_not_written(
+        tmp_path, kind, start, rate, n):
+    rec = _recording(np.random.default_rng(0), ("gyro", 0.0, 1125.0, 50),
+                     (kind, start, rate, n))
+    path = tmp_path / "imu1.csv"
+    with pytest.raises(DataError, match=f"imu1.csv: {kind} must share the "
+                                        f"gyro clock in one file"):
+        write_imu_csv(path, rec)
+    assert not path.exists()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -55,6 +56,16 @@ class TestParseImuCsv:
                           [0.01, 1, 0, float("nan"), 0, 0, 0],
                           [0.02, 1, 0, 0, 0, 0, 0]])
         with pytest.raises(DataError, match="NaN"):
+            parse_imu_csv(path, simple_spec())
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_cell_names_file_and_row(self, tmp_path, cell):
+        path = tmp_path / "imu1.csv"
+        write_rows(path, [[0.00, 1, 0, 0, 0, 0, 0],
+                          [0.01, 1, 0, 0, 0, 0, 0],
+                          [0.02, 1, 0, 0, 0, cell, 0]])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                                            f"infinite cell at data row 2$"):
             parse_imu_csv(path, simple_spec())
 
     def test_missing_column_rejected(self, tmp_path):
@@ -152,11 +163,11 @@ class TestChannelSubsets:
             parse_imu_csv(path, simple_spec(), channels=("accel_high",))
 
     def test_spec_checks_run_before_any_file_is_opened(self, tmp_path):
-        spec = SensorSpec("imu1", "headband", np.zeros(3), np.eye(3),
-                          (ChannelSpec("gyro", 1125.0),
-                           ChannelSpec("accel_low", 1600.0),
-                           ChannelSpec("accel_high", 1600.0)))
         with pytest.raises(ConfigError, match="accel_low rate"):
+            spec = SensorSpec("imu1", "headband", np.zeros(3), np.eye(3),
+                              (ChannelSpec("gyro", 1125.0),
+                               ChannelSpec("accel_low", 1600.0),
+                               ChannelSpec("accel_high", 1600.0)))
             parse_imu_csv(tmp_path / "absent.csv", spec,
                           channels=("accel_high",))
 
@@ -285,6 +296,15 @@ class TestInputRule:
             with pytest.raises(ConfigError, match=rf"^x must be a finite "
                                                   rf"number {sign}, got "):
                 ingest.check_number(value, "x", sign=sign)
+
+    @pytest.mark.parametrize("value", [None, 1, 2.5, True, ["a"], {}, b"a"],
+                             ids=["none", "int", "float", "bool", "list",
+                                  "dict", "bytes"])
+    def test_text_is_a_str(self, value):
+        assert ingest.check_text("", "x") == ""
+        assert ingest.check_text("bt_back", "x") == "bt_back"
+        with pytest.raises(ConfigError, match=r"^x must be a string, got "):
+            ingest.check_text(value, "x")
 
     def test_the_caller_picks_the_error_class(self):
         with pytest.raises(DataError, match="^noise.x must be"):
