@@ -46,7 +46,7 @@ from .ingest import ImuRecording, SessionConfig, check_number, \
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
-    reconstruct_pair, report_tables
+    reconstruct_pair, reconstruct_spans, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
 from .wavelet import cwt
 
@@ -88,17 +88,18 @@ class RunManifest:
 
 
 def _load_headband(config: SessionConfig, in_dir: Path,
-                   channels: dict[str, tuple[str, ...]],
+                   channels: dict[str, tuple[str, ...]], spans=None,
                    ) -> dict[str, ImuRecording]:
     """Each headband sensor's ``channels``; only the files holding them are
-    opened."""
+    opened, and only the rows of ``spans`` parsed when it is given (see
+    ``parse_imu_csv``)."""
     recs = {}
     for spec in config.headband_sensors:
         path = in_dir / f"{spec.id}.csv"
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
         recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
-                                      channels[spec.id])
+                                      channels[spec.id], spans)
     return recs
 
 
@@ -353,7 +354,8 @@ def _cmd_reconstruct(args) -> int:
     if not pairs:
         raise DataError(f"{args.events}: no paired events to reconstruct")
     hb_recs = _load_headband(config, in_dir,
-                             reconstruct_channels(config, args.alpha_method))
+                             reconstruct_channels(config, args.alpha_method),
+                             reconstruct_spans(config, pairs))
     ref_blocks = _load_reference_blocks(config, in_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

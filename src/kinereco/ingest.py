@@ -19,6 +19,7 @@ Vendor exports with different column names are adapted through the optional
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -26,6 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "WindowConfig",
     "SessionConfig",
     "ImuRecording",
+    "TableRows",
     "parse_imu_csv",
     "parse_reference_csv",
     "load_session_config",
@@ -69,6 +72,8 @@ _CHANNEL_COLUMNS = {
     "accel_low": ("ax", "ay", "az"),
     "accel_high": ("hx", "hy", "hz"),
 }
+_CANONICAL_COLUMNS = ("time_s", *(name for names in _CHANNEL_COLUMNS.values()
+                                   for name in names))
 #: SI value of one file unit of each kind: deg/s for the gyro, g for the
 #: accelerometers.
 _UNITS = {"gyro": _DEG2RAD, "accel_low": G_STANDARD, "accel_high": G_STANDARD}
@@ -286,6 +291,14 @@ class SessionConfig:
             for name, actual in check_object(self.column_map,
                                              "column_map").items():
                 check_text(actual, f"column_map.{name}")
+            read_by = {}
+            for name in _CANONICAL_COLUMNS:
+                actual = self.column_map.get(name, name)
+                if actual in read_by:
+                    raise ConfigError(
+                        f"column_map: canonical columns {read_by[actual]!r} "
+                        f"and {name!r} would both read file column {actual!r}")
+                read_by[actual] = name
         self._validate()
 
     def _validate(self):
@@ -378,7 +391,17 @@ class ImuRecording:
             for kind in CHANNEL_KINDS))
 
 
-def read_table(path, numeric: bool = True):
+class TableRows(NamedTuple):
+    """Some data rows of a numeric table: ``values`` holds the parsed rows,
+    ``index`` the data row of each (increasing, from 0), or None when they
+    are every row, and ``n`` counts every data row of the table."""
+
+    values: np.ndarray
+    index: np.ndarray
+    n: int
+
+
+def read_table(path, numeric: bool = True, pick=None):
     """``(meta, header, rows)`` of the CSV table at ``path``.
 
     ``meta`` holds the ``# key=value`` comments before the header row, and
@@ -386,6 +409,16 @@ def read_table(path, numeric: bool = True):
     blank lines are skipped.  A numeric table's rows are one float matrix
     from ``np.loadtxt``, with a column per header name; a text table's rows
     are lists of the cells of each stripped line.
+
+    ``pick``, for a numeric table, picks the data rows to parse: a function
+    of the header and the first data row (a float array) that returns
+    ``(lo, hi)`` ranges of data rows (``hi`` excluded), or None for every
+    row.  The table's rows are then a :class:`TableRows` of row 0 and the
+    rows of the ranges; the other rows are counted but never parsed.  That
+    needs one data row per line after the header: a ``#`` or blank line, a
+    ``\\r``, a non-ASCII byte or a last line without ``\\n`` anywhere in the
+    file, or a range row that does not parse to a cell per header name,
+    makes every row parse, so that any error is the full parse's.
 
     Raises
     ------
@@ -403,9 +436,11 @@ def read_table(path, numeric: bool = True):
     meta = {}
     with fh:
         header = None
+        lines = 0  # lines read up to and with the header row
         try:
             while header is None:
                 line = fh.readline()
+                lines += 1
                 if not line:
                     raise FormatError(f"{path}: no header row found")
                 stripped = line.strip()
@@ -416,24 +451,111 @@ def read_table(path, numeric: bool = True):
                 elif stripped:
                     header = [c.strip() for c in stripped.split(",")]
             if not numeric:
-                rows = [ln.split(",") for ln in map(str.strip, fh)
-                        if ln and not ln.startswith("#")]
-                return meta, header, rows
+                cells = [ln.split(",") for ln in map(str.strip, fh)
+                         if ln and not ln.startswith("#")]
+                return meta, header, cells
+            if pick is not None:
+                table = _read_rows(path, lines, header, pick)
+                if table is not None:
+                    return meta, header, table
             with warnings.catch_warnings():
                 # An empty table is reported below as a DataError.
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:
             raise DataError(f"{path}: unparseable cell ({exc})") from None
-    if rows.size == 0:
+    if data.size == 0:
         raise DataError(f"{path}: no data rows")
-    if rows.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise FormatError(
-            f"{path}: {rows.shape[1]} data columns vs {len(header)} header names"
+            f"{path}: {data.shape[1]} data columns vs {len(header)} header names"
         )
-    return meta, header, rows
+    if pick is not None:
+        return meta, header, TableRows(data, None, len(data))
+    return meta, header, data
+
+
+#: Bytes read at a time when :func:`read_table` counts a table's lines.
+_SCAN_BYTES = 1 << 18
+
+
+def _read_rows(path, skip: int, header, pick) -> TableRows | None:
+    """The rows :func:`read_table` returns for its ``pick`` function,
+    after ``skip`` lines up to the header; None when every row must be
+    parsed."""
+    with open(path, "rb") as fh:
+        for _ in range(skip):
+            if b"\r" in fh.readline():
+                return None
+        body = fh.tell()
+        first = _parse_rows(fh.readline(), len(header))
+        ranges = None if first is None else pick(header, first[0])
+        if ranges is None:
+            return None
+        merged = []
+        for lo, hi in sorted((max(lo, 0), hi) for lo, hi in [(0, 1), *ranges]):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            elif lo < hi:
+                merged.append([lo, hi])
+        fh.seek(body)
+        scan = _scan_lines(fh, merged)
+    if scan is None:
+        return None
+    n, text = scan
+    index = np.concatenate([np.arange(lo, min(hi, n)) for lo, hi in merged
+                            if lo < n])
+    values = _parse_rows(text, len(header))
+    if values is None or len(values) != len(index):
+        return None
+    return TableRows(values, index, n)
+
+
+def _parse_rows(text: bytes, ncols: int) -> np.ndarray | None:
+    """The float rows of the CSV lines ``text``, or None unless each line
+    parses to ``ncols`` numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(io.StringIO(text.decode("ascii")),
+                                delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    return values if values.size and values.shape[1] == ncols else None
+
+
+def _scan_lines(fh, ranges) -> tuple[int, bytes] | None:
+    """``(n, text)``: the number of lines from the position of ``fh`` to the
+    end of the file, and the bytes of the lines in the sorted, disjoint
+    ``ranges`` ``[lo, hi)``.  None unless every line is non-empty, ASCII,
+    ends with ``\\n`` and holds no ``#`` or ``\\r``.  The file is read into
+    one buffer of ``_SCAN_BYTES``, a chunk at a time."""
+    pieces = []
+    row, last = 0, 10  # the line the chunk starts in; the byte before it
+    buf = bytearray(_SCAN_BYTES)
+    while size := fh.readinto(buf):
+        chunk = buf if size == len(buf) else buf[:size]
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)
+        # Two newlines in a row, across chunks too, make an empty line.
+        gaps = np.diff(ends, prepend=-1 if last == 10 else -2)
+        if (b"#" in chunk or b"\r" in chunk or not chunk.isascii()
+                or (gaps == 1).any()):
+            return None
+        end = row + len(ends)  # the line the chunk ends in
+        cuts = None
+        for lo, hi in ranges:
+            a, b = max(lo, row), min(hi, end + 1)
+            if a < b:
+                if cuts is None:
+                    # cuts[i]: where line row + i starts in the chunk.
+                    cuts = np.r_[0, ends + 1, size]
+                pieces.append(chunk[cuts[a - row]:cuts[b - row]])
+        row, last = end, chunk[-1]
+    if row == 0 or last != 10:
+        return None
+    return row, b"".join(pieces)
 
 
 def _column_indices(header, names, path, column_map):
@@ -447,8 +569,8 @@ def _column_indices(header, names, path, column_map):
     return idx
 
 
-def table_clock(t: np.ndarray, path, name: str,
-                rate: float | None = None) -> tuple[float, float]:
+def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
+                rows: np.ndarray | None = None) -> tuple[float, float]:
     """``(start, rate)`` of the time column ``name`` of the table at ``path``.
 
     The times must be finite and strictly increasing.  The rate is the
@@ -456,16 +578,22 @@ def table_clock(t: np.ndarray, path, name: str,
     else the reciprocal of the median step.  Every time must then lie
     within a quarter sample of ``start + i / rate``.  Each failure is a
     :class:`DataError` naming the file and the data row.
+
+    ``rows`` holds the data row ``i`` of each time, increasing from 0,
+    when the times are not every row (as in :class:`TableRows`); the median
+    is then taken over the steps between adjacent rows.
     """
+    rows = np.arange(len(t)) if rows is None else rows
     bad = np.nonzero(~np.isfinite(t))[0]
     if bad.size:
         raise DataError(f"{path}: column {name!r} is not finite at data row "
-                        f"{int(bad[0])}")
+                        f"{int(rows[bad[0]])}")
     steps = np.diff(t)
     bad = np.nonzero(steps <= 0)[0]
     if bad.size:
         raise DataError(f"{path}: column {name!r} does not increase at data "
-                        f"row {int(bad[0]) + 1}")
+                        f"row {int(rows[bad[0] + 1])}")
+    steps = steps[np.diff(rows) == 1]
     if steps.size:
         measured = 1.0 / float(np.median(steps))
         if rate is None:
@@ -475,11 +603,11 @@ def table_clock(t: np.ndarray, path, name: str,
                 f"{path}: measured rate {measured:.2f} Hz does not match the "
                 f"declared {rate:g} Hz"
             )
-        drift = np.abs(t - t[0] - np.arange(len(t)) / rate)
+        drift = np.abs(t - t[0] - rows / rate)
         worst = int(np.argmax(drift))
         if drift[worst] > 0.25 / rate:
             raise DataError(
-                f"{path}: non-uniform sampling at data row {worst} "
+                f"{path}: non-uniform sampling at data row {int(rows[worst])} "
                 f"(off grid by {drift[worst] * 1e3:.3f} ms)"
             )
     elif rate is None:
@@ -488,13 +616,18 @@ def table_clock(t: np.ndarray, path, name: str,
     return float(t[0]), rate
 
 
-def _channel_series(data, t0, rate, cols, scale, path) -> TimeSeries3:
+def _finite_block(data, rows, cols, path) -> np.ndarray:
+    """Columns ``cols`` of ``data``, whose row i is data row ``rows[i]``
+    (row i when ``rows`` is None); a DataError names the data row of the
+    first cell that is not finite."""
     block = data[:, cols]
     if not np.isfinite(block).all():
         row, col = np.argwhere(~np.isfinite(block))[0]
         what = "NaN" if np.isnan(block[row, col]) else "infinite"
+        if rows is not None:
+            row = rows[row]
         raise DataError(f"{path}: {what} cell at data row {int(row)}")
-    return TimeSeries3(t0, rate, block * scale)
+    return block
 
 
 def _sensor_files(path: Path, rates: dict) -> list:
@@ -512,7 +645,7 @@ def _sensor_files(path: Path, rates: dict) -> list:
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
-                  channels=None) -> ImuRecording:
+                  channels=None, spans=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
     The main file carries the gyro (deg/s) plus the accelerometer triples
@@ -523,7 +656,12 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     ``channels`` names the kinds to return; ``None`` means every declared
     channel.  Kinds not requested are ``None`` in the recording, and a file
     holding none of the requested kinds is never opened.  A file that is
-    opened is parsed and validated whole, whatever is requested from it.
+    opened is parsed and validated whole, whatever is requested from it,
+    unless ``spans`` lists ``(start, end)`` times on the sensor's clock:
+    then only the rows from each start to each end, and ``_SPAN_MARGIN``
+    rows on either side, are parsed and validated (see :func:`read_table`).
+    Each channel keeps a sample per data row, on the clock of the whole
+    file; the samples of the rows not parsed are zeros.
 
     Raises
     ------
@@ -546,24 +684,69 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     for file, kinds, rate in _sensor_files(
             path, {c.kind: c.rate for c in spec.channels}):
         if not wanted.isdisjoint(kinds):
-            series.update(_parse_file(file, kinds, rate, column_map))
-    rec = ImuRecording(spec.id, *(series[k] if k in wanted else None
-                                  for k in CHANNEL_KINDS))
+            series.update(_parse_file(file, kinds, wanted, rate, column_map,
+                                      spans))
+    rec = ImuRecording(spec.id, *map(series.get, CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
 
 
-def _parse_file(path, kinds, rate, column_map) -> dict[str, TimeSeries3]:
-    """Each of ``kinds`` from the sensor file at ``path``, on its time
-    column at ``rate``.  The table is freed on return, before the next
-    file of the sensor is read."""
+#: Rows parsed beyond each span's first and last sample.
+_SPAN_MARGIN = 2
+
+
+def _parse_file(path, kinds, wanted, rate, column_map,
+                spans=None) -> dict[str, TimeSeries3]:
+    """The channels of ``wanted`` among the ``kinds`` the sensor file at
+    ``path`` holds, on its time column at ``rate``; the cells of every kind
+    are checked.  With ``spans``, only the rows of the spans are read (see
+    :func:`parse_imu_csv`), unless they fail a check: then the whole file
+    decides, so that the error is the full parse's.  The table is freed on
+    return, before the next file of the sensor is read."""
+
+    def span_rows(header, first):
+        try:
+            t0 = first[_column_indices(header, ("time_s",), path,
+                                       column_map)[0]]
+            return [(math.floor((a - t0) * rate) - _SPAN_MARGIN,
+                     math.ceil((b - t0) * rate) + _SPAN_MARGIN + 1)
+                    for a, b in spans]
+        except (FormatError, OverflowError, ValueError):
+            return None  # a missing time column or a time that is not finite
+
+    if spans is not None:
+        try:
+            _, header, table = read_table(path, pick=span_rows)
+            return _file_channels(table, header, path, kinds, wanted, rate,
+                                  column_map)
+        except (DataError, FormatError):
+            pass  # the whole file below reports the error
     _, header, data = read_table(path)
+    return _file_channels(TableRows(data, None, len(data)), header, path,
+                          kinds, wanted, rate, column_map)
+
+
+def _file_channels(table: TableRows, header, path, kinds, wanted, rate,
+                   column_map) -> dict[str, TimeSeries3]:
+    """The channels of :func:`_parse_file` from ``table``; a channel is
+    zero on the rows not parsed."""
+    data, rows, n = table
     t_idx, = _column_indices(header, ("time_s",), path, column_map)
     cols = [_column_indices(header, _CHANNEL_COLUMNS[k], path, column_map)
             for k in kinds]
-    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], rate)
-    return {kind: _channel_series(data, t0, rate, idx, _UNITS[kind], path)
-            for kind, idx in zip(kinds, cols)}
+    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], rate, rows)
+    series = {}
+    for kind, idx in zip(kinds, cols):
+        block = _finite_block(data, rows, idx, path)
+        if kind not in wanted:
+            continue
+        if rows is None:
+            samples = block * _UNITS[kind]
+        else:
+            samples = np.zeros((n, 3))
+            samples[rows] = block * _UNITS[kind]
+        series[kind] = TimeSeries3(t0, rate, samples)
+    return series
 
 
 def _check_overlap(rec: ImuRecording, path):
@@ -644,11 +827,15 @@ def load_session_config(path) -> SessionConfig:
             ))
         blocks = {name: check_object(raw.get(name, {}), name)
                   for name in ("trigger", "filter", "cfc", "window")}
+        a3g1_ids = raw["a3g1_sensors"]
+        if not isinstance(a3g1_ids, list):
+            raise ConfigError(f"a3g1_sensors must be a list of 3 sensor ids, "
+                              f"got {a3g1_ids!r}")
         config = SessionConfig(
             sensors=tuple(sensors),
             reference_point=raw["reference_point_m"],
             a3g1_sensor_ids=tuple(check_text(x, f"a3g1_sensors[{j}]")
-                                  for j, x in enumerate(raw["a3g1_sensors"])),
+                                  for j, x in enumerate(a3g1_ids)),
             a3g1_channel=check_text(raw.get("a3g1_channel", "accel_high"),
                                     "a3g1_channel"),
             a3g1_gyro=check_text(raw.get("a3g1_gyro", "averaged"), "a3g1_gyro"),

@@ -155,6 +155,16 @@ def _build_window(recs: dict[str, ImuRecording], event: ImpactEvent,
     return ImpactWindow(channels=channels, pre=pre, post=post)
 
 
+def reconstruct_spans(config: SessionConfig,
+                      pairs: list[PairRow]) -> list[tuple[float, float]]:
+    """The ``(start, end)`` headband times :func:`reconstruct_pair` cuts
+    from the recordings for ``pairs``: its window around each headband
+    trigger, padded as :func:`_build_window` pads it."""
+    pre = config.window.pre + _WINDOW_PAD_S
+    post = config.window.headband_post + _WINDOW_PAD_S
+    return [(row.t0_headband - pre, row.t0_headband + post) for row in pairs]
+
+
 def _block_for(blocks: list[ImuRecording], t0: float) -> ImuRecording:
     for block in blocks:
         if block.gyro.start_time - 1e-9 <= t0 <= block.gyro.end_time + 1e-9:
@@ -182,7 +192,8 @@ def reconstruct_pair(config: SessionConfig, headband: dict[str, ImuRecording],
     """Headband kinematics of one paired event, and the reference device's.
 
     ``headband`` needs only the channels :func:`reconstruct_channels` names
-    for ``alpha_method``.
+    for ``alpha_method``, and only their samples in the pair's span of
+    :func:`reconstruct_spans`.
 
     The reference kinematics are shifted by the pair's residual lag onto the
     headband clock; they are None when the session has no reference blocks.

@@ -99,6 +99,11 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
      "ConfigError: a3g1_gyro must be a string, got ['bt_back']"),
     ("simulate", put(["a3g1_sensors", 1], None),
      "ConfigError: a3g1_sensors[1] must be a string, got None"),
+    ("detect", put(["a3g1_sensors"], "abc"),
+     "ConfigError: a3g1_sensors must be a list of 3 sensor ids, got 'abc'"),
+    ("detect", put(["column_map"], {"gx": "gy"}),
+     "ConfigError: column_map: canonical columns 'gx' and 'gy' would both "
+     "read file column 'gy'"),
     ("detect",
      lambda raw: sensor(raw, "bt_back")["channels"]["accel_low"].update(
          rate_hz=1600.0),
@@ -108,7 +113,8 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
         "rate_1e308", "position_big_int", "position_strings",
         "orientation_8_numbers", "trigger_list", "no_gyro", "id_null",
         "role_int", "range_null", "name_int", "a3g1_channel_null",
-        "a3g1_gyro_list", "a3g1_sensor_null", "accel_low_rate"])
+        "a3g1_gyro_list", "a3g1_sensor_null", "a3g1_sensors_str",
+        "column_map_shared_column", "accel_low_rate"])
 
 
 @CONFIG_ROWS

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinereco import cli, ingest
+from kinereco import cli, ingest, pipeline
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
+from kinereco.errors import WindowError
 from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
                             standard_session_profile)
@@ -274,6 +275,17 @@ def put_nan(path: Path, column: str, row: int = 100, cell: str = "nan"):
     path.write_text("".join(lines))
 
 
+def window_row(events: Path, pair_id: int = 1, rate: float = 1125.0) -> int:
+    """The data row of a headband main file (``rate`` Hz from t = 0) at
+    pair ``pair_id``'s headband trigger, inside that pair's window."""
+    row = next(r for r in cli._read_events_csv(events) if r.pair_id == pair_id)
+    return int(row.t0_headband * rate)
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def single_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -303,9 +315,9 @@ class TestFilesEachStageReads:
         names = []
         real = ingest.read_table
 
-        def spy(path, numeric=True):
+        def spy(path, numeric=True, pick=None):
             names.append(Path(path).name)
-            return real(path, numeric)
+            return real(path, numeric, pick)
 
         monkeypatch.setattr(ingest, "read_table", spy)
         monkeypatch.setattr(cli, "read_table", spy)
@@ -348,6 +360,47 @@ class TestFilesEachStageReads:
             names["main"] + names["blocks"] + ["labels.csv"])
 
 
+class TestReconstructReadsWindows:
+    def test_rows_outside_the_windows_are_never_read(
+            self, small_pipeline, tmp_path, monkeypatch, config):
+        """Overwrite every data cell of the headband files outside the rows
+        reconstruct parses with ``x``, one line per row as before:
+        reconstruct still exits 0 with the clean session's output bytes."""
+        session = copy_session(small_pipeline, tmp_path)
+        reconstruct = ["reconstruct", "--config", str(small_pipeline["config"]),
+                       "--in", str(session),
+                       "--events", str(small_pipeline["events"]), "--out"]
+        parsed = {}
+        real = ingest.read_table
+
+        def spy(path, numeric=True, pick=None):
+            meta, header, table = real(path, numeric, pick)
+            if pick is not None:
+                assert table.index is not None, "parsed whole"
+                parsed[Path(path).name] = set(table.index.tolist())
+            return meta, header, table
+
+        monkeypatch.setattr(ingest, "read_table", spy)
+        assert main(reconstruct + [str(tmp_path / "clean")]) == 0
+        assert sorted(parsed) == sorted(
+            [f"{s.id}.csv" for s in config.headband_sensors]
+            + [f"{sid}_high.csv" for sid in config.a3g1_sensor_ids])
+        for name, keep in parsed.items():
+            lines = (session / name).read_text().splitlines(keepends=True)
+            head = next(i for i, ln in enumerate(lines)
+                        if not ln.startswith("#"))
+            rows = lines[head + 1:]
+            # Three windows of about 0.19 s in a 4.5 s session, and row 0.
+            assert 0 in keep and len(keep) < len(rows) / 5
+            for i, line in enumerate(rows):
+                if i not in keep:
+                    rows[i] = ",".join("x" * len(line.split(","))) + "\n"
+            (session / name).write_text("".join(lines[:head + 1] + rows))
+        assert main(reconstruct + [str(tmp_path / "marked")]) == 0
+        assert (output_bytes(tmp_path / "marked")
+                == output_bytes(tmp_path / "clean"))
+
+
 class TestStageErrors:
     """A file's content errors are reported by the stages that open it."""
 
@@ -359,29 +412,69 @@ class TestStageErrors:
                   "--in", str(session), "--out", str(events)]
         assert main(detect) == 0
         clean = events.read_bytes()
-        put_nan(session / "bt_back.csv", "gy")
+        row = window_row(events)
+        put_nan(session / "bt_back.csv", "gy", row)
         assert main(detect) == 0
         assert events.read_bytes() == clean
         capsys.readouterr()
         assert main(["reconstruct", "--config", str(small_pipeline["config"]),
                      "--in", str(session), "--events", str(events),
                      "--out", str(tmp_path / "kin")]) == 1
-        line = single_error_line(capsys)
-        assert line.startswith("kinereco: error: DataError: ")
-        assert "bt_back.csv: NaN cell" in line
+        assert single_error_line(capsys) == (
+            f"kinereco: error: DataError: {session / 'bt_back.csv'}: NaN "
+            f"cell at data row {row}")
 
     def test_gyro_inf_names_file_and_row(self, small_pipeline, tmp_path,
                                          capsys):
         session = copy_session(small_pipeline, tmp_path)
         events = tmp_path / "events.csv"
         shutil.copy(small_pipeline["events"], events)
-        put_nan(session / "bt_back.csv", "gy", cell="inf")
+        row = window_row(events)
+        put_nan(session / "bt_back.csv", "gy", row, cell="inf")
         assert main(["reconstruct", "--config", str(small_pipeline["config"]),
                      "--in", str(session), "--events", str(events),
                      "--out", str(tmp_path / "kin")]) == 1
         assert single_error_line(capsys) == (
             f"kinereco: error: DataError: {session / 'bt_back.csv'}: infinite "
-            f"cell at data row 100")
+            f"cell at data row {row}")
+
+    def test_gyro_nan_outside_every_window_passes_reconstruct(
+            self, small_pipeline, tmp_path):
+        """Reconstruct parses only the rows of each pair's window, so a bad
+        cell elsewhere (row 100, 0.09 s, is 0.87 s before the first
+        window) is not checked and changes no output byte."""
+        session = copy_session(small_pipeline, tmp_path)
+        reconstruct = ["reconstruct", "--config", str(small_pipeline["config"]),
+                       "--in", str(session),
+                       "--events", str(small_pipeline["events"]), "--out"]
+        assert main(reconstruct + [str(tmp_path / "clean")]) == 0
+        put_nan(session / "bt_back.csv", "gy", 100)
+        assert main(reconstruct + [str(tmp_path / "nan")]) == 0
+        assert output_bytes(tmp_path / "nan") == output_bytes(tmp_path / "clean")
+
+    def test_window_past_the_file_end_reports_the_full_parse_error(
+            self, small_pipeline, tmp_path, capsys):
+        """A window that overruns the recording gives the WindowError of
+        the recordings parsed whole."""
+        config = ingest.load_session_config(small_pipeline["config"])
+        session = small_pipeline["session"]
+        lines = small_pipeline["events"].read_text().splitlines(keepends=True)
+        last = lines[-2].split(",")
+        assert last[:2] == ["3", "headband"]
+        end = 5062 / 1125.0  # the last row of the 1125 Hz main files
+        lines[-2] = ",".join(last[:2] + [f"{end - 0.05:.9f}"] + last[3:])
+        events = tmp_path / "events.csv"
+        events.write_text("".join(lines))
+        row = cli._read_events_csv(events)[-1]
+        whole = cli._load_headband(config, session,
+                                   pipeline.reconstruct_channels(config))
+        with pytest.raises(WindowError) as want:
+            pipeline.reconstruct_pair(config, whole, [], row)
+        assert main(["reconstruct", "--config", str(small_pipeline["config"]),
+                     "--in", str(session), "--events", str(events),
+                     "--out", str(tmp_path / "kin")]) == 1
+        assert single_error_line(capsys) == (
+            f"kinereco: error: WindowError: {want.value}")
 
     def test_trigger_companion_nan_fails_detect(self, small_pipeline,
                                                 tmp_path, capsys):

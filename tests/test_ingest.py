@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco import ingest
+from kinereco import detect, ingest
 from kinereco.core import TimeSeries3
 from kinereco.errors import ConfigError, DataError, FormatError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
@@ -389,6 +389,24 @@ class TestSessionConfig:
         with pytest.raises(ConfigError, match="not in sensor list"):
             replace(config, a3g1_sensor_ids=("nope", "bt_back", "bt_left_outer"))
 
+    @pytest.mark.parametrize("column_map, names", [
+        ({"gx": "gy"}, ("gx", "gy")),
+        ({"hz": "time_s"}, ("time_s", "hz")),
+        ({"ax": "acc", "hx": "acc"}, ("ax", "hx")),
+    ])
+    def test_two_columns_from_one_file_column_rejected(self, config,
+                                                       column_map, names):
+        from dataclasses import replace
+        with pytest.raises(ConfigError, match=(
+                f"canonical columns '{names[0]}' and '{names[1]}' would both "
+                f"read file column")):
+            replace(config, column_map=column_map)
+
+    def test_swapped_columns_accepted(self, config):
+        from dataclasses import replace
+        swapped = replace(config, column_map={"gx": "gy", "gy": "gx"})
+        assert swapped.column_map == {"gx": "gy", "gy": "gx"}
+
 
 class TestWriteRows:
     """An all-float table is written as exactly np.savetxt's bytes."""
@@ -613,3 +631,241 @@ class TestTableClock:
 
     def test_one_row_at_a_declared_rate(self):
         assert ingest.table_clock(np.array([2.5]), "table.csv", "t", 8.0) == (2.5, 8.0)
+
+
+def edit_row(path, row, column, cell):
+    """The CSV at ``path`` with data row ``row``'s ``column`` set to
+    ``cell``, or the row cut before ``column`` when ``cell`` is None."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = lines[head + 1 + row].rstrip("\n").split(",")
+    k = lines[head].strip().split(",").index(column)
+    cells = cells[:k] if cell is None else cells[:k] + [cell] + cells[k + 1:]
+    lines[head + 1 + row] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+class TestWindowedRead:
+    """``parse_imu_csv(..., spans=...)`` against the full parse: the same
+    clock and length for each channel, bit-identical excerpts of every
+    span, and the same error text for a bad cell inside a span."""
+
+    RATE, HIGH, START, N, M = 1125.0, 1600.0, 3.25, 3000, 4300
+    #: ``(t0, pre, post)`` of reconstruct's padded window.
+    PRE, POST = 0.03325, 0.152
+
+    @pytest.fixture(params=[1 << 20, 4096, 97], ids=["1MiB", "4KiB", "97B"])
+    def scan_bytes(self, request, monkeypatch):
+        """The chunk size of the line scan: the default, and sizes that
+        split lines and ranges across chunks."""
+        monkeypatch.setattr(ingest, "_SCAN_BYTES", request.param)
+        return request.param
+
+    @pytest.fixture
+    def path(self, tmp_path, scan_bytes):
+        rng = np.random.default_rng(3)
+
+        def series(rate, n):
+            return TimeSeries3(self.START, rate, rng.normal(0, 50, (n, 3)))
+
+        path = tmp_path / "imu1.csv"
+        write_imu_csv(path, ImuRecording(
+            "imu1", series(self.RATE, self.N), series(self.RATE, self.N),
+            series(self.HIGH, self.M)), ("manifest_sha256=0",))
+        return path
+
+    @property
+    def spec(self):
+        return simple_spec(rate=self.RATE, high_rate=self.HIGH)
+
+    def spans(self, triggers):
+        return [(t - self.PRE, t + self.POST) for t in triggers]
+
+    def excerpts(self, rec, triggers):
+        """What reconstruct cuts from ``rec`` at each trigger: the excerpts'
+        clocks and bytes, or the error."""
+        out = []
+        for t in triggers:
+            try:
+                window = detect.extract_window(
+                    rec, detect.ImpactEvent(t, "headband"), self.PRE, self.POST)
+            except KinerecoError as exc:
+                out.append((type(exc), str(exc)))
+                continue
+            out.append([(kind, ts.start_time, ts.sample_rate,
+                         ts.samples.tobytes())
+                        for kind in ingest.CHANNEL_KINDS
+                        if (ts := window.channel(kind)) is not None])
+        return out
+
+    def assert_same(self, path, triggers):
+        full = parse_imu_csv(path, self.spec)
+        part = parse_imu_csv(path, self.spec, spans=self.spans(triggers))
+        for kind in ingest.CHANNEL_KINDS:
+            a, b = full.channel(kind), part.channel(kind)
+            assert (b.start_time, b.sample_rate, len(b)) == (
+                a.start_time, a.sample_rate, len(a))
+        assert self.excerpts(part, triggers) == self.excerpts(full, triggers)
+        return full, part
+
+    def test_windows_at_the_first_and_last_rows(self, path):
+        first = self.START + self.PRE
+        last = self.START + (self.N - 1) / self.RATE - self.POST
+        full, part = self.assert_same(path, [first, last])
+        # Only the windows were parsed: the rows between them are zeros.
+        middle = part.gyro.samples[self.N // 2]
+        assert not middle.any() and full.gyro.samples[self.N // 2].all()
+
+    def test_overlapping_windows(self, path):
+        self.assert_same(path, [self.START + 1.0, self.START + 1.1,
+                                self.START + 1.05])
+
+    @pytest.mark.parametrize("trigger", [0.01, 2.6, 5.0, -1.0])
+    def test_windows_that_overrun_the_file(self, path, trigger):
+        """Each gives the WindowError of the full parse."""
+        self.assert_same(path, [self.START + trigger, self.START + 1.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_windows(self, path, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same(path, list(self.START + rng.uniform(-0.2, 2.9, 6)))
+
+    @pytest.mark.parametrize("column, cell", [
+        ("gy", "nan"), ("gy", "inf"), ("az", "-inf"), ("gx", "abc"),
+        ("az", None), ("gz", "1,2"), ("time_s", "nan"), ("time_s", "4.3"),
+        ("time_s", "off_grid"), ("time_s", "repeat"), ("hy", "nan"),
+        ("hx", "abc"), ("hz", None),
+    ])
+    @pytest.mark.parametrize("where", ["window", "first_row"])
+    def test_bad_cell_gives_the_full_parse_error(self, path, column, cell,
+                                                 where):
+        trigger = self.START + 1.0
+        file = path.with_name("imu1_high.csv") if column[0] == "h" else path
+        rate = self.HIGH if column[0] == "h" else self.RATE
+        row = int((trigger - self.START) * rate) if where == "window" else 0
+        if cell in ("off_grid", "repeat"):
+            step = 0.4 if cell == "off_grid" else -1.0
+            cell = "%.14g" % (self.START + (row + step) / rate)
+        edit_row(file, row, column, cell)
+        want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
+        got = outcome(lambda p: parse_imu_csv(
+            p, self.spec, spans=self.spans([trigger])), path)
+        assert want[0] in (DataError, FormatError)
+        assert got == want
+
+    def test_bad_cell_outside_every_window_is_not_read(self, path):
+        edit_row(path, 100, "gy", "abc")
+        with pytest.raises(DataError, match="unparseable cell"):
+            parse_imu_csv(path, self.spec)
+        part = parse_imu_csv(path, self.spec,
+                             spans=self.spans([self.START + 1.0]))
+        assert not part.gyro.samples[100].any()
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: with_line(b, b"# note\n"),
+        lambda b: with_line(b, b"\n"),
+        lambda b: b.replace(b"\n", b"\r\n"),
+        lambda b: b.rstrip(b"\n"),
+        lambda b: with_line(b, "\u00b5\n".encode()),
+    ], ids=["body_comment", "blank_line", "crlf", "no_final_newline",
+            "non_ascii"])
+    def test_any_doubt_parses_the_whole_file(self, path, edit):
+        """A body that is not one data row per line parses whole: every
+        row, not just the windows, is the full parse's."""
+        for file in (path, path.with_name("imu1_high.csv")):
+            file.write_bytes(edit(file.read_bytes()))
+        triggers = [self.START + 1.0]
+        want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
+        got = outcome(lambda p: parse_imu_csv(
+            p, self.spec, spans=self.spans(triggers)), path)
+        if want[0] != "ok":
+            assert got == want
+            return
+        for kind in ingest.CHANNEL_KINDS:
+            a, b = want[1].channel(kind), got[1].channel(kind)
+            assert (b.start_time, b.sample_rate) == (a.start_time,
+                                                      a.sample_rate)
+            assert b.samples.tobytes() == a.samples.tobytes()
+
+
+def with_line(data: bytes, line: bytes, at: int = 1500) -> bytes:
+    """``data`` with ``line`` inserted before its line ``at``: in the main
+    file after the window at 1 s, in the companion before it."""
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:at] + [line] + lines[at:])
+
+
+def pick_all(header, first):
+    return [(0, 10 ** 6)]
+
+
+class TestReadTableRows:
+    """``read_table(pick=...)`` returns the full parse's rows, and errors,
+    for every table whose body it reads."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
+    def test_edge_tables(self, tmp_path, name):
+        path = tmp_path / "table.csv"
+        path.write_bytes(EDGE_TABLES[name])
+        want = outcome(ingest.read_table, path)
+        got = outcome(lambda p: ingest.read_table(p, pick=pick_all), path)
+        if want[0] != "ok":
+            assert got == want
+            return
+        meta, header, data = want[1]
+        got_meta, got_header, (values, index, n) = got[1]
+        assert (got_meta, got_header, n) == (meta, header, len(data))
+        assert index is None or index.tolist() == list(range(n))
+        assert values.tobytes() == data.tobytes()
+
+    def test_ranges_are_merged_and_clipped(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"# k=v\nt,x\n" + b"".join(
+            b"%d,%d\n" % (i, 10 * i) for i in range(20)))
+        _, _, (values, index, n) = ingest.read_table(
+            path, pick=lambda h, f: [(15, 40), (3, 6), (-4, 1), (5, 8), (9, 9)])
+        assert n == 20
+        assert index.tolist() == [0, 3, 4, 5, 6, 7] + list(range(15, 20))
+        assert values[:, 1].tolist() == [10.0 * i for i in index]
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b"3,30\n", b"3,30\n\n"),
+        lambda b: b.replace(b"3,30\n", b"3,30\n#\n"),
+        lambda b: b.replace(b"3,30\n", b"3,30\r\n"),
+        lambda b: b.rstrip(b"\n"),
+    ], ids=["blank_line", "comment_line", "cr", "no_final_newline"])
+    def test_doubt_at_every_chunk_boundary(self, tmp_path, monkeypatch, edit):
+        """Wherever the line scan's chunks split the file, a body that is
+        not one data row per line parses every row."""
+        path = tmp_path / "table.csv"
+        path.write_bytes(edit(b"t,x\n" + b"".join(
+            b"%d,%d\n" % (i, 10 * i) for i in range(10))))
+        _, _, data = ingest.read_table(path)
+        for size in range(1, len(path.read_bytes()) + 1):
+            monkeypatch.setattr(ingest, "_SCAN_BYTES", size)
+            _, _, (values, index, n) = ingest.read_table(
+                path, pick=lambda h, f: [(6, 8)])
+            assert (index, n) == (None, 10), size
+            assert values.tobytes() == data.tobytes()
+
+    def test_no_ranges_falls_back_to_every_row(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"t,x\n0,1\n1,2\n2,3\n")
+        _, _, (values, index, n) = ingest.read_table(
+            path, pick=lambda h, f: None)
+        assert (index, n) == (None, 3)
+        assert values.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
+class TestTableClockRows:
+    def test_rows_anchor_the_grid_and_name_the_global_row(self):
+        rows = np.array([0, 50, 51, 52, 53])
+        t = 2.0 + rows / 10.0
+        assert ingest.table_clock(t, "table.csv", "t", 10.0, rows) == (2.0, 10.0)
+        t[3] += 0.03
+        with pytest.raises(DataError, match="non-uniform sampling at data "
+                                            "row 52 "):
+            ingest.table_clock(t, "table.csv", "t", 10.0, rows)
+        t[3] = t[2]
+        with pytest.raises(DataError, match="does not increase at data row 52"):
+            ingest.table_clock(t, "table.csv", "t", 10.0, rows)
