@@ -562,6 +562,10 @@ def main(argv=None) -> int:
             except (FloatingPointError, OverflowError) as exc:
                 raise DataError(f"{args.subcommand}: the input numbers "
                                 f"overflow the computation ({exc})") from None
+            except OSError as exc:
+                # Every input is read through a reader that reports its own
+                # OSError, so this one is an output that cannot be written.
+                raise FormatError(f"cannot write output: {exc}") from None
     except KinerecoError as exc:
         message = str(exc).replace("\n", " ")
         print(f"kinereco: error: {type(exc).__name__}: {message}",

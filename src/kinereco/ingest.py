@@ -52,6 +52,7 @@ __all__ = [
     "check_object",
     "check_text",
     "check_vector",
+    "imu_csv_files",
     "read_json",
     "read_table",
     "table_clock",
@@ -577,7 +578,8 @@ def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
     declared ``rate``, which the median step must match within 0.5 %, or
     else the reciprocal of the median step.  Every time must then lie
     within a quarter sample of ``start + i / rate``.  Each failure is a
-    :class:`DataError` naming the file and the data row.
+    :class:`DataError` naming the file and the data row; a first time off
+    the grid that every other time is on is named as data row 0.
 
     ``rows`` holds the data row ``i`` of each time, increasing from 0,
     when the times are not every row (as in :class:`TableRows`); the median
@@ -606,10 +608,16 @@ def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
         drift = np.abs(t - t[0] - rows / rate)
         worst = int(np.argmax(drift))
         if drift[worst] > 0.25 / rate:
-            raise DataError(
-                f"{path}: non-uniform sampling at data row {int(rows[worst])} "
-                f"(off grid by {drift[worst] * 1e3:.3f} ms)"
-            )
+            row, by = int(rows[worst]), drift[worst]
+            # When the first time is the one off the grid, every other row
+            # is off its grid, and on the grid of the others.
+            others = t[1:] - rows[1:] / rate
+            grid = np.median(others)
+            if (abs(t[0] - grid) > 0.25 / rate
+                    and (np.abs(others - grid) <= 0.25 / rate).all()):
+                row, by = int(rows[0]), abs(t[0] - grid)
+            raise DataError(f"{path}: non-uniform sampling at data row {row} "
+                            f"(off grid by {by * 1e3:.3f} ms)")
     elif rate is None:
         raise DataError(f"{path}: column {name!r} needs 2 rows to measure "
                         f"its rate")
@@ -853,21 +861,41 @@ def load_session_config(path) -> SessionConfig:
     return config
 
 
-def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = ()):
+def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, int]]:
+    """``(file, cells)`` of each CSV file :func:`write_imu_csv` writes for
+    ``rec`` at ``path``, in the order it writes them; ``cells`` is the
+    file's data rows times its columns."""
+    return [(file, len(clock) * (1 + 3 * len(kinds)))
+            for file, kinds, clock, _ in _imu_files(Path(path), rec)]
+
+
+def _imu_files(path: Path, rec: ImuRecording) -> list:
+    """``(file, kinds, clock, present)`` of each file of ``rec`` at ``path``:
+    ``clock`` is the series of the first kind, and ``present`` maps every
+    kind ``rec`` holds to its series."""
+    present = {kind: ts for kind in CHANNEL_KINDS
+               if (ts := rec.channel(kind)) is not None}
+    return [(file, kinds, present[kinds[0]], present)
+            for file, kinds, _ in _sensor_files(
+                path, {kind: ts.sample_rate for kind, ts in present.items()})]
+
+
+def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = (),
+                  only=None):
     """Write a recording back to the canonical CSV layout (inverse of parse).
 
     The files are those :func:`parse_imu_csv` reads: the main file holds
     every channel on the gyro's clock, and the ``<stem>_high.csv`` companion
-    a high-g channel at another rate.  A channel of the main file whose
-    start, rate or length differs from the gyro's is a DataError.  SI values
-    are converted back to deg/s and g.
+    a high-g channel at another rate.  ``only``, one of the files
+    :func:`imu_csv_files` lists, is the one file written; None writes them
+    all.  A channel of the main file whose start, rate or length differs
+    from the gyro's is a DataError.  SI values are converted back to deg/s
+    and g.
     """
     path = Path(path)
-    present = {kind: ts for kind in CHANNEL_KINDS
-               if (ts := rec.channel(kind)) is not None}
-    for file, kinds, _ in _sensor_files(
-            path, {kind: ts.sample_rate for kind, ts in present.items()}):
-        clock = present[kinds[0]]
+    for file, kinds, clock, present in _imu_files(path, rec):
+        if only is not None and file != Path(only):
+            continue
         cols, arrays = ["time_s"], [clock.times]
         for kind in kinds:
             ts = present[kind]

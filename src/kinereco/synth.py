@@ -20,7 +20,11 @@ the observed field ranges (PRV 4-10 rad/s, PRA 610-3200 rad/s^2, PLA
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import os
+import pickle
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,11 +32,11 @@ import numpy as np
 
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, KinerecoError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
                      SensorSpec, SessionConfig, check_number, check_object,
-                     check_text, check_vector, read_json, write_imu_csv,
-                     write_json, write_table)
+                     check_text, check_vector, imu_csv_files, read_json,
+                     write_imu_csv, write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -464,14 +468,24 @@ def write_session(recordings, config: SessionConfig, path,
     when the high-g channel runs its own clock); reference recordings are
     written one block per file as ``<id>_ev###.csv``.  The configuration is
     copied to ``config.json``.
+
+    The CSV files are written in two processes.  Once every recording is
+    checked, this process forks one child, which shares the recordings
+    without a copy; each file goes to one of the two by its cell count, and
+    is written by the same :func:`write_imu_csv` call either way, so every
+    byte is the one a single process writes.  A second process starts only
+    when there are two or more files and ``os.fork`` exists; there is no
+    setting for it.  A failed file raises here as in a serial loop: the
+    error of the earliest file in the serial order, after the child has
+    exited.
     """
     recordings = list(recordings)
     if not recordings:
         raise DataError("no recordings to write")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
+    targets = []  # (path, recording) in the order they are written
     by_sensor: dict[str, list[ImuRecording]] = {}
     for rec in recordings:
         by_sensor.setdefault(rec.sensor_id, []).append(rec)
@@ -481,17 +495,21 @@ def write_session(recordings, config: SessionConfig, path,
             raise DataError(f"recording {sensor_id!r} has no sensor in the config")
         if spec.role == "reference":
             recs = sorted(recs, key=lambda r: r.gyro.start_time)
-            for k, rec in enumerate(recs, start=1):
-                written.append(write_imu_csv(out / f"{sensor_id}_ev{k:03d}.csv",
-                                             rec, header_comments))
+            targets += [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
+                        for k, rec in enumerate(recs, start=1)]
         else:
             if len(recs) != 1:
                 raise DataError(
                     f"headband sensor {sensor_id!r} has {len(recs)} recordings; "
                     "expected one continuous stream"
                 )
-            written.append(write_imu_csv(out / f"{sensor_id}.csv", recs[0],
-                                         header_comments))
+            targets.append((out / f"{sensor_id}.csv", recs[0]))
+    _write_in_two([(cells, functools.partial(write_imu_csv, target, rec,
+                                             header_comments, file))
+                   for target, rec in targets
+                   for file, cells in imu_csv_files(target, rec)])
+
+    written = [target for target, _ in targets]
     cfg_path = out / "config.json"
     payload = config_to_json_dict(config)
     stamp = _manifest_stamp(header_comments)
@@ -500,6 +518,86 @@ def write_session(recordings, config: SessionConfig, path,
     write_json(cfg_path, payload)
     written.append(cfg_path)
     return written
+
+
+def _write_in_two(files: list) -> None:
+    """Call ``write()`` for each ``(cells, write)`` of ``files``, in two
+    processes: the largest file first, each file goes to the share with
+    fewer cells so far, and a forked child writes the second share in order
+    while this process writes the first.  Without a second share, or
+    without ``os.fork``, this process writes every file in order.
+
+    Every error is raised here, after the child has exited: the one of the
+    earliest failed file, or a KinerecoError if the child was killed.
+    """
+    shares, loads = ([], []), [0, 0]
+    for i in sorted(range(len(files)), key=lambda i: -files[i][0]):
+        k = int(loads[1] < loads[0])
+        shares[k].append((i, files[i][1]))
+        loads[k] += files[i][0]
+    own, theirs = sorted(shares[0]), sorted(shares[1])
+    if not theirs or not hasattr(os, "fork"):
+        for _, write in files:
+            write()
+        return
+    read_end, write_end = os.pipe()
+    # From Python 3.12 a fork in a process with threads warns.  The warning
+    # is kept here and raised again below, inside the block that always
+    # waits for the child.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        _write_share(theirs, read_end, write_end)
+    os.close(write_end)
+    failed = []
+    try:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        for i, write in own:
+            try:
+                write()
+            except Exception as exc:
+                failed.append((i, exc))
+                break
+    finally:
+        with os.fdopen(read_end, "rb") as fh:
+            report = fh.read()
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        raise KinerecoError(f"the second writer process was killed by signal "
+                            f"{os.WTERMSIG(status)}")
+    if report:
+        failed.append(pickle.loads(report))
+    elif status:
+        raise KinerecoError(f"the second writer process exited with status "
+                            f"{os.waitstatus_to_exitcode(status)}")
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+
+
+def _write_share(share: list, read_end: int, write_end: int):
+    """The forked child of :func:`_write_in_two`: ``write()`` for each
+    ``(i, write)`` of ``share`` up to the first failure, whose ``i`` and
+    exception are pickled to ``write_end``.  It never returns, and leaves by
+    ``os._exit``, so that no buffer it shares with its parent is flushed
+    twice and no handler of the parent's runs."""
+    code = 1
+    try:
+        # A collection could finalize the parent's garbage, and it would
+        # copy the pages of every object it visits.
+        gc.disable()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as fh:
+            for i, write in share:
+                try:
+                    write()
+                except BaseException as exc:  # the parent raises it
+                    fh.write(pickle.dumps((i, exc)))
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _manifest_stamp(header_comments) -> str | None:

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -906,6 +909,48 @@ class TestErrorReporting:
         assert err[0].startswith("kinereco: error: " + error.format(
             path=bad / "hb_ev001.csv"))
         assert not (tmp_path / "t").exists()
+
+    @pytest.fixture
+    def stage_argv(self, small_pipeline, clean_profile_small, tmp_path):
+        profile = dump_profile(clean_profile_small, tmp_path / "profile.json")
+        config = str(small_pipeline["config"])
+        return lambda stage, out: {
+            "simulate": ["simulate", "--profile", str(profile),
+                         "--config", config, "--out", str(out)],
+            "reconstruct": ["reconstruct", "--config", config,
+                            "--in", str(small_pipeline["session"]),
+                            "--events", str(small_pipeline["events"]),
+                            "--out", str(out)],
+        }[stage]
+
+    @pytest.mark.parametrize("stage", ["simulate", "reconstruct"])
+    def test_file_in_the_way_of_the_output_gives_single_error_line(
+            self, tmp_path, capsys, stage_argv, stage):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "out"
+        assert main(stage_argv(stage, out)) == 1
+        assert single_error_line(capsys) == (
+            f"kinereco: error: FormatError: cannot write output: [Errno 20] "
+            f"Not a directory: '{out}'")
+
+    def test_write_error_in_the_second_process_gives_single_error_line(
+            self, tmp_path, capsys, monkeypatch, stage_argv):
+        parent, real = os.getpid(), ingest.write_table
+
+        def full_disk(path, *args):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            real(path, *args)
+
+        monkeypatch.setattr(ingest, "write_table", full_disk)
+        out = tmp_path / "session"
+        assert main(stage_argv("simulate", out)) == 1
+        assert re.fullmatch(
+            rf"kinereco: error: FormatError: cannot write output: \[Errno 28\] "
+            rf"No space left on device: '{re.escape(str(out))}/[a-z_]+\.csv'",
+            single_error_line(capsys))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_missing_events_file_gives_single_error_line(self, tmp_path,
                                                          capsys, config):

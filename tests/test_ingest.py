@@ -629,6 +629,27 @@ class TestTableClock:
         with pytest.raises(DataError, match=f"^table.csv: {message}"):
             ingest.table_clock(np.array(times), "table.csv", "t", rate)
 
+    @pytest.mark.parametrize("rate", [None, 1125.0])
+    @pytest.mark.parametrize("step", [0.4, -0.3])
+    def test_first_time_off_the_grid_names_row_0(self, rate, step):
+        t = 3.25 + np.arange(3000) / 1125.0
+        t[0] += step / 1125.0
+        by = abs(step) / 1125.0 * 1e3
+        with pytest.raises(DataError, match=rf"^table.csv: non-uniform sampling "
+                                            rf"at data row 0 \(off grid by "
+                                            rf"{by:.3f} ms\)$"):
+            ingest.table_clock(t, "table.csv", "t", rate)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1600), (500, 3000), (1600, 3000)])
+    def test_a_step_in_the_clock_names_a_row_after_it(self, lo, hi):
+        """As after a deleted or a duplicated line: the rows from ``lo`` to
+        ``hi`` are a sample late, and one of them is named."""
+        t = 3.25 + np.arange(3000) / 1125.0
+        t[lo:hi] += 1 / 1125.0
+        with pytest.raises(DataError, match="non-uniform sampling") as info:
+            ingest.table_clock(t, "table.csv", "t", 1125.0)
+        assert lo <= int(str(info.value).split("data row ")[1].split()[0]) < hi
+
     def test_one_row_at_a_declared_rate(self):
         assert ingest.table_clock(np.array([2.5]), "table.csv", "t", 8.0) == (2.5, 8.0)
 
@@ -752,6 +773,26 @@ class TestWindowedRead:
             p, self.spec, spans=self.spans([trigger])), path)
         assert want[0] in (DataError, FormatError)
         assert got == want
+
+    def test_first_time_off_the_grid_names_row_0(self, path):
+        """Both the window's own check and the full parse name data row 0,
+        off the grid of the other rows by 0.4 samples."""
+        edit_row(path, 0, "time_s", "%.14g" % (self.START + 0.4 / self.RATE))
+        want = (f"{path}: non-uniform sampling at data row 0 (off grid by "
+                f"{0.4 / self.RATE * 1e3:.3f} ms)")
+        spans = self.spans([self.START + 1.0])
+        _, header, table = ingest.read_table(
+            path, pick=lambda h, first: [(int((a - self.START) * self.RATE),
+                                          int((b - self.START) * self.RATE))
+                                         for a, b in spans])
+        assert table.index is not None and len(table.index) < self.N // 4
+        with pytest.raises(DataError) as window:
+            ingest.table_clock(table.values[:, 0], path, "time_s", self.RATE,
+                               table.index)
+        for spans in (None, spans):
+            with pytest.raises(DataError) as full:
+                parse_imu_csv(path, self.spec, spans=spans)
+            assert str(full.value) == str(window.value) == want
 
     def test_bad_cell_outside_every_window_is_not_read(self, path):
         edit_row(path, 100, "gy", "abc")

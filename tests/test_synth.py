@@ -1,8 +1,16 @@
+import functools
 import json
 import math
+import os
+import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +18,19 @@ from numpy.testing import assert_allclose
 
 from kinereco.core import TimeSeries3, magnitude
 from kinereco.detect import detect_impacts
-from kinereco.errors import DataError
-from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec, parse_imu_csv,
-                             parse_reference_csv)
+from kinereco import ingest
+from kinereco.errors import DataError, KinerecoError
+from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
+                             imu_csv_files, parse_imu_csv, parse_reference_csv,
+                             write_imu_csv, write_json)
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             NoiseSpec, PlannedImpact, SessionProfile,
                             _axis_eval, _burst_waveform, _channel_noise,
                             _truth_events, load_profile, dump_profile,
-                            simulate_sensors, standard_session_profile,
-                            write_session)
+                            simulate_sensors, simulate_session,
+                            standard_session_profile, write_session)
 
 
 def still_motion():
@@ -159,6 +169,273 @@ class TestWriteSession:
         assert labels.count("throw_in") == 6
         assert labels.count("goal_kick") == 6
         assert labels.count("corner_kick") == 6
+
+
+def serial_write_session(recordings, config, path, header_comments=()):
+    """write_session's CSV and config writes as one serial loop of
+    write_imu_csv calls, as it was before the writes were split."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    by_sensor = {}
+    for rec in recordings:
+        by_sensor.setdefault(rec.sensor_id, []).append(rec)
+    for sensor_id, recs in by_sensor.items():
+        if config.sensor(sensor_id).role == "reference":
+            recs = sorted(recs, key=lambda r: r.gyro.start_time)
+            for k, rec in enumerate(recs, start=1):
+                written.append(write_imu_csv(out / f"{sensor_id}_ev{k:03d}.csv",
+                                             rec, header_comments))
+        else:
+            written.append(write_imu_csv(out / f"{sensor_id}.csv", recs[0],
+                                         header_comments))
+    payload = synth.config_to_json_dict(config)
+    if header_comments:
+        payload["manifest_sha256"] = synth._manifest_stamp(header_comments)
+    write_json(out / "config.json", payload)
+    written.append(out / "config.json")
+    return written
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriteInTwoProcesses:
+    """write_session forks once and splits the CSV files between the two
+    processes; the files, the return value and every error are the serial
+    loop's."""
+
+    COMMENTS = ("manifest_sha256=0",)
+
+    @pytest.fixture(scope="class")
+    def noisy_session(self, config):
+        profile = standard_session_profile(seed=13, with_noise=True,
+                                           n_per_tier=1)
+        return simulate_session(profile, config, seed=3)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids :func:`os.fork` returned in this process."""
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def recordings(sim):
+        return list(sim.headband) + list(sim.reference_blocks)
+
+    def assert_same_files(self, tmp_path, config, recordings):
+        new, old = tmp_path / "new", tmp_path / "old"
+        got = write_session(recordings, config, new, self.COMMENTS)
+        want = serial_write_session(recordings, config, old, self.COMMENTS)
+        assert [p.relative_to(new) for p in got] == [
+            p.relative_to(old) for p in want]
+        names = sorted(p.name for p in old.iterdir())
+        assert sorted(p.name for p in new.iterdir()) == names
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        assert_no_child_left()
+        return names
+
+    @pytest.mark.parametrize("which", ["clean", "noisy"])
+    def test_same_bytes_as_the_serial_loop(self, tmp_path, config, forks,
+                                           clean_session_small, noisy_session,
+                                           which):
+        sim = clean_session_small if which == "clean" else noisy_session
+        names = self.assert_same_files(tmp_path, config, self.recordings(sim))
+        assert len(names) == 2 * 5 + len(sim.reference_blocks) + 1
+        assert len(forks) == 1
+
+    def test_one_file_starts_no_process(self, tmp_path, config, forks,
+                                        clean_session_small):
+        block = clean_session_small.reference_blocks[0]
+        assert self.assert_same_files(tmp_path, config, [block]) == [
+            "config.json", "mouthpiece_ev001.csv"]
+        assert forks == []
+
+    def test_without_fork_one_process_writes_every_file(
+            self, tmp_path, config, monkeypatch, clean_session_small):
+        monkeypatch.delattr(os, "fork")
+        self.assert_same_files(tmp_path, config,
+                               self.recordings(clean_session_small))
+
+    def test_shares_balance_cells_largest_file_first(self, tmp_path, config,
+                                                     clean_session_small):
+        files = [f for r in self.recordings(clean_session_small)
+                 for f in imu_csv_files(tmp_path / f"{r.sensor_id}.csv", r)]
+        seen = []
+        synth._write_in_two([(c, functools.partial(seen.append, i))
+                             for i, (_, c) in enumerate(files)])
+        child = set(range(len(files))) - set(seen)
+        assert seen == sorted(seen) and child
+        mine = sum(files[i][1] for i in seen)
+        theirs = sum(files[i][1] for i in child)
+        assert abs(mine - theirs) <= max(c for _, c in files)
+        assert files[seen[0]][1] == max(c for _, c in files)
+        assert_no_child_left()
+
+    # -- errors ----------------------------------------------------------
+
+    def shares(self, tmp_path, config, recordings, monkeypatch):
+        """The CSV names each process writes: (parent's, child's), each in
+        the serial order, which ``self.serial`` keeps."""
+        own = []
+        real = ingest.write_table
+        monkeypatch.setattr(ingest, "write_table",
+                            lambda path, *args: own.append(Path(path).name))
+        serial_write_session(recordings, config, tmp_path / "serial")
+        self.serial, own[:] = list(own), []
+        write_session(recordings, config, tmp_path / "split")
+        monkeypatch.setattr(ingest, "write_table", real)
+        return own, [name for name in self.serial if name not in own]
+
+    def outcome(self, write, recordings, config, path):
+        shutil.rmtree(path, ignore_errors=True)
+        with pytest.raises(BaseException) as info:
+            write(recordings, config, path)
+        assert_no_child_left()
+        return type(info.value), str(info.value)
+
+    def fail_on(self, monkeypatch, names, error=lambda path: DataError(
+            f"{path}: cannot write here")):
+        real = ingest.write_table
+
+        def failing(path, *args):
+            if Path(path).name in names:
+                raise error(path)
+            real(path, *args)
+
+        monkeypatch.setattr(ingest, "write_table", failing)
+
+    @pytest.mark.parametrize("error", [
+        lambda path: DataError(f"{path}: cannot write here"),
+        lambda path: OSError(28, "No space left on device", str(path)),
+    ], ids=["data_error", "os_error"])
+    def test_child_failure_is_the_serial_error(self, tmp_path, config,
+                                               monkeypatch,
+                                               clean_session_small, error):
+        recordings = self.recordings(clean_session_small)
+        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
+        self.fail_on(monkeypatch, {theirs[1]}, error)
+        got = self.outcome(write_session, recordings, config, tmp_path / "a")
+        want = self.outcome(serial_write_session, recordings, config,
+                            tmp_path / "a")
+        assert got == want
+
+    def test_child_error_that_cannot_be_sent_is_one_kinereco_error(
+            self, tmp_path, config, monkeypatch, clean_session_small):
+        def unpicklable(path):
+            exc = DataError(f"{path}: cannot write here")
+            exc.hook = lambda: None
+            return exc
+
+        recordings = self.recordings(clean_session_small)
+        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
+        self.fail_on(monkeypatch, {theirs[0]}, unpicklable)
+        assert self.outcome(write_session, recordings, config,
+                            tmp_path / "a") == (
+            KinerecoError, "the second writer process exited with status 1")
+
+    @pytest.mark.parametrize("first", ["parent", "child"])
+    def test_failures_in_both_shares_give_the_earlier(
+            self, tmp_path, config, monkeypatch, clean_session_small, first):
+        recordings = self.recordings(clean_session_small)
+        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
+        earlier, later = ((own[0], theirs[-1]) if first == "parent"
+                          else (theirs[0], own[-1]))
+        assert self.serial.index(earlier) < self.serial.index(later)
+        self.fail_on(monkeypatch, {earlier, later})
+        got = self.outcome(write_session, recordings, config, tmp_path / "a")
+        want = self.outcome(serial_write_session, recordings, config,
+                            tmp_path / "a")
+        assert got == want
+        assert got[1] == f"{tmp_path / 'a' / earlier}: cannot write here"
+
+    def test_killed_child_is_one_kinereco_error(self, tmp_path, config,
+                                                monkeypatch,
+                                                clean_session_small):
+        parent = os.getpid()
+        real = ingest.write_table
+
+        def killed(path, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(path, *args)
+
+        monkeypatch.setattr(ingest, "write_table", killed)
+        got = self.outcome(write_session, self.recordings(clean_session_small),
+                           config, tmp_path / "a")
+        assert got == (KinerecoError, "the second writer process was killed "
+                                      f"by signal {int(signal.SIGKILL)}")
+
+    def test_fork_warning_is_raised_once_the_child_has_exited(
+            self, tmp_path, config, monkeypatch, clean_session_small):
+        """Python 3.12's warning of a fork in a process with threads fails
+        the write under an error filter, with no child left behind."""
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() "
+                              "may lead to deadlocks in the child.",
+                              DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.outcome(write_session,
+                               clean_session_small.reference_blocks, config,
+                               tmp_path / "a")
+        assert got[0] is DeprecationWarning and "multi-threaded" in got[1]
+
+    def test_interrupt_in_the_parent_waits_for_the_child(
+            self, tmp_path, config, monkeypatch, clean_session_small):
+        recordings = self.recordings(clean_session_small)
+        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
+        serial_write_session(recordings, config, tmp_path / "b")
+        self.fail_on(monkeypatch, {own[0]}, lambda path: KeyboardInterrupt())
+        assert self.outcome(write_session, recordings, config,
+                            tmp_path / "a")[0] is KeyboardInterrupt
+        # The child wrote its whole share before it was waited for.
+        for name in theirs:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
+
+
+def test_child_flushes_no_inherited_buffer(tmp_path):
+    """Text the parent printed but has not flushed appears once."""
+    script = f"""
+import sys
+import numpy as np
+from kinereco.core import TimeSeries3
+from kinereco.ingest import ImuRecording
+from kinereco.synth import example_session_config, write_session
+blocks = [ImuRecording("mouthpiece", TimeSeries3(t, 3200.0, np.zeros((401, 3))),
+                       accel_high=TimeSeries3(t, 3200.0, np.ones((401, 3))))
+          for t in (1.0, 2.0)]
+print("before", end="")
+write_session(blocks, example_session_config(), {str(tmp_path)!r})
+print(" after")
+"""
+    # Block-buffered stdout, so the text waits in the buffer at the fork.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(synth.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "before after\n", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "mouthpiece_ev001.csv", "mouthpiece_ev002.csv"]
 
 
 class TestProfileSerialization:
