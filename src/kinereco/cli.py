@@ -41,8 +41,8 @@ from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, check_number, \
-    load_session_config, parse_imu_csv, parse_reference_csv, read_json, \
-    read_table, table_clock, write_json, write_table
+    load_session_config, output_dir, parse_imu_csv, parse_reference_csv, \
+    read_json, read_table, table_clock, write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
@@ -333,7 +333,7 @@ def _cmd_detect(args) -> int:
     pairs, unpaired = detect_session(config, hb_recs, ref_blocks,
                                      args.max_offset, _load_labels(in_dir))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    output_dir(out.parent)
     _write_events_csv(out, pairs, unpaired, manifest)
     log.info("detect: %d pairs, %d unpaired -> %s", len(pairs), len(unpaired),
              out)
@@ -358,7 +358,7 @@ def _cmd_reconstruct(args) -> int:
                              reconstruct_spans(config, pairs))
     ref_blocks = _load_reference_blocks(config, in_dir)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    output_dir(out)
 
     for row in pairs:
         kin, ref_kin = reconstruct_pair(config, hb_recs, ref_blocks, row,
@@ -425,7 +425,7 @@ def _cmd_evaluate(args) -> int:
     report["manifest"] = manifest.to_dict()
     report["manifest_sha256"] = manifest.sha256
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    output_dir(out.parent)
     write_json(out, report)
     log.info("evaluate: %d events -> %s", len(events), out)
     return 0
@@ -459,7 +459,7 @@ def _cmd_report(args) -> int:
                 overlays.append((f"timehistory_ev{ev.pair_id:03d}_{name}.csv",
                                  hb_mag, ref_mag))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    output_dir(out)
     comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
     for name, (names, columns) in tables.items():
         write_table(out / name, names, columns, comments, "%s")
@@ -563,9 +563,9 @@ def main(argv=None) -> int:
                 raise DataError(f"{args.subcommand}: the input numbers "
                                 f"overflow the computation ({exc})") from None
             except OSError as exc:
-                # Every input is read through a reader that reports its own
-                # OSError, so this one is an output that cannot be written.
-                raise FormatError(f"cannot write output: {exc}") from None
+                # Opening an input and writing an output name their file;
+                # this is any other failure of the system.
+                raise FormatError(f"I/O error: {exc}") from None
     except KinerecoError as exc:
         message = str(exc).replace("\n", " ")
         print(f"kinereco: error: {type(exc).__name__}: {message}",

@@ -53,6 +53,7 @@ __all__ = [
     "check_text",
     "check_vector",
     "imu_csv_files",
+    "output_dir",
     "read_json",
     "read_table",
     "table_clock",
@@ -861,56 +862,45 @@ def load_session_config(path) -> SessionConfig:
     return config
 
 
-def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, int]]:
-    """``(file, cells)`` of each CSV file :func:`write_imu_csv` writes for
-    ``rec`` at ``path``, in the order it writes them; ``cells`` is the
-    file's data rows times its columns."""
-    return [(file, len(clock) * (1 + 3 * len(kinds)))
-            for file, kinds, clock, _ in _imu_files(Path(path), rec)]
-
-
-def _imu_files(path: Path, rec: ImuRecording) -> list:
-    """``(file, kinds, clock, present)`` of each file of ``rec`` at ``path``:
-    ``clock`` is the series of the first kind, and ``present`` maps every
-    kind ``rec`` holds to its series."""
-    present = {kind: ts for kind in CHANNEL_KINDS
-               if (ts := rec.channel(kind)) is not None}
-    return [(file, kinds, present[kinds[0]], present)
-            for file, kinds, _ in _sensor_files(
-                path, {kind: ts.sample_rate for kind, ts in present.items()})]
-
-
-def write_imu_csv(path, rec: ImuRecording, header_comments: tuple[str, ...] = (),
-                  only=None):
-    """Write a recording back to the canonical CSV layout (inverse of parse).
-
-    The files are those :func:`parse_imu_csv` reads: the main file holds
-    every channel on the gyro's clock, and the ``<stem>_high.csv`` companion
-    a high-g channel at another rate.  ``only``, one of the files
-    :func:`imu_csv_files` lists, is the one file written; None writes them
-    all.  A channel of the main file whose start, rate or length differs
-    from the gyro's is a DataError.  SI values are converted back to deg/s
-    and g.
+def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, tuple, int]]:
+    """``(file, kinds, cells)`` of each CSV file of ``rec`` at ``path``, in
+    the layout :func:`parse_imu_csv` reads: ``path`` holds every channel on
+    the gyro's clock, and the ``<stem>_high.csv`` companion a high-g channel
+    at another rate.  ``cells`` is the file's data rows times its columns.
     """
-    path = Path(path)
-    for file, kinds, clock, present in _imu_files(path, rec):
-        if only is not None and file != Path(only):
-            continue
-        cols, arrays = ["time_s"], [clock.times]
-        for kind in kinds:
-            ts = present[kind]
-            if not same_clock(ts, clock):
-                raise DataError(f"{file}: {kind} must share the {kinds[0]} "
-                                f"clock in one file")
-            # x / g and x * (1 / g) can differ in the last bit: the high-g
-            # triple is divided and the others multiplied, so that session
-            # files keep their bytes.
-            scale = 1.0 / _UNITS[kind]
-            cols += _CHANNEL_COLUMNS[kind]
-            arrays += [ts.samples[:, k] / G_STANDARD if kind == "accel_high"
-                       else ts.samples[:, k] * scale for k in range(3)]
-        write_table(file, cols, arrays, header_comments, "%.14g")
-    return path
+    rates = {kind: ts.sample_rate for kind in CHANNEL_KINDS
+             if (ts := rec.channel(kind)) is not None}
+    return [(file, kinds, len(rec.channel(kinds[0])) * (1 + 3 * len(kinds)))
+            for file, kinds, _ in _sensor_files(Path(path), rates)]
+
+
+def write_imu_csv(file, rec: ImuRecording, kinds,
+                  header_comments: tuple[str, ...] = ()) -> Path:
+    """Write the ``kinds`` of ``rec`` to ``file``, one ``(file, kinds, _)``
+    of :func:`imu_csv_files`, in the canonical CSV layout (the inverse of
+    parse), and return ``file``.
+
+    The times are those of the first kind; a kind whose start, rate or
+    length differs from it is a DataError.  SI values are converted back to
+    deg/s and g.
+    """
+    file = Path(file)
+    clock = rec.channel(kinds[0])
+    cols, arrays = ["time_s"], [clock.times]
+    for kind in kinds:
+        ts = rec.channel(kind)
+        if not same_clock(ts, clock):
+            raise DataError(f"{file}: {kind} must share the {kinds[0]} "
+                            f"clock in one file")
+        # x / g and x * (1 / g) can differ in the last bit: the high-g
+        # triple is divided and the others multiplied, so that session
+        # files keep their bytes.
+        scale = 1.0 / _UNITS[kind]
+        cols += _CHANNEL_COLUMNS[kind]
+        arrays += [ts.samples[:, k] / G_STANDARD if kind == "accel_high"
+                   else ts.samples[:, k] * scale for k in range(3)]
+    write_table(file, cols, arrays, header_comments, "%.14g")
+    return file
 
 
 def read_json(path):
@@ -925,11 +915,26 @@ def read_json(path):
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
+def output_dir(path) -> Path:
+    """``path`` as a directory, made with its parents where missing; a
+    FormatError naming it if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
+    return path
+
+
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` as indented JSON with sorted keys and a final
+    newline; a FormatError naming ``path`` if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def write_table(path, names, columns, comments, fmt: str):
@@ -939,23 +944,27 @@ def write_table(path, names, columns, comments, fmt: str):
     A column whose cells are ``str`` is written verbatim, so a label repeated
     on many rows is formatted once by the caller; every other cell is
     formatted as ``fmt % x``, the same bytes as ``np.savetxt`` with ``fmt``.
+    A file that cannot be written is a FormatError naming ``path``.
     """
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
     row = ",".join(["%s" if t else fmt for t in text]) + "\n"
     k = len(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(names) + "\n")
-        # One ``%`` operation formats a chunk of rows; the whole table is
-        # never copied.
-        for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-            parts = [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]
-            n = len(parts[0])
-            args = [None] * (n * k)
-            for j, (part, t) in enumerate(zip(parts, text)):
-                args[j::k] = part if t else part.tolist()
-            fh.write((row * n) % tuple(args))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for comment in comments:
+                fh.write(f"# {comment}\n")
+            fh.write(",".join(names) + "\n")
+            # One ``%`` operation formats a chunk of rows; the whole table is
+            # never copied.
+            for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+                parts = [c[lo:lo + _ROWS_PER_CHUNK] for c in columns]
+                n = len(parts[0])
+                args = [None] * (n * k)
+                for j, (part, t) in enumerate(zip(parts, text)):
+                    args[j::k] = part if t else part.tolist()
+                fh.write((row * n) % tuple(args))
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 #: Rows formatted per ``%`` operation by :func:`write_table`.  The speed is

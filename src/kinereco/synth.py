@@ -24,7 +24,6 @@ import gc
 import math
 import os
 import pickle
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,8 +34,8 @@ from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError, KinerecoError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
                      SensorSpec, SessionConfig, check_number, check_object,
-                     check_text, check_vector, imu_csv_files, read_json,
-                     write_imu_csv, write_json, write_table)
+                     check_text, check_vector, imu_csv_files, output_dir,
+                     read_json, write_imu_csv, write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -474,16 +473,17 @@ def write_session(recordings, config: SessionConfig, path,
     without a copy; each file goes to one of the two by its cell count, and
     is written by the same :func:`write_imu_csv` call either way, so every
     byte is the one a single process writes.  A second process starts only
-    when there are two or more files and ``os.fork`` exists; there is no
-    setting for it.  A failed file raises here as in a serial loop: the
-    error of the earliest file in the serial order, after the child has
-    exited.
+    when there are two or more files, ``os.fork`` exists, and this process
+    runs no other thread (as Linux's ``/proc/self/task`` lists them: a
+    program that loads numpy before kinereco runs OpenBLAS threads, and
+    writes in one process); there is no setting for it.  A failed file
+    raises here as in a serial loop: the error of the earliest file in the
+    serial order, after the child has exited.
     """
     recordings = list(recordings)
     if not recordings:
         raise DataError("no recordings to write")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(path)
 
     targets = []  # (path, recording) in the order they are written
     by_sensor: dict[str, list[ImuRecording]] = {}
@@ -504,10 +504,10 @@ def write_session(recordings, config: SessionConfig, path,
                     "expected one continuous stream"
                 )
             targets.append((out / f"{sensor_id}.csv", recs[0]))
-    _write_in_two([(cells, functools.partial(write_imu_csv, target, rec,
-                                             header_comments, file))
+    _write_in_two([(cells, functools.partial(write_imu_csv, file, rec, kinds,
+                                             header_comments))
                    for target, rec in targets
-                   for file, cells in imu_csv_files(target, rec)])
+                   for file, kinds, cells in imu_csv_files(target, rec)])
 
     written = [target for target, _ in targets]
     cfg_path = out / "config.json"
@@ -524,8 +524,8 @@ def _write_in_two(files: list) -> None:
     """Call ``write()`` for each ``(cells, write)`` of ``files``, in two
     processes: the largest file first, each file goes to the share with
     fewer cells so far, and a forked child writes the second share in order
-    while this process writes the first.  Without a second share, or
-    without ``os.fork``, this process writes every file in order.
+    while this process writes the first.  Where :func:`_fork_writer` starts
+    no child, this process writes every file in order.
 
     Every error is raised here, after the child has exited: the one of the
     earliest failed file, or a KinerecoError if the child was killed.
@@ -536,24 +536,17 @@ def _write_in_two(files: list) -> None:
         shares[k].append((i, files[i][1]))
         loads[k] += files[i][0]
     own, theirs = sorted(shares[0]), sorted(shares[1])
-    if not theirs or not hasattr(os, "fork"):
+    child = _fork_writer() if theirs else None
+    if child is None:
         for _, write in files:
             write()
         return
-    read_end, write_end = os.pipe()
-    # From Python 3.12 a fork in a process with threads warns.  The warning
-    # is kept here and raised again below, inside the block that always
-    # waits for the child.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        pid = os.fork()
+    pid, read_end, write_end = child
     if pid == 0:
         _write_share(theirs, read_end, write_end)
     os.close(write_end)
     failed = []
     try:
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         for i, write in own:
             try:
                 write()
@@ -574,6 +567,28 @@ def _write_in_two(files: list) -> None:
                             f"{os.waitstatus_to_exitcode(status)}")
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
+
+
+def _fork_writer():
+    """``(pid, read_end, write_end)`` of a pipe and of :func:`os.fork`, or
+    None, with nothing left open, where this process does not fork: without
+    ``os.fork``, when the pipe or the fork fails, or unless this process
+    runs one thread.  A fork copies only the calling thread, so a lock that
+    another thread holds stays held in the child.  Linux lists the threads
+    of a process in ``/proc/self/task``; where it cannot be read, no child
+    starts."""
+    try:
+        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) != 1:
+            return None
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        return os.fork(), read_end, write_end
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
 
 
 def _write_share(share: list, read_end: int, write_end: int):

@@ -1,7 +1,13 @@
+# kinereco first: it sets OpenBLAS to one thread before numpy loads it, so
+# the test process runs one thread, as a kinereco command does, and
+# write_session forks its second writer here too.
+import kinereco  # noqa: F401  (isort: skip)
+
 import numpy as np
 import pytest
 
 from kinereco.cli import main
+from kinereco.ingest import imu_csv_files, write_imu_csv
 from kinereco.synth import (SessionProfile, example_session_config,
                             simulate_session, standard_session_profile,
                             write_simulated_session)
@@ -14,6 +20,12 @@ def rotation_about(axis: int, angle: float) -> np.ndarray:
     if axis == 1:
         return np.array([[c, 0, s], [0, 1.0, 0], [-s, 0, c]])
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+
+
+def write_recording(path, rec, header_comments=()):
+    """Write every CSV file of ``rec`` at ``path``, as write_session does."""
+    for file, kinds, _ in imu_csv_files(path, rec):
+        write_imu_csv(file, rec, kinds, header_comments)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

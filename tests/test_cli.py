@@ -930,27 +930,43 @@ class TestErrorReporting:
         out = tmp_path / "afile" / "out"
         assert main(stage_argv(stage, out)) == 1
         assert single_error_line(capsys) == (
-            f"kinereco: error: FormatError: cannot write output: [Errno 20] "
+            f"kinereco: error: FormatError: cannot write {out}: [Errno 20] "
             f"Not a directory: '{out}'")
 
     def test_write_error_in_the_second_process_gives_single_error_line(
             self, tmp_path, capsys, monkeypatch, stage_argv):
-        parent, real = os.getpid(), ingest.write_table
+        parent = os.getpid()
 
-        def full_disk(path, *args):
-            if os.getpid() != parent:
+        def full_disk(path, mode="r", *args, **kwargs):
+            if os.getpid() != parent and "w" in mode:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            real(path, *args)
+            return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(ingest, "write_table", full_disk)
+        monkeypatch.setattr(ingest, "open", full_disk, raising=False)
         out = tmp_path / "session"
         assert main(stage_argv("simulate", out)) == 1
-        assert re.fullmatch(
-            rf"kinereco: error: FormatError: cannot write output: \[Errno 28\] "
-            rf"No space left on device: '{re.escape(str(out))}/[a-z_]+\.csv'",
-            single_error_line(capsys))
+        got = re.fullmatch(
+            rf"kinereco: error: FormatError: cannot write "
+            rf"({re.escape(str(out))}/[a-z_]+\.csv): \[Errno 28\] "
+            rf"No space left on device: '(.*)'", single_error_line(capsys))
+        assert got and got[1] == got[2]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_read_error_after_the_open_gives_single_io_error_line(
+            self, tmp_path, capsys, monkeypatch, stage_argv):
+        events = None
+
+        def failing(path, *args, **kwargs):
+            nonlocal events
+            events = path
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+
+        monkeypatch.setattr(cli, "read_table", failing)
+        assert main(stage_argv("reconstruct", tmp_path / "kin")) == 1
+        assert single_error_line(capsys) == (
+            f"kinereco: error: FormatError: I/O error: [Errno 5] "
+            f"Input/output error: '{events}'")
 
     def test_missing_events_file_gives_single_error_line(self, tmp_path,
                                                          capsys, config):

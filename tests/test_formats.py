@@ -20,14 +20,17 @@ from kinereco.evaluate import (_ba_to_dict, bland_altman,
 from kinereco.errors import ConfigError, DataError, FormatError
 from kinereco.ingest import (_DEG2RAD, CHANNEL_KINDS, G_STANDARD, ChannelSpec,
                              ImuRecording, SensorSpec, _check_overlap,
-                             _column_indices, load_session_config,
-                             parse_imu_csv, read_table, table_clock,
-                             write_imu_csv, write_json, write_table)
+                             _column_indices, imu_csv_files,
+                             load_session_config, parse_imu_csv, read_table,
+                             table_clock, write_imu_csv, write_json,
+                             write_table)
 from kinereco.pipeline import PairRow
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             NoiseSpec, PlannedImpact, SessionProfile,
                             config_to_json_dict, load_profile,
                             profile_to_json_dict, standard_session_profile)
+
+from conftest import write_recording
 
 MANIFEST = RunManifest(subcommand="detect", config_path="c.json",
                        inputs=("session",), params={"max_offset_s": 0.5},
@@ -536,7 +539,9 @@ def _assert_same_files_and_reads(tmp_path, spec, rec, name):
     new_dir.mkdir(parents=True)
     old_dir.mkdir()
     comments = ("manifest_sha256=abc",)
-    assert write_imu_csv(new_dir / name, rec, comments) == new_dir / name
+    csvs = imu_csv_files(new_dir / name, rec)
+    assert [write_imu_csv(file, rec, kinds, comments)
+            for file, kinds, _ in csvs] == [file for file, _, _ in csvs]
     _old_write_imu_csv(old_dir / name, rec, comments)
     written = sorted(p.name for p in new_dir.iterdir())
     assert written == sorted(p.name for p in old_dir.iterdir())
@@ -609,5 +614,5 @@ def test_main_file_channel_off_the_gyro_clock_is_not_written(
     path = tmp_path / "imu1.csv"
     with pytest.raises(DataError, match=f"imu1.csv: {kind} must share the "
                                         f"gyro clock in one file"):
-        write_imu_csv(path, rec)
+        write_recording(path, rec)
     assert not path.exists()

@@ -14,8 +14,10 @@ from kinereco.core import TimeSeries3
 from kinereco.errors import ConfigError, DataError, FormatError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
                              load_session_config, parse_imu_csv,
-                             parse_reference_csv, write_imu_csv)
+                             parse_reference_csv)
 from kinereco.synth import config_to_json_dict
+
+from conftest import write_recording
 
 
 def simple_spec(sensor_id="imu1", rate=100.0, high_rate=None):
@@ -99,7 +101,7 @@ class TestParseImuCsv:
             accel_high=TimeSeries3(0.0, 1600.0, rng.uniform(-500, 500, size=(285, 3))),
         )
         path = tmp_path / "imu1.csv"
-        write_imu_csv(path, rec)
+        write_recording(path, rec)
         back = parse_imu_csv(path, spec)
         assert_allclose(back.gyro.samples, rec.gyro.samples, atol=1e-9)
         assert_allclose(back.accel_low.samples, rec.accel_low.samples, atol=1e-9)
@@ -690,7 +692,7 @@ class TestWindowedRead:
             return TimeSeries3(self.START, rate, rng.normal(0, 50, (n, 3)))
 
         path = tmp_path / "imu1.csv"
-        write_imu_csv(path, ImuRecording(
+        write_recording(path, ImuRecording(
             "imu1", series(self.RATE, self.N), series(self.RATE, self.N),
             series(self.HIGH, self.M)), ("manifest_sha256=0",))
         return path

@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import math
@@ -6,8 +7,8 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
-import warnings
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -22,7 +23,7 @@ from kinereco import ingest
 from kinereco.errors import DataError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
-                             write_imu_csv, write_json)
+                             write_json)
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
@@ -31,6 +32,8 @@ from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             _truth_events, load_profile, dump_profile,
                             simulate_sensors, simulate_session,
                             standard_session_profile, write_session)
+
+from conftest import write_recording
 
 
 def still_motion():
@@ -183,12 +186,13 @@ def serial_write_session(recordings, config, path, header_comments=()):
     for sensor_id, recs in by_sensor.items():
         if config.sensor(sensor_id).role == "reference":
             recs = sorted(recs, key=lambda r: r.gyro.start_time)
-            for k, rec in enumerate(recs, start=1):
-                written.append(write_imu_csv(out / f"{sensor_id}_ev{k:03d}.csv",
-                                             rec, header_comments))
+            targets = [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
+                       for k, rec in enumerate(recs, start=1)]
         else:
-            written.append(write_imu_csv(out / f"{sensor_id}.csv", recs[0],
-                                         header_comments))
+            targets = [(out / f"{sensor_id}.csv", recs[0])]
+        for target, rec in targets:
+            write_recording(target, rec, header_comments)
+            written.append(target)
     payload = synth.config_to_json_dict(config)
     if header_comments:
         payload["manifest_sha256"] = synth._manifest_stamp(header_comments)
@@ -267,19 +271,51 @@ class TestWriteInTwoProcesses:
         self.assert_same_files(tmp_path, config,
                                self.recordings(clean_session_small))
 
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_failed_fork_or_pipe_writes_every_file_in_one_process(
+            self, tmp_path, config, monkeypatch, clean_session_small, call):
+        def unavailable(*args):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        monkeypatch.setattr(os, call, unavailable)
+        self.assert_same_files(tmp_path, config,
+                               self.recordings(clean_session_small))
+        # The pipe made before a failed fork is closed.
+        for fd in (fd for fds in pipes for fd in fds):
+            with pytest.raises(OSError, match="Bad file descriptor"):
+                os.fstat(fd)
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="no /proc/self/task to count threads in")
+    def test_another_thread_keeps_every_write_in_this_process(
+            self, tmp_path, config, forks, clean_session_small):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            self.assert_same_files(tmp_path, config,
+                                   self.recordings(clean_session_small))
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+
     def test_shares_balance_cells_largest_file_first(self, tmp_path, config,
                                                      clean_session_small):
-        files = [f for r in self.recordings(clean_session_small)
-                 for f in imu_csv_files(tmp_path / f"{r.sensor_id}.csv", r)]
+        cells = [c for r in self.recordings(clean_session_small)
+                 for _, _, c in imu_csv_files(tmp_path / f"{r.sensor_id}.csv",
+                                              r)]
         seen = []
         synth._write_in_two([(c, functools.partial(seen.append, i))
-                             for i, (_, c) in enumerate(files)])
-        child = set(range(len(files))) - set(seen)
+                             for i, c in enumerate(cells)])
+        child = set(range(len(cells))) - set(seen)
         assert seen == sorted(seen) and child
-        mine = sum(files[i][1] for i in seen)
-        theirs = sum(files[i][1] for i in child)
-        assert abs(mine - theirs) <= max(c for _, c in files)
-        assert files[seen[0]][1] == max(c for _, c in files)
+        mine = sum(cells[i] for i in seen)
+        theirs = sum(cells[i] for i in child)
+        assert abs(mine - theirs) <= max(cells)
+        assert cells[seen[0]] == max(cells)
         assert_no_child_left()
 
     # -- errors ----------------------------------------------------------
@@ -376,28 +412,6 @@ class TestWriteInTwoProcesses:
         assert got == (KinerecoError, "the second writer process was killed "
                                       f"by signal {int(signal.SIGKILL)}")
 
-    def test_fork_warning_is_raised_once_the_child_has_exited(
-            self, tmp_path, config, monkeypatch, clean_session_small):
-        """Python 3.12's warning of a fork in a process with threads fails
-        the write under an error filter, with no child left behind."""
-        fork = os.fork
-
-        def warning_fork():
-            pid = fork()
-            if pid:
-                warnings.warn("This process is multi-threaded, use of fork() "
-                              "may lead to deadlocks in the child.",
-                              DeprecationWarning)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = self.outcome(write_session,
-                               clean_session_small.reference_blocks, config,
-                               tmp_path / "a")
-        assert got[0] is DeprecationWarning and "multi-threaded" in got[1]
-
     def test_interrupt_in_the_parent_waits_for_the_child(
             self, tmp_path, config, monkeypatch, clean_session_small):
         recordings = self.recordings(clean_session_small)
@@ -412,9 +426,19 @@ class TestWriteInTwoProcesses:
                 tmp_path / "b" / name).read_bytes()
 
 
-def test_child_flushes_no_inherited_buffer(tmp_path):
-    """Text the parent printed but has not flushed appears once."""
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task to count threads in")
+@pytest.mark.parametrize("first", ["kinereco", "numpy"])
+def test_fresh_process_forks_only_with_one_thread(tmp_path, first):
+    """Text the parent printed but has not flushed appears once, and no
+    warning is raised.  Loaded first, kinereco keeps OpenBLAS to one thread
+    and the process forks; numpy loaded first starts OpenBLAS's threads
+    (one per CPU) and the process writes alone, as Python 3.12 warns of a
+    fork in a process with threads."""
     script = f"""
+import {first}
+import json
+import os
 import sys
 import numpy as np
 from kinereco.core import TimeSeries3
@@ -423,17 +447,28 @@ from kinereco.synth import example_session_config, write_session
 blocks = [ImuRecording("mouthpiece", TimeSeries3(t, 3200.0, np.zeros((401, 3))),
                        accel_high=TimeSeries3(t, 3200.0, np.ones((401, 3))))
           for t in (1.0, 2.0)]
+threads = len(os.listdir("/proc/self/task"))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 print("before", end="")
 write_session(blocks, example_session_config(), {str(tmp_path)!r})
 print(" after")
+print(json.dumps([threads, len(forks)]))
 """
     # Block-buffered stdout, so the text waits in the buffer at the fork.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(synth.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "before after\n", "")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    text, counts = done.stdout.rsplit("\n", 2)[:2]
+    assert text == "before after"
+    threads, forks = json.loads(counts)
+    assert forks == (threads == 1)
+    if first == "kinereco":
+        assert threads == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "config.json", "mouthpiece_ev001.csv", "mouthpiece_ev002.csv"]
 
