@@ -42,7 +42,8 @@ from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, check_number, \
     load_session_config, output_dir, parse_imu_csv, parse_reference_csv, \
-    read_json, read_table, table_clock, write_json, write_table
+    read_json, read_table, reference_block, session_csv, table_clock, \
+    write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
@@ -95,7 +96,7 @@ def _load_headband(config: SessionConfig, in_dir: Path,
     ``parse_imu_csv``)."""
     recs = {}
     for spec in config.headband_sensors:
-        path = in_dir / f"{spec.id}.csv"
+        path = in_dir / session_csv(spec.id)
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
         recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
@@ -107,12 +108,12 @@ def _load_reference_blocks(config: SessionConfig, in_dir: Path) -> list[ImuRecor
     spec = config.reference_sensor
     if spec is None:
         return []
-    blocks = []
-    for path in sorted(in_dir.glob(f"{spec.id}_ev*.csv")):
-        if path.stem.endswith("_high"):
-            continue
-        blocks.append(parse_reference_csv(path, spec, config.column_map))
-    return blocks
+    # Each <id>_ev<digits>.csv, in block-number order.
+    blocks = sorted((block[0], path) for path in in_dir.iterdir()
+                    if (block := reference_block(spec, path.name))
+                    and block[1] == path.name)
+    return [parse_reference_csv(path, spec, config.column_map)
+            for _, path in blocks]
 
 
 def _text_rows(path: Path, names: tuple[str, ...], kind: str, parse) -> list:

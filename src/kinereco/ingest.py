@@ -23,6 +23,7 @@ import io
 import json
 import logging
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -47,6 +48,8 @@ __all__ = [
     "TableRows",
     "parse_imu_csv",
     "parse_reference_csv",
+    "reference_block",
+    "session_csv",
     "load_session_config",
     "check_number",
     "check_object",
@@ -116,6 +119,10 @@ class SensorSpec:
     channels: tuple[ChannelSpec, ...]
 
     def __post_init__(self):
+        if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
+            raise ConfigError(
+                f"sensor {self.id!r}: the id names the sensor's files, so it "
+                "may not be empty, '.' or '..', or hold '/', '\\' or NUL")
         if self.role not in ("headband", "reference"):
             raise ConfigError(f"sensor {self.id!r}: unknown role {self.role!r}")
         object.__setattr__(self, "position", check_vector(
@@ -338,6 +345,20 @@ class SessionConfig:
             raise ConfigError(f"a3g1_gyro sensor {self.a3g1_gyro!r} not in sensor list")
         if not any(s.role == "headband" for s in self.sensors):
             raise ConfigError("configuration declares no headband sensors")
+        # A reference block's files all begin <id>_ev<digits>, so two
+        # reference sensors never share one, and none is labels.csv.
+        seen = {"labels.csv": "the labels file"}
+        for spec in self.headband_sensors:
+            rates = {c.kind: c.rate for c in spec.channels}
+            for file, _, _ in _sensor_files(Path(session_csv(spec.id)), rates):
+                owner = seen.get(file.name) or next(
+                    (f"a file of sensor {s.id!r}" for s in self.sensors
+                     if s.role == "reference" and reference_block(s, file.name)),
+                    None)
+                if owner:
+                    raise ConfigError(f"sensor {spec.id!r}: its session file "
+                                      f"{file.name} is also {owner}")
+                seen[file.name] = f"a file of sensor {spec.id!r}"
         if not any(s.role == "reference" for s in self.sensors):
             log.warning("configuration declares no reference sensor; "
                         "evaluation subcommands will be unavailable")
@@ -651,6 +672,28 @@ def _sensor_files(path: Path, rates: dict) -> list:
         files.append((path.with_name(path.stem + "_high" + path.suffix),
                       ("accel_high",), rates["accel_high"]))
     return files
+
+
+def session_csv(sensor_id: str, block: int | None = None) -> str:
+    """The main CSV file of a sensor in a session directory: ``<id>.csv``
+    for a headband stream, ``<id>_ev<k>.csv`` for reference block ``k`` (in
+    three digits or more).  :func:`_sensor_files` names its companion."""
+    if block is None:
+        return f"{sensor_id}.csv"
+    return f"{sensor_id}_ev{block:03d}.csv"
+
+
+def reference_block(spec: SensorSpec, name: str) -> tuple[int, str] | None:
+    """``(k, main)`` when ``name`` is a file of block ``k`` of the reference
+    sensor ``spec``, whose main file is ``main`` (``<id>_ev<digits>.csv``,
+    see :func:`session_csv`), or None.  The id is matched literally."""
+    block = re.match(re.escape(spec.id) + r"_ev([0-9]+)", name)
+    if block:
+        main = block[0] + ".csv"
+        rates = {c.kind: c.rate for c in spec.channels}
+        if any(f.name == name for f, _, _ in _sensor_files(Path(main), rates)):
+            return int(block[1]), main
+    return None
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,

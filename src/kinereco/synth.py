@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 import gc
+import logging
 import math
 import os
-import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,11 +31,12 @@ import numpy as np
 
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
-from .errors import DataError, FormatError, KinerecoError
-from .ingest import (CHANNEL_KINDS, G_STANDARD, ChannelSpec, ImuRecording,
-                     SensorSpec, SessionConfig, check_number, check_object,
-                     check_text, check_vector, imu_csv_files, output_dir,
-                     read_json, write_imu_csv, write_json, write_table)
+from .errors import DataError, FormatError
+from .ingest import (CHANNEL_KINDS, G_STANDARD, ImuRecording, SensorSpec,
+                     SessionConfig, check_number, check_object, check_text,
+                     check_vector, imu_csv_files, load_session_config,
+                     output_dir, read_json, session_csv, write_imu_csv,
+                     write_json, write_table)
 
 __all__ = [
     "HarmonicComponent",
@@ -52,6 +53,8 @@ __all__ = [
     "load_profile",
     "dump_profile",
 ]
+
+log = logging.getLogger(__name__)
 
 #: Default gravity as specific force on a static upright head (head frame z up).
 DEFAULT_GRAVITY = (0.0, 0.0, G_STANDARD)
@@ -476,9 +479,10 @@ def write_session(recordings, config: SessionConfig, path,
     when there are two or more files, ``os.fork`` exists, and this process
     runs no other thread (as Linux's ``/proc/self/task`` lists them: a
     program that loads numpy before kinereco runs OpenBLAS threads, and
-    writes in one process); there is no setting for it.  A failed file
-    raises here as in a serial loop: the error of the earliest file in the
-    serial order, after the child has exited.
+    writes in one process); there is no setting for it.  Whatever the child
+    does not finish, this process writes after the child has exited, so the
+    outcome is the serial loop's: the same files, or the error of the
+    earliest failed file in the serial order.
     """
     recordings = list(recordings)
     if not recordings:
@@ -495,7 +499,7 @@ def write_session(recordings, config: SessionConfig, path,
             raise DataError(f"recording {sensor_id!r} has no sensor in the config")
         if spec.role == "reference":
             recs = sorted(recs, key=lambda r: r.gyro.start_time)
-            targets += [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
+            targets += [(out / session_csv(sensor_id, k), rec)
                         for k, rec in enumerate(recs, start=1)]
         else:
             if len(recs) != 1:
@@ -503,7 +507,7 @@ def write_session(recordings, config: SessionConfig, path,
                     f"headband sensor {sensor_id!r} has {len(recs)} recordings; "
                     "expected one continuous stream"
                 )
-            targets.append((out / f"{sensor_id}.csv", recs[0]))
+            targets.append((out / session_csv(sensor_id), recs[0]))
     _write_in_two([(cells, functools.partial(write_imu_csv, file, rec, kinds,
                                              header_comments))
                    for target, rec in targets
@@ -524,92 +528,74 @@ def _write_in_two(files: list) -> None:
     """Call ``write()`` for each ``(cells, write)`` of ``files``, in two
     processes: the largest file first, each file goes to the share with
     fewer cells so far, and a forked child writes the second share in order
-    while this process writes the first.  Where :func:`_fork_writer` starts
-    no child, this process writes every file in order.
+    while this process writes the first.
 
-    Every error is raised here, after the child has exited: the one of the
-    earliest failed file, or a KinerecoError if the child was killed.
+    The child exits with status 0 only if it wrote its whole share.  Once it
+    has exited, this process writes in order each share that no child
+    wrote: every file where :func:`_fork_writer` starts no child, and the
+    child's share where the child failed or was killed.  Each write
+    truncates its file and writes bytes fixed by its inputs, so a file
+    written twice is the same, and the outcome is the serial loop's: the
+    same files, or the error of the earliest failed file.
     """
     shares, loads = ([], []), [0, 0]
     for i in sorted(range(len(files)), key=lambda i: -files[i][0]):
         k = int(loads[1] < loads[0])
-        shares[k].append((i, files[i][1]))
+        shares[k].append(i)
         loads[k] += files[i][0]
     own, theirs = sorted(shares[0]), sorted(shares[1])
-    child = _fork_writer() if theirs else None
-    if child is None:
-        for _, write in files:
-            write()
-        return
-    pid, read_end, write_end = child
-    if pid == 0:
-        _write_share(theirs, read_end, write_end)
-    os.close(write_end)
-    failed = []
+    pid = _fork_writer([files[i][1] for i in theirs]) if theirs else None
     try:
-        for i, write in own:
-            try:
-                write()
-            except Exception as exc:
-                failed.append((i, exc))
-                break
+        failed = _write_each(files, own if pid else range(len(files)))
     finally:
-        with os.fdopen(read_end, "rb") as fh:
-            report = fh.read()
-        _, status = os.waitpid(pid, 0)
-    if os.WIFSIGNALED(status):
-        raise KinerecoError(f"the second writer process was killed by signal "
-                            f"{os.WTERMSIG(status)}")
-    if report:
-        failed.append(pickle.loads(report))
-    elif status:
-        raise KinerecoError(f"the second writer process exited with status "
-                            f"{os.waitstatus_to_exitcode(status)}")
+        status = pid and os.waitpid(pid, 0)[1]
+    if status:
+        log.warning("the second writer process exited with code %d; this "
+                    "process writes its %d files",
+                    os.waitstatus_to_exitcode(status), len(theirs))
+        failed += _write_each(files, theirs)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
 
 
-def _fork_writer():
-    """``(pid, read_end, write_end)`` of a pipe and of :func:`os.fork`, or
-    None, with nothing left open, where this process does not fork: without
-    ``os.fork``, when the pipe or the fork fails, or unless this process
-    runs one thread.  A fork copies only the calling thread, so a lock that
-    another thread holds stays held in the child.  Linux lists the threads
-    of a process in ``/proc/self/task``; where it cannot be read, no child
-    starts."""
-    try:
-        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) != 1:
-            return None
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        return os.fork(), read_end, write_end
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
+def _write_each(files: list, indices) -> list:
+    """Write the files of ``indices`` in order, up to the first that fails:
+    ``[(i, exception)]`` of that file, or ``[]``."""
+    for i in indices:
+        try:
+            files[i][1]()
+        except Exception as exc:
+            return [(i, exc)]
+    return []
 
 
-def _write_share(share: list, read_end: int, write_end: int):
-    """The forked child of :func:`_write_in_two`: ``write()`` for each
-    ``(i, write)`` of ``share`` up to the first failure, whose ``i`` and
-    exception are pickled to ``write_end``.  It never returns, and leaves by
-    ``os._exit``, so that no buffer it shares with its parent is flushed
+def _fork_writer(share: list) -> int | None:
+    """Fork a child that calls each function of ``share`` in order, and
+    return its pid, or None where this process does not fork: without
+    ``os.fork``, when the fork fails, or unless this process runs one
+    thread.  A fork copies only the calling thread, so a lock that another
+    thread holds stays held in the child.  Linux lists the threads of a
+    process in ``/proc/self/task``; where it cannot be read, no child
+    starts.
+
+    The child exits with status 0 only if every write returned.  It leaves
+    by ``os._exit``, so that no buffer it shares with its parent is flushed
     twice and no handler of the parent's runs."""
+    try:
+        if not (hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1):
+            return None
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid:
+        return pid
     code = 1
     try:
         # A collection could finalize the parent's garbage, and it would
         # copy the pages of every object it visits.
         gc.disable()
-        os.close(read_end)
-        with os.fdopen(write_end, "wb") as fh:
-            for i, write in share:
-                try:
-                    write()
-                except BaseException as exc:  # the parent raises it
-                    fh.write(pickle.dumps((i, exc)))
-                    break
+        for write in share:
+            write()
         code = 0
     finally:
         os._exit(code)
@@ -654,16 +640,6 @@ def write_simulated_session(sim: SimulatedSession, config: SessionConfig,
 
 # ---------------------------------------------------------------------------
 # Standard profiles and example configuration
-
-
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 #: Intensity tiers: angular amplitude (rad/s), ring frequency (Hz), origin
@@ -775,36 +751,11 @@ def standard_session_profile(seed: int = 2024, with_noise: bool = True,
 
 
 def example_session_config() -> SessionConfig:
-    """Illustrative 5-IMU + mouthpiece geometry (not the field hardware)."""
-    bt_channels = (
-        ChannelSpec("gyro", 1125.0, "2000 deg/s"),
-        ChannelSpec("accel_low", 1125.0, "16 g"),
-        ChannelSpec("accel_high", 1600.0, "200 g"),
-    )
-    radius, height = 0.09, 0.015
-    sensors = []
-    names = ("bt_right_outer", "bt_right_inner", "bt_back",
-             "bt_left_inner", "bt_left_outer")
-    azimuths = (-140.0, -160.0, 180.0, 160.0, 140.0)
-    for name, az_deg, tilt_deg in zip(names, azimuths, (8, 4, 0, -4, -8)):
-        az = math.radians(az_deg)
-        position = np.array([radius * math.cos(az), radius * math.sin(az), height])
-        orientation = _rot_z(az + math.pi) @ _rot_x(math.radians(tilt_deg))
-        sensors.append(SensorSpec(name, "headband", position, orientation,
-                                  bt_channels))
-    ref_point = np.array([0.075, 0.0, -0.035])
-    sensors.append(SensorSpec(
-        "mouthpiece", "reference", ref_point,
-        _rot_x(math.radians(6.0)) @ _rot_z(math.radians(2.0)),
-        (ChannelSpec("gyro", 3200.0, "2000 deg/s"),
-         ChannelSpec("accel_high", 3200.0, "200 g")),
-    ))
-    return SessionConfig(
-        sensors=tuple(sensors),
-        reference_point=ref_point,
-        a3g1_sensor_ids=("bt_right_outer", "bt_left_outer", "bt_back"),
-        name="synthetic-field-session",
-    )
+    """Illustrative 5-IMU + mouthpiece geometry (not the field hardware):
+    the bundled ``profiles/field_config.json``, whose geometry
+    ``docs/formats.md`` describes."""
+    return load_session_config(
+        Path(__file__).with_name("profiles") / "field_config.json")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ filter adds no group delay to the curves being compared.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +40,6 @@ __all__ = [
     "GRID_FMIN_HZ",
     "CUTOFF_CAP_HZ",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Center (angular) frequency of the analytic Morlet wavelet.
 MORLET_OMEGA0 = 6.0
@@ -69,15 +66,11 @@ class Scalogram:
     coeffs : numpy.ndarray, shape (m, n)
         Non-negative coefficient magnitudes; ``coeffs[j, i]`` is the response
         at ``freqs[j]``, ``times[i]``.
-    coi_hz : numpy.ndarray, shape (n,)
-        Cone of influence: at time ``times[i]``, coefficients below
-        ``coi_hz[i]`` are affected by the series boundaries.
     """
 
     times: np.ndarray
     freqs: np.ndarray
     coeffs: np.ndarray
-    coi_hz: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ class CutoffResult:
     f0: float
     f_ss: float | None
     f_n: float | None
-    slices: CoefficientSlices
 
 
 def frequency_grid(sample_rate: float) -> np.ndarray:
@@ -164,14 +156,7 @@ def cwt(x: TimeSeries1) -> Scalogram:
 
     transformed = ifft(spectrum[None, :] * filters, axis=1)
     coeffs = np.abs(transformed[:, n:2 * n])
-
-    # Cone of influence: sqrt(2)*scale e-folding; below coi_hz(t) the wavelet
-    # support extends past the nearer series edge.
-    t_rel = np.arange(n) / x.sample_rate
-    dist = np.minimum(t_rel, t_rel[-1] - t_rel)
-    with np.errstate(divide="ignore"):
-        coi = np.sqrt(2.0) * MORLET_OMEGA0 / (2.0 * np.pi * dist)
-    return Scalogram(times=x.times, freqs=freqs, coeffs=coeffs, coi_hz=coi)
+    return Scalogram(times=x.times, freqs=freqs, coeffs=coeffs)
 
 
 def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> CoefficientSlices:
@@ -200,11 +185,6 @@ def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> Coefficien
     if peak <= 0.0:
         raise DegenerateSignalError(
             f"all-zero coefficient slice at t={t_start:.6f} s"
-        )
-    if sc.coi_hz[i0] > sc.freqs[0] or sc.coi_hz[i1] > sc.freqs[0]:
-        log.debug(
-            "slice times partially inside the cone of influence "
-            "(coi %.1f / %.1f Hz at start/end)", sc.coi_hz[i0], sc.coi_hz[i1],
         )
     return CoefficientSlices(
         freqs=sc.freqs,
@@ -246,7 +226,7 @@ def select_cutoff(slices: CoefficientSlices, threshold: float = 0.1,
     ss_idx = np.nonzero(slices.at_end > threshold)[0]
     f_ss = float(freqs[ss_idx[-1]]) if ss_idx.size else None
     f0 = resolve_cutoff(f_ss, f_n, cap)
-    return CutoffResult(f0=f0, f_ss=f_ss, f_n=f_n, slices=slices)
+    return CutoffResult(f0=f0, f_ss=f_ss, f_n=f_n)
 
 
 #: Samples of odd extension at each end of a zero-phase filter: three times

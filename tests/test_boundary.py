@@ -109,12 +109,37 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
          rate_hz=1600.0),
      "ConfigError: sensor 'bt_back': accel_low rate 1600 Hz must match the "
      "gyro rate 1125 Hz in a shared file"),
+    *[("simulate", lambda raw, sid=sid: sensor(raw, "bt_right_inner").update(
+        id=sid), f"ConfigError: sensor {sid!r}: the id names the sensor's "
+        "files, so it may not be empty, '.' or '..', or hold '/', '\\' or NUL")
+      for sid in ("", ".", "..", "../escaped", "a\\b", "a\0b")],
+    *[("simulate", lambda raw, sid=sid: sensor(raw, "bt_right_inner").update(
+        id=sid), f"ConfigError: sensor {sid!r}: its session file {sid}.csv is "
+        f"also {owner}")
+      for sid, owner in (("labels", "the labels file"),
+                         ("mouthpiece_ev001", "a file of sensor 'mouthpiece'"),
+                         ("mouthpiece_ev7", "a file of sensor 'mouthpiece'"))],
+    ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
+        id="bt_back_high"),
+     "ConfigError: sensor 'bt_back': its session file bt_back_high.csv is "
+     "also a file of sensor 'bt_back_high'"),
+    ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
+        id="mouthpiece_ev001_high") or
+     sensor(raw, "mouthpiece")["channels"]["accel_high"].update(rate_hz=1600.0),
+     "ConfigError: sensor 'mouthpiece_ev001_high': its session file "
+     "mouthpiece_ev001_high.csv is also a file of sensor 'mouthpiece'"),
+    ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
+        id="bt_back") or sensor(raw, "bt_back").update(id="bt_back"),
+     "ConfigError: duplicate sensor ids in configuration"),
 ], ids=["channels_float", "column_map_list", "column_map_int", "rate_nan",
         "rate_1e308", "position_big_int", "position_strings",
         "orientation_8_numbers", "trigger_list", "no_gyro", "id_null",
         "role_int", "range_null", "name_int", "a3g1_channel_null",
         "a3g1_gyro_list", "a3g1_sensor_null", "a3g1_sensors_str",
-        "column_map_shared_column", "accel_low_rate"])
+        "column_map_shared_column", "accel_low_rate", "id_empty", "id_dot",
+        "id_dot_dot", "id_parent_path", "id_backslash", "id_nul",
+        "id_labels", "id_reference_block", "id_reference_block_unpadded",
+        "id_companion", "id_reference_block_companion", "id_duplicate"])
 
 
 @CONFIG_ROWS

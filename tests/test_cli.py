@@ -1,5 +1,6 @@
 import errno
 import json
+import logging
 import os
 import re
 import shutil
@@ -935,6 +936,44 @@ class TestErrorReporting:
 
     def test_write_error_in_the_second_process_gives_single_error_line(
             self, tmp_path, capsys, monkeypatch, stage_argv):
+        """A file of the child's share fails in both processes: the child
+        exits non-zero, this process writes the share again, and the error
+        is the serial loop's."""
+        written = []
+
+        def spy(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(Path(path).name)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", spy, raising=False)
+        out = tmp_path / "session"
+        assert main(stage_argv("simulate", out)) == 0
+        # The files this process did not open are the child's share.
+        failing = out / min({p.name for p in out.glob("*.csv")} - set(written))
+
+        def full_disk(path, mode="r", *args, **kwargs):
+            if "w" in mode and Path(path) == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", full_disk, raising=False)
+        shutil.rmtree(out)
+        capsys.readouterr()
+        assert main(stage_argv("simulate", out)) == 1
+        assert single_error_line(capsys) == (
+            f"kinereco: error: FormatError: cannot write {failing}: "
+            f"[Errno 28] No space left on device: '{failing}'")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_write_error_only_in_the_second_process_is_repaired(
+            self, tmp_path, monkeypatch, stage_argv):
+        """Every write of the child fails: it exits non-zero, and this
+        process logs one warning and writes the child's share itself."""
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            assert main(stage_argv("simulate", tmp_path / "serial")) == 0
         parent = os.getpid()
 
         def full_disk(path, mode="r", *args, **kwargs):
@@ -943,15 +982,26 @@ class TestErrorReporting:
             return open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(ingest, "open", full_disk, raising=False)
-        out = tmp_path / "session"
-        assert main(stage_argv("simulate", out)) == 1
-        got = re.fullmatch(
-            rf"kinereco: error: FormatError: cannot write "
-            rf"({re.escape(str(out))}/[a-z_]+\.csv): \[Errno 28\] "
-            rf"No space left on device: '(.*)'", single_error_line(capsys))
-        assert got and got[1] == got[2]
+        # Written by either process, at once, to one file.
+        handler = logging.FileHandler(tmp_path / "log.txt")
+        handler.setFormatter(logging.Formatter(
+            "%(process)d %(levelname)s %(name)s"))
+        logging.getLogger().addHandler(handler)
+        try:
+            code = main(stage_argv("simulate", tmp_path / "session"))
+        finally:
+            logging.getLogger().removeHandler(handler)
+            handler.close()
+        assert code == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert (tmp_path / "log.txt").read_text().splitlines() == [
+            f"{parent} WARNING kinereco.synth"]
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert sorted(p.name for p in (tmp_path / "session").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "session" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes(), name
 
     def test_read_error_after_the_open_gives_single_io_error_line(
             self, tmp_path, capsys, monkeypatch, stage_argv):
@@ -1060,3 +1110,44 @@ class TestParameterValidation:
             main([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+class TestReferenceBlockNames:
+    """``detect`` and ``reconstruct`` read the reference blocks by the names
+    ``simulate`` gives them: each ``<ref_id>_ev<digits>.csv``, the id taken
+    literally, in block-number order."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("mouthpiece", "mouthpiece"), ("mouthpiece", "mp[1]"),
+        ("mouthpiece", "mp*"), ("bt_back", "mouthpiece_evx"),
+    ], ids=["bundled", "brackets", "star", "headband_after_the_prefix"])
+    def test_simulate_then_detect(self, tmp_path, small_pipeline,
+                                  clean_profile_small, old, new):
+        raw = json.loads(small_pipeline["config"].read_text())
+        next(s for s in raw["sensors"] if s["id"] == old)["id"] = new
+        raw["a3g1_sensors"] = [new if s == old else s
+                               for s in raw["a3g1_sensors"]]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        profile = dump_profile(clean_profile_small, tmp_path / "profile.json")
+        session, events = tmp_path / "session", tmp_path / "events.csv"
+        assert main(["simulate", "--profile", str(profile), "--config",
+                     str(config), "--out", str(session)]) == 0
+        assert main(["detect", "--config", str(config), "--in", str(session),
+                     "--out", str(events)]) == 0
+        assert events.read_text().count(",reference,") == 3
+
+    def test_block_number_order(self, tmp_path, small_pipeline, config):
+        """Blocks 999, 1000 and 1001 are read in that order, which is not
+        the order of their names."""
+        session = tmp_path / "session"
+        shutil.copytree(small_pipeline["session"], session)
+        for k, new in ((1, 999), (2, 1000), (3, 1001)):
+            (session / f"mouthpiece_ev{k:03d}.csv").rename(
+                session / f"mouthpiece_ev{new}.csv")
+        assert sorted(p.name for p in session.glob("mouthpiece_*")) == [
+            "mouthpiece_ev1000.csv", "mouthpiece_ev1001.csv",
+            "mouthpiece_ev999.csv"]
+        starts = [b.gyro.start_time
+                  for b in cli._load_reference_blocks(config, session)]
+        assert len(starts) == 3 and starts == sorted(starts)

@@ -912,3 +912,36 @@ class TestTableClockRows:
         t[3] = t[2]
         with pytest.raises(DataError, match="does not increase at data row 52"):
             ingest.table_clock(t, "table.csv", "t", 10.0, rows)
+
+
+class TestSessionFileNames:
+    """session_csv names a sensor's main file, and reference_block finds a
+    reference block's files by that rule, with the id taken literally."""
+
+    @staticmethod
+    def reference(sensor_id, high_rate=3200.0):
+        return SensorSpec(sensor_id, "reference", (0.0, 0.0, 0.0), np.eye(3),
+                          (ChannelSpec("gyro", 3200.0),
+                           ChannelSpec("accel_high", high_rate)))
+
+    def test_names(self):
+        assert ingest.session_csv("bt_back") == "bt_back.csv"
+        assert ingest.session_csv("mp", 7) == "mp_ev007.csv"
+        assert ingest.session_csv("mp", 1234) == "mp_ev1234.csv"
+
+    @pytest.mark.parametrize("name, block", [
+        ("mp[1]_ev001.csv", (1, "mp[1]_ev001.csv")),
+        ("mp[1]_ev7.csv", (7, "mp[1]_ev7.csv")),
+        ("mp[1]_ev1000.csv", (1000, "mp[1]_ev1000.csv")),
+        ("mp1_ev001.csv", None), ("mp[1]_evx.csv", None),
+        ("mp[1]_ev001_high.csv", None), ("mp[1]_ev001.csv.bak", None),
+        ("mp[1].csv", None), ("mp[1]_ev.csv", None),
+    ])
+    def test_reference_block(self, name, block):
+        assert ingest.reference_block(self.reference("mp[1]"), name) == block
+
+    def test_companion_on_its_own_clock(self):
+        spec = self.reference("mp", high_rate=1600.0)
+        assert ingest.reference_block(spec, "mp_ev002_high.csv") == (
+            2, "mp_ev002.csv")
+        assert ingest.reference_block(spec, "mp_ev002_low.csv") is None

@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 from kinereco.core import TimeSeries3, magnitude
 from kinereco.detect import detect_impacts
 from kinereco import ingest
-from kinereco.errors import DataError, KinerecoError
+from kinereco.errors import DataError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
                              write_json)
@@ -271,22 +271,6 @@ class TestWriteInTwoProcesses:
         self.assert_same_files(tmp_path, config,
                                self.recordings(clean_session_small))
 
-    @pytest.mark.parametrize("call", ["fork", "pipe"])
-    def test_failed_fork_or_pipe_writes_every_file_in_one_process(
-            self, tmp_path, config, monkeypatch, clean_session_small, call):
-        def unavailable(*args):
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        pipes, pipe = [], os.pipe
-        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
-        monkeypatch.setattr(os, call, unavailable)
-        self.assert_same_files(tmp_path, config,
-                               self.recordings(clean_session_small))
-        # The pipe made before a failed fork is closed.
-        for fd in (fd for fds in pipes for fd in fds):
-            with pytest.raises(OSError, match="Bad file descriptor"):
-                os.fstat(fd)
-
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="no /proc/self/task to count threads in")
     def test_another_thread_keeps_every_write_in_this_process(
@@ -366,20 +350,6 @@ class TestWriteInTwoProcesses:
                             tmp_path / "a")
         assert got == want
 
-    def test_child_error_that_cannot_be_sent_is_one_kinereco_error(
-            self, tmp_path, config, monkeypatch, clean_session_small):
-        def unpicklable(path):
-            exc = DataError(f"{path}: cannot write here")
-            exc.hook = lambda: None
-            return exc
-
-        recordings = self.recordings(clean_session_small)
-        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
-        self.fail_on(monkeypatch, {theirs[0]}, unpicklable)
-        assert self.outcome(write_session, recordings, config,
-                            tmp_path / "a") == (
-            KinerecoError, "the second writer process exited with status 1")
-
     @pytest.mark.parametrize("first", ["parent", "child"])
     def test_failures_in_both_shares_give_the_earlier(
             self, tmp_path, config, monkeypatch, clean_session_small, first):
@@ -395,22 +365,102 @@ class TestWriteInTwoProcesses:
         assert got == want
         assert got[1] == f"{tmp_path / 'a' / earlier}: cannot write here"
 
-    def test_killed_child_is_one_kinereco_error(self, tmp_path, config,
-                                                monkeypatch,
-                                                clean_session_small):
+    def written(self, write, recordings, config, path):
+        """``(type, message)`` of the error ``write`` raises at ``path``, or
+        the names it returns and the bytes of each file it leaves there."""
+        shutil.rmtree(path, ignore_errors=True)
+        try:
+            names = [p.name for p in write(recordings, config, path,
+                                           self.COMMENTS)]
+        except Exception as exc:
+            return type(exc), str(exc)
+        finally:
+            assert_no_child_left()
+        return names, {p.name: p.read_bytes() for p in path.iterdir()}
+
+    @pytest.mark.parametrize("case", [
+        "data_error", "os_error", "unpicklable", "killed", "child_only",
+        "parent_first", "child_first", "no_fork", "fork_eagain",
+        pytest.param("thread", marks=pytest.mark.skipif(
+            not Path("/proc/self/task").is_dir(),
+            reason="no /proc/self/task to count threads in")),
+    ])
+    def test_every_outcome_is_the_serial_loops(self, tmp_path, config,
+                                               monkeypatch, forks,
+                                               clean_session_small, case):
+        """A failure in one of the files of the child's share, in the child
+        alone, in both shares, and no child at all: the error or the files
+        are the serial loop's."""
+        recordings = self.recordings(clean_session_small)
+        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
+        forks.clear()
         parent = os.getpid()
-        real = ingest.write_table
 
-        def killed(path, *args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            real(path, *args)
+        def enospc(path):
+            return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
-        monkeypatch.setattr(ingest, "write_table", killed)
-        got = self.outcome(write_session, self.recordings(clean_session_small),
-                           config, tmp_path / "a")
-        assert got == (KinerecoError, "the second writer process was killed "
-                                      f"by signal {int(signal.SIGKILL)}")
+        def unpicklable(path):
+            exc = DataError(f"{path}: cannot write here")
+            exc.hook = lambda: None
+            return exc
+
+        def in_the_child(act):
+            real = ingest.write_table
+
+            def write(path, *args):
+                if os.getpid() != parent:
+                    act(path)
+                real(path, *args)
+
+            monkeypatch.setattr(ingest, "write_table", write)
+
+        def unavailable():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def child_only(path):
+            if Path(path).name == theirs[0]:
+                raise enospc(path)
+
+        if case in ("parent_first", "child_first"):
+            earlier, later = ((own[0], theirs[-1]) if case == "parent_first"
+                              else (theirs[0], own[-1]))
+            assert self.serial.index(earlier) < self.serial.index(later)
+            self.fail_on(monkeypatch, {earlier, later})
+        elif case == "killed":
+            in_the_child(lambda path: os.kill(os.getpid(), signal.SIGKILL))
+        elif case == "child_only":
+            in_the_child(child_only)
+        elif case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "fork_eagain":
+            monkeypatch.setattr(os, "fork", unavailable)
+        elif case != "thread":
+            error = {"data_error": lambda path: DataError(
+                         f"{path}: cannot write here"),
+                     "os_error": enospc, "unpicklable": unpicklable}[case]
+            self.fail_on(monkeypatch, {theirs[1]}, error)
+
+        want = self.written(serial_write_session, recordings, config,
+                            tmp_path / "a")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if case == "thread":
+            other.start()
+        try:
+            got = self.written(write_session, recordings, config,
+                               tmp_path / "a")
+        finally:
+            release.set()
+            if case == "thread":
+                other.join()
+        assert got == want
+        assert len(forks) == (case not in ("no_fork", "fork_eagain", "thread"))
+        if case.endswith("_first"):
+            assert got == (DataError,
+                           f"{tmp_path / 'a' / earlier}: cannot write here")
+        elif case in ("killed", "child_only", "no_fork", "fork_eagain",
+                      "thread"):
+            assert isinstance(got[1], dict)
 
     def test_interrupt_in_the_parent_waits_for_the_child(
             self, tmp_path, config, monkeypatch, clean_session_small):
@@ -553,14 +603,6 @@ class TestBundledData:
             bundled = json_mod.loads((data / name).read_text())
             assert bundled == profile_to_json_dict(
                 standard_session_profile(with_noise=with_noise))
-
-    def test_bundled_config_matches_generator(self, config):
-        from importlib.resources import files
-        from kinereco.synth import config_to_json_dict
-        import json as json_mod
-        bundled = json_mod.loads(
-            (files("kinereco") / "profiles" / "field_config.json").read_text())
-        assert bundled == config_to_json_dict(config)
 
 
 class TestBurstChangesSelectedCutoff:
