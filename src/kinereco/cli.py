@@ -108,7 +108,7 @@ def _load_reference_blocks(config: SessionConfig, in_dir: Path) -> list[ImuRecor
     spec = config.reference_sensor
     if spec is None:
         return []
-    # Each <id>_ev<digits>.csv, in block-number order.
+    # The main file of each block, not its companion, in block-number order.
     blocks = sorted((block[0], path) for path in in_dir.iterdir()
                     if (block := reference_block(spec, path.name))
                     and block[1] == path.name)

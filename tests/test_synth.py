@@ -318,11 +318,16 @@ class TestWriteInTwoProcesses:
         return own, [name for name in self.serial if name not in own]
 
     def outcome(self, write, recordings, config, path):
+        """``(type, message)`` of the error ``write`` raises at ``path``, or
+        the names it returns and the bytes of each file it leaves there."""
         shutil.rmtree(path, ignore_errors=True)
-        with pytest.raises(BaseException) as info:
-            write(recordings, config, path)
-        assert_no_child_left()
-        return type(info.value), str(info.value)
+        try:
+            names = [p.name for p in write(recordings, config, path)]
+        except BaseException as exc:
+            return type(exc), str(exc)
+        finally:
+            assert_no_child_left()
+        return names, {p.name: p.read_bytes() for p in path.iterdir()}
 
     def fail_on(self, monkeypatch, names, error=lambda path: DataError(
             f"{path}: cannot write here")):
@@ -364,19 +369,6 @@ class TestWriteInTwoProcesses:
                             tmp_path / "a")
         assert got == want
         assert got[1] == f"{tmp_path / 'a' / earlier}: cannot write here"
-
-    def written(self, write, recordings, config, path):
-        """``(type, message)`` of the error ``write`` raises at ``path``, or
-        the names it returns and the bytes of each file it leaves there."""
-        shutil.rmtree(path, ignore_errors=True)
-        try:
-            names = [p.name for p in write(recordings, config, path,
-                                           self.COMMENTS)]
-        except Exception as exc:
-            return type(exc), str(exc)
-        finally:
-            assert_no_child_left()
-        return names, {p.name: p.read_bytes() for p in path.iterdir()}
 
     @pytest.mark.parametrize("case", [
         "data_error", "os_error", "unpicklable", "killed", "child_only",
@@ -421,6 +413,8 @@ class TestWriteInTwoProcesses:
             if Path(path).name == theirs[0]:
                 raise enospc(path)
 
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
         if case in ("parent_first", "child_first"):
             earlier, later = ((own[0], theirs[-1]) if case == "parent_first"
                               else (theirs[0], own[-1]))
@@ -434,32 +428,30 @@ class TestWriteInTwoProcesses:
             monkeypatch.delattr(os, "fork")
         elif case == "fork_eagain":
             monkeypatch.setattr(os, "fork", unavailable)
-        elif case != "thread":
+        elif case == "thread":
+            other.start()
+        else:
             error = {"data_error": lambda path: DataError(
                          f"{path}: cannot write here"),
                      "os_error": enospc, "unpicklable": unpicklable}[case]
             self.fail_on(monkeypatch, {theirs[1]}, error)
 
-        want = self.written(serial_write_session, recordings, config,
-                            tmp_path / "a")
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        if case == "thread":
-            other.start()
         try:
-            got = self.written(write_session, recordings, config,
+            want = self.outcome(serial_write_session, recordings, config,
+                                tmp_path / "a")
+            got = self.outcome(write_session, recordings, config,
                                tmp_path / "a")
         finally:
             release.set()
-            if case == "thread":
-                other.join()
+            if other.ident is not None:
+                other.join(timeout=60)
         assert got == want
-        assert len(forks) == (case not in ("no_fork", "fork_eagain", "thread"))
+        no_child = case in ("no_fork", "fork_eagain", "thread")
+        assert len(forks) == (0 if no_child else 1)
         if case.endswith("_first"):
             assert got == (DataError,
                            f"{tmp_path / 'a' / earlier}: cannot write here")
-        elif case in ("killed", "child_only", "no_fork", "fork_eagain",
-                      "thread"):
+        elif no_child or case in ("killed", "child_only"):
             assert isinstance(got[1], dict)
 
     def test_interrupt_in_the_parent_waits_for_the_child(
