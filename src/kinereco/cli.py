@@ -41,9 +41,9 @@ from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
 from .ingest import ImuRecording, SessionConfig, check_number, \
-    load_session_config, output_dir, parse_imu_csv, parse_reference_csv, \
-    read_json, read_table, reference_block, session_csv, table_clock, \
-    write_json, write_table
+    finite_block, load_session_config, output_dir, parse_imu_csv, \
+    parse_reference_csv, read_json, read_table, reference_block, \
+    session_csv, table_clock, write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, clip_reference_to, detect_channels, \
     detect_session, overlay_resultants, reconstruct_channels, \
@@ -112,7 +112,7 @@ def _load_reference_blocks(config: SessionConfig, in_dir: Path) -> list[ImuRecor
     blocks = sorted((block[0], path) for path in in_dir.iterdir()
                     if (block := reference_block(spec, path.name))
                     and block[1] == path.name)
-    return [parse_reference_csv(path, spec, config.column_map)
+    return [parse_reference_csv(path, spec, config.column_map, config.window)
             for _, path in blocks]
 
 
@@ -248,16 +248,20 @@ def _read_kinematics_csv(path: Path, pair_id: int, layout, required: int,
         raise DataError(f"{path}: kinematics tables need at least 2 rows, "
                         f"got {len(data)}")
     start, rate = table_clock(data[:, header.index("t_s")], path, "t_s")
+
+    def columns(names):
+        return finite_block(data, None, [header.index(n) for n in names], path)
+
     series = {}
     for prefix, attr in layout:
         names = [f"{prefix}_{ax}" for ax in "xyz"]
         series[attr] = None if not all(n in header for n in names) else \
-            TimeSeries3(start, rate, data[:, [header.index(n) for n in names]])
+            TimeSeries3(start, rate, columns(names))
     if any(series[attr] is None for _, attr in layout[:required]):
         raise FormatError(f"{path}: not a {kind} kinematics file")
     residual = None
     if "residual" in header:
-        residual = TimeSeries1(start, rate, data[:, header.index("residual")])
+        residual = TimeSeries1(start, rate, columns(["residual"])[:, 0])
     try:
         named = int(meta["pair_id"])
     except (KeyError, ValueError):
@@ -306,6 +310,7 @@ def _load_comparisons(hb_dir: Path, ref_dir: Path,
 
 
 def _cmd_simulate(args) -> int:
+    check_number(args.seed, "--seed", ConfigError, ">= 0")
     config = load_session_config(args.config)
     profile = load_profile(args.profile)
     manifest = RunManifest(

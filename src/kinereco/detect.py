@@ -193,17 +193,20 @@ def _correlation(b_part: np.ndarray, a_part: np.ndarray) -> float:
 def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
                  max_offset: float,
                  hb_accel_mag: TimeSeries1 | None = None,
-                 ref_accel_mag: TimeSeries1 | None = None,
-                 window_pre: float = 0.03125,
-                 window_post: float = 0.09375,
+                 ref_accel_mags: list[TimeSeries1] | None = None,
+                 window_pre: float | None = None,
+                 window_post: float | None = None,
                  ) -> tuple[list[EventPair], list[ImpactEvent], list[ImpactEvent]]:
     """Pair headband and reference events across device clocks.
 
     Greedy nearest-neighbor pairing on |t0 difference| <= ``max_offset``;
     the candidate ordering makes the pairing symmetric in its two inputs.
-    When both magnitude series are supplied, each pair's offset is refined by
-    cross-correlation over the shared [-window_pre, +window_post] span;
-    otherwise the offset is the raw trigger-time difference.
+    When ``hb_accel_mag`` and ``ref_accel_mags``, one series per event of
+    ``ref`` (its block's trigger resultant), are supplied with the window,
+    each pair's offset is refined by cross-correlation over the shared
+    [-window_pre, +window_post] span around its two triggers, cut from the
+    headband series and from the reference event's own series; otherwise
+    the offset is the raw trigger-time difference.
 
     Returns
     -------
@@ -223,11 +226,12 @@ def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
         used_h.add(i)
         used_r.add(j)
         offset = hb[i].t0 - ref[j].t0
-        if hb_accel_mag is not None and ref_accel_mag is not None:
+        if hb_accel_mag is not None and ref_accel_mags is not None:
             try:
                 offset += refine_offset(
                     _clip_scalar(hb_accel_mag, hb[i].t0, -window_pre, window_post),
-                    _clip_scalar(ref_accel_mag, ref[j].t0, -window_pre, window_post))
+                    _clip_scalar(ref_accel_mags[j], ref[j].t0, -window_pre,
+                                 window_post))
             except WindowError as exc:
                 log.warning("offset refinement skipped for pair at t0=%.3f s: %s",
                             hb[i].t0, exc)

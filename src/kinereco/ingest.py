@@ -55,6 +55,7 @@ __all__ = [
     "check_object",
     "check_text",
     "check_vector",
+    "finite_block",
     "imu_csv_files",
     "output_dir",
     "read_json",
@@ -82,8 +83,6 @@ _CANONICAL_COLUMNS = ("time_s", *(name for names in _CHANNEL_COLUMNS.values()
 #: SI value of one file unit of each kind: deg/s for the gyro, g for the
 #: accelerometers.
 _UNITS = {"gyro": _DEG2RAD, "accel_low": G_STANDARD, "accel_high": G_STANDARD}
-#: Reference event blocks span 125 ms: 31.25 ms before + 93.75 ms after trigger.
-REFERENCE_BLOCK_S = 0.125
 
 
 @dataclass(frozen=True)
@@ -314,6 +313,16 @@ class SessionConfig:
         ids = [s.id for s in self.sensors]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate sensor ids in configuration")
+        refs = [s.id for s in self.sensors if s.role == "reference"]
+        if len(refs) > 1:
+            raise ConfigError(f"sensor {refs[1]!r}: a second reference sensor "
+                              f"(a session has one, {refs[0]!r})")
+        if self.filter.end_time_ms > self.window.headband_post_ms:
+            raise ConfigError(
+                f"filter.end_time_ms {self.filter.end_time_ms:g} must not "
+                f"exceed window.headband_post_ms "
+                f"{self.window.headband_post_ms:g}: the adaptive filter's end "
+                "slice lies in the headband window")
         n_accel = sum(1 for s in self.sensors if s.has_accelerometer)
         if n_accel < 3:
             raise ConfigError(
@@ -345,21 +354,21 @@ class SessionConfig:
             raise ConfigError(f"a3g1_gyro sensor {self.a3g1_gyro!r} not in sensor list")
         if not any(s.role == "headband" for s in self.sensors):
             raise ConfigError("configuration declares no headband sensors")
-        # A reference block's files all begin <id>_ev<digits>, so two
-        # reference sensors never share one, and none is labels.csv.
+        # A reference block's files all begin <id>_ev<digits>, so none is
+        # labels.csv.
         seen = {"labels.csv": "the labels file"}
+        ref = self.reference_sensor
         for spec in self.headband_sensors:
             rates = {c.kind: c.rate for c in spec.channels}
             for file, _, _ in _sensor_files(Path(session_csv(spec.id)), rates):
-                owner = seen.get(file.name) or next(
-                    (f"a file of sensor {s.id!r}" for s in self.sensors
-                     if s.role == "reference" and reference_block(s, file.name)),
-                    None)
+                owner = seen.get(file.name) or (
+                    ref is not None and reference_block(ref, file.name)
+                    and f"a file of sensor {ref.id!r}")
                 if owner:
                     raise ConfigError(f"sensor {spec.id!r}: its session file "
                                       f"{file.name} is also {owner}")
                 seen[file.name] = f"a file of sensor {spec.id!r}"
-        if not any(s.role == "reference" for s in self.sensors):
+        if ref is None:
             log.warning("configuration declares no reference sensor; "
                         "evaluation subcommands will be unavailable")
 
@@ -375,10 +384,8 @@ class SessionConfig:
 
     @property
     def reference_sensor(self) -> SensorSpec | None:
-        for s in self.sensors:
-            if s.role == "reference":
-                return s
-        return None
+        """The session's one reference sensor, or None."""
+        return next((s for s in self.sensors if s.role == "reference"), None)
 
 
 @dataclass(frozen=True)
@@ -646,10 +653,10 @@ def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
     return float(t[0]), rate
 
 
-def _finite_block(data, rows, cols, path) -> np.ndarray:
-    """Columns ``cols`` of ``data``, whose row i is data row ``rows[i]``
-    (row i when ``rows`` is None); a DataError names the data row of the
-    first cell that is not finite."""
+def finite_block(data, rows, cols, path) -> np.ndarray:
+    """Columns ``cols`` of ``data``, the table at ``path``, whose row i is
+    data row ``rows[i]`` (row i when ``rows`` is None); a DataError names the
+    data row of the first cell that is not finite."""
     block = data[:, cols]
     if not np.isfinite(block).all():
         row, col = np.argwhere(~np.isfinite(block))[0]
@@ -789,7 +796,7 @@ def _file_channels(table: TableRows, header, path, kinds, wanted, rate,
     t0, _ = table_clock(data[:, t_idx], path, header[t_idx], rate, rows)
     series = {}
     for kind, idx in zip(kinds, cols):
-        block = _finite_block(data, rows, idx, path)
+        block = finite_block(data, rows, idx, path)
         if kind not in wanted:
             continue
         if rows is None:
@@ -813,27 +820,28 @@ def _check_overlap(rec: ImuRecording, path):
         raise DataError(f"{path}: channels do not overlap in time")
 
 
-def parse_reference_csv(path, spec: SensorSpec,
-                        column_map: dict | None = None) -> ImuRecording:
-    """Parse one reference-device event block (125 ms at the device rate).
+def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
+                        window: WindowConfig = WindowConfig()) -> ImuRecording:
+    """Parse one reference-device event block.
 
     Same contract as :func:`parse_imu_csv`, plus the block-geometry check:
-    the file must span 125 ms (31.25 ms before + 93.75 ms after the trigger)
-    within one sample period.
+    the gyro must span the block ``simulate`` cuts by ``window`` within one
+    sample period: ``pre`` before the trigger and ``reference_post`` after
+    it, each rounded out to the sample grid as ``detect.extract_window``
+    rounds them.
     """
     rec = parse_imu_csv(path, spec, column_map)
-    span = (len(rec.gyro) - 1) / rec.gyro.sample_rate
-    tol = 1.0001 / rec.gyro.sample_rate
-    if span < REFERENCE_BLOCK_S - tol:
-        raise DataError(
-            f"{path}: short event block ({span * 1e3:.2f} ms < "
-            f"{REFERENCE_BLOCK_S * 1e3:.2f} ms)"
-        )
-    if span > REFERENCE_BLOCK_S + tol:
-        raise DataError(
-            f"{path}: long event block ({span * 1e3:.2f} ms > "
-            f"{REFERENCE_BLOCK_S * 1e3:.2f} ms)"
-        )
+    rate = rec.gyro.sample_rate
+    span = (len(rec.gyro) - 1) / rate
+    block = (math.ceil(window.pre * rate - 1e-9)
+             + math.ceil(window.reference_post * rate - 1e-9)) / rate
+    tol = 1.0001 / rate
+    if span < block - tol:
+        raise DataError(f"{path}: short event block ({span * 1e3:.2f} ms < "
+                        f"{block * 1e3:.2f} ms)")
+    if span > block + tol:
+        raise DataError(f"{path}: long event block ({span * 1e3:.2f} ms > "
+                        f"{block * 1e3:.2f} ms)")
     return rec
 
 

@@ -54,24 +54,6 @@ def _headband_trigger_series(config: SessionConfig,
     return TimeSeries1(grid[0], rate, stack)
 
 
-def _concat_scalar(series: list[TimeSeries1]) -> TimeSeries1 | None:
-    """Stitch disjoint reference blocks into one series for alignment lookups.
-
-    Gaps are bridged with zeros; only the in-block samples matter because the
-    alignment windows always sit inside a block.
-    """
-    series = sorted(series, key=lambda s: s.start_time)
-    rate = series[0].sample_rate
-    t0 = series[0].start_time
-    t1 = max(s.end_time for s in series)
-    n = int(round((t1 - t0) * rate)) + 1
-    values = np.zeros(n)
-    for s in series:
-        i0 = int(round((s.start_time - t0) * rate))
-        values[i0:i0 + len(s)] = s.values
-    return TimeSeries1(t0, rate, values)
-
-
 def _label_for(t0: float, labels, tolerance: float = 0.5) -> str:
     best = ""
     best_dt = tolerance
@@ -123,14 +105,13 @@ def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
         if found:
             ref_events.append(ImpactEvent(found[0].t0, "reference"))
         else:
-            # Hardware-trigger geometry: the block starts 31.25 ms early.
+            # Hardware-trigger geometry: the block starts ``pre`` early.
             ref_events.append(ImpactEvent(trig.start_time + config.window.pre,
                                           "reference"))
 
-    ref_mag_all = _concat_scalar(ref_mags) if ref_mags else None
     pairs, unpaired_hb, unpaired_ref = detect.align_events(
         hb_events, ref_events, max_offset,
-        hb_accel_mag=hb_trigger, ref_accel_mag=ref_mag_all,
+        hb_accel_mag=hb_trigger, ref_accel_mags=ref_mags,
         window_pre=config.window.pre, window_post=config.window.reference_post,
     )
     rows = [PairRow(pair_id=k, label=_label_for(pair.headband.t0, labels),

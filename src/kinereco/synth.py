@@ -400,7 +400,8 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
 
 
 def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[TruthEvent, ...]:
-    """Analytic peaks over [-31.25, +93.75] ms around each planned impact."""
+    """Analytic peaks over the reference window, ``pre`` before to
+    ``reference_post`` after each planned impact."""
     pre = config.window.pre
     post = config.window.reference_post
     events = []

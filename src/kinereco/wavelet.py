@@ -84,8 +84,6 @@ class CoefficientSlices:
     freqs: np.ndarray
     at_start: np.ndarray
     at_end: np.ndarray
-    t_start: float
-    t_end: float
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,6 @@ def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> Coefficien
         freqs=sc.freqs,
         at_start=w0 / peak,
         at_end=sc.coeffs[:, i1] / peak,
-        t_start=float(sc.times[i0]),
-        t_end=float(sc.times[i1]),
     )
 
 

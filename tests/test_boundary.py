@@ -131,6 +131,14 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
     ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
         id="bt_back") or sensor(raw, "bt_back").update(id="bt_back"),
      "ConfigError: duplicate sensor ids in configuration"),
+    ("simulate", lambda raw: raw["sensors"].append(
+        {**sensor(raw, "mouthpiece"), "id": "mp2"}),
+     "ConfigError: sensor 'mp2': a second reference sensor (a session has "
+     "one, 'mouthpiece')"),
+    ("detect", put(["filter", "end_time_ms"], 200.0),
+     "ConfigError: filter.end_time_ms 200 must not exceed "
+     "window.headband_post_ms 150: the adaptive filter's end slice lies in "
+     "the headband window"),
 ], ids=["channels_float", "column_map_list", "column_map_int", "rate_nan",
         "rate_1e308", "position_big_int", "position_strings",
         "orientation_8_numbers", "trigger_list", "no_gyro", "id_null",
@@ -139,7 +147,8 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
         "column_map_shared_column", "accel_low_rate", "id_empty", "id_dot",
         "id_dot_dot", "id_parent_path", "id_backslash", "id_nul",
         "id_labels", "id_reference_block", "id_reference_block_unpadded",
-        "id_companion", "id_reference_block_companion", "id_duplicate"])
+        "id_companion", "id_reference_block_companion", "id_duplicate",
+        "second_reference", "end_time_past_window"])
 
 
 @CONFIG_ROWS
@@ -209,6 +218,17 @@ def test_bad_profile_gives_one_error_line(small_pipeline, profile_path, tmp_path
                      "--config", small_pipeline["config"], "--out", out], capsys)
     assert (code, len(err)) == (1, 1)
     assert err[0].startswith("kinereco: error: " + expected.format(path=profile))
+    assert not out.exists()
+
+
+def test_negative_seed_gives_one_error_line(small_pipeline, profile_path,
+                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    code, err = run(["simulate", "--profile", profile_path, "--config",
+                     small_pipeline["config"], "--out", out, "--seed", -1],
+                    capsys)
+    assert (code, err) == (1, ["kinereco: error: ConfigError: --seed must be "
+                               "a finite number >= 0, got -1"])
     assert not out.exists()
 
 
@@ -332,6 +352,32 @@ class TestPairKeyedReading:
         assert err[0] == (f"kinereco: error: FormatError: {kin / 'hb_ev002.csv'}"
                           ": 'pair_id' header comment 1 does not match the "
                           "file name")
+
+    @pytest.mark.parametrize("command, name, column, cell, what", [
+        ("evaluate", "hb_ev001.csv", "omega_h_y", "nan", "NaN"),
+        ("evaluate", "ref_ev002.csv", "alpha_z", "inf", "infinite"),
+        ("evaluate", "hb_ev003.csv", "residual", "-inf", "infinite"),
+        ("report", "hb_ev002.csv", "omega_hf_x", "nan", "NaN"),
+    ], ids=["headband", "reference", "residual", "report_overlays"])
+    def test_a_non_finite_cell_names_its_file_and_row(
+            self, small_pipeline, report_path, tmp_path, capsys, command,
+            name, column, cell, what):
+        kin = Path(shutil.copytree(small_pipeline["kin"], tmp_path / "kin"))
+        lines = (kin / name).read_text().splitlines()
+        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        cells = lines[header + 1 + 7].split(",")  # data row 7
+        cells[lines[header].split(",").index(column)] = cell
+        lines[header + 1 + 7] = ",".join(cells)
+        (kin / name).write_text("\n".join(lines) + "\n")
+        if command == "evaluate":
+            code = self.evaluate(small_pipeline, kin, tmp_path / "report.json")
+        else:
+            code = main(["report", "--in", str(report_path), "--out",
+                         str(tmp_path / "t"), "--hb", str(kin), "--ref",
+                         str(kin)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert (code, err) == (1, [f"kinereco: error: DataError: {kin / name}: "
+                                   f"{what} cell at data row 7"])
 
     def test_report_overlays_only_the_reported_pairs(self, small_pipeline,
                                                      report_path, tmp_path):

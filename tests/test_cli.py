@@ -234,6 +234,41 @@ class TestSimulateCommand:
             f"kinereco: error: DataError: impact label {label!r} contains ")
         assert not session.exists()
 
+    @pytest.mark.parametrize("window", [
+        {"pre_ms": 40.0, "reference_post_ms": 60.0},
+        # Neither is a whole number of sample periods at 3200 Hz.
+        {"pre_ms": 31.3, "reference_post_ms": 93.8, "headband_post_ms": 160.0},
+    ], ids=["pre40_post60", "pre31.3_post93.8_hb160"])
+    def test_a_non_default_window_runs_every_stage(self, tmp_path, config,
+                                                   clean_profile_small,
+                                                   caplog, window):
+        """simulate cuts the reference blocks by the config's window, and
+        detect, reconstruct and evaluate read and align them by it."""
+        raw = config_to_json_dict(config)
+        raw["window"] = {**raw["window"], **window}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        profile_path = dump_profile(clean_profile_small,
+                                    tmp_path / "profile.json")
+        session, events = tmp_path / "session", tmp_path / "events.csv"
+        kin, report = tmp_path / "kin", tmp_path / "report.json"
+        common = ["--config", str(config_path)]
+        for argv in (
+                ["simulate", "--profile", str(profile_path), "--out",
+                 str(session), "--seed", "5"],
+                ["detect", "--in", str(session), "--out", str(events)],
+                ["reconstruct", "--in", str(session), "--events", str(events),
+                 "--out", str(kin)],
+                ["evaluate", "--hb", str(kin), "--ref", str(kin), "--pairs",
+                 str(events), "--out", str(report)]):
+            assert main(argv[:1] + common + argv[1:]) == 0, argv[0]
+        n = len(clean_profile_small.impacts)
+        rows = [ln.split(",") for ln in events.read_text().splitlines()
+                if ln and not ln.startswith("#")][1:]
+        assert len(rows) == 2 * n and all(row[0] for row in rows)
+        assert "offset refinement skipped" not in caplog.text
+        assert json.loads(report.read_text())["n_events"] == n
+
 
 class TestSideEffects:
     def test_subcommands_leave_input_directory_untouched(self, small_pipeline):
@@ -492,17 +527,35 @@ class TestStageErrors:
         assert "bt_left_inner_high.csv: NaN cell" in line
 
     def test_reference_window_too_short_to_filter(self, small_pipeline,
+                                                  clean_profile_small,
                                                   tmp_path, capsys):
         raw = json.loads(small_pipeline["config"].read_text())
         raw["window"] = {"pre_ms": 0.001, "reference_post_ms": 0.5,
                          "headband_post_ms": 150.0}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(raw))
-        out = tmp_path / "kin"
+        # Blocks cut by the default window do not match this one.
         assert main(["reconstruct", "--config", str(config_path),
                      "--in", str(small_pipeline["session"]),
                      "--events", str(small_pipeline["events"]),
-                     "--out", str(out)]) == 1
+                     "--out", str(tmp_path / "kin0")]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("kinereco: error: DataError: ")
+        assert line.endswith("mouthpiece_ev001.csv: long event block "
+                             "(125.00 ms > 0.94 ms)")
+        # Blocks cut by this window: 1 + 2 sample periods at 3200 Hz.
+        session, events = tmp_path / "session", tmp_path / "events.csv"
+        profile_path = dump_profile(clean_profile_small,
+                                    tmp_path / "profile.json")
+        assert main(["simulate", "--profile", str(profile_path), "--config",
+                     str(config_path), "--out", str(session), "--seed",
+                     "5"]) == 0
+        assert main(["detect", "--config", str(config_path), "--in",
+                     str(session), "--out", str(events)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(config_path),
+                     "--in", str(session), "--events", str(events),
+                     "--out", str(tmp_path / "kin")]) == 1
         line = single_error_line(capsys)
         assert line.startswith("kinereco: error: DataError: ")
         assert "at least 10 samples" in line

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from kinereco import detect
 from kinereco.core import TimeSeries1, TimeSeries3, magnitude, sample_on_grid
 from kinereco.detect import (ImpactEvent, _clip_scalar, align_events,
                              detect_impacts, extract_window, refine_offset)
 from kinereco.errors import WindowError
 from kinereco.ingest import G_STANDARD, ImuRecording
+from kinereco.pipeline import detect_session
+from kinereco.synth import simulate_session, standard_session_profile
 
 THREE_G = 3.0 * G_STANDARD
 
@@ -182,7 +185,8 @@ class TestOffsetRefinement:
         # The headband trigger fired 2 ms late: raw difference 52 ms.
         pairs, _, _ = align_events([ImpactEvent(1.052, "headband")],
                                    [ImpactEvent(1.0, "reference")], 0.1,
-                                   hb_accel_mag=hb, ref_accel_mag=ref)
+                                   hb_accel_mag=hb, ref_accel_mags=[ref],
+                                   window_pre=0.03125, window_post=0.09375)
         assert pairs[0].offset == pytest.approx(0.050, abs=0.5 / rate)
 
     @pytest.mark.parametrize("start, t0", [(0.0, 1.0), (0.1, 1.2345678),
@@ -215,14 +219,118 @@ class TestOffsetRefinement:
             ref_events.append(ImpactEvent(found[0].t0, "reference"))
         assert len(hb_events) == len(ref_events) == 18
 
-        from kinereco.pipeline import _concat_scalar
         pairs, un_h, un_r = align_events(
             hb_events, ref_events, 0.5,
-            hb_accel_mag=trig, ref_accel_mag=_concat_scalar(ref_mag_parts),
+            hb_accel_mag=trig, ref_accel_mags=ref_mag_parts,
+            window_pre=config.window.pre,
+            window_post=config.window.reference_post,
         )
         assert len(pairs) == 18 and not un_h and not un_r
         offsets = np.array([p.offset for p in pairs])
         assert np.abs(offsets - 0.020).max() < 0.001
+
+
+def stitched(series: list[TimeSeries1]) -> TimeSeries1:
+    """The reference blocks on one stream, the gaps bridged with zeros, as
+    alignment cut its windows from before each block was aligned alone."""
+    series = sorted(series, key=lambda s: s.start_time)
+    rate = series[0].sample_rate
+    t0 = series[0].start_time
+    t1 = max(s.end_time for s in series)
+    n = int(round((t1 - t0) * rate)) + 1
+    values = np.zeros(n)
+    for s in series:
+        i0 = int(round((s.start_time - t0) * rate))
+        values[i0:i0 + len(s)] = s.values
+    return TimeSeries1(t0, rate, values)
+
+
+def stitched_offsets(pairs, hb_mag, ref_mags, pre, post) -> list[float]:
+    """Each pair's offset refined over the stitched stream of ``ref_mags``."""
+    stream = stitched(ref_mags)
+    out = []
+    for pair in pairs:
+        offset = pair.headband.t0 - pair.reference.t0
+        try:
+            offset += refine_offset(
+                _clip_scalar(hb_mag, pair.headband.t0, -pre, post),
+                _clip_scalar(stream, pair.reference.t0, -pre, post))
+        except WindowError:
+            pass
+        out.append(offset)
+    return out
+
+
+@pytest.fixture(scope="module")
+def noisy_session_small(config):
+    profile = standard_session_profile(seed=13, with_noise=True, n_per_tier=1)
+    return simulate_session(profile, config, seed=3)
+
+
+class TestPerBlockAlignment:
+    """Each pair is aligned on its own reference block."""
+
+    @pytest.mark.parametrize("session", ["clean_session_small",
+                                         "noisy_session_small",
+                                         "skewed_session"])
+    def test_offsets_equal_the_stitched_stream_bit_for_bit(
+            self, request, config, monkeypatch, session):
+        sim = request.getfixturevalue(session)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs, align_events(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(detect, "align_events", spy)
+        detect_session(config, {r.sensor_id: r for r in sim.headband},
+                       list(sim.reference_blocks), 0.5)
+        (kwargs, (pairs, _, _)), = calls
+        assert len(pairs) == len(sim.profile.impacts)
+        expected = stitched_offsets(pairs, kwargs["hb_accel_mag"],
+                                    kwargs["ref_accel_mags"],
+                                    kwargs["window_pre"],
+                                    kwargs["window_post"])
+        assert [p.offset.hex() for p in pairs] == [e.hex() for e in expected]
+
+    def test_window_overhanging_its_block(self):
+        """Each reference block, cut from 100 samples before 1 s or 2 s,
+        triggers 15 samples after its start, so the [-31.25, +93.75] ms
+        window around that trigger starts 85 samples before the block.  The stitched
+        stream clamped the first block's window to the stream and filled the
+        second's with bridged zeros, which moved its lag by one sample; each
+        block alone gives both pairs the same lag."""
+        rate, pre, post = 3200.0, 0.03125, 0.09375
+        t = np.arange(int(3.0 * rate)) / rate
+
+        def bumps(shift, extra=()):
+            values = np.full_like(t, G_STANDARD)
+            for t0, width, height in [
+                    (c + d, w, h) for c in (1.0, 2.0) for d, w, h in
+                    ((-0.025, 0.002, 40.0), (0.004, 0.004, 30.0))] + list(extra):
+                values += np.exp(-(((t - shift - t0) / width) ** 2)) * height
+            return TimeSeries1(0.0, rate, values)
+
+        ref = bumps(0.0)
+        # The headband also shows a small bump before its trigger.
+        hb = bumps(0.003, [(c - 0.033, 0.002, 15.0) for c in (1.0, 2.0)])
+        blocks = [ref.part(round(c * rate) - 100, round(c * rate) + 300)
+                  for c in (1.0, 2.0)]
+        ref_events = [ImpactEvent(detect_impacts(b, THREE_G, 0.003)[0].t0,
+                                  "reference") for b in blocks]
+        assert [e.t0 - b.start_time for e, b in zip(ref_events, blocks)] == \
+            pytest.approx([15 / rate] * 2)
+        hb_events = [ImpactEvent(e.t0, "headband") for e in detect_impacts(
+            hb, THREE_G, 0.003, min_separation=0.18)]
+        pairs, _, _ = align_events(hb_events, ref_events, 0.5, hb_accel_mag=hb,
+                                   ref_accel_mags=blocks, window_pre=pre,
+                                   window_post=post)
+        raw = [p.headband.t0 - p.reference.t0 for p in pairs]
+        assert [round(r * rate, 6) for r in raw] == [10.0, 10.0]
+        assert [p.offset for p in pairs] == raw
+        old = stitched_offsets(pairs, hb, blocks, pre, post)
+        assert [round((o - r) * rate, 6) for o, r in zip(old, raw)] == \
+            [0.0, -1.0]
 
 
 def full_scan_refine_offset(hb_mag, ref_mag, max_lag=0.010):

@@ -230,6 +230,47 @@ class TestParseReferenceCsv:
         with pytest.raises(DataError, match="long event block"):
             parse_reference_csv(path, reference_spec())
 
+    @pytest.mark.parametrize("window", [None, ingest.WindowConfig()],
+                             ids=["default", "config"])
+    @pytest.mark.parametrize("n, error", [
+        (399, "short event block (124.38 ms < 125.00 ms)"),
+        (400, None), (401, None), (402, None),
+        (403, "long event block (125.62 ms > 125.00 ms)"),
+    ])
+    def test_default_window_is_400_periods_within_one(self, tmp_path, n,
+                                                      error, window):
+        """The block the default window cuts, 100 + 300 sample periods at
+        3200 Hz, within one period: the bounds of a fixed 125 ms block."""
+        path = tmp_path / "mp_ev001.csv"
+        write_reference_block(path, n)
+        args = () if window is None else (None, window)
+        if error is None:
+            assert len(parse_reference_csv(path, reference_spec(), *args)
+                       .gyro) == n
+        else:
+            with pytest.raises(DataError) as exc:
+                parse_reference_csv(path, reference_spec(), *args)
+            assert str(exc.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize("pre_ms, post_ms, periods", [
+        (40.0, 60.0, 128 + 192),
+        # 100.16 and 300.16 periods, each rounded out.
+        (31.3, 93.8, 101 + 301),
+        (0.001, 0.5, 1 + 2),
+    ])
+    def test_block_length_comes_from_the_window(self, tmp_path, pre_ms,
+                                                post_ms, periods):
+        window = ingest.WindowConfig(pre_ms=pre_ms, reference_post_ms=post_ms)
+        path = tmp_path / "mp_ev001.csv"
+        write_reference_block(path, periods + 1)
+        rec = parse_reference_csv(path, reference_spec(), None, window)
+        assert len(rec.gyro) == periods + 1
+        write_reference_block(path, periods + 3)
+        with pytest.raises(DataError, match=re.escape(
+                f"long event block ({(periods + 2) / 3.2:.2f} ms > "
+                f"{periods / 3.2:.2f} ms)")):
+            parse_reference_csv(path, reference_spec(), None, window)
+
 
 def test_recording_map_passes_each_present_channel_with_its_kind():
     gyro = TimeSeries3(0.0, 100.0, np.zeros((4, 3)))

@@ -105,8 +105,7 @@ class TestNormalizedSlices:
 def slices_for(freqs, at_start, at_end):
     return CoefficientSlices(freqs=np.asarray(freqs, dtype=float),
                              at_start=np.asarray(at_start, dtype=float),
-                             at_end=np.asarray(at_end, dtype=float),
-                             t_start=0.0, t_end=0.150)
+                             at_end=np.asarray(at_end, dtype=float))
 
 
 class TestSelectCutoff:
