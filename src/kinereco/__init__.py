@@ -18,7 +18,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import TimeSeries1, TimeSeries3, magnitude, rotate_series
-from .detect import ImpactEvent, align_events, detect_impacts, extract_window
+from .detect import align_events, detect_impacts, extract_window
 from .errors import (ConfigError, DataError, DegenerateSignalError, FormatError,
                      KinerecoError, WindowError)
 from .evaluate import (bland_altman, cora_score, nrmse_windowed, paired_t_test,

@@ -45,9 +45,9 @@ from .ingest import ImuRecording, SessionConfig, check_number, \
     parse_reference_csv, read_json, read_table, reference_block, \
     session_csv, table_clock, write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
-from .pipeline import PairRow, clip_reference_to, detect_channels, \
-    detect_session, overlay_resultants, reconstruct_channels, \
-    reconstruct_pair, reconstruct_spans, report_tables
+from .pipeline import PairRow, detect_channels, detect_session, \
+    overlay_resultants, reconstruct_channels, reconstruct_pair, \
+    reconstruct_spans, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
 from .wavelet import cwt
 
@@ -167,7 +167,7 @@ def _write_events_csv(path: Path, pairs: list[PairRow], unpaired,
                      f"{row.offset:.9f}"))
         rows.append((str(row.pair_id), "reference", row.t0_reference,
                      row.label, ""))
-    rows += [("", ev.source, ev.t0, label, "") for ev, label in unpaired]
+    rows += [("", source, t0, label, "") for source, t0, label in unpaired]
     ids, sources, times, labels, offsets = list(zip(*rows)) or [()] * 5
     write_table(path, _EVENT_COLUMNS,
                 (ids, sources, np.array(times, dtype=np.float64), labels,
@@ -240,7 +240,7 @@ def _read_kinematics_csv(path: Path, pair_id: int, layout, required: int,
     """``(header comments, series by attribute, residual)`` of the
     kinematics table of pair ``pair_id``, whose ``pair_id`` comment must
     name that pair; the first ``required`` series of ``layout`` must be
-    present."""
+    present, and every series with all of its x/y/z columns or none."""
     meta, header, data = read_table(path)
     if "t_s" not in header:
         raise FormatError(f"{path}: missing column 't_s'")
@@ -255,7 +255,10 @@ def _read_kinematics_csv(path: Path, pair_id: int, layout, required: int,
     series = {}
     for prefix, attr in layout:
         names = [f"{prefix}_{ax}" for ax in "xyz"]
-        series[attr] = None if not all(n in header for n in names) else \
+        missing = [n for n in names if n not in header]
+        if 0 < len(missing) < 3:
+            raise FormatError(f"{path}: missing column {missing[0]!r}")
+        series[attr] = None if missing else \
             TimeSeries3(start, rate, columns(names))
     if any(series[attr] is None for _, attr in layout[:required]):
         raise FormatError(f"{path}: not a {kind} kinematics file")
@@ -276,9 +279,8 @@ def _read_kinematics_csv(path: Path, pair_id: int, layout, required: int,
 def _load_comparisons(hb_dir: Path, ref_dir: Path,
                       pairs: dict[int, str]) -> list[EventComparison]:
     """The comparison of each pair in ``pairs`` (pair id to label): its
-    ``hb_ev###.csv`` with its ``ref_ev###.csv``, the reference clipped to the
-    headband support.  A pair without a reference file is skipped with a
-    warning."""
+    ``hb_ev###.csv`` with its ``ref_ev###.csv``.  A pair without a reference
+    file is skipped with a warning."""
     events = []
     for pair_id, label in sorted(pairs.items()):
         path = hb_dir / f"hb_ev{pair_id:03d}.csv"
@@ -295,13 +297,8 @@ def _load_comparisons(hb_dir: Path, ref_dir: Path,
             continue
         _, ref_series, _ = _read_kinematics_csv(ref_path, pair_id, _REF_SERIES,
                                                 3, "reference")
-        ref_kin = ReferenceKinematics(**ref_series)
-        events.append(EventComparison(
-            pair_id=pair_id,
-            label=label,
-            headband=kin,
-            reference=clip_reference_to(ref_kin, kin),
-        ))
+        events.append(EventComparison(pair_id, label, kin,
+                                      ReferenceKinematics(**ref_series)))
     return events
 
 
@@ -438,6 +435,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if bool(args.hb) != bool(args.ref):
+        raise ConfigError("report: --hb and --ref go together (the time "
+                          "histories need both kinematics directories)")
     in_path = Path(args.in_path)
     report = read_json(in_path)
     for key in ("events", "aggregate"):

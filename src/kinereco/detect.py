@@ -24,9 +24,7 @@ from .errors import DataError, WindowError
 from .ingest import ImuRecording
 
 __all__ = [
-    "ImpactEvent",
     "ImpactWindow",
-    "EventPair",
     "detect_impacts",
     "extract_window",
     "align_events",
@@ -34,14 +32,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ImpactEvent:
-    """One detected impact: absolute trigger time and originating device."""
-
-    t0: float
-    source: str
 
 
 @dataclass(frozen=True)
@@ -57,21 +47,8 @@ class ImpactWindow:
     post: float
 
 
-@dataclass(frozen=True)
-class EventPair:
-    """A headband/reference event pair with the refined clock offset.
-
-    ``offset`` estimates (headband clock - reference clock): an instant
-    stamped t on the headband corresponds to t - offset on the reference.
-    """
-
-    headband: ImpactEvent
-    reference: ImpactEvent
-    offset: float
-
-
 def detect_impacts(accel_mag: TimeSeries1, threshold: float,
-                   min_duration: float, min_separation: float = 0.0) -> list[ImpactEvent]:
+                   min_duration: float, min_separation: float = 0.0) -> list[float]:
     """Find impacts on an acceleration-resultant series.
 
     An event starts at the first sample of every maximal run with magnitude
@@ -93,8 +70,9 @@ def detect_impacts(accel_mag: TimeSeries1, threshold: float,
 
     Returns
     -------
-    list of ImpactEvent
-        Absolute trigger times, strictly increasing; empty if none.
+    list of float
+        Absolute trigger times in seconds, strictly increasing; empty if
+        none.
     """
     if threshold <= 0:
         raise DataError(f"threshold must be positive, got {threshold}")
@@ -110,7 +88,7 @@ def detect_impacts(accel_mag: TimeSeries1, threshold: float,
         ends = np.r_[ends, len(above) - 1]
 
     dt = accel_mag.dt
-    events: list[ImpactEvent] = []
+    events: list[float] = []
     last_t0 = -np.inf
     for i0, i1 in zip(starts, ends):
         if (i1 - i0) * dt <= min_duration:
@@ -118,7 +96,7 @@ def detect_impacts(accel_mag: TimeSeries1, threshold: float,
         t0 = accel_mag.start_time + i0 * dt
         if t0 - last_t0 < min_separation:
             continue
-        events.append(ImpactEvent(t0=t0, source=""))
+        events.append(t0)
         last_t0 = t0
     return events
 
@@ -140,9 +118,10 @@ def _excerpt(ts: TimeSeries3, t0: float, pre: float, post: float,
     return ts.part(i_first, i_last).shifted(-t0)
 
 
-def extract_window(rec: ImuRecording, event: ImpactEvent, pre: float,
+def extract_window(rec: ImuRecording, t0: float, pre: float,
                    post: float) -> ImuRecording:
-    """Cut one recording to the impact window on an impact-relative clock.
+    """Cut one recording to the window around the trigger time ``t0``, on an
+    impact-relative clock.
 
     The excerpt covers [-pre, +post] (snapped outward to the sample grid, so
     its length equals pre+post within one sample period) with t = 0 at the
@@ -153,7 +132,7 @@ def extract_window(rec: ImuRecording, event: ImpactEvent, pre: float,
     WindowError
         Naming the channel with insufficient coverage.
     """
-    return rec.map(lambda kind, ts: _excerpt(ts, event.t0, pre, post,
+    return rec.map(lambda kind, ts: _excerpt(ts, t0, pre, post,
                                              f"{rec.sensor_id}/{kind}"))
 
 
@@ -190,56 +169,52 @@ def _correlation(b_part: np.ndarray, a_part: np.ndarray) -> float:
     return float(a_part @ b_part) / denom if denom > 0 else 0.0
 
 
-def align_events(hb: list[ImpactEvent], ref: list[ImpactEvent],
-                 max_offset: float,
-                 hb_accel_mag: TimeSeries1 | None = None,
-                 ref_accel_mags: list[TimeSeries1] | None = None,
-                 window_pre: float | None = None,
-                 window_post: float | None = None,
-                 ) -> tuple[list[EventPair], list[ImpactEvent], list[ImpactEvent]]:
-    """Pair headband and reference events across device clocks.
+def align_events(hb_t0: list[float], ref_t0: list[float], max_offset: float,
+                 hb_accel_mag: TimeSeries1, ref_accel_mags: list[TimeSeries1],
+                 window_pre: float, window_post: float,
+                 ) -> list[tuple[int, int, float]]:
+    """Pair headband and reference trigger times across device clocks.
 
     Greedy nearest-neighbor pairing on |t0 difference| <= ``max_offset``;
     the candidate ordering makes the pairing symmetric in its two inputs.
-    When ``hb_accel_mag`` and ``ref_accel_mags``, one series per event of
-    ``ref`` (its block's trigger resultant), are supplied with the window,
-    each pair's offset is refined by cross-correlation over the shared
-    [-window_pre, +window_post] span around its two triggers, cut from the
-    headband series and from the reference event's own series; otherwise
-    the offset is the raw trigger-time difference.
+    Each pair's offset, an estimate of (headband clock - reference clock),
+    is its trigger-time difference refined by cross-correlation over the
+    shared [-window_pre, +window_post] span around its two triggers, cut
+    from ``hb_accel_mag`` and from ``ref_accel_mags[j]``, the trigger
+    resultant of reference event ``j``'s own block.  A pair whose span the
+    series do not cover keeps the raw difference, with a warning.
 
     Returns
     -------
-    (pairs, unpaired_hb, unpaired_ref)
+    list of (i, j, offset)
+        Indexes into ``hb_t0`` and ``ref_t0`` of each pair, in headband
+        order; an index in no pair is an unpaired event.
     """
     candidates = sorted(
-        ((abs(h.t0 - r.t0), i, j) for i, h in enumerate(hb)
-         for j, r in enumerate(ref) if abs(h.t0 - r.t0) <= max_offset),
+        ((abs(h - r), i, j) for i, h in enumerate(hb_t0)
+         for j, r in enumerate(ref_t0) if abs(h - r) <= max_offset),
         key=lambda c: (c[0], c[1], c[2]),
     )
     used_h: set[int] = set()
     used_r: set[int] = set()
-    pairs: list[EventPair] = []
+    pairs: list[tuple[int, int, float]] = []
     for _, i, j in candidates:
         if i in used_h or j in used_r:
             continue
         used_h.add(i)
         used_r.add(j)
-        offset = hb[i].t0 - ref[j].t0
-        if hb_accel_mag is not None and ref_accel_mags is not None:
-            try:
-                offset += refine_offset(
-                    _clip_scalar(hb_accel_mag, hb[i].t0, -window_pre, window_post),
-                    _clip_scalar(ref_accel_mags[j], ref[j].t0, -window_pre,
-                                 window_post))
-            except WindowError as exc:
-                log.warning("offset refinement skipped for pair at t0=%.3f s: %s",
-                            hb[i].t0, exc)
-        pairs.append(EventPair(hb[i], ref[j], offset))
-    pairs.sort(key=lambda p: p.headband.t0)
-    unpaired_hb = [e for i, e in enumerate(hb) if i not in used_h]
-    unpaired_ref = [e for j, e in enumerate(ref) if j not in used_r]
-    return pairs, unpaired_hb, unpaired_ref
+        offset = hb_t0[i] - ref_t0[j]
+        try:
+            offset += refine_offset(
+                _clip_scalar(hb_accel_mag, hb_t0[i], -window_pre, window_post),
+                _clip_scalar(ref_accel_mags[j], ref_t0[j], -window_pre,
+                             window_post))
+        except WindowError as exc:
+            log.warning("offset refinement skipped for pair at t0=%.3f s: %s",
+                        hb_t0[i], exc)
+        pairs.append((i, j, offset))
+    pairs.sort(key=lambda p: hb_t0[p[0]])
+    return pairs
 
 
 def _clip_scalar(ts: TimeSeries1, t0: float, lo: float, hi: float) -> TimeSeries1:

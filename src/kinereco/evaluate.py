@@ -288,7 +288,14 @@ class EventComparison:
 
 
 def _common_pair(hb_series, ref_series):
-    """The headband series sampled on the reference grid, and the reference."""
+    """The headband series sampled on the reference grid, and the reference
+    trimmed to the headband support (a clock-shifted reference can overhang
+    it by a couple of samples)."""
+    i0, i1 = ref_series.span(hb_series.start_time - ref_series.start_time,
+                             hb_series.end_time - ref_series.start_time)
+    if i1 <= i0 + 8:
+        raise DataError("reference and headband kinematics barely overlap")
+    ref_series = ref_series.part(i0, i1)
     return sample_on_grid(hb_series, ref_series.times), ref_series
 
 
@@ -309,7 +316,8 @@ def build_agreement_report(events: list[EventComparison],
                            ) -> dict:
     """Aggregate per-event CORA / peaks / NRMSE and session-level statistics.
 
-    Each quantity is compared on the reference window grid; CORA headline
+    Each quantity is compared on the reference window grid, trimmed to the
+    headband support (:func:`_common_pair`); CORA headline
     scores are computed on the resultant (per-axis scores are reported as
     detail).  Returns a JSON-ready dictionary; see ``docs/formats.md`` for
     the layout.

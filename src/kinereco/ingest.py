@@ -495,7 +495,9 @@ def read_table(path, numeric: bool = True, pick=None):
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:
-            raise DataError(f"{path}: unparseable cell ({exc})") from None
+            raise DataError(f"{path}: " + (
+                _bad_row(path, lines, header)
+                or f"unparseable cell ({exc})")) from None
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
     if data.shape[1] != len(header):
@@ -505,6 +507,51 @@ def read_table(path, numeric: bool = True, pick=None):
     if pick is not None:
         return meta, header, TableRows(data, None, len(data))
     return meta, header, data
+
+
+#: Data rows :func:`_bad_row` parses at a time.
+_CHECK_ROWS = 4096
+
+
+def _bad_row(path, skip: int, header) -> str | None:
+    """What ``np.loadtxt`` rejects in the numeric table at ``path``, after
+    ``skip`` lines up to the header: the first data row, counted from 0 over
+    the lines it reads (``#`` comments and blank lines skipped), that has a
+    cell count other than the header's or a cell that does not parse; None
+    if no such row is found."""
+
+    def parses(lines) -> bool:
+        try:
+            np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:
+            return False
+        return True
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for _ in range(skip):
+                fh.readline()
+            rows = [text for text in (ln.split("#", 1)[0].strip() for ln in fh)
+                    if text]
+    except (OSError, UnicodeDecodeError):
+        return None
+    width = len(header)
+    short = next((n for n, text in enumerate(rows)
+                  if text.count(",") + 1 != width), len(rows))
+    for start in range(0, short, _CHECK_ROWS):
+        block = rows[start:min(start + _CHECK_ROWS, short)]
+        if parses(block):
+            continue
+        for n, text in enumerate(block, start):
+            for name, cell in zip(header, text.split(",")):
+                if not cell.strip() or not parses([cell]):
+                    return (f"unparseable cell at data row {n}, column "
+                            f"{name!r}: {cell.strip()!r}")
+        return None
+    if short < len(rows):
+        return (f"data row {short} has {rows[short].count(',') + 1} cells, "
+                f"the header has {width}")
+    return None
 
 
 #: Bytes read at a time when :func:`read_table` counts a table's lines.

@@ -6,9 +6,8 @@ only reads files, calls these functions and writes their results::
     pairs, unpaired = detect_session(config, headband, ref_blocks, max_offset=0.5)
     events = []
     for row in pairs:
-        kin, ref_kin = reconstruct_pair(config, headband, ref_blocks, row)
-        events.append(EventComparison(row.pair_id, row.label, kin,
-                                      clip_reference_to(ref_kin, kin)))
+        events.append(EventComparison(row.pair_id, row.label, *reconstruct_pair(
+            config, headband, ref_blocks, row)))
     report = build_agreement_report(events)
 
 Layer functions are called through their modules (``detect.align_events``),
@@ -22,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, detect, evaluate, kinematics
-from .core import TimeSeries1, TimeSeries3
-from .detect import ImpactEvent, ImpactWindow
+from .core import TimeSeries1
+from .detect import ImpactWindow
 from .errors import DataError
 from .ingest import ImuRecording, SessionConfig
 from .kinematics import KinematicsSet, ReferenceKinematics
@@ -31,6 +30,10 @@ from .kinematics import KinematicsSet, ReferenceKinematics
 
 @dataclass(frozen=True)
 class PairRow:
+    """One headband/reference event pair.  ``offset`` estimates (headband
+    clock - reference clock): an instant stamped t on the headband is
+    t - offset on the reference."""
+
     pair_id: int
     label: str
     t0_headband: float
@@ -77,7 +80,7 @@ def detect_channels(config: SessionConfig) -> dict[str, tuple[str, ...]]:
 
 def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
                    ref_blocks: list[ImuRecording], max_offset: float, labels=(),
-                   ) -> tuple[list[PairRow], list[tuple[ImpactEvent, str]]]:
+                   ) -> tuple[list[PairRow], list[tuple[str, float, str]]]:
     """Find the impacts on both devices, pair them and label every event.
 
     ``headband`` maps sensor id to its recording, which needs only the
@@ -85,41 +88,35 @@ def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
     device's event blocks, parsed whole.  ``labels`` holds ``(time_s, label)``
     tuples; an event takes the nearest label within 0.5 s of its trigger
     (a pair, that of its headband trigger).  Returns the pairs, numbered from
-    1, and the unpaired events with their labels.
+    1, and the unpaired events as ``(source, t0, label)``, headband first.
     """
     hb_trigger = _headband_trigger_series(config, headband)
     window_len = config.window.pre + config.window.headband_post
-    hb_events = [
-        ImpactEvent(ev.t0, "headband") for ev in detect.detect_impacts(
-            hb_trigger, config.trigger.threshold, config.trigger.min_duration,
-            min_separation=window_len)
-    ]
+    hb_t0 = detect.detect_impacts(
+        hb_trigger, config.trigger.threshold, config.trigger.min_duration,
+        min_separation=window_len)
 
-    ref_events = []
+    ref_t0 = []
     ref_mags = []
     for block in ref_blocks:
         trig = core.magnitude(block.trigger_accel)
         ref_mags.append(trig)
         found = detect.detect_impacts(trig, config.trigger.threshold,
                                       config.trigger.min_duration)
-        if found:
-            ref_events.append(ImpactEvent(found[0].t0, "reference"))
-        else:
-            # Hardware-trigger geometry: the block starts ``pre`` early.
-            ref_events.append(ImpactEvent(trig.start_time + config.window.pre,
-                                          "reference"))
+        # Without a trigger, the hardware-trigger geometry: the block starts
+        # ``pre`` early.
+        ref_t0.append(found[0] if found else trig.start_time + config.window.pre)
 
-    pairs, unpaired_hb, unpaired_ref = detect.align_events(
-        hb_events, ref_events, max_offset,
-        hb_accel_mag=hb_trigger, ref_accel_mags=ref_mags,
-        window_pre=config.window.pre, window_post=config.window.reference_post,
-    )
-    rows = [PairRow(pair_id=k, label=_label_for(pair.headband.t0, labels),
-                    t0_headband=pair.headband.t0,
-                    t0_reference=pair.reference.t0, offset=pair.offset)
-            for k, pair in enumerate(pairs, start=1)]
-    unpaired = [(ev, _label_for(ev.t0, labels))
-                for ev in unpaired_hb + unpaired_ref]
+    pairs = detect.align_events(hb_t0, ref_t0, max_offset, hb_trigger, ref_mags,
+                                config.window.pre, config.window.reference_post)
+    rows = [PairRow(pair_id=k, label=_label_for(hb_t0[i], labels),
+                    t0_headband=hb_t0[i], t0_reference=ref_t0[j], offset=offset)
+            for k, (i, j, offset) in enumerate(pairs, start=1)]
+    unpaired = [(source, t0, _label_for(t0, labels))
+                for source, times, paired in (
+                    ("headband", hb_t0, {i for i, _, _ in pairs}),
+                    ("reference", ref_t0, {j for _, j, _ in pairs}))
+                for k, t0 in enumerate(times) if k not in paired]
     return rows, unpaired
 
 
@@ -128,10 +125,10 @@ def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
 _WINDOW_PAD_S = 0.002
 
 
-def _build_window(recs: dict[str, ImuRecording], event: ImpactEvent,
+def _build_window(recs: dict[str, ImuRecording], t0: float,
                   pre: float, post: float,
                   pad: float = _WINDOW_PAD_S) -> ImpactWindow:
-    channels = {sid: detect.extract_window(rec, event, pre + pad, post + pad)
+    channels = {sid: detect.extract_window(rec, t0, pre + pad, post + pad)
                 for sid, rec in recs.items()}
     return ImpactWindow(channels=channels, pre=pre, post=post)
 
@@ -179,8 +176,7 @@ def reconstruct_pair(config: SessionConfig, headband: dict[str, ImuRecording],
     The reference kinematics are shifted by the pair's residual lag onto the
     headband clock; they are None when the session has no reference blocks.
     """
-    hb_event = ImpactEvent(row.t0_headband, "headband")
-    window = _build_window(headband, hb_event, config.window.pre,
+    window = _build_window(headband, row.t0_headband, config.window.pre,
                            config.window.headband_post)
     kin = kinematics.reconstruct_headband_event(window, config, alpha_method)
 
@@ -189,31 +185,14 @@ def reconstruct_pair(config: SessionConfig, headband: dict[str, ImuRecording],
     if spec is not None and ref_blocks:
         ref_window = _build_window(
             {spec.id: _block_for(ref_blocks, row.t0_reference)},
-            ImpactEvent(row.t0_reference, "reference"), config.window.pre,
-            config.window.reference_post, pad=0.0)
+            row.t0_reference, config.window.pre, config.window.reference_post,
+            pad=0.0)
         ref_kin = kinematics.reconstruct_reference_event(ref_window, config)
         if row.residual_lag:
             ref_kin = ReferenceKinematics(*(
                 ts.shifted(row.residual_lag)
                 for ts in (ref_kin.omega, ref_kin.alpha, ref_kin.a_point)))
     return kin, ref_kin
-
-
-def clip_reference_to(ref_kin: ReferenceKinematics,
-                      kin: KinematicsSet) -> ReferenceKinematics:
-    """Trim the reference grid to the headband support (clock-shifted pairs
-    can overhang by a couple of samples)."""
-    hb = kin.omega_hf
-
-    def clip(ts: TimeSeries3) -> TimeSeries3:
-        i0, i1 = ts.span(hb.start_time - ts.start_time,
-                         hb.end_time - ts.start_time)
-        if i1 <= i0 + 8:
-            raise DataError("reference and headband kinematics barely overlap")
-        return ts.part(i0, i1)
-
-    return ReferenceKinematics(*(
-        clip(ts) for ts in (ref_kin.omega, ref_kin.alpha, ref_kin.a_point)))
 
 
 def overlay_resultants(kin: KinematicsSet, ref_kin: ReferenceKinematics,

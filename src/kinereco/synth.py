@@ -447,13 +447,12 @@ def simulate_session(profile: SessionProfile, config: SessionConfig,
         # Dead time: the longer (headband) processing window, so post-impact
         # ringing cannot re-trigger a second block inside one event.
         dead_time = config.window.pre + config.window.headband_post
-        events = detect_impacts(trig, config.trigger.threshold,
-                                config.trigger.min_duration,
-                                min_separation=dead_time)
-        for ev in events:
-            rel = _extract_window(ref_rec, ev, config.window.pre,
+        for t0 in detect_impacts(trig, config.trigger.threshold,
+                                 config.trigger.min_duration,
+                                 min_separation=dead_time):
+            rel = _extract_window(ref_rec, t0, config.window.pre,
                                   config.window.reference_post)
-            blocks.append(rel.map(lambda kind, ts: ts.shifted(ev.t0)))
+            blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
 
     return SimulatedSession(
         headband=tuple(headband),

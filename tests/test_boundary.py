@@ -379,6 +379,40 @@ class TestPairKeyedReading:
         assert (code, err) == (1, [f"kinereco: error: DataError: {kin / name}: "
                                    f"{what} cell at data row 7"])
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_a_partial_series_names_its_missing_column(
+            self, small_pipeline, report_path, tmp_path, capsys, command):
+        kin = Path(shutil.copytree(small_pipeline["kin"], tmp_path / "kin"))
+        lines = (kin / "hb_ev001.csv").read_text().splitlines()
+        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        drop = lines[header].split(",").index("alpha_a3g1_z")
+        for i in range(header, len(lines)):
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells[:drop] + cells[drop + 1:])
+        (kin / "hb_ev001.csv").write_text("\n".join(lines) + "\n")
+        if command == "evaluate":
+            code = self.evaluate(small_pipeline, kin, tmp_path / "report.json")
+        else:
+            code = main(["report", "--in", str(report_path), "--out",
+                         str(tmp_path / "t"), "--hb", str(kin), "--ref",
+                         str(kin)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert (code, err) == (1, [
+            f"kinereco: error: FormatError: {kin / 'hb_ev001.csv'}: missing "
+            "column 'alpha_a3g1_z'"])
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("flag", ["--hb", "--ref"])
+    def test_report_needs_both_kinematics_directories(
+            self, small_pipeline, report_path, tmp_path, capsys, flag):
+        code, err = run(["report", "--in", report_path, "--out", tmp_path / "t",
+                         flag, small_pipeline["kin"]], capsys)
+        assert (code, err) == (1, [
+            "kinereco: error: ConfigError: report: --hb and --ref go together "
+            "(the time histories need both kinematics directories)"])
+        assert not (tmp_path / "t").exists()
+
     def test_report_overlays_only_the_reported_pairs(self, small_pipeline,
                                                      report_path, tmp_path):
         one = edited(report_path, tmp_path / "report.json",

@@ -1,5 +1,4 @@
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +9,7 @@ from kinereco.core import (TimeSeries1, TimeSeries3, _grid_rate,
                            sample_on_grid, shared_grid, validate_rotation)
 from kinereco.detect import _clip_scalar, _excerpt
 from kinereco.errors import ConfigError, DataError, WindowError
-from kinereco.evaluate import _correlation, nrmse_windowed
-from kinereco.kinematics import ReferenceKinematics
-from kinereco.pipeline import clip_reference_to
+from kinereco.evaluate import _common_pair, _correlation, nrmse_windowed
 
 from conftest import random_rotation, rotation_about
 
@@ -94,7 +91,8 @@ def old_sample_on_grid(s, times):
 
 
 def old_clip_reference(ts, hb):
-    """The index rule of ``pipeline.clip_reference_to`` before ``span``."""
+    """The index rule of ``pipeline.clip_reference_to``, which trimmed the
+    reference before ``evaluate._common_pair`` did, before ``span``."""
     i0 = int(np.ceil((hb.start_time - ts.start_time) * ts.sample_rate - 1e-9))
     i1 = int(np.floor((hb.end_time - ts.start_time) * ts.sample_rate + 1e-9))
     i0 = max(i0, 0)
@@ -203,17 +201,14 @@ class TestSampleClock:
             i0, i1, clip_start = old_clip_reference(ts, hb)
             assert ts.span(hb.start_time - ts.start_time,
                            hb.end_time - ts.start_time) == (i0, i1)
-            ref_kin = ReferenceKinematics(ts, ts, ts)
-            kin = SimpleNamespace(omega_hf=hb)
             if i1 <= i0 + 8:
-                with pytest.raises(DataError):
-                    clip_reference_to(ref_kin, kin)
+                with pytest.raises(DataError, match="barely overlap"):
+                    _common_pair(hb, ts)
                 continue
-            clipped = clip_reference_to(ref_kin, kin)
-            for part in (clipped.omega, clipped.alpha, clipped.a_point):
-                assert repr(part.start_time) == repr(clip_start)
-                assert part.samples.tobytes() == \
-                    ts.samples[i0:i1 + 1].tobytes()
+            _, clipped = _common_pair(hb, ts)
+            assert repr(clipped.start_time) == repr(clip_start)
+            assert clipped.samples.tobytes() == \
+                ts.samples[i0:i1 + 1].tobytes()
 
     def test_span_matches_nrmse_window(self):
         checked = 0

@@ -3,8 +3,8 @@ import pytest
 
 from kinereco import detect
 from kinereco.core import TimeSeries1, TimeSeries3, magnitude, sample_on_grid
-from kinereco.detect import (ImpactEvent, _clip_scalar, align_events,
-                             detect_impacts, extract_window, refine_offset)
+from kinereco.detect import (_clip_scalar, align_events, detect_impacts,
+                             extract_window, refine_offset)
 from kinereco.errors import WindowError
 from kinereco.ingest import G_STANDARD, ImuRecording
 from kinereco.pipeline import detect_session
@@ -31,7 +31,7 @@ class TestDetectImpacts:
         s = pulse_series(pulses=[(2.000, 0.010, 5 * G_STANDARD)])
         events = detect_impacts(s, THREE_G, 0.003)
         assert len(events) == 1
-        assert abs(events[0].t0 - 2.000) <= 1.0 / s.sample_rate
+        assert abs(events[0] - 2.000) <= 1.0 / s.sample_rate
 
     def test_2ms_pulse_rejected_by_duration_rule(self):
         s = pulse_series(pulses=[(2.000, 0.002, 5 * G_STANDARD)])
@@ -42,7 +42,7 @@ class TestDetectImpacts:
                                  (1.05, 0.010, 5 * G_STANDARD),
                                  (2.0, 0.010, 5 * G_STANDARD)])
         events = detect_impacts(s, THREE_G, 0.003, min_separation=0.18125)
-        assert [round(e.t0, 3) for e in events] == [1.0, 2.0]
+        assert [round(t0, 3) for t0 in events] == [1.0, 2.0]
 
     def test_count_matches_injected_supra_threshold_pulses(self):
         rng = np.random.default_rng(2)
@@ -60,7 +60,7 @@ class TestDetectImpacts:
         shifted = TimeSeries1(s.start_time + 11.25, s.sample_rate, s.values)
         e0 = detect_impacts(s, THREE_G, 0.003)[0]
         e1 = detect_impacts(shifted, THREE_G, 0.003)[0]
-        assert e1.t0 - e0.t0 == pytest.approx(11.25)
+        assert e1 - e0 == pytest.approx(11.25)
 
     def test_matches_bruteforce_run_scan_on_random_signals(self):
         # oracle: explicit run-length scan with the same duration/suppression
@@ -85,8 +85,7 @@ class TestDetectImpacts:
             rate = 800.0
             values = np.abs(rng.normal(28.0, 6.0, size=2000))
             s = TimeSeries1(0.0, rate, values)
-            got = [e.t0 for e in detect_impacts(s, THREE_G, 0.003,
-                                                min_separation=0.05)]
+            got = detect_impacts(s, THREE_G, 0.003, min_separation=0.05)
             expected = brute_force(values, 1.0 / rate, THREE_G, 0.003, 0.05)
             assert got == pytest.approx(expected)
 
@@ -106,11 +105,11 @@ class TestExtractWindow:
     def test_event_at_recording_start_rejected(self):
         rec = recording_with_pulse()
         with pytest.raises(WindowError, match="gyro"):
-            extract_window(rec, ImpactEvent(0.01, "headband"), 0.03125, 0.150)
+            extract_window(rec, 0.01, 0.03125, 0.150)
 
     def test_window_length_and_relative_clock(self):
         rec = recording_with_pulse()
-        win = extract_window(rec, ImpactEvent(1.5, "headband"), 0.03125, 0.150)
+        win = extract_window(rec, 1.5, 0.03125, 0.150)
         span = win.gyro.end_time - win.gyro.start_time
         assert abs(span - 0.18125) <= 1.0 / rec.gyro.sample_rate
         assert win.gyro.start_time == pytest.approx(-0.03125, abs=1e-3)
@@ -124,45 +123,52 @@ class TestExtractWindow:
         events = detect_impacts(trig, config.trigger.threshold,
                                 config.trigger.min_duration, min_separation=0.2)
         assert len(events) == len(profile_events)
-        for ev, truth in zip(events, profile_events):
-            win = extract_window(rec, ev, 0.03125, 0.150)
+        for t0, truth in zip(events, profile_events):
+            win = extract_window(rec, t0, 0.03125, 0.150)
             mag = magnitude(win.trigger_accel)
             onset = mag.times[mag.values > config.trigger.threshold][0]
             assert abs(onset) <= 2.0 / rec.trigger_accel.sample_rate
-            assert abs(ev.t0 - truth.t0) < 0.02
+            assert abs(t0 - truth.t0) < 0.02
+
+
+def pair_plain(hb_t0, ref_t0, max_offset):
+    """``align_events`` on all-zero magnitude series, which give no lag, so
+    each pair keeps its raw trigger-time difference."""
+    zeros = TimeSeries1(-1.0, 1000.0, np.zeros(40_000))
+    return align_events(hb_t0, ref_t0, max_offset, zeros,
+                        [zeros] * len(ref_t0), 0.03125, 0.09375)
 
 
 class TestAlignEvents:
     def test_identical_lists_fully_paired(self):
-        events = [ImpactEvent(t, "headband") for t in (1.0, 2.0, 3.0)]
-        refs = [ImpactEvent(t, "reference") for t in (1.0, 2.0, 3.0)]
-        pairs, un_h, un_r = align_events(events, refs, 0.5)
-        assert len(pairs) == 3 and not un_h and not un_r
-        assert all(p.offset == 0.0 for p in pairs)
+        times = [1.0, 2.0, 3.0]
+        pairs = pair_plain(times, times, 0.5)
+        assert [(i, j) for i, j, _ in pairs] == [(0, 0), (1, 1), (2, 2)]
+        assert all(offset == 0.0 for _, _, offset in pairs)
 
     def test_uniform_shift_paired_with_offset(self):
-        events = [ImpactEvent(t, "headband") for t in (1.5, 2.5, 3.5)]
-        refs = [ImpactEvent(t - 0.5, "reference") for t in (1.5, 2.5, 3.5)]
-        pairs, _, _ = align_events(events, refs, 1.0)
+        times = [1.5, 2.5, 3.5]
+        pairs = pair_plain(times, [t - 0.5 for t in times], 1.0)
         assert len(pairs) == 3
-        assert all(p.offset == pytest.approx(0.5) for p in pairs)
+        assert all(offset == pytest.approx(0.5) for _, _, offset in pairs)
 
     def test_pairing_symmetric_under_swap(self):
         rng = np.random.default_rng(4)
-        a = [ImpactEvent(float(t), "a") for t in np.sort(rng.uniform(0, 30, 8))]
-        b = [ImpactEvent(float(t + rng.normal(0, 0.05)), "b") for t in
+        a = [float(t) for t in np.sort(rng.uniform(0, 30, 8))]
+        b = [float(t + rng.normal(0, 0.05)) for t in
              np.sort(rng.uniform(0, 30, 10))]
-        pairs_ab, _, _ = align_events(a, b, 0.4)
-        pairs_ba, _, _ = align_events(b, a, 0.4)
-        set_ab = {(p.headband.t0, p.reference.t0) for p in pairs_ab}
-        set_ba = {(p.reference.t0, p.headband.t0) for p in pairs_ba}
-        assert set_ab == set_ba
+        pairs_ab = pair_plain(a, b, 0.4)
+        pairs_ba = pair_plain(b, a, 0.4)
+        assert pairs_ab
+        assert {(i, j) for i, j, _ in pairs_ab} == \
+            {(i, j) for j, i, _ in pairs_ba}
+
+    def test_pairs_in_headband_order(self):
+        pairs = pair_plain([3.0, 1.0, 2.0], [1.1, 2.1, 2.9], 0.5)
+        assert [(i, j) for i, j, _ in pairs] == [(1, 0), (2, 1), (0, 2)]
 
     def test_out_of_tolerance_events_stay_unpaired(self):
-        a = [ImpactEvent(1.0, "a")]
-        b = [ImpactEvent(3.0, "b")]
-        pairs, un_a, un_b = align_events(a, b, 0.5)
-        assert not pairs and len(un_a) == 1 and len(un_b) == 1
+        assert pair_plain([1.0], [3.0], 0.5) == []
 
 
 class TestOffsetRefinement:
@@ -183,11 +189,9 @@ class TestOffsetRefinement:
         ref = TimeSeries1(0.0, rate, bump(1.0))
         hb = TimeSeries1(0.0, rate, bump(1.05))
         # The headband trigger fired 2 ms late: raw difference 52 ms.
-        pairs, _, _ = align_events([ImpactEvent(1.052, "headband")],
-                                   [ImpactEvent(1.0, "reference")], 0.1,
-                                   hb_accel_mag=hb, ref_accel_mags=[ref],
-                                   window_pre=0.03125, window_post=0.09375)
-        assert pairs[0].offset == pytest.approx(0.050, abs=0.5 / rate)
+        (_, _, offset), = align_events([1.052], [1.0], 0.1, hb, [ref],
+                                       0.03125, 0.09375)
+        assert offset == pytest.approx(0.050, abs=0.5 / rate)
 
     @pytest.mark.parametrize("start, t0", [(0.0, 1.0), (0.1, 1.2345678),
                                            (-3.3, -2.0071), (12.5, 40.0 / 3.0)])
@@ -216,17 +220,13 @@ class TestOffsetRefinement:
             ref_mag_parts.append(block_trig)
             found = detect_impacts(block_trig, config.trigger.threshold,
                                    config.trigger.min_duration)
-            ref_events.append(ImpactEvent(found[0].t0, "reference"))
+            ref_events.append(found[0])
         assert len(hb_events) == len(ref_events) == 18
 
-        pairs, un_h, un_r = align_events(
-            hb_events, ref_events, 0.5,
-            hb_accel_mag=trig, ref_accel_mags=ref_mag_parts,
-            window_pre=config.window.pre,
-            window_post=config.window.reference_post,
-        )
-        assert len(pairs) == 18 and not un_h and not un_r
-        offsets = np.array([p.offset for p in pairs])
+        pairs = align_events(hb_events, ref_events, 0.5, trig, ref_mag_parts,
+                             config.window.pre, config.window.reference_post)
+        assert [(i, j) for i, j, _ in pairs] == [(k, k) for k in range(18)]
+        offsets = np.array([offset for _, _, offset in pairs])
         assert np.abs(offsets - 0.020).max() < 0.001
 
 
@@ -245,16 +245,17 @@ def stitched(series: list[TimeSeries1]) -> TimeSeries1:
     return TimeSeries1(t0, rate, values)
 
 
-def stitched_offsets(pairs, hb_mag, ref_mags, pre, post) -> list[float]:
+def stitched_offsets(pairs, hb_t0, ref_t0, hb_mag, ref_mags, pre,
+                     post) -> list[float]:
     """Each pair's offset refined over the stitched stream of ``ref_mags``."""
     stream = stitched(ref_mags)
     out = []
-    for pair in pairs:
-        offset = pair.headband.t0 - pair.reference.t0
+    for i, j, _ in pairs:
+        offset = hb_t0[i] - ref_t0[j]
         try:
             offset += refine_offset(
-                _clip_scalar(hb_mag, pair.headband.t0, -pre, post),
-                _clip_scalar(stream, pair.reference.t0, -pre, post))
+                _clip_scalar(hb_mag, hb_t0[i], -pre, post),
+                _clip_scalar(stream, ref_t0[j], -pre, post))
         except WindowError:
             pass
         out.append(offset)
@@ -278,20 +279,19 @@ class TestPerBlockAlignment:
         sim = request.getfixturevalue(session)
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append((kwargs, align_events(*args, **kwargs)))
+        def spy(*args):
+            calls.append((args, align_events(*args)))
             return calls[-1][1]
 
         monkeypatch.setattr(detect, "align_events", spy)
         detect_session(config, {r.sensor_id: r for r in sim.headband},
                        list(sim.reference_blocks), 0.5)
-        (kwargs, (pairs, _, _)), = calls
+        ((hb_t0, ref_t0, _, hb_mag, ref_mags, pre, post), pairs), = calls
         assert len(pairs) == len(sim.profile.impacts)
-        expected = stitched_offsets(pairs, kwargs["hb_accel_mag"],
-                                    kwargs["ref_accel_mags"],
-                                    kwargs["window_pre"],
-                                    kwargs["window_post"])
-        assert [p.offset.hex() for p in pairs] == [e.hex() for e in expected]
+        expected = stitched_offsets(pairs, hb_t0, ref_t0, hb_mag, ref_mags,
+                                    pre, post)
+        assert [offset.hex() for _, _, offset in pairs] == \
+            [e.hex() for e in expected]
 
     def test_window_overhanging_its_block(self):
         """Each reference block, cut from 100 samples before 1 s or 2 s,
@@ -316,19 +316,16 @@ class TestPerBlockAlignment:
         hb = bumps(0.003, [(c - 0.033, 0.002, 15.0) for c in (1.0, 2.0)])
         blocks = [ref.part(round(c * rate) - 100, round(c * rate) + 300)
                   for c in (1.0, 2.0)]
-        ref_events = [ImpactEvent(detect_impacts(b, THREE_G, 0.003)[0].t0,
-                                  "reference") for b in blocks]
-        assert [e.t0 - b.start_time for e, b in zip(ref_events, blocks)] == \
+        ref_events = [detect_impacts(b, THREE_G, 0.003)[0] for b in blocks]
+        assert [t0 - b.start_time for t0, b in zip(ref_events, blocks)] == \
             pytest.approx([15 / rate] * 2)
-        hb_events = [ImpactEvent(e.t0, "headband") for e in detect_impacts(
-            hb, THREE_G, 0.003, min_separation=0.18)]
-        pairs, _, _ = align_events(hb_events, ref_events, 0.5, hb_accel_mag=hb,
-                                   ref_accel_mags=blocks, window_pre=pre,
-                                   window_post=post)
-        raw = [p.headband.t0 - p.reference.t0 for p in pairs]
+        hb_events = detect_impacts(hb, THREE_G, 0.003, min_separation=0.18)
+        pairs = align_events(hb_events, ref_events, 0.5, hb, blocks, pre, post)
+        raw = [hb_events[i] - ref_events[j] for i, j, _ in pairs]
         assert [round(r * rate, 6) for r in raw] == [10.0, 10.0]
-        assert [p.offset for p in pairs] == raw
-        old = stitched_offsets(pairs, hb, blocks, pre, post)
+        assert [offset for _, _, offset in pairs] == raw
+        old = stitched_offsets(pairs, hb_events, ref_events, hb, blocks, pre,
+                               post)
         assert [round((o - r) * rate, 6) for o, r in zip(old, raw)] == \
             [0.0, -1.0]
 

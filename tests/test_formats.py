@@ -14,7 +14,6 @@ import pytest
 
 from kinereco.cli import RunManifest, _load_comparisons, _write_events_csv, main
 from kinereco.core import TimeSeries3
-from kinereco.detect import ImpactEvent
 from kinereco.evaluate import (_ba_to_dict, bland_altman,
                                build_agreement_report, peak_resultant)
 from kinereco.errors import ConfigError, DataError, FormatError
@@ -51,8 +50,8 @@ def _old_write_events_csv(path, pairs, unpaired, manifest):
                      f"{row.label},{row.offset:.9f}\n")
             fh.write(f"{row.pair_id},reference,{row.t0_reference:.9f},"
                      f"{row.label},\n")
-        for ev, label in unpaired:
-            fh.write(f",{ev.source},{ev.t0:.9f},{label},\n")
+        for source, t0, label in unpaired:
+            fh.write(f",{source},{t0:.9f},{label},\n")
 
 
 PAIRS = [
@@ -61,8 +60,8 @@ PAIRS = [
     PairRow(3, "corner_kick", np.float64(12.123456789123), 12.14,
             np.float64(-0.016543210987)),
 ]
-UNPAIRED = [(ImpactEvent(7.25, "headband"), "goal_kick"),
-            (ImpactEvent(np.float64(9.0000000005), "reference"), "")]
+UNPAIRED = [("headband", 7.25, "goal_kick"),
+            ("reference", np.float64(9.0000000005), "")]
 
 
 @pytest.mark.parametrize("pairs, unpaired", [

@@ -513,8 +513,34 @@ class TestWriteTable:
 
 
 
+def first_bad_row(path, header):
+    """The first data line of ``path`` that ``np.loadtxt`` rejects, found one
+    line and one cell at a time; None if every line parses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    at = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+    body = [text for text in (ln.split("#", 1)[0].strip()
+                              for ln in lines[at + 1:]) if text]
+    for row, text in enumerate(body):
+        cells = text.split(",")
+        if len(cells) != len(header):
+            return (f"data row {row} has {len(cells)} cells, the header has "
+                    f"{len(header)}")
+        for name, cell in zip(header, cells):
+            try:
+                value = np.loadtxt([cell], delimiter=",") if cell.strip() \
+                    else None
+            except ValueError:
+                value = None
+            if value is None or value.shape != ():
+                return (f"unparseable cell at data row {row}, column "
+                        f"{name!r}: {cell.strip()!r}")
+    return None
+
+
 def old_read_csv_columns(path):
-    """The numeric table reader before ``read_table``, kept as the oracle."""
+    """The numeric table reader before ``read_table``, kept as the oracle,
+    with its parse errors located by ``first_bad_row``."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -540,7 +566,8 @@ def old_read_csv_columns(path):
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:
-            raise DataError(f"{path}: unparseable cell ({exc})") from None
+            raise DataError(f"{path}: " + (first_bad_row(path, header) or
+                                           f"unparseable cell ({exc})")) from None
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
     if data.shape[1] != len(header):
@@ -570,6 +597,9 @@ EDGE_TABLES = {
     "header_only": b"# k=v\ntime_s,x\n",
     "header_only_with_comments": b"time_s,x\n# c=1\n\n",
     "bad_cell": b"time_s,x\n0,1\n0.5,abc\n",
+    "empty_cell_after_comments": b"time_s,x\n0,1\n# c\n\n1,2 # d\n2,\n3,4\n",
+    "bad_cell_before_short_row": b"time_s,x\n0,1\n1,1_0\n2\n",
+    "long_row": b"time_s,x\n0,1\n1,2,3\n",
     "nan_and_inf_cells": b"time_s,x\n0,nan\n1,-inf\n2,inf\n",
     "short_row": b"time_s,x\n0,1\n1\n",
     "column_count": b"time_s,x,y\n0,1\n1,2\n",
@@ -641,6 +671,18 @@ class TestReadTable:
         path.write_bytes(EDGE_TABLES[name])
         self.assert_numeric_same(path)
         self.assert_text_same(path)
+
+    @pytest.mark.parametrize("row, cell", [(4095, "1,,2"), (4096, "x,1,2"),
+                                           (9000, "1,2"), (9999, "1,2,3,4")])
+    def test_parse_error_past_the_first_block_of_rows(self, tmp_path, row,
+                                                      cell):
+        lines = [f"{i},{i / 7:.6f},-{i}" for i in range(10000)]
+        lines[row] = cell
+        path = tmp_path / "table.csv"
+        path.write_text("# k=v\nt,x,y\n" + "\n".join(lines) + "\n")
+        self.assert_numeric_same(path)
+        with pytest.raises(DataError, match=f"data row {row}[ ,]"):
+            ingest.read_table(path)
 
     def test_missing_file(self, tmp_path):
         self.assert_numeric_same(tmp_path / "absent.csv")
@@ -751,8 +793,7 @@ class TestWindowedRead:
         out = []
         for t in triggers:
             try:
-                window = detect.extract_window(
-                    rec, detect.ImpactEvent(t, "headband"), self.PRE, self.POST)
+                window = detect.extract_window(rec, t, self.PRE, self.POST)
             except KinerecoError as exc:
                 out.append((type(exc), str(exc)))
                 continue

@@ -376,10 +376,9 @@ class TestAdaptiveFilter:
         sim = clean_session_small
         recs = {r.sensor_id: r for r in sim.headband}
         trig = magnitude(recs["bt_back"].trigger_accel)
-        event = detect_impacts(trig, config.trigger.threshold,
-                               config.trigger.min_duration,
-                               min_separation=0.2)[0]
-        window = _build_window(recs, event, config.window.pre,
+        t0 = detect_impacts(trig, config.trigger.threshold,
+                            config.trigger.min_duration, min_separation=0.2)[0]
+        window = _build_window(recs, t0, config.window.pre,
                                config.window.headband_post)
         averaged = reconstruct_headband_event(window, config, "a3g1")
         single = reconstruct_headband_event(

@@ -8,9 +8,8 @@ import pytest
 
 from kinereco.cli import _load_comparisons, _read_events_csv, main
 from kinereco.evaluate import EventComparison, build_agreement_report
-from kinereco.pipeline import (clip_reference_to, detect_channels,
-                               detect_session, reconstruct_channels,
-                               reconstruct_pair)
+from kinereco.pipeline import (detect_channels, detect_session,
+                               reconstruct_channels, reconstruct_pair)
 
 #: The CLI reads the session back from %.14g CSVs and the kinematics from
 #: %.12g CSVs, so its CORA scores and peaks carry that rounding (measured on
@@ -33,8 +32,7 @@ def library_run(config, clean_session_small):
         kin, ref_kin = reconstruct_pair(config, headband, ref_blocks, row,
                                         "both")
         f0[row.pair_id] = kin.f0
-        events.append(EventComparison(row.pair_id, row.label, kin,
-                                      clip_reference_to(ref_kin, kin)))
+        events.append(EventComparison(row.pair_id, row.label, kin, ref_kin))
     return (pairs, unpaired), f0, build_agreement_report(events)
 
 

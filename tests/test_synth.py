@@ -265,27 +265,6 @@ class TestWriteInTwoProcesses:
             "config.json", "mouthpiece_ev001.csv"]
         assert forks == []
 
-    def test_without_fork_one_process_writes_every_file(
-            self, tmp_path, config, monkeypatch, clean_session_small):
-        monkeypatch.delattr(os, "fork")
-        self.assert_same_files(tmp_path, config,
-                               self.recordings(clean_session_small))
-
-    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
-                        reason="no /proc/self/task to count threads in")
-    def test_another_thread_keeps_every_write_in_this_process(
-            self, tmp_path, config, forks, clean_session_small):
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            self.assert_same_files(tmp_path, config,
-                                   self.recordings(clean_session_small))
-        finally:
-            release.set()
-            other.join()
-        assert forks == []
-
     def test_shares_balance_cells_largest_file_first(self, tmp_path, config,
                                                      clean_session_small):
         cells = [c for r in self.recordings(clean_session_small)
@@ -339,36 +318,6 @@ class TestWriteInTwoProcesses:
             real(path, *args)
 
         monkeypatch.setattr(ingest, "write_table", failing)
-
-    @pytest.mark.parametrize("error", [
-        lambda path: DataError(f"{path}: cannot write here"),
-        lambda path: OSError(28, "No space left on device", str(path)),
-    ], ids=["data_error", "os_error"])
-    def test_child_failure_is_the_serial_error(self, tmp_path, config,
-                                               monkeypatch,
-                                               clean_session_small, error):
-        recordings = self.recordings(clean_session_small)
-        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
-        self.fail_on(monkeypatch, {theirs[1]}, error)
-        got = self.outcome(write_session, recordings, config, tmp_path / "a")
-        want = self.outcome(serial_write_session, recordings, config,
-                            tmp_path / "a")
-        assert got == want
-
-    @pytest.mark.parametrize("first", ["parent", "child"])
-    def test_failures_in_both_shares_give_the_earlier(
-            self, tmp_path, config, monkeypatch, clean_session_small, first):
-        recordings = self.recordings(clean_session_small)
-        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
-        earlier, later = ((own[0], theirs[-1]) if first == "parent"
-                          else (theirs[0], own[-1]))
-        assert self.serial.index(earlier) < self.serial.index(later)
-        self.fail_on(monkeypatch, {earlier, later})
-        got = self.outcome(write_session, recordings, config, tmp_path / "a")
-        want = self.outcome(serial_write_session, recordings, config,
-                            tmp_path / "a")
-        assert got == want
-        assert got[1] == f"{tmp_path / 'a' / earlier}: cannot write here"
 
     @pytest.mark.parametrize("case", [
         "data_error", "os_error", "unpicklable", "killed", "child_only",
