@@ -18,8 +18,8 @@ Every run builds a manifest (config, inputs, parameters, toolkit version,
 seed) whose SHA-256 hash is stamped into each output file, making outputs
 traceable and reruns byte-identical.  Errors, usage errors included, exit 1
 with one machine-parsable line on stderr.  Set ``KINERECO_LOG``
-(debug/info/warning) to control verbosity.  File formats are documented in
-``docs/formats.md``.
+(debug/info/warning, in any case; warning when unset or empty) to control
+verbosity.  File formats are documented in ``docs/formats.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .ingest import ImuRecording, SessionConfig, check_number, \
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, detect_channels, detect_session, \
     overlay_resultants, reconstruct_channels, reconstruct_pair, \
-    reconstruct_spans, report_tables
+    reconstruct_windows, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
 from .wavelet import cwt
 
@@ -89,10 +89,10 @@ class RunManifest:
 
 
 def _load_headband(config: SessionConfig, in_dir: Path,
-                   channels: dict[str, tuple[str, ...]], spans=None,
+                   channels: dict[str, tuple[str, ...]], windows=None,
                    ) -> dict[str, ImuRecording]:
     """Each headband sensor's ``channels``; only the files holding them are
-    opened, and only the rows of ``spans`` parsed when it is given (see
+    opened, and only the rows of ``windows`` parsed when it is given (see
     ``parse_imu_csv``)."""
     recs = {}
     for spec in config.headband_sensors:
@@ -100,7 +100,7 @@ def _load_headband(config: SessionConfig, in_dir: Path,
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
         recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
-                                      channels[spec.id], spans)
+                                      channels[spec.id], windows)
     return recs
 
 
@@ -358,7 +358,7 @@ def _cmd_reconstruct(args) -> int:
         raise DataError(f"{args.events}: no paired events to reconstruct")
     hb_recs = _load_headband(config, in_dir,
                              reconstruct_channels(config, args.alpha_method),
-                             reconstruct_spans(config, pairs))
+                             reconstruct_windows(config, pairs))
     ref_blocks = _load_reference_blocks(config, in_dir)
     out = Path(args.out)
     output_dir(out)
@@ -554,11 +554,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The values ``KINERECO_LOG`` takes, in any case; unset or empty is warning.
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
+               "warning": logging.WARNING}
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("KINERECO_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        level = os.environ.get("KINERECO_LOG") or "warning"
+        if level.lower() not in _LOG_LEVELS:
+            raise ConfigError(f"KINERECO_LOG must be debug, info or warning, "
+                              f"got {level!r}")
+        logging.basicConfig(level=_LOG_LEVELS[level.lower()],
+                            format="%(levelname)s %(name)s: %(message)s")
         args = _build_parser().parse_args(argv)
         # Finite numbers can still be too large for the computation: an
         # overflow or an invalid operation ends the command, never a warning.

@@ -25,6 +25,7 @@ __all__ = [
     "TimeSeries3",
     "rotate_series",
     "shared_grid",
+    "window_span",
     "magnitude",
     "lagged_correlation",
     "best_shift",
@@ -100,7 +101,8 @@ class _Clock:
         """``(i0, i1)``: the first and last index of the samples from ``a``
         to ``b`` seconds after the first sample, with a slack of 1e-9 sample
         periods at both ends, clamped to the series (no sample when
-        ``i1 < i0``)."""
+        ``i1 < i0``).  The inward rule; :func:`window_span` is the outward
+        one."""
         i0 = int(np.ceil(a * self.sample_rate - 1e-9))
         i1 = int(np.floor(b * self.sample_rate + 1e-9))
         return max(i0, 0), min(i1, len(self) - 1)
@@ -178,6 +180,19 @@ class TimeSeries3(_Clock):
     def with_samples(self, samples) -> "TimeSeries3":
         """Same clock, new samples."""
         return TimeSeries3(self.start_time, self.sample_rate, samples)
+
+
+def window_span(start: float, rate: float, t0: float, pre: float,
+                post: float) -> tuple[int, int]:
+    """``(i_first, i_last)``: the indices of the samples that hold
+    [t0 - pre, t0 + post] on a clock whose sample ``i`` is at
+    ``start + i / rate``, each end snapped outward to the grid with a slack
+    of 1e-9 sample periods, not clamped (``i_first`` may be negative and
+    ``i_last`` past the end).  The outward rule: the one cut of an impact
+    window, of the rows parsed for it, and of a reference block."""
+    i_first = int(np.floor((t0 - pre - start) * rate + 1e-9))
+    i_last = int(np.ceil((t0 + post - start) * rate - 1e-9))
+    return i_first, i_last
 
 
 def shared_grid(series, rate: float) -> np.ndarray:

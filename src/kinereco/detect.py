@@ -15,16 +15,15 @@ timestamps used in field practice.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries1, TimeSeries3, best_shift, sample_on_grid, shared_grid
+from .core import TimeSeries1, TimeSeries3, best_shift, sample_on_grid, \
+    shared_grid, window_span
 from .errors import DataError, WindowError
 from .ingest import ImuRecording
 
 __all__ = [
-    "ImpactWindow",
     "detect_impacts",
     "extract_window",
     "align_events",
@@ -32,19 +31,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ImpactWindow:
-    """Per-event excerpt of one or more channels on an impact-relative clock.
-
-    ``channels`` maps sensor id to an :class:`ImuRecording` excerpt whose
-    clock has t = 0 at the trigger.  All channels cover [-pre, +post].
-    """
-
-    channels: dict[str, ImuRecording]
-    pre: float
-    post: float
 
 
 def detect_impacts(accel_mag: TimeSeries1, threshold: float,
@@ -103,12 +89,10 @@ def detect_impacts(accel_mag: TimeSeries1, threshold: float,
 
 def _excerpt(ts: TimeSeries3, t0: float, pre: float, post: float,
              channel_name: str) -> TimeSeries3:
-    """Slice [t0-pre, t0+post] with one extra sample of margin on each side,
-    re-stamped to the impact-relative clock (cut first, then shifted: the
-    excerpt starts at ``(start + i_first / rate) - t0``)."""
-    rate = ts.sample_rate
-    i_first = int(np.floor((t0 - pre - ts.start_time) * rate + 1e-9))
-    i_last = int(np.ceil((t0 + post - ts.start_time) * rate - 1e-9))
+    """The samples :func:`~kinereco.core.window_span` gives for [t0-pre,
+    t0+post], re-stamped to the impact-relative clock (cut first, then
+    shifted: the excerpt starts at ``(start + i_first / rate) - t0``)."""
+    i_first, i_last = window_span(ts.start_time, ts.sample_rate, t0, pre, post)
     if i_first < 0 or i_last >= len(ts):
         raise WindowError(
             f"channel {channel_name!r} does not cover "

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeSeries3, same_clock, validate_rotation
+from .core import TimeSeries3, same_clock, validate_rotation, window_span
 from .errors import ConfigError, DataError, FormatError
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "session_csv",
     "load_session_config",
     "check_number",
+    "check_keys",
     "check_object",
     "check_text",
     "check_vector",
@@ -180,6 +181,17 @@ def check_object(value, what: str, error=ConfigError) -> dict:
     if not isinstance(value, dict):
         raise error(f"{what} must be an object, got {type(value).__name__}")
     return value
+
+
+def check_keys(obj: dict, keys, what: str, error=ConfigError) -> dict:
+    """``obj``, when each of its keys is one of ``keys``; otherwise ``error``
+    is raised with ``"{what} has an unknown key 'k' (known keys: ...)"``
+    for the first other key."""
+    for key in obj:
+        if key not in keys:
+            raise error(f"{what} has an unknown key {key!r} "
+                        f"(known keys: {', '.join(keys)})")
+    return obj
 
 
 def check_text(value, what: str, error=ConfigError) -> str:
@@ -751,7 +763,7 @@ def reference_block(spec: SensorSpec, name: str) -> tuple[int, str] | None:
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
-                  channels=None, spans=None) -> ImuRecording:
+                  channels=None, windows=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
     The main file carries the gyro (deg/s) plus the accelerometer triples
@@ -763,11 +775,11 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     channel.  Kinds not requested are ``None`` in the recording, and a file
     holding none of the requested kinds is never opened.  A file that is
     opened is parsed and validated whole, whatever is requested from it,
-    unless ``spans`` lists ``(start, end)`` times on the sensor's clock:
-    then only the rows from each start to each end, and ``_SPAN_MARGIN``
-    rows on either side, are parsed and validated (see :func:`read_table`).
-    Each channel keeps a sample per data row, on the clock of the whole
-    file; the samples of the rows not parsed are zeros.
+    unless ``windows`` lists ``(t0, pre, post)`` windows on the sensor's
+    clock: then only the rows ``detect.extract_window`` cuts for each window
+    (by :func:`~kinereco.core.window_span`) are parsed and validated (see
+    :func:`read_table`).  Each channel keeps a sample per data row, on the
+    clock of the whole file; the samples of the rows not parsed are zeros.
 
     Raises
     ------
@@ -791,38 +803,33 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
             path, {c.kind: c.rate for c in spec.channels}):
         if not wanted.isdisjoint(kinds):
             series.update(_parse_file(file, kinds, wanted, rate, column_map,
-                                      spans))
+                                      windows))
     rec = ImuRecording(spec.id, *map(series.get, CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
 
 
-#: Rows parsed beyond each span's first and last sample.
-_SPAN_MARGIN = 2
-
-
 def _parse_file(path, kinds, wanted, rate, column_map,
-                spans=None) -> dict[str, TimeSeries3]:
+                windows=None) -> dict[str, TimeSeries3]:
     """The channels of ``wanted`` among the ``kinds`` the sensor file at
     ``path`` holds, on its time column at ``rate``; the cells of every kind
-    are checked.  With ``spans``, only the rows of the spans are read (see
-    :func:`parse_imu_csv`), unless they fail a check: then the whole file
-    decides, so that the error is the full parse's.  The table is freed on
-    return, before the next file of the sensor is read."""
+    are checked.  With ``windows``, only the rows of the windows are read
+    (see :func:`parse_imu_csv`), unless they fail a check: then the whole
+    file decides, so that the error is the full parse's.  The table is freed
+    on return, before the next file of the sensor is read."""
 
-    def span_rows(header, first):
+    def window_rows(header, first):
         try:
-            t0 = first[_column_indices(header, ("time_s",), path,
-                                       column_map)[0]]
-            return [(math.floor((a - t0) * rate) - _SPAN_MARGIN,
-                     math.ceil((b - t0) * rate) + _SPAN_MARGIN + 1)
-                    for a, b in spans]
+            start = first[_column_indices(header, ("time_s",), path,
+                                          column_map)[0]]
+            return [(i_first, i_last + 1) for i_first, i_last in (
+                window_span(start, rate, *window) for window in windows)]
         except (FormatError, OverflowError, ValueError):
             return None  # a missing time column or a time that is not finite
 
-    if spans is not None:
+    if windows is not None:
         try:
-            _, header, table = read_table(path, pick=span_rows)
+            _, header, table = read_table(path, pick=window_rows)
             return _file_channels(table, header, path, kinds, wanted, rate,
                                   column_map)
         except (DataError, FormatError):
@@ -874,14 +881,15 @@ def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
     Same contract as :func:`parse_imu_csv`, plus the block-geometry check:
     the gyro must span the block ``simulate`` cuts by ``window`` within one
     sample period: ``pre`` before the trigger and ``reference_post`` after
-    it, each rounded out to the sample grid as ``detect.extract_window``
-    rounds them.
+    it, cut by :func:`~kinereco.core.window_span` as
+    ``detect.extract_window`` cuts them.
     """
     rec = parse_imu_csv(path, spec, column_map)
     rate = rec.gyro.sample_rate
     span = (len(rec.gyro) - 1) / rate
-    block = (math.ceil(window.pre * rate - 1e-9)
-             + math.ceil(window.reference_post * rate - 1e-9)) / rate
+    i_first, i_last = window_span(0.0, rate, 0.0, window.pre,
+                                  window.reference_post)
+    block = (i_last - i_first) / rate
     tol = 1.0001 / rate
     if span < block - tol:
         raise DataError(f"{path}: short event block ({span * 1e3:.2f} ms < "
@@ -892,11 +900,21 @@ def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
     return rec
 
 
-def _channels_from_json(obj, sensor_id) -> tuple[ChannelSpec, ...]:
+#: The keys of a configuration's top level (where ``simulate`` stamps
+#: ``manifest_sha256`` into its ``config.json``) and of each of its sensors.
+_CONFIG_KEYS = ("name", "sensors", "reference_point_m", "a3g1_sensors",
+                "a3g1_channel", "a3g1_gyro", "trigger", "filter", "cfc",
+                "window", "column_map", "manifest_sha256")
+_SENSOR_KEYS = ("id", "role", "position_m", "orientation_row_major",
+                "channels")
+
+
+def _channels_from_json(obj, sensor_id, path) -> tuple[ChannelSpec, ...]:
     where = f"sensor {sensor_id!r}: channels"
     channels = []
     for kind, entry in check_object(obj, where).items():
-        entry = check_object(entry, f"{where}.{kind}")
+        entry = check_keys(check_object(entry, f"{where}.{kind}"),
+                           ("rate_hz", "range"), f"{path}: {where}.{kind}")
         try:
             channels.append(ChannelSpec(kind, entry["rate_hz"], check_text(
                 entry.get("range", ""), f"channels.{kind}.range")))
@@ -911,16 +929,19 @@ def load_session_config(path) -> SessionConfig:
     Absent trigger / filter / cfc / window blocks take the documented
     defaults.  Every object, list, number and string is checked by
     :func:`check_object`, :func:`check_vector`, :func:`check_number` and
-    :func:`check_text`.
+    :func:`check_text`, and every object's keys by :func:`check_keys`
+    (``column_map``'s must be canonical column names).
     Raises :class:`ConfigError` on a field that fails them, non-orthonormal
     rotations, collinear reconstruction geometry, or missing sensors.
     """
     path = Path(path)
     raw = check_object(read_json(path), f"{path}: the configuration", FormatError)
     try:
+        check_keys(raw, _CONFIG_KEYS, f"{path}: the configuration")
         sensors = []
         for i, s in enumerate(raw["sensors"]):
-            s = check_object(s, f"sensors[{i}]")
+            s = check_keys(check_object(s, f"sensors[{i}]"), _SENSOR_KEYS,
+                           f"{path}: sensors[{i}]")
             sid = check_text(s["id"], f"sensors[{i}].id")
             sensors.append(SensorSpec(
                 id=sid,
@@ -930,10 +951,19 @@ def load_session_config(path) -> SessionConfig:
                 orientation=check_vector(s["orientation_row_major"], 9,
                                          f"sensor {sid!r}: orientation_row_major"
                                          ).reshape(3, 3),
-                channels=_channels_from_json(s["channels"], sid),
+                channels=_channels_from_json(s["channels"], sid, path),
             ))
-        blocks = {name: check_object(raw.get(name, {}), name)
-                  for name in ("trigger", "filter", "cfc", "window")}
+        blocks = {name: block(**check_keys(
+                      check_object(raw.get(name, {}), name),
+                      [f.name for f in fields(block)], f"{path}: {name}"))
+                  for name, block in (("trigger", TriggerConfig),
+                                      ("filter", FilterConfig),
+                                      ("cfc", CfcConfig),
+                                      ("window", WindowConfig))}
+        column_map = raw.get("column_map")
+        if column_map is not None:
+            check_keys(check_object(column_map, "column_map"),
+                       _CANONICAL_COLUMNS, f"{path}: column_map")
         a3g1_ids = raw["a3g1_sensors"]
         if not isinstance(a3g1_ids, list):
             raise ConfigError(f"a3g1_sensors must be a list of 3 sensor ids, "
@@ -946,11 +976,8 @@ def load_session_config(path) -> SessionConfig:
             a3g1_channel=check_text(raw.get("a3g1_channel", "accel_high"),
                                     "a3g1_channel"),
             a3g1_gyro=check_text(raw.get("a3g1_gyro", "averaged"), "a3g1_gyro"),
-            trigger=TriggerConfig(**blocks["trigger"]),
-            filter=FilterConfig(**blocks["filter"]),
-            cfc=CfcConfig(**blocks["cfc"]),
-            window=WindowConfig(**blocks["window"]),
-            column_map=raw.get("column_map"),
+            **blocks,
+            column_map=column_map,
             name=check_text(raw.get("name", path.stem), "name"),
         )
     except ConfigError:

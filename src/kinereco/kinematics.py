@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries1, TimeSeries3, rotate_series, same_clock, sample_on_grid
-from .detect import ImpactWindow
 from .errors import ConfigError, DataError, DegenerateSignalError, WindowError
-from .ingest import SessionConfig
+from .ingest import ImuRecording, SessionConfig
 from .wavelet import CutoffResult, butterworth_lowpass, cfc_filter, cwt, \
     normalized_slices, select_cutoff
 
@@ -252,26 +251,31 @@ def _reference_grid(pre: float, post: float, rate: float) -> np.ndarray:
     return -pre + np.arange(n) / rate
 
 
-def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
+def reconstruct_headband_event(excerpts: dict[str, ImuRecording],
+                               config: SessionConfig,
                                alpha_method: str = "both") -> KinematicsSet:
-    """Run the full headband reconstruction for one impact window.
+    """Run the full headband reconstruction for one impact.
 
-    Rotates every channel to the head frame, averages the gyros on the
-    window grid, applies the adaptive filter, and computes the requested
-    angular-acceleration method(s): ``"diff"``, ``"a3g1"`` or ``"both"``.
+    ``excerpts`` maps headband sensor id to its recording cut around the
+    trigger, on an impact-relative clock, covering the config's window
+    [-pre, +headband_post].  Rotates every channel to the head frame,
+    averages the gyros on the window grid, applies the adaptive filter, and
+    computes the requested angular-acceleration method(s): ``"diff"``,
+    ``"a3g1"`` or ``"both"``.
     """
     if alpha_method not in ("diff", "a3g1", "both"):
         raise ConfigError(f"unknown alpha method {alpha_method!r}")
-    hb_specs = [s for s in config.headband_sensors if s.id in window.channels]
+    hb_specs = [s for s in config.headband_sensors if s.id in excerpts]
     if not hb_specs:
         raise DataError("impact window contains no headband channels")
 
     gyro_rate = max(s.channel("gyro").rate for s in hb_specs)
-    grid = _window_grid(window.pre, window.post, gyro_rate)
+    grid = _window_grid(config.window.pre, config.window.headband_post,
+                        gyro_rate)
 
     rotated_gyros = []
     for spec in hb_specs:
-        rec = window.channels[spec.id]
+        rec = excerpts[spec.id]
         head_frame = rotate_series(rec.gyro, spec.orientation)
         rotated_gyros.append(sample_on_grid(head_frame, grid))
     omega_h = average_angular_velocity(rotated_gyros)
@@ -283,7 +287,7 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
     omega_for_a3g1 = omega_hf
     if config.a3g1_gyro != "averaged":
         spec = config.sensor(config.a3g1_gyro)
-        rec = window.channels.get(config.a3g1_gyro)
+        rec = excerpts.get(config.a3g1_gyro)
         if rec is None:
             raise DataError(f"a3g1_gyro sensor {config.a3g1_gyro!r} not in window")
         single = sample_on_grid(rotate_series(rec.gyro, spec.orientation), grid)
@@ -298,7 +302,7 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
         accels, positions = [], []
         for sid in config.a3g1_sensor_ids:
             spec = config.sensor(sid)
-            rec = window.channels.get(sid)
+            rec = excerpts.get(sid)
             if rec is None:
                 raise DataError(f"a3g1 sensor {sid!r} missing from impact window")
             raw = rec.channel(config.a3g1_channel)
@@ -321,26 +325,27 @@ def reconstruct_headband_event(window: ImpactWindow, config: SessionConfig,
     )
 
 
-def reconstruct_reference_event(window: ImpactWindow,
+def reconstruct_reference_event(excerpt: ImuRecording,
                                 config: SessionConfig) -> ReferenceKinematics:
     """Reference-device post-processing: frame rotation, CFC filtering,
     stencil differentiation.
 
-    Angular velocity is filtered at CFC ``ang_vel`` (155 default),
-    translational acceleration at CFC ``trans`` (1000 default), and the
-    angular acceleration is the five-point-stencil derivative of the
+    ``excerpt`` is the reference recording cut around the trigger, on an
+    impact-relative clock, covering the config's window [-pre,
+    +reference_post].  Angular velocity is filtered at CFC ``ang_vel`` (155
+    default), translational acceleration at CFC ``trans`` (1000 default),
+    and the angular acceleration is the five-point-stencil derivative of the
     filtered angular velocity.
     """
     spec = config.reference_sensor
-    if spec is None or spec.id not in window.channels:
+    if spec is None or excerpt.sensor_id != spec.id:
         raise DataError("impact window contains no reference channel")
-    rec = window.channels[spec.id]
-    rate = rec.gyro.sample_rate
-    grid = _reference_grid(window.pre, window.post, rate)
+    grid = _reference_grid(config.window.pre, config.window.reference_post,
+                           excerpt.gyro.sample_rate)
 
-    omega = rotate_series(rec.gyro, spec.orientation)
+    omega = rotate_series(excerpt.gyro, spec.orientation)
     omega = cfc_filter(omega, config.cfc.ang_vel)
-    accel = rotate_series(rec.trigger_accel, spec.orientation)
+    accel = rotate_series(excerpt.trigger_accel, spec.orientation)
     accel = cfc_filter(accel, config.cfc.trans)
 
     omega = sample_on_grid(omega, grid)

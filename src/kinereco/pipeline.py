@@ -22,7 +22,6 @@ import numpy as np
 
 from . import core, detect, evaluate, kinematics
 from .core import TimeSeries1
-from .detect import ImpactWindow
 from .errors import DataError
 from .ingest import ImuRecording, SessionConfig
 from .kinematics import KinematicsSet, ReferenceKinematics
@@ -125,22 +124,14 @@ def detect_session(config: SessionConfig, headband: dict[str, ImuRecording],
 _WINDOW_PAD_S = 0.002
 
 
-def _build_window(recs: dict[str, ImuRecording], t0: float,
-                  pre: float, post: float,
-                  pad: float = _WINDOW_PAD_S) -> ImpactWindow:
-    channels = {sid: detect.extract_window(rec, t0, pre + pad, post + pad)
-                for sid, rec in recs.items()}
-    return ImpactWindow(channels=channels, pre=pre, post=post)
-
-
-def reconstruct_spans(config: SessionConfig,
-                      pairs: list[PairRow]) -> list[tuple[float, float]]:
-    """The ``(start, end)`` headband times :func:`reconstruct_pair` cuts
-    from the recordings for ``pairs``: its window around each headband
-    trigger, padded as :func:`_build_window` pads it."""
+def reconstruct_windows(config: SessionConfig, pairs: list[PairRow],
+                        ) -> list[tuple[float, float, float]]:
+    """The ``(t0, pre, post)`` headband windows :func:`reconstruct_pair`
+    cuts from the recordings for ``pairs``: the config's window around each
+    headband trigger, widened by ``_WINDOW_PAD_S`` at both ends."""
     pre = config.window.pre + _WINDOW_PAD_S
     post = config.window.headband_post + _WINDOW_PAD_S
-    return [(row.t0_headband - pre, row.t0_headband + post) for row in pairs]
+    return [(row.t0_headband, pre, post) for row in pairs]
 
 
 def _block_for(blocks: list[ImuRecording], t0: float) -> ImuRecording:
@@ -170,24 +161,23 @@ def reconstruct_pair(config: SessionConfig, headband: dict[str, ImuRecording],
     """Headband kinematics of one paired event, and the reference device's.
 
     ``headband`` needs only the channels :func:`reconstruct_channels` names
-    for ``alpha_method``, and only their samples in the pair's span of
-    :func:`reconstruct_spans`.
+    for ``alpha_method``, and only their samples in the pair's window of
+    :func:`reconstruct_windows`.
 
     The reference kinematics are shifted by the pair's residual lag onto the
     headband clock; they are None when the session has no reference blocks.
     """
-    window = _build_window(headband, row.t0_headband, config.window.pre,
-                           config.window.headband_post)
-    kin = kinematics.reconstruct_headband_event(window, config, alpha_method)
+    (window,) = reconstruct_windows(config, [row])
+    excerpts = {sid: detect.extract_window(rec, *window)
+                for sid, rec in headband.items()}
+    kin = kinematics.reconstruct_headband_event(excerpts, config, alpha_method)
 
     ref_kin = None
-    spec = config.reference_sensor
-    if spec is not None and ref_blocks:
-        ref_window = _build_window(
-            {spec.id: _block_for(ref_blocks, row.t0_reference)},
-            row.t0_reference, config.window.pre, config.window.reference_post,
-            pad=0.0)
-        ref_kin = kinematics.reconstruct_reference_event(ref_window, config)
+    if config.reference_sensor is not None and ref_blocks:
+        excerpt = detect.extract_window(
+            _block_for(ref_blocks, row.t0_reference), row.t0_reference,
+            config.window.pre, config.window.reference_post)
+        ref_kin = kinematics.reconstruct_reference_event(excerpt, config)
         if row.residual_lag:
             ref_kin = ReferenceKinematics(*(
                 ts.shifted(row.residual_lag)

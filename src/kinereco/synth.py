@@ -24,7 +24,7 @@ import gc
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, ImuRecording, SensorSpec,
-                     SessionConfig, check_number, check_object, check_text,
-                     check_vector, imu_csv_files, load_session_config,
+                     SessionConfig, check_keys, check_number, check_object,
+                     check_text, check_vector, imu_csv_files, load_session_config,
                      output_dir, read_json, session_csv, write_imu_csv,
                      write_json, write_table)
 
@@ -790,6 +790,19 @@ def _floats(obj: dict, names, where: str, error) -> dict:
             for name in names if name in obj}
 
 
+#: The keys of a profile's top level (:func:`profile_to_json_dict`).
+_PROFILE_KEYS = ("duration_s", "gravity", "reference_clock_offset_s",
+                 "impacts", "noise", "omega_components", "q_components")
+
+
+def _check_fields(obj, cls, what: str, error, path=None) -> dict:
+    """``obj``, when it is an object whose keys are fields of the dataclass
+    ``cls``; an unknown key's error names ``path`` too, if given."""
+    where = what if path is None else f"{path}: {what}"
+    return check_keys(check_object(obj, what, error),
+                      [f.name for f in fields(cls)], where, error)
+
+
 def load_profile(path) -> SessionProfile:
     """Load a session profile from its JSON form (inverse of dump_profile).
 
@@ -798,10 +811,14 @@ def load_profile(path) -> SessionProfile:
     (``n_tones`` stays the int it must be).  A noise field fails as a
     :class:`DataError` naming it, any other field as a :class:`FormatError`
     naming the file and the field: a motion component as ``{key} axis i
-    component j: {field}``, whose ``width_s`` is null or above 0.
+    component j: {field}``, whose ``width_s`` is null or above 0.  A key
+    that is not one of its object's fields fails the same way, naming the
+    file and the key (``per_sensor_scale`` takes any sensor id).
     """
     path = Path(path)
-    raw = check_object(read_json(path), f"{path}: the profile", FormatError)
+    raw = check_keys(
+        check_object(read_json(path), f"{path}: the profile", FormatError),
+        _PROFILE_KEYS, f"{path}: the profile", FormatError)
     try:
         def components(key):
             axes = raw[key]
@@ -813,7 +830,8 @@ def load_profile(path) -> SessionProfile:
                          for i, entries in enumerate(axes))
 
         def component(e, where):
-            e = check_object(e, where.removesuffix(": "), FormatError)
+            e = _check_fields(e, HarmonicComponent, where.removesuffix(": "),
+                              FormatError)
             width = e.get("width_s")
             return HarmonicComponent(
                 **_floats(e, ("amplitude", "freq_hz", "phase", "center_s"),
@@ -821,8 +839,10 @@ def load_profile(path) -> SessionProfile:
                 width_s=None if width is None else float(check_number(
                     width, f"{where}width_s", FormatError, "> 0")))
 
-        noise = check_object(raw.get("noise", {}), "noise", DataError)
-        burst = check_object(noise.get("burst", {}), "noise.burst", DataError)
+        noise = _check_fields(raw.get("noise", {}), NoiseSpec, "noise",
+                              DataError, path)
+        burst = _check_fields(noise.get("burst", {}), BurstSpec, "noise.burst",
+                              DataError, path)
         scale = check_object(noise.get("per_sensor_scale", {}),
                              "noise.per_sensor_scale", DataError)
         return SessionProfile(
@@ -831,7 +851,9 @@ def load_profile(path) -> SessionProfile:
                 q_components=components("q_components"),
             ),
             impacts=tuple(PlannedImpact(
-                **_floats(i, ("time_s",), f"{path}: impacts[{k}].", FormatError),
+                **_floats(_check_fields(i, PlannedImpact, f"{path}: impacts[{k}]",
+                                        FormatError),
+                          ("time_s",), f"{path}: impacts[{k}].", FormatError),
                 label=check_text(i["label"], f"{path}: impacts[{k}].label",
                                  FormatError))
                 for k, i in enumerate(raw["impacts"])),

@@ -221,6 +221,65 @@ def test_bad_profile_gives_one_error_line(small_pipeline, profile_path, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, edit, expected", [
+    ("simulate", put(["nosie"], {"gyro_sigma": 0.5}),
+     "FormatError: {profile}: the profile has an unknown key 'nosie' (known "
+     "keys: duration_s, gravity, reference_clock_offset_s, impacts, noise, "
+     "omega_components, q_components)"),
+    ("simulate", put(["reference_clock_offset"], 0.02),
+     "FormatError: {profile}: the profile has an unknown key "
+     "'reference_clock_offset'"),
+    ("simulate", put(["noise", "gyro_sigmaa"], 0.5),
+     "DataError: {profile}: noise has an unknown key 'gyro_sigmaa'"),
+    ("simulate", put(["noise", "burst", "centre_hz"], 250.0),
+     "DataError: {profile}: noise.burst has an unknown key 'centre_hz'"),
+    ("simulate", put(["impacts", 1, "time"], 2.0),
+     "FormatError: {profile}: impacts[1] has an unknown key 'time'"),
+    ("simulate", put(["omega_components", 0, 0, "widht_s"], 0.01),
+     "FormatError: {profile}: omega_components axis 0 component 0 has an "
+     "unknown key 'widht_s' (known keys: amplitude, freq_hz, phase, "
+     "center_s, width_s)"),
+    ("detect", put(["windows"], {}),
+     "ConfigError: {config}: the configuration has an unknown key 'windows'"),
+    ("detect", lambda raw: sensor(raw, "bt_back").update(rol="reference"),
+     "ConfigError: {config}: sensors[2] has an unknown key 'rol'"),
+    ("detect",
+     lambda raw: sensor(raw, "bt_back")["channels"]["gyro"].update(rate=1),
+     "ConfigError: {config}: sensor 'bt_back': channels.gyro has an unknown "
+     "key 'rate' (known keys: rate_hz, range)"),
+    ("detect", put(["window", "pre"], 40.0),
+     "ConfigError: {config}: window has an unknown key 'pre' (known keys: "
+     "pre_ms, headband_post_ms, reference_post_ms)"),
+    ("detect", put(["column_map"], {"gX": "gx"}),
+     "ConfigError: {config}: column_map has an unknown key 'gX' (known keys: "
+     "time_s, gx, gy, gz, ax, ay, az, hx, hy, hz)"),
+], ids=["profile_nosie", "profile_clock_offset", "noise", "burst", "impact",
+        "component_widht", "config_windows", "sensor_rol", "channel_rate",
+        "window_pre", "column_map_gX"])
+def test_unknown_key_gives_one_error_line(small_pipeline, profile_path,
+                                          tmp_path, capsys, command, edit,
+                                          expected):
+    """A misspelled key fails at load, naming the file, the object and the
+    key, with the error class of that object's values."""
+    profile, config = profile_path, small_pipeline["config"]
+    if command == "simulate":
+        profile = edited(profile, tmp_path / "profile.json", edit)
+    else:
+        config = edited(config, tmp_path / "config.json", edit)
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--profile", profile, "--config", config,
+                     "--out", out],
+        "detect": ["detect", "--config", config,
+                   "--in", small_pipeline["session"], "--out", out],
+    }[command]
+    code, err = run(argv, capsys)
+    assert (code, len(err)) == (1, 1)
+    assert err[0].startswith("kinereco: error: " + expected.format(
+        profile=profile, config=config))
+    assert not out.exists()
+
+
 def test_negative_seed_gives_one_error_line(small_pipeline, profile_path,
                                             tmp_path, capsys):
     out = tmp_path / "out"
@@ -249,6 +308,30 @@ def test_a_fresh_process_prints_one_line_on_failure(small_pipeline,
     assert proc.stderr.splitlines() == [
         "kinereco: error: DataError: sensor 'bt_back' accel_high: 4.5 s at "
         "1e+308 Hz is above the ceiling of 1e+08 samples per channel"]
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("basic_format", "ConfigError: KINERECO_LOG must be debug, info or "
+     "warning, got 'basic_format'"),
+    ("verbose", "ConfigError: KINERECO_LOG must be debug, info or warning, "
+     "got 'verbose'"),
+    ("Info", "FormatError: cannot open"),
+    ("", "FormatError: cannot open"),
+], ids=["basic_format", "verbose", "Info", "empty"])
+def test_log_level_takes_only_its_documented_values(tmp_path, value,
+                                                    expected):
+    """A fresh process: an undocumented ``KINERECO_LOG`` is one error line
+    before any input is read; a documented one, in any case, or an empty
+    one, lets the command fail on its missing config instead."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinereco.cli", "detect", "--config",
+         str(tmp_path / "missing.json"), "--in", str(tmp_path), "--out",
+         str(tmp_path / "events.csv")],
+        env={**os.environ, "PYTHONPATH": str(SRC), "KINERECO_LOG": value},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("kinereco: error: " + expected)
 
 
 @pytest.mark.parametrize("edit", [

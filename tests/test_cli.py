@@ -4,13 +4,14 @@ import logging
 import os
 import re
 import shutil
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinereco import cli, ingest, pipeline
+from kinereco import cli, core, ingest, pipeline
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.errors import WindowError
@@ -438,6 +439,61 @@ class TestReconstructReadsWindows:
         assert main(reconstruct + [str(tmp_path / "marked")]) == 0
         assert (output_bytes(tmp_path / "marked")
                 == output_bytes(tmp_path / "clean"))
+
+
+    @pytest.mark.parametrize("widen", [3, 20])
+    def test_the_rows_read_follow_the_cut(self, tmp_path, monkeypatch, config,
+                                          widen):
+        """With ``core.window_span`` widened by ``widen`` samples at both
+        ends in every module that binds it, simulate, detect and reconstruct
+        run on the wider cut, and the rows reconstruct parses still give the
+        kinematics of ``reconstruct_pair`` on recordings parsed whole."""
+        rule = core.window_span
+
+        def wider(start, rate, t0, pre, post):
+            i_first, i_last = rule(start, rate, t0, pre, post)
+            return i_first - widen, i_last + widen
+
+        bound = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("kinereco")
+                 and getattr(module, "window_span", None) is rule]
+        assert {m.__name__ for m in bound} >= {
+            "kinereco.core", "kinereco.detect", "kinereco.ingest"}
+        for module in bound:
+            monkeypatch.setattr(module, "window_span", wider)
+        profile = standard_session_profile(seed=13, n_per_tier=2)
+        profile_path = dump_profile(profile, tmp_path / "profile.json")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        session, events, kin = (tmp_path / "session", tmp_path / "events.csv",
+                                tmp_path / "kin")
+        common = ["--config", str(config_path)]
+        for argv in (
+                ["simulate", "--profile", str(profile_path), "--out",
+                 str(session), "--seed", "3"],
+                ["detect", "--in", str(session), "--out", str(events)],
+                ["reconstruct", "--in", str(session), "--events", str(events),
+                 "--out", str(kin)]):
+            assert main(argv[:1] + common + argv[1:]) == 0, argv[0]
+
+        whole = cli._load_headband(config, session,
+                                   pipeline.reconstruct_channels(config))
+        blocks = cli._load_reference_blocks(config, session)
+        pairs = cli._read_events_csv(events)
+        assert len(pairs) == len(profile.impacts)
+        for row in pairs:
+            for name, layout, result in zip(
+                    ("hb", "ref"), (cli._HB_SERIES, cli._REF_SERIES),
+                    pipeline.reconstruct_pair(config, whole, blocks, row)):
+                path = tmp_path / f"{name}_whole.csv"
+                cli._write_kinematics_csv(path, result, layout, ())
+                written = kin / f"{name}_ev{row.pair_id:03d}.csv"
+                assert data_lines(written) == data_lines(path), written.name
+
+
+def data_lines(path: Path) -> list[str]:
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("#")]
 
 
 class TestStageErrors:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from kinereco.core import (TimeSeries1, TimeSeries3, _grid_rate,
                            lagged_correlation, magnitude, rotate_series,
-                           sample_on_grid, shared_grid, validate_rotation)
+                           sample_on_grid, shared_grid, validate_rotation,
+                           window_span)
 from kinereco.detect import _clip_scalar, _excerpt
 from kinereco.errors import ConfigError, DataError, WindowError
 from kinereco.evaluate import _common_pair, _correlation, nrmse_windowed
@@ -75,6 +77,20 @@ def old_excerpt(ts, t0, pre, post):
     i_first = int(np.floor((t0 - pre - ts.start_time) * rate + 1e-9))
     i_last = int(np.ceil((t0 + post - ts.start_time) * rate - 1e-9))
     return i_first, i_last, ts.start_time + i_first / rate - t0
+
+
+def old_block_periods(rate, pre, post):
+    """The block length of ``ingest.parse_reference_csv`` before
+    ``window_span``, in sample periods."""
+    return math.ceil(pre * rate - 1e-9) + math.ceil(post * rate - 1e-9)
+
+
+def old_span_rows(start, rate, t0, pre, post):
+    """The ``(lo, hi)`` data rows the windowed read parsed before
+    ``window_span``: the span of ``pipeline.reconstruct_spans`` rounded out
+    and widened by ``ingest._SPAN_MARGIN`` (2) rows."""
+    a, b = t0 - pre, t0 + post
+    return math.floor((a - start) * rate) - 2, math.ceil((b - start) * rate) + 3
 
 
 def old_sample_on_grid(s, times):
@@ -274,6 +290,71 @@ class TestSampleClock:
                                                 "samples"]
         assert len(s1) == 2 and len(s3) == 1
         assert s1.end_time == 0.51 and s3.end_time == -0.25
+
+
+#: ``(pre, post)`` of the default window and of two others, from the
+#: window.pre_ms, reference_post_ms and headband_post_ms of a config.
+WINDOWS = [(pre, post) for pre, posts in (
+    (0.03125, (0.09375, 0.150)), (0.040, (0.060, 0.150)),
+    (0.0313, (0.0938, 0.160))) for post in posts]
+
+
+def window_cases():
+    """``(rate, start, t0, pre, post)``: the edges of ``clock_cases`` as
+    windows around their trigger, and the config windows around a trigger
+    on a sample and off it by up to 2e-9 periods."""
+    for rate, start, t0, (k0, d0), (k1, d1) in clock_cases():
+        pre = t0 - (start + (k0 + d0) / rate)
+        post = start + (k1 + d1) / rate - t0
+        if pre + post > 0:
+            yield rate, start, t0, pre, post
+    for rate in RATES:
+        for start in (0.0, 12.3456789):
+            for k, d in EDGES:
+                t0 = start + (k + d) / rate
+                for pre, post in WINDOWS:
+                    yield rate, start, t0, pre, post
+                    yield rate, start, t0, pre + 0.002, post + 0.002
+
+
+class TestWindowSpan:
+    """``window_span`` against the three formulas it replaces."""
+
+    def test_matches_excerpt(self):
+        cases = list(window_cases())
+        for rate, start, t0, pre, post in cases:
+            ts = TimeSeries3(start, rate, np.zeros((N_SAMPLES, 3)))
+            assert window_span(start, rate, t0, pre, post) == \
+                old_excerpt(ts, t0, pre, post)[:2]
+        assert len(cases) > 2000
+
+    def test_block_length_matches_reference_block(self):
+        checked = 0
+        for rate, _, _, pre, post in window_cases():
+            if pre < 0 or post < 0:
+                continue
+            i_first, i_last = window_span(0.0, rate, 0.0, pre, post)
+            periods = old_block_periods(rate, pre, post)
+            assert i_last - i_first == periods
+            assert repr((i_last - i_first) / rate) == repr(periods / rate)
+            checked += 1
+        assert checked > 1000
+
+    def test_rows_lie_inside_the_old_windowed_read(self):
+        widest = 0
+        for rate, start, t0, pre, post in window_cases():
+            i_first, i_last = window_span(start, rate, t0, pre, post)
+            lo, hi = old_span_rows(start, rate, t0, pre, post)
+            assert lo <= i_first and i_last + 1 <= hi
+            widest = max(widest, i_first - lo, hi - i_last - 1)
+        # The margin was 2 rows beyond the outward-rounded span.
+        assert widest == 3
+
+    def test_default_window_at_the_device_rates(self):
+        # 50 + 150 periods at 1600 Hz, exactly on the grid; 36 + 169 at
+        # 1125 Hz, each end rounded out (35.16 and 168.75 periods).
+        assert window_span(0.0, 1600.0, 0.0, 0.03125, 0.09375) == (-50, 150)
+        assert window_span(1.0, 1125.0, 2.0, 0.03125, 0.150) == (1089, 1294)
 
 
 class TestClockMethods:

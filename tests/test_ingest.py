@@ -752,9 +752,9 @@ def edit_row(path, row, column, cell):
 
 
 class TestWindowedRead:
-    """``parse_imu_csv(..., spans=...)`` against the full parse: the same
+    """``parse_imu_csv(..., windows=...)`` against the full parse: the same
     clock and length for each channel, bit-identical excerpts of every
-    span, and the same error text for a bad cell inside a span."""
+    window, and the same error text for a bad cell inside a window."""
 
     RATE, HIGH, START, N, M = 1125.0, 1600.0, 3.25, 3000, 4300
     #: ``(t0, pre, post)`` of reconstruct's padded window.
@@ -784,8 +784,8 @@ class TestWindowedRead:
     def spec(self):
         return simple_spec(rate=self.RATE, high_rate=self.HIGH)
 
-    def spans(self, triggers):
-        return [(t - self.PRE, t + self.POST) for t in triggers]
+    def windows(self, triggers):
+        return [(t, self.PRE, self.POST) for t in triggers]
 
     def excerpts(self, rec, triggers):
         """What reconstruct cuts from ``rec`` at each trigger: the excerpts'
@@ -805,7 +805,7 @@ class TestWindowedRead:
 
     def assert_same(self, path, triggers):
         full = parse_imu_csv(path, self.spec)
-        part = parse_imu_csv(path, self.spec, spans=self.spans(triggers))
+        part = parse_imu_csv(path, self.spec, windows=self.windows(triggers))
         for kind in ingest.CHANNEL_KINDS:
             a, b = full.channel(kind), part.channel(kind)
             assert (b.start_time, b.sample_rate, len(b)) == (
@@ -854,7 +854,7 @@ class TestWindowedRead:
         edit_row(file, row, column, cell)
         want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
         got = outcome(lambda p: parse_imu_csv(
-            p, self.spec, spans=self.spans([trigger])), path)
+            p, self.spec, windows=self.windows([trigger])), path)
         assert want[0] in (DataError, FormatError)
         assert got == want
 
@@ -864,18 +864,19 @@ class TestWindowedRead:
         edit_row(path, 0, "time_s", "%.14g" % (self.START + 0.4 / self.RATE))
         want = (f"{path}: non-uniform sampling at data row 0 (off grid by "
                 f"{0.4 / self.RATE * 1e3:.3f} ms)")
-        spans = self.spans([self.START + 1.0])
+        windows = self.windows([self.START + 1.0])
         _, header, table = ingest.read_table(
-            path, pick=lambda h, first: [(int((a - self.START) * self.RATE),
-                                          int((b - self.START) * self.RATE))
-                                         for a, b in spans])
+            path, pick=lambda h, first: [
+                (int((t - pre - self.START) * self.RATE),
+                 int((t + post - self.START) * self.RATE))
+                for t, pre, post in windows])
         assert table.index is not None and len(table.index) < self.N // 4
         with pytest.raises(DataError) as window:
             ingest.table_clock(table.values[:, 0], path, "time_s", self.RATE,
                                table.index)
-        for spans in (None, spans):
+        for windows in (None, windows):
             with pytest.raises(DataError) as full:
-                parse_imu_csv(path, self.spec, spans=spans)
+                parse_imu_csv(path, self.spec, windows=windows)
             assert str(full.value) == str(window.value) == want
 
     def test_bad_cell_outside_every_window_is_not_read(self, path):
@@ -883,7 +884,7 @@ class TestWindowedRead:
         with pytest.raises(DataError, match="unparseable cell"):
             parse_imu_csv(path, self.spec)
         part = parse_imu_csv(path, self.spec,
-                             spans=self.spans([self.START + 1.0]))
+                             windows=self.windows([self.START + 1.0]))
         assert not part.gyro.samples[100].any()
 
     @pytest.mark.parametrize("edit", [
@@ -902,7 +903,7 @@ class TestWindowedRead:
         triggers = [self.START + 1.0]
         want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
         got = outcome(lambda p: parse_imu_csv(
-            p, self.spec, spans=self.spans(triggers)), path)
+            p, self.spec, windows=self.windows(triggers)), path)
         if want[0] != "ok":
             assert got == want
             return

@@ -368,7 +368,8 @@ class TestAdaptiveFilter:
         # noiseless rigid-body data: every gyro reads the same field, so the
         # single-gyro A3G1 variant must agree with the averaged one
         from dataclasses import replace
-        from kinereco.pipeline import _build_window
+        from kinereco.detect import extract_window
+        from kinereco.pipeline import _WINDOW_PAD_S as pad
         from kinereco.core import magnitude
         from kinereco.detect import detect_impacts
         from kinereco.kinematics import reconstruct_headband_event
@@ -378,11 +379,12 @@ class TestAdaptiveFilter:
         trig = magnitude(recs["bt_back"].trigger_accel)
         t0 = detect_impacts(trig, config.trigger.threshold,
                             config.trigger.min_duration, min_separation=0.2)[0]
-        window = _build_window(recs, t0, config.window.pre,
-                               config.window.headband_post)
-        averaged = reconstruct_headband_event(window, config, "a3g1")
+        excerpts = {sid: extract_window(rec, t0, config.window.pre + pad,
+                                        config.window.headband_post + pad)
+                    for sid, rec in recs.items()}
+        averaged = reconstruct_headband_event(excerpts, config, "a3g1")
         single = reconstruct_headband_event(
-            window, replace(config, a3g1_gyro="bt_back"), "a3g1")
+            excerpts, replace(config, a3g1_gyro="bt_back"), "a3g1")
         scale = np.abs(averaged.alpha_a3g1.samples).max()
         diff = np.abs(single.alpha_a3g1.samples - averaged.alpha_a3g1.samples)
         assert diff.max() / scale < 0.02
