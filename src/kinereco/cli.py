@@ -25,6 +25,7 @@ verbosity.  File formats are documented in ``docs/formats.md``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -36,19 +37,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries1, TimeSeries3
+from .core import TimeSeries1, TimeSeries3, window_span
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
-from .ingest import ImuRecording, SessionConfig, check_number, \
-    finite_block, load_session_config, output_dir, parse_imu_csv, \
-    parse_reference_csv, read_json, read_table, reference_block, \
-    session_csv, table_clock, write_json, write_table
+from .ingest import CHANNEL_KINDS, ImuRecording, SessionConfig, \
+    check_number, finite_block, load_session_config, output_dir, \
+    parse_imu_csv, parse_reference_csv, read_json, read_table, \
+    reference_block, session_csv, table_clock, write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, detect_channels, detect_session, \
     overlay_resultants, reconstruct_channels, reconstruct_pair, \
     reconstruct_windows, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
+from .twoproc import run_in_two
 from .wavelet import cwt
 
 log = logging.getLogger(__name__)
@@ -356,33 +358,62 @@ def _cmd_reconstruct(args) -> int:
     pairs = _read_events_csv(Path(args.events))
     if not pairs:
         raise DataError(f"{args.events}: no paired events to reconstruct")
+    windows = reconstruct_windows(config, pairs)
     hb_recs = _load_headband(config, in_dir,
                              reconstruct_channels(config, args.alpha_method),
-                             reconstruct_windows(config, pairs))
+                             windows)
     ref_blocks = _load_reference_blocks(config, in_dir)
     out = Path(args.out)
     output_dir(out)
-
-    for row in pairs:
-        kin, ref_kin = reconstruct_pair(config, hb_recs, ref_blocks, row,
-                                        args.alpha_method)
-        tags = manifest.comments() + (f"pair_id={row.pair_id}",
-                                      f"label={row.label}")
-        _write_kinematics_csv(out / f"hb_ev{row.pair_id:03d}.csv", kin,
-                              _HB_SERIES, tags + (f"f0_hz={kin.f0:.9g}",))
-        if ref_kin is not None:
-            _write_kinematics_csv(
-                out / f"ref_ev{row.pair_id:03d}.csv", ref_kin, _REF_SERIES,
-                tags + (f"residual_lag_s={row.residual_lag:.9g}",))
-        if args.scalograms:
-            _write_scalograms(out / f"scalogram_ev{row.pair_id:03d}.csv",
-                              kin.omega_h, manifest)
-            if ref_kin is not None:
-                _write_scalograms(out / f"scalogram_ref_ev{row.pair_id:03d}.csv",
-                                  ref_kin.omega, manifest)
+    # Every pair runs, and the error of the earliest that failed is raised.
+    # The first pair runs before the fork: Python shows a warning once per
+    # process, and the scipy modules a pair imports load once, so the child
+    # inherits both.
+    run_in_two([(_pair_cost(hb_recs, window),
+                 functools.partial(_reconstruct_and_write, config, hb_recs,
+                                   ref_blocks, row, args, manifest, out))
+                for row, window in zip(pairs, windows)], before_fork=1)
     _write_manifest(out / "manifest.json", manifest)
     log.info("reconstruct: %d events -> %s", len(pairs), out)
     return 0
+
+
+def _pair_cost(hb_recs: dict[str, ImuRecording], window) -> int:
+    """The samples of a pair's window in every headband channel it reads:
+    the work of the pair, known before any of it runs.  ``--scalograms``
+    adds work in proportion to these samples, alike for every pair, so it
+    leaves the split as it is."""
+    cost = 0
+    for rec in hb_recs.values():
+        for kind in CHANNEL_KINDS:
+            ts = rec.channel(kind)
+            if ts is not None:
+                first, last = window_span(ts.start_time, ts.sample_rate,
+                                          *window)
+                cost += last - first + 1
+    return cost
+
+
+def _reconstruct_and_write(config, hb_recs, ref_blocks, row: PairRow, args,
+                           manifest: RunManifest, out: Path):
+    """Reconstruct one pair and write its kinematics files, and its
+    scalograms with ``--scalograms``."""
+    kin, ref_kin = reconstruct_pair(config, hb_recs, ref_blocks, row,
+                                    args.alpha_method)
+    tags = manifest.comments() + (f"pair_id={row.pair_id}",
+                                  f"label={row.label}")
+    _write_kinematics_csv(out / f"hb_ev{row.pair_id:03d}.csv", kin,
+                          _HB_SERIES, tags + (f"f0_hz={kin.f0:.9g}",))
+    if ref_kin is not None:
+        _write_kinematics_csv(
+            out / f"ref_ev{row.pair_id:03d}.csv", ref_kin, _REF_SERIES,
+            tags + (f"residual_lag_s={row.residual_lag:.9g}",))
+    if args.scalograms:
+        _write_scalograms(out / f"scalogram_ev{row.pair_id:03d}.csv",
+                          kin.omega_h, manifest)
+        if ref_kin is not None:
+            _write_scalograms(out / f"scalogram_ref_ev{row.pair_id:03d}.csv",
+                              ref_kin.omega, manifest)
 
 
 def _write_scalograms(path: Path, omega: TimeSeries3, manifest: RunManifest):

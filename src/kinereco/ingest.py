@@ -308,8 +308,9 @@ class SessionConfig:
         object.__setattr__(self, "reference_point", check_vector(
             self.reference_point, 3, "reference_point_m"))
         if self.column_map is not None:
-            for name, actual in check_object(self.column_map,
-                                             "column_map").items():
+            for name, actual in check_keys(
+                    check_object(self.column_map, "column_map"),
+                    _CANONICAL_COLUMNS, "column_map").items():
                 check_text(actual, f"column_map.{name}")
             read_by = {}
             for name in _CANONICAL_COLUMNS:

@@ -20,10 +20,7 @@ the observed field ranges (PRV 4-10 rad/s, PRA 610-3200 rad/s^2, PLA
 from __future__ import annotations
 
 import functools
-import gc
-import logging
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -37,6 +34,7 @@ from .ingest import (CHANNEL_KINDS, G_STANDARD, ImuRecording, SensorSpec,
                      check_text, check_vector, imu_csv_files, load_session_config,
                      output_dir, read_json, session_csv, write_imu_csv,
                      write_json, write_table)
+from .twoproc import run_in_two
 
 __all__ = [
     "HarmonicComponent",
@@ -53,8 +51,6 @@ __all__ = [
     "load_profile",
     "dump_profile",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Default gravity as specific force on a static upright head (head frame z up).
 DEFAULT_GRAVITY = (0.0, 0.0, G_STANDARD)
@@ -471,18 +467,13 @@ def write_session(recordings, config: SessionConfig, path,
     written one block per file as ``<id>_ev###.csv``.  The configuration is
     copied to ``config.json``.
 
-    The CSV files are written in two processes.  Once every recording is
-    checked, this process forks one child, which shares the recordings
-    without a copy; each file goes to one of the two by its cell count, and
-    is written by the same :func:`write_imu_csv` call either way, so every
-    byte is the one a single process writes.  A second process starts only
-    when there are two or more files, ``os.fork`` exists, and this process
-    runs no other thread (as Linux's ``/proc/self/task`` lists them: a
-    program that loads numpy before kinereco runs OpenBLAS threads, and
-    writes in one process); there is no setting for it.  Whatever the child
-    does not finish, this process writes after the child has exited, so the
-    outcome is the serial loop's: the same files, or the error of the
-    earliest failed file in the serial order.
+    The CSV files are written in two processes by
+    :func:`kinereco.twoproc.run_in_two`, once every recording is checked:
+    one job per file, whose cost is its cell count.  Each file is written by
+    the same :func:`write_imu_csv` call in either process, so every byte is
+    the one a single process writes, and the outcome is the serial loop's:
+    every file that can be written is, then the error of the earliest
+    failed file in the serial order is raised.
     """
     recordings = list(recordings)
     if not recordings:
@@ -508,10 +499,10 @@ def write_session(recordings, config: SessionConfig, path,
                     "expected one continuous stream"
                 )
             targets.append((out / session_csv(sensor_id), recs[0]))
-    _write_in_two([(cells, functools.partial(write_imu_csv, file, rec, kinds,
-                                             header_comments))
-                   for target, rec in targets
-                   for file, kinds, cells in imu_csv_files(target, rec)])
+    run_in_two([(cells, functools.partial(write_imu_csv, file, rec, kinds,
+                                          header_comments))
+                for target, rec in targets
+                for file, kinds, cells in imu_csv_files(target, rec)])
 
     written = [target for target, _ in targets]
     cfg_path = out / "config.json"
@@ -522,83 +513,6 @@ def write_session(recordings, config: SessionConfig, path,
     write_json(cfg_path, payload)
     written.append(cfg_path)
     return written
-
-
-def _write_in_two(files: list) -> None:
-    """Call ``write()`` for each ``(cells, write)`` of ``files``, in two
-    processes: the largest file first, each file goes to the share with
-    fewer cells so far, and a forked child writes the second share in order
-    while this process writes the first.
-
-    The child exits with status 0 only if it wrote its whole share.  Once it
-    has exited, this process writes in order each share that no child
-    wrote: every file where :func:`_fork_writer` starts no child, and the
-    child's share where the child failed or was killed.  Each write
-    truncates its file and writes bytes fixed by its inputs, so a file
-    written twice is the same, and the outcome is the serial loop's: the
-    same files, or the error of the earliest failed file.
-    """
-    shares, loads = ([], []), [0, 0]
-    for i in sorted(range(len(files)), key=lambda i: -files[i][0]):
-        k = int(loads[1] < loads[0])
-        shares[k].append(i)
-        loads[k] += files[i][0]
-    own, theirs = sorted(shares[0]), sorted(shares[1])
-    pid = _fork_writer([files[i][1] for i in theirs]) if theirs else None
-    try:
-        failed = _write_each(files, own if pid else range(len(files)))
-    finally:
-        status = pid and os.waitpid(pid, 0)[1]
-    if status:
-        log.warning("the second writer process exited with code %d; this "
-                    "process writes its %d files",
-                    os.waitstatus_to_exitcode(status), len(theirs))
-        failed += _write_each(files, theirs)
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-
-
-def _write_each(files: list, indices) -> list:
-    """Write the files of ``indices`` in order, up to the first that fails:
-    ``[(i, exception)]`` of that file, or ``[]``."""
-    for i in indices:
-        try:
-            files[i][1]()
-        except Exception as exc:
-            return [(i, exc)]
-    return []
-
-
-def _fork_writer(share: list) -> int | None:
-    """Fork a child that calls each function of ``share`` in order, and
-    return its pid, or None where this process does not fork: without
-    ``os.fork``, when the fork fails, or unless this process runs one
-    thread.  A fork copies only the calling thread, so a lock that another
-    thread holds stays held in the child.  Linux lists the threads of a
-    process in ``/proc/self/task``; where it cannot be read, no child
-    starts.
-
-    The child exits with status 0 only if every write returned.  It leaves
-    by ``os._exit``, so that no buffer it shares with its parent is flushed
-    twice and no handler of the parent's runs."""
-    try:
-        if not (hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1):
-            return None
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid:
-        return pid
-    code = 1
-    try:
-        # A collection could finalize the parent's garbage, and it would
-        # copy the pages of every object it visits.
-        gc.disable()
-        for write in share:
-            write()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _manifest_stamp(header_comments) -> str | None:

@@ -3,6 +3,8 @@
 # write_session forks its second writer here too.
 import kinereco  # noqa: F401  (isort: skip)
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ def write_recording(path, rec, header_comments=()):
     """Write every CSV file of ``rec`` at ``path``, as write_session does."""
     for file, kinds, _ in imu_csv_files(path, rec):
         write_imu_csv(file, rec, kinds, header_comments)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids :func:`os.fork` returned in this process."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

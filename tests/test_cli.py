@@ -4,6 +4,8 @@ import logging
 import os
 import re
 import shutil
+import signal
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -19,6 +21,8 @@ from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
                             standard_session_profile)
 from kinereco.wavelet import cwt
+
+from conftest import assert_no_child_left
 
 
 class TestDetectCommand:
@@ -494,6 +498,197 @@ class TestReconstructReadsWindows:
 def data_lines(path: Path) -> list[str]:
     return [ln for ln in path.read_text().splitlines()
             if not ln.startswith("#")]
+
+
+def serial_reconstruct(args) -> int:
+    """``cli._cmd_reconstruct`` without ``--scalograms``, as one serial loop
+    over the pairs, as it was before the pairs were split, with the rule
+    that every pair runs: then the error of the earliest pair that failed
+    is raised, and ``manifest.json`` is written only when every pair
+    succeeded."""
+    config = ingest.load_session_config(args.config)
+    in_dir = Path(args.in_dir)
+    manifest = RunManifest(
+        subcommand="reconstruct", config_path=str(args.config),
+        inputs=(str(in_dir), str(args.events)),
+        params={"alpha_method": args.alpha_method,
+                "scalograms": bool(args.scalograms)},
+        seed=None,
+    )
+    pairs = cli._read_events_csv(Path(args.events))
+    hb_recs = cli._load_headband(
+        config, in_dir, pipeline.reconstruct_channels(config, args.alpha_method),
+        pipeline.reconstruct_windows(config, pairs))
+    ref_blocks = cli._load_reference_blocks(config, in_dir)
+    out = ingest.output_dir(args.out)
+    errors = []
+    for row in pairs:
+        try:
+            kin, ref_kin = cli.reconstruct_pair(config, hb_recs, ref_blocks,
+                                                row, args.alpha_method)
+            tags = manifest.comments() + (f"pair_id={row.pair_id}",
+                                          f"label={row.label}")
+            cli._write_kinematics_csv(out / f"hb_ev{row.pair_id:03d}.csv",
+                                      kin, cli._HB_SERIES,
+                                      tags + (f"f0_hz={kin.f0:.9g}",))
+            cli._write_kinematics_csv(
+                out / f"ref_ev{row.pair_id:03d}.csv", ref_kin,
+                cli._REF_SERIES,
+                tags + (f"residual_lag_s={row.residual_lag:.9g}",))
+        except Exception as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    cli._write_manifest(out / "manifest.json", manifest)
+    return 0
+
+
+class TestReconstructInTwoProcesses:
+    """reconstruct runs its first pair, forks once and splits the other
+    pairs between the two processes; the files, the exit code and stderr
+    are the serial loop's, also when a pair fails."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self, tmp_path_factory, config):
+        """A noisy six-pair session, detected."""
+        root = tmp_path_factory.mktemp("noisy")
+        profile = dump_profile(standard_session_profile(
+            seed=13, with_noise=True, n_per_tier=2), root / "profile.json")
+        config_path = root / "config.json"
+        config_path.write_text(json.dumps(config_to_json_dict(config)))
+        session, events = root / "session", root / "events.csv"
+        for argv in (["simulate", "--profile", str(profile), "--out",
+                      str(session), "--seed", "3"],
+                     ["detect", "--in", str(session), "--out", str(events)]):
+            assert main(argv[:1] + ["--config", str(config_path)]
+                        + argv[1:]) == 0
+        assert len(cli._read_events_csv(events)) == 6
+        return dict(config=config_path, session=session, events=events)
+
+    @pytest.fixture(scope="class")
+    def shares(self, noisy, tmp_path_factory):
+        """The pair ids this process runs after the fork, and the child's:
+        a table the child writes is never recorded here."""
+        here = []
+        real = cli._write_kinematics_csv
+
+        def spy(path, *args):
+            here.append(path.name)
+            real(path, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_write_kinematics_csv", spy)
+            assert main(self.argv(noisy, noisy["events"],
+                                  tmp_path_factory.mktemp("shares"))) == 0
+        ids = [row.pair_id for row in cli._read_events_csv(noisy["events"])]
+        own = [i for i in ids[1:] if f"hb_ev{i:03d}.csv" in here]
+        return own, [i for i in ids[1:] if i not in own]
+
+    @staticmethod
+    def argv(noisy, events, out):
+        return ["reconstruct", "--config", str(noisy["config"]), "--in",
+                str(noisy["session"]), "--events", str(events), "--out",
+                str(out)]
+
+    @pytest.mark.parametrize("case", ["none", "parent", "child", "first",
+                                      "killed", "no_fork"])
+    def test_every_outcome_is_the_serial_loops(self, noisy, shares, tmp_path,
+                                               monkeypatch, capsys, forks,
+                                               case):
+        """No failure; a pair that fails in the parent's share, in the
+        child's, and the first pair, which runs before the fork; a child
+        killed by SIGKILL; and no fork at all."""
+        own, theirs = shares
+        assert own and theirs
+        events = noisy["events"]
+        failing = {"parent": own[0], "child": theirs[0], "first": 1}.get(case)
+        if failing is not None:
+            # No reference block covers a reference trigger at 0.5 s.
+            lines = events.read_text().splitlines(keepends=True)
+            at = next(i for i, ln in enumerate(lines)
+                      if ln.startswith(f"{failing},reference,"))
+            cells = lines[at].split(",")
+            lines[at] = ",".join(cells[:2] + ["0.500000000"] + cells[3:])
+            events = tmp_path / "events.csv"
+            events.write_text("".join(lines))
+        elif case == "killed":
+            parent, real = os.getpid(), cli.reconstruct_pair
+
+            def pair(*args):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args)
+
+            monkeypatch.setattr(cli, "reconstruct_pair", pair)
+        elif case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+
+        def outcome(out):
+            capsys.readouterr()
+            code = main(self.argv(noisy, events, out))
+            assert_no_child_left()
+            return code, capsys.readouterr().err, output_bytes(out)
+
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_cmd_reconstruct", serial_reconstruct)
+            want = outcome(tmp_path / "serial")
+        n_forks = len(forks)
+        got = outcome(tmp_path / "split")
+        assert got == want
+        assert n_forks == 0 and len(forks) == (case != "no_fork")
+        code, err, files = got
+        if failing is None:
+            assert (code, err) == (0, "") and "manifest.json" in files
+        else:
+            assert code == 1 and err == (
+                "kinereco: error: DataError: no reference block covers "
+                "t0=0.5000 s\n")
+            assert "manifest.json" not in files
+            assert f"hb_ev{failing:03d}.csv" not in files
+            assert len(files) == 2 * 5
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task to count threads in")
+def test_fresh_reconstruct_prints_the_serial_runs_stderr(small_pipeline,
+                                                         tmp_path):
+    """A fresh ``python -m kinereco.cli reconstruct`` on the small default
+    session forks once, and prints what one process prints: the reference's
+    CFC low-rate warning once, with its source line."""
+    script = """
+import json, os, runpy, sys
+forks, fork = [], getattr(os, "fork", None)
+if sys.argv[1] == "fork":
+    os.fork = lambda: forks.append(1) or fork()
+else:
+    del os.fork
+sys.argv[1:2] = []
+try:
+    runpy.run_module("kinereco.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps([exc.code, len(forks)]))
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    runs = {}
+    for mode in ("fork", "serial"):
+        out = tmp_path / mode
+        done = subprocess.run(
+            [sys.executable, "-c", script, mode, "reconstruct",
+             "--config", str(small_pipeline["config"]),
+             "--in", str(small_pipeline["session"]),
+             "--events", str(small_pipeline["events"]), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        runs[mode] = json.loads(done.stdout), done.stderr, output_bytes(out)
+    assert runs["fork"][0] == [0, 1] and runs["serial"][0] == [0, 0]
+    assert runs["fork"][1:] == runs["serial"][1:]
+    err = runs["fork"][1].splitlines()
+    assert len(err) == 2 and err[0].endswith(
+        ": UserWarning: sample rate 3200 Hz is below the recommended 16500 Hz "
+        "for CFC 1000; response accuracy degrades near Nyquist")
+    assert err[1].strip() == "accel = cfc_filter(accel, config.cfc.trans)"
 
 
 class TestStageErrors:
@@ -1105,7 +1300,7 @@ class TestErrorReporting:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert (tmp_path / "log.txt").read_text().splitlines() == [
-            f"{parent} WARNING kinereco.synth"]
+            f"{parent} WARNING kinereco.twoproc"]
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert sorted(p.name for p in (tmp_path / "session").iterdir()) == names
         for name in names:

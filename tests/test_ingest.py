@@ -450,6 +450,16 @@ class TestSessionConfig:
         swapped = replace(config, column_map={"gx": "gy", "gy": "gx"})
         assert swapped.column_map == {"gx": "gy", "gy": "gx"}
 
+    def test_unknown_key_rejected_in_the_library(self, config):
+        """A config built in the library checks column_map's keys as the
+        loader does, without the file name the loader adds."""
+        from dataclasses import replace
+        with pytest.raises(ConfigError) as caught:
+            replace(config, column_map={"gX": "gyro_x"})
+        assert str(caught.value) == (
+            "column_map has an unknown key 'gX' (known keys: time_s, gx, gy, "
+            "gz, ax, ay, az, hx, hy, hz)")
+
 
 class TestWriteRows:
     """An all-float table is written as exactly np.savetxt's bytes."""

@@ -1,5 +1,4 @@
 import errno
-import functools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from kinereco import ingest
 from kinereco.errors import DataError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
-                             write_json)
+                             write_imu_csv, write_json)
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
@@ -33,7 +32,7 @@ from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             simulate_sensors, simulate_session,
                             standard_session_profile, write_session)
 
-from conftest import write_recording
+from conftest import assert_no_child_left
 
 
 def still_motion():
@@ -176,10 +175,12 @@ class TestWriteSession:
 
 def serial_write_session(recordings, config, path, header_comments=()):
     """write_session's CSV and config writes as one serial loop of
-    write_imu_csv calls, as it was before the writes were split."""
+    write_imu_csv calls, as it was before the writes were split: every CSV
+    file is written that can be, then the error of the earliest that failed
+    is raised."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written, errors = [], []
     by_sensor = {}
     for rec in recordings:
         by_sensor.setdefault(rec.sensor_id, []).append(rec)
@@ -191,19 +192,20 @@ def serial_write_session(recordings, config, path, header_comments=()):
         else:
             targets = [(out / f"{sensor_id}.csv", recs[0])]
         for target, rec in targets:
-            write_recording(target, rec, header_comments)
+            for file, kinds, _ in imu_csv_files(target, rec):
+                try:
+                    write_imu_csv(file, rec, kinds, header_comments)
+                except Exception as exc:
+                    errors.append(exc)
             written.append(target)
+    if errors:
+        raise errors[0]
     payload = synth.config_to_json_dict(config)
     if header_comments:
         payload["manifest_sha256"] = synth._manifest_stamp(header_comments)
     write_json(out / "config.json", payload)
     written.append(out / "config.json")
     return written
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWriteInTwoProcesses:
@@ -218,19 +220,6 @@ class TestWriteInTwoProcesses:
         profile = standard_session_profile(seed=13, with_noise=True,
                                            n_per_tier=1)
         return simulate_session(profile, config, seed=3)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids :func:`os.fork` returned in this process."""
-        pids, fork = [], os.fork
-
-        def spy():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", spy)
-        return pids
 
     @staticmethod
     def recordings(sim):
@@ -265,22 +254,6 @@ class TestWriteInTwoProcesses:
             "config.json", "mouthpiece_ev001.csv"]
         assert forks == []
 
-    def test_shares_balance_cells_largest_file_first(self, tmp_path, config,
-                                                     clean_session_small):
-        cells = [c for r in self.recordings(clean_session_small)
-                 for _, _, c in imu_csv_files(tmp_path / f"{r.sensor_id}.csv",
-                                              r)]
-        seen = []
-        synth._write_in_two([(c, functools.partial(seen.append, i))
-                             for i, c in enumerate(cells)])
-        child = set(range(len(cells))) - set(seen)
-        assert seen == sorted(seen) and child
-        mine = sum(cells[i] for i in seen)
-        theirs = sum(cells[i] for i in child)
-        assert abs(mine - theirs) <= max(cells)
-        assert cells[seen[0]] == max(cells)
-        assert_no_child_left()
-
     # -- errors ----------------------------------------------------------
 
     def shares(self, tmp_path, config, recordings, monkeypatch):
@@ -298,15 +271,15 @@ class TestWriteInTwoProcesses:
 
     def outcome(self, write, recordings, config, path):
         """``(type, message)`` of the error ``write`` raises at ``path``, or
-        the names it returns and the bytes of each file it leaves there."""
+        the names it returns, and the bytes of each file it leaves there."""
         shutil.rmtree(path, ignore_errors=True)
         try:
-            names = [p.name for p in write(recordings, config, path)]
+            result = [p.name for p in write(recordings, config, path)]
         except BaseException as exc:
-            return type(exc), str(exc)
+            result = type(exc), str(exc)
         finally:
             assert_no_child_left()
-        return names, {p.name: p.read_bytes() for p in path.iterdir()}
+        return result, {p.name: p.read_bytes() for p in path.iterdir()}
 
     def fail_on(self, monkeypatch, names, error=lambda path: DataError(
             f"{path}: cannot write here")):
@@ -397,11 +370,14 @@ class TestWriteInTwoProcesses:
         assert got == want
         no_child = case in ("no_fork", "fork_eagain", "thread")
         assert len(forks) == (0 if no_child else 1)
+        result, files = got
         if case.endswith("_first"):
-            assert got == (DataError,
-                           f"{tmp_path / 'a' / earlier}: cannot write here")
+            assert result == (DataError,
+                              f"{tmp_path / 'a' / earlier}: cannot write here")
+            # Every other CSV file is written, whichever process failed.
+            assert sorted(files) == sorted(set(self.serial) - {earlier, later})
         elif no_child or case in ("killed", "child_only"):
-            assert isinstance(got[1], dict)
+            assert isinstance(result, list)
 
     def test_interrupt_in_the_parent_waits_for_the_child(
             self, tmp_path, config, monkeypatch, clean_session_small):
@@ -410,7 +386,7 @@ class TestWriteInTwoProcesses:
         serial_write_session(recordings, config, tmp_path / "b")
         self.fail_on(monkeypatch, {own[0]}, lambda path: KeyboardInterrupt())
         assert self.outcome(write_session, recordings, config,
-                            tmp_path / "a")[0] is KeyboardInterrupt
+                            tmp_path / "a")[0][0] is KeyboardInterrupt
         # The child wrote its whole share before it was waited for.
         for name in theirs:
             assert (tmp_path / "a" / name).read_bytes() == (
