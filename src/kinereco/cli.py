@@ -318,9 +318,9 @@ def _cmd_simulate(args) -> int:
     )
     sim = simulate_session(profile, config, seed=args.seed)
     out = Path(args.out)
-    written = write_simulated_session(sim, config, out, manifest.comments())
+    write_simulated_session(sim, out, manifest.comments())
     _write_manifest(out / "manifest.json", manifest)
-    log.info("simulate: wrote %d files to %s", len(written), out)
+    log.info("simulate: wrote the session to %s", out)
     return 0
 
 
@@ -366,9 +366,9 @@ def _cmd_reconstruct(args) -> int:
     out = Path(args.out)
     output_dir(out)
     # Every pair runs, and the error of the earliest that failed is raised.
-    # The first pair runs before the fork: Python shows a warning once per
-    # process, and the scipy modules a pair imports load once, so the child
-    # inherits both.
+    # Pairs run before the fork until one has returned: Python shows a
+    # warning once per process, and the scipy modules a pair imports load
+    # once, so the child inherits both.
     run_in_two([(_pair_cost(hb_recs, window),
                  functools.partial(_reconstruct_and_write, config, hb_recs,
                                    ref_blocks, row, args, manifest, out))

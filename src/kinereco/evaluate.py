@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import TimeSeries1, best_shift, magnitude, same_clock, sample_on_grid
-from .errors import DataError, DegenerateSignalError, WindowError
+from .errors import (DataError, DegenerateSignalError, KinerecoError,
+                     WindowError)
 
 __all__ = [
     "CoraScore",
@@ -310,6 +311,38 @@ def _mean_sd(totals: list[float]) -> tuple[float, float]:
     return float(np.mean(totals)), sd
 
 
+def _compare_quantity(hb_series, ref_series, nrmse_window: float,
+                      max_shift_fraction: float) -> tuple[dict, dict, dict, float]:
+    """The CORA, peak and NRMSE entries of one quantity of one event, and
+    its headline CORA total."""
+    hb_on_grid, ref_on_grid = _common_pair(hb_series, ref_series)
+    hb_mag = magnitude(hb_on_grid)
+    ref_mag = magnitude(ref_on_grid)
+    headline = cora_score(ref_mag, hb_mag, max_shift_fraction)
+    axes = {}
+    for k, ax in enumerate("xyz"):
+        try:
+            axes[ax] = asdict(cora_score(
+                ref_on_grid.component(k), hb_on_grid.component(k),
+                max_shift_fraction))
+        except (DegenerateSignalError, DataError):
+            axes[ax] = None
+    hb_peak, _ = peak_resultant(hb_mag)
+    ref_peak, ref_peak_t = peak_resultant(ref_mag)
+    # Peaks near a window edge: shift the NRMSE window minimally so it fits
+    # the support (it still contains the peak).
+    center = min(max(ref_peak_t, ref_mag.start_time + nrmse_window / 2),
+                 ref_mag.end_time - nrmse_window / 2)
+    nrms_pct, rms_abs, signed_pct = nrmse_windowed(
+        ref_mag, hb_mag, window=nrmse_window, center=center)
+    return ({**asdict(headline), "per_axis": axes},
+            {"headband": hb_peak, "reference": ref_peak,
+             "bias": hb_peak - ref_peak},
+            {"nrms_pct": nrms_pct, "rms_abs": rms_abs,
+             "signed_mean_pct": signed_pct},
+            headline.total)
+
+
 def build_agreement_report(events: list[EventComparison],
                            nrmse_window: float = DEFAULT_NRMSE_WINDOW_S,
                            max_shift_fraction: float = DEFAULT_MAX_SHIFT_FRACTION,
@@ -320,7 +353,9 @@ def build_agreement_report(events: list[EventComparison],
     headband support (:func:`_common_pair`); CORA headline
     scores are computed on the resultant (per-axis scores are reported as
     detail).  Returns a JSON-ready dictionary; see ``docs/formats.md`` for
-    the layout.
+    the layout.  A comparison that fails raises its error with the pair id
+    and the quantity in front of its message (``pair 2 angular_velocity:
+    zero-variance reference curve``).
     """
     if not events:
         raise DataError("no paired events to evaluate")
@@ -334,38 +369,21 @@ def build_agreement_report(events: list[EventComparison],
             hb_series = getattr(ev.headband, hb_attr)
             if hb_series is None:
                 continue
-            ref_series = getattr(ev.reference, ref_attr)
-            hb_on_grid, ref_on_grid = _common_pair(hb_series, ref_series)
-            hb_mag = magnitude(hb_on_grid)
-            ref_mag = magnitude(ref_on_grid)
-            headline = cora_score(ref_mag, hb_mag, max_shift_fraction)
-            axes = {}
-            for k, ax in enumerate("xyz"):
-                try:
-                    axes[ax] = asdict(cora_score(
-                        ref_on_grid.component(k), hb_on_grid.component(k),
-                        max_shift_fraction))
-                except (DegenerateSignalError, DataError):
-                    axes[ax] = None
-            entry["cora"][name] = {**asdict(headline), "per_axis": axes}
-            hb_peak, _ = peak_resultant(hb_mag)
-            ref_peak, ref_peak_t = peak_resultant(ref_mag)
-            entry["peaks"][name] = {"headband": hb_peak, "reference": ref_peak,
-                                    "bias": hb_peak - ref_peak}
-            # Peaks near a window edge: shift the NRMSE window minimally so it
-            # fits the support (it still contains the peak).
-            center = min(max(ref_peak_t, ref_mag.start_time + nrmse_window / 2),
-                         ref_mag.end_time - nrmse_window / 2)
-            nrms_pct, rms_abs, signed_pct = nrmse_windowed(
-                ref_mag, hb_mag, window=nrmse_window, center=center)
-            entry["nrmse"][name] = {"nrms_pct": nrms_pct, "rms_abs": rms_abs,
-                                    "signed_mean_pct": signed_pct}
+            try:
+                cora, peaks, nrmse, total = _compare_quantity(
+                    hb_series, getattr(ev.reference, ref_attr), nrmse_window,
+                    max_shift_fraction)
+            except KinerecoError as exc:
+                raise type(exc)(f"pair {ev.pair_id} {name}: {exc}") from None
+            entry["cora"][name] = cora
+            entry["peaks"][name] = peaks
+            entry["nrmse"][name] = nrmse
             store = per_quantity.setdefault(name, {
                 "headband": [], "reference": [], "labels": [], "totals": []})
-            store["headband"].append(hb_peak)
-            store["reference"].append(ref_peak)
+            store["headband"].append(peaks["headband"])
+            store["reference"].append(peaks["reference"])
             store["labels"].append(ev.label)
-            store["totals"].append(headline.total)
+            store["totals"].append(total)
         per_event.append(entry)
 
     aggregate: dict = {"bland_altman": {}, "t_tests": {}, "cora_stats": {},

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -247,10 +248,35 @@ class TruthEvent:
 
 @dataclass(frozen=True)
 class SimulatedSession:
-    headband: tuple[ImuRecording, ...]
-    reference_blocks: tuple[ImuRecording, ...]
-    truth: tuple[TruthEvent, ...]
+    """A simulated session, whose recordings are built when first read.
+
+    ``headband_jobs`` holds one function per headband sensor of ``config``,
+    in its order, that builds the sensor's continuous recording, and
+    ``reference_job`` one that builds the reference device's blocks (None
+    without a reference sensor).  They read only what
+    :func:`simulate_session` left in this process, so each gives the same
+    recordings in any process forked after it:
+    :func:`write_simulated_session` builds each sensor in the process that
+    writes it.  ``headband``, ``reference_blocks`` and ``truth`` are built
+    in this process when first read, and kept.
+    """
+
     profile: SessionProfile
+    config: SessionConfig
+    headband_jobs: tuple[Callable[[], ImuRecording], ...]
+    reference_job: Callable[[], tuple[ImuRecording, ...]] | None = None
+
+    @functools.cached_property
+    def headband(self) -> tuple[ImuRecording, ...]:
+        return tuple(build() for build in self.headband_jobs)
+
+    @functools.cached_property
+    def reference_blocks(self) -> tuple[ImuRecording, ...]:
+        return () if self.reference_job is None else self.reference_job()
+
+    @functools.cached_property
+    def truth(self) -> tuple[TruthEvent, ...]:
+        return _truth_events(self.profile, self.config)
 
 
 #: exp(-x) underflows to exactly 0.0 once x > 745.2, so a burst is exactly
@@ -332,22 +358,7 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
 MAX_CHANNEL_SAMPLES = 10 ** 8
 
 
-def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
-                     noise: NoiseSpec, duration: float, *,
-                     gravity=DEFAULT_GRAVITY, seed: int = 0,
-                     impact_times=(), clock_offset: float = 0.0,
-                     ) -> list[ImuRecording]:
-    """Generate continuous recordings for the given sensors.
-
-    Gyro channels read ``R_i^T omega(t)``; accelerometer channels read
-    ``R_i^T (alpha x r_i + omega x (omega x r_i) + q + g)``, each sampled at
-    the channel's own rate.  ``clock_offset`` shifts the device clock:
-    a sample stamped t was taken at physical time t + clock_offset.
-
-    Noise is deterministic for a given seed.  Each channel draws from its own
-    stream, keyed by the sensor's index in ``specs``: simulating ``specs[1:2]``
-    alone gives ``specs[1]`` different noise than simulating ``specs[:2]``.
-    """
+def _check_sample_ceiling(specs, duration: float) -> None:
     for spec in specs:
         for ch in spec.channels:
             # floor(duration * rate) + 1 samples, at most the ceiling.
@@ -357,6 +368,38 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
                     f"{ch.rate:g} Hz is above the ceiling of "
                     f"{MAX_CHANNEL_SAMPLES:.0e} samples per channel")
 
+
+def _channel_samples(spec: SensorSpec, duration: float) -> int:
+    """The samples of every channel of ``spec`` over ``duration``."""
+    return sum(int(math.floor(duration * ch.rate)) + 1 for ch in spec.channels)
+
+
+def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
+                     noise: NoiseSpec, duration: float, *,
+                     gravity=DEFAULT_GRAVITY, seed: int = 0,
+                     impact_times=(), clock_offset: float = 0.0,
+                     ) -> list[Callable[[], ImuRecording]]:
+    """One function per sensor of ``specs``, in order, that builds the
+    sensor's continuous recording: ``[build() for build in
+    simulate_sensors(...)]`` are the recordings.
+
+    Gyro channels read ``R_i^T omega(t)``; accelerometer channels read
+    ``R_i^T (alpha x r_i + omega x (omega x r_i) + q + g)``, each sampled at
+    the channel's own rate.  ``clock_offset`` shifts the device clock:
+    a sample stamped t was taken at physical time t + clock_offset.
+
+    The motion is evaluated before this returns, once on each channel
+    rate's grid (omega, and alpha and q where an accelerometer samples at
+    that rate), and every function builds its channels from those grids.
+    A function so gives the same recording whenever it runs, in this
+    process or in one forked after this returns.
+
+    Noise is deterministic for a given seed.  Each channel draws from its own
+    stream, keyed by the sensor's index in ``specs``: simulating ``specs[1:2]``
+    alone gives ``specs[1]`` different noise than simulating ``specs[:2]``.
+    """
+    _check_sample_ceiling(specs, duration)
+
     def stamps_at(rate):
         return np.arange(int(math.floor(duration * rate)) + 1) / rate
 
@@ -365,34 +408,42 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
         # Motion is shared by every channel sampled at the same rate.
         return evaluate(stamps_at(rate) + clock_offset)
 
-    recordings = []
-    for i_spec, spec in enumerate(specs):
+    def motion_read_by(kind, rate):
+        # omega, and alpha and q for an accelerometer.
+        evaluates = ((motion.omega_at,) if kind == "gyro" else
+                     (motion.omega_at, motion.alpha_at, motion.q_at))
+        return [on_grid(evaluate, rate) for evaluate in evaluates]
+
+    local_impacts = [t - clock_offset for t in impact_times]
+
+    def build(i_spec: int, spec: SensorSpec) -> ImuRecording:
         channels: dict[str, TimeSeries3 | None] = dict.fromkeys(CHANNEL_KINDS)
         # A channel's index in CHANNEL_KINDS keys its noise stream.
         for i_ch, kind in enumerate(CHANNEL_KINDS):
             ch = spec.channel(kind)
             if ch is None:
                 continue
-            stamps = stamps_at(ch.rate)
-            omega = on_grid(motion.omega_at, ch.rate)
+            grids = motion_read_by(kind, ch.rate)
             if kind == "gyro":
-                head = omega
+                head, = grids
                 sigma, burst_amp = noise.gyro_sigma, noise.burst.gyro_amplitude
             else:
-                head = _rigid_acceleration(
-                    omega, on_grid(motion.alpha_at, ch.rate),
-                    on_grid(motion.q_at, ch.rate), spec.position, gravity)
+                head = _rigid_acceleration(*grids, spec.position, gravity)
                 sigma, burst_amp = noise.accel_sigma, noise.burst.accel_amplitude
             sensor_frame = head @ spec.orientation  # == (R^T @ head^T)^T
             scale = noise.scale_for(spec.id)
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(i_spec, i_ch)))
-            local_impacts = [t - clock_offset for t in impact_times]
             sensor_frame = sensor_frame + _channel_noise(
-                stamps, sigma, burst_amp * scale, noise, local_impacts, rng)
+                stamps_at(ch.rate), sigma, burst_amp * scale, noise,
+                local_impacts, rng)
             channels[kind] = TimeSeries3(0.0, ch.rate, sensor_frame)
-        recordings.append(ImuRecording(spec.id, **channels))
-    return recordings
+        return ImuRecording(spec.id, **channels)
+
+    for spec in specs:
+        for ch in spec.channels:
+            motion_read_by(ch.kind, ch.rate)
+    return [functools.partial(build, i, spec) for i, spec in enumerate(specs)]
 
 
 def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[TruthEvent, ...]:
@@ -420,67 +471,115 @@ def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[Truth
 def simulate_session(profile: SessionProfile, config: SessionConfig,
                      seed: int = 0) -> SimulatedSession:
     """Simulate the whole session: continuous headband recordings plus
-    per-event reference blocks cut by the reference device's own trigger."""
-    impact_times = [imp.time_s for imp in profile.impacts]
+    per-event reference blocks cut by the reference device's own trigger.
+
+    Every channel's sample ceiling is checked here, and the headband motion
+    is evaluated here on each channel rate's grid; each sensor's recordings
+    are built by its job of the returned :class:`SimulatedSession`.  The
+    reference job evaluates the motion on its own grid, which only it reads.
+    """
+    ref_spec = config.reference_sensor
+    _check_sample_ceiling(
+        [*config.headband_sensors, *([ref_spec] if ref_spec else [])],
+        profile.duration_s)
     headband = simulate_sensors(
         profile.motion, list(config.headband_sensors), profile.noise,
         profile.duration_s, gravity=profile.gravity, seed=seed,
-        impact_times=impact_times,
+        impact_times=[imp.time_s for imp in profile.impacts],
     )
-
-    blocks: list[ImuRecording] = []
-    ref_spec = config.reference_sensor
+    reference = None
     if ref_spec is not None:
-        clean = NoiseSpec(gyro_sigma=min(profile.noise.gyro_sigma, 0.02),
-                          accel_sigma=min(profile.noise.accel_sigma, 0.3))
-        offset = profile.reference_clock_offset_s
-        ref_rec = simulate_sensors(
-            profile.motion, [ref_spec], clean, profile.duration_s,
-            gravity=profile.gravity, seed=seed + 1,
-            impact_times=impact_times, clock_offset=offset,
-        )[0]
-        trig = magnitude(ref_rec.trigger_accel)
-        # Dead time: the longer (headband) processing window, so post-impact
-        # ringing cannot re-trigger a second block inside one event.
-        dead_time = config.window.pre + config.window.headband_post
-        for t0 in detect_impacts(trig, config.trigger.threshold,
-                                 config.trigger.min_duration,
-                                 min_separation=dead_time):
-            rel = _extract_window(ref_rec, t0, config.window.pre,
-                                  config.window.reference_post)
-            blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
+        reference = functools.partial(_reference_blocks, profile, config, seed)
+    return SimulatedSession(profile, config, tuple(headband), reference)
 
-    return SimulatedSession(
-        headband=tuple(headband),
-        reference_blocks=tuple(blocks),
-        truth=_truth_events(profile, config),
-        profile=profile,
+
+def _reference_blocks(profile: SessionProfile, config: SessionConfig,
+                      seed: int) -> tuple[ImuRecording, ...]:
+    """The reference device's blocks: its recording over the whole session,
+    on its own clock and with its own clean noise, cut around each of its
+    own triggers."""
+    clean = NoiseSpec(gyro_sigma=min(profile.noise.gyro_sigma, 0.02),
+                      accel_sigma=min(profile.noise.accel_sigma, 0.3))
+    build, = simulate_sensors(
+        profile.motion, [config.reference_sensor], clean, profile.duration_s,
+        gravity=profile.gravity, seed=seed + 1,
+        impact_times=[imp.time_s for imp in profile.impacts],
+        clock_offset=profile.reference_clock_offset_s,
     )
+    ref_rec = build()
+    trig = magnitude(ref_rec.trigger_accel)
+    # Dead time: the longer (headband) processing window, so post-impact
+    # ringing cannot re-trigger a second block inside one event.
+    dead_time = config.window.pre + config.window.headband_post
+    blocks = []
+    for t0 in detect_impacts(trig, config.trigger.threshold,
+                             config.trigger.min_duration,
+                             min_separation=dead_time):
+        rel = _extract_window(ref_rec, t0, config.window.pre,
+                              config.window.reference_post)
+        blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
+    return tuple(blocks)
 
 
 def write_session(recordings, config: SessionConfig, path,
-                  header_comments: tuple[str, ...] = ()) -> list[Path]:
-    """Write recordings in the exact formats the ingest module reads.
+                  header_comments: tuple[str, ...] = ()) -> None:
+    """Write a session in the exact formats the ingest module reads.
 
     Headband recordings land in ``<id>.csv`` (+ ``<id>_high.csv`` companion
     when the high-g channel runs its own clock); reference recordings are
     written one block per file as ``<id>_ev###.csv``.  The configuration is
     copied to ``config.json``.
 
-    The CSV files are written in two processes by
-    :func:`kinereco.twoproc.run_in_two`, once every recording is checked:
-    one job per file, whose cost is its cell count.  Each file is written by
-    the same :func:`write_imu_csv` call in either process, so every byte is
-    the one a single process writes, and the outcome is the serial loop's:
-    every file that can be written is, then the error of the earliest
-    failed file in the serial order is raised.
-    """
-    recordings = list(recordings)
-    if not recordings:
-        raise DataError("no recordings to write")
-    out = output_dir(path)
+    ``recordings`` are the recordings to write, or a
+    :class:`SimulatedSession` of ``config``, whose sensors are then each
+    built in the process that writes them.  The CSV files are written in two
+    processes by :func:`kinereco.twoproc.run_in_two`, each job with a cost
+    known before any job runs:
 
-    targets = []  # (path, recording) in the order they are written
+    - Recordings already built are all checked first, then written one job
+      per file, whose cost is its cell count.
+    - A simulated session is written one job per sensor: a headband
+      sensor's job builds its recording and writes its files, and the
+      reference job builds the blocks and writes them.  The cost is the
+      samples the job simulates plus the cells it writes, which take about
+      as long each: four per sample of a headband channel (one simulated,
+      three written; the time column is left out) and one per sample of a
+      reference channel.  The reference's blocks are left out: they are
+      known only once its trigger has run, and they hold a small share of
+      its samples (12 % on the bundled 18-impact profile).
+
+    Each sensor is built by the same job and each file written by the same
+    :func:`write_imu_csv` call in either process, so every byte is the one a
+    single process writes.  The outcome is the serial loop's, over the files
+    in the order above (for a simulated session, its headband sensors in
+    the config's order, then the reference): every sensor that can be built
+    is, and every file that can be written is, then the error of the
+    earliest failure is raised and config.json is not written.
+    """
+    if isinstance(recordings, SimulatedSession):
+        out = output_dir(path)
+        jobs = _sensor_jobs(recordings, out, header_comments)
+    else:
+        recordings = list(recordings)
+        if not recordings:
+            raise DataError("no recordings to write")
+        out = output_dir(path)
+        jobs = [(cells, functools.partial(write_imu_csv, file, rec, kinds,
+                                          header_comments))
+                for target, rec in _recording_targets(recordings, config, out)
+                for file, kinds, cells in imu_csv_files(target, rec)]
+    run_in_two(jobs)
+    payload = config_to_json_dict(config)
+    stamp = _manifest_stamp(header_comments)
+    if stamp:
+        payload["manifest_sha256"] = stamp
+    write_json(out / "config.json", payload)
+
+
+def _recording_targets(recordings, config: SessionConfig, out: Path) -> list:
+    """``(main file, recording)`` of each recording, in the order they are
+    written, once every recording is checked against ``config``."""
+    targets = []
     by_sensor: dict[str, list[ImuRecording]] = {}
     for rec in recordings:
         by_sensor.setdefault(rec.sensor_id, []).append(rec)
@@ -489,9 +588,8 @@ def write_session(recordings, config: SessionConfig, path,
         if spec is None:
             raise DataError(f"recording {sensor_id!r} has no sensor in the config")
         if spec.role == "reference":
-            recs = sorted(recs, key=lambda r: r.gyro.start_time)
-            targets += [(out / session_csv(sensor_id, k), rec)
-                        for k, rec in enumerate(recs, start=1)]
+            targets += _block_targets(
+                out, sensor_id, sorted(recs, key=lambda r: r.gyro.start_time))
         else:
             if len(recs) != 1:
                 raise DataError(
@@ -499,20 +597,51 @@ def write_session(recordings, config: SessionConfig, path,
                     "expected one continuous stream"
                 )
             targets.append((out / session_csv(sensor_id), recs[0]))
-    run_in_two([(cells, functools.partial(write_imu_csv, file, rec, kinds,
-                                          header_comments))
-                for target, rec in targets
-                for file, kinds, cells in imu_csv_files(target, rec)])
+    return targets
 
-    written = [target for target, _ in targets]
-    cfg_path = out / "config.json"
-    payload = config_to_json_dict(config)
-    stamp = _manifest_stamp(header_comments)
-    if stamp:
-        payload["manifest_sha256"] = stamp
-    write_json(cfg_path, payload)
-    written.append(cfg_path)
-    return written
+
+def _block_targets(out: Path, sensor_id: str, blocks) -> list:
+    """``(main file, block)`` of each reference block, in order."""
+    return [(out / session_csv(sensor_id, k), block)
+            for k, block in enumerate(blocks, start=1)]
+
+
+def _sensor_jobs(sim: SimulatedSession, out: Path, header_comments) -> list:
+    """``(cost, job)`` of each sensor of ``sim`` (:func:`write_session`)."""
+    config, duration = sim.config, sim.profile.duration_s
+    jobs = [(4 * _channel_samples(spec, duration),
+             functools.partial(_write_headband, out / session_csv(spec.id),
+                               build, header_comments))
+            for spec, build in zip(config.headband_sensors, sim.headband_jobs)]
+    if sim.reference_job is not None:
+        ref_spec = config.reference_sensor
+        jobs.append((_channel_samples(ref_spec, duration),
+                     functools.partial(_write_blocks, out, ref_spec.id,
+                                       sim.reference_job, header_comments)))
+    return jobs
+
+
+def _write_headband(target: Path, build, header_comments) -> None:
+    _write_targets([(target, build())], header_comments)
+
+
+def _write_blocks(out: Path, sensor_id: str, build, header_comments) -> None:
+    _write_targets(_block_targets(out, sensor_id, build()), header_comments)
+
+
+def _write_targets(targets, header_comments) -> None:
+    """Write every CSV file of each ``(main file, recording)`` of
+    ``targets``, each whether or not an earlier one failed, then raise the
+    error of the earliest that failed."""
+    errors = []
+    for target, rec in targets:
+        for file, kinds, _ in imu_csv_files(target, rec):
+            try:
+                write_imu_csv(file, rec, kinds, header_comments)
+            except Exception as exc:
+                errors.append(exc)
+    if errors:
+        raise errors[0]
 
 
 def _manifest_stamp(header_comments) -> str | None:
@@ -522,19 +651,17 @@ def _manifest_stamp(header_comments) -> str | None:
     return None
 
 
-def write_simulated_session(sim: SimulatedSession, config: SessionConfig,
-                            path, header_comments: tuple[str, ...] = ()) -> list[Path]:
-    """write_session plus the ground-truth sidecars (labels.csv, truth.json)."""
+def write_simulated_session(sim: SimulatedSession, path,
+                            header_comments: tuple[str, ...] = ()) -> None:
+    """:func:`write_session` of ``sim``, each sensor built in the process
+    that writes it, then the ground-truth sidecars labels.csv and
+    truth.json."""
+    write_session(sim, sim.config, path, header_comments)
     out = Path(path)
-    written = write_session(list(sim.headband) + list(sim.reference_blocks),
-                            config, out, header_comments)
-    labels_path = out / "labels.csv"
     impacts = sim.profile.impacts
-    write_table(labels_path, ("time_s", "label"),
+    write_table(out / "labels.csv", ("time_s", "label"),
                 (np.array([imp.time_s for imp in impacts]),
                  [imp.label for imp in impacts]), header_comments, "%.6f")
-    written.append(labels_path)
-    truth_path = out / "truth.json"
     payload = {
         "gravity": list(sim.profile.gravity),
         "reference_clock_offset_s": sim.profile.reference_clock_offset_s,
@@ -547,9 +674,7 @@ def write_simulated_session(sim: SimulatedSession, config: SessionConfig,
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
-    write_json(truth_path, payload)
-    written.append(truth_path)
-    return written
+    write_json(out / "truth.json", payload)
 
 
 # ---------------------------------------------------------------------------

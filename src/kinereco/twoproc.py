@@ -1,12 +1,14 @@
 """Run a list of independent jobs in two processes.
 
-``simulate`` writes its session files and ``reconstruct`` its impact pairs
-through :func:`run_in_two`.  A job is a function of no arguments that reads
-what the process already holds and writes its own files; the forked child
-shares the parent's memory copy-on-write, so nothing is sent to it, and it
-reports nothing but its exit status.  There is no setting for the second
-process: it starts where it can, and where it cannot, one process runs
-every job.
+``simulate`` simulates and writes its sensors, and ``reconstruct`` its
+impact pairs, through :func:`run_in_two`: each process computes what it
+writes.  A job is a function of no arguments that reads what the process
+already holds (for ``simulate``, the motion evaluated on each headband
+channel rate's grid before the fork) and writes its own files; the forked
+child shares the parent's memory copy-on-write, so nothing is sent to it,
+and it reports nothing but its exit status.  There is no setting for the
+second process: it starts where it can, and where it cannot, one process
+runs every job.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ def run_in_two(jobs: list, before_fork: int = 0) -> None:
     with the outcome of the serial loop that calls every job in order and
     then raises the error of the earliest that failed.
 
-    The first ``before_fork`` jobs run in this process before it forks, so
-    the child inherits what they leave behind (a module they import, a
-    warning Python shows once per process).  The rest are split largest
-    cost first, each job to the share with less cost so far, and a forked
-    child runs the second share in order while this process runs the first.
+    The first jobs run in order in this process before it forks, until
+    ``before_fork`` of them have returned, so the child inherits what a job
+    that ran to its end leaves behind (a module it imports, a warning Python
+    shows once per process), even where an earlier job failed before it got
+    there.  The rest are split largest cost first, each job to the share
+    with less cost so far, and a forked child runs the second share in order
+    while this process runs the first.
 
     Every job runs, whether or not an earlier one failed.  The child exits
     with status 0 only if every job of its share returned.  Once it has
@@ -39,8 +43,11 @@ def run_in_two(jobs: list, before_fork: int = 0) -> None:
     as a write that truncates its file and writes bytes fixed by its inputs
     does.
     """
-    failed = _run_each(jobs, range(before_fork))
-    rest = range(before_fork, len(jobs))
+    failed, first = [], 0
+    while first < len(jobs) and first - len(failed) < before_fork:
+        failed += _run_each(jobs, [first])
+        first += 1
+    rest = range(first, len(jobs))
     shares, loads = ([], []), [0, 0]
     for i in sorted(rest, key=lambda i: -jobs[i][0]):
         k = int(loads[1] < loads[0])

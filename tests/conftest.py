@@ -1,6 +1,7 @@
 # kinereco first: it sets OpenBLAS to one thread before numpy loads it, so
 # the test process runs one thread, as a kinereco command does, and
-# write_session forks its second writer here too.
+# write_session forks its second process here too (given a simulated
+# session, it simulates each sensor in the process that writes it).
 import kinereco  # noqa: F401  (isort: skip)
 
 import os
@@ -79,7 +80,7 @@ def small_pipeline(tmp_path_factory, config, clean_session_small):
     """clean_session_small written out -> detect -> reconstruct, via the CLI."""
     root = tmp_path_factory.mktemp("pipeline")
     session = root / "session"
-    write_simulated_session(clean_session_small, config, session)
+    write_simulated_session(clean_session_small, session)
     config_path = session / "config.json"
     events = root / "events.csv"
     assert main(["detect", "--config", str(config_path), "--in", str(session),

@@ -647,14 +647,35 @@ class TestReconstructInTwoProcesses:
             assert f"hb_ev{failing:03d}.csv" not in files
             assert len(files) == 2 * 5
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="no /proc/self/task to count threads in")
+    def test_fresh_reconstruct_warns_once_when_the_first_pair_fails(
+            self, noisy, tmp_path):
+        """Pair 1 fails before its reference kinematics, so the next pair runs
+        before the fork and the child inherits the warning it prints: one
+        warning, then the error line, as in one process."""
+        lines = noisy["events"].read_text().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.startswith("1,reference,"))
+        cells = lines[at].split(",")
+        lines[at] = ",".join(cells[:2] + ["0.500000000"] + cells[3:])
+        events = tmp_path / "events.csv"
+        events.write_text("".join(lines))
+        runs = fresh_reconstruct_runs(noisy, events, tmp_path)
+        assert runs["fork"][0] == [1, 1] and runs["serial"][0] == [1, 0]
+        assert runs["fork"][1:] == runs["serial"][1:]
+        err = runs["fork"][1].splitlines()
+        assert len(err) == 3
+        assert_one_cfc_warning(err)
+        assert err[2] == ("kinereco: error: DataError: no reference block covers "
+                          "t0=0.5000 s")
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
-                    reason="no /proc/self/task to count threads in")
-def test_fresh_reconstruct_prints_the_serial_runs_stderr(small_pipeline,
-                                                         tmp_path):
-    """A fresh ``python -m kinereco.cli reconstruct`` on the small default
-    session forks once, and prints what one process prints: the reference's
-    CFC low-rate warning once, with its source line."""
+
+def fresh_reconstruct_runs(pipeline, events, tmp_path) -> dict:
+    """``{mode: ([exit code, forks], stderr, output files)}`` of a fresh
+    ``python -m kinereco.cli reconstruct`` of the session in ``pipeline``
+    (its config and session directory) with the pairs of ``events``, with
+    ``os.fork`` (``"fork"``) and without it (``"serial"``)."""
     script = """
 import json, os, runpy, sys
 forks, fork = [], getattr(os, "fork", None)
@@ -677,18 +698,35 @@ except SystemExit as exc:
         out = tmp_path / mode
         done = subprocess.run(
             [sys.executable, "-c", script, mode, "reconstruct",
-             "--config", str(small_pipeline["config"]),
-             "--in", str(small_pipeline["session"]),
-             "--events", str(small_pipeline["events"]), "--out", str(out)],
+             "--config", str(pipeline["config"]),
+             "--in", str(pipeline["session"]),
+             "--events", str(events), "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=300)
         runs[mode] = json.loads(done.stdout), done.stderr, output_bytes(out)
+    return runs
+
+
+def assert_one_cfc_warning(lines):
+    assert lines[0].endswith(
+        ": UserWarning: sample rate 3200 Hz is below the recommended 16500 Hz "
+        "for CFC 1000; response accuracy degrades near Nyquist")
+    assert lines[1].strip() == "accel = cfc_filter(accel, config.cfc.trans)"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task to count threads in")
+def test_fresh_reconstruct_prints_the_serial_runs_stderr(small_pipeline,
+                                                         tmp_path):
+    """A fresh ``python -m kinereco.cli reconstruct`` on the small default
+    session forks once, and prints what one process prints: the reference's
+    CFC low-rate warning once, with its source line."""
+    runs = fresh_reconstruct_runs(small_pipeline, small_pipeline["events"],
+                                  tmp_path)
     assert runs["fork"][0] == [0, 1] and runs["serial"][0] == [0, 0]
     assert runs["fork"][1:] == runs["serial"][1:]
     err = runs["fork"][1].splitlines()
-    assert len(err) == 2 and err[0].endswith(
-        ": UserWarning: sample rate 3200 Hz is below the recommended 16500 Hz "
-        "for CFC 1000; response accuracy degrades near Nyquist")
-    assert err[1].strip() == "accel = cfc_filter(accel, config.cfc.trans)"
+    assert len(err) == 2
+    assert_one_cfc_warning(err)
 
 
 class TestStageErrors:
@@ -1136,6 +1174,33 @@ class TestErrorReporting:
             f"kinereco: error: FormatError: {profile_path}: {key} axis 1 "
             f"component {len(axis) - 1}: {field} must be ")
         assert not (tmp_path / "session").exists()
+
+    def test_evaluate_names_the_pair_of_a_degenerate_reference(
+            self, small_pipeline, tmp_path, capsys):
+        """Pair 2's reference angular velocity is all zeros: the error names
+        the pair and the quantity, and no report is written."""
+        ref = tmp_path / "ref"
+        shutil.copytree(small_pipeline["kin"], ref)
+        path = ref / "ref_ev002.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        n_comments = sum(line.startswith("#") for line in lines)
+        names = lines[n_comments].rstrip("\n").split(",")
+        zeroed = [names.index(f"omega_{ax}") for ax in "xyz"]
+        for i in range(n_comments + 1, len(lines)):
+            cells = lines[i].rstrip("\n").split(",")
+            for k in zeroed:
+                cells[k] = "0"
+            lines[i] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(small_pipeline["config"]),
+                     "--hb", str(small_pipeline["kin"]), "--ref", str(ref),
+                     "--pairs", str(small_pipeline["events"]),
+                     "--out", str(out)]) == 1
+        assert single_error_line(capsys) == (
+            "kinereco: error: DegenerateSignalError: pair 2 angular_velocity: "
+            "zero-variance reference curve")
+        assert not out.exists()
 
     @staticmethod
     def broken_kinematics(small_pipeline, tmp_path, case) -> Path:

@@ -157,8 +157,7 @@ def one_impact(config, clean_profile_small, tmp_path_factory):
                                   duration_s=first.time_s + 0.5)
     root = tmp_path_factory.mktemp("fuzz_csv")
     session = root / "session"
-    write_simulated_session(simulate_session(profile, config, seed=5), config,
-                            session)
+    write_simulated_session(simulate_session(profile, config, seed=5), session)
     events = root / "events.csv"
     assert main(["detect", "--config", str(session / "config.json"),
                  "--in", str(session), "--out", str(events)]) == 0

@@ -19,10 +19,11 @@ from numpy.testing import assert_allclose
 from kinereco.core import TimeSeries3, magnitude
 from kinereco.detect import detect_impacts
 from kinereco import ingest
+from kinereco.cli import RunManifest, main
 from kinereco.errors import DataError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
-                             write_imu_csv, write_json)
+                             write_imu_csv, write_json, write_table)
 from kinereco.kinematics import adaptive_filter
 from kinereco import synth
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
@@ -35,6 +36,12 @@ from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
 from conftest import assert_no_child_left
 
 
+def simulated(*args, **kwargs):
+    """The recordings of :func:`simulate_sensors`, each sensor built in
+    turn."""
+    return [build() for build in simulate_sensors(*args, **kwargs)]
+
+
 def still_motion():
     empty = ((), (), ())
     return MotionProfile(omega_components=empty, q_components=empty)
@@ -43,8 +50,8 @@ def still_motion():
 class TestSimulateSensors:
     def test_static_head_reads_gravity_in_sensor_frame(self, config):
         g = np.array([0.0, 0.0, -G_STANDARD])
-        recs = simulate_sensors(still_motion(), list(config.headband_sensors),
-                                NoiseSpec(), 0.2, gravity=g, seed=0)
+        recs = simulated(still_motion(), list(config.headband_sensors),
+                         NoiseSpec(), 0.2, gravity=g, seed=0)
         for spec, rec in zip(config.headband_sensors, recs):
             assert_allclose(rec.gyro.samples, 0.0, atol=1e-15)
             expected = spec.orientation.T @ g
@@ -58,8 +65,8 @@ class TestSimulateSensors:
             omega_components=((), (), (HarmonicComponent(w, 0.0, phase=np.pi / 2),)),
             q_components=((), (), ()),
         )
-        recs = simulate_sensors(motion, list(config.headband_sensors),
-                                NoiseSpec(), 0.1, gravity=(0, 0, 0), seed=0)
+        recs = simulated(motion, list(config.headband_sensors),
+                         NoiseSpec(), 0.1, gravity=(0, 0, 0), seed=0)
         for spec, rec in zip(config.headband_sensors, recs):
             assert_allclose(rec.gyro.samples,
                             np.tile(spec.orientation.T @ [0, 0, w],
@@ -71,8 +78,8 @@ class TestSimulateSensors:
                             atol=1e-12)
 
     def test_channel_rates_follow_spec(self, config):
-        recs = simulate_sensors(still_motion(), list(config.sensors),
-                                NoiseSpec(), 0.1, seed=0)
+        recs = simulated(still_motion(), list(config.sensors),
+                         NoiseSpec(), 0.1, seed=0)
         by_id = {r.sensor_id: r for r in recs}
         assert by_id["bt_back"].gyro.sample_rate == 1125.0
         assert by_id["bt_back"].accel_high.sample_rate == 1600.0
@@ -80,12 +87,12 @@ class TestSimulateSensors:
 
     def test_noise_deterministic_per_seed(self, config):
         noise = NoiseSpec(gyro_sigma=0.1, accel_sigma=1.0)
-        a = simulate_sensors(still_motion(), list(config.headband_sensors),
-                             noise, 0.1, seed=3)
-        b = simulate_sensors(still_motion(), list(config.headband_sensors),
-                             noise, 0.1, seed=3)
-        c = simulate_sensors(still_motion(), list(config.headband_sensors),
-                             noise, 0.1, seed=4)
+        a = simulated(still_motion(), list(config.headband_sensors),
+                      noise, 0.1, seed=3)
+        b = simulated(still_motion(), list(config.headband_sensors),
+                      noise, 0.1, seed=3)
+        c = simulated(still_motion(), list(config.headband_sensors),
+                      noise, 0.1, seed=4)
         assert np.array_equal(a[0].gyro.samples, b[0].gyro.samples)
         assert not np.array_equal(a[0].gyro.samples, c[0].gyro.samples)
 
@@ -93,9 +100,9 @@ class TestSimulateSensors:
     def test_noise_keyed_by_sensor_index(self, config):
         noise = NoiseSpec(gyro_sigma=0.1)
         specs = list(config.headband_sensors)
-        pair = simulate_sensors(still_motion(), specs[:2], noise, 0.1, seed=3)
-        alone = simulate_sensors(still_motion(), specs[1:2], noise, 0.1, seed=3)
-        longer = simulate_sensors(still_motion(), specs[:3], noise, 0.1, seed=3)
+        pair = simulated(still_motion(), specs[:2], noise, 0.1, seed=3)
+        alone = simulated(still_motion(), specs[1:2], noise, 0.1, seed=3)
+        longer = simulated(still_motion(), specs[:3], noise, 0.1, seed=3)
         assert np.array_equal(pair[1].gyro.samples, longer[1].gyro.samples)
         assert not np.array_equal(pair[1].gyro.samples, alone[0].gyro.samples)
 
@@ -116,8 +123,8 @@ class TestSampleCeiling:
             with pytest.raises(DataError, match=r"^sensor 'imu' gyro: 31250 s "
                                r"at 3200 Hz is above the ceiling of 1e\+08 "
                                r"samples per channel$"):
-                simulate_sensors(still_motion(), [self.spec(rate)], NoiseSpec(),
-                                 duration)
+                simulated(still_motion(), [self.spec(rate)], NoiseSpec(),
+                          duration)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -127,17 +134,17 @@ class TestSampleCeiling:
         (1e308, 1125.0), (1.0, 1e308), (1e200, 1e200)])
     def test_huge_finite_durations_and_rates_fail(self, duration, rate):
         with pytest.raises(DataError, match="above the ceiling"):
-            simulate_sensors(still_motion(), [self.spec(rate)], NoiseSpec(),
-                             duration)
+            simulated(still_motion(), [self.spec(rate)], NoiseSpec(),
+                      duration)
 
     def test_the_ceiling_itself_is_allowed(self, monkeypatch):
         monkeypatch.setattr(synth, "MAX_CHANNEL_SAMPLES", 1000)
-        rec, = simulate_sensors(still_motion(), [self.spec(100.0)], NoiseSpec(),
-                                9.99)
+        rec, = simulated(still_motion(), [self.spec(100.0)], NoiseSpec(),
+                         9.99)
         assert len(rec.gyro) == 1000
         with pytest.raises(DataError, match="above the ceiling of 1e\\+03"):
-            simulate_sensors(still_motion(), [self.spec(100.0)], NoiseSpec(),
-                             10.0)
+            simulated(still_motion(), [self.spec(100.0)], NoiseSpec(),
+                      10.0)
 
 
 class TestWriteSession:
@@ -180,7 +187,7 @@ def serial_write_session(recordings, config, path, header_comments=()):
     is raised."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    written, errors = [], []
+    errors = []
     by_sensor = {}
     for rec in recordings:
         by_sensor.setdefault(rec.sensor_id, []).append(rec)
@@ -197,15 +204,12 @@ def serial_write_session(recordings, config, path, header_comments=()):
                     write_imu_csv(file, rec, kinds, header_comments)
                 except Exception as exc:
                     errors.append(exc)
-            written.append(target)
     if errors:
         raise errors[0]
     payload = synth.config_to_json_dict(config)
     if header_comments:
         payload["manifest_sha256"] = synth._manifest_stamp(header_comments)
     write_json(out / "config.json", payload)
-    written.append(out / "config.json")
-    return written
 
 
 class TestWriteInTwoProcesses:
@@ -227,10 +231,8 @@ class TestWriteInTwoProcesses:
 
     def assert_same_files(self, tmp_path, config, recordings):
         new, old = tmp_path / "new", tmp_path / "old"
-        got = write_session(recordings, config, new, self.COMMENTS)
-        want = serial_write_session(recordings, config, old, self.COMMENTS)
-        assert [p.relative_to(new) for p in got] == [
-            p.relative_to(old) for p in want]
+        write_session(recordings, config, new, self.COMMENTS)
+        serial_write_session(recordings, config, old, self.COMMENTS)
         names = sorted(p.name for p in old.iterdir())
         assert sorted(p.name for p in new.iterdir()) == names
         for name in names:
@@ -271,10 +273,10 @@ class TestWriteInTwoProcesses:
 
     def outcome(self, write, recordings, config, path):
         """``(type, message)`` of the error ``write`` raises at ``path``, or
-        the names it returns, and the bytes of each file it leaves there."""
+        what it returns, and the bytes of each file it leaves there."""
         shutil.rmtree(path, ignore_errors=True)
         try:
-            result = [p.name for p in write(recordings, config, path)]
+            result = write(recordings, config, path)
         except BaseException as exc:
             result = type(exc), str(exc)
         finally:
@@ -377,7 +379,7 @@ class TestWriteInTwoProcesses:
             # Every other CSV file is written, whichever process failed.
             assert sorted(files) == sorted(set(self.serial) - {earlier, later})
         elif no_child or case in ("killed", "child_only"):
-            assert isinstance(result, list)
+            assert result is None
 
     def test_interrupt_in_the_parent_waits_for_the_child(
             self, tmp_path, config, monkeypatch, clean_session_small):
@@ -391,6 +393,167 @@ class TestWriteInTwoProcesses:
         for name in theirs:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
+
+
+def serial_write_simulated_session(sim, path, header_comments=()):
+    """write_simulated_session as one serial loop: each sensor of the config
+    in turn, headband first, built in this process and each of its CSV
+    files written, then the error of the earliest failure raised, or else
+    config.json and the ground-truth sidecars written."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    config, errors = sim.config, []
+    sensors = [(spec.id, None, build) for spec, build in
+               zip(config.headband_sensors, sim.headband_jobs)]
+    if sim.reference_job is not None:
+        sensors.append((config.reference_sensor.id, 1, sim.reference_job))
+    for sensor_id, first_block, build in sensors:
+        try:
+            built = build()
+        except Exception as exc:
+            errors.append(exc)
+            continue
+        if first_block is None:
+            targets = [(out / f"{sensor_id}.csv", built)]
+        else:
+            targets = [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
+                       for k, rec in enumerate(built, start=first_block)]
+        for target, rec in targets:
+            for file, kinds, _ in imu_csv_files(target, rec):
+                try:
+                    write_imu_csv(file, rec, kinds, header_comments)
+                except Exception as exc:
+                    errors.append(exc)
+    if errors:
+        raise errors[0]
+    stamp = synth._manifest_stamp(header_comments)
+    stamp = {"manifest_sha256": stamp} if stamp else {}
+    write_json(out / "config.json", {**synth.config_to_json_dict(config),
+                                     **stamp})
+    impacts = sim.profile.impacts
+    write_table(out / "labels.csv", ("time_s", "label"),
+                (np.array([imp.time_s for imp in impacts]),
+                 [imp.label for imp in impacts]), header_comments, "%.6f")
+    write_json(out / "truth.json", {
+        "gravity": list(sim.profile.gravity),
+        "reference_clock_offset_s": sim.profile.reference_clock_offset_s,
+        "events": [{"t0_s": ev.t0, "label": ev.label, "prv_rad_s": ev.prv,
+                    "pra_rad_s2": ev.pra, "pla_m_s2": ev.pla}
+                   for ev in sim.truth],
+        **stamp})
+
+
+class TestSimulateInTwoProcesses:
+    """simulate builds each sensor in the process that writes it; the files
+    and every error are those of the library's simulate_session followed by
+    a serial write."""
+
+    PROFILES = {
+        "clean": dict(seed=11, with_noise=False),
+        "noisy": dict(seed=13, with_noise=True),
+        "offset": dict(seed=13, with_noise=True,
+                       reference_clock_offset_s=0.0123),
+    }
+
+    @pytest.fixture(params=sorted(PROFILES))
+    def inputs(self, request, tmp_path, config):
+        """The profile and config of a small session, as files."""
+        profile = standard_session_profile(n_per_tier=1,
+                                           **self.PROFILES[request.param])
+        profile_path = dump_profile(profile, tmp_path / "profile.json")
+        config_path = tmp_path / "config.json"
+        write_json(config_path, synth.config_to_json_dict(config))
+        return profile_path, config_path
+
+    @staticmethod
+    def files(path):
+        return {p.name: p.read_bytes() for p in Path(path).iterdir()}
+
+    def test_cli_bytes_are_the_librarys(self, tmp_path, inputs, forks):
+        profile_path, config_path = inputs
+        out = tmp_path / "cli"
+        assert main(["simulate", "--profile", str(profile_path), "--config",
+                     str(config_path), "--out", str(out), "--seed", "7"]) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+        manifest = RunManifest(subcommand="simulate",
+                               config_path=str(config_path),
+                               inputs=(str(profile_path),), params={}, seed=7)
+        sim = simulate_session(load_profile(profile_path),
+                               ingest.load_session_config(config_path), seed=7)
+        serial_write_simulated_session(sim, tmp_path / "serial",
+                                       manifest.comments())
+        got, want = self.files(out), self.files(tmp_path / "serial")
+        assert sorted(got) == sorted([*want, "manifest.json"])
+        assert len(sim.reference_blocks) == 3
+        assert len(want) == 2 * 5 + 3 + 3
+        for name, data in want.items():
+            assert got[name] == data, name
+
+    @pytest.fixture(scope="class")
+    def session(self, config):
+        return simulate_session(standard_session_profile(
+            seed=13, with_noise=True, n_per_tier=1), config, seed=3)
+
+    @pytest.mark.parametrize("case", ["child_share", "killed", "no_fork",
+                                      "fork_eagain"])
+    def test_every_outcome_is_the_serial_loops(self, tmp_path, monkeypatch,
+                                               forks, session, case):
+        """A file of the child's share that fails in both processes, a child
+        killed by SIGKILL while it writes, no ``os.fork``, and a fork that
+        fails with EAGAIN: the files and the error are the serial loop's."""
+        # The CSV files this process writes; the child's are the others.
+        own, real = [], ingest.write_table
+        with monkeypatch.context() as spy:
+            spy.setattr(ingest, "write_table", lambda path, *args: (
+                own.append(Path(path).name), real(path, *args)))
+            synth.write_simulated_session(session, tmp_path / "shares")
+        csv = {p.name for p in (tmp_path / "shares").glob("*.csv")} - {
+            "labels.csv"}
+        theirs = sorted(csv - set(own))
+        assert own and theirs
+        forks.clear()
+        parent = os.getpid()
+
+        def write(path, *args):
+            if case == "child_share" and Path(path).name == theirs[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(path))
+            if case == "killed" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(path, *args)
+
+        def unavailable():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(ingest, "write_table", write)
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "fork_eagain":
+            monkeypatch.setattr(os, "fork", unavailable)
+
+        def outcome(write_session_files, path):
+            shutil.rmtree(path, ignore_errors=True)
+            try:
+                result = write_session_files(session, path,
+                                             ("manifest_sha256=0",))
+            except BaseException as exc:
+                result = type(exc), str(exc)
+            finally:
+                assert_no_child_left()
+            return result, self.files(path)
+
+        want = outcome(serial_write_simulated_session, tmp_path / "a")
+        assert forks == []
+        got = outcome(synth.write_simulated_session, tmp_path / "a")
+        assert got == want
+        assert len(forks) == (case in ("child_share", "killed"))
+        if case == "child_share":
+            assert got[0] == (OSError, "[Errno 28] No space left on device: "
+                              f"'{tmp_path / 'a' / theirs[0]}'")
+            assert sorted(got[1]) == sorted(csv - {theirs[0]})
+        else:
+            assert got[0] is None and "truth.json" in got[1]
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -536,8 +699,8 @@ class TestBurstChangesSelectedCutoff:
                                               center_hz=300.0,
                                               bandwidth_hz=100.0,
                                               duration_s=0.015))
-            rec = simulate_sensors(motion, [spec], noise, 2.5, seed=1,
-                                   impact_times=[t0])[0]
+            rec = simulated(motion, [spec], noise, 2.5, seed=1,
+                            impact_times=[t0])[0]
             # cut the analysis window around the known impact
             rate = rec.gyro.sample_rate
             i0 = int(round((t0 - 0.005 - 0.03125) * rate))
@@ -957,9 +1120,9 @@ class TestChannelNoiseWindow:
         kwargs = dict(seed=4, impact_times=(0.1, 1.3, 2.9),
                       clock_offset=0.0123)
         specs = list(config.headband_sensors)
-        got = simulate_sensors(motion, specs, noise, 3.0, **kwargs)
+        got = simulated(motion, specs, noise, 3.0, **kwargs)
         monkeypatch.setattr(synth, "_channel_noise", full_grid_channel_noise)
-        want = simulate_sensors(motion, specs, noise, 3.0, **kwargs)
+        want = simulated(motion, specs, noise, 3.0, **kwargs)
         for rec, ref in zip(got, want):
             for kind in ("gyro", "accel_low", "accel_high"):
                 a, b = getattr(rec, kind), getattr(ref, kind)

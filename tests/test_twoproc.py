@@ -43,6 +43,39 @@ def test_jobs_before_the_fork_run_first_and_stay_out_of_the_split(forks):
     assert_no_child_left()
 
 
+def test_jobs_before_the_fork_run_until_one_returns(forks):
+    """A job that fails before the fork leaves nothing for the child to
+    inherit, so the next job runs before the fork too."""
+    seen = []
+
+    def job(i):
+        seen.append((i, len(forks)))
+        if i < 2:
+            raise DataError(f"job {i} failed")
+
+    with pytest.raises(DataError, match="^job 0 failed$"):
+        run_in_two([(1, functools.partial(job, i)) for i in range(5)],
+                   before_fork=1)
+    assert seen[:3] == [(0, 0), (1, 0), (2, 0)]
+    assert sorted(seen[3:]) == [(3, 1)]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_every_job_may_run_before_the_fork(forks):
+    seen = []
+
+    def job(i):
+        seen.append(i)
+        raise DataError(f"job {i} failed")
+
+    with pytest.raises(DataError, match="^job 0 failed$"):
+        run_in_two([(1, functools.partial(job, i)) for i in range(3)],
+                   before_fork=1)
+    assert seen == [0, 1, 2]
+    assert forks == []
+
+
 @pytest.mark.parametrize("before_fork", [0, 1])
 def test_every_job_runs_and_the_earliest_error_is_raised(tmp_path, forks,
                                                          before_fork):
