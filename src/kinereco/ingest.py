@@ -26,7 +26,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,6 +56,10 @@ __all__ = [
     "check_object",
     "check_text",
     "check_vector",
+    "check_fields",
+    "from_json",
+    "load_json",
+    "to_json",
     "finite_block",
     "imu_csv_files",
     "output_dir",
@@ -86,22 +90,249 @@ _CANONICAL_COLUMNS = ("time_s", *(name for names in _CHANNEL_COLUMNS.values()
 _UNITS = {"gyro": _DEG2RAD, "accel_low": G_STANDARD, "accel_high": G_STANDARD}
 
 
+class Kind:
+    """How a JSON value is checked and built, by ``load(value, what,
+    error)``, which raises ``error`` naming ``what``, and written back, by
+    ``dump``.  A leaf kind holds no block, so its ``load`` also takes the
+    value it built (:func:`check_fields`)."""
+
+    leaf, inline, noun = True, False, "values"
+
+    def dump(self, value):
+        return value
+
+
+class Number(Kind):
+    """A number within the sign bound ``sign`` (:func:`check_number`), kept
+    as given, or stored as a float with ``as_float``."""
+
+    noun = "numbers"
+
+    def __init__(self, sign: str = "", as_float: bool = False):
+        self.sign, self.as_float = sign, as_float
+
+    def load(self, value, what, error):
+        value = check_number(value, what, error, self.sign)
+        return float(value) if self.as_float else value
+
+
+class Count(Kind):
+    """An ``int`` from ``lo`` to ``hi``."""
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+
+    def load(self, value, what, error):
+        if not (isinstance(value, int) and not isinstance(value, bool)
+                and self.lo <= value <= self.hi):
+            raise error(f"{what} must be an int from {self.lo} to {self.hi}, "
+                        f"got {value!r}")
+        return value
+
+
+class Text(Kind):
+    """A string (:func:`check_text`)."""
+
+    noun = "strings"
+
+    def load(self, value, what, error):
+        return check_text(value, what, error)
+
+
+class Vector(Kind):
+    """``n`` numbers (:func:`check_vector`): a read-only float64 array,
+    reshaped to ``shape`` from its row-major list if given, or a tuple of
+    floats with ``as_tuple``."""
+
+    def __init__(self, n: int, shape=None, as_tuple: bool = False):
+        self.n, self.shape, self.as_tuple = n, shape, as_tuple
+
+    def load(self, value, what, error):
+        if self.shape is not None and isinstance(value, np.ndarray):
+            value = value.ravel()
+        out = check_vector(value, self.n, what, error)
+        if self.as_tuple:
+            return tuple(out.tolist())
+        return out if self.shape is None else out.reshape(self.shape)
+
+    def dump(self, value):
+        return np.ravel(value).tolist()
+
+
+class Block(Kind):
+    """An object holding the dataclass ``cls`` (:func:`from_json`); an
+    ``inline`` block's keys lie in the object that holds it."""
+
+    leaf, noun = False, "objects"
+
+    def __init__(self, cls, inline: bool = False):
+        self.cls, self.inline = cls, inline
+
+    def load(self, value, what, error):
+        return from_json(self.cls, value, what, what + ".")
+
+    def dump(self, value):
+        return to_json(value)
+
+
+class ListOf(Kind):
+    """A list of ``item`` values, exactly ``n`` if given, as a tuple."""
+
+    noun = "lists"
+
+    def __init__(self, item: Kind, n: int | None = None):
+        self.item, self.n, self.leaf = item, n, item.leaf
+
+    def load(self, value, what, error):
+        if not isinstance(value, (list, tuple)):
+            got = type(value).__name__
+        elif len(value) != (self.n or len(value)):
+            got = f"a list of {len(value)}"
+        else:
+            return tuple(self.item.load(x, f"{what}[{i}]", error)
+                         for i, x in enumerate(value))
+        count = f"{self.n} " if self.n else ""
+        raise error(f"{what} must be a list of {count}{self.item.noun}, "
+                    f"got {got}")
+
+    def dump(self, value):
+        return [self.item.dump(x) for x in value]
+
+
+class MapOf(Kind):
+    """An object of ``item`` values under any keys, or ``keys`` only, as a
+    dict; with ``key_field``, of blocks, as a tuple of them, each holding
+    its key in that field."""
+
+    noun = "objects"
+
+    def __init__(self, item: Kind, keys=None, key_field: str | None = None):
+        self.item, self.keys, self.key_field = item, keys, key_field
+        self.leaf = item.leaf
+
+    def load(self, value, what, error):
+        check_object(value, what, error)
+        if self.keys is not None:
+            check_keys(value, self.keys, what, error)
+        if self.key_field is None:
+            return {k: self.item.load(x, f"{what}.{k}", error)
+                    for k, x in value.items()}
+        return tuple(from_json(self.item.cls, x, f"{what}.{k}", f"{what}.{k}.",
+                               {self.key_field: k}) for k, x in value.items())
+
+    def dump(self, value):
+        if self.key_field is None:
+            return {k: self.item.dump(x) for k, x in value.items()}
+        return {getattr(x, self.key_field): self.item.dump(x) for x in value}
+
+
+def json_field(kind: Kind, key: str | None = None, *, absent=MISSING,
+               **options):
+    """A dataclass field held in a JSON object under ``key`` (by default its
+    name) as a ``kind``; its class names the error of its values in
+    ``_error``.  An object without the key gives the field ``absent`` if
+    given, else its default; a field whose default is None also takes null.
+    ``options`` go to :func:`dataclasses.field`."""
+    return field(metadata={"json": (kind, key, absent)}, **options)
+
+
+def block_field(cls, **options):
+    """A :func:`json_field` holding a ``cls`` block, by default ``cls()``."""
+    return json_field(Block(cls), default_factory=cls, **options)
+
+
+def _schema(cls):
+    """``(field, kind, key, absent)`` of each JSON field of ``cls``."""
+    for f in fields(cls):
+        if "json" in f.metadata:
+            kind, key, absent = f.metadata["json"]
+            yield f, kind, key or f.name, absent
+
+
+def _json_keys(cls) -> list[str]:
+    return [k for _, kind, key, _ in _schema(cls)
+            for k in (_json_keys(kind.cls) if kind.inline else [key])]
+
+
+def from_json(cls, obj, what: str, prefix: str, given=None, also=()):
+    """``cls`` built from the JSON object ``obj``, whose keys must be those
+    of ``cls`` or ``also`` (not read), and whose values must pass their
+    kinds; ``given`` holds the fields without a key.  An error is the
+    class's ``_error``, naming the object ``what`` or a field ``prefix``
+    and its key (``sensors[0].position_m``)."""
+    check_keys(check_object(obj, what, cls._error),
+               [*_json_keys(cls), *also], what, cls._error)
+    return cls(**_field_values(cls, obj, prefix), **(given or {}))
+
+
+def _field_values(cls, obj: dict, prefix: str) -> dict:
+    values = {}
+    for f, kind, key, absent in _schema(cls):
+        if kind.inline:
+            values[f.name] = kind.cls(**_field_values(kind.cls, obj, prefix))
+        elif key in obj:
+            null = obj[key] is None and f.default is None
+            values[f.name] = None if null else kind.load(
+                obj[key], prefix + key, cls._error)
+        elif absent is not MISSING:
+            values[f.name] = absent
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise cls._error(f"{prefix}{key} is missing")
+    return values
+
+
+def to_json(obj) -> dict:
+    """The JSON object of ``obj`` that :func:`from_json` reads back."""
+    out = {}
+    for f, kind, key, _ in _schema(type(obj)):
+        value = getattr(obj, f.name)
+        if kind.inline:
+            out.update(to_json(value))
+        else:
+            out[key] = None if value is None else kind.dump(value)
+    return out
+
+
+def check_fields(obj, prefix: str) -> None:
+    """Check each leaf field of ``obj`` by its kind, naming ``prefix`` and
+    its key, and store the value the kind builds: a ``__post_init__``
+    calls it, so that a dataclass built in the library fails as a loaded
+    one."""
+    for f, kind, key, _ in _schema(type(obj)):
+        value = getattr(obj, f.name)
+        if kind.leaf and not (value is None and f.default is None):
+            object.__setattr__(obj, f.name,
+                               kind.load(value, prefix + key, type(obj)._error))
+
+
+def load_json(path, cls, what: str, also=(), defaults=None):
+    """``cls`` from the JSON file ``path`` (:func:`from_json`), whose root
+    is ``what`` and takes ``defaults`` for keys it lacks.  A root that is
+    not an object is a FormatError; every error names the file once."""
+    path = Path(path)
+    raw = check_object(read_json(path), f"{path}: {what}", FormatError)
+    try:
+        return from_json(cls, {**(defaults or {}), **raw}, what, "", None, also)
+    except (ConfigError, DataError, FormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One measurement channel of an IMU: kind, rate, physical range."""
+    """One measurement channel of an IMU: kind, rate, physical range.  In
+    JSON it is the entry of its kind in its sensor's ``channels``."""
 
     kind: str
-    rate: float
-    range_label: str = ""
+    rate: float = json_field(Number("> 0", as_float=True), "rate_hz")
+    range_label: str = json_field(Text(), "range", default="")
+    _error = ConfigError
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ConfigError(
                 f"unknown channel kind {self.kind!r}; expected one of {CHANNEL_KINDS}"
             )
-        rate = check_number(self.rate, f"channels.{self.kind}.rate_hz",
-                            ConfigError, "> 0")
-        object.__setattr__(self, "rate", float(rate))
+        check_fields(self, f"channels.{self.kind}.")
 
 
 @dataclass(frozen=True)
@@ -112,28 +343,27 @@ class SensorSpec:
     sensor-frame vectors into the head frame.
     """
 
-    id: str
-    role: str  # "headband" | "reference"
-    position: np.ndarray
-    orientation: np.ndarray
-    channels: tuple[ChannelSpec, ...]
+    id: str = json_field(Text())
+    role: str = json_field(Text(), absent="headband")  # or "reference"
+    position: np.ndarray = json_field(Vector(3), "position_m")
+    orientation: np.ndarray = json_field(Vector(9, shape=(3, 3)),
+                                         "orientation_row_major")
+    channels: tuple[ChannelSpec, ...] = json_field(
+        MapOf(Block(ChannelSpec), CHANNEL_KINDS, key_field="kind"))
+    _error = ConfigError
 
     def __post_init__(self):
+        check_fields(self, f"sensor {self.id!r}: ")
         if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
             raise ConfigError(
                 f"sensor {self.id!r}: the id names the sensor's files, so it "
                 "may not be empty, '.' or '..', or hold '/', '\\' or NUL")
         if self.role not in ("headband", "reference"):
             raise ConfigError(f"sensor {self.id!r}: unknown role {self.role!r}")
-        object.__setattr__(self, "position", check_vector(
-            self.position, 3, f"sensor {self.id!r}: position_m"))
         try:
-            R = validate_rotation(self.orientation)
+            validate_rotation(self.orientation)
         except ConfigError as exc:
             raise ConfigError(f"sensor {self.id!r}: {exc}") from None
-        R = R.copy()
-        R.setflags(write=False)
-        object.__setattr__(self, "orientation", R)
         kinds = [c.kind for c in self.channels]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"sensor {self.id!r}: duplicate channel kinds")
@@ -217,25 +447,24 @@ def check_vector(value, n: int, what: str, error=ConfigError) -> np.ndarray:
 
 
 class _NumberBlock:
-    """Base of the config blocks that hold only numbers.  Each field must
-    pass :func:`check_number` above 0, or at least 0 when named in
-    ``_non_negative``; the error names ``block.field``, the block being the
-    class name without ``Config``, in lower case."""
+    """Base of the config blocks that hold only numbers; an error names
+    ``block.field``, the block being the class name without ``Config``, in
+    lower case."""
 
-    _non_negative = ()
+    _error = ConfigError
 
     def __post_init__(self):
-        block = type(self).__name__.removesuffix("Config").lower()
-        for f in fields(self):
-            check_number(getattr(self, f.name), f"{block}.{f.name}", ConfigError,
-                         ">= 0" if f.name in self._non_negative else "> 0")
+        check_fields(self, type(self).__name__.removesuffix("Config").lower()
+                     + ".")
+
+
+_ABOVE_0, _AT_LEAST_0 = Number("> 0"), Number(">= 0")
 
 
 @dataclass(frozen=True)
 class TriggerConfig(_NumberBlock):
-    threshold_g: float = 3.0
-    min_duration_ms: float = 3.0
-    _non_negative = ("min_duration_ms",)
+    threshold_g: float = json_field(_ABOVE_0, default=3.0)
+    min_duration_ms: float = json_field(_AT_LEAST_0, default=3.0)
 
     @property
     def threshold(self) -> float:
@@ -250,25 +479,24 @@ class TriggerConfig(_NumberBlock):
 
 @dataclass(frozen=True)
 class FilterConfig(_NumberBlock):
-    end_time_ms: float = 150.0
-    reference_end_time_ms: float = 90.0
-    coeff_threshold: float = 0.1
-    max_cutoff_hz: float = 180.0
-    accel_prefilter_hz: float = 260.0
+    end_time_ms: float = json_field(_ABOVE_0, default=150.0)
+    reference_end_time_ms: float = json_field(_ABOVE_0, default=90.0)
+    coeff_threshold: float = json_field(_ABOVE_0, default=0.1)
+    max_cutoff_hz: float = json_field(_ABOVE_0, default=180.0)
+    accel_prefilter_hz: float = json_field(_ABOVE_0, default=260.0)
 
 
 @dataclass(frozen=True)
 class CfcConfig(_NumberBlock):
-    trans: float = 1000.0
-    ang_vel: float = 155.0
+    trans: float = json_field(_ABOVE_0, default=1000.0)
+    ang_vel: float = json_field(_ABOVE_0, default=155.0)
 
 
 @dataclass(frozen=True)
 class WindowConfig(_NumberBlock):
-    pre_ms: float = 31.25
-    headband_post_ms: float = 150.0
-    reference_post_ms: float = 93.75
-    _non_negative = ("pre_ms",)
+    pre_ms: float = json_field(_AT_LEAST_0, default=31.25)
+    headband_post_ms: float = json_field(_ABOVE_0, default=150.0)
+    reference_post_ms: float = json_field(_ABOVE_0, default=93.75)
 
     @property
     def pre(self) -> float:
@@ -288,30 +516,28 @@ class WindowConfig(_NumberBlock):
 MIN_TRIANGLE_AREA = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionConfig:
     """Everything the pipeline needs to know about a recording session."""
 
-    sensors: tuple[SensorSpec, ...]
-    reference_point: np.ndarray
-    a3g1_sensor_ids: tuple[str, str, str]
-    a3g1_channel: str = "accel_high"
-    a3g1_gyro: str = "averaged"  # "averaged" or a headband sensor id
-    trigger: TriggerConfig = field(default_factory=TriggerConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    cfc: CfcConfig = field(default_factory=CfcConfig)
-    window: WindowConfig = field(default_factory=WindowConfig)
-    column_map: dict | None = None
-    name: str = ""
+    name: str = json_field(Text(), default="")
+    sensors: tuple[SensorSpec, ...] = json_field(ListOf(Block(SensorSpec)))
+    reference_point: np.ndarray = json_field(Vector(3), "reference_point_m")
+    a3g1_sensor_ids: tuple[str, str, str] = json_field(ListOf(Text(), 3),
+                                                       "a3g1_sensors")
+    a3g1_channel: str = json_field(Text(), default="accel_high")
+    a3g1_gyro: str = json_field(Text(), default="averaged")  # or a sensor id
+    trigger: TriggerConfig = block_field(TriggerConfig)
+    filter: FilterConfig = block_field(FilterConfig)
+    cfc: CfcConfig = block_field(CfcConfig)
+    window: WindowConfig = block_field(WindowConfig)
+    column_map: dict | None = json_field(MapOf(Text(), _CANONICAL_COLUMNS),
+                                         default=None)
+    _error = ConfigError
 
     def __post_init__(self):
-        object.__setattr__(self, "reference_point", check_vector(
-            self.reference_point, 3, "reference_point_m"))
+        check_fields(self, "")
         if self.column_map is not None:
-            for name, actual in check_keys(
-                    check_object(self.column_map, "column_map"),
-                    _CANONICAL_COLUMNS, "column_map").items():
-                check_text(actual, f"column_map.{name}")
             read_by = {}
             for name in _CANONICAL_COLUMNS:
                 actual = self.column_map.get(name, name)
@@ -341,8 +567,6 @@ class SessionConfig:
             raise ConfigError(
                 f"need at least 3 accelerometer-bearing sensors, got {n_accel}"
             )
-        if len(self.a3g1_sensor_ids) != 3:
-            raise ConfigError("a3g1_sensors must name exactly 3 sensors")
         if self.a3g1_channel not in ("accel_high", "accel_low"):
             raise ConfigError(f"unknown a3g1_channel {self.a3g1_channel!r}")
         positions = []
@@ -901,91 +1125,13 @@ def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
     return rec
 
 
-#: The keys of a configuration's top level (where ``simulate`` stamps
-#: ``manifest_sha256`` into its ``config.json``) and of each of its sensors.
-_CONFIG_KEYS = ("name", "sensors", "reference_point_m", "a3g1_sensors",
-                "a3g1_channel", "a3g1_gyro", "trigger", "filter", "cfc",
-                "window", "column_map", "manifest_sha256")
-_SENSOR_KEYS = ("id", "role", "position_m", "orientation_row_major",
-                "channels")
-
-
-def _channels_from_json(obj, sensor_id, path) -> tuple[ChannelSpec, ...]:
-    where = f"sensor {sensor_id!r}: channels"
-    channels = []
-    for kind, entry in check_object(obj, where).items():
-        entry = check_keys(check_object(entry, f"{where}.{kind}"),
-                           ("rate_hz", "range"), f"{path}: {where}.{kind}")
-        try:
-            channels.append(ChannelSpec(kind, entry["rate_hz"], check_text(
-                entry.get("range", ""), f"channels.{kind}.range")))
-        except ConfigError as exc:
-            raise ConfigError(f"sensor {sensor_id!r}: {exc}") from None
-    return tuple(channels)
-
-
 def load_session_config(path) -> SessionConfig:
-    """Load and validate a session configuration JSON file.
-
-    Absent trigger / filter / cfc / window blocks take the documented
-    defaults.  Every object, list, number and string is checked by
-    :func:`check_object`, :func:`check_vector`, :func:`check_number` and
-    :func:`check_text`, and every object's keys by :func:`check_keys`
-    (``column_map``'s must be canonical column names).
-    Raises :class:`ConfigError` on a field that fails them, non-orthonormal
-    rotations, collinear reconstruction geometry, or missing sensors.
-    """
-    path = Path(path)
-    raw = check_object(read_json(path), f"{path}: the configuration", FormatError)
-    try:
-        check_keys(raw, _CONFIG_KEYS, f"{path}: the configuration")
-        sensors = []
-        for i, s in enumerate(raw["sensors"]):
-            s = check_keys(check_object(s, f"sensors[{i}]"), _SENSOR_KEYS,
-                           f"{path}: sensors[{i}]")
-            sid = check_text(s["id"], f"sensors[{i}].id")
-            sensors.append(SensorSpec(
-                id=sid,
-                role=check_text(s.get("role", "headband"),
-                                f"sensor {sid!r}: role"),
-                position=s["position_m"],
-                orientation=check_vector(s["orientation_row_major"], 9,
-                                         f"sensor {sid!r}: orientation_row_major"
-                                         ).reshape(3, 3),
-                channels=_channels_from_json(s["channels"], sid, path),
-            ))
-        blocks = {name: block(**check_keys(
-                      check_object(raw.get(name, {}), name),
-                      [f.name for f in fields(block)], f"{path}: {name}"))
-                  for name, block in (("trigger", TriggerConfig),
-                                      ("filter", FilterConfig),
-                                      ("cfc", CfcConfig),
-                                      ("window", WindowConfig))}
-        column_map = raw.get("column_map")
-        if column_map is not None:
-            check_keys(check_object(column_map, "column_map"),
-                       _CANONICAL_COLUMNS, f"{path}: column_map")
-        a3g1_ids = raw["a3g1_sensors"]
-        if not isinstance(a3g1_ids, list):
-            raise ConfigError(f"a3g1_sensors must be a list of 3 sensor ids, "
-                              f"got {a3g1_ids!r}")
-        config = SessionConfig(
-            sensors=tuple(sensors),
-            reference_point=raw["reference_point_m"],
-            a3g1_sensor_ids=tuple(check_text(x, f"a3g1_sensors[{j}]")
-                                  for j, x in enumerate(a3g1_ids)),
-            a3g1_channel=check_text(raw.get("a3g1_channel", "accel_high"),
-                                    "a3g1_channel"),
-            a3g1_gyro=check_text(raw.get("a3g1_gyro", "averaged"), "a3g1_gyro"),
-            **blocks,
-            column_map=column_map,
-            name=check_text(raw.get("name", path.stem), "name"),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed configuration ({exc!r})") from None
-    return config
+    """Load and validate a session configuration JSON file
+    (:func:`load_json`).  An absent ``name`` is the file's stem, and the
+    root may hold the ``manifest_sha256`` that ``simulate`` stamps into its
+    ``config.json``.  Raises :class:`ConfigError` naming the file."""
+    return load_json(path, SessionConfig, "the configuration",
+                     ("manifest_sha256",), {"name": Path(path).stem})
 
 
 def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, tuple, int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,12 @@ import numpy as np
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError
-from .ingest import (CHANNEL_KINDS, G_STANDARD, ImuRecording, SensorSpec,
-                     SessionConfig, check_keys, check_number, check_object,
-                     check_text, check_vector, imu_csv_files, load_session_config,
-                     output_dir, read_json, session_csv, write_imu_csv,
-                     write_json, write_table)
+from .ingest import (CHANNEL_KINDS, G_STANDARD, Block, Count, ImuRecording,
+                     ListOf, MapOf, Number, SensorSpec, SessionConfig, Text,
+                     Vector, block_field, check_fields, check_keys,
+                     imu_csv_files, json_field, load_json, load_session_config, output_dir,
+                     session_csv, to_json, write_imu_csv, write_json,
+                     write_table)
 from .twoproc import run_in_two
 
 __all__ = [
@@ -56,17 +57,31 @@ __all__ = [
 #: Default gravity as specific force on a static upright head (head frame z up).
 DEFAULT_GRAVITY = (0.0, 0.0, G_STANDARD)
 
+#: A profile stores its numbers as floats, since truth.json and labels.csv
+#: print them.
+_ANY, _AT_LEAST_0, _ABOVE_0 = (Number(sign, as_float=True)
+                               for sign in ("", ">= 0", "> 0"))
+
 
 @dataclass(frozen=True)
 class HarmonicComponent:
     """One Gaussian-windowed sinusoid: A * env(t) * sin(2*pi*f*(t-c) + phi)
     with env = exp(-((t-c)/w)^2), or env = 1 when width is None."""
 
-    amplitude: float
-    freq_hz: float
-    phase: float = 0.0
-    center_s: float = 0.0
-    width_s: float | None = None
+    amplitude: float = json_field(_ANY)
+    freq_hz: float = json_field(_ANY)
+    phase: float = json_field(_ANY, default=0.0)
+    center_s: float = json_field(_ANY, default=0.0)
+    width_s: float | None = json_field(_ABOVE_0, default=None)
+    _error = FormatError
+
+    def __post_init__(self):
+        # Stored as floats, as a loaded component's are.  A component built
+        # in the library is not checked: its envelope is even in width_s, so
+        # a negative width is a model too.
+        for f in fields(self):
+            if (value := getattr(self, f.name)) is not None:
+                object.__setattr__(self, f.name, float(value))
 
     def value(self, t: np.ndarray) -> np.ndarray:
         tau = t - self.center_s
@@ -120,6 +135,10 @@ def _axis_eval(components, t, deriv=False):
     return out
 
 
+#: One list of components per axis.
+_AXES = ListOf(ListOf(Block(HarmonicComponent)), 3)
+
+
 @dataclass(frozen=True)
 class MotionProfile:
     """Parametric rigid-body motion: omega(t) and q(t) per axis.
@@ -128,8 +147,10 @@ class MotionProfile:
     construction (only closed-form primitives are allowed).
     """
 
-    omega_components: tuple[tuple[HarmonicComponent, ...], ...]
-    q_components: tuple[tuple[HarmonicComponent, ...], ...]
+    omega_components: tuple[tuple[HarmonicComponent, ...], ...] = json_field(
+        _AXES)
+    q_components: tuple[tuple[HarmonicComponent, ...], ...] = json_field(_AXES)
+    _error = FormatError
 
     def omega_at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -168,71 +189,70 @@ MAX_BURST_TONES = 1000
 @dataclass(frozen=True)
 class BurstSpec:
     """Impact-locked transient: decaying sinusoids in a band around
-    ``center_hz``, scaled per sensor to mimic uneven headband coupling."""
+    ``center_hz``, scaled per sensor to mimic uneven headband coupling.
 
-    gyro_amplitude: float = 0.0       # rad/s
-    accel_amplitude: float = 0.0      # m/s^2
-    center_hz: float = 300.0
-    bandwidth_hz: float = 140.0
-    duration_s: float = 0.015
-    n_tones: int = 3
+    The :class:`NoiseSpec` that holds a burst checks it, so that a burst
+    can be built before its noise."""
+
+    gyro_amplitude: float = json_field(_AT_LEAST_0, default=0.0)   # rad/s
+    accel_amplitude: float = json_field(_AT_LEAST_0, default=0.0)  # m/s^2
+    center_hz: float = json_field(_ABOVE_0, default=300.0)
+    bandwidth_hz: float = json_field(_AT_LEAST_0, default=140.0)
+    duration_s: float = json_field(_AT_LEAST_0, default=0.015)
+    n_tones: int = json_field(Count(1, MAX_BURST_TONES), default=3)
+    _error = DataError
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-channel white noise plus the impact transient burst."""
 
-    gyro_sigma: float = 0.0           # rad/s
-    accel_sigma: float = 0.0          # m/s^2
-    burst: BurstSpec = field(default_factory=BurstSpec)
-    per_sensor_scale: dict[str, float] = field(default_factory=dict)
+    gyro_sigma: float = json_field(_AT_LEAST_0, default=0.0)    # rad/s
+    accel_sigma: float = json_field(_AT_LEAST_0, default=0.0)   # m/s^2
+    burst: BurstSpec = block_field(BurstSpec)
+    # Headband sensor ids, which simulate_session checks against its config.
+    per_sensor_scale: dict[str, float] = json_field(MapOf(_AT_LEAST_0),
+                                                    default_factory=dict)
+    _error = DataError
 
     def __post_init__(self):
-        burst = self.burst
-        for name, value, sign in (
-                ("gyro_sigma", self.gyro_sigma, ">= 0"),
-                ("accel_sigma", self.accel_sigma, ">= 0"),
-                ("burst.gyro_amplitude", burst.gyro_amplitude, ">= 0"),
-                ("burst.accel_amplitude", burst.accel_amplitude, ">= 0"),
-                ("burst.center_hz", burst.center_hz, "> 0"),
-                ("burst.bandwidth_hz", burst.bandwidth_hz, ">= 0"),
-                ("burst.duration_s", burst.duration_s, ">= 0")):
-            check_number(value, f"noise.{name}", DataError, sign)
-        n = burst.n_tones
-        if not (isinstance(n, int) and not isinstance(n, bool)
-                and 1 <= n <= MAX_BURST_TONES):
-            raise DataError(f"noise.burst.n_tones must be an int from 1 to "
-                            f"{MAX_BURST_TONES}, got {n!r}")
-        for sensor_id, scale in self.per_sensor_scale.items():
-            check_number(scale, f"noise.per_sensor_scale.{sensor_id}",
-                         DataError, ">= 0")
+        check_fields(self, "noise.")
+        check_fields(self.burst, "noise.burst.")
 
     def scale_for(self, sensor_id: str) -> float:
-        return float(self.per_sensor_scale.get(sensor_id, 1.0))
+        return self.per_sensor_scale.get(sensor_id, 1.0)
 
 
 @dataclass(frozen=True)
 class PlannedImpact:
-    time_s: float
-    label: str
+    time_s: float = json_field(_ANY)
+    label: str = json_field(Text())
+    _error = FormatError
 
     def __post_init__(self):
+        check_fields(self, "impact ")
         # Labels are written unquoted into labels.csv and events.csv.
         if any(c in self.label for c in ",\r\n"):
             raise DataError(f"impact label {self.label!r} contains a comma or "
                             "a line break")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionProfile:
-    """A full synthetic session: motion, impact schedule, noise, clocks."""
+    """A full synthetic session: motion, impact schedule, noise, clocks.
+    In JSON the motion's two keys lie in the profile's root."""
 
-    motion: MotionProfile
-    impacts: tuple[PlannedImpact, ...]
-    duration_s: float
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    gravity: tuple[float, float, float] = DEFAULT_GRAVITY
-    reference_clock_offset_s: float = 0.0
+    duration_s: float = json_field(_ABOVE_0)
+    gravity: tuple[float, float, float] = json_field(
+        Vector(3, as_tuple=True), default=DEFAULT_GRAVITY)
+    reference_clock_offset_s: float = json_field(_ANY, default=0.0)
+    impacts: tuple[PlannedImpact, ...] = json_field(ListOf(Block(PlannedImpact)))
+    noise: NoiseSpec = block_field(NoiseSpec)
+    motion: MotionProfile = json_field(Block(MotionProfile, inline=True))
+    _error = FormatError
+
+    def __post_init__(self):
+        check_fields(self, "")
 
 
 @dataclass(frozen=True)
@@ -478,6 +498,10 @@ def simulate_session(profile: SessionProfile, config: SessionConfig,
     are built by its job of the returned :class:`SimulatedSession`.  The
     reference job evaluates the motion on its own grid, which only it reads.
     """
+    # A scale of any other sensor would be read by no channel.
+    check_keys(profile.noise.per_sensor_scale,
+               [spec.id for spec in config.headband_sensors],
+               "noise.per_sensor_scale", DataError)
     ref_spec = config.reference_sensor
     _check_sample_ceiling(
         [*config.headband_sensors, *([ref_spec] if ref_spec else [])],
@@ -802,17 +826,7 @@ def example_session_config() -> SessionConfig:
 
 
 def profile_to_json_dict(profile: SessionProfile) -> dict:
-    return {
-        "duration_s": profile.duration_s,
-        "gravity": list(profile.gravity),
-        "reference_clock_offset_s": profile.reference_clock_offset_s,
-        "impacts": [asdict(i) for i in profile.impacts],
-        "noise": asdict(profile.noise),
-        "omega_components": [[asdict(c) for c in axis]
-                             for axis in profile.motion.omega_components],
-        "q_components": [[asdict(c) for c in axis]
-                         for axis in profile.motion.q_components],
-    }
+    return to_json(profile)
 
 
 def dump_profile(profile: SessionProfile, path) -> Path:
@@ -821,127 +835,17 @@ def dump_profile(profile: SessionProfile, path) -> Path:
     return path
 
 
-def _floats(obj: dict, names, where: str, error) -> dict:
-    """The numbers ``obj`` holds under ``names``, each checked by
-    :func:`~kinereco.ingest.check_number` and stored as a float; a name
-    ``obj`` lacks is left out, so its field takes the dataclass default."""
-    return {name: float(check_number(obj[name], f"{where}{name}", error))
-            for name in names if name in obj}
-
-
-#: The keys of a profile's top level (:func:`profile_to_json_dict`).
-_PROFILE_KEYS = ("duration_s", "gravity", "reference_clock_offset_s",
-                 "impacts", "noise", "omega_components", "q_components")
-
-
-def _check_fields(obj, cls, what: str, error, path=None) -> dict:
-    """``obj``, when it is an object whose keys are fields of the dataclass
-    ``cls``; an unknown key's error names ``path`` too, if given."""
-    where = what if path is None else f"{path}: {what}"
-    return check_keys(check_object(obj, what, error),
-                      [f.name for f in fields(cls)], where, error)
-
-
 def load_profile(path) -> SessionProfile:
-    """Load a session profile from its JSON form (inverse of dump_profile).
+    """Load a session profile from its JSON form (inverse of
+    :func:`dump_profile`), by :func:`~kinereco.ingest.load_json`.
 
-    Absent optional fields take the dataclass defaults.  Each number must
-    pass :func:`~kinereco.ingest.check_number` and is stored as a float
-    (``n_tones`` stays the int it must be).  A noise field fails as a
-    :class:`DataError` naming it, any other field as a :class:`FormatError`
-    naming the file and the field: a motion component as ``{key} axis i
-    component j: {field}``, whose ``width_s`` is null or above 0.  A key
-    that is not one of its object's fields fails the same way, naming the
-    file and the key (``per_sensor_scale`` takes any sensor id).
+    Absent optional fields take the dataclass defaults; each field must
+    pass its kind, whose error class is the block's: a noise field fails as
+    a :class:`DataError`, any other field as a :class:`FormatError`, each
+    naming the file and the field.
     """
-    path = Path(path)
-    raw = check_keys(
-        check_object(read_json(path), f"{path}: the profile", FormatError),
-        _PROFILE_KEYS, f"{path}: the profile", FormatError)
-    try:
-        def components(key):
-            axes = raw[key]
-            if not (isinstance(axes, list) and len(axes) == 3):
-                raise FormatError(f"{path}: {key} must be a list of 3 axes")
-            return tuple(tuple(component(e, f"{path}: {key} axis {i} "
-                                            f"component {j}: ")
-                               for j, e in enumerate(entries))
-                         for i, entries in enumerate(axes))
-
-        def component(e, where):
-            e = _check_fields(e, HarmonicComponent, where.removesuffix(": "),
-                              FormatError)
-            width = e.get("width_s")
-            return HarmonicComponent(
-                **_floats(e, ("amplitude", "freq_hz", "phase", "center_s"),
-                          where, FormatError),
-                width_s=None if width is None else float(check_number(
-                    width, f"{where}width_s", FormatError, "> 0")))
-
-        noise = _check_fields(raw.get("noise", {}), NoiseSpec, "noise",
-                              DataError, path)
-        burst = _check_fields(noise.get("burst", {}), BurstSpec, "noise.burst",
-                              DataError, path)
-        scale = check_object(noise.get("per_sensor_scale", {}),
-                             "noise.per_sensor_scale", DataError)
-        return SessionProfile(
-            motion=MotionProfile(
-                omega_components=components("omega_components"),
-                q_components=components("q_components"),
-            ),
-            impacts=tuple(PlannedImpact(
-                **_floats(_check_fields(i, PlannedImpact, f"{path}: impacts[{k}]",
-                                        FormatError),
-                          ("time_s",), f"{path}: impacts[{k}].", FormatError),
-                label=check_text(i["label"], f"{path}: impacts[{k}].label",
-                                 FormatError))
-                for k, i in enumerate(raw["impacts"])),
-            duration_s=float(check_number(raw["duration_s"],
-                                          f"{path}: duration_s", FormatError,
-                                          "> 0")),
-            **_floats(raw, ("reference_clock_offset_s",), f"{path}: ",
-                      FormatError),
-            gravity=tuple(check_vector(raw.get("gravity", SessionProfile.gravity),
-                                       3, f"{path}: gravity", FormatError).tolist()),
-            noise=NoiseSpec(
-                **_floats(noise, ("gyro_sigma", "accel_sigma"), "noise.",
-                          DataError),
-                burst=BurstSpec(
-                    **_floats(burst, ("gyro_amplitude", "accel_amplitude",
-                                      "center_hz", "bandwidth_hz",
-                                      "duration_s"), "noise.burst.", DataError),
-                    n_tones=burst.get("n_tones", BurstSpec.n_tones)),
-                per_sensor_scale=_floats(scale, scale, "noise.per_sensor_scale.",
-                                         DataError),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed profile ({exc!r})") from None
+    return load_json(path, SessionProfile, "the profile")
 
 
 def config_to_json_dict(config: SessionConfig) -> dict:
-    return {
-        "name": config.name,
-        "reference_point_m": [float(x) for x in config.reference_point],
-        "a3g1_sensors": list(config.a3g1_sensor_ids),
-        "a3g1_channel": config.a3g1_channel,
-        "a3g1_gyro": config.a3g1_gyro,
-        "trigger": asdict(config.trigger),
-        "filter": asdict(config.filter),
-        "cfc": asdict(config.cfc),
-        "window": asdict(config.window),
-        "column_map": config.column_map,
-        "sensors": [
-            {
-                "id": s.id,
-                "role": s.role,
-                "position_m": [float(x) for x in s.position],
-                "orientation_row_major": [float(x) for x in s.orientation.ravel()],
-                "channels": {
-                    c.kind: {"rate_hz": c.rate, "range": c.range_label}
-                    for c in s.channels
-                },
-            }
-            for s in config.sensors
-        ],
-    }
+    return to_json(config)

@@ -53,16 +53,17 @@ def profile_path(tmp_path_factory, clean_profile_small):
 
 CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
     ("detect", lambda raw: sensor(raw, "bt_back").update(channels=3.5),
-     "ConfigError: sensor 'bt_back': channels must be an object, got float"),
+     "ConfigError: {config}: sensors[2].channels must be an object, got "
+     "float"),
     ("detect", put(["column_map"], [1]),
-     "ConfigError: column_map must be an object, got list"),
+     "ConfigError: {config}: column_map must be an object, got list"),
     ("detect", put(["column_map"], {"gx": 1}),
-     "ConfigError: column_map.gx must be a string, got 1"),
+     "ConfigError: {config}: column_map.gx must be a string, got 1"),
     ("simulate",
      lambda raw: sensor(raw, "mouthpiece")["channels"]["gyro"].update(
          rate_hz=math.nan),
-     "ConfigError: sensor 'mouthpiece': channels.gyro.rate_hz must be a finite "
-     "number > 0, got nan"),
+     "ConfigError: {config}: sensors[5].channels.gyro.rate_hz must be a "
+     "finite number > 0, got nan"),
     ("simulate",
      lambda raw: sensor(raw, "bt_back")["channels"]["accel_high"].update(
          rate_hz=1e308),
@@ -70,75 +71,81 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
      "ceiling of 1e+08 samples per channel"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(
         position_m=[0.1, 10 ** 400, 0.0]),
-     "ConfigError: sensor 'bt_back': position_m[1] must be a finite number, "
-     "got 1000"),
+     "ConfigError: {config}: sensors[2].position_m[1] must be a finite "
+     "number, got 1000"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(
         position_m=["0.1", "0", "0"]),
-     "ConfigError: sensor 'bt_back': position_m[0] must be a finite number, "
-     "got '0.1'"),
+     "ConfigError: {config}: sensors[2].position_m[0] must be a finite "
+     "number, got '0.1'"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(
         orientation_row_major=[1, 0, 0, 0, 1, 0, 0, 0]),
-     "ConfigError: sensor 'bt_back': orientation_row_major must be a list of "
-     "9 numbers"),
+     "ConfigError: {config}: sensors[2].orientation_row_major must be a list "
+     "of 9 numbers, got [1, 0, 0, 0, 1, 0, 0, 0]"),
     ("detect", put(["trigger"], [3.0]),
-     "ConfigError: trigger must be an object, got list"),
+     "ConfigError: {config}: trigger must be an object, got list"),
     ("simulate", lambda raw: sensor(raw, "mouthpiece")["channels"].pop("gyro"),
-     "ConfigError: sensor 'mouthpiece' declares no gyro channel"),
+     "ConfigError: {config}: sensor 'mouthpiece' declares no gyro channel"),
     ("simulate", lambda raw: sensor(raw, "bt_back").update(id=None),
-     "ConfigError: sensors[2].id must be a string, got None"),
+     "ConfigError: {config}: sensors[2].id must be a string, got None"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(role=1),
-     "ConfigError: sensor 'bt_back': role must be a string, got 1"),
+     "ConfigError: {config}: sensors[2].role must be a string, got 1"),
     ("detect",
      lambda raw: sensor(raw, "bt_back")["channels"]["gyro"].update(range=None),
-     "ConfigError: sensor 'bt_back': channels.gyro.range must be a string, "
-     "got None"),
-    ("detect", put(["name"], 7), "ConfigError: name must be a string, got 7"),
+     "ConfigError: {config}: sensors[2].channels.gyro.range must be a "
+     "string, got None"),
+    ("detect", put(["name"], 7),
+     "ConfigError: {config}: name must be a string, got 7"),
     ("detect", put(["a3g1_channel"], None),
-     "ConfigError: a3g1_channel must be a string, got None"),
+     "ConfigError: {config}: a3g1_channel must be a string, got None"),
     ("detect", put(["a3g1_gyro"], ["bt_back"]),
-     "ConfigError: a3g1_gyro must be a string, got ['bt_back']"),
+     "ConfigError: {config}: a3g1_gyro must be a string, got ['bt_back']"),
     ("simulate", put(["a3g1_sensors", 1], None),
-     "ConfigError: a3g1_sensors[1] must be a string, got None"),
+     "ConfigError: {config}: a3g1_sensors[1] must be a string, got None"),
     ("detect", put(["a3g1_sensors"], "abc"),
-     "ConfigError: a3g1_sensors must be a list of 3 sensor ids, got 'abc'"),
+     "ConfigError: {config}: a3g1_sensors must be a list of 3 strings, got "
+     "str"),
     ("detect", put(["column_map"], {"gx": "gy"}),
-     "ConfigError: column_map: canonical columns 'gx' and 'gy' would both "
+     "ConfigError: {config}: column_map: canonical columns 'gx' and 'gy' would both "
      "read file column 'gy'"),
     ("detect",
      lambda raw: sensor(raw, "bt_back")["channels"]["accel_low"].update(
          rate_hz=1600.0),
-     "ConfigError: sensor 'bt_back': accel_low rate 1600 Hz must match the "
+     "ConfigError: {config}: sensor 'bt_back': accel_low rate 1600 Hz must match the "
      "gyro rate 1125 Hz in a shared file"),
     *[("simulate", lambda raw, sid=sid: sensor(raw, "bt_right_inner").update(
-        id=sid), f"ConfigError: sensor {sid!r}: the id names the sensor's "
-        "files, so it may not be empty, '.' or '..', or hold '/', '\\' or NUL")
+        id=sid), f"ConfigError: {{config}}: sensor {sid!r}: the id names the "
+        "sensor's files, so it may not be empty, '.' or '..', or hold '/', '\\' or NUL")
       for sid in ("", ".", "..", "../escaped", "a\\b", "a\0b")],
     *[("simulate", lambda raw, sid=sid: sensor(raw, "bt_right_inner").update(
-        id=sid), f"ConfigError: sensor {sid!r}: its session file {sid}.csv is "
-        f"also {owner}")
+        id=sid), f"ConfigError: {{config}}: sensor {sid!r}: its session file "
+        f"{sid}.csv is also {owner}")
       for sid, owner in (("labels", "the labels file"),
                          ("mouthpiece_ev001", "a file of sensor 'mouthpiece'"),
                          ("mouthpiece_ev7", "a file of sensor 'mouthpiece'"))],
     ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
         id="bt_back_high"),
-     "ConfigError: sensor 'bt_back': its session file bt_back_high.csv is "
+     "ConfigError: {config}: sensor 'bt_back': its session file bt_back_high.csv is "
      "also a file of sensor 'bt_back_high'"),
     ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
         id="mouthpiece_ev001_high") or
      sensor(raw, "mouthpiece")["channels"]["accel_high"].update(rate_hz=1600.0),
-     "ConfigError: sensor 'mouthpiece_ev001_high': its session file "
+     "ConfigError: {config}: sensor 'mouthpiece_ev001_high': its session file "
      "mouthpiece_ev001_high.csv is also a file of sensor 'mouthpiece'"),
     ("simulate", lambda raw: sensor(raw, "bt_right_inner").update(
         id="bt_back") or sensor(raw, "bt_back").update(id="bt_back"),
-     "ConfigError: duplicate sensor ids in configuration"),
+     "ConfigError: {config}: duplicate sensor ids in configuration"),
     ("simulate", lambda raw: raw["sensors"].append(
         {**sensor(raw, "mouthpiece"), "id": "mp2"}),
-     "ConfigError: sensor 'mp2': a second reference sensor (a session has "
+     "ConfigError: {config}: sensor 'mp2': a second reference sensor (a session has "
      "one, 'mouthpiece')"),
     ("detect", put(["filter", "end_time_ms"], 200.0),
-     "ConfigError: filter.end_time_ms 200 must not exceed "
+     "ConfigError: {config}: filter.end_time_ms 200 must not exceed "
      "window.headband_post_ms 150: the adaptive filter's end slice lies in "
      "the headband window"),
+    ("detect", lambda raw: raw["sensors"][0].pop("position_m"),
+     "ConfigError: {config}: sensors[0].position_m is missing"),
+    ("simulate", put(["sensors"], {"a": 1}),
+     "ConfigError: {config}: sensors must be a list of objects, got dict"),
 ], ids=["channels_float", "column_map_list", "column_map_int", "rate_nan",
         "rate_1e308", "position_big_int", "position_strings",
         "orientation_8_numbers", "trigger_list", "no_gyro", "id_null",
@@ -148,7 +155,8 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
         "id_dot_dot", "id_parent_path", "id_backslash", "id_nul",
         "id_labels", "id_reference_block", "id_reference_block_unpadded",
         "id_companion", "id_reference_block_companion", "id_duplicate",
-        "second_reference", "end_time_past_window"])
+        "second_reference", "end_time_past_window", "position_missing",
+        "sensors_object"])
 
 
 @CONFIG_ROWS
@@ -164,18 +172,20 @@ def test_bad_config_gives_one_error_line(small_pipeline, profile_path, tmp_path,
     }[command]
     code, err = run(argv, capsys)
     assert (code, len(err)) == (1, 1)
-    assert err[0].startswith("kinereco: error: " + expected)
+    assert err[0].startswith("kinereco: error: " + expected.format(config=config))
 
 
 PROFILE_ROWS = pytest.mark.parametrize("edit, expected", [
-    (put(["noise"], 3), "DataError: noise must be an object, got int"),
+    (put(["noise"], 3),
+     "DataError: {path}: noise must be an object, got int"),
     (put(["duration_s"], math.nan),
      "FormatError: {path}: duration_s must be a finite number > 0, got nan"),
     (put(["duration_s"], 1e308),
      "DataError: sensor 'bt_right_outer' accel_high: 1e+308 s at 1600 Hz is "
      "above the ceiling of 1e+08 samples per channel"),
     (put(["gravity"], [0.0, 9.8]),
-     "FormatError: {path}: gravity must be a list of 3 numbers"),
+     "FormatError: {path}: gravity must be a list of 3 numbers, got "
+     "[0.0, 9.8]"),
     (put(["gravity"], [0.0, 10 ** 400, 9.8]),
      "FormatError: {path}: gravity[1] must be a finite number, got 1000"),
     (put(["reference_clock_offset_s"], math.inf),
@@ -184,29 +194,49 @@ PROFILE_ROWS = pytest.mark.parametrize("edit, expected", [
     (put(["impacts", 0, "time_s"], math.nan),
      "FormatError: {path}: impacts[0].time_s must be a finite number, got nan"),
     (put(["noise", "burst", "duration_s"], math.nan),
-     "DataError: noise.burst.duration_s must be a finite number, got nan"),
+     "DataError: {path}: noise.burst.duration_s must be a finite number "
+     ">= 0, got nan"),
     (put(["noise", "per_sensor_scale"], {"bt_back": math.nan}),
-     "DataError: noise.per_sensor_scale.bt_back must be a finite number, "
-     "got nan"),
+     "DataError: {path}: noise.per_sensor_scale.bt_back must be a finite "
+     "number >= 0, got nan"),
     (put(["noise", "per_sensor_scale"], {"bt_back": -1.0}),
-     "DataError: noise.per_sensor_scale.bt_back must be a finite number >= 0, "
-     "got -1.0"),
+     "DataError: {path}: noise.per_sensor_scale.bt_back must be a finite "
+     "number >= 0, got -1.0"),
     (put(["omega_components", 0, 0, "amplitude"], "0.3"),
-     "FormatError: {path}: omega_components axis 0 component 0: amplitude must "
-     "be a finite number, got '0.3'"),
+     "FormatError: {path}: omega_components[0][0].amplitude must be a "
+     "finite number, got '0.3'"),
     (put(["omega_components"], [[], []]),
-     "FormatError: {path}: omega_components must be a list of 3 axes"),
+     "FormatError: {path}: omega_components must be a list of 3 lists, got "
+     "a list of 2"),
     (put(["noise", "burst", "n_tones"], 2.5),
-     "DataError: noise.burst.n_tones must be an int from 1 to 1000, got 2.5"),
+     "DataError: {path}: noise.burst.n_tones must be an int from 1 to 1000, "
+     "got 2.5"),
     (put(["noise", "burst", "n_tones"], 1e308),
-     "DataError: noise.burst.n_tones must be an int from 1 to 1000, "
+     "DataError: {path}: noise.burst.n_tones must be an int from 1 to 1000, "
      "got 1e+308"),
     (put(["impacts", 0, "label"], None),
      "FormatError: {path}: impacts[0].label must be a string, got None"),
+    (lambda raw: raw.pop("duration_s"),
+     "FormatError: {path}: duration_s is missing"),
+    (put(["impacts"], 3),
+     "FormatError: {path}: impacts must be a list of objects, got int"),
+    (put(["omega_components", 0], 4),
+     "FormatError: {path}: omega_components[0] must be a list of objects, "
+     "got int"),
+    (put(["noise", "per_sensor_scale"], {"bt_bak": 3.0}),
+     "DataError: noise.per_sensor_scale has an unknown key 'bt_bak' (known "
+     "keys: bt_right_outer, bt_right_inner, bt_back, bt_left_inner, "
+     "bt_left_outer)"),
+    (put(["noise", "per_sensor_scale"], {"bt_back": 2.0, "mouthpiece": 3.0}),
+     "DataError: noise.per_sensor_scale has an unknown key 'mouthpiece' "
+     "(known keys: bt_right_outer, bt_right_inner, bt_back, bt_left_inner, "
+     "bt_left_outer)"),
 ], ids=["noise_int", "duration_nan", "duration_1e308", "gravity_2_numbers",
         "gravity_big_int", "clock_offset_inf", "impact_time_nan",
         "burst_duration_nan", "scale_nan", "scale_negative", "amplitude_str",
-        "omega_2_axes", "n_tones_2_5", "n_tones_1e308", "label_null"])
+        "omega_2_axes", "n_tones_2_5", "n_tones_1e308", "label_null",
+        "duration_missing", "impacts_int", "axis_int", "scale_unknown_id",
+        "scale_reference_id"])
 
 
 @PROFILE_ROWS
@@ -236,17 +266,17 @@ def test_bad_profile_gives_one_error_line(small_pipeline, profile_path, tmp_path
     ("simulate", put(["impacts", 1, "time"], 2.0),
      "FormatError: {profile}: impacts[1] has an unknown key 'time'"),
     ("simulate", put(["omega_components", 0, 0, "widht_s"], 0.01),
-     "FormatError: {profile}: omega_components axis 0 component 0 has an "
-     "unknown key 'widht_s' (known keys: amplitude, freq_hz, phase, "
-     "center_s, width_s)"),
+     "FormatError: {profile}: omega_components[0][0] has an unknown key "
+     "'widht_s' (known keys: amplitude, freq_hz, phase, center_s, "
+     "width_s)"),
     ("detect", put(["windows"], {}),
      "ConfigError: {config}: the configuration has an unknown key 'windows'"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(rol="reference"),
      "ConfigError: {config}: sensors[2] has an unknown key 'rol'"),
     ("detect",
      lambda raw: sensor(raw, "bt_back")["channels"]["gyro"].update(rate=1),
-     "ConfigError: {config}: sensor 'bt_back': channels.gyro has an unknown "
-     "key 'rate' (known keys: rate_hz, range)"),
+     "ConfigError: {config}: sensors[2].channels.gyro has an unknown key "
+     "'rate' (known keys: rate_hz, range)"),
     ("detect", put(["window", "pre"], 40.0),
      "ConfigError: {config}: window has an unknown key 'pre' (known keys: "
      "pre_ms, headband_post_ms, reference_post_ms)"),

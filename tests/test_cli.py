@@ -236,7 +236,8 @@ class TestSimulateCommand:
                      "--config", str(config_path), "--out", str(session)]) == 1
         line = single_error_line(capsys)
         assert line.startswith(
-            f"kinereco: error: DataError: impact label {label!r} contains ")
+            f"kinereco: error: DataError: {profile_path}: impact label "
+            f"{label!r} contains ")
         assert not session.exists()
 
     @pytest.mark.parametrize("window", [
@@ -850,13 +851,14 @@ class TestStageErrors:
         assert "at least 10 samples" in line
 
     @pytest.mark.parametrize("block, entry, command, expected", [
-        ("cfc", {"ang_vel": "155"}, "reconstruct", "ConfigError: cfc.ang_vel "),
+        ("cfc", {"ang_vel": "155"}, "reconstruct",
+         "ConfigError: {config}: cfc.ang_vel "),
         ("filter", {"end_time_ms": "x"}, "reconstruct",
-         "ConfigError: filter.end_time_ms "),
+         "ConfigError: {config}: filter.end_time_ms "),
         ("trigger", {"threshold_g": "3"}, "detect",
-         "ConfigError: trigger.threshold_g "),
+         "ConfigError: {config}: trigger.threshold_g "),
         ("trigger", {"threshold_g": float("nan")}, "detect",
-         "ConfigError: trigger.threshold_g "),
+         "ConfigError: {config}: trigger.threshold_g "),
         ("cfc", {"ang_vel": 1e-9}, "reconstruct",
          "DataError: cutoff 2.0775e-09 Hz is too low to design a filter at "
          "3200 Hz"),
@@ -884,7 +886,8 @@ class TestStageErrors:
         }[command]
         assert main(argv) == 1
         line = single_error_line(capsys)
-        assert line.startswith(f"kinereco: error: {expected}")
+        assert line.startswith(
+            f"kinereco: error: {expected.format(config=config_path)}")
 
     @pytest.mark.parametrize("row", ["2.5 throw_in", "soon,throw_in",
                                      "2.5,header,left", "nan,throw_in",
@@ -1171,8 +1174,8 @@ class TestErrorReporting:
         assert code == 1
         line = single_error_line(capsys)
         assert line.startswith(
-            f"kinereco: error: FormatError: {profile_path}: {key} axis 1 "
-            f"component {len(axis) - 1}: {field} must be ")
+            f"kinereco: error: FormatError: {profile_path}: "
+            f"{key}[1][{len(axis) - 1}].{field} must be ")
         assert not (tmp_path / "session").exists()
 
     def test_evaluate_names_the_pair_of_a_degenerate_reference(

@@ -6,6 +6,7 @@ decided it on their own."""
 
 import itertools
 import json
+from dataclasses import fields
 from importlib.resources import files
 from pathlib import Path
 
@@ -17,16 +18,17 @@ from kinereco.core import TimeSeries3
 from kinereco.evaluate import (_ba_to_dict, bland_altman,
                                build_agreement_report, peak_resultant)
 from kinereco.errors import ConfigError, DataError, FormatError
-from kinereco.ingest import (_DEG2RAD, CHANNEL_KINDS, G_STANDARD, ChannelSpec,
-                             ImuRecording, SensorSpec, _check_overlap,
+from kinereco.ingest import (_DEG2RAD, CHANNEL_KINDS, G_STANDARD, Block,
+                             ChannelSpec, ImuRecording, ListOf, MapOf,
+                             SensorSpec, SessionConfig, _check_overlap,
                              _column_indices, imu_csv_files,
                              load_session_config, parse_imu_csv, read_table,
-                             table_clock, write_imu_csv, write_json,
+                             table_clock, to_json, write_imu_csv, write_json,
                              write_table)
 from kinereco.pipeline import PairRow
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             NoiseSpec, PlannedImpact, SessionProfile,
-                            config_to_json_dict, load_profile,
+                            config_to_json_dict, dump_profile, load_profile,
                             profile_to_json_dict, standard_session_profile)
 
 from conftest import write_recording
@@ -298,9 +300,7 @@ def _bundled_config_path():
     return files("kinereco") / "profiles" / "field_config.json"
 
 
-@pytest.mark.parametrize("case", ["bundled", "non_default_blocks"])
-def test_config_json_dict(tmp_path, case):
-    path = tmp_path / "config.json"
+def _config_raw(case):
     raw = json.loads(_bundled_config_path().read_text())
     if case == "non_default_blocks":
         raw.update(
@@ -313,7 +313,13 @@ def test_config_json_dict(tmp_path, case):
                     "reference_post_ms": 90.0},
             column_map={"gx": "GyroX"},
             a3g1_channel="accel_low", a3g1_gyro="bt_back")
-    path.write_text(json.dumps(raw))
+    return raw
+
+
+@pytest.mark.parametrize("case", ["bundled", "non_default_blocks"])
+def test_config_json_dict(tmp_path, case):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_raw(case)))
     config = load_session_config(path)
     new, old = config_to_json_dict(config), _old_config_to_json_dict(config)
     assert new == old
@@ -353,6 +359,73 @@ def test_profile_json_dict(case):
     new, old = profile_to_json_dict(profile), _old_profile_to_json_dict(profile)
     assert new == old
     assert _json_text(new) == _json_text(old)
+
+
+#: The inputs dumped both ways: the bundled ones, perfbench's generated
+#: sparse6 and export6 profiles (as ``perfbench/workloads.py`` makes them)
+#: and the hand-made ones above.
+ROUND_TRIP = {
+    "field18": lambda tmp: load_profile(
+        files("kinereco") / "profiles" / "field_session_18.json"),
+    "field18_clean": lambda tmp: load_profile(
+        files("kinereco") / "profiles" / "field_session_18_clean.json"),
+    "sparse6": lambda tmp: standard_session_profile(7, n_per_tier=2,
+                                                    spacing_s=6.0),
+    "export6": lambda tmp: standard_session_profile(7, n_per_tier=2,
+                                                    with_noise=False),
+    "custom": lambda tmp: _custom_profile(),
+    "field_config": lambda tmp: load_session_config(_bundled_config_path()),
+    "non_default_blocks": lambda tmp: load_session_config(_written(
+        tmp / "raw.json", _config_raw("non_default_blocks"))),
+}
+
+
+def _written(path, raw):
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP))
+def test_load_of_a_dump_dumps_the_same_text(tmp_path, case):
+    """The schema reads back what it writes: ``to_json(load(dump(x)))``
+    is the text of ``dump(x)``."""
+    x = ROUND_TRIP[case](tmp_path)
+    path = tmp_path / "dumped.json"
+    if isinstance(x, SessionProfile):
+        dump_profile(x, path)
+        loaded = load_profile(path)
+    else:
+        write_json(path, config_to_json_dict(x))
+        loaded = load_session_config(path)
+    assert json.dumps(to_json(loaded), indent=2, sort_keys=True) + "\n" == \
+        path.read_text()
+
+
+def _accepted_keys(kind) -> set:
+    """Every key an object of ``kind``, or one nested in it, accepts."""
+    if isinstance(kind, Block):
+        keys = set()
+        for f in fields(kind.cls):
+            if "json" in f.metadata:
+                inner, key, _ = f.metadata["json"]
+                if not inner.inline:
+                    keys.add(key or f.name)
+                keys |= _accepted_keys(inner)
+        return keys
+    if isinstance(kind, (ListOf, MapOf)):
+        return set(getattr(kind, "keys", None) or ()) | \
+            _accepted_keys(kind.item)
+    return set()
+
+
+def test_every_accepted_key_is_documented():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+           ).read_text()
+    keys = (_accepted_keys(Block(SessionConfig))
+            | _accepted_keys(Block(SessionProfile)))
+    assert {"position_m", "width_s", "n_tones", "rate_hz", "gx"} <= keys
+    assert sorted(k for k in keys
+                  if f'"{k}"' not in doc and f"`{k}`" not in doc) == []
 
 
 # ---------------------------------------------------------------------------
