@@ -43,14 +43,15 @@ from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
 from .ingest import CHANNEL_KINDS, ImuRecording, SessionConfig, \
     check_number, finite_block, load_session_config, output_dir, \
-    parse_imu_csv, parse_reference_csv, read_json, read_table, \
-    reference_block, session_csv, table_clock, write_json, write_table
+    parse_imu_csv, parse_reference_csv, read_json, read_sensor_table, \
+    read_table, reference_block, sensor_reads, session_csv, table_clock, \
+    write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, detect_channels, detect_session, \
     overlay_resultants, reconstruct_channels, reconstruct_pair, \
     reconstruct_windows, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
-from .twoproc import run_in_two
+from .twoproc import read_in_two, run_in_two
 from .wavelet import cwt
 
 log = logging.getLogger(__name__)
@@ -90,32 +91,70 @@ class RunManifest:
 # Shared session I/O
 
 
+def _load_session(config: SessionConfig, in_dir: Path,
+                  channels: dict[str, tuple[str, ...]], windows=None,
+                  ) -> tuple[dict[str, ImuRecording], list[ImuRecording]]:
+    """The recordings of :func:`_load_headband` and the reference blocks of
+    :func:`_load_reference_blocks`.  Every file the two open is read first,
+    one job per file, costed by its byte size, in two processes
+    (``read_in_two``); the recordings are then built and checked here in the
+    order of the two loops, so the first error is the one they raise."""
+    reads = [(file, rate, windows) for spec in config.headband_sensors
+             for file, _, rate in sensor_reads(in_dir / session_csv(spec.id),
+                                               spec, channels[spec.id])]
+    try:
+        reads += [(file, rate, None) for path in _reference_blocks(config, in_dir)
+                  for file, _, rate in sensor_reads(path, config.reference_sensor)]
+    except OSError:
+        pass  # _load_reference_blocks raises it in its turn
+    tables = dict(zip([file for file, _, _ in reads], read_in_two([
+        (_byte_size(file), functools.partial(read_sensor_table, file, rate,
+                                             config.column_map, window))
+        for file, rate, window in reads])))
+    return (_load_headband(config, in_dir, channels, windows, tables),
+            _load_reference_blocks(config, in_dir, tables))
+
+
+def _byte_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0  # its read fails in its turn
+
+
 def _load_headband(config: SessionConfig, in_dir: Path,
                    channels: dict[str, tuple[str, ...]], windows=None,
-                   ) -> dict[str, ImuRecording]:
+                   tables=None) -> dict[str, ImuRecording]:
     """Each headband sensor's ``channels``; only the files holding them are
     opened, and only the rows of ``windows`` parsed when it is given (see
-    ``parse_imu_csv``)."""
+    ``parse_imu_csv``, which takes ``tables``)."""
     recs = {}
     for spec in config.headband_sensors:
         path = in_dir / session_csv(spec.id)
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
         recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
-                                      channels[spec.id], windows)
+                                      channels[spec.id], windows, tables)
     return recs
 
 
-def _load_reference_blocks(config: SessionConfig, in_dir: Path) -> list[ImuRecording]:
+def _load_reference_blocks(config: SessionConfig, in_dir: Path,
+                           tables=None) -> list[ImuRecording]:
+    return [parse_reference_csv(path, config.reference_sensor,
+                                config.column_map, config.window, tables)
+            for path in _reference_blocks(config, in_dir)]
+
+
+def _reference_blocks(config: SessionConfig, in_dir: Path) -> list[Path]:
+    """The main file of each block of the reference sensor, not its
+    companion, in block-number order."""
     spec = config.reference_sensor
     if spec is None:
         return []
-    # The main file of each block, not its companion, in block-number order.
     blocks = sorted((block[0], path) for path in in_dir.iterdir()
                     if (block := reference_block(spec, path.name))
                     and block[1] == path.name)
-    return [parse_reference_csv(path, spec, config.column_map, config.window)
-            for _, path in blocks]
+    return [path for _, path in blocks]
 
 
 def _text_rows(path: Path, names: tuple[str, ...], kind: str, parse) -> list:
@@ -333,8 +372,8 @@ def _cmd_detect(args) -> int:
         inputs=(str(in_dir),),
         params={"max_offset_s": args.max_offset}, seed=None,
     )
-    hb_recs = _load_headband(config, in_dir, detect_channels(config))
-    ref_blocks = _load_reference_blocks(config, in_dir)
+    hb_recs, ref_blocks = _load_session(config, in_dir,
+                                        detect_channels(config))
     pairs, unpaired = detect_session(config, hb_recs, ref_blocks,
                                      args.max_offset, _load_labels(in_dir))
     out = Path(args.out)
@@ -359,10 +398,9 @@ def _cmd_reconstruct(args) -> int:
     if not pairs:
         raise DataError(f"{args.events}: no paired events to reconstruct")
     windows = reconstruct_windows(config, pairs)
-    hb_recs = _load_headband(config, in_dir,
-                             reconstruct_channels(config, args.alpha_method),
-                             windows)
-    ref_blocks = _load_reference_blocks(config, in_dir)
+    hb_recs, ref_blocks = _load_session(
+        config, in_dir, reconstruct_channels(config, args.alpha_method),
+        windows)
     out = Path(args.out)
     output_dir(out)
     # Every pair runs, and the error of the earliest that failed is raised.

@@ -19,6 +19,7 @@ Vendor exports with different column names are adapted through the optional
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -48,6 +49,8 @@ __all__ = [
     "TableRows",
     "parse_imu_csv",
     "parse_reference_csv",
+    "read_sensor_table",
+    "sensor_reads",
     "reference_block",
     "session_csv",
     "load_session_config",
@@ -393,7 +396,8 @@ def check_number(value, what: str, error=ConfigError, sign: str = ""):
     A finite number is an ``int`` or a ``float``, not a ``bool`` or a
     ``str``, with ``|value| <= sys.float_info.max``; ``sign`` is ``""`` for
     any sign, ``">= 0"`` or ``"> 0"``.  Otherwise ``error`` is raised with
-    ``"{what} must be a finite number[ sign], got {value!r}"``.  The value is
+    ``"{what} must be a finite number[ sign], got {value!r}"``, or ``got an
+    integer of {n} digits`` for an int too large for a float.  The value is
     returned as given, so an int stays an int.
     """
     # False for NaN, and for ints too large for a float.
@@ -401,8 +405,22 @@ def check_number(value, what: str, error=ConfigError, sign: str = ""):
             and abs(value) <= sys.float_info.max
             and (not sign or value > 0 or (sign == ">= 0" and value == 0))):
         bound = f" {sign}" if sign else ""
-        raise error(f"{what} must be a finite number{bound}, got {value!r}")
+        got = repr(value)
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            got = f"an integer of {_digits(abs(value))} digits"
+        raise error(f"{what} must be a finite number{bound}, got {got}")
     return value
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of ``n > 0``, without its string, which Python
+    does not make beyond 4300 digits."""
+    digits = max(1, int(n.bit_length() * math.log10(2)))
+    while n >= 10 ** digits:
+        digits += 1
+    while digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    return digits
 
 
 def check_object(value, what: str, error=ConfigError) -> dict:
@@ -696,31 +714,13 @@ def read_table(path, numeric: bool = True, pick=None):
         A numeric table has an unparseable cell, a short or long row, or no
         data rows.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    meta = {}
-    with fh:
-        header = None
-        lines = 0  # lines read up to and with the header row
+    with _text(path) as fh:
+        meta, header, lines = _header(fh, path)
+        if not numeric:
+            cells = [ln.split(",") for ln in map(str.strip, fh)
+                     if ln and not ln.startswith("#")]
+            return meta, header, cells
         try:
-            while header is None:
-                line = fh.readline()
-                lines += 1
-                if not line:
-                    raise FormatError(f"{path}: no header row found")
-                stripped = line.strip()
-                if stripped.startswith("#"):
-                    key, eq, value = stripped[1:].partition("=")
-                    if eq:
-                        meta[key.strip()] = value.strip()
-                elif stripped:
-                    header = [c.strip() for c in stripped.split(",")]
-            if not numeric:
-                cells = [ln.split(",") for ln in map(str.strip, fh)
-                         if ln and not ln.startswith("#")]
-                return meta, header, cells
             if pick is not None:
                 table = _read_rows(path, lines, header, pick)
                 if table is not None:
@@ -729,8 +729,8 @@ def read_table(path, numeric: bool = True, pick=None):
                 # An empty table is reported below as a DataError.
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+        except UnicodeDecodeError:
+            raise  # a ValueError, which _text reports
         except ValueError as exc:
             raise DataError(f"{path}: " + (
                 _bad_row(path, lines, header)
@@ -744,6 +744,40 @@ def read_table(path, numeric: bool = True, pick=None):
     if pick is not None:
         return meta, header, TableRows(data, None, len(data))
     return meta, header, data
+
+
+@contextlib.contextmanager
+def _text(path):
+    """The file at ``path`` open as UTF-8 text; a FormatError when it cannot
+    be opened or, while it is read, when it is not UTF-8."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _header(fh, path) -> tuple[dict, list, int]:
+    """``(meta, header, lines)`` of the table at ``path`` open in ``fh``:
+    the ``# key=value`` comments before its header row, the stripped names
+    of that row, and the lines read up to and with it."""
+    meta, lines = {}, 0
+    while True:
+        line = fh.readline()
+        lines += 1
+        if not line:
+            raise FormatError(f"{path}: no header row found")
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            key, eq, value = stripped[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif stripped:
+            return meta, [c.strip() for c in stripped.split(",")], lines
 
 
 #: Data rows :func:`_bad_row` parses at a time.
@@ -988,7 +1022,7 @@ def reference_block(spec: SensorSpec, name: str) -> tuple[int, str] | None:
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
-                  channels=None, windows=None) -> ImuRecording:
+                  channels=None, windows=None, tables=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
     The main file carries the gyro (deg/s) plus the accelerometer triples
@@ -998,13 +1032,19 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
 
     ``channels`` names the kinds to return; ``None`` means every declared
     channel.  Kinds not requested are ``None`` in the recording, and a file
-    holding none of the requested kinds is never opened.  A file that is
-    opened is parsed and validated whole, whatever is requested from it,
-    unless ``windows`` lists ``(t0, pre, post)`` windows on the sensor's
-    clock: then only the rows ``detect.extract_window`` cuts for each window
-    (by :func:`~kinereco.core.window_span`) are parsed and validated (see
+    holding none of the requested kinds is never opened (see
+    :func:`sensor_reads`).  A file that is opened is parsed and validated
+    whole, whatever is requested from it, unless ``windows`` lists
+    ``(t0, pre, post)`` windows on the sensor's clock: then only the rows
+    ``detect.extract_window`` cuts for each window (by
+    :func:`~kinereco.core.window_span`) are parsed and validated (see
     :func:`read_table`).  Each channel keeps a sample per data row, on the
     clock of the whole file; the samples of the rows not parsed are zeros.
+
+    ``tables`` maps a file already read to what :func:`read_sensor_table`
+    returned for it with these ``column_map`` and ``windows``, or to the
+    exception it raised; the entry is taken out as the file's channels are
+    built, and a file without one is read here.
 
     Raises
     ------
@@ -1024,24 +1064,31 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
         raise ConfigError(f"sensor {spec.id!r}: requested channels {undeclared} "
                           f"are not declared (declared: {', '.join(declared)})")
     series = {}
-    for file, kinds, rate in _sensor_files(
-            path, {c.kind: c.rate for c in spec.channels}):
-        if not wanted.isdisjoint(kinds):
-            series.update(_parse_file(file, kinds, wanted, rate, column_map,
-                                      windows))
+    for file, kinds, rate in sensor_reads(path, spec, channels):
+        series.update(_parse_file(file, kinds, wanted, rate, column_map,
+                                  windows, (tables or {}).pop(file, None)))
     rec = ImuRecording(spec.id, *map(series.get, CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
 
 
-def _parse_file(path, kinds, wanted, rate, column_map,
-                windows=None) -> dict[str, TimeSeries3]:
-    """The channels of ``wanted`` among the ``kinds`` the sensor file at
-    ``path`` holds, on its time column at ``rate``; the cells of every kind
-    are checked.  With ``windows``, only the rows of the windows are read
-    (see :func:`parse_imu_csv`), unless they fail a check: then the whole
-    file decides, so that the error is the full parse's.  The table is freed
-    on return, before the next file of the sensor is read."""
+def sensor_reads(path, spec: SensorSpec, channels=None) -> list:
+    """``(file, kinds, rate)`` of each file :func:`parse_imu_csv` opens for
+    ``channels`` of the sensor ``spec`` whose main file is ``path``: each
+    file holding a requested kind, with the kinds it holds and its rate."""
+    wanted = {c.kind for c in spec.channels} if channels is None \
+        else set(channels)
+    return [(file, kinds, rate) for file, kinds, rate in _sensor_files(
+                Path(path), {c.kind: c.rate for c in spec.channels})
+            if not wanted.isdisjoint(kinds)]
+
+
+def read_sensor_table(path, rate: float, column_map: dict | None = None,
+                      windows=None) -> TableRows:
+    """The rows of the sensor file at ``path``, whose time column runs at
+    ``rate``, that :func:`parse_imu_csv` builds channels from: with
+    ``windows``, the rows of the windows (``read_table``'s ``pick``), unless
+    that read fails, and then every row."""
 
     def window_rows(header, first):
         try:
@@ -1054,14 +1101,36 @@ def _parse_file(path, kinds, wanted, rate, column_map,
 
     if windows is not None:
         try:
-            _, header, table = read_table(path, pick=window_rows)
+            return read_table(path, pick=window_rows)[2]
+        except (DataError, FormatError):
+            pass  # the whole file below reports the error
+    data = read_table(path)[2]
+    return TableRows(data, None, len(data))
+
+
+def _parse_file(path, kinds, wanted, rate, column_map, windows=None,
+                table=None) -> dict[str, TimeSeries3]:
+    """The channels of ``wanted`` among the ``kinds`` the sensor file at
+    ``path`` holds, on its time column at ``rate``; the cells of every kind
+    are checked.  ``table`` is the file's :func:`read_sensor_table` (as a
+    plain tuple too), or the error that raised, or None to read it here.
+    Rows read for ``windows`` that fail a check are read again whole, so
+    that the error is the full parse's.  The table is freed on return,
+    before the next file of the sensor is read."""
+    if isinstance(table, Exception):
+        raise table
+    table = TableRows(*(table or read_sensor_table(path, rate, column_map,
+                                                   windows)))
+    with _text(path) as fh:
+        header = _header(fh, path)[1]
+    if table.index is not None:
+        try:
             return _file_channels(table, header, path, kinds, wanted, rate,
                                   column_map)
         except (DataError, FormatError):
-            pass  # the whole file below reports the error
-    _, header, data = read_table(path)
-    return _file_channels(TableRows(data, None, len(data)), header, path,
-                          kinds, wanted, rate, column_map)
+            table = read_sensor_table(path, rate, column_map)
+    return _file_channels(table, header, path, kinds, wanted, rate,
+                          column_map)
 
 
 def _file_channels(table: TableRows, header, path, kinds, wanted, rate,
@@ -1100,16 +1169,18 @@ def _check_overlap(rec: ImuRecording, path):
 
 
 def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
-                        window: WindowConfig = WindowConfig()) -> ImuRecording:
+                        window: WindowConfig = WindowConfig(),
+                        tables=None) -> ImuRecording:
     """Parse one reference-device event block.
 
-    Same contract as :func:`parse_imu_csv`, plus the block-geometry check:
+    Same contract as :func:`parse_imu_csv`, every channel read whole (the
+    same ``tables`` too), plus the block-geometry check:
     the gyro must span the block ``simulate`` cuts by ``window`` within one
     sample period: ``pre`` before the trigger and ``reference_post`` after
     it, cut by :func:`~kinereco.core.window_span` as
     ``detect.extract_window`` cuts them.
     """
-    rec = parse_imu_csv(path, spec, column_map)
+    rec = parse_imu_csv(path, spec, column_map, tables=tables)
     rate = rec.gyro.sample_rate
     span = (len(rec.gyro) - 1) / rate
     i_first, i_last = window_span(0.0, rate, 0.0, window.pre,

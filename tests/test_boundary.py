@@ -72,7 +72,7 @@ CONFIG_ROWS = pytest.mark.parametrize("command, edit, expected", [
     ("detect", lambda raw: sensor(raw, "bt_back").update(
         position_m=[0.1, 10 ** 400, 0.0]),
      "ConfigError: {config}: sensors[2].position_m[1] must be a finite "
-     "number, got 1000"),
+     "number, got an integer of 401 digits"),
     ("detect", lambda raw: sensor(raw, "bt_back").update(
         position_m=["0.1", "0", "0"]),
      "ConfigError: {config}: sensors[2].position_m[0] must be a finite "
@@ -187,7 +187,8 @@ PROFILE_ROWS = pytest.mark.parametrize("edit, expected", [
      "FormatError: {path}: gravity must be a list of 3 numbers, got "
      "[0.0, 9.8]"),
     (put(["gravity"], [0.0, 10 ** 400, 9.8]),
-     "FormatError: {path}: gravity[1] must be a finite number, got 1000"),
+     "FormatError: {path}: gravity[1] must be a finite number, got an "
+     "integer of 401 digits"),
     (put(["reference_clock_offset_s"], math.inf),
      "FormatError: {path}: reference_clock_offset_s must be a finite number, "
      "got inf"),

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinereco import cli, core, ingest, pipeline
+from kinereco import cli, core, ingest, pipeline, twoproc
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.errors import WindowError
 from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
-                            standard_session_profile)
+                            example_session_config, standard_session_profile)
 from kinereco.wavelet import cwt
 
 from conftest import assert_no_child_left
@@ -354,26 +354,29 @@ class TestFilesEachStageReads:
                     blocks=blocks)
 
     @pytest.fixture
-    def opened(self, monkeypatch):
-        """The name of every table a stage reads: each goes through
-        ``ingest.read_table``, which ``cli`` imports by name."""
-        names = []
+    def opened(self, monkeypatch, tmp_path):
+        """A function giving the name of every table a stage has read, in
+        either process: each goes through ``ingest.read_table``, which
+        ``cli`` imports by name, and each name is appended to one file."""
+        log = tmp_path / "opened.txt"
+        log.touch()
         real = ingest.read_table
 
         def spy(path, numeric=True, pick=None):
-            names.append(Path(path).name)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(Path(path).name + "\n")
             return real(path, numeric, pick)
 
         monkeypatch.setattr(ingest, "read_table", spy)
         monkeypatch.setattr(cli, "read_table", spy)
-        return names
+        return lambda: log.read_text(encoding="utf-8").split()
 
     def test_detect_reads_trigger_companions(self, small_pipeline, tmp_path,
                                              names, opened):
         assert main(["detect", "--config", str(small_pipeline["config"]),
                      "--in", str(small_pipeline["session"]),
                      "--out", str(tmp_path / "events.csv")]) == 0
-        assert sorted(opened) == sorted(
+        assert sorted(opened()) == sorted(
             names["high"] + names["blocks"] + ["labels.csv"])
 
     @pytest.mark.parametrize("method", ["both", "a3g1", "diff"])
@@ -385,7 +388,7 @@ class TestFilesEachStageReads:
                      "--out", str(tmp_path / "kin"),
                      "--alpha-method", method]) == 0
         companions = [] if method == "diff" else names["a3g1"]
-        assert sorted(opened) == sorted(
+        assert sorted(opened()) == sorted(
             names["main"] + companions + names["blocks"]
             + [small_pipeline["events"].name])
 
@@ -401,7 +404,7 @@ class TestFilesEachStageReads:
         assert main(["detect", "--config", str(config_path),
                      "--in", str(small_pipeline["session"]),
                      "--out", str(tmp_path / "events.csv")]) == 0
-        assert sorted(opened) == sorted(
+        assert sorted(opened()) == sorted(
             names["main"] + names["blocks"] + ["labels.csv"])
 
 
@@ -425,8 +428,11 @@ class TestReconstructReadsWindows:
                 parsed[Path(path).name] = set(table.index.tolist())
             return meta, header, table
 
-        monkeypatch.setattr(ingest, "read_table", spy)
-        assert main(reconstruct + [str(tmp_path / "clean")]) == 0
+        with monkeypatch.context() as serial:
+            # One process parses every file, so the spy sees every read.
+            serial.delattr(os, "fork")
+            serial.setattr(ingest, "read_table", spy)
+            assert main(reconstruct + [str(tmp_path / "clean")]) == 0
         assert sorted(parsed) == sorted(
             [f"{s.id}.csv" for s in config.headband_sensors]
             + [f"{sid}_high.csv" for sid in config.a3g1_sensor_ids])
@@ -545,9 +551,9 @@ def serial_reconstruct(args) -> int:
 
 
 class TestReconstructInTwoProcesses:
-    """reconstruct runs its first pair, forks once and splits the other
-    pairs between the two processes; the files, the exit code and stderr
-    are the serial loop's, also when a pair fails."""
+    """reconstruct reads its files, runs its first pair, forks and splits
+    the other pairs between the two processes; the files, the exit code and
+    stderr are the serial loop's, also when a pair fails."""
 
     @pytest.fixture(scope="class")
     def noisy(self, tmp_path_factory, config):
@@ -636,7 +642,8 @@ class TestReconstructInTwoProcesses:
         n_forks = len(forks)
         got = outcome(tmp_path / "split")
         assert got == want
-        assert n_forks == 0 and len(forks) == (case != "no_fork")
+        # One fork reads the session's files, and one runs the pairs.
+        assert n_forks == 0 and len(forks) == 2 * (case != "no_fork")
         code, err, files = got
         if failing is None:
             assert (code, err) == (0, "") and "manifest.json" in files
@@ -663,13 +670,186 @@ class TestReconstructInTwoProcesses:
         events = tmp_path / "events.csv"
         events.write_text("".join(lines))
         runs = fresh_reconstruct_runs(noisy, events, tmp_path)
-        assert runs["fork"][0] == [1, 1] and runs["serial"][0] == [1, 0]
+        assert runs["fork"][0] == [1, 2] and runs["serial"][0] == [1, 0]
         assert runs["fork"][1:] == runs["serial"][1:]
         err = runs["fork"][1].splitlines()
         assert len(err) == 3
         assert_one_cfc_warning(err)
         assert err[2] == ("kinereco: error: DataError: no reference block covers "
                           "t0=0.5000 s")
+
+
+def serial_load(config, in_dir, channels, windows=None):
+    """``cli._load_session`` as the two serial loops, which read each file
+    in this process in order, as before the reads were split."""
+    return (cli._load_headband(config, in_dir, channels, windows),
+            cli._load_reference_blocks(config, in_dir))
+
+
+def recording_bits(loaded) -> list:
+    """Every channel of the headband recordings and the reference blocks
+    ``_load_session`` returns: its clock and the bytes of its samples."""
+    headband, blocks = loaded
+    return [(rec.sensor_id, kind, ts.start_time, ts.sample_rate,
+             ts.samples.shape, ts.samples.tobytes())
+            for rec in [*headband.values(), *blocks]
+            for kind in ingest.CHANNEL_KINDS
+            if (ts := rec.channel(kind)) is not None]
+
+
+def stage_reads(config, events: Path | None):
+    """The channels and windows ``detect`` (no events) or ``reconstruct``
+    loads."""
+    if events is None:
+        return pipeline.detect_channels(config), None
+    return (pipeline.reconstruct_channels(config, "both"),
+            pipeline.reconstruct_windows(config, cli._read_events_csv(events)))
+
+
+class TestSessionReadInTwoProcesses:
+    """detect and reconstruct read their session files in two processes:
+    the recordings are the serial loops' bit for bit, and so is every error
+    line."""
+
+    @pytest.fixture(scope="class", params=["sparse6", "field18"])
+    def bench(self, request, tmp_path_factory):
+        """perfbench's sparse6 or field18 session at seed 7, detected."""
+        root = tmp_path_factory.mktemp(request.param)
+        profile, config = root / "profile.json", root / "config.json"
+        if request.param == "field18":
+            bundled = Path(cli.__file__).parent / "profiles"
+            shutil.copyfile(bundled / "field_session_18.json", profile)
+            shutil.copyfile(bundled / "field_config.json", config)
+        else:
+            dump_profile(standard_session_profile(7, n_per_tier=2,
+                                                  spacing_s=6.0), profile)
+            config.write_text(json.dumps(config_to_json_dict(
+                example_session_config())))
+        session, events = root / "session", root / "events.csv"
+        assert main(["simulate", "--profile", str(profile), "--config",
+                     str(config), "--out", str(session), "--seed", "7"]) == 0
+        assert main(["detect", "--config", str(config), "--in", str(session),
+                     "--out", str(events)]) == 0
+        return ingest.load_session_config(config), session, events
+
+    @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
+    def test_the_recordings_are_the_serial_loops_bit_for_bit(
+            self, bench, stage, monkeypatch, forks):
+        config, session, events = bench
+        channels, windows = stage_reads(
+            config, events if stage == "reconstruct" else None)
+        split = cli._load_session(config, session, channels, windows)
+        assert len(forks) == 1
+        assert_no_child_left()
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            one = cli._load_session(config, session, channels, windows)
+        want = recording_bits(serial_load(config, session, channels, windows))
+        assert sum(bits[0] in channels for bits in want) == sum(
+            map(len, channels.values()))
+        assert recording_bits(split) == want
+        assert recording_bits(one) == want
+
+    @pytest.fixture(scope="class")
+    def files(self, small_pipeline, config):
+        """``{stage: (files, theirs)}``: the files a stage reads, in the
+        serial order, and the names of those the child reads."""
+        session, out = small_pipeline["session"], {}
+        for stage in ("detect", "reconstruct"):
+            channels, windows = stage_reads(
+                config, small_pipeline["events"] if stage == "reconstruct"
+                else None)
+            here, real = [], ingest.read_table
+            with pytest.MonkeyPatch.context() as spy:
+                spy.setattr(ingest, "read_table", lambda path, **kw: (
+                    here.append(Path(path).name), real(path, **kw))[1])
+                cli._load_session(config, session, channels, windows)
+            files = [file.name for spec in config.headband_sensors
+                     for file, _, _ in ingest.sensor_reads(
+                         session / ingest.session_csv(spec.id), spec,
+                         channels[spec.id])]
+            files += [path.name for path in cli._reference_blocks(config,
+                                                                  session)]
+            out[stage] = files, [f for f in files if f not in here]
+            assert out[stage][1] and len(out[stage][1]) < len(files)
+        return out
+
+    @pytest.mark.parametrize("case", ["child", "both", "killed", "no_fork",
+                                      "no_map", "missing"])
+    @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
+    def test_every_error_line_is_the_serial_loops(
+            self, small_pipeline, files, tmp_path, monkeypatch, capsys, caplog,
+            forks, stage, case):
+        """A bad cell in a file of the child's share; bad cells in both
+        shares; a child killed by SIGKILL; no ``os.fork``; ``mmap`` raising
+        ``OSError``; and a headband file missing after a bad cell."""
+        order, theirs = files[stage]
+        session = copy_session(small_pipeline, tmp_path)
+        bad = [theirs[0]]
+        if case == "both":
+            bad = [order[0], theirs[-1]] if order[0] not in theirs else [
+                theirs[0], next(f for f in order if f not in theirs)]
+        for name in bad:
+            rate = 1600.0 if name.endswith("_high.csv") else 1125.0
+            row = window_row(small_pipeline["events"], 1, rate)
+            if name.startswith("mouthpiece"):
+                row = 100
+            header = next(ln for ln in (session / name).read_text().splitlines()
+                          if not ln.startswith("#"))
+            put_nan(session / name, header.split(",")[1], row, "x")
+        first = min(bad, key=order.index)
+        if case == "missing":
+            last = order[-1] if stage == "reconstruct" else next(
+                f for f in reversed(order) if not f.startswith("mouthpiece"))
+            (session / last.replace("_high", "")).unlink()
+            assert order.index(first) < order.index(last)
+        elif case == "killed":
+            parent, real = os.getpid(), cli.read_sensor_table
+
+            def read(*args):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args)
+
+            monkeypatch.setattr(cli, "read_sensor_table", read)
+        elif case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "no_map":
+            def no_memory(*args):
+                raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+            monkeypatch.setattr(twoproc.mmap, "mmap", no_memory)
+        argv = {"detect": ["detect", "--config", str(small_pipeline["config"]),
+                           "--in", str(session), "--out"],
+                "reconstruct": ["reconstruct", "--config",
+                                str(small_pipeline["config"]), "--in",
+                                str(session), "--events",
+                                str(small_pipeline["events"]), "--out"]}[stage]
+
+        def outcome(out):
+            capsys.readouterr()
+            code = main(argv + [str(out)])
+            assert_no_child_left()
+            return code, capsys.readouterr().err.splitlines(), out.exists()
+
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_load_session", serial_load)
+            want = outcome(tmp_path / "serial")
+        n_forks = len(forks)
+        caplog.clear()
+        code, err, written = outcome(tmp_path / "split")
+        assert n_forks == 0
+        assert len(forks) == (case not in ("no_fork", "no_map"))
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "kinereco.twoproc"] == [
+            "the second process exited with code "
+            f"-{signal.SIGKILL.value}; this process runs the {len(theirs)} "
+            "jobs it did not finish"] * (case == "killed")
+        assert (code, err, written) == want
+        assert code == 1 and len(err) == 1 and not written
+        assert err[0].startswith(
+            f"kinereco: error: DataError: {session / first}: unparseable cell "
+            f"at data row ")
 
 
 def fresh_reconstruct_runs(pipeline, events, tmp_path) -> dict:
@@ -719,11 +899,12 @@ def assert_one_cfc_warning(lines):
 def test_fresh_reconstruct_prints_the_serial_runs_stderr(small_pipeline,
                                                          tmp_path):
     """A fresh ``python -m kinereco.cli reconstruct`` on the small default
-    session forks once, and prints what one process prints: the reference's
-    CFC low-rate warning once, with its source line."""
+    session forks twice, to read the files and to run the pairs, and prints
+    what one process prints: the reference's CFC low-rate warning once, with
+    its source line."""
     runs = fresh_reconstruct_runs(small_pipeline, small_pipeline["events"],
                                   tmp_path)
-    assert runs["fork"][0] == [0, 1] and runs["serial"][0] == [0, 0]
+    assert runs["fork"][0] == [0, 2] and runs["serial"][0] == [0, 0]
     assert runs["fork"][1:] == runs["serial"][1:]
     err = runs["fork"][1].splitlines()
     assert len(err) == 2
@@ -1341,8 +1522,9 @@ class TestErrorReporting:
 
     def test_write_error_only_in_the_second_process_is_repaired(
             self, tmp_path, monkeypatch, stage_argv):
-        """Every write of the child fails: it exits non-zero, and this
-        process logs one warning and writes the child's share itself."""
+        """Every write of the child fails: it records each failure and exits
+        0, and this process writes the child's share itself, with no
+        warning: the child was not killed."""
         with monkeypatch.context() as serial:
             serial.delattr(os, "fork")
             assert main(stage_argv("simulate", tmp_path / "serial")) == 0
@@ -1367,8 +1549,7 @@ class TestErrorReporting:
         assert code == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert (tmp_path / "log.txt").read_text().splitlines() == [
-            f"{parent} WARNING kinereco.twoproc"]
+        assert (tmp_path / "log.txt").read_text() == ""
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert sorted(p.name for p in (tmp_path / "session").iterdir()) == names
         for name in names:

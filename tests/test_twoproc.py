@@ -1,11 +1,16 @@
 import functools
+import logging
+import mmap
 import os
+import signal
 
+import numpy as np
 import pytest
 
+from kinereco import twoproc
 from kinereco.errors import DataError
 from kinereco.ingest import imu_csv_files
-from kinereco.twoproc import run_in_two
+from kinereco.twoproc import read_in_two, run_in_two
 
 from conftest import assert_no_child_left
 
@@ -123,3 +128,122 @@ def test_the_child_share_runs_here_when_the_child_fails(tmp_path, forks):
         "0.txt", "1.txt", "2.txt", "3.txt"]
     assert len(forks) == 1
     assert_no_child_left()
+
+
+def child_share(n: int) -> list:
+    """The jobs of ``n`` jobs of cost 1 that the child runs."""
+    seen = []
+    run_in_two([(1, functools.partial(seen.append, i)) for i in range(n)])
+    return sorted(set(range(n)) - set(seen))
+
+
+def test_a_job_raising_only_in_the_child_runs_again_here_alone(forks, caplog):
+    """The child records which of its jobs raised and runs the rest, and it
+    exits by itself: this process runs that one job again, with no
+    warning."""
+    failing = child_share(6)[1]
+    parent, seen = os.getpid(), []
+
+    def job(i):
+        if i == failing and os.getpid() != parent:
+            raise DataError("only in the child")
+        seen.append(i)
+
+    with caplog.at_level(logging.WARNING, logger="kinereco.twoproc"):
+        run_in_two([(1, functools.partial(job, i)) for i in range(6)])
+    assert sorted(seen) == sorted(set(range(6)) - set(child_share(6))
+                                  | {failing})
+    assert caplog.records == []
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_a_killed_child_is_warned_of_and_its_unfinished_jobs_run_here(
+        forks, caplog):
+    """The child is killed in its second job: the job it finished stays
+    done, and this process runs the others, with one warning."""
+    theirs = child_share(6)
+    parent, seen = os.getpid(), []
+
+    def job(i):
+        if i == theirs[1] and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        seen.append(i)
+
+    with caplog.at_level(logging.WARNING, logger="kinereco.twoproc"):
+        run_in_two([(1, functools.partial(job, i)) for i in range(6)])
+    assert sorted(seen) == sorted(set(range(6)) - {theirs[0]})
+    assert [r.getMessage() for r in caplog.records] == [
+        f"the second process exited with code -{signal.SIGKILL.value}; this "
+        f"process runs the {len(theirs) - 1} jobs it did not finish"]
+    assert_no_child_left()
+
+
+def tables(n: int) -> list:
+    """``n`` tables, every other with a row index, of NaNs with payloads,
+    infinities and negative zeros among random values."""
+    rng = np.random.default_rng(5)
+    out = []
+    for k in range(n):
+        values = rng.normal(size=(50 + k, 1 + k % 4))
+        values.flat[::7] = [np.nan, -0.0, np.inf, -np.inf][k % 4]
+        values.view(np.uint64).flat[3] = 0x7FF8DEADBEEF0001  # a NaN payload
+        index = np.arange(2, 2 + 3 * len(values), 3) if k % 2 else None
+        out.append((values, index, 1000 + k))
+    return out
+
+
+def test_read_in_two_hands_back_every_table_bit_for_bit(forks):
+    """The child's tables come back as views of their maps, with the
+    values' bits, the index and the row count the job returned."""
+    want = tables(6)
+    got = read_in_two([(8 * t[0].size, functools.partial(lambda t: t, t))
+                       for t in want])
+    assert len(forks) == 1
+    assert_no_child_left()
+    mapped = 0
+    for (values, index, n), (v, i, m) in zip(want, got):
+        assert v.tobytes() == values.tobytes() and v.shape == values.shape
+        assert (i is None) == (index is None) and m == n
+        if i is not None:
+            assert i.dtype == np.int64 and np.array_equal(i, index)
+        while isinstance(v, np.ndarray):
+            v = v.base
+        mapped += isinstance(v, memoryview) and isinstance(v.obj, mmap.mmap)
+    assert 0 < mapped < len(want)
+
+
+def test_read_in_two_returns_each_error_and_reads_an_oversize_table_here(
+        forks):
+    """A read that raises gives its exception, raised here; a table larger
+    than its map is read again here, by the same job."""
+    parent, ran_here = os.getpid(), []
+    big = np.zeros((100, 4))
+
+    def read(k):
+        if os.getpid() == parent:
+            ran_here.append(k)
+        if k == 1:
+            raise DataError(f"read {k} failed in process {os.getpid()}")
+        return big, None, 100
+
+    got = read_in_two([(1, functools.partial(read, k)) for k in range(4)])
+    assert isinstance(got[1], DataError)
+    assert str(got[1]) == f"read 1 failed in process {parent}"
+    for k in (0, 2, 3):
+        assert got[k][0].tobytes() == big.tobytes()
+    assert sorted(ran_here) == [0, 1, 2, 3]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_without_a_map_one_process_runs_every_job(forks, monkeypatch):
+    def no_memory(*args):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(twoproc.mmap, "mmap", no_memory)
+    want = tables(3)
+    got = read_in_two([(1 << 20, functools.partial(lambda t: t, t))
+                       for t in want])
+    assert all(g is w for g, w in zip(got, want))
+    assert forks == []
