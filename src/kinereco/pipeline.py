@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core, detect, evaluate, kinematics
 from .core import TimeSeries1
-from .errors import DataError
+from .errors import DataError, FormatError
 from .ingest import ImuRecording, SessionConfig
 from .kinematics import KinematicsSet, ReferenceKinematics
 
@@ -215,45 +215,83 @@ _REPORT_COLUMNS = {
 }
 
 
+#: Per event: the table, the key of its block of entries by quantity, and
+#: the formatted cells of an entry after ``pair_id, label, quantity``.
+_EVENT_TABLES = (
+    ("cora.csv", "cora", lambda score: [
+        f"{score['phase']:.6f}", f"{score['magnitude']:.6f}",
+        f"{score['shape']:.6f}", f"{score['total']:.6f}", str(score["band"])]),
+    ("peaks.csv", "peaks", lambda peak: [
+        f"{peak['headband']:.9g}", f"{peak['reference']:.9g}",
+        f"{peak['bias']:.9g}"]),
+    ("nrmse.csv", "nrmse", lambda entry: [
+        f"{entry['nrms_pct']:.6f}", f"{entry['rms_abs']:.9g}",
+        f"{entry['signed_mean_pct']:.6f}"]),
+)
+
+
 def report_tables(events, agg) -> dict[str, tuple[tuple[str, ...], list]]:
     """The column names and the columns of formatted cells of each
-    ``report`` table, by file name."""
+    ``report`` table, by file name.
+
+    A missing key, a value of the wrong type and a ``pair_id`` that is not
+    an integer are a FormatError naming the block or field being read, as
+    in ``events[2].peaks.linear_acceleration``.
+    """
     rows = {name: [] for name in _REPORT_COLUMNS}
-    for ev in events:
-        pair = [str(ev["pair_id"]), str(ev["label"])]
-        for quantity, score in sorted(ev["cora"].items()):
-            rows["cora.csv"].append(pair + [
-                quantity, f"{score['phase']:.6f}", f"{score['magnitude']:.6f}",
-                f"{score['shape']:.6f}", f"{score['total']:.6f}",
-                str(score["band"])])
-        for quantity, peak in sorted(ev["peaks"].items()):
-            rows["peaks.csv"].append(pair + [
-                quantity, f"{peak['headband']:.9g}",
-                f"{peak['reference']:.9g}", f"{peak['bias']:.9g}"])
-        for quantity, entry in sorted(ev["nrmse"].items()):
-            rows["nrmse.csv"].append(pair + [
-                quantity, f"{entry['nrms_pct']:.6f}", f"{entry['rms_abs']:.9g}",
-                f"{entry['signed_mean_pct']:.6f}"])
 
     def ba_row(scope, quantity, n, ba):
         return [scope, quantity, str(n), f"{ba['mean_bias']:.9g}",
                 f"{ba['sd_bias']:.9g}", f"{ba['loa_low']:.9g}",
                 f"{ba['loa_high']:.9g}", f"{ba['mean_normalized_bias']:.9g}"]
 
-    for quantity, ba in sorted(agg["bland_altman"].items()):
-        rows["bland_altman.csv"].append(
-            ba_row("all", quantity, len(ba["bias"]), ba))
-    for label, group in sorted(agg["by_label"].items()):
-        for quantity, entry in sorted(group.items()):
-            ba = entry.get("bland_altman")
-            if ba is not None:
-                rows["bland_altman.csv"].append(
-                    ba_row(label, quantity, entry["n"], ba))
+    where = "events"
 
-    for quantity, entry in sorted(agg["t_tests"].items()):
-        rows["ttests.csv"].append(
-            [quantity, "", "", ""] if entry is None else
-            [quantity, f"{entry['t']:.6f}", f"{entry['p']:.6g}",
-             str(entry["significant"]).lower()])
+    def entries(at, node, key):
+        """The sorted items of the block ``node[key]``, ``node`` being read
+        at ``at``."""
+        nonlocal where
+        where = at
+        block = node[key]
+        where = f"{at}.{key}"
+        return sorted(block.items())
+
+    try:
+        for i, ev in enumerate(events):
+            where = f"events[{i}]"
+            if type(ev["pair_id"]) is not int:
+                where += ".pair_id"
+                raise TypeError("a pair_id is not an integer")
+            pair = [str(ev["pair_id"]), str(ev["label"])]
+            for name, key, cells in _EVENT_TABLES:
+                for quantity, entry in entries(f"events[{i}]", ev, key):
+                    where = f"events[{i}].{key}.{quantity}"
+                    rows[name].append(pair + [quantity] + cells(entry))
+        for quantity, ba in entries("aggregate", agg, "bland_altman"):
+            where = f"aggregate.bland_altman.{quantity}"
+            rows["bland_altman.csv"].append(
+                ba_row("all", quantity, len(ba["bias"]), ba))
+        for label, group in entries("aggregate", agg, "by_label"):
+            where = f"aggregate.by_label.{label}"
+            for quantity, entry in sorted(group.items()):
+                where = f"aggregate.by_label.{label}.{quantity}"
+                ba = entry.get("bland_altman")
+                if ba is not None:
+                    n = entry["n"]
+                    where += ".bland_altman"
+                    rows["bland_altman.csv"].append(
+                        ba_row(label, quantity, n, ba))
+        for quantity, entry in entries("aggregate", agg, "t_tests"):
+            where = f"aggregate.t_tests.{quantity}"
+            rows["ttests.csv"].append(
+                [quantity, "", "", ""] if entry is None else
+                [quantity, f"{entry['t']:.6f}", f"{entry['p']:.6g}",
+                 str(entry["significant"]).lower()])
+    except KeyError as exc:
+        raise FormatError(f"not an agreement report (missing key "
+                          f"{exc.args[0]!r} in {where})") from None
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed agreement report ({type(exc).__name__}: "
+                          f"{exc}) at {where}") from None
     return {name: (names, list(zip(*rows[name])) or [()] * len(names))
             for name, names in _REPORT_COLUMNS.items()}

@@ -99,11 +99,12 @@ def command(kind, mutant, out, pipeline, profile, rng):
     }[stage]
 
 
-def test_mutated_inputs_exit_cleanly(inputs, small_pipeline, tmp_path, capsys):
+def json_cases(inputs, pipeline, tmp_path):
+    """``(case, kind, path, value, argv)`` of every JSON case, in order, each
+    mutated file written under ``tmp_path``."""
     rng = random.Random(SEED)
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(inputs["profile"]))
-    failures = []
     for case in range(CASES):
         kind = rng.choice(sorted(inputs))
         path = rng.choice(list(paths(inputs[kind])))
@@ -111,12 +112,47 @@ def test_mutated_inputs_exit_cleanly(inputs, small_pipeline, tmp_path, capsys):
         mutant = tmp_path / f"{kind}{case}.json"
         mutant.write_text(json.dumps(mutated(inputs[kind], path, value)))
         argv = [str(a) for a in command(kind, mutant, tmp_path / f"out{case}",
-                                        small_pipeline, profile, rng)]
+                                        pipeline, profile, rng)]
+        yield case, kind, path, value, argv
+
+
+def test_mutated_inputs_exit_cleanly(inputs, small_pipeline, tmp_path, capsys):
+    failures = []
+    for case, kind, path, value, argv in json_cases(inputs, small_pipeline,
+                                                    tmp_path):
         what = (f"case {case}: {kind} {list(path)} = "
                 f"{'deleted' if value is DELETE else repr(value)[:20]}, "
                 f"{argv[0]}")
         failures += run_cleanly(what, argv, capsys)
     assert not failures, "\n".join(failures)
+
+
+#: The report cases whose mutated value is a block or entry of the wrong
+#: type; each used to fail without naming the field.
+REPORT_TYPE_CASES = (4, 31, 55, 59)
+
+
+def test_report_type_errors_name_the_field(inputs, small_pipeline, tmp_path,
+                                           capsys):
+    """``events[2].peaks.linear_acceleration = inf`` is reported as
+    ``malformed agreement report (TypeError: ...) at
+    events[2].peaks.linear_acceleration``."""
+    seen = []
+    for case, kind, path, value, argv in json_cases(inputs, small_pipeline,
+                                                    tmp_path):
+        if case not in REPORT_TYPE_CASES:
+            continue
+        assert kind == "report" and value is not DELETE
+        field = "".join(f"[{key}]" if type(key) is int else f".{key}"
+                        for key in path).lstrip(".")
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"kinereco: error: FormatError: {argv[2]}: malformed agreement "
+            f"report ("), err
+        assert err[0].endswith(f") at {field}"), err
+        seen.append(case)
+    assert seen == list(REPORT_TYPE_CASES)
 
 
 def run_cleanly(what, argv, capsys) -> list[str]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco import detect, ingest
+from kinereco import detect, gformat, ingest
 from kinereco.core import TimeSeries3
 from kinereco.errors import ConfigError, DataError, FormatError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
@@ -469,7 +469,9 @@ class TestWriteRows:
                -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.0, -7.0,
                42.0, 2.0 ** 53, 123456789012345.0, 0.1, 1.0 / 3.0]
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+    # 7 columns: format_g from 293 rows on, 1170 rows to a chunk.
+    @pytest.mark.parametrize("n_rows", [0, 1, 292, 293, 1169, 1170, 1171,
+                                        2340, 2341, 4095, 4096, 4097])
     @pytest.mark.parametrize("fmt", ["%.14g", "%.12g", "%.9g"])
     def test_matches_savetxt(self, tmp_path, fmt, n_rows):
         rng = np.random.default_rng(n_rows)
@@ -493,6 +495,95 @@ class TestWriteRows:
         got = path.read_bytes()
         assert got == want_path.read_bytes()
         assert got.count(b"\n") == n_rows + 2
+
+
+def percent_cells(values, p, seps):
+    """The bytes of ``"%.<p>g" % v`` for each value, each preceded by its
+    separator byte (0: none): format_g's reference."""
+    return b"".join((bytes([sep]) if sep else b"") + (f"%.{p}g" % v).encode()
+                    for sep, v in zip(seps.tolist(), values.tolist()))
+
+
+def exact_ties(p, rng, n):
+    """Floats exactly halfway between two p-digit decimals: K + f / 2**m with
+    f odd and K of p + 1 - m digits, whose last decimal digit is a 5."""
+    out = []
+    for _ in range(n):
+        m = int(rng.integers(1, min(p, 8) + 1))
+        width = p + 1 - m
+        k = int(rng.integers(10 ** (width - 1), 10 ** width))
+        f = 2 * int(rng.integers(0, 2 ** (m - 1))) + 1
+        out.append((k * 2 ** m + f) / 2 ** m)
+    return np.array(out)
+
+
+class TestFormatG:
+    """format_g gives the bytes of Python's ``%``, which rounds correctly,
+    ties to even on the exact binary value."""
+
+    SWITCH_POINTS = [9.99995e-5, 1e-4, 99999999999999.5, 1e14, 9.5, 99.95,
+                     0.00099999999999999995, 999999999.5, 999999999999.5]
+
+    @staticmethod
+    def check(values, p):
+        values = np.asarray(values, dtype=np.float64)
+        seps = np.full(len(values), 44, np.uint8)
+        seps[::3] = 10
+        seps[:1] = 0
+        got = gformat.format_g(values, p, seps)
+        assert got == percent_cells(values, p, seps)
+
+    @pytest.mark.parametrize("p", [9, 12, 14])
+    def test_exact_ties(self, p):
+        ties = exact_ties(p, np.random.default_rng(p), 4000)
+        digits = [len(f"{t:.{p + 8}e}".split("e")[0].rstrip("0")) - 1
+                  for t in ties[:50]]
+        assert set(digits) == {p + 1}
+        self.check(np.concatenate([ties, -ties]), p)
+
+    @pytest.mark.parametrize("p", [9, 12, 14])
+    def test_switch_points_and_decade_edges(self, p):
+        edges = 10.0 ** np.arange(-30, 31)
+        values = np.concatenate([self.SWITCH_POINTS, edges])
+        values = np.concatenate([values, np.nextafter(values, 0),
+                                 np.nextafter(values, np.inf)])
+        self.check(np.concatenate([values, -values]), p)
+
+    @pytest.mark.parametrize("p", [9, 12, 14])
+    def test_zeros_subnormals_and_non_finite(self, p):
+        tiny = np.array([5e-324, 2.5e-310, 2.2250738585072014e-308,
+                         np.nextafter(2.2250738585072014e-308, 0)])
+        self.check([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, *tiny,
+                    *-tiny, 1.0, 0.0, 1.7976931348623157e308], p)
+
+    @pytest.mark.parametrize("p", [9, 12, 14])
+    def test_random_bit_patterns(self, p):
+        rng = np.random.default_rng(100 + p)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64,
+                            endpoint=False)
+        self.check(bits.view(np.float64), p)
+
+    @pytest.mark.parametrize("p", [9, 12, 14])
+    def test_an_exponent_one_off_is_mended(self, p, monkeypatch):
+        """floor(log10|x|) one off either way, which a log10 that rounds can
+        give near a power of ten, is checked against the exact product."""
+        rng = np.random.default_rng(200 + p)
+        decade = gformat._decade
+        monkeypatch.setattr(gformat, "_decade", lambda a: (
+            decade(a) + rng.integers(-1, 2, len(a))))
+        edges = 10.0 ** np.arange(-25, 20)
+        values = np.concatenate([
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-25, 20, 20000),
+            exact_ties(p, rng, 2000), edges, np.nextafter(edges, 0),
+            np.nextafter(edges, np.inf), self.SWITCH_POINTS])
+        self.check(np.concatenate([values, -values]), p)
+
+    @pytest.mark.parametrize("p", range(1, 15))
+    def test_every_precision(self, p):
+        rng = np.random.default_rng(p)
+        values = (rng.standard_normal(3000)
+                  * 10.0 ** rng.integers(-12, 16, 3000))
+        self.check(np.concatenate([values, exact_ties(p, rng, 300)]), p)
 
 
 class TestWriteTable:
