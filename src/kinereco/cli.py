@@ -96,23 +96,33 @@ def _load_session(config: SessionConfig, in_dir: Path,
                   ) -> tuple[dict[str, ImuRecording], list[ImuRecording]]:
     """The recordings of :func:`_load_headband` and the reference blocks of
     :func:`_load_reference_blocks`.  Every file the two open is read first,
-    one job per file, costed by its byte size, in two processes
-    (``read_in_two``); the recordings are then built and checked here in the
-    order of the two loops, so the first error is the one they raise."""
-    reads = [(file, rate, windows) for spec in config.headband_sensors
-             for file, _, rate in sensor_reads(in_dir / session_csv(spec.id),
-                                               spec, channels[spec.id])]
+    one ``read_sensor_table`` job per file, costed by its byte size, in two
+    processes (``read_in_two``); the recordings are then built here in the
+    order of the two loops, each table handed over as its file's read, so
+    the first error is the one they raise."""
+    reads = [(file, kinds, rate, channels[spec.id], config.column_map, windows)
+             for spec in config.headband_sensors
+             for file, kinds, rate in sensor_reads(
+                 in_dir / session_csv(spec.id), spec, channels[spec.id])]
     try:
-        reads += [(file, rate, None) for path in _reference_blocks(config, in_dir)
-                  for file, _, rate in sensor_reads(path, config.reference_sensor)]
+        reads += [(file, kinds, rate, kinds, config.column_map, None)
+                  for path in _reference_blocks(config, in_dir)
+                  for file, kinds, rate in sensor_reads(
+                      path, config.reference_sensor)]
     except OSError:
         pass  # _load_reference_blocks raises it in its turn
-    tables = dict(zip([file for file, _, _ in reads], read_in_two([
-        (_byte_size(file), functools.partial(read_sensor_table, file, rate,
-                                             config.column_map, window))
-        for file, rate, window in reads])))
-    return (_load_headband(config, in_dir, channels, windows, tables),
-            _load_reference_blocks(config, in_dir, tables))
+    tables = dict(zip([args[0] for args in reads], read_in_two([
+        (_byte_size(args[0]), functools.partial(read_sensor_table, *args))
+        for args in reads])))
+
+    def read(file, *_):
+        table = tables.pop(file)
+        if isinstance(table, Exception):
+            raise table
+        return table
+
+    return (_load_headband(config, in_dir, channels, windows, read),
+            _load_reference_blocks(config, in_dir, read))
 
 
 def _byte_size(path: Path) -> int:
@@ -124,24 +134,24 @@ def _byte_size(path: Path) -> int:
 
 def _load_headband(config: SessionConfig, in_dir: Path,
                    channels: dict[str, tuple[str, ...]], windows=None,
-                   tables=None) -> dict[str, ImuRecording]:
+                   read=None) -> dict[str, ImuRecording]:
     """Each headband sensor's ``channels``; only the files holding them are
     opened, and only the rows of ``windows`` parsed when it is given (see
-    ``parse_imu_csv``, which takes ``tables``)."""
+    ``parse_imu_csv``, which takes ``read``)."""
     recs = {}
     for spec in config.headband_sensors:
         path = in_dir / session_csv(spec.id)
         if not path.exists():
             raise FormatError(f"missing headband file {path}")
         recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
-                                      channels[spec.id], windows, tables)
+                                      channels[spec.id], windows, read)
     return recs
 
 
 def _load_reference_blocks(config: SessionConfig, in_dir: Path,
-                           tables=None) -> list[ImuRecording]:
+                           read=None) -> list[ImuRecording]:
     return [parse_reference_csv(path, config.reference_sensor,
-                                config.column_map, config.window, tables)
+                                config.column_map, config.window, read)
             for path in _reference_blocks(config, in_dir)]
 
 

@@ -697,13 +697,14 @@ def read_table(path, numeric: bool = True, pick=None):
 
     ``pick``, for a numeric table, picks the data rows to parse: a function
     of the header and the first data row (a float array) that returns
-    ``(lo, hi)`` ranges of data rows (``hi`` excluded), or None for every
-    row.  The table's rows are then a :class:`TableRows` of row 0 and the
-    rows of the ranges; the other rows are counted but never parsed.  That
-    needs one data row per line after the header: a ``#`` or blank line, a
-    ``\\r``, a non-ASCII byte or a last line without ``\\n`` anywhere in the
-    file, or a range row that does not parse to a cell per header name,
-    makes every row parse, so that any error is the full parse's.
+    ``(lo, hi)`` ranges of data rows (``hi`` excluded), or None when it
+    cannot.  The table's rows are then a :class:`TableRows` of row 0 and
+    the rows of the ranges; the other rows are counted but never parsed.
+    That needs one data row per line after the header.  Where ``pick``
+    returns None, or where a ``#`` or blank line, a ``\\r``, a non-ASCII byte
+    or a last line without ``\\n`` lies anywhere in the file, or a row does
+    not parse to a cell per header name, ``read_table`` returns None: only
+    the parse of every row names what is wrong.
 
     Raises
     ------
@@ -720,11 +721,10 @@ def read_table(path, numeric: bool = True, pick=None):
             cells = [ln.split(",") for ln in map(str.strip, fh)
                      if ln and not ln.startswith("#")]
             return meta, header, cells
+        if pick is not None:
+            table = _read_rows(path, lines, header, pick)
+            return None if table is None else (meta, header, table)
         try:
-            if pick is not None:
-                table = _read_rows(path, lines, header, pick)
-                if table is not None:
-                    return meta, header, table
             with warnings.catch_warnings():
                 # An empty table is reported below as a DataError.
                 warnings.simplefilter("ignore", UserWarning)
@@ -741,8 +741,6 @@ def read_table(path, numeric: bool = True, pick=None):
         raise FormatError(
             f"{path}: {data.shape[1]} data columns vs {len(header)} header names"
         )
-    if pick is not None:
-        return meta, header, TableRows(data, None, len(data))
     return meta, header, data
 
 
@@ -1022,7 +1020,7 @@ def reference_block(spec: SensorSpec, name: str) -> tuple[int, str] | None:
 
 
 def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
-                  channels=None, windows=None, tables=None) -> ImuRecording:
+                  channels=None, windows=None, read=None) -> ImuRecording:
     """Parse one sensor's CSV export into SI channels.
 
     The main file carries the gyro (deg/s) plus the accelerometer triples
@@ -1038,13 +1036,12 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     ``(t0, pre, post)`` windows on the sensor's clock: then only the rows
     ``detect.extract_window`` cuts for each window (by
     :func:`~kinereco.core.window_span`) are parsed and validated (see
-    :func:`read_table`).  Each channel keeps a sample per data row, on the
-    clock of the whole file; the samples of the rows not parsed are zeros.
+    :func:`read_sensor_table`).  Each channel keeps a sample per data row,
+    on the clock of the whole file; the samples of the rows not parsed are
+    zeros.
 
-    ``tables`` maps a file already read to what :func:`read_sensor_table`
-    returned for it with these ``column_map`` and ``windows``, or to the
-    exception it raised; the entry is taken out as the file's channels are
-    built, and a file without one is read here.
+    ``read`` gets each file's table, called with the arguments of
+    :func:`read_sensor_table` (the default) and returning what it returns.
 
     Raises
     ------
@@ -1065,8 +1062,14 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
                           f"are not declared (declared: {', '.join(declared)})")
     series = {}
     for file, kinds, rate in sensor_reads(path, spec, channels):
-        series.update(_parse_file(file, kinds, wanted, rate, column_map,
-                                  windows, (tables or {}).pop(file, None)))
+        values, rows, n = (read or read_sensor_table)(
+            file, kinds, rate, wanted, column_map, windows)
+        for j, kind in enumerate(k for k in kinds if k in wanted):
+            samples = values[:, 1 + 3 * j:4 + 3 * j]
+            if rows is not None:
+                samples, parsed = np.zeros((n, 3)), samples
+                samples[rows] = parsed
+            series[kind] = TimeSeries3(float(values[0, 0]), rate, samples)
     rec = ImuRecording(spec.id, *map(series.get, CHANNEL_KINDS))
     _check_overlap(rec, path)
     return rec
@@ -1083,12 +1086,21 @@ def sensor_reads(path, spec: SensorSpec, channels=None) -> list:
             if not wanted.isdisjoint(kinds)]
 
 
-def read_sensor_table(path, rate: float, column_map: dict | None = None,
+def read_sensor_table(path, kinds, rate: float, wanted,
+                      column_map: dict | None = None,
                       windows=None) -> TableRows:
-    """The rows of the sensor file at ``path``, whose time column runs at
-    ``rate``, that :func:`parse_imu_csv` builds channels from: with
-    ``windows``, the rows of the windows (``read_table``'s ``pick``), unless
-    that read fails, and then every row."""
+    """The table :func:`parse_imu_csv` builds channels from, of the sensor
+    file at ``path`` that holds the channel ``kinds`` on its time column at
+    ``rate``: the file's time column, then the SI samples of each kind of
+    ``kinds`` in ``wanted``, in that order.
+
+    The cells of every kind the file holds are checked: the time column by
+    :func:`table_clock`, each triple by :func:`finite_block`.  With
+    ``windows``, only the rows of the windows are parsed and checked
+    (``read_table``'s ``pick``); where those rows cannot be read alone or
+    fail a check, the whole file is parsed and checked, so that any error
+    is the full parse's.
+    """
 
     def window_rows(header, first):
         try:
@@ -1099,61 +1111,31 @@ def read_sensor_table(path, rate: float, column_map: dict | None = None,
         except (FormatError, OverflowError, ValueError):
             return None  # a missing time column or a time that is not finite
 
+    kept = [k for k in kinds if k in wanted]
+
+    def checked(header, data, rows, n) -> TableRows:
+        t, = _column_indices(header, ("time_s",), path, column_map)
+        cols = [_column_indices(header, _CHANNEL_COLUMNS[k], path, column_map)
+                for k in kinds]
+        table_clock(data[:, t], path, header[t], rate, rows)
+        values = np.empty((len(data), 1 + 3 * len(kept)))
+        values[:, 0] = data[:, t]
+        for kind, idx in zip(kinds, cols):
+            block = finite_block(data, rows, idx, path)
+            if kind in kept:
+                j = 1 + 3 * kept.index(kind)
+                values[:, j:j + 3] = block * _UNITS[kind]
+        return TableRows(values, rows, n)
+
     if windows is not None:
         try:
-            return read_table(path, pick=window_rows)[2]
+            table = read_table(path, pick=window_rows)
+            if table is not None:
+                return checked(table[1], *table[2])
         except (DataError, FormatError):
             pass  # the whole file below reports the error
-    data = read_table(path)[2]
-    return TableRows(data, None, len(data))
-
-
-def _parse_file(path, kinds, wanted, rate, column_map, windows=None,
-                table=None) -> dict[str, TimeSeries3]:
-    """The channels of ``wanted`` among the ``kinds`` the sensor file at
-    ``path`` holds, on its time column at ``rate``; the cells of every kind
-    are checked.  ``table`` is the file's :func:`read_sensor_table` (as a
-    plain tuple too), or the error that raised, or None to read it here.
-    Rows read for ``windows`` that fail a check are read again whole, so
-    that the error is the full parse's.  The table is freed on return,
-    before the next file of the sensor is read."""
-    if isinstance(table, Exception):
-        raise table
-    table = TableRows(*(table or read_sensor_table(path, rate, column_map,
-                                                   windows)))
-    with _text(path) as fh:
-        header = _header(fh, path)[1]
-    if table.index is not None:
-        try:
-            return _file_channels(table, header, path, kinds, wanted, rate,
-                                  column_map)
-        except (DataError, FormatError):
-            table = read_sensor_table(path, rate, column_map)
-    return _file_channels(table, header, path, kinds, wanted, rate,
-                          column_map)
-
-
-def _file_channels(table: TableRows, header, path, kinds, wanted, rate,
-                   column_map) -> dict[str, TimeSeries3]:
-    """The channels of :func:`_parse_file` from ``table``; a channel is
-    zero on the rows not parsed."""
-    data, rows, n = table
-    t_idx, = _column_indices(header, ("time_s",), path, column_map)
-    cols = [_column_indices(header, _CHANNEL_COLUMNS[k], path, column_map)
-            for k in kinds]
-    t0, _ = table_clock(data[:, t_idx], path, header[t_idx], rate, rows)
-    series = {}
-    for kind, idx in zip(kinds, cols):
-        block = finite_block(data, rows, idx, path)
-        if kind not in wanted:
-            continue
-        if rows is None:
-            samples = block * _UNITS[kind]
-        else:
-            samples = np.zeros((n, 3))
-            samples[rows] = block * _UNITS[kind]
-        series[kind] = TimeSeries3(t0, rate, samples)
-    return series
+    _, header, data = read_table(path)
+    return checked(header, data, None, len(data))
 
 
 def _check_overlap(rec: ImuRecording, path):
@@ -1170,17 +1152,17 @@ def _check_overlap(rec: ImuRecording, path):
 
 def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
                         window: WindowConfig = WindowConfig(),
-                        tables=None) -> ImuRecording:
+                        read=None) -> ImuRecording:
     """Parse one reference-device event block.
 
     Same contract as :func:`parse_imu_csv`, every channel read whole (the
-    same ``tables`` too), plus the block-geometry check:
+    same ``read`` too), plus the block-geometry check:
     the gyro must span the block ``simulate`` cuts by ``window`` within one
     sample period: ``pre`` before the trigger and ``reference_post`` after
     it, cut by :func:`~kinereco.core.window_span` as
     ``detect.extract_window`` cuts them.
     """
-    rec = parse_imu_csv(path, spec, column_map, tables=tables)
+    rec = parse_imu_csv(path, spec, column_map, read=read)
     rate = rec.gyro.sample_rate
     span = (len(rec.gyro) - 1) / rate
     i_first, i_last = window_span(0.0, rate, 0.0, window.pre,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import TimeSeries3, magnitude
 from .detect import detect_impacts, extract_window as _extract_window
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, WindowError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, Block, Count, ImuRecording,
                      ListOf, MapOf, Number, SensorSpec, SessionConfig, Text,
                      Vector, block_field, check_fields, check_keys,
@@ -535,12 +535,20 @@ def _reference_blocks(profile: SessionProfile, config: SessionConfig,
     # Dead time: the longer (headband) processing window, so post-impact
     # ringing cannot re-trigger a second block inside one event.
     dead_time = config.window.pre + config.window.headband_post
+    pre, post = config.window.pre, config.window.reference_post
     blocks = []
     for t0 in detect_impacts(trig, config.trigger.threshold,
                              config.trigger.min_duration,
                              min_separation=dead_time):
-        rel = _extract_window(ref_rec, t0, config.window.pre,
-                              config.window.reference_post)
+        try:
+            rel = _extract_window(ref_rec, t0, pre, post)
+        except WindowError:
+            gyro = ref_rec.gyro
+            raise DataError(
+                f"reference sensor {ref_rec.sensor_id!r}: the block of its "
+                f"trigger at {t0:.4f} s spans [{t0 - pre:.4f}, "
+                f"{t0 + post:.4f}] s, outside its recording "
+                f"[{gyro.start_time:.4f}, {gyro.end_time:.4f}] s") from None
         blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
     return tuple(blocks)
 

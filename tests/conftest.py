@@ -4,16 +4,20 @@
 # session, it simulates each sensor in the process that writes it).
 import kinereco  # noqa: F401  (isort: skip)
 
+import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kinereco import cli
 from kinereco.cli import main
-from kinereco.ingest import imu_csv_files, write_imu_csv
-from kinereco.synth import (SessionProfile, example_session_config,
-                            simulate_session, standard_session_profile,
-                            write_simulated_session)
+from kinereco.ingest import imu_csv_files, load_session_config, write_imu_csv
+from kinereco.synth import (SessionProfile, config_to_json_dict, dump_profile,
+                            example_session_config, simulate_session,
+                            standard_session_profile, write_simulated_session)
 
 
 def rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -99,3 +103,26 @@ def skewed_session(config):
     profile = standard_session_profile(seed=21, with_noise=False,
                                        reference_clock_offset_s=0.020)
     return simulate_session(profile, config, seed=9)
+
+
+@pytest.fixture(scope="session", params=["sparse6", "field18"])
+def bench(request, tmp_path_factory):
+    """perfbench's sparse6 or field18 session at seed 7, detected:
+    ``(config, session directory, events file)``."""
+    root = tmp_path_factory.mktemp(request.param)
+    profile, config = root / "profile.json", root / "config.json"
+    if request.param == "field18":
+        bundled = Path(cli.__file__).parent / "profiles"
+        shutil.copyfile(bundled / "field_session_18.json", profile)
+        shutil.copyfile(bundled / "field_config.json", config)
+    else:
+        dump_profile(standard_session_profile(7, n_per_tier=2, spacing_s=6.0),
+                     profile)
+        config.write_text(json.dumps(config_to_json_dict(
+            example_session_config())))
+    session, events = root / "session", root / "events.csv"
+    assert main(["simulate", "--profile", str(profile), "--config",
+                 str(config), "--out", str(session), "--seed", "7"]) == 0
+    assert main(["detect", "--config", str(config), "--in", str(session),
+                 "--out", str(events)]) == 0
+    return load_session_config(config), session, events

@@ -19,7 +19,7 @@ from kinereco.core import TimeSeries3
 from kinereco.errors import WindowError
 from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
-                            example_session_config, standard_session_profile)
+                            standard_session_profile)
 from kinereco.wavelet import cwt
 
 from conftest import assert_no_child_left
@@ -711,27 +711,6 @@ class TestSessionReadInTwoProcesses:
     the recordings are the serial loops' bit for bit, and so is every error
     line."""
 
-    @pytest.fixture(scope="class", params=["sparse6", "field18"])
-    def bench(self, request, tmp_path_factory):
-        """perfbench's sparse6 or field18 session at seed 7, detected."""
-        root = tmp_path_factory.mktemp(request.param)
-        profile, config = root / "profile.json", root / "config.json"
-        if request.param == "field18":
-            bundled = Path(cli.__file__).parent / "profiles"
-            shutil.copyfile(bundled / "field_session_18.json", profile)
-            shutil.copyfile(bundled / "field_config.json", config)
-        else:
-            dump_profile(standard_session_profile(7, n_per_tier=2,
-                                                  spacing_s=6.0), profile)
-            config.write_text(json.dumps(config_to_json_dict(
-                example_session_config())))
-        session, events = root / "session", root / "events.csv"
-        assert main(["simulate", "--profile", str(profile), "--config",
-                     str(config), "--out", str(session), "--seed", "7"]) == 0
-        assert main(["detect", "--config", str(config), "--in", str(session),
-                     "--out", str(events)]) == 0
-        return ingest.load_session_config(config), session, events
-
     @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
     def test_the_recordings_are_the_serial_loops_bit_for_bit(
             self, bench, stage, monkeypatch, forks):
@@ -774,13 +753,14 @@ class TestSessionReadInTwoProcesses:
             assert out[stage][1] and len(out[stage][1]) < len(files)
         return out
 
-    @pytest.mark.parametrize("case", ["child", "both", "killed", "no_fork",
-                                      "no_map", "missing"])
+    @pytest.mark.parametrize("case", ["child", "nan", "both", "killed",
+                                      "no_fork", "no_map", "missing"])
     @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
     def test_every_error_line_is_the_serial_loops(
             self, small_pipeline, files, tmp_path, monkeypatch, capsys, caplog,
             forks, stage, case):
-        """A bad cell in a file of the child's share; bad cells in both
+        """A bad cell in a file of the child's share; a NaN cell there, which
+        parses but fails the check the child runs; bad cells in both
         shares; a child killed by SIGKILL; no ``os.fork``; ``mmap`` raising
         ``OSError``; and a headband file missing after a bad cell."""
         order, theirs = files[stage]
@@ -796,7 +776,8 @@ class TestSessionReadInTwoProcesses:
                 row = 100
             header = next(ln for ln in (session / name).read_text().splitlines()
                           if not ln.startswith("#"))
-            put_nan(session / name, header.split(",")[1], row, "x")
+            put_nan(session / name, header.split(",")[1], row,
+                    "nan" if case == "nan" else "x")
         first = min(bad, key=order.index)
         if case == "missing":
             last = order[-1] if stage == "reconstruct" else next(
@@ -848,8 +829,9 @@ class TestSessionReadInTwoProcesses:
         assert (code, err, written) == want
         assert code == 1 and len(err) == 1 and not written
         assert err[0].startswith(
-            f"kinereco: error: DataError: {session / first}: unparseable cell "
-            f"at data row ")
+            f"kinereco: error: DataError: {session / first}: " + (
+                "NaN cell" if case == "nan" else "unparseable cell")
+            + " at data row ")
 
 
 def fresh_reconstruct_runs(pipeline, events, tmp_path) -> dict:

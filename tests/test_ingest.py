@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco import detect, gformat, ingest
-from kinereco.core import TimeSeries3
+from kinereco import cli, detect, gformat, ingest, pipeline
+from kinereco.core import TimeSeries3, window_span
 from kinereco.errors import ConfigError, DataError, FormatError, KinerecoError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, ImuRecording, SensorSpec,
                              load_session_config, parse_imu_csv,
@@ -853,10 +853,129 @@ def edit_row(path, row, column, cell):
     path.write_text("".join(lines))
 
 
+# The sensor-file read before ``read_sensor_table`` checked its own rows,
+# kept as the oracle: ``read_sensor_table``, ``_parse_file`` and
+# ``_file_channels`` as they were, where ``read_table(pick=)`` parsed every
+# row in the cases it now returns None for.
+
+
+def old_read_table_rows(path, pick):
+    got = ingest.read_table(path, pick=pick)
+    if got is not None:
+        return got[2]
+    data = ingest.read_table(path)[2]
+    return ingest.TableRows(data, None, len(data))
+
+
+def old_read_sensor_table(path, rate, column_map=None, windows=None):
+    def window_rows(header, first):
+        try:
+            start = first[ingest._column_indices(header, ("time_s",), path,
+                                                 column_map)[0]]
+            return [(i_first, i_last + 1) for i_first, i_last in (
+                window_span(start, rate, *window) for window in windows)]
+        except (FormatError, OverflowError, ValueError):
+            return None
+
+    if windows is not None:
+        try:
+            return old_read_table_rows(path, window_rows)
+        except (DataError, FormatError):
+            pass
+    data = ingest.read_table(path)[2]
+    return ingest.TableRows(data, None, len(data))
+
+
+def old_parse_file(path, kinds, wanted, rate, column_map, windows=None):
+    table = old_read_sensor_table(path, rate, column_map, windows)
+    with ingest._text(path) as fh:
+        header = ingest._header(fh, path)[1]
+    if table.index is not None:
+        try:
+            return old_file_channels(table, header, path, kinds, wanted, rate,
+                                     column_map)
+        except (DataError, FormatError):
+            table = old_read_sensor_table(path, rate, column_map)
+    return old_file_channels(table, header, path, kinds, wanted, rate,
+                             column_map)
+
+
+def old_file_channels(table, header, path, kinds, wanted, rate, column_map):
+    data, rows, n = table
+    t_idx, = ingest._column_indices(header, ("time_s",), path, column_map)
+    cols = [ingest._column_indices(header, ingest._CHANNEL_COLUMNS[k], path,
+                                   column_map) for k in kinds]
+    t0, _ = ingest.table_clock(data[:, t_idx], path, header[t_idx], rate, rows)
+    series = {}
+    for kind, idx in zip(kinds, cols):
+        block = ingest.finite_block(data, rows, idx, path)
+        if kind not in wanted:
+            continue
+        if rows is None:
+            samples = block * ingest._UNITS[kind]
+        else:
+            samples = np.zeros((n, 3))
+            samples[rows] = block * ingest._UNITS[kind]
+        series[kind] = TimeSeries3(t0, rate, samples)
+    return series
+
+
+def old_parse_imu_csv(path, spec, column_map=None, channels=None,
+                      windows=None):
+    """``parse_imu_csv`` through the old read, for declared ``channels``."""
+    wanted = {c.kind for c in spec.channels} if channels is None \
+        else set(channels)
+    series = {}
+    for file, kinds, rate in ingest.sensor_reads(path, spec, channels):
+        series.update(old_parse_file(file, kinds, wanted, rate, column_map,
+                                     windows))
+    rec = ImuRecording(spec.id, *map(series.get, ingest.CHANNEL_KINDS))
+    ingest._check_overlap(rec, path)
+    return rec
+
+
+def recording_bits(rec) -> list:
+    """The clock, shape and sample bytes of each channel of ``rec``."""
+    return [(kind, ts.start_time, ts.sample_rate, ts.samples.shape,
+             ts.samples.tobytes()) for kind in ingest.CHANNEL_KINDS
+            if (ts := rec.channel(kind)) is not None]
+
+
+def test_every_bench_file_reads_as_the_old_path(bench):
+    """Each sensor file of the field18 and sparse6 sessions, headband and
+    reference blocks, read whole and for reconstruct's windows, with every
+    channel, and as detect and reconstruct read it: the recordings are the
+    old path's bit for bit."""
+    config, session, events = bench
+    windows = pipeline.reconstruct_windows(config, cli._read_events_csv(events))
+    ref = config.reference_sensor
+    files = [(session / ingest.session_csv(spec.id), spec)
+             for spec in config.headband_sensors]
+    files += [(session / name, ref) for name in sorted(
+        p.name for p in session.iterdir()) if (block := ingest.reference_block(
+            ref, name)) and block[1] == name]
+    assert len(files) > len(config.headband_sensors)
+    detect = pipeline.detect_channels(config)
+    reconstruct = pipeline.reconstruct_channels(config, "both")
+    for path, spec in files:
+        own = spec.role == "headband"
+        for channels, window in ((None, None), (None, windows),
+                                 (own and detect[spec.id] or None, None),
+                                 (own and reconstruct[spec.id] or None,
+                                  windows)):
+            got = parse_imu_csv(path, spec, config.column_map, channels,
+                                window)
+            want = old_parse_imu_csv(path, spec, config.column_map, channels,
+                                     window)
+            assert recording_bits(got) == recording_bits(want), (
+                path.name, channels, window is None)
+
+
 class TestWindowedRead:
     """``parse_imu_csv(..., windows=...)`` against the full parse: the same
     clock and length for each channel, bit-identical excerpts of every
-    window, and the same error text for a bad cell inside a window."""
+    window, and the same error text for a bad cell inside a window; and
+    against the old path, the same recording or error text."""
 
     RATE, HIGH, START, N, M = 1125.0, 1600.0, 3.25, 3000, 4300
     #: ``(t0, pre, post)`` of reconstruct's padded window.
@@ -908,6 +1027,8 @@ class TestWindowedRead:
     def assert_same(self, path, triggers):
         full = parse_imu_csv(path, self.spec)
         part = parse_imu_csv(path, self.spec, windows=self.windows(triggers))
+        assert recording_bits(part) == recording_bits(old_parse_imu_csv(
+            path, self.spec, windows=self.windows(triggers)))
         for kind in ingest.CHANNEL_KINDS:
             a, b = full.channel(kind), part.channel(kind)
             assert (b.start_time, b.sample_rate, len(b)) == (
@@ -943,22 +1064,31 @@ class TestWindowedRead:
         ("time_s", "off_grid"), ("time_s", "repeat"), ("hy", "nan"),
         ("hx", "abc"), ("hz", None),
     ])
-    @pytest.mark.parametrize("where", ["window", "first_row"])
+    @pytest.mark.parametrize("where", ["window", "first_row",
+                                       "window_and_row_100"])
     def test_bad_cell_gives_the_full_parse_error(self, path, column, cell,
                                                  where):
+        """A bad cell in the window or in row 0; or in the window of a file
+        whose row 100, outside every window, holds ``abc``: the windowed
+        read names row 100, as the full parse does."""
         trigger = self.START + 1.0
         file = path.with_name("imu1_high.csv") if column[0] == "h" else path
         rate = self.HIGH if column[0] == "h" else self.RATE
-        row = int((trigger - self.START) * rate) if where == "window" else 0
+        row = 0 if where == "first_row" else int((trigger - self.START) * rate)
         if cell in ("off_grid", "repeat"):
             step = 0.4 if cell == "off_grid" else -1.0
             cell = "%.14g" % (self.START + (row + step) / rate)
         edit_row(file, row, column, cell)
+        if where == "window_and_row_100":
+            edit_row(file, 100, "hx" if column[0] == "h" else "gx", "abc")
         want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
         got = outcome(lambda p: parse_imu_csv(
             p, self.spec, windows=self.windows([trigger])), path)
         assert want[0] in (DataError, FormatError)
-        assert got == want
+        assert got == want == outcome(lambda p: old_parse_imu_csv(
+            p, self.spec, windows=self.windows([trigger])), path)
+        if where == "window_and_row_100":
+            assert "at data row 100," in got[1]
 
     def test_first_time_off_the_grid_names_row_0(self, path):
         """Both the window's own check and the full parse name data row 0,
@@ -977,9 +1107,10 @@ class TestWindowedRead:
             ingest.table_clock(table.values[:, 0], path, "time_s", self.RATE,
                                table.index)
         for windows in (None, windows):
-            with pytest.raises(DataError) as full:
-                parse_imu_csv(path, self.spec, windows=windows)
-            assert str(full.value) == str(window.value) == want
+            for parse in (parse_imu_csv, old_parse_imu_csv):
+                with pytest.raises(DataError) as full:
+                    parse(path, self.spec, windows=windows)
+                assert str(full.value) == str(window.value) == want
 
     def test_bad_cell_outside_every_window_is_not_read(self, path):
         edit_row(path, 100, "gy", "abc")
@@ -988,6 +1119,8 @@ class TestWindowedRead:
         part = parse_imu_csv(path, self.spec,
                              windows=self.windows([self.START + 1.0]))
         assert not part.gyro.samples[100].any()
+        assert recording_bits(part) == recording_bits(old_parse_imu_csv(
+            path, self.spec, windows=self.windows([self.START + 1.0])))
 
     @pytest.mark.parametrize("edit", [
         lambda b: with_line(b, b"# note\n"),
@@ -1006,9 +1139,12 @@ class TestWindowedRead:
         want = outcome(lambda p: parse_imu_csv(p, self.spec), path)
         got = outcome(lambda p: parse_imu_csv(
             p, self.spec, windows=self.windows(triggers)), path)
+        old = outcome(lambda p: old_parse_imu_csv(
+            p, self.spec, windows=self.windows(triggers)), path)
         if want[0] != "ok":
-            assert got == want
+            assert got == want == old
             return
+        assert recording_bits(got[1]) == recording_bits(old[1])
         for kind in ingest.CHANNEL_KINDS:
             a, b = want[1].channel(kind), got[1].channel(kind)
             assert (b.start_time, b.sample_rate) == (a.start_time,
@@ -1028,8 +1164,15 @@ def pick_all(header, first):
 
 
 class TestReadTableRows:
-    """``read_table(pick=...)`` returns the full parse's rows, and errors,
-    for every table whose body it reads."""
+    """``read_table(pick=...)`` returns the full parse's rows, and the
+    errors it finds before the body, or None where the body is not one
+    parsed row per line: then only the full parse names what is wrong."""
+
+    #: The edge tables whose bodies are not one parsed row per line.
+    DECLINED = {"bad_cell", "bad_cell_before_short_row", "blank_lines",
+                "column_count", "comments_after_header", "crlf",
+                "empty_cell_after_comments", "header_only",
+                "header_only_with_comments", "long_row", "short_row"}
 
     @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
     def test_edge_tables(self, tmp_path, name):
@@ -1037,6 +1180,9 @@ class TestReadTableRows:
         path.write_bytes(EDGE_TABLES[name])
         want = outcome(ingest.read_table, path)
         got = outcome(lambda p: ingest.read_table(p, pick=pick_all), path)
+        if name in self.DECLINED:
+            assert got == ("ok", None)
+            return
         if want[0] != "ok":
             assert got == want
             return
@@ -1064,25 +1210,21 @@ class TestReadTableRows:
     ], ids=["blank_line", "comment_line", "cr", "no_final_newline"])
     def test_doubt_at_every_chunk_boundary(self, tmp_path, monkeypatch, edit):
         """Wherever the line scan's chunks split the file, a body that is
-        not one data row per line parses every row."""
+        not one data row per line is declined, and a clean one is not."""
         path = tmp_path / "table.csv"
-        path.write_bytes(edit(b"t,x\n" + b"".join(
-            b"%d,%d\n" % (i, 10 * i) for i in range(10))))
-        _, _, data = ingest.read_table(path)
-        for size in range(1, len(path.read_bytes()) + 1):
-            monkeypatch.setattr(ingest, "_SCAN_BYTES", size)
-            _, _, (values, index, n) = ingest.read_table(
-                path, pick=lambda h, f: [(6, 8)])
-            assert (index, n) == (None, 10), size
-            assert values.tobytes() == data.tobytes()
+        clean = b"t,x\n" + b"".join(b"%d,%d\n" % (i, 10 * i)
+                                    for i in range(10))
+        for body, declined in ((edit(clean), True), (clean, False)):
+            path.write_bytes(body)
+            for size in range(1, len(body) + 1):
+                monkeypatch.setattr(ingest, "_SCAN_BYTES", size)
+                got = ingest.read_table(path, pick=lambda h, f: [(6, 8)])
+                assert (got is None) == declined, size
 
-    def test_no_ranges_falls_back_to_every_row(self, tmp_path):
+    def test_no_ranges_reads_no_rows(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_bytes(b"t,x\n0,1\n1,2\n2,3\n")
-        _, _, (values, index, n) = ingest.read_table(
-            path, pick=lambda h, f: None)
-        assert (index, n) == (None, 3)
-        assert values.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert ingest.read_table(path, pick=lambda h, f: None) is None
 
 
 class TestTableClockRows:

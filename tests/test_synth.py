@@ -556,6 +556,34 @@ class TestSimulateInTwoProcesses:
             assert got[0] is None and "truth.json" in got[1]
 
 
+def test_a_reference_block_outside_its_recording_is_one_data_error(
+        tmp_path, config, capsys, clean_profile_small):
+    """Motion amplitudes 1e6 times the clean profile's make the reference
+    trigger fire at its first sample: simulate exits with one DataError
+    naming the sensor, the trigger and the block, after writing the
+    headband files."""
+    motion = clean_profile_small.motion
+    loud = replace(clean_profile_small, motion=replace(motion, **{
+        key: tuple(tuple(replace(c, amplitude=c.amplitude * 1e6) for c in axis)
+                   for axis in getattr(motion, key))
+        for key in ("omega_components", "q_components")}))
+    profile_path = dump_profile(loud, tmp_path / "profile.json")
+    config_path = tmp_path / "config.json"
+    write_json(config_path, synth.config_to_json_dict(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--profile", str(profile_path), "--config",
+                 str(config_path), "--out", str(out), "--seed", "7"]) == 1
+    assert capsys.readouterr().err == (
+        "kinereco: error: DataError: reference sensor 'mouthpiece': the block "
+        "of its trigger at 0.0000 s spans [-0.0312, 0.0938] s, outside its "
+        f"recording [0.0000, {loud.duration_s:.4f}] s\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        file.name for spec in config.headband_sensors
+        for file, _, _ in ingest.sensor_reads(out / ingest.session_csv(spec.id),
+                                              spec))
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="no /proc/self/task to count threads in")
 @pytest.mark.parametrize("first", ["kinereco", "numpy"])
