@@ -415,8 +415,9 @@ def _cmd_reconstruct(args) -> int:
     output_dir(out)
     # Every pair runs, and the error of the earliest that failed is raised.
     # Pairs run before the fork until one has returned: Python shows a
-    # warning once per process, and the scipy modules a pair imports load
-    # once, so the child inherits both.
+    # warning once per process, and the scipy modules a pair imports and
+    # the scalogram filter banks it builds load once, so the child inherits
+    # them.
     run_in_two([(_pair_cost(hb_recs, window),
                  functools.partial(_reconstruct_and_write, config, hb_recs,
                                    ref_blocks, row, args, manifest, out))

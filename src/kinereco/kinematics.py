@@ -30,8 +30,8 @@ import numpy as np
 from .core import TimeSeries1, TimeSeries3, rotate_series, same_clock, sample_on_grid
 from .errors import ConfigError, DataError, DegenerateSignalError, WindowError
 from .ingest import ImuRecording, SessionConfig
-from .wavelet import CutoffResult, butterworth_lowpass, cfc_filter, cwt, \
-    normalized_slices, select_cutoff
+from .wavelet import CutoffResult, butterworth_lowpass, cfc_filter, \
+    columns_decide, cwt, normalized_slices, select_cutoff, slice_index
 
 __all__ = [
     "KinematicsSet",
@@ -105,6 +105,12 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
     component cutoffs, never above ``cap_hz``) is then applied to all three
     axes with the zero-phase 4th-order Butterworth.
 
+    The slices come from the two scalogram columns alone.  Where a slice
+    value lies too close to ``coeff_threshold`` for the columns to decide
+    (:func:`~kinereco.wavelet.columns_decide`), or their start slice is all
+    zero, the component's full scalogram decides, so the cutoff is always
+    the full scalogram's.
+
     Raises
     ------
     WindowError
@@ -122,11 +128,12 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
         comp = omega_h.component(axis)
         if not comp.values.any():
             continue
-        sc = cwt(comp)
-        try:
-            slices = normalized_slices(sc, 0.0, end_time)
-        except DegenerateSignalError:
-            continue
+        slices = _column_slices(comp, end_time, coeff_threshold)
+        if slices is None:
+            try:
+                slices = normalized_slices(cwt(comp), 0.0, end_time)
+            except DegenerateSignalError:
+                continue
         result = select_cutoff(slices, threshold=coeff_threshold, cap=cap_hz)
         if best is None or result.f0 > best.f0:
             best = result
@@ -134,6 +141,23 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
         raise DegenerateSignalError("angular velocity is identically zero")
     filtered = butterworth_lowpass(omega_h, best.f0)
     return filtered, best
+
+
+def _column_slices(comp: TimeSeries1, end_time: float, threshold: float):
+    """The normalized slices of ``comp`` at 0 and ``end_time`` from those two
+    scalogram columns, or None where the full scalogram must decide: a time
+    outside the series (the full path raises), an all-zero start slice, or a
+    value too close to ``threshold``."""
+    times = comp.times
+    columns = (slice_index(times, 0.0), slice_index(times, end_time))
+    if None in columns:
+        return None
+    sc = cwt(comp, columns=columns)
+    try:
+        slices = normalized_slices(sc, sc.times[0], sc.times[1])
+    except DegenerateSignalError:
+        return None
+    return slices if columns_decide(comp, sc, slices, threshold) else None
 
 
 def five_point_derivative(x: TimeSeries3 | TimeSeries1):

@@ -13,10 +13,18 @@ configurable where it matters): analytic Morlet wavelet with center frequency
 ``MORLET_OMEGA0 = 6`` rad/s, 12 voices per octave from 2 Hz to Nyquist/2.001,
 symmetric boundary padding, zero-phase (forward-backward) filtering so the
 filter adds no group delay to the curves being compared.
+
+The cutoff reads two time slices, so it needs two columns of the scalogram,
+not the grid: ``cwt(x, columns=...)`` computes each as one inverse-DFT row.
+Those columns match the full transform only to within rounding, so a
+decision whose slice value lies within ``CUTOFF_SCREEN_TOL`` of the threshold
+is taken again on the full grid (:func:`columns_decide`); the cutoff is then
+the full transform's by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +39,8 @@ __all__ = [
     "CutoffResult",
     "cwt",
     "normalized_slices",
+    "slice_index",
+    "columns_decide",
     "select_cutoff",
     "resolve_cutoff",
     "butterworth_lowpass",
@@ -39,6 +49,7 @@ __all__ = [
     "VOICES_PER_OCTAVE",
     "GRID_FMIN_HZ",
     "CUTOFF_CAP_HZ",
+    "CUTOFF_SCREEN_TOL",
 ]
 
 #: Center (angular) frequency of the analytic Morlet wavelet.
@@ -51,6 +62,9 @@ GRID_FMIN_HZ = 2.0
 CUTOFF_CAP_HZ = 180.0
 #: Minimum series length accepted by :func:`cwt`.
 MIN_CWT_SAMPLES = 64
+#: A normalized slice value this close to the cutoff threshold, in units of
+#: the start-slice peak, sends the decision to the full transform.
+CUTOFF_SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,8 @@ class Scalogram:
     Attributes
     ----------
     times : numpy.ndarray, shape (n,)
-        Sample times of the analyzed series, in seconds.
+        Sample times of the analyzed series, or of the columns computed, in
+        seconds.
     freqs : numpy.ndarray, shape (m,)
         Strictly increasing log-spaced frequency grid, in Hz.
     coeffs : numpy.ndarray, shape (m, n)
@@ -113,7 +128,57 @@ def frequency_grid(sample_rate: float) -> np.ndarray:
     return fmin * 2.0 ** (np.arange(n_steps + 1) / voices)
 
 
-def cwt(x: TimeSeries1) -> Scalogram:
+#: Every 2, 3, 5, 7, 11-smooth integer below 2**32 divides this one.
+_SMOOTH = 2**32 * 3**21 * 5**14 * 7**12 * 11**10
+
+
+def next_fast_len(target: int) -> int:
+    """The smallest 2, 3, 5, 7, 11-smooth integer at least ``target``: the
+    length scipy's ``next_fast_len(target)`` picks for a complex FFT (exact
+    for results below 2**32)."""
+    n = max(int(target), 1)
+    while _SMOOTH % n:
+        n += 1
+    return n
+
+
+def _filter_bank(n: int, sample_rate: float):
+    """``(nfft, filters)`` of the transform of ``n`` samples at
+    ``sample_rate``; ``filters`` is read-only, because cached calls share it.
+
+    One wavelet filter per frequency of :func:`frequency_grid`: psi_hat(a*xi)
+    with peak 1 at the matched scale, zero on non-positive frequencies
+    (analytic wavelet).
+    """
+    freqs = frequency_grid(sample_rate)
+    nfft = next_fast_len(3 * n)
+    ang = 2.0 * np.pi * np.fft.fftfreq(nfft, d=1.0 / sample_rate)
+    scales = MORLET_OMEGA0 / (2.0 * np.pi * freqs)
+    arg = scales[:, None] * ang[None, :]
+    filters = np.where(arg > 0.0, np.exp(-0.5 * (arg - MORLET_OMEGA0) ** 2), 0.0)
+    filters.flags.writeable = False
+    return nfft, filters
+
+
+#: The banks of the column path: every pair of a session shares one window
+#: grid.  The full transform builds its own, as a cached bank of each grid
+#: ``--scalograms`` exports would stay alive with the process (1 MB for the
+#: reference window's).
+_window_filter_bank = functools.lru_cache(maxsize=2)(_filter_bank)
+
+
+@functools.lru_cache(maxsize=2)
+def _column_rows(n: int, nfft: int, columns: tuple[int, ...]) -> np.ndarray:
+    """``e^{2 pi i j (n + c) / nfft}`` over ``j``, one row per column ``c``
+    of the padded series' middle third; read-only."""
+    j = np.arange(nfft)
+    turns = np.outer(np.asarray(columns) + n, j) % nfft
+    rows = np.exp(2j * np.pi * turns / nfft)
+    rows.flags.writeable = False
+    return rows
+
+
+def cwt(x: TimeSeries1, columns: tuple[int, ...] | None = None) -> Scalogram:
     """Continuous wavelet transform magnitude of a scalar series.
 
     Uses an analytic Morlet wavelet evaluated in the frequency domain, with
@@ -128,33 +193,53 @@ def cwt(x: TimeSeries1) -> Scalogram:
     x : TimeSeries1
         Input signal; at least 64 samples.  The frequency grid is
         :func:`frequency_grid` of the series rate.
+    columns : tuple of int, optional
+        Sample indices.  The scalogram then holds only those columns, with
+        their sample times: each is one inverse-DFT row of the filtered
+        spectrum, ``|(1/N) sum_j S[j] psi_k[j] e^{2 pi i j (n + i) / N}|``,
+        with ``S`` from ``numpy.fft`` over the same padding and length ``N``.
+        Its values match the full transform's (``scipy.fft``) columns only to
+        within rounding.
 
     Raises
     ------
     DataError
-        If the series is shorter than 64 samples.
+        If the series is shorter than 64 samples, or a column index lies
+        outside it.
     """
-    from scipy.fft import fft, ifft, next_fast_len
-
     n = len(x)
     if n < MIN_CWT_SAMPLES:
         raise DataError(f"cwt needs at least {MIN_CWT_SAMPLES} samples, got {n}")
     freqs = frequency_grid(x.sample_rate)
-
     padded = np.pad(x.values, n, mode="symmetric")
-    nfft = next_fast_len(3 * n)
-    spectrum = fft(padded, nfft)
-    ang = 2.0 * np.pi * np.fft.fftfreq(nfft, d=x.dt)
+    if columns is None:
+        from scipy.fft import fft, ifft
 
-    # One wavelet filter per grid frequency: psi_hat(a*xi) with peak 1 at the
-    # matched scale, zero on non-positive frequencies (analytic wavelet).
-    scales = MORLET_OMEGA0 / (2.0 * np.pi * freqs)
-    arg = scales[:, None] * ang[None, :]
-    filters = np.where(arg > 0.0, np.exp(-0.5 * (arg - MORLET_OMEGA0) ** 2), 0.0)
+        nfft, filters = _filter_bank(n, x.sample_rate)
+        spectrum = fft(padded, nfft)
+        transformed = ifft(spectrum[None, :] * filters, axis=1)
+        coeffs = np.abs(transformed[:, n:2 * n])
+        return Scalogram(times=x.times, freqs=freqs, coeffs=coeffs)
+    columns = tuple(map(int, columns))
+    if not all(0 <= i < n for i in columns):
+        raise DataError(f"cwt columns {columns} outside the {n} samples")
+    nfft, filters = _window_filter_bank(n, x.sample_rate)
+    rows = np.fft.fft(padded, nfft) * _column_rows(n, nfft, columns)
+    k = len(columns)
+    # Two real products against the real filters: the real parts, then the
+    # imaginary parts, of every column.
+    parts = filters @ np.concatenate((rows.real, rows.imag)).T
+    coeffs = np.hypot(parts[:, :k], parts[:, k:]) / nfft
+    return Scalogram(times=x.times[list(columns)], freqs=freqs, coeffs=coeffs)
 
-    transformed = ifft(spectrum[None, :] * filters, axis=1)
-    coeffs = np.abs(transformed[:, n:2 * n])
-    return Scalogram(times=x.times, freqs=freqs, coeffs=coeffs)
+
+def slice_index(times: np.ndarray, t: float) -> int | None:
+    """Where :func:`normalized_slices` takes the slice at ``t``: the index of
+    the sample nearest ``t`` (the first of a tie), or None if ``t`` lies
+    outside the span of ``times``."""
+    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        return None
+    return int(np.argmin(np.abs(times - t)))
 
 
 def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> CoefficientSlices:
@@ -170,14 +255,11 @@ def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> Coefficien
     DegenerateSignalError
         If the slice at ``t_start`` is identically zero.
     """
-    tmin, tmax = sc.times[0], sc.times[-1]
-    for name, t in (("t_start", t_start), ("t_end", t_end)):
-        if t < tmin - 1e-12 or t > tmax + 1e-12:
-            raise DataError(
-                f"{name}={t:.6f} s outside scalogram span [{tmin:.6f}, {tmax:.6f}] s"
-            )
-    i0 = int(np.argmin(np.abs(sc.times - t_start)))
-    i1 = int(np.argmin(np.abs(sc.times - t_end)))
+    i0, i1 = slice_index(sc.times, t_start), slice_index(sc.times, t_end)
+    for name, t, i in (("t_start", t_start, i0), ("t_end", t_end, i1)):
+        if i is None:
+            raise DataError(f"{name}={t:.6f} s outside scalogram span "
+                            f"[{sc.times[0]:.6f}, {sc.times[-1]:.6f}] s")
     w0 = sc.coeffs[:, i0]
     peak = w0.max()
     if peak <= 0.0:
@@ -189,6 +271,26 @@ def normalized_slices(sc: Scalogram, t_start: float, t_end: float) -> Coefficien
         at_start=w0 / peak,
         at_end=sc.coeffs[:, i1] / peak,
     )
+
+
+def columns_decide(x: TimeSeries1, sc: Scalogram, slices: CoefficientSlices,
+                   threshold: float) -> bool:
+    """Whether the slices of ``sc = cwt(x, columns=(i0, i1))``, normalized
+    by its first column, give the cutoff that the full transform's slices at
+    ``i0`` and ``i1`` give.
+
+    :func:`select_cutoff` compares ``at_start - at_end`` and ``at_end`` with
+    ``threshold``.  A column value differs from the full transform's by
+    rounding only, a few ulps of ``max|x|`` (no coefficient exceeds about
+    ``max|x|``).  Normalized by the start-slice peak, that is far below
+    ``CUTOFF_SCREEN_TOL``, widened by ``max|x| / peak`` where the start
+    slice is the weaker, so every comparison with a value farther from the
+    threshold than that comes out the same.  False if any value is that
+    close, or is NaN.
+    """
+    tol = CUTOFF_SCREEN_TOL * max(1.0, np.abs(x.values).max() / sc.coeffs[:, 0].max())
+    return bool((np.abs(slices.at_start - slices.at_end - threshold) > tol).all()
+                and (np.abs(slices.at_end - threshold) > tol).all())
 
 
 def resolve_cutoff(f_ss: float | None, f_n: float | None,
@@ -230,9 +332,11 @@ def select_cutoff(slices: CoefficientSlices, threshold: float = 0.1,
 _PAD = 9
 
 
+@functools.lru_cache(maxsize=16)
 def _butter_section(cutoff: float, rate: float):
     """``(b0, b1, b2, a1, a2)`` and initial state ``(z0, z1)`` of the
     2-pole Butterworth low-pass with its -3 dB point at ``cutoff`` Hz.
+    Cached: a session designs the same few sections again for every pair.
 
     The steps follow scipy's ``butter(2, cutoff, fs=rate, output="sos")``
     and ``sosfilt_zi`` one by one (``buttap``, ``lp2lp_zpk``,

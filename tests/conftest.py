@@ -54,6 +54,22 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def cwt_calls(monkeypatch):
+    """The ``columns`` argument of every ``cwt`` call ``adaptive_filter``
+    makes in this process (None for the full scalogram)."""
+    from kinereco import kinematics
+
+    calls, real = [], kinematics.cwt
+
+    def spy(x, columns=None):
+        calls.append(columns)
+        return real(x, columns)
+
+    monkeypatch.setattr(kinematics, "cwt", spy)
+    return calls
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     # QR of a Gaussian matrix, sign-fixed to det +1.
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

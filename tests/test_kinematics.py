@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kinereco import cli, kinematics, pipeline
 from kinereco.core import TimeSeries1, TimeSeries3, rotate_series
 from kinereco.errors import ConfigError, DataError, DegenerateSignalError
 from kinereco.kinematics import (CONDITION_LIMIT, _skew, a3g1_solve,
                                  adaptive_filter, average_angular_velocity,
                                  five_point_derivative)
 from kinereco.synth import HarmonicComponent, MotionProfile
+from kinereco.wavelet import (Scalogram, butterworth_lowpass, cwt,
+                              normalized_slices, select_cutoff, slice_index)
 
 from conftest import random_rotation
+from test_wavelet import old_cwt
 
 RATE = 1125.0
 POSITIONS = [np.array([-0.064, -0.059, 0.015]),
@@ -402,3 +406,116 @@ class TestAdaptiveFilter:
         num = np.sqrt(np.mean((alpha_diff.samples - alpha_a3g1.samples) ** 2))
         den = np.sqrt(np.mean(alpha_a3g1.samples ** 2))
         assert num / den < 0.05
+
+
+def old_adaptive_filter(omega_h, coeff_threshold=0.1, cap_hz=180.0,
+                        end_time=0.150):
+    """``adaptive_filter`` before it read two scalogram columns, frozen: a
+    full scalogram per axis."""
+    best = None
+    for axis in range(3):
+        comp = omega_h.component(axis)
+        if not comp.values.any():
+            continue
+        sc = old_cwt(comp)
+        try:
+            slices = normalized_slices(sc, 0.0, end_time)
+        except DegenerateSignalError:
+            continue
+        result = select_cutoff(slices, threshold=coeff_threshold, cap=cap_hz)
+        if best is None or result.f0 > best.f0:
+            best = result
+    if best is None:
+        raise DegenerateSignalError("angular velocity is identically zero")
+    return butterworth_lowpass(omega_h, best.f0), best
+
+
+def assert_same_filter(omega_h, tuning):
+    out, result = adaptive_filter(omega_h, **tuning)
+    old_out, old_result = old_adaptive_filter(omega_h, **tuning)
+    assert (result.f0, result.f_ss, result.f_n) == (
+        old_result.f0, old_result.f_ss, old_result.f_n)
+    assert out._data.tobytes() == old_out._data.tobytes()
+
+
+def impact_window(rate=1125.0, seed=4):
+    """An averaged gyro window as reconstruct cuts it: a burst at t = 0 on a
+    slow head motion, on one axis.  Returns the window and the columns of
+    t = 0 and t = 150 ms."""
+    rng = np.random.default_rng(seed)
+    t = -0.022 + np.arange(int(0.2 * rate)) / rate
+    samples = np.zeros((len(t), 3))
+    samples[:, 1] = (3.0 * np.sin(2 * np.pi * 8.0 * t)
+                     + 2.0 * np.exp(-(t / 0.003) ** 2) * np.sin(2 * np.pi * 220.0 * t)
+                     + 0.05 * rng.normal(size=len(t)))
+    window = TimeSeries3(float(t[0]), rate, samples)
+    times = window.times
+    return window, (slice_index(times, 0.0), slice_index(times, 0.150))
+
+
+class TestAdaptiveFilterColumns:
+    """The cutoff from two scalogram columns is the full scalogram's cutoff,
+    and the filtered series is the old one bit for bit."""
+
+    def test_every_bench_pair_is_the_full_transforms(self, bench, monkeypatch,
+                                                     cwt_calls):
+        config, session, events = bench
+        pairs = cli._read_events_csv(events)
+        windows = pipeline.reconstruct_windows(config, pairs)
+        hb_recs, ref_blocks = cli._load_session(
+            config, session, pipeline.reconstruct_channels(config, "both"),
+            windows)
+        inputs, real = [], kinematics.adaptive_filter
+        monkeypatch.setattr(kinematics, "adaptive_filter", lambda omega_h, **kw: (
+            inputs.append((omega_h, kw)), real(omega_h, **kw))[1])
+        for row in pairs:
+            pipeline.reconstruct_pair(config, hb_recs, ref_blocks, row)
+        assert len(inputs) == len(pairs)
+        # Every axis of every pair is decided from its two columns.
+        assert cwt_calls and None not in cwt_calls
+        for omega_h, tuning in inputs:
+            assert_same_filter(omega_h, tuning)
+
+    @pytest.mark.parametrize("compared", ["difference", "at_end"])
+    def test_a_threshold_on_a_slice_value_takes_the_full_path(self, compared,
+                                                               cwt_calls):
+        omega_h, columns = impact_window()
+        comp = omega_h.component(1)
+        full = normalized_slices(old_cwt(comp), 0.0, 0.150)
+        sc = cwt(comp, columns=columns)
+        cols = normalized_slices(sc, *sc.times)
+
+        def values(slices):
+            if compared == "difference":
+                return slices.at_start - slices.at_end
+            return slices.at_end
+
+        # A value the two paths round apart, so that only the screen's
+        # margin, not an exact tie, sends it to the full scalogram.
+        apart = np.flatnonzero(values(full) != values(cols))
+        assert apart.size
+        tuning = dict(coeff_threshold=float(values(full)[apart[0]]))
+        assert_same_filter(omega_h, tuning)
+        assert cwt_calls == [columns, None]
+
+    def test_a_zero_start_column_takes_the_full_path(self, monkeypatch,
+                                                     cwt_calls):
+        real = kinematics.cwt
+
+        def zero_columns(x, columns=None):
+            sc = real(x, columns)
+            if columns is None:
+                return sc
+            return Scalogram(sc.times, sc.freqs, np.zeros_like(sc.coeffs))
+
+        monkeypatch.setattr(kinematics, "cwt", zero_columns)
+        omega_h, columns = impact_window()
+        assert_same_filter(omega_h, {})
+        assert cwt_calls == [columns, None]
+
+    def test_a_start_just_after_zero_raises_the_full_paths_error(self):
+        window, _ = impact_window()
+        late = TimeSeries3(5e-10, window.sample_rate, window.samples)
+        for filt in (adaptive_filter, old_adaptive_filter):
+            with pytest.raises(DataError, match="t_start=0.000000 s outside"):
+                filt(late)

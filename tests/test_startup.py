@@ -1,5 +1,6 @@
-"""Start-up cost: ``import kinereco`` loads no scipy module, and no
-subcommand loads scipy.signal or scipy.stats.
+"""Start-up cost: ``import kinereco`` loads no scipy module, no subcommand
+loads scipy.signal or scipy.stats, and ``reconstruct`` loads scipy.fft only
+for the full scalograms.
 
 Importing scipy.signal (which imports scipy.stats) costs most of a second
 and about 40 MB, more than most subcommands spend on their work, so kinereco
@@ -76,16 +77,38 @@ def test_evaluate_loads_neither_scipy_signal_nor_stats(tmp_path,
     assert not {"scipy.signal", "scipy.stats"} & set(loaded["evaluate"])
 
 
-def test_reconstruct_loads_neither_scipy_signal_nor_stats(tmp_path,
-                                                          small_pipeline):
+def reconstruct_argv(small_pipeline, out, *flags):
+    return ["reconstruct", "--config", str(small_pipeline["config"]),
+            "--in", str(small_pipeline["session"]),
+            "--events", str(small_pipeline["events"]),
+            "--out", str(out), "--alpha-method", "both", *flags]
+
+
+def test_reconstruct_loads_neither_scipy_signal_nor_stats(
+        tmp_path, small_pipeline, monkeypatch, cwt_calls):
+    # Nor scipy.fft, which computes the full scalograms only: every cutoff of
+    # this session is decided from two scalogram columns (a one-process run
+    # shows it), so none is computed.
+    from kinereco import cli
+
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(reconstruct_argv(small_pipeline, tmp_path / "spied")) == 0
+    assert cwt_calls and None not in cwt_calls
+
     loaded = loaded_after([
-        ("reconstruct", ["reconstruct", "--config", str(small_pipeline["config"]),
-                         "--in", str(small_pipeline["session"]),
-                         "--events", str(small_pipeline["events"]),
-                         "--out", str(tmp_path / "kin"), "--alpha-method", "both"]),
+        ("reconstruct", reconstruct_argv(small_pipeline, tmp_path / "kin")),
     ])
     assert loaded["import"] == []
     assert not {"scipy.signal", "scipy.stats"} & set(loaded["reconstruct"])
+    assert not [m for m in loaded["reconstruct"] if m.startswith("scipy.fft")]
+
+
+def test_reconstruct_with_scalograms_loads_scipy_fft(tmp_path, small_pipeline):
+    loaded = loaded_after([
+        ("reconstruct", reconstruct_argv(small_pipeline, tmp_path / "kin",
+                                         "--scalograms")),
+    ])
+    assert "scipy.fft" in loaded["reconstruct"]
 
 
 #: Prints the thread count of each OpenBLAS library loaded once numpy and the

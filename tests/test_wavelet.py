@@ -4,9 +4,10 @@ from numpy.testing import assert_allclose
 
 from kinereco.core import TimeSeries1, TimeSeries3
 from kinereco.errors import DataError, DegenerateSignalError
-from kinereco.wavelet import (CUTOFF_CAP_HZ, CoefficientSlices, _butter_section,
-                              _butter_zero_phase, _filtfilt, butterworth_lowpass,
-                              cfc_filter, cwt, frequency_grid, normalized_slices,
+from kinereco.wavelet import (CUTOFF_CAP_HZ, MORLET_OMEGA0, CoefficientSlices,
+                              Scalogram, _butter_section, _butter_zero_phase,
+                              _filtfilt, butterworth_lowpass, cfc_filter, cwt,
+                              frequency_grid, next_fast_len, normalized_slices,
                               resolve_cutoff, select_cutoff)
 
 
@@ -69,6 +70,78 @@ class TestCwt:
         assert freqs[0] == pytest.approx(2.0)
         assert freqs[-1] <= 1125.0 / 2 / 2.001
         assert np.all(np.diff(freqs) > 0)
+
+
+def old_cwt(x: TimeSeries1) -> Scalogram:
+    """``cwt`` before it took columns, frozen: the full transform it must
+    still compute bit for bit."""
+    from scipy.fft import fft, ifft
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    n = len(x)
+    freqs = frequency_grid(x.sample_rate)
+    padded = np.pad(x.values, n, mode="symmetric")
+    nfft = scipy_next_fast_len(3 * n)
+    spectrum = fft(padded, nfft)
+    ang = 2.0 * np.pi * np.fft.fftfreq(nfft, d=x.dt)
+    scales = MORLET_OMEGA0 / (2.0 * np.pi * freqs)
+    arg = scales[:, None] * ang[None, :]
+    filters = np.where(arg > 0.0, np.exp(-0.5 * (arg - MORLET_OMEGA0) ** 2), 0.0)
+    transformed = ifft(spectrum[None, :] * filters, axis=1)
+    coeffs = np.abs(transformed[:, n:2 * n])
+    return Scalogram(times=x.times, freqs=freqs, coeffs=coeffs)
+
+
+def random_signal(rng, n, rate):
+    """Noise on a tone, with an impact-like burst somewhere in the series."""
+    t = np.arange(n) / rate
+    at = rng.uniform(0.0, t[-1])
+    burst = np.exp(-((t - at) / 0.004) ** 2) * np.sin(2 * np.pi * rng.uniform(60, 300) * t)
+    return TimeSeries1(rng.uniform(-0.1, 0.0), rate,
+                       rng.normal(size=n) + np.sin(2 * np.pi * 12.0 * t)
+                       + rng.uniform(0.0, 20.0) * burst)
+
+
+class TestNextFastLen:
+    def test_matches_scipy_for_every_target_to_120000(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        got = [next_fast_len(n) for n in range(1, 120001)]
+        assert got == [scipy_next_fast_len(n) for n in range(1, 120001)]
+
+
+class TestCwtColumns:
+    """``cwt(x, columns=c)`` computes those columns alone; ``cwt(x)`` is the
+    full transform it always was."""
+
+    def test_full_transform_is_the_old_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n, rate in [(64, 1125.0), (205, 1125.0), (205, 1125.0),
+                        (577, 3200.0), (1000, 1600.0), (2999, 3200.0)]:
+            x = random_signal(rng, n, rate)
+            new, old = cwt(x), old_cwt(x)
+            for name in ("times", "freqs", "coeffs"):
+                a, b = getattr(new, name), getattr(old, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_columns_match_the_full_transform(self):
+        rng = np.random.default_rng(32)
+        for rate in (1125.0, 3200.0):
+            for n in rng.integers(64, 3001, size=12):
+                x = random_signal(rng, int(n), rate)
+                columns = tuple(int(i) for i in rng.integers(0, n, size=2))
+                sc, full = cwt(x, columns=columns), cwt(x)
+                assert sc.times.tobytes() == full.times[list(columns)].tobytes()
+                assert sc.freqs.tobytes() == full.freqs.tobytes()
+                want = full.coeffs[:, list(columns)]
+                assert sc.coeffs.shape == want.shape
+                assert np.abs(sc.coeffs - want).max() <= 1e-12 * want[:, 0].max()
+
+    def test_columns_outside_the_series_rejected(self):
+        x = sine(15.0, 1125.0, 0.2)
+        for columns in [(0, len(x)), (-1, 3)]:
+            with pytest.raises(DataError, match="outside the 225 samples"):
+                cwt(x, columns=columns)
 
 
 class TestNormalizedSlices:
@@ -293,6 +366,13 @@ class TestZeroPhaseBody:
                                                          old.sample_rate)
             assert new._data.shape == old._data.shape
             assert new._data.tobytes() == old._data.tobytes()
+
+    def test_design_is_cached_and_a_bad_cutoff_raises_every_time(self):
+        assert _butter_section(123.4, 1125.0) is _butter_section(123.4, 1125.0)
+        s = TimeSeries1(0.0, 3200.0, np.ones(20))
+        for _ in range(2):
+            with pytest.raises(DataError, match="cutoff 2.0775e-09 Hz is too low "):
+                cfc_filter(s, 1e-9)
 
     def test_singular_design_is_a_data_error(self):
         s = TimeSeries1(0.0, 3200.0, np.ones(20))
