@@ -114,11 +114,14 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
     Raises
     ------
     WindowError
-        If the window does not cover [0, end_time].
+        If the window does not cover [0, end_time], by the rule that places
+        the slices (:func:`~kinereco.wavelet.slice_index`).
     DegenerateSignalError
         If the signal is identically zero on all axes.
     """
-    if omega_h.start_time > 1e-9 or omega_h.end_time < end_time - 1e-9:
+    times = omega_h.times
+    columns = (slice_index(times, 0.0), slice_index(times, end_time))
+    if None in columns:
         raise WindowError(
             f"adaptive filter needs coverage of [0, {end_time:g}] s, got "
             f"[{omega_h.start_time:g}, {omega_h.end_time:g}] s"
@@ -128,7 +131,7 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
         comp = omega_h.component(axis)
         if not comp.values.any():
             continue
-        slices = _column_slices(comp, end_time, coeff_threshold)
+        slices = _column_slices(comp, columns, coeff_threshold)
         if slices is None:
             try:
                 slices = normalized_slices(cwt(comp), 0.0, end_time)
@@ -143,15 +146,11 @@ def adaptive_filter(omega_h: TimeSeries3, coeff_threshold: float = 0.1,
     return filtered, best
 
 
-def _column_slices(comp: TimeSeries1, end_time: float, threshold: float):
-    """The normalized slices of ``comp`` at 0 and ``end_time`` from those two
-    scalogram columns, or None where the full scalogram must decide: a time
-    outside the series (the full path raises), an all-zero start slice, or a
-    value too close to ``threshold``."""
-    times = comp.times
-    columns = (slice_index(times, 0.0), slice_index(times, end_time))
-    if None in columns:
-        return None
+def _column_slices(comp: TimeSeries1, columns: tuple[int, int],
+                   threshold: float):
+    """The normalized slices of ``comp`` at its sample indices ``columns``
+    from those two scalogram columns, or None where the full scalogram must
+    decide: an all-zero start slice, or a value too close to ``threshold``."""
     sc = cwt(comp, columns=columns)
     try:
         slices = normalized_slices(sc, sc.times[0], sc.times[1])

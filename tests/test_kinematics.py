@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from kinereco import cli, kinematics, pipeline
 from kinereco.core import TimeSeries1, TimeSeries3, rotate_series
-from kinereco.errors import ConfigError, DataError, DegenerateSignalError
+from kinereco.errors import (ConfigError, DataError, DegenerateSignalError,
+                             WindowError)
 from kinereco.kinematics import (CONDITION_LIMIT, _skew, a3g1_solve,
                                  adaptive_filter, average_angular_velocity,
                                  five_point_derivative)
@@ -363,7 +364,6 @@ class TestAdaptiveFilter:
     def test_window_must_cover_analysis_span(self):
         rate = 1600.0
         samples = np.ones((int(0.1 * rate), 3))
-        from kinereco.errors import WindowError
         with pytest.raises(WindowError):
             adaptive_filter(self.window_series(samples, rate))
 
@@ -513,9 +513,20 @@ class TestAdaptiveFilterColumns:
         assert_same_filter(omega_h, {})
         assert cwt_calls == [columns, None]
 
-    def test_a_start_just_after_zero_raises_the_full_paths_error(self):
+    # A slice time just outside the window is a window that does not cover
+    # [0, end_time]: the old filter let it through to normalized_slices.
+    def test_a_start_just_after_zero_raises_window_error(self):
         window, _ = impact_window()
         late = TimeSeries3(5e-10, window.sample_rate, window.samples)
-        for filt in (adaptive_filter, old_adaptive_filter):
-            with pytest.raises(DataError, match="t_start=0.000000 s outside"):
-                filt(late)
+        with pytest.raises(WindowError, match=r"coverage of \[0, 0.15\] s"):
+            adaptive_filter(late)
+        with pytest.raises(DataError, match="t_start=0.000000 s outside"):
+            old_adaptive_filter(late)
+
+    def test_an_end_just_short_of_end_time_raises_window_error(self):
+        window, _ = impact_window()
+        end_time = window.end_time + 5e-10
+        with pytest.raises(WindowError, match="coverage of"):
+            adaptive_filter(window, end_time=end_time)
+        with pytest.raises(DataError, match="t_end=.* s outside"):
+            old_adaptive_filter(window, end_time=end_time)
