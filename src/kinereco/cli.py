@@ -37,21 +37,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries1, TimeSeries3, window_span
+from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
     EventComparison, build_agreement_report
-from .ingest import CHANNEL_KINDS, ImuRecording, SessionConfig, \
-    check_number, finite_block, load_session_config, output_dir, \
-    parse_imu_csv, parse_reference_csv, read_json, read_sensor_table, \
-    read_table, reference_block, sensor_reads, session_csv, table_clock, \
+from .ingest import check_number, finite_block, load_session, \
+    load_session_config, output_dir, read_json, read_table, table_clock, \
     write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, detect_channels, detect_session, \
     overlay_resultants, reconstruct_channels, reconstruct_pair, \
     reconstruct_windows, report_tables
 from .synth import load_profile, simulate_session, write_simulated_session
-from .twoproc import read_in_two, run_in_two
+from .twoproc import run_in_two
 from .wavelet import cwt
 
 log = logging.getLogger(__name__)
@@ -89,82 +87,6 @@ class RunManifest:
 
 # ---------------------------------------------------------------------------
 # Shared session I/O
-
-
-def _load_session(config: SessionConfig, in_dir: Path,
-                  channels: dict[str, tuple[str, ...]], windows=None,
-                  ) -> tuple[dict[str, ImuRecording], list[ImuRecording]]:
-    """The recordings of :func:`_load_headband` and the reference blocks of
-    :func:`_load_reference_blocks`.  Every file the two open is read first,
-    one ``read_sensor_table`` job per file, costed by its byte size, in two
-    processes (``read_in_two``); the recordings are then built here in the
-    order of the two loops, each table handed over as its file's read, so
-    the first error is the one they raise."""
-    reads = [(file, kinds, rate, channels[spec.id], config.column_map, windows)
-             for spec in config.headband_sensors
-             for file, kinds, rate in sensor_reads(
-                 in_dir / session_csv(spec.id), spec, channels[spec.id])]
-    try:
-        reads += [(file, kinds, rate, kinds, config.column_map, None)
-                  for path in _reference_blocks(config, in_dir)
-                  for file, kinds, rate in sensor_reads(
-                      path, config.reference_sensor)]
-    except OSError:
-        pass  # _load_reference_blocks raises it in its turn
-    tables = dict(zip([args[0] for args in reads], read_in_two([
-        (_byte_size(args[0]), functools.partial(read_sensor_table, *args))
-        for args in reads])))
-
-    def read(file, *_):
-        table = tables.pop(file)
-        if isinstance(table, Exception):
-            raise table
-        return table
-
-    return (_load_headband(config, in_dir, channels, windows, read),
-            _load_reference_blocks(config, in_dir, read))
-
-
-def _byte_size(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0  # its read fails in its turn
-
-
-def _load_headband(config: SessionConfig, in_dir: Path,
-                   channels: dict[str, tuple[str, ...]], windows=None,
-                   read=None) -> dict[str, ImuRecording]:
-    """Each headband sensor's ``channels``; only the files holding them are
-    opened, and only the rows of ``windows`` parsed when it is given (see
-    ``parse_imu_csv``, which takes ``read``)."""
-    recs = {}
-    for spec in config.headband_sensors:
-        path = in_dir / session_csv(spec.id)
-        if not path.exists():
-            raise FormatError(f"missing headband file {path}")
-        recs[spec.id] = parse_imu_csv(path, spec, config.column_map,
-                                      channels[spec.id], windows, read)
-    return recs
-
-
-def _load_reference_blocks(config: SessionConfig, in_dir: Path,
-                           read=None) -> list[ImuRecording]:
-    return [parse_reference_csv(path, config.reference_sensor,
-                                config.column_map, config.window, read)
-            for path in _reference_blocks(config, in_dir)]
-
-
-def _reference_blocks(config: SessionConfig, in_dir: Path) -> list[Path]:
-    """The main file of each block of the reference sensor, not its
-    companion, in block-number order."""
-    spec = config.reference_sensor
-    if spec is None:
-        return []
-    blocks = sorted((block[0], path) for path in in_dir.iterdir()
-                    if (block := reference_block(spec, path.name))
-                    and block[1] == path.name)
-    return [path for _, path in blocks]
 
 
 def _text_rows(path: Path, names: tuple[str, ...], kind: str, parse) -> list:
@@ -338,9 +260,12 @@ def _load_comparisons(hb_dir: Path, ref_dir: Path,
         meta, series, residual = _read_kinematics_csv(path, pair_id,
                                                       _HB_SERIES, 2, "headband")
         try:
-            f0 = float(meta.get("f0_hz", "nan"))
-        except ValueError:
-            raise FormatError(f"{path}: bad 'f0_hz' header comment") from None
+            f0 = _finite(meta["f0_hz"])
+            if f0 <= 0:
+                raise ValueError
+        except (KeyError, ValueError):
+            raise FormatError(f"{path}: missing or bad 'f0_hz' header comment") \
+                from None
         kin = KinematicsSet(**series, f0=f0, a3g1_residual=residual)
         ref_path = ref_dir / f"ref_ev{pair_id:03d}.csv"
         if not ref_path.exists():
@@ -382,8 +307,8 @@ def _cmd_detect(args) -> int:
         inputs=(str(in_dir),),
         params={"max_offset_s": args.max_offset}, seed=None,
     )
-    hb_recs, ref_blocks = _load_session(config, in_dir,
-                                        detect_channels(config))
+    hb_recs, ref_blocks = load_session(config, in_dir,
+                                       detect_channels(config))
     pairs, unpaired = detect_session(config, hb_recs, ref_blocks,
                                      args.max_offset, _load_labels(in_dir))
     out = Path(args.out)
@@ -408,7 +333,7 @@ def _cmd_reconstruct(args) -> int:
     if not pairs:
         raise DataError(f"{args.events}: no paired events to reconstruct")
     windows = reconstruct_windows(config, pairs)
-    hb_recs, ref_blocks = _load_session(
+    hb_recs, ref_blocks = load_session(
         config, in_dir, reconstruct_channels(config, args.alpha_method),
         windows)
     out = Path(args.out)
@@ -417,30 +342,14 @@ def _cmd_reconstruct(args) -> int:
     # Pairs run before the fork until one has returned: Python shows a
     # warning once per process, and the scipy modules a pair imports and
     # the scalogram filter banks it builds load once, so the child inherits
-    # them.
-    run_in_two([(_pair_cost(hb_recs, window),
-                 functools.partial(_reconstruct_and_write, config, hb_recs,
-                                   ref_blocks, row, args, manifest, out))
-                for row, window in zip(pairs, windows)], before_fork=1)
+    # them.  Every pair reads the same channels over windows of one length,
+    # so every pair costs the same, and the rest split by count.
+    run_in_two([(1, functools.partial(_reconstruct_and_write, config, hb_recs,
+                                      ref_blocks, row, args, manifest, out))
+                for row in pairs], before_fork=1)
     _write_manifest(out / "manifest.json", manifest)
     log.info("reconstruct: %d events -> %s", len(pairs), out)
     return 0
-
-
-def _pair_cost(hb_recs: dict[str, ImuRecording], window) -> int:
-    """The samples of a pair's window in every headband channel it reads:
-    the work of the pair, known before any of it runs.  ``--scalograms``
-    adds work in proportion to these samples, alike for every pair, so it
-    leaves the split as it is."""
-    cost = 0
-    for rec in hb_recs.values():
-        for kind in CHANNEL_KINDS:
-            ts = rec.channel(kind)
-            if ts is not None:
-                first, last = window_span(ts.start_time, ts.sample_rate,
-                                          *window)
-                cost += last - first + 1
-    return cost
 
 
 def _reconstruct_and_write(config, hb_recs, ref_blocks, row: PairRow, args,

@@ -20,6 +20,7 @@ Vendor exports with different column names are adapted through the optional
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import logging
@@ -35,6 +36,7 @@ import numpy as np
 
 from .core import TimeSeries3, same_clock, validate_rotation, window_span
 from .errors import ConfigError, DataError, FormatError
+from .twoproc import read_in_two
 
 __all__ = [
     "G_STANDARD",
@@ -49,6 +51,8 @@ __all__ = [
     "TableRows",
     "parse_imu_csv",
     "parse_reference_csv",
+    "load_session",
+    "reference_files",
     "read_sensor_table",
     "sensor_reads",
     "reference_block",
@@ -1041,7 +1045,8 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     zeros.
 
     ``read`` gets each file's table, called with the arguments of
-    :func:`read_sensor_table` (the default) and returning what it returns.
+    :func:`read_sensor_table` (the default) that :func:`sensor_reads` gives,
+    and returning what it returns.
 
     Raises
     ------
@@ -1055,15 +1060,14 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     """
     path = Path(path)
     declared = [c.kind for c in spec.channels]
-    wanted = set(declared if channels is None else channels)
-    undeclared = sorted(wanted - set(declared))
+    undeclared = sorted(set(channels or ()) - set(declared))
     if undeclared:
         raise ConfigError(f"sensor {spec.id!r}: requested channels {undeclared} "
                           f"are not declared (declared: {', '.join(declared)})")
     series = {}
-    for file, kinds, rate in sensor_reads(path, spec, channels):
-        values, rows, n = (read or read_sensor_table)(
-            file, kinds, rate, wanted, column_map, windows)
+    for args in sensor_reads(path, spec, channels, column_map, windows):
+        _, kinds, rate, wanted = args[:4]
+        values, rows, n = (read or read_sensor_table)(*args)
         for j, kind in enumerate(k for k in kinds if k in wanted):
             samples = values[:, 1 + 3 * j:4 + 3 * j]
             if rows is not None:
@@ -1075,13 +1079,17 @@ def parse_imu_csv(path, spec: SensorSpec, column_map: dict | None = None,
     return rec
 
 
-def sensor_reads(path, spec: SensorSpec, channels=None) -> list:
-    """``(file, kinds, rate)`` of each file :func:`parse_imu_csv` opens for
+def sensor_reads(path, spec: SensorSpec, channels=None,
+                 column_map: dict | None = None, windows=None) -> list:
+    """The :func:`read_sensor_table` arguments ``(file, kinds, rate, wanted,
+    column_map, windows)`` of each file :func:`parse_imu_csv` opens for
     ``channels`` of the sensor ``spec`` whose main file is ``path``: each
-    file holding a requested kind, with the kinds it holds and its rate."""
+    file holding a requested kind, with the kinds it holds, its rate and
+    the set of requested kinds."""
     wanted = {c.kind for c in spec.channels} if channels is None \
         else set(channels)
-    return [(file, kinds, rate) for file, kinds, rate in _sensor_files(
+    return [(file, kinds, rate, wanted, column_map, windows)
+            for file, kinds, rate in _sensor_files(
                 Path(path), {c.kind: c.rate for c in spec.channels})
             if not wanted.isdisjoint(kinds)]
 
@@ -1176,6 +1184,83 @@ def parse_reference_csv(path, spec: SensorSpec, column_map: dict | None = None,
         raise DataError(f"{path}: long event block ({span * 1e3:.2f} ms > "
                         f"{block * 1e3:.2f} ms)")
     return rec
+
+
+def reference_files(config: SessionConfig, in_dir) -> list[Path]:
+    """The main file of each block of the session's reference sensor in the
+    directory ``in_dir``, not its companion, in block-number order; none
+    without a reference sensor.  Raises FormatError when two files hold the
+    same block number (``<id>_ev002.csv`` and ``<id>_ev2.csv``)."""
+    spec = config.reference_sensor
+    if spec is None:
+        return []
+    blocks = sorted((block[0], path.name, path)
+                    for path in Path(in_dir).iterdir()
+                    if (block := reference_block(spec, path.name))
+                    and block[1] == path.name)
+    for (k, first, _), (same, second, _) in zip(blocks, blocks[1:]):
+        if k == same:
+            raise FormatError(f"{in_dir}: {first} and {second} are both block "
+                              f"{k} of sensor {spec.id!r}")
+    return [path for _, _, path in blocks]
+
+
+def load_session(config: SessionConfig, in_dir, channels: dict,
+                 windows=None) -> tuple[dict[str, ImuRecording],
+                                        list[ImuRecording]]:
+    """``(headband, blocks)`` of the session directory ``in_dir``: the
+    :func:`parse_imu_csv` recording of ``channels[id]`` (None: every
+    declared channel) of each headband sensor, over ``windows`` if given,
+    by id, and the :func:`parse_reference_csv` recording of each block of
+    :func:`reference_files`.  Every file is read first, one
+    :func:`read_sensor_table` job per file, costed by its byte size, in two
+    processes (``twoproc.read_in_two``); the recordings are then built here
+    in the serial loop's order, each table handed over as its file's
+    ``read``, so the first error is that loop's: a ``missing headband
+    file``, an undeclared channel, the earliest failed read, or an error
+    listing the blocks, in their turn."""
+    in_dir = Path(in_dir)
+    reads = [args for spec in config.headband_sensors
+             for args in sensor_reads(in_dir / session_csv(spec.id), spec,
+                                      channels[spec.id], config.column_map,
+                                      windows)]
+    try:
+        blocks = reference_files(config, in_dir)
+    except (OSError, FormatError) as exc:
+        blocks = exc  # raised in its turn, after the headband sensors
+    else:
+        reads += [args for path in blocks for args in sensor_reads(
+            path, config.reference_sensor, None, config.column_map)]
+    tables = dict(zip([args[0] for args in reads], read_in_two([
+        (_byte_size(args[0]), functools.partial(read_sensor_table, *args))
+        for args in reads])))
+
+    def read(file, *_):
+        table = tables.pop(file)
+        if isinstance(table, Exception):
+            raise table
+        return table
+
+    headband = {}
+    for spec in config.headband_sensors:
+        path = in_dir / session_csv(spec.id)
+        if not path.exists():
+            raise FormatError(f"missing headband file {path}")
+        headband[spec.id] = parse_imu_csv(path, spec, config.column_map,
+                                          channels[spec.id], windows, read)
+    if isinstance(blocks, Exception):
+        raise blocks
+    return headband, [parse_reference_csv(path, config.reference_sensor,
+                                          config.column_map, config.window,
+                                          read)
+                      for path in blocks]
+
+
+def _byte_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0  # its read fails in its turn
 
 
 def load_session_config(path) -> SessionConfig:

@@ -1,8 +1,13 @@
 """The session pipeline as pure functions over in-memory data.
 
 The library entry point for a whole session; the ``kinereco`` command line
-only reads files, calls these functions and writes their results::
+only reads files, calls these functions and writes their results.  The
+recordings of a session directory load with ``ingest.load_session``, here
+every declared channel of each headband sensor (None)::
 
+    config = load_session_config("session/config.json")
+    headband, ref_blocks = load_session(
+        config, "session", {spec.id: None for spec in config.headband_sensors})
     pairs, unpaired = detect_session(config, headband, ref_blocks, max_offset=0.5)
     events = []
     for row in pairs:

@@ -467,6 +467,40 @@ class TestPairKeyedReading:
                           ": 'pair_id' header comment 1 does not match the "
                           "file name")
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("f0", [None, "nan", "inf", "-inf", "0", "-171.3",
+                                    "x", "1e3"])
+    def test_a_headband_table_needs_a_finite_positive_f0(
+            self, small_pipeline, report_path, tmp_path, capsys, command, f0):
+        """Without its ``f0_hz`` comment, or with one that is not a finite
+        number > 0, a headband table is one FormatError; with 1e3, the
+        report holds 1000.0 and parses as strict JSON."""
+        kin = Path(shutil.copytree(small_pipeline["kin"], tmp_path / "kin"))
+        lines = (kin / "hb_ev002.csv").read_text().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("# f0_hz="))
+        lines[at:at + 1] = [] if f0 is None else [f"# f0_hz={f0}\n"]
+        (kin / "hb_ev002.csv").write_text("".join(lines))
+        out = tmp_path / ("report.json" if command == "evaluate" else "t")
+        if command == "evaluate":
+            code = self.evaluate(small_pipeline, kin, out)
+        else:
+            code = main(["report", "--in", str(report_path), "--out", str(out),
+                         "--hb", str(kin), "--ref", str(kin)])
+        err = capsys.readouterr().err.strip().splitlines()
+        if f0 != "1e3":
+            assert (code, err) == (1, [
+                f"kinereco: error: FormatError: {kin / 'hb_ev002.csv'}: "
+                "missing or bad 'f0_hz' header comment"])
+            assert not out.exists()
+            return
+        assert (code, err) == (0, [])
+        if command == "evaluate":
+            def reject(constant):
+                raise ValueError(f"{constant} is not JSON")
+
+            report = json.loads(out.read_text(), parse_constant=reject)
+            assert [ev["f0_hz"] for ev in report["events"]][1] == 1000.0
+
     @pytest.mark.parametrize("command, name, column, cell, what", [
         ("evaluate", "hb_ev001.csv", "omega_h_y", "nan", "NaN"),
         ("evaluate", "ref_ev002.csv", "alpha_z", "inf", "infinite"),

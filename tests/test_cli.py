@@ -16,7 +16,7 @@ import pytest
 from kinereco import cli, core, ingest, pipeline, twoproc
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
-from kinereco.errors import WindowError
+from kinereco.errors import FormatError, WindowError
 from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
                             standard_session_profile)
@@ -487,9 +487,8 @@ class TestReconstructReadsWindows:
                  "--out", str(kin)]):
             assert main(argv[:1] + common + argv[1:]) == 0, argv[0]
 
-        whole = cli._load_headband(config, session,
-                                   pipeline.reconstruct_channels(config))
-        blocks = cli._load_reference_blocks(config, session)
+        whole, blocks = serial_load(config, session,
+                                    pipeline.reconstruct_channels(config))
         pairs = cli._read_events_csv(events)
         assert len(pairs) == len(profile.impacts)
         for row in pairs:
@@ -523,10 +522,9 @@ def serial_reconstruct(args) -> int:
         seed=None,
     )
     pairs = cli._read_events_csv(Path(args.events))
-    hb_recs = cli._load_headband(
+    hb_recs, ref_blocks = serial_load(
         config, in_dir, pipeline.reconstruct_channels(config, args.alpha_method),
         pipeline.reconstruct_windows(config, pairs))
-    ref_blocks = cli._load_reference_blocks(config, in_dir)
     out = ingest.output_dir(args.out)
     errors = []
     for row in pairs:
@@ -680,15 +678,38 @@ class TestReconstructInTwoProcesses:
 
 
 def serial_load(config, in_dir, channels, windows=None):
-    """``cli._load_session`` as the two serial loops, which read each file
-    in this process in order, as before the reads were split."""
-    return (cli._load_headband(config, in_dir, channels, windows),
-            cli._load_reference_blocks(config, in_dir))
+    """``ingest.load_session`` as the two serial loops, which read each file
+    in this process in order, as before the reads were split: each headband
+    sensor's ``parse_imu_csv`` (after its ``missing headband file`` check),
+    then each reference block's ``parse_reference_csv``, in block-number
+    order."""
+    headband = {}
+    for spec in config.headband_sensors:
+        path = in_dir / ingest.session_csv(spec.id)
+        if not path.exists():
+            raise FormatError(f"missing headband file {path}")
+        headband[spec.id] = ingest.parse_imu_csv(
+            path, spec, config.column_map, channels[spec.id], windows)
+    return headband, [ingest.parse_reference_csv(
+        path, config.reference_sensor, config.column_map, config.window)
+        for path in reference_paths(config, in_dir)]
+
+
+def reference_paths(config, in_dir) -> list[Path]:
+    """The main file of each reference block in ``in_dir``, in
+    block-number order, found by ``ingest.reference_block``."""
+    spec = config.reference_sensor
+    if spec is None:
+        return []
+    blocks = [(block[0], path) for path in in_dir.iterdir()
+              if (block := ingest.reference_block(spec, path.name))
+              and block[1] == path.name]
+    return [path for _, path in sorted(blocks)]
 
 
 def recording_bits(loaded) -> list:
     """Every channel of the headband recordings and the reference blocks
-    ``_load_session`` returns: its clock and the bytes of its samples."""
+    ``load_session`` returns: its clock and the bytes of its samples."""
     headband, blocks = loaded
     return [(rec.sensor_id, kind, ts.start_time, ts.sample_rate,
              ts.samples.shape, ts.samples.tobytes())
@@ -717,12 +738,12 @@ class TestSessionReadInTwoProcesses:
         config, session, events = bench
         channels, windows = stage_reads(
             config, events if stage == "reconstruct" else None)
-        split = cli._load_session(config, session, channels, windows)
+        split = ingest.load_session(config, session, channels, windows)
         assert len(forks) == 1
         assert_no_child_left()
         with monkeypatch.context() as serial:
             serial.delattr(os, "fork")
-            one = cli._load_session(config, session, channels, windows)
+            one = ingest.load_session(config, session, channels, windows)
         want = recording_bits(serial_load(config, session, channels, windows))
         assert sum(bits[0] in channels for bits in want) == sum(
             map(len, channels.values()))
@@ -742,16 +763,36 @@ class TestSessionReadInTwoProcesses:
             with pytest.MonkeyPatch.context() as spy:
                 spy.setattr(ingest, "read_table", lambda path, **kw: (
                     here.append(Path(path).name), real(path, **kw))[1])
-                cli._load_session(config, session, channels, windows)
-            files = [file.name for spec in config.headband_sensors
-                     for file, _, _ in ingest.sensor_reads(
+                ingest.load_session(config, session, channels, windows)
+            files = [args[0].name for spec in config.headband_sensors
+                     for args in ingest.sensor_reads(
                          session / ingest.session_csv(spec.id), spec,
                          channels[spec.id])]
-            files += [path.name for path in cli._reference_blocks(config,
-                                                                  session)]
+            files += [path.name for path in reference_paths(config, session)]
             out[stage] = files, [f for f in files if f not in here]
             assert out[stage][1] and len(out[stage][1]) < len(files)
         return out
+
+    @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
+    def test_a_load_lists_the_directory_once_and_reads_each_file_once(
+            self, small_pipeline, config, files, monkeypatch, stage):
+        """In one process, so that every read is seen here: the session
+        directory is listed once, and each file is read once, in the
+        serial order."""
+        session = small_pipeline["session"]
+        channels, windows = stage_reads(
+            config, small_pipeline["events"] if stage == "reconstruct"
+            else None)
+        listed, read = [], []
+        iterdir, read_table = Path.iterdir, ingest.read_table
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(Path, "iterdir", lambda self: (
+            listed.append(self), iterdir(self))[1])
+        monkeypatch.setattr(ingest, "read_table", lambda path, **kw: (
+            read.append(Path(path).name), read_table(path, **kw))[1])
+        ingest.load_session(config, session, channels, windows)
+        assert listed == [session]
+        assert read == files[stage][0]
 
     @pytest.mark.parametrize("case", ["child", "nan", "both", "killed",
                                       "no_fork", "no_map", "missing"])
@@ -785,14 +826,14 @@ class TestSessionReadInTwoProcesses:
             (session / last.replace("_high", "")).unlink()
             assert order.index(first) < order.index(last)
         elif case == "killed":
-            parent, real = os.getpid(), cli.read_sensor_table
+            parent, real = os.getpid(), ingest.read_sensor_table
 
             def read(*args):
                 if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
                 return real(*args)
 
-            monkeypatch.setattr(cli, "read_sensor_table", read)
+            monkeypatch.setattr(ingest, "read_sensor_table", read)
         elif case == "no_fork":
             monkeypatch.delattr(os, "fork")
         elif case == "no_map":
@@ -814,7 +855,7 @@ class TestSessionReadInTwoProcesses:
             return code, capsys.readouterr().err.splitlines(), out.exists()
 
         with monkeypatch.context() as serial:
-            serial.setattr(cli, "_load_session", serial_load)
+            serial.setattr(cli, "load_session", serial_load)
             want = outcome(tmp_path / "serial")
         n_forks = len(forks)
         caplog.clear()
@@ -958,8 +999,8 @@ class TestStageErrors:
         events = tmp_path / "events.csv"
         events.write_text("".join(lines))
         row = cli._read_events_csv(events)[-1]
-        whole = cli._load_headband(config, session,
-                                   pipeline.reconstruct_channels(config))
+        whole, _ = serial_load(config, session,
+                               pipeline.reconstruct_channels(config))
         with pytest.raises(WindowError) as want:
             pipeline.reconstruct_pair(config, whole, [], row)
         assert main(["reconstruct", "--config", str(small_pipeline["config"]),
@@ -1683,6 +1724,40 @@ class TestReferenceBlockNames:
         assert sorted(p.name for p in session.glob("mouthpiece_*")) == [
             "mouthpiece_ev1000.csv", "mouthpiece_ev1001.csv",
             "mouthpiece_ev999.csv"]
-        starts = [b.gyro.start_time
-                  for b in cli._load_reference_blocks(config, session)]
+        assert [p.name for p in ingest.reference_files(config, session)] == [
+            "mouthpiece_ev999.csv", "mouthpiece_ev1000.csv",
+            "mouthpiece_ev1001.csv"]
+        starts = [b.gyro.start_time for b in ingest.load_session(
+            config, session, pipeline.detect_channels(config))[1]]
         assert len(starts) == 3 and starts == sorted(starts)
+
+    @pytest.mark.parametrize("before", [None, "missing_headband", "bad_cell"])
+    @pytest.mark.parametrize("stage", ["detect", "reconstruct"])
+    def test_a_block_number_held_by_two_files_is_one_error(
+            self, tmp_path, small_pipeline, config, capsys, stage, before):
+        """A copy of block 2 named ``mouthpiece_ev2.csv`` is one FormatError
+        (before, detect read the block twice and wrote an extra unpaired
+        event).  It is raised in the blocks' turn, so a missing headband
+        file or a bad headband cell comes first."""
+        session = copy_session(small_pipeline, tmp_path)
+        shutil.copyfile(session / "mouthpiece_ev002.csv",
+                        session / "mouthpiece_ev2.csv")
+        high = session / f"{config.a3g1_sensor_ids[0]}_high.csv"
+        want = (f"FormatError: {session}: mouthpiece_ev002.csv and "
+                "mouthpiece_ev2.csv are both block 2 of sensor 'mouthpiece'")
+        if before == "missing_headband":
+            (session / "bt_back.csv").unlink()
+            want = f"FormatError: missing headband file {session / 'bt_back.csv'}"
+        elif before == "bad_cell":
+            put_nan(high, "hx", window_row(small_pipeline["events"], 1, 1600.0),
+                    "x")
+            want = f"DataError: {high}: unparseable cell at data row "
+        out = tmp_path / "out"
+        argv = {"detect": ["detect", "--out", str(out / "events.csv")],
+                "reconstruct": ["reconstruct", "--events",
+                                str(small_pipeline["events"]), "--out",
+                                str(out)]}[stage]
+        assert main(argv[:1] + ["--config", str(small_pipeline["config"]),
+                                "--in", str(session)] + argv[1:]) == 1
+        assert single_error_line(capsys).startswith(f"kinereco: error: {want}")
+        assert not out.exists()

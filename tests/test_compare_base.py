@@ -42,3 +42,52 @@ def test_every_case_runs_in_exactly_one_step():
     for name in load_script().CASES:
         assert sum(name in names for names in steps) == 1, name
 
+
+
+#: A stand-in for perfbench/run.py: it writes the record of its run with an
+#: outputs_sha256 made of its arguments and the tree's digest.txt, and
+#: prints a summary line, then the result, correct unless digest.txt says
+#: "wrong".
+FAKE_RUN = '''
+import argparse, json, pathlib
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+tag = pathlib.Path("digest.txt").read_text()
+results = pathlib.Path("perfbench/_work/results")
+results.mkdir(parents=True, exist_ok=True)
+(results / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
+    json.dumps({"outputs_sha256": f"{args.seconds}/{args.trace}/{tag}"}))
+print(args.workload, "summary")
+print(json.dumps({"correct": tag != "wrong"}))
+'''
+
+
+def fake_tree(root, digest):
+    (root / "src" / "kinereco").mkdir(parents=True)
+    (root / "src" / "kinereco" / "__init__.py").touch()
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "digest.txt").write_text(digest)
+    return root
+
+
+def test_the_bench_case_compares_every_run_and_needs_each_correct(
+        tmp_path, capsys):
+    """Six runs per tree, --seconds 1 --trace 0: equal digests pass, a
+    different digest or a run that is not correct fails."""
+    compare = load_script().compare
+    head = fake_tree(tmp_path / "head", "d1")
+    assert compare("bench", head, fake_tree(tmp_path / "base", "d1"))
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{w} {seed} 1/0/d1" for seed in (7, 11)
+                   for w in ("field18", "sparse6", "export6")] + [
+        "benchmark workloads at seeds 7 and 11: 6 benchmark runs with the "
+        "same outputs_sha256 at head and base"]
+    assert not compare("bench", head, fake_tree(tmp_path / "other", "d2"))
+    assert capsys.readouterr().err.endswith("outputs_sha256 differs from the base\n")
+    assert not compare("bench", head, fake_tree(tmp_path / "wrong", "wrong"))
+    assert capsys.readouterr().err == (
+        "benchmark workloads at seeds 7 and 11: field18 seed 7: benchmark not "
+        "correct at the base\n")

@@ -7,9 +7,12 @@ from scipy.integrate import quad
 
 from kinereco.core import TimeSeries1, TimeSeries3
 from kinereco.errors import DataError, DegenerateSignalError, WindowError
-from kinereco.evaluate import (CoraScore, _correlation, bland_altman, cora_band,
-                               cora_score, nrmse_windowed, paired_t_test,
-                               peak_resultant)
+from kinereco.evaluate import (DEFAULT_MAX_SHIFT_FRACTION, QUANTITIES,
+                               CoraScore, EventComparison, _correlation,
+                               bland_altman, build_agreement_report,
+                               cora_band, cora_score, nrmse_windowed,
+                               paired_t_test, peak_resultant)
+from kinereco.kinematics import KinematicsSet, ReferenceKinematics
 
 
 def scalar(values, rate=3200.0, start=-0.03125):
@@ -368,3 +371,73 @@ class TestCoraShiftScreen:
             ref = scalar(rng.normal(size=n))
             for fraction in (0.05, 0.2, 1.0, 1.5):
                 assert cora_score(ref, ref, fraction).total == 1.0
+
+
+#: Direction and scale of each reference series of :func:`pulse_event`.
+PULSE_SERIES = {"omega": ([1.0, 0.5, -0.3], 1.0), "alpha": ([0.2, -1.0, 0.4], 3.0),
+                "a_point": ([-0.6, 0.1, 1.0], 0.5)}
+
+
+def pulse_event(pair_id, amp, headband):
+    """An event whose reference series are half-sine pulses of peak ``amp``
+    times a scale, each along its own direction (:data:`PULSE_SERIES`), on
+    a 400-sample 3200 Hz grid with zero tails; each headband series is
+    ``headband`` of the reference series it is compared with."""
+    pulse = pulse_curve().values / 7.5
+    ref = ReferenceKinematics(**{
+        name: TimeSeries3(-0.03125, 3200.0,
+                          amp * scale * np.outer(pulse, direction))
+        for name, (direction, scale) in PULSE_SERIES.items()})
+    omega = ref.omega.with_samples(headband(ref.omega.samples))
+    alpha = ref.alpha.with_samples(headband(ref.alpha.samples))
+    kin = KinematicsSet(
+        omega_h=omega, omega_hf=omega, alpha_diff=alpha, alpha_a3g1=alpha,
+        a_ref_point=ref.a_point.with_samples(headband(ref.a_point.samples)),
+        q=None, f0=100.0, a3g1_residual=None)
+    return EventComparison(pair_id, "header", kin, ref)
+
+
+class TestMetricRelations:
+    """How the report answers a known change of the headband series built
+    from the reference series: the paper's CORA sub-ratings and its
+    Bland-Altman bias as a share of the largest reference peak."""
+
+    @pytest.mark.parametrize("g", [-0.2, 0.15])
+    def test_gain(self, g):
+        """Headband = (1+g) reference: phase 1, shape 1 and magnitude
+        min(1+g, 1/(1+g)); each bias is g times the reference peak, and the
+        mean normalized bias g mean(peaks) / max(peaks)."""
+        report = build_agreement_report([
+            pulse_event(k, amp, lambda x: (1 + g) * x)
+            for k, amp in enumerate((2.0, 5.0, 3.5), 1)])
+        assert len(report["events"]) == 3
+        for name, _, _ in QUANTITIES:
+            peaks = []
+            for event in report["events"]:
+                cora = event["cora"][name]
+                assert cora["phase"] == 1.0
+                assert abs(cora["shape"] - 1.0) <= 1e-12
+                assert abs(cora["magnitude"] - min(1 + g, 1 / (1 + g))) <= 1e-12
+                peak = event["peaks"][name]
+                assert abs(peak["bias"] - g * peak["reference"]) <= 1e-12
+                peaks.append(peak["reference"])
+            ba = report["aggregate"]["bland_altman"][name]
+            assert np.max(np.abs(np.subtract(ba["bias"], g * np.array(peaks)))) \
+                <= 1e-12
+            assert abs(ba["mean_normalized_bias"]
+                       - g * np.mean(peaks) / np.max(peaks)) <= 1e-12
+
+    def test_lag(self):
+        """Headband = the reference rolled by s samples, inside the shift
+        bound: phase 1 - |s| / max_shift, with magnitude and shape 1."""
+        shifts = (-7, 3, 12)
+        report = build_agreement_report([
+            pulse_event(k, 4.0, lambda x, s=s: np.roll(x, s, axis=0))
+            for k, s in enumerate(shifts, 1)])
+        max_shift = round(DEFAULT_MAX_SHIFT_FRACTION * 400)
+        for event, s in zip(report["events"], shifts):
+            for name, _, _ in QUANTITIES:
+                cora = event["cora"][name]
+                assert abs(cora["phase"] - (1 - abs(s) / max_shift)) <= 1e-12
+                assert cora["magnitude"] == 1.0
+                assert abs(cora["shape"] - 1.0) <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -926,7 +927,7 @@ def old_parse_imu_csv(path, spec, column_map=None, channels=None,
     wanted = {c.kind for c in spec.channels} if channels is None \
         else set(channels)
     series = {}
-    for file, kinds, rate in ingest.sensor_reads(path, spec, channels):
+    for file, kinds, rate, *_ in ingest.sensor_reads(path, spec, channels):
         series.update(old_parse_file(file, kinds, wanted, rate, column_map,
                                      windows))
     rec = ImuRecording(spec.id, *map(series.get, ingest.CHANNEL_KINDS))
@@ -1272,3 +1273,22 @@ class TestSessionFileNames:
         assert ingest.reference_block(spec, "mp_ev002_high.csv") == (
             2, "mp_ev002.csv")
         assert ingest.reference_block(spec, "mp_ev002_low.csv") is None
+
+    def test_reference_files(self, tmp_path, config):
+        """The main file of each block, in block-number order; two files of
+        one block number are one FormatError naming both."""
+        for name in ("mouthpiece_ev010.csv", "mouthpiece_ev2.csv",
+                     "mouthpiece_ev001.csv", "mouthpiece_ev001_high.csv",
+                     "mouthpiece_evx.csv", "bt_back.csv", "labels.csv"):
+            (tmp_path / name).touch()
+        assert [p.name for p in ingest.reference_files(config, tmp_path)] == [
+            "mouthpiece_ev001.csv", "mouthpiece_ev2.csv",
+            "mouthpiece_ev010.csv"]
+        (tmp_path / "mouthpiece_ev0002.csv").touch()
+        with pytest.raises(FormatError) as exc:
+            ingest.reference_files(config, tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path}: mouthpiece_ev0002.csv and mouthpiece_ev2.csv are "
+            "both block 2 of sensor 'mouthpiece'")
+        alone = dataclasses.replace(config, sensors=config.headband_sensors)
+        assert ingest.reference_files(alone, tmp_path / "absent") == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kinereco import cli, kinematics, pipeline
+from kinereco import cli, ingest, kinematics, pipeline
 from kinereco.core import TimeSeries1, TimeSeries3, rotate_series
 from kinereco.errors import (ConfigError, DataError, DegenerateSignalError,
                              WindowError)
@@ -462,7 +462,7 @@ class TestAdaptiveFilterColumns:
         config, session, events = bench
         pairs = cli._read_events_csv(events)
         windows = pipeline.reconstruct_windows(config, pairs)
-        hb_recs, ref_blocks = cli._load_session(
+        hb_recs, ref_blocks = ingest.load_session(
             config, session, pipeline.reconstruct_channels(config, "both"),
             windows)
         inputs, real = [], kinematics.adaptive_filter

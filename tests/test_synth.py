@@ -580,7 +580,7 @@ def test_a_reference_block_outside_its_recording_is_one_data_error(
         f"recording [0.0000, {loud.duration_s:.4f}] s\n")
     assert sorted(p.name for p in out.iterdir()) == sorted(
         file.name for spec in config.headband_sensors
-        for file, _, _ in ingest.sensor_reads(out / ingest.session_csv(spec.id),
+        for file, *_ in ingest.sensor_reads(out / ingest.session_csv(spec.id),
                                               spec))
 
 

@@ -15,7 +15,9 @@ returns one text to compare between the trees:
   in it, in ``sha256sum`` format in C byte order of the paths;
 - or the exit codes and the stderr of the calls, with the ``<path>:<line>: ``
   prefix of each warning and its echoed source line stripped, because the
-  two trees' paths differ.
+  two trees' paths differ;
+- or, for ``bench``, the ``outputs_sha256`` of each benchmark run, which
+  ``perfbench/run.py`` makes from the tree's root, where it keeps its work.
 
 Where the texts match, the script prints the text and one summary line;
 otherwise a diff from base to head and one error line.  With no CASE, every
@@ -51,6 +53,8 @@ WARNINGS = ("stderr differs", "the same {} warning lines",
 FAILED_RUNS = ("exit codes or stderr differ",
                "{} failed runs with the same error lines",
                lambda line: line.endswith(" exit 1"))
+BENCH_RUNS = ("outputs_sha256 differs",
+              "{} benchmark runs with the same outputs_sha256", lambda line: True)
 
 CASES = {}
 
@@ -63,10 +67,15 @@ def case(label, compared=FILES):
     return register
 
 
+class CaseFailed(Exception):
+    """A case that cannot give its text in one tree, for the reason it names."""
+
+
 class Run:
     """One case in one tree: its work directory and the tree's CLI."""
 
     def __init__(self, tree: Path, work: Path):
+        self.tree = tree
         self.profiles = tree / "src" / "kinereco" / "profiles"
         self.work = work
         self.env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -180,6 +189,30 @@ def skew(run):
     run.cli("detect --config config.json --in clean_p020-session "
             "--out unpaired-events.csv --max-offset 0.01")
     return run.sha256()
+
+
+@case("benchmark workloads at seeds 7 and 11", BENCH_RUNS)
+def bench(run):
+    """Every benchmark workload must write byte-identical outputs at the head
+    and at the base.  Run perfbench/run.py from the tree's root on field18,
+    sparse6 and export6 at seeds 7 and 11, with --seconds 1 --trace 0: each
+    run must be correct (the last line of its stdout), and the
+    outputs_sha256 of its record in perfbench/_work/results is compared."""
+    digests = []
+    for seed in (7, 11):
+        for workload in ("field18", "sparse6", "export6"):
+            stdout = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", str(seed), "--seconds", "1", "--trace", "0"],
+                cwd=run.tree, env=run.env, stdout=subprocess.PIPE, text=True,
+                check=True).stdout
+            if json.loads(stdout.splitlines()[-1])["correct"] is not True:
+                raise CaseFailed(f"{workload} seed {seed}: benchmark not correct")
+            record = (run.tree / "perfbench" / "_work" / "results"
+                      / f"{workload}-seed{seed}-trace0.json")
+            digests.append(f"{workload} {seed} "
+                           f"{json.loads(record.read_text())['outputs_sha256']}\n")
+    return "".join(digests)
 
 
 @case("simulate at seeds 1-5, noisy, gyro_sigma 0 and scaled")
@@ -505,6 +538,9 @@ def compare(name, head, base):
             except subprocess.CalledProcessError as exc:
                 print(f"{label}: exit {exc.returncode} at the {side}: "
                       f"{' '.join(exc.cmd[1:])}", file=sys.stderr)
+                return False
+            except CaseFailed as exc:
+                print(f"{label}: {exc} at the {side}", file=sys.stderr)
                 return False
     if texts["head"] != texts["base"]:
         sys.stdout.writelines(difflib.unified_diff(
