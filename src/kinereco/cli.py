@@ -382,15 +382,17 @@ def _write_scalograms(path: Path, omega: TimeSeries3, manifest: RunManifest):
             grids.append((float(k), cwt(comp)))
     if not grids:
         return
-    # Row order: axis, then frequency, then time.  Each label is formatted
-    # once and every row refers to the same string.
+    # Row order: axis, then frequency, then time.  The components share one
+    # clock, so every grid has the same times and frequencies.  Each label
+    # is formatted once; the label columns repeat its bytes.
     fmt = "%.9g"
-    axes, times, freqs = [], [], []
-    for k, sc in grids:
-        axes += [fmt % k] * sc.coeffs.size
-        times += [fmt % t for t in sc.times.tolist()] * len(sc.freqs)
-        for freq in sc.freqs.tolist():
-            freqs += [fmt % freq] * len(sc.times)
+    _, first = grids[0]
+    n_freqs, n_times = first.coeffs.shape
+    axes = np.array([fmt % k for k, _ in grids], "S").repeat(first.coeffs.size)
+    times = np.tile(np.array([fmt % t for t in first.times.tolist()], "S"),
+                    n_freqs * len(grids))
+    freqs = np.tile(np.array([fmt % f for f in first.freqs.tolist()], "S")
+                    .repeat(n_times), len(grids))
     coeffs = np.concatenate([sc.coeffs.ravel() for _, sc in grids])
     write_table(path, ("axis", "time_s", "freq_hz", "coeff"),
                 (axes, times, freqs, coeffs), manifest.comments(), fmt)

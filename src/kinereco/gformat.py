@@ -26,10 +26,11 @@ MAX_DIGITS = 14
 _SPLITTER = 134217729.0
 _POW10 = 10.0 ** np.arange(23)
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
-#: Bytes per cell in format_g's buffer.  Bytes 0-15 hold the integer part,
+#: Bytes per cell that format_g returns.  Bytes 0-15 hold the integer part,
 #: right-aligned; byte 16 the point; bytes 17-35 the fraction, left-aligned.
 #: The sign and the separator go just in front of the integer part, an
-#: exponent just after the trimmed fraction, and NUL bytes are dropped.
+#: exponent just after the trimmed fraction, and the caller drops the NUL
+#: bytes.
 _CELL = 36
 
 
@@ -79,9 +80,11 @@ def _decade(a):
     return np.floor(np.log10(a)).astype(np.int64)
 
 
-def format_g(x, p: int, seps) -> bytes:
+def format_g(x, p: int, seps) -> np.ndarray:
     """The bytes of ``"%.<p>g" % v`` for each float64 cell ``v`` of ``x``,
-    each preceded by its byte of ``seps`` (0: none), for 1 <= p <= MAX_DIGITS."""
+    each preceded by its byte of ``seps`` (0: none), for 1 <= p <= MAX_DIGITS:
+    one row of ``_CELL`` bytes per cell, padded with NUL bytes, so that
+    ``cells[cells != 0]`` is the text."""
     n = len(x)
     a = np.abs(x)
     zero = a == 0
@@ -184,4 +187,4 @@ def format_g(x, p: int, seps) -> bytes:
                 for sep, v in zip(seps[fb].tolist(), x[fb].tolist())]
         cells[fb] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(
             -1, _CELL)
-    return cells[cells != 0].tobytes()
+    return cells

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeSeries3, same_clock, validate_rotation, window_span
+from .core import TimeSeries3, median, same_clock, validate_rotation, \
+    window_span
 from .errors import ConfigError, DataError, FormatError
 from .twoproc import read_in_two
 
@@ -946,7 +947,7 @@ def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
                         f"row {int(rows[bad[0] + 1])}")
     steps = steps[np.diff(rows) == 1]
     if steps.size:
-        measured = 1.0 / float(np.median(steps))
+        measured = 1.0 / median(steps)
         if rate is None:
             rate = measured
         elif abs(measured - rate) > 0.005 * rate:
@@ -961,7 +962,7 @@ def table_clock(t: np.ndarray, path, name: str, rate: float | None = None,
             # When the first time is the one off the grid, every other row
             # is off its grid, and on the grid of the others.
             others = t[1:] - rows[1:] / rate
-            grid = np.median(others)
+            grid = median(others)
             if (abs(t[0] - grid) > 0.25 / rate
                     and (np.abs(others - grid) <= 0.25 / rate).all()):
                 row, by = int(rows[0]), abs(t[0] - grid)
@@ -1351,31 +1352,36 @@ def write_table(path, names, columns, comments, fmt: str):
     """Write a CSV table: ``# comment`` lines, the header, then one row per
     sample of the equal-length ``columns``.
 
-    A column whose cells are ``str`` is written verbatim, so a label repeated
-    on many rows is formatted once by the caller; every other cell is
-    formatted as ``fmt % x``, the same bytes as ``np.savetxt`` with ``fmt``.
-    A table of at least ``_G_MIN_CELLS`` cells, without a ``str`` column, at
-    ``%.<p>g`` with p <= 14 gets those bytes from
-    :func:`kinereco.gformat.format_g`.  A file that cannot be written is a
-    FormatError naming ``path``.
+    A label column is written verbatim, so a label repeated on many rows is
+    formatted once by the caller: a list of ``str`` cells, or a numpy array
+    of ASCII byte strings (dtype ``S``).  Every other cell is formatted as
+    ``fmt % x``, the same bytes as ``np.savetxt`` with ``fmt``.  A table of
+    at least ``_G_MIN_CELLS`` cells, without a ``str`` column, at ``%.<p>g``
+    with p <= 14 gets those bytes from :func:`kinereco.gformat.format_g`,
+    with the bytes of its ``S`` columns copied in beside them.  A file that
+    cannot be written is a FormatError naming ``path``.
     """
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    label = [isinstance(c, np.ndarray) and c.dtype.kind == "S"
+             for c in columns]
     k = len(columns)
     n_rows = len(columns[0])
     g = re.fullmatch(r"%\.(\d+)g", fmt)
     digits = 0
     if g and not any(text) and n_rows * k >= _G_MIN_CELLS:
-        from .gformat import MAX_DIGITS, format_g
+        from .gformat import MAX_DIGITS
         digits = int(g.group(1)) if int(g.group(1)) <= MAX_DIGITS else 0
-    row = ",".join(["%s" if t else fmt for t in text]) + "\n"
-    chunk = max(1, _CELLS_PER_CHUNK // k) if digits else _ROWS_PER_CHUNK
+    row = ",".join(["%s" if t or s else fmt
+                    for t, s in zip(text, label)]) + "\n"
+    chunk = (max(1, _CELLS_PER_CHUNK // max(k - sum(label), 1)) if digits
+             else _ROWS_PER_CHUNK)
     if digits:
         # The byte written before each cell: none before the first cell of a
         # chunk, a newline before the first cell of every other row, and a
         # comma before the others.
         seps = np.tile(np.array([10] + [44] * (k - 1), np.uint8),
-                       min(n_rows, chunk))
-        seps[:1] = 0
+                       min(n_rows, chunk)).reshape(-1, k)
+        seps[0, 0] = 0
     try:
         with open(path, "wb") as fh:
             fh.write("".join([f"# {comment}\n" for comment in comments]
@@ -1386,28 +1392,68 @@ def write_table(path, names, columns, comments, fmt: str):
                 parts = [c[lo:lo + chunk] for c in columns]
                 n = len(parts[0])
                 if digits:
-                    cells = np.empty((n, k))
-                    for j, part in enumerate(parts):
-                        cells[:, j] = part
-                    fh.write(format_g(cells.ravel(), digits, seps[:n * k]))
+                    fh.write(_g_rows(parts, label, digits, seps[:n]))
                     fh.write(b"\n")
                     continue
                 args = [None] * (n * k)
-                for j, (part, t) in enumerate(zip(parts, text)):
-                    args[j::k] = part if t else part.tolist()
+                for j, (part, t, s) in enumerate(zip(parts, text, label)):
+                    args[j::k] = part if t else (part.astype(str) if s
+                                                 else part).tolist()
                 fh.write(((row * n) % tuple(args)).encode("utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
-#: A smaller table is formatted by ``%``: format_g's hundred-odd numpy calls
-#: cost about 0.3 ms, and ``%`` was as fast on 3-column tables of up to about
-#: 2000 cells, such as ``report``'s time histories.
+def _g_rows(parts, label, digits, seps):
+    """One chunk of :func:`write_table`'s rows at ``%.<digits>g``, as uint8
+    text: each cell after its byte of ``seps`` (chunk rows by table
+    columns), the numeric cells from format_g and the ``S`` labels, flagged
+    in ``label``, copied in beside them, with the NUL bytes dropped."""
+    from .gformat import format_g
+
+    n, k = seps.shape
+    numbers = [part for part, s in zip(parts, label) if not s]
+    cells = np.empty((n, len(numbers)))
+    for j, part in enumerate(numbers):
+        cells[:, j] = part
+    if len(numbers) == k:
+        cells = format_g(cells.ravel(), digits, seps.reshape(-1))
+        return cells[cells != 0]
+    cells = format_g(cells.ravel(), digits,
+                     seps[:, [not s for s in label]].ravel())
+    width = cells.shape[1]
+    cells = cells.reshape(n, -1)
+    # One row of bytes per table row: each label after its separator, each
+    # number in its format_g cell, which holds its own separator.
+    widths = [1 + part.itemsize if s else width
+              for part, s in zip(parts, label)]
+    m = np.empty((n, sum(widths)), np.uint8)
+    at = cell = 0
+    for j, (part, s) in enumerate(zip(parts, label)):
+        if s:
+            m[:, at] = seps[:, j]
+            m[:, at + 1:at + widths[j]] = np.ascontiguousarray(part).view(
+                np.uint8).reshape(n, -1)
+        else:
+            m[:, at:at + width] = cells[:, cell:cell + width]
+            cell += width
+        at += widths[j]
+    return m[m != 0]
+
+
+#: A smaller table, counting the cells of its ``S`` label columns, is
+#: formatted by ``%``, with those labels decoded to ``str``: format_g's
+#: hundred-odd numpy calls cost about 0.3 ms, and ``%`` was as fast on
+#: 3-column tables of up to about 2000 cells, such as ``report``'s time
+#: histories.
 _G_MIN_CELLS = 2048
-#: Cells formatted by one format_g call in :func:`write_table`, in whole
-#: rows.  Its temporary arrays then take about 1.5 MB.  A 48000-row session
-#: file of 7 columns took 45-62 ms in 1170-row chunks against 64-86 ms in
-#: 4096-row ones, whose temporaries raised the peak RSS by 5 MB.
+#: Numeric cells formatted by one format_g call in :func:`write_table`, in
+#: whole rows.  Its temporary arrays then take about 1.5 MB.  A 48000-row
+#: session file of 7 columns took 45-62 ms in 1170-row chunks against 64-86
+#: ms in 4096-row ones, whose temporaries raised the peak RSS by 5 MB.  A
+#: scalogram grid, one numeric column beside three ``S`` labels, goes 8192
+#: rows a chunk: a 125114-row grid took 34 ms, against 47 ms in 2048-row
+#: chunks and 45 ms in 32768-row ones.
 _CELLS_PER_CHUNK = 8192
 #: Rows formatted by one ``%`` operation in :func:`write_table`: the tables
 #: with a ``str`` column or another format.  Fewer rows hold fewer temporary

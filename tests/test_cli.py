@@ -17,10 +17,9 @@ from kinereco import cli, core, ingest, pipeline, twoproc
 from kinereco.cli import RunManifest, _write_scalograms, main
 from kinereco.core import TimeSeries3
 from kinereco.errors import FormatError, WindowError
-from kinereco.ingest import write_table
 from kinereco.synth import (config_to_json_dict, dump_profile,
                             standard_session_profile)
-from kinereco.wavelet import cwt
+from kinereco.wavelet import Scalogram
 
 from conftest import assert_no_child_left
 
@@ -90,22 +89,22 @@ class TestReconstructCommand:
 
 
 def _old_write_scalograms(path, omega, manifest):
-    """The scalogram export that formats every cell, labels included."""
+    """The scalogram export that formats every cell, labels included, with
+    one Python ``%`` each, and joins the rows itself."""
     grids = []
     for k in range(3):
         comp = omega.component(k)
         if comp.values.any():
-            grids.append((float(k), cwt(comp)))
+            grids.append((float(k), cli.cwt(comp)))
     if not grids:
         return
-    columns = [
-        np.concatenate([np.full(sc.coeffs.size, k) for k, sc in grids]),
-        np.concatenate([np.tile(sc.times, len(sc.freqs)) for _, sc in grids]),
-        np.concatenate([np.repeat(sc.freqs, len(sc.times)) for _, sc in grids]),
-        np.concatenate([sc.coeffs.ravel() for _, sc in grids]),
-    ]
-    write_table(path, ("axis", "time_s", "freq_hz", "coeff"), columns,
-                manifest.comments(), "%.9g")
+    lines = [f"# {comment}\n" for comment in manifest.comments()]
+    lines.append("axis,time_s,freq_hz,coeff\n")
+    for k, sc in grids:
+        for freq, row in zip(sc.freqs.tolist(), sc.coeffs.tolist()):
+            for t, coeff in zip(sc.times.tolist(), row):
+                lines.append("%.9g,%.9g,%.9g,%.9g\n" % (k, t, freq, coeff))
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 class TestScalogramExport:
@@ -143,6 +142,32 @@ class TestScalogramExport:
         axes = {line.split(",", 1)[0]
                 for line in new.read_text().splitlines()[2:]}
         assert axes == {str(k) for k in range(3) if k not in zero_axes}
+
+    def test_cells_that_format_g_leaves_to_percent(self, tmp_path,
+                                                   monkeypatch):
+        """Coefficients of 0, 1e-20 and at least 1e9, and labels in exponent
+        notation, on a grid of more rows than one chunk of the writer."""
+        rng = np.random.default_rng(5)
+        times = np.arange(300) * 1e-5 - 3e-4
+        freqs = np.geomspace(1e-6, 2e9, 40)
+        coeffs = rng.uniform(0.0, 2.0, (40, 300)) * 10.0 ** rng.integers(
+            -25, 12, (40, 300))
+        coeffs.flat[::7] = 0.0
+        coeffs.flat[1::11] = 1e-20
+        coeffs.flat[2::13] = 1e9
+        coeffs.flat[3::17] = 3.5e12
+        monkeypatch.setattr(cli, "cwt", lambda comp: Scalogram(
+            times, freqs, coeffs * abs(comp.values[0])))
+        omega = TimeSeries3(0.0, 100.0, np.array([[1.0, 0.0, 2.0]] * 300))
+
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_scalograms(new, omega, self.MANIFEST)
+        _old_write_scalograms(old, omega, self.MANIFEST)
+        assert new.read_bytes() == old.read_bytes()
+        text = new.read_text()
+        assert ",0\n" in text and ",1e-20\n" in text and ",1e+09\n" in text
+        assert ",2e+09," in text and ",-0.0003," in text
+        assert text.count("\n") == 2 + 2 * 40 * 300
 
 
 class TestEvaluateAndReport:

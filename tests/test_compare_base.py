@@ -45,8 +45,9 @@ def test_every_case_runs_in_exactly_one_step():
 
 
 #: A stand-in for perfbench/run.py: it writes the record of its run with an
-#: outputs_sha256 made of its arguments and the tree's digest.txt, and
-#: prints a summary line, then the result, correct unless digest.txt says
+#: outputs_sha256 made of its arguments and the tree's digest.txt, and with
+#: --trace 1 a spans file of the names in the tree's spans.txt, each twice;
+#: it prints a summary line, then the result, correct unless digest.txt says
 #: "wrong".
 FAKE_RUN = '''
 import argparse, json, pathlib
@@ -59,17 +60,22 @@ results = pathlib.Path("perfbench/_work/results")
 results.mkdir(parents=True, exist_ok=True)
 (results / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
     json.dumps({"outputs_sha256": f"{args.seconds}/{args.trace}/{tag}"}))
+if args.trace == "1" and args.seconds == "1":
+    names = pathlib.Path("spans.txt").read_text().split()
+    (results / f"{args.workload}-seed{args.seed}-trace1-spans.json").write_text(
+        json.dumps([[0.5 * i, 0.25, name] for i, name in enumerate(names * 2)]))
 print(args.workload, "summary")
 print(json.dumps({"correct": tag != "wrong"}))
 '''
 
 
-def fake_tree(root, digest):
+def fake_tree(root, digest, spans=()):
     (root / "src" / "kinereco").mkdir(parents=True)
     (root / "src" / "kinereco" / "__init__.py").touch()
     (root / "perfbench").mkdir()
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "digest.txt").write_text(digest)
+    (root / "spans.txt").write_text(" ".join(spans))
     return root
 
 
@@ -91,3 +97,27 @@ def test_the_bench_case_compares_every_run_and_needs_each_correct(
     assert capsys.readouterr().err == (
         "benchmark workloads at seeds 7 and 11: field18 seed 7: benchmark not "
         "correct at the base\n")
+
+
+def test_the_spans_case_needs_every_base_name_at_the_head(tmp_path, capsys):
+    """One traced field18 seed 7 run per tree, --seconds 1: the head may
+    record new names, but not lose one of the base's, and each run must be
+    correct."""
+    compare = load_script().compare
+    head = fake_tree(tmp_path / "head", "d1", ("cli.detect", "wavelet.cwt",
+                                               "ingest.read_table"))
+    base = fake_tree(tmp_path / "base", "d2", ("wavelet.cwt", "cli.detect"))
+    assert compare("spans", head, base)
+    assert capsys.readouterr().out.splitlines() == [
+        "cli.detect", "wavelet.cwt",
+        "span names of a traced run: 2 base names recorded at head and base"]
+    assert not compare("spans", base, head)
+    captured = capsys.readouterr()
+    assert "-ingest.read_table" in captured.out.splitlines()
+    assert captured.err == ("span names of a traced run: the head lacks span "
+                            "names from the base\n")
+    assert not compare("spans", head, fake_tree(tmp_path / "wrong", "wrong",
+                                                ("cli.detect",)))
+    assert capsys.readouterr().err == (
+        "span names of a traced run: field18 seed 7: benchmark not correct at "
+        "the base\n")

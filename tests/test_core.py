@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kinereco.core import (TimeSeries1, TimeSeries3, _grid_rate,
-                           lagged_correlation, magnitude, rotate_series,
-                           sample_on_grid, shared_grid, validate_rotation,
-                           window_span)
+                           lagged_correlation, magnitude, median,
+                           rotate_series, sample_on_grid, shared_grid,
+                           validate_rotation, window_span)
 from kinereco.detect import _clip_scalar, _excerpt
 from kinereco.errors import ConfigError, DataError, WindowError
 from kinereco.evaluate import _common_pair, _correlation, nrmse_windowed
@@ -390,6 +390,30 @@ class TestClockMethods:
                 repr((old.start_time, old.sample_rate))
             assert new._data.shape == old._data.shape
             assert new._data.tobytes() == old._data.tobytes()
+
+
+class TestMedian:
+    """core.median gives np.median's bits without importing numpy.ma."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 99, 100, 1001])
+    def test_bit_identical_to_np_median(self, n):
+        rng = np.random.default_rng(n)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e300,
+                         np.inf, -np.inf, 0.1, 0.2, 0.30000000000000004])
+        cases = [rng.standard_normal(n),
+                 rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                 rng.choice(pool, n), rng.choice(pool[:4], n),
+                 np.full(n, 1e308), 1.0 / 3200.0 + np.zeros(n)]
+        with_nan = rng.standard_normal(n)
+        with_nan[rng.integers(0, n)] = np.nan
+        cases.append(with_nan)
+        for x in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.median(x)
+                got = median(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+            assert np.isnan(got) == np.isnan(x).any()
 
 
 class TestMagnitude:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -441,3 +442,26 @@ class TestMetricRelations:
                 assert abs(cora["phase"] - (1 - abs(s) / max_shift)) <= 1e-12
                 assert cora["magnitude"] == 1.0
                 assert abs(cora["shape"] - 1.0) <= 1e-12
+
+    def test_label_split(self):
+        """Relabel half of the events: each by_label group holds the
+        statistics of its half computed alone."""
+        events = [pulse_event(k, amp, lambda x, g=g: (1 + g) * x)
+                  for k, (amp, g) in enumerate(
+                      [(2.0, 0.1), (5.0, -0.2), (3.5, 0.3), (4.0, -0.05),
+                       (1.5, 0.25), (6.0, 0.02)], 1)]
+        halves = {"header": events[::2],
+                  "goal_kick": [replace(ev, label="goal_kick")
+                                for ev in events[1::2]]}
+        report = build_agreement_report(halves["header"] + halves["goal_kick"])
+        assert sorted(report["aggregate"]["by_label"]) == sorted(halves)
+        for label, half in halves.items():
+            alone = build_agreement_report(half)["aggregate"]
+            group = report["aggregate"]["by_label"][label]
+            assert sorted(group) == sorted(name for name, _, _ in QUANTITIES)
+            for name, stats in group.items():
+                cora = alone["cora_stats"][name]
+                assert stats == {"n": cora["n"], "cora_mean": cora["mean"],
+                                 "cora_sd": cora["sd"],
+                                 "bland_altman": alone["bland_altman"][name]}
+                assert stats["n"] == 3

@@ -531,8 +531,8 @@ class TestFormatG:
         seps = np.full(len(values), 44, np.uint8)
         seps[::3] = 10
         seps[:1] = 0
-        got = gformat.format_g(values, p, seps)
-        assert got == percent_cells(values, p, seps)
+        cells = gformat.format_g(values, p, seps)
+        assert cells[cells != 0].tobytes() == percent_cells(values, p, seps)
 
     @pytest.mark.parametrize("p", [9, 12, 14])
     def test_exact_ties(self, p):
@@ -613,6 +613,34 @@ class TestWriteTable:
             f"{a},{'%.9g' % b},{c},{'%.9g' % d}"
             for a, b, c, d in zip(*columns)]
         assert path.read_bytes() == "".join(r + "\n" for r in rows).encode()
+
+    # Two numeric columns: ingest._CELLS_PER_CHUNK // 2 rows to a chunk.
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("width", [1, 24])
+    def test_byte_string_labels(self, tmp_path, n_rows, at, width):
+        """A numpy ``S`` label column gives the bytes of the same labels as
+        ``str`` cells, which ``%`` writes."""
+        assert ingest._CELLS_PER_CHUNK // 2 == 4096
+        rng = np.random.default_rng(n_rows + 10 * at + width)
+        values = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(
+            -30, 30, n_rows) for _ in range(2)]
+        for column in values:
+            column[::5] = np.resize(self.SPECIAL, len(column[::5]))
+        words = ["x" * w for w in range(1, width + 1)] + ["-1.5e-07", "7"]
+        words = [word[:width] for word in words]
+        picked = rng.integers(0, len(words), n_rows)
+        labels = np.array(words, "S")[picked]
+        assert labels.itemsize == width
+        columns = [*values]
+        columns.insert(at, labels)
+        names = ("a", "b", "c")
+        got, want = tmp_path / "labels.csv", tmp_path / "text.csv"
+        ingest.write_table(got, names, columns, ("k=v",), "%.9g")
+        columns[at] = [words[i] for i in picked.tolist()]
+        ingest.write_table(want, names, columns, ("k=v",), "%.9g")
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\n") == n_rows + 2
 
 
 

@@ -1,6 +1,7 @@
 """Start-up cost: ``import kinereco`` loads no scipy module, no subcommand
-loads scipy.signal or scipy.stats, and ``reconstruct`` loads scipy.fft only
-for the full scalograms.
+loads scipy.signal or scipy.stats, ``reconstruct`` loads scipy.fft only for
+the full scalograms, and neither ``detect`` nor ``reconstruct`` loads
+numpy.ma for a median.
 
 Importing scipy.signal (which imports scipy.stats) costs most of a second
 and about 40 MB, more than most subcommands spend on their work, so kinereco
@@ -19,26 +20,32 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Prints the scipy modules loaded after the import and after each command.
+#: Prints the scipy modules, and numpy.ma, loaded after the import and after
+#: each command; with a second argument, without ``os.fork``, so that every
+#: read and pair runs in the process whose modules are listed.
 SCRIPT = """
-import json, sys
+import json, os, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+def modules():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] == "scipy" or m == "numpy.ma")
 
+if len(sys.argv) > 2:
+    del os.fork
 loaded = {}
 import kinereco.cli
-loaded["import"] = scipy_modules()
+loaded["import"] = modules()
 for name, argv in json.loads(sys.argv[1]):
     if kinereco.cli.main(argv) != 0:
         sys.exit(f"{name} failed")
-    loaded[name] = scipy_modules()
+    loaded[name] = modules()
 print(json.dumps(loaded))
 """
 
 
-def loaded_after(commands):
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
+def loaded_after(commands, one_process=False):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands),
+                           *(["one-process"] if one_process else [])],
                           env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -101,6 +108,21 @@ def test_reconstruct_loads_neither_scipy_signal_nor_stats(
     assert loaded["import"] == []
     assert not {"scipy.signal", "scipy.stats"} & set(loaded["reconstruct"])
     assert not [m for m in loaded["reconstruct"] if m.startswith("scipy.fft")]
+
+
+def test_detect_and_reconstruct_load_no_numpy_ma(tmp_path, small_pipeline):
+    """``np.median`` imports numpy.ma on its first call, about 17 ms in a
+    fresh process; the clock checks take ``core.median`` instead.  The A3G1
+    solve imports scipy.linalg, which loads numpy.ma itself, so reconstruct
+    runs with --alpha-method diff here."""
+    loaded = loaded_after([
+        ("detect", ["detect", "--config", str(small_pipeline["config"]),
+                    "--in", str(small_pipeline["session"]),
+                    "--out", str(tmp_path / "events.csv")]),
+        ("reconstruct", reconstruct_argv(small_pipeline, tmp_path / "kin",
+                                         "--alpha-method", "diff")),
+    ], one_process=True)
+    assert loaded == {"import": [], "detect": [], "reconstruct": []}
 
 
 def test_reconstruct_with_scalograms_loads_scipy_fft(tmp_path, small_pipeline):

@@ -17,11 +17,14 @@ returns one text to compare between the trees:
   prefix of each warning and its echoed source line stripped, because the
   two trees' paths differ;
 - or, for ``bench``, the ``outputs_sha256`` of each benchmark run, which
-  ``perfbench/run.py`` makes from the tree's root, where it keeps its work.
+  ``perfbench/run.py`` makes from the tree's root, where it keeps its work;
+- or, for ``spans``, the span names of a traced benchmark run, one a line.
 
-Where the texts match, the script prints the text and one summary line;
-otherwise a diff from base to head and one error line.  With no CASE, every
-case runs.  The exit status is 1 if any case differs or fails.
+Where the texts match (for ``spans``: where every line of the base's text
+is a line of the head's), the script prints the base's text and one
+summary line; otherwise a diff from base to head and one error line.  With
+no CASE, every case runs.  The exit status is 1 if any case differs or
+fails.
 
 Both trees run a case with the same relative paths, from their work
 directories: the manifest hash stamped into every output covers the input
@@ -34,6 +37,7 @@ import contextlib
 import difflib
 import hashlib
 import json
+import operator
 import os
 import re
 import shutil
@@ -55,14 +59,17 @@ FAILED_RUNS = ("exit codes or stderr differ",
                lambda line: line.endswith(" exit 1"))
 BENCH_RUNS = ("outputs_sha256 differs",
               "{} benchmark runs with the same outputs_sha256", lambda line: True)
+SPAN_NAMES = ("the head lacks span names", "{} base names recorded",
+              lambda line: True)
 
 CASES = {}
 
 
-def case(label, compared=FILES):
-    """Register the decorated function as the case of its name."""
+def case(label, compared=FILES, match=operator.eq):
+    """Register the decorated function as the case of its name; ``match``
+    of the head's and the base's texts decides whether they agree."""
     def register(fn):
-        CASES[fn.__name__] = (fn, label, compared)
+        CASES[fn.__name__] = (fn, label, compared, match)
         return fn
     return register
 
@@ -191,6 +198,21 @@ def skew(run):
     return run.sha256()
 
 
+def benchmark(run, workload, seed, trace):
+    """Run perfbench/run.py from the tree's root with --seconds 1; the run
+    must be correct (the last line of its stdout).  Return the path of its
+    record in perfbench/_work/results, without the ``.json``."""
+    stdout = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "1", "--trace", str(trace)],
+        cwd=run.tree, env=run.env, stdout=subprocess.PIPE, text=True,
+        check=True).stdout
+    if json.loads(stdout.splitlines()[-1])["correct"] is not True:
+        raise CaseFailed(f"{workload} seed {seed}: benchmark not correct")
+    return (run.tree / "perfbench" / "_work" / "results"
+            / f"{workload}-seed{seed}-trace{trace}")
+
+
 @case("benchmark workloads at seeds 7 and 11", BENCH_RUNS)
 def bench(run):
     """Every benchmark workload must write byte-identical outputs at the head
@@ -201,18 +223,23 @@ def bench(run):
     digests = []
     for seed in (7, 11):
         for workload in ("field18", "sparse6", "export6"):
-            stdout = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", str(seed), "--seconds", "1", "--trace", "0"],
-                cwd=run.tree, env=run.env, stdout=subprocess.PIPE, text=True,
-                check=True).stdout
-            if json.loads(stdout.splitlines()[-1])["correct"] is not True:
-                raise CaseFailed(f"{workload} seed {seed}: benchmark not correct")
-            record = (run.tree / "perfbench" / "_work" / "results"
-                      / f"{workload}-seed{seed}-trace0.json")
+            record = benchmark(run, workload, seed, 0).with_suffix(".json")
             digests.append(f"{workload} {seed} "
                            f"{json.loads(record.read_text())['outputs_sha256']}\n")
     return "".join(digests)
+
+
+@case("span names of a traced run", SPAN_NAMES,
+      match=lambda head, base: set(base.splitlines()) <= set(head.splitlines()))
+def spans(run):
+    """The per-layer metrics come from spans around the public functions of
+    the layer modules.  Run perfbench/run.py from the tree's root on field18
+    at seed 7 with --seconds 1 --trace 1: the run must be correct, and every
+    span name the base records must still be recorded at the head (new
+    names are allowed)."""
+    record = benchmark(run, "field18", 7, 1)
+    names = json.loads(Path(f"{record}-spans.json").read_text())
+    return "".join(f"{name}\n" for name in sorted({span[2] for span in names}))
 
 
 @case("simulate at seeds 1-5, noisy, gyro_sigma 0 and scaled")
@@ -529,7 +556,7 @@ def cutoffs(run):
 
 def compare(name, head, base):
     """Run case ``name`` in both trees and report; True if the texts match."""
-    fn, label, (differ, same, counted) = CASES[name]
+    fn, label, (differ, same, counted), match = CASES[name]
     texts = {}
     with tempfile.TemporaryDirectory(prefix=f"compare-base-{name}-") as tmp:
         for side, tree in (("head", head), ("base", base)):
@@ -542,15 +569,15 @@ def compare(name, head, base):
             except CaseFailed as exc:
                 print(f"{label}: {exc} at the {side}", file=sys.stderr)
                 return False
-    if texts["head"] != texts["base"]:
+    if not match(texts["head"], texts["base"]):
         sys.stdout.writelines(difflib.unified_diff(
             texts["base"].splitlines(keepends=True),
             texts["head"].splitlines(keepends=True), "base", "head"))
         sys.stdout.flush()
         print(f"{label}: {differ} from the base", file=sys.stderr)
         return False
-    count = sum(map(counted, texts["head"].splitlines()))
-    sys.stdout.write(f"{texts['head']}{label}: {same.format(count)} at head and base\n")
+    count = sum(map(counted, texts["base"].splitlines()))
+    sys.stdout.write(f"{texts['base']}{label}: {same.format(count)} at head and base\n")
     sys.stdout.flush()
     return True
 
