@@ -92,15 +92,22 @@ class HarmonicComponent:
         return self.amplitude * env * osc
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(value(t), derivative(t))``, bit for bit, with the sine, the
+        cosine and the envelope computed once."""
         tau = t - self.center_s
         w = 2.0 * np.pi * self.freq_hz
-        osc = np.sin(w * tau + self.phase)
-        dosc = w * np.cos(w * tau + self.phase)
+        arg = w * tau + self.phase
+        osc = np.sin(arg)
+        dosc = w * np.cos(arg)
         if self.width_s is None:
-            return self.amplitude * dosc
+            return self.amplitude * osc, self.amplitude * dosc
         env = np.exp(-((tau / self.width_s) ** 2))
         denv = -2.0 * tau / self.width_s ** 2 * env
-        return self.amplitude * (denv * osc + env * dosc)
+        return (self.amplitude * env * osc,
+                self.amplitude * (denv * osc + env * dosc))
 
 
 #: exp(-x**2) underflows to exactly 0.0 once |x| > sqrt(745.2) ~ 27.3, so a
@@ -109,30 +116,73 @@ _ENVELOPE_SUPPORT = 28.0
 
 
 def _axis_eval(components, t, deriv=False):
-    """Sum of the components (or of their derivatives) at ``t``.
+    """Sum of the components (or of their derivatives) at ``t``."""
+    term = (lambda c, x: (c.derivative(x),)) if deriv else (lambda c, x: (c.value(x),))
+    return _axis_sums(components, t, term, 1)[0]
 
-    A windowed term is evaluated only within its envelope's support; outside
-    it the term is +-0.0, and adding that leaves the sum bit for bit the same.
-    A component is skipped outright when its support misses ``t``: the test
-    applies the support mask's own rounded arithmetic to the nearest end of
-    ``t``, and ``fl(t - c)`` is monotone in ``t``, so a component is skipped
-    only when the mask would keep none of its samples.
+
+def _axis_sums(components, t, term, n: int) -> list:
+    """The ``n`` sums over the components of the ``n`` arrays that
+    ``term(c, x)`` returns, at ``t``.
+
+    A windowed term is evaluated only within its envelope's support, the
+    samples where ``abs(t - c) <= reach`` holds; outside it the term is
+    +-0.0, and adding that leaves the sum bit for bit the same.  ``fl(t - c)``
+    is monotone in ``t``, so in sorted ``t`` the support is one slice
+    (:func:`_support`), and a component whose support misses the ends of
+    ``t`` is skipped.  Unsorted ``t`` (or ``t`` holding NaN) is evaluated in
+    its ``argsort`` order, which puts NaN last, and the sums are put back in
+    its own order.
     """
-    out = np.zeros_like(t)
     if not len(t):
-        return out
-    t_min, t_max = float(t.min()), float(t.max())
+        return [np.zeros_like(t) for _ in range(n)]
+    order = None
+    if not np.all(t[1:] >= t[:-1]):
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+    outs = [np.zeros_like(t) for _ in range(n)]
+    t_min, t_max = t.item(0), t.item(-1)
     for c in components:
-        term = c.derivative if deriv else c.value
         if c.width_s is None:
-            out += term(t)
+            for out, part in zip(outs, term(c, t)):
+                out += part
             continue
         reach = _ENVELOPE_SUPPORT * abs(c.width_s)
-        if t_max - c.center_s < -reach or t_min - c.center_s > reach:
-            continue
-        live = np.flatnonzero(np.abs(t - c.center_s) <= reach)
-        out[live] += term(t[live])
-    return out
+        if not (t_max - c.center_s < -reach or t_min - c.center_s > reach):
+            lo, hi = _support(t, c.center_s, reach)
+            for out, part in zip(outs, term(c, t[lo:hi])):
+                out[lo:hi] += part
+    if order is None:
+        return outs
+    unsorted = [np.empty_like(out) for out in outs]
+    for back, out in zip(unsorted, outs):
+        back[order] = out
+    return unsorted
+
+
+def _support(t, center: float, reach: float) -> tuple[int, int]:
+    """``(lo, hi)`` such that ``t[lo:hi]`` are the samples of sorted ``t``
+    (NaN last) where ``abs(t - center) <= reach``.
+
+    The samples where ``fl(t - center)`` lies in ``[-reach, reach]`` form
+    one run, which ``searchsorted`` finds up to the rounding of ``center -+
+    reach``; each end is then moved, outward and inward, by the mask's own
+    arithmetic, a run of equal stamps at a time.
+    """
+    def inside(i):
+        return abs(t.item(i) - center) <= reach
+
+    lo = int(t.searchsorted(center - reach))
+    hi = int(t.searchsorted(center + reach, side="right"))
+    while lo > 0 and inside(lo - 1):
+        lo = int(t.searchsorted(t[lo - 1]))
+    while lo < hi and not inside(lo):
+        lo = int(t.searchsorted(t[lo], side="right"))
+    while hi < len(t) and inside(hi):
+        hi = int(t.searchsorted(t[hi], side="right"))
+    while hi > lo and not inside(hi - 1):
+        hi = int(t.searchsorted(t[hi - 1]))
+    return lo, hi
 
 
 #: One list of components per axis.
@@ -162,6 +212,15 @@ class MotionProfile:
         return np.column_stack([_axis_eval(self.omega_components[k], t, deriv=True)
                                 for k in range(3)])
 
+    def omega_alpha_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(omega_at(t), alpha_at(t))``, bit for bit, with each term's
+        sine, cosine and envelope computed once for both."""
+        t = np.asarray(t, dtype=np.float64)
+        axes = [_axis_sums(self.omega_components[k], t,
+                           HarmonicComponent.value_and_derivative, 2)
+                for k in range(3)]
+        return tuple(np.column_stack(sums) for sums in zip(*axes))
+
     def q_at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         return np.column_stack([_axis_eval(self.q_components[k], t)
@@ -170,8 +229,8 @@ class MotionProfile:
     def acceleration_at(self, t: np.ndarray, position, gravity=(0, 0, 0)) -> np.ndarray:
         """Translational acceleration at a head-frame point, gravity included."""
         t = np.asarray(t, dtype=np.float64)
-        return _rigid_acceleration(self.omega_at(t), self.alpha_at(t),
-                                   self.q_at(t), position, gravity)
+        return _rigid_acceleration(*self.omega_alpha_at(t), self.q_at(t),
+                                   position, gravity)
 
 
 def _rigid_acceleration(omega, alpha, q, position, gravity) -> np.ndarray:
@@ -410,7 +469,8 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
 
     The motion is evaluated before this returns, once on each channel
     rate's grid (omega, and alpha and q where an accelerometer samples at
-    that rate), and every function builds its channels from those grids.
+    that rate, omega and alpha then in one pass), and every function builds
+    its channels from those grids.
     A function so gives the same recording whenever it runs, in this
     process or in one forked after this returns.
 
@@ -423,16 +483,21 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     def stamps_at(rate):
         return np.arange(int(math.floor(duration * rate)) + 1) / rate
 
+    accel_rates = {ch.rate for spec in specs for ch in spec.channels
+                   if ch.kind != "gyro"}
+
     @functools.cache
-    def on_grid(evaluate, rate):
-        # Motion is shared by every channel sampled at the same rate.
-        return evaluate(stamps_at(rate) + clock_offset)
+    def on_grid(rate):
+        # Motion is shared by every channel sampled at the same rate: omega,
+        # and alpha and q where an accelerometer samples at that rate.
+        t = stamps_at(rate) + clock_offset
+        if rate not in accel_rates:
+            return [motion.omega_at(t)]
+        return [*motion.omega_alpha_at(t), motion.q_at(t)]
 
     def motion_read_by(kind, rate):
         # omega, and alpha and q for an accelerometer.
-        evaluates = ((motion.omega_at,) if kind == "gyro" else
-                     (motion.omega_at, motion.alpha_at, motion.q_at))
-        return [on_grid(evaluate, rate) for evaluate in evaluates]
+        return on_grid(rate)[:1] if kind == "gyro" else on_grid(rate)
 
     local_impacts = [t - clock_offset for t in impact_times]
 
@@ -466,26 +531,31 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     return [functools.partial(build, i, spec) for i, spec in enumerate(specs)]
 
 
-def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[TruthEvent, ...]:
-    """Analytic peaks over the reference window, ``pre`` before to
-    ``reference_post`` after each planned impact."""
+#: The stamps of each impact's truth window.
+_TRUTH_STAMPS = 4001
+
+
+def _truth_peaks(profile: SessionProfile, config: SessionConfig) -> np.ndarray:
+    """The analytic PRV, PRA and PLA of each planned impact, one row each,
+    over the reference window, ``pre`` before to ``reference_post`` after
+    the impact."""
     pre = config.window.pre
     post = config.window.reference_post
-    events = []
-    for imp in profile.impacts:
-        t = imp.time_s + np.linspace(-pre, post, 4001)
-        w = profile.motion.omega_at(t)
-        alpha = profile.motion.alpha_at(t)
+    peaks = np.empty((len(profile.impacts), 3))
+    for row, imp in zip(peaks, profile.impacts):
+        t = imp.time_s + np.linspace(-pre, post, _TRUTH_STAMPS)
+        w, alpha = profile.motion.omega_alpha_at(t)
         a4 = _rigid_acceleration(w, alpha, profile.motion.q_at(t),
                                  config.reference_point, profile.gravity)
-        events.append(TruthEvent(
-            t0=imp.time_s,
-            label=imp.label,
-            prv=float(np.linalg.norm(w, axis=1).max()),
-            pra=float(np.linalg.norm(alpha, axis=1).max()),
-            pla=float(np.linalg.norm(a4, axis=1).max()),
-        ))
-    return tuple(events)
+        row[:] = [np.linalg.norm(x, axis=1).max() for x in (w, alpha, a4)]
+    return peaks
+
+
+def _truth_events(profile: SessionProfile, config: SessionConfig) -> tuple[TruthEvent, ...]:
+    """:func:`_truth_peaks` of each planned impact, with its time and label."""
+    return tuple(TruthEvent(imp.time_s, imp.label, *peaks)
+                 for imp, peaks in zip(profile.impacts,
+                                       _truth_peaks(profile, config).tolist()))
 
 
 def simulate_session(profile: SessionProfile, config: SessionConfig,
@@ -563,22 +633,39 @@ def write_session(recordings, config: SessionConfig, path,
     copied to ``config.json``.
 
     ``recordings`` are the recordings to write, or a
-    :class:`SimulatedSession` of ``config``, whose sensors are then each
-    built in the process that writes them.  The CSV files are written in two
-    processes by :func:`kinereco.twoproc.run_in_two`, each job with a cost
+    :class:`SimulatedSession` of ``config``, which is written whole: its
+    sensors, each built in the process that writes it, config.json, then
+    its ground-truth sidecars labels.csv and truth.json.  The jobs run in
+    two processes by :func:`kinereco.twoproc.run_in_two`, each with a cost
     known before any job runs:
 
     - Recordings already built are all checked first, then written one job
       per file, whose cost is its cell count.
-    - A simulated session is written one job per sensor: a headband
-      sensor's job builds its recording and writes its files, and the
-      reference job builds the blocks and writes them.  The cost is the
-      samples the job simulates plus the cells it writes, which take about
-      as long each: four per sample of a headband channel (one simulated,
-      three written; the time column is left out) and one per sample of a
-      reference channel.  The reference's blocks are left out: they are
-      known only once its trigger has run, and they hold a small share of
-      its samples (12 % on the bundled 18-impact profile).
+    - A simulated session has one job for its ground truth, then one per
+      sensor.  A headband sensor's job builds its recording and writes its
+      files, and the reference job builds the blocks and writes them.  The
+      cost is the samples the job simulates plus the cells it writes, which
+      take about as long each: four per sample of a headband channel (one
+      simulated, three written; the time column is left out) and one per
+      sample of a reference channel.  The reference's blocks are left out:
+      they are known only once its trigger has run, and they hold a small
+      share of its samples (12 % on the bundled 18-impact profile).
+    - The truth job computes the analytic peaks of every impact
+      (:func:`_truth_peaks`) and returns them as a table, which a child
+      hands back through shared memory; this process writes the sidecars
+      from it.  Its cost is three per stamp of the truth windows
+      (``_TRUTH_STAMPS`` per impact): evaluating omega, alpha and q on a
+      stamp takes about three quarters of the time a headband channel's
+      sample takes to simulate and write (42 ms for the 72 018 stamps of
+      the bundled 18-impact profile, against 60 ms for a headband sensor's
+      75 077 samples).  Run after the join, it would add its whole time to
+      the write.
+
+    On the bundled profiles and config, and on the benchmark's, the split
+    puts the truth and the reference job in the second process with two of
+    the five headband sensors, and the other three here.  The reference job
+    evaluates the motion on its own 3200 Hz grids over the whole session,
+    about 10 MB on the bundled profile, which so stay out of this process.
 
     Each sensor is built by the same job and each file written by the same
     :func:`write_imu_csv` call in either process, so every byte is the one a
@@ -586,26 +673,34 @@ def write_session(recordings, config: SessionConfig, path,
     in the order above (for a simulated session, its headband sensors in
     the config's order, then the reference): every sensor that can be built
     is, and every file that can be written is, then the error of the
-    earliest failure is raised and config.json is not written.
+    earliest failure is raised and no config.json or sidecar is written.
+    A truth job that fails hands back None, and the peaks are then computed
+    again after labels.csv, which raises their error where one process
+    writing in order raises it.
     """
-    if isinstance(recordings, SimulatedSession):
+    sim = recordings if isinstance(recordings, SimulatedSession) else None
+    if sim is not None:
         out = output_dir(path)
-        jobs = _sensor_jobs(recordings, out, header_comments)
+        jobs = [(3 * _TRUTH_STAMPS * len(sim.profile.impacts),
+                 functools.partial(_truth_job, sim.profile, sim.config)),
+                *_sensor_jobs(sim, out, header_comments)]
     else:
         recordings = list(recordings)
         if not recordings:
             raise DataError("no recordings to write")
         out = output_dir(path)
-        jobs = [(cells, functools.partial(write_imu_csv, file, rec, kinds,
+        jobs = [(cells, functools.partial(_write_file, file, rec, kinds,
                                           header_comments))
                 for target, rec in _recording_targets(recordings, config, out)
                 for file, kinds, cells in imu_csv_files(target, rec)]
-    run_in_two(jobs)
+    returned = run_in_two(jobs)
     payload = config_to_json_dict(config)
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
     write_json(out / "config.json", payload)
+    if sim is not None:
+        _write_sidecars(sim, out, returned[0], header_comments)
 
 
 def _recording_targets(recordings, config: SessionConfig, out: Path) -> list:
@@ -653,6 +748,12 @@ def _sensor_jobs(sim: SimulatedSession, out: Path, header_comments) -> list:
     return jobs
 
 
+def _write_file(file, rec, kinds, header_comments) -> None:
+    """:func:`write_imu_csv` as a job of :func:`run_in_two`, which hands
+    back None."""
+    write_imu_csv(file, rec, kinds, header_comments)
+
+
 def _write_headband(target: Path, build, header_comments) -> None:
     _write_targets([(target, build())], header_comments)
 
@@ -685,28 +786,46 @@ def _manifest_stamp(header_comments) -> str | None:
 
 def write_simulated_session(sim: SimulatedSession, path,
                             header_comments: tuple[str, ...] = ()) -> None:
-    """:func:`write_session` of ``sim``, each sensor built in the process
-    that writes it, then the ground-truth sidecars labels.csv and
-    truth.json."""
+    """:func:`write_session` of ``sim``: its sensors, each built in the
+    process that writes it, config.json, then the ground-truth sidecars
+    labels.csv and truth.json, with the truth computed by one more job of
+    the same :func:`kinereco.twoproc.run_in_two` list."""
     write_session(sim, sim.config, path, header_comments)
-    out = Path(path)
+
+
+def _write_sidecars(sim: SimulatedSession, out: Path, truth,
+                    header_comments) -> None:
+    """Write labels.csv, then truth.json with the peaks of the table
+    ``truth`` the truth job returned, or, where it returned None, with the
+    peaks computed here."""
     impacts = sim.profile.impacts
     write_table(out / "labels.csv", ("time_s", "label"),
                 (np.array([imp.time_s for imp in impacts]),
                  [imp.label for imp in impacts]), header_comments, "%.6f")
+    peaks = _truth_peaks(sim.profile, sim.config) if truth is None else truth[0]
     payload = {
         "gravity": list(sim.profile.gravity),
         "reference_clock_offset_s": sim.profile.reference_clock_offset_s,
         "events": [
-            {"t0_s": ev.t0, "label": ev.label, "prv_rad_s": ev.prv,
-             "pra_rad_s2": ev.pra, "pla_m_s2": ev.pla}
-            for ev in sim.truth
+            {"t0_s": imp.time_s, "label": imp.label, "prv_rad_s": prv,
+             "pra_rad_s2": pra, "pla_m_s2": pla}
+            for imp, (prv, pra, pla) in zip(impacts, peaks.tolist())
         ],
     }
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
     write_json(out / "truth.json", payload)
+
+
+def _truth_job(profile: SessionProfile, config: SessionConfig):
+    """:func:`_truth_peaks` as a table for :func:`run_in_two`, or None
+    where they raise (:func:`write_session`)."""
+    try:
+        peaks = _truth_peaks(profile, config)
+    except Exception:
+        return None
+    return peaks, None, len(peaks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Run a list of independent jobs in two processes.
 
-``simulate`` simulates and writes its sensors, and ``reconstruct`` its
-impact pairs, through :func:`run_in_two`: each process computes what it
-writes.  ``detect`` and ``reconstruct`` read their session files through
-:func:`read_in_two`: each process parses a share of the files, and the
-child hands each table it parsed back through shared memory.  A job is a
-function of no arguments that reads what the process already holds (for
-``simulate``, the motion evaluated on each headband channel rate's grid
-before the fork); the forked child shares the parent's memory
-copy-on-write, so nothing is sent to it.  Each job of the child has one
-shared anonymous map, mapped before the fork, where the child records
-whether the job returned and, for a read, the table it returned.  There is
-no setting for the second process: it starts where it can, and where it
-cannot, one process runs every job.
+``simulate`` simulates and writes its sensors, and computes its ground
+truth, and ``reconstruct`` reconstructs and writes its impact pairs, through
+:func:`run_in_two`: each process computes what it writes, and the child
+hands a table a job returned back through shared memory.  ``detect`` and
+``reconstruct`` read their session files through :func:`read_in_two`: each
+process parses a share of the files, and the child hands each table it
+parsed back the same way.  A job is a function of no arguments that reads
+what the process already holds (for ``simulate``, the motion evaluated on
+each headband channel rate's grid before the fork); the forked child shares
+the parent's memory copy-on-write, so nothing is sent to it.  Each job of
+the child has one shared anonymous map, mapped before the fork, where the
+child records whether the job returned and the table it returned, if any.
+There is no setting for the second process: it starts where it can, and
+where it cannot, one process runs every job.
 """
 
 from __future__ import annotations
@@ -27,18 +28,24 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 #: The first byte of a child job's map: 0 until the job ends, then one of
-#: these.
-_RETURNED, _RAISED = 1, 2
+#: these: it returned None, it raised, or it returned a table, which the map
+#: holds.
+_RETURNED, _RAISED, _TABLE = 1, 2, 3
 #: The int64 words at the start of a table's map: the status byte's word,
 #: then the table's rows, columns, row count ``n`` and whether it has a row
 #: index.  The float64 values follow, then the int64 row index.
 _WORDS = 5
+#: The bytes a :func:`run_in_two` job of the child may return a table in.  A
+#: page of a map that is never written is never backed, so the reserve costs
+#: nothing where a job returns nothing.
+_RESERVE = 1 << 20
 
 
-def run_in_two(jobs: list, before_fork: int = 0) -> None:
-    """Call ``job()`` for each ``(cost, job)`` of ``jobs``, in two processes,
-    with the outcome of the serial loop that calls every job in order and
-    then raises the error of the earliest that failed.
+def run_in_two(jobs: list, before_fork: int = 0) -> list:
+    """What ``job()`` returned for each ``(cost, job)`` of ``jobs``, in
+    order, with the jobs run in two processes, and with the outcome of the
+    serial loop that calls every job in order and then raises the error of
+    the earliest that failed.
 
     The first jobs run in order in this process before it forks, until
     ``before_fork`` of them have returned, so the child inherits what a job
@@ -47,11 +54,16 @@ def run_in_two(jobs: list, before_fork: int = 0) -> None:
     there.  The rest are split as :func:`_run` splits them.  A job may run
     twice, and must give the same result when it runs again, as a write
     that truncates its file and writes bytes fixed by its inputs does.
+
+    A job returns None or a table (see :func:`read_in_two`); the child
+    writes a table into a map of ``_RESERVE`` bytes, and a table that does
+    not fit is computed again here.
     """
-    failed = [value for done, value in _run(jobs, before_fork, False)
-              if not done]
+    outcomes = _run(jobs, before_fork, lambda cost: _RESERVE)
+    failed = [value for done, value in outcomes if not done]
     if failed:
         raise failed[0]
+    return [value for _, value in outcomes]
 
 
 def read_in_two(jobs: list) -> list:
@@ -67,10 +79,11 @@ def read_in_two(jobs: list) -> list:
     values and index here are views of that map.  A table that does not fit
     its map is read again here.
     """
-    return [value for _, value in _run(jobs, 0, True)]
+    return [value for _, value in
+            _run(jobs, 0, lambda size: 8 * (size + 1))]
 
 
-def _run(jobs: list, before_fork: int, tables: bool) -> list:
+def _run(jobs: list, before_fork: int, reserve) -> list:
     """``[(True, what job returned) or (False, the exception it raised)]``
     of each ``(cost, job)`` of ``jobs``, in their order.
 
@@ -82,9 +95,9 @@ def _run(jobs: list, before_fork: int, tables: bool) -> list:
     no child finished: every job where no child starts, and the jobs of the
     child's share that raised there or that it never finished.  The child
     exits with status 0 once it has run its share; any other status (it was
-    killed, or it crashed) is logged in one warning.  With ``tables``, each
-    job's cost is its ``size`` (see :func:`read_in_two`), and a table the
-    child returned is read back from its map.
+    killed, or it crashed) is logged in one warning.  A job of the child's
+    share has a map of ``reserve(cost)`` bytes for the table it returns, and
+    the table is read back from it.
     """
     outcomes, first = [], 0
     while first < len(jobs) and sum(done for done, _ in outcomes) < before_fork:
@@ -98,8 +111,8 @@ def _run(jobs: list, before_fork: int, tables: bool) -> list:
         shares[k].append(i)
         loads[k] += jobs[i][0]
     own, theirs = sorted(shares[0]), sorted(shares[1])
-    maps = _maps([8 * (jobs[i][0] + 1) if tables else 0 for i in theirs])
-    pid = _fork([jobs[i][1] for i in theirs], maps, tables) if maps else None
+    maps = _maps([reserve(jobs[i][0]) for i in theirs])
+    pid = _fork([jobs[i][1] for i in theirs], maps) if maps else None
     try:
         for i in own if pid else rest:
             outcomes[i] = _call(jobs[i][1])
@@ -112,8 +125,9 @@ def _run(jobs: list, before_fork: int, tables: bool) -> list:
                     sum(m[0] == 0 for m in maps))
     if pid:
         for i, m in zip(theirs, maps):
-            outcomes[i] = ((True, _get_table(m) if tables else None)
-                           if m[0] == _RETURNED else _call(jobs[i][1]))
+            outcomes[i] = ((True, _get_table(m)) if m[0] == _TABLE else
+                           (True, None) if m[0] == _RETURNED else
+                           _call(jobs[i][1]))
     return outcomes
 
 
@@ -155,11 +169,11 @@ def _get_table(m: mmap.mmap) -> tuple:
     return values.reshape(rows, cols), index, n
 
 
-def _fork(share: list, maps: list, tables: bool) -> int | None:
+def _fork(share: list, maps: list) -> int | None:
     """Fork a child that calls each function of ``share`` in order and
     records in the first byte of its map whether it returned or raised
-    (writing, with ``tables``, the table it returned into the map first),
-    and return its pid; or None where this process does not fork: without
+    (writing the table it returned, if any, into the map first), and return
+    its pid; or None where this process does not fork: without
     ``os.fork``, when the fork fails, or unless this process runs one
     thread.  A fork copies only the calling thread, so a lock that another
     thread holds stays held in the child.  Linux lists the threads of a
@@ -184,9 +198,10 @@ def _fork(share: list, maps: list, tables: bool) -> int | None:
         gc.disable()
         for job, m in zip(share, maps):
             done, value = _call(job)
-            if done and tables:
+            if done and value is not None:
                 done, _ = _call(lambda: _put_table(m, value))
-            m[0] = _RETURNED if done else _RAISED
+            m[0] = (_RAISED if not done else _RETURNED if value is None
+                    else _TABLE)
         code = 0
     finally:
         os._exit(code)

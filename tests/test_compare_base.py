@@ -121,3 +121,59 @@ def test_the_spans_case_needs_every_base_name_at_the_head(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "span names of a traced run: field18 seed 7: benchmark not correct at "
         "the base\n")
+
+
+#: A stand-in for ``python -m kinereco.cli simulate``: it writes the tree's
+#: digest.txt to ``<out>/hb.csv``; on loud.json it prints the tree's
+#: error.txt as its error line and exits 1, and otherwise it writes
+#: ``<out>/truth.json`` and exits 0.
+FAKE_CLI = '''
+import pathlib, sys
+args = sys.argv[1:]
+tree = pathlib.Path(__file__).resolve().parents[2]
+out = pathlib.Path(args[args.index("--out") + 1])
+out.mkdir(parents=True, exist_ok=True)
+(out / "hb.csv").write_text((tree / "digest.txt").read_text())
+if args[args.index("--profile") + 1] == "loud.json":
+    sys.stderr.write("kinereco: error: " + (tree / "error.txt").read_text() + "\\n")
+    sys.exit(1)
+(out / "truth.json").write_text("{}")
+'''
+
+
+def fake_cli_tree(root, digest, error):
+    fake_tree(root, digest)
+    package = root / "src" / "kinereco"
+    (package / "cli.py").write_text(FAKE_CLI)
+    (package / "profiles").mkdir()
+    (package / "profiles" / "field_session_18_clean.json").write_text(
+        '{"omega_components": [[{"amplitude": 2.0}]], "q_components": [[]]}')
+    (package / "profiles" / "field_config.json").write_text('{"sensors": []}')
+    (root / "error.txt").write_text(error)
+    return root
+
+
+def test_the_failures_case_compares_exits_error_lines_and_files(
+        tmp_path, capsys):
+    """Two failing simulate runs per tree, one into a clean run's session:
+    the same exit codes, error lines and files pass; another error line or
+    another file left fails."""
+    compare = load_script().compare
+    head = fake_cli_tree(tmp_path / "head", "d1", "DataError: outside")
+    assert compare("failures", head,
+                   fake_cli_tree(tmp_path / "base", "d1", "DataError: outside"))
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == ["fresh simulate exit 1", "reused simulate exit 1",
+                       "fresh", "  kinereco: error: DataError: outside",
+                       "reused", "  kinereco: error: DataError: outside"]
+    assert [line.split()[1] for line in out[6:-1]] == [
+        "./clean.json", "./config.json", "./fresh.err", "./fresh/hb.csv",
+        "./loud.json", "./reused.err", "./reused/hb.csv", "./reused/truth.json"]
+    assert out[-1] == ("failing simulate runs: 2 failed runs with the same "
+                       "error lines at head and base")
+    for name, digest, error in (("error", "d1", "DataError: inside"),
+                                ("files", "d2", "DataError: outside")):
+        assert not compare("failures", head,
+                           fake_cli_tree(tmp_path / name, digest, error))
+        assert capsys.readouterr().err == (
+            "failing simulate runs: exit codes or stderr differ from the base\n")

@@ -20,7 +20,7 @@ from kinereco.core import TimeSeries3, magnitude
 from kinereco.detect import detect_impacts
 from kinereco import ingest
 from kinereco.cli import RunManifest, main
-from kinereco.errors import DataError
+from kinereco.errors import DataError, FormatError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
                              write_imu_csv, write_json, write_table)
@@ -495,25 +495,51 @@ class TestSimulateInTwoProcesses:
         return simulate_session(standard_session_profile(
             seed=13, with_noise=True, n_per_tier=1), config, seed=3)
 
-    @pytest.mark.parametrize("case", ["child_share", "killed", "no_fork",
-                                      "fork_eagain"])
+    @pytest.mark.parametrize("case", ["child_share", "killed",
+                                      "killed_in_truth", "truth_fails",
+                                      "labels", "no_fork", "fork_eagain"])
     def test_every_outcome_is_the_serial_loops(self, tmp_path, monkeypatch,
                                                forks, session, case):
         """A file of the child's share that fails in both processes, a child
-        killed by SIGKILL while it writes, no ``os.fork``, and a fork that
-        fails with EAGAIN: the files and the error are the serial loop's."""
+        killed by SIGKILL while it writes, after its truth job, or while it
+        computes the truth, a truth that fails in both processes, a
+        labels.csv that cannot be written, no ``os.fork``, and a fork that
+        fails with EAGAIN: the files and the error are the serial loop's.
+        The truth is computed once per run, in the child, unless the child
+        dies in it, it fails, or there is no child."""
+        parent = os.getpid()
+        # The pid of each process that computed the truth, one a line.
+        truth_calls, real_peaks = tmp_path / "truth_calls", synth._truth_peaks
+        armed = []  # the case's fault, once the shares are known
+
+        def truth_peaks(*args):
+            with open(truth_calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if armed and case == "killed_in_truth" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if armed and case == "truth_fails":
+                raise DataError(f"no truth in process {os.getpid()}")
+            return real_peaks(*args)
+
+        def truth_pids():
+            pids = [int(pid) != parent for pid in truth_calls.read_text().split()]
+            truth_calls.unlink()
+            return ["child" if in_child else "parent" for in_child in pids]
+
+        monkeypatch.setattr(synth, "_truth_peaks", truth_peaks)
         # The CSV files this process writes; the child's are the others.
         own, real = [], ingest.write_table
         with monkeypatch.context() as spy:
             spy.setattr(ingest, "write_table", lambda path, *args: (
                 own.append(Path(path).name), real(path, *args)))
             synth.write_simulated_session(session, tmp_path / "shares")
+        assert truth_pids() == ["child"]
         csv = {p.name for p in (tmp_path / "shares").glob("*.csv")} - {
             "labels.csv"}
         theirs = sorted(csv - set(own))
         assert own and theirs
         forks.clear()
-        parent = os.getpid()
+        armed.append(True)
 
         def write(path, *args):
             if case == "child_share" and Path(path).name == theirs[0]:
@@ -534,6 +560,8 @@ class TestSimulateInTwoProcesses:
 
         def outcome(write_session_files, path):
             shutil.rmtree(path, ignore_errors=True)
+            if case == "labels":  # a directory in its place
+                (path / "labels.csv").mkdir(parents=True)
             try:
                 result = write_session_files(session, path,
                                              ("manifest_sha256=0",))
@@ -541,17 +569,33 @@ class TestSimulateInTwoProcesses:
                 result = type(exc), str(exc)
             finally:
                 assert_no_child_left()
+            if case == "labels":
+                (path / "labels.csv").rmdir()
             return result, self.files(path)
 
+        vars(session).pop("truth", None)  # so the serial loop computes it
         want = outcome(serial_write_simulated_session, tmp_path / "a")
         assert forks == []
+        truth_calls.unlink(missing_ok=True)  # the serial loop's
         got = outcome(synth.write_simulated_session, tmp_path / "a")
         assert got == want
-        assert len(forks) == (case in ("child_share", "killed"))
+        assert len(forks) == (case not in ("no_fork", "fork_eagain"))
+        assert truth_pids() == {"killed_in_truth": ["child", "parent"],
+                                "truth_fails": ["child", "parent"],
+                                "no_fork": ["parent"],
+                                "fork_eagain": ["parent"]}.get(case, ["child"])
         if case == "child_share":
             assert got[0] == (OSError, "[Errno 28] No space left on device: "
                               f"'{tmp_path / 'a' / theirs[0]}'")
             assert sorted(got[1]) == sorted(csv - {theirs[0]})
+        elif case == "truth_fails":
+            assert got[0] == (DataError, f"no truth in process {parent}")
+            assert sorted(got[1]) == sorted(csv | {"config.json", "labels.csv"})
+        elif case == "labels":
+            path = tmp_path / "a" / "labels.csv"
+            assert got[0] == (FormatError, f"cannot write {path}: [Errno 21] "
+                              f"Is a directory: '{path}'")
+            assert sorted(got[1]) == sorted(csv | {"config.json"})
         else:
             assert got[0] is None and "truth.json" in got[1]
 
@@ -910,6 +954,142 @@ class TestWindowedEvaluation:
                 want = full_axis_sum((c,), t, deriv)
                 assert np.any(want != 0.0)
                 assert _axis_eval((c,), t, deriv).tobytes() == want.tobytes()
+
+    @staticmethod
+    def assert_as_masked(components, t):
+        """_axis_eval of ``t`` equals the support mask's sum bit for bit, and
+        the full sum on the finite stamps; each windowed component alone, as
+        a NaN probe, is evaluated at exactly the stamps its mask keeps (never
+        at a NaN stamp), and :func:`synth._support` of the sorted stamps is
+        the mask's run."""
+        finite = np.isfinite(t)
+        ordered = np.sort(t)  # NaN last, as _axis_eval orders t
+        for deriv in (False, True):
+            with np.errstate(invalid="ignore"):  # sin(+-inf) of a full term
+                got = _axis_eval(components, t, deriv)
+                assert got.tobytes() == masked_axis_sum(components, t, deriv).tobytes()
+            assert got[finite].tobytes() == \
+                full_axis_sum(components, t[finite], deriv).tobytes()
+            for c in components:
+                if c.width_s is None:
+                    continue
+                got = _axis_eval((probe(c),), t, deriv)
+                assert got.tobytes() == masked_axis_sum((probe(c),), t, deriv).tobytes()
+                assert not np.any(got[~finite])
+        for c in components:
+            if c.width_s is None:
+                continue
+            reach = 28.0 * abs(c.width_s)
+            live = np.flatnonzero(np.abs(ordered - c.center_s) <= reach)
+            lo, hi = synth._support(ordered, c.center_s, reach)
+            if len(live):
+                assert (lo, hi) == (live[0], live[-1] + 1)
+            else:
+                assert lo == hi
+
+    def test_duplicate_stamps(self, bundled, times, windowed):
+        """Every stamp three times over, in order and shuffled."""
+        t = np.repeat(times["sorted"][::16], 3)
+        shuffled = np.random.default_rng(3).permutation(t)
+        for case in (t, shuffled):
+            self.assert_as_masked(windowed, case)
+            for comps in bundled.motion.omega_components:
+                self.assert_as_masked(comps, case)
+
+    @pytest.mark.parametrize("gap", [1, 3])
+    def test_stamps_a_few_ulps_apart(self, gap):
+        """Near 1e12 s an ulp is 2**-13 s: a support holds from none to a few
+        hundred stamps, and c -+ 28w round to stamps or between them."""
+        ulp = float(np.spacing(1e12))
+        t = 1e12 + gap * ulp * np.arange(-400.0, 401.0)
+        comps = [HarmonicComponent(1.5, 30.0, phase=0.4,
+                                   center_s=1e12 + shift * ulp, width_s=width)
+                 for width in (1e-6, 4.4e-6, 1e-5, 3.3e-5, 1e-4, 1e-3)
+                 for shift in (0.0, 0.3, 0.5, 1.0, 2.0, 1e3)]
+        self.assert_as_masked(comps, t)
+        self.assert_as_masked(comps, t[::-1])
+        for c in comps:
+            self.assert_as_masked((c,), t)
+
+    def test_nan_and_inf_stamps(self, bundled, times, windowed):
+        """NaN and +-inf at the ends and inside, in order and shuffled: no
+        windowed term is evaluated at them."""
+        grid = times["sorted"][::12]
+        middle = len(grid) // 2
+        cases = [
+            np.concatenate([[-np.inf, -np.inf], grid, [np.inf, np.nan]]),
+            np.insert(grid, [0, middle, middle, len(grid)],
+                      [np.nan, np.inf, -np.inf, np.nan]),
+            np.concatenate([[np.nan], grid]),
+            np.full(4, np.nan),
+            np.array([np.inf, -np.inf, np.nan, 0.5]),
+        ]
+        cases.append(np.random.default_rng(4).permutation(cases[0]))
+        for t in cases:
+            self.assert_as_masked(windowed, t)
+            for comps in bundled.motion.q_components:
+                self.assert_as_masked(comps, t)
+
+    def test_descending_stamps(self, bundled, times):
+        t = times["sorted"][::-1]
+        for axes in (bundled.motion.omega_components, bundled.motion.q_components):
+            for comps in axes:
+                self.assert_as_masked(comps, t)
+
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_support_end_between_equal_stamps(self, windowed, side, shift):
+        """c -+ 28w, or a few ulps off it, three times over beside its
+        neighbours: the slice ends at a run of equal stamps, whichever side
+        of it the search starts.  With the centers mirrored too, a stamp one
+        ulp past the rounded c + 28w is in the support for some."""
+        for c in windowed + [replace(c, center_s=-c.center_s) for c in windowed]:
+            edge = ulps(c.center_s + side * 28.0 * abs(c.width_s), shift)
+            t = np.sort([c.center_s, ulps(edge, -2 * side), ulps(edge, -side),
+                         edge, edge, edge, ulps(edge, side), ulps(edge, side),
+                         ulps(edge, 2 * side)])
+            self.assert_as_masked((c,), t)
+            self.assert_as_masked((c,), t[::-1])
+
+    @staticmethod
+    def separate_derivative(c, t):
+        """HarmonicComponent.derivative computed on its own, as it was
+        before value_and_derivative shared its arithmetic with value."""
+        tau = t - c.center_s
+        w = 2.0 * np.pi * c.freq_hz
+        osc = np.sin(w * tau + c.phase)
+        dosc = w * np.cos(w * tau + c.phase)
+        if c.width_s is None:
+            return c.amplitude * dosc
+        env = np.exp(-((tau / c.width_s) ** 2))
+        denv = -2.0 * tau / c.width_s ** 2 * env
+        return c.amplitude * (denv * osc + env * dosc)
+
+    def test_value_and_derivative_are_each_term_alone(self, bundled, times,
+                                                      windowed):
+        t = times["unsorted"]
+        motion = bundled.motion
+        comps = windowed + [c for axis in motion.omega_components + motion.q_components
+                            for c in axis if c.width_s is None]
+        for c in comps:
+            value, derivative = c.value_and_derivative(t)
+            assert value.tobytes() == c.value(t).tobytes()
+            assert derivative.tobytes() == self.separate_derivative(c, t).tobytes()
+            assert c.derivative(t).tobytes() == derivative.tobytes()
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "nan"])
+    def test_omega_alpha_at_is_omega_at_and_alpha_at(self, bundled, times, order):
+        t = times[order] if order != "nan" else np.insert(
+            times["sorted"][::5], [0, 3000], np.nan)
+        motion = bundled.motion
+        omega, alpha = motion.omega_alpha_at(t)
+        assert omega.tobytes() == motion.omega_at(t).tobytes()
+        assert alpha.tobytes() == motion.alpha_at(t).tobytes()
+        for k, comps in enumerate(motion.omega_components):
+            want = np.column_stack([masked_axis_sum(comps, t),
+                                    masked_axis_sum(comps, t, True)])
+            assert np.column_stack([omega[:, k], alpha[:, k]]).tobytes() == \
+                want.tobytes()
 
 
 def full_truth_events(profile, config):

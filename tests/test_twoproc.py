@@ -247,3 +247,42 @@ def test_without_a_map_one_process_runs_every_job(forks, monkeypatch):
                        for t in want])
     assert all(g is w for g, w in zip(got, want))
     assert forks == []
+
+
+def test_run_in_two_hands_back_tables_and_none(forks):
+    """A job returns None or a table; the child's tables come back bit for
+    bit from its maps, in the order of the jobs."""
+    want = tables(6)
+    got = run_in_two([(1, functools.partial(lambda t: t, t)) for t in want]
+                     + [(1, lambda: None), (1, lambda: None)])
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert got[6:] == [None, None]
+    for (values, index, n), (v, i, m) in zip(want, got):
+        assert v.tobytes() == values.tobytes() and v.shape == values.shape
+        assert (i is None) == (index is None) and m == n
+        if i is not None:
+            assert np.array_equal(i, index)
+
+
+def test_run_in_two_computes_a_table_over_the_reserve_again_here(
+        forks, monkeypatch):
+    """The child's map holds ``_RESERVE`` bytes; a larger table is computed
+    again here, by the same job, and a smaller one is not."""
+    monkeypatch.setattr(twoproc, "_RESERVE", 8 * 40)
+    parent, ran_here = os.getpid(), []
+
+    def job(rows):
+        if os.getpid() == parent:
+            ran_here.append(rows)
+        return np.full((rows, 2), float(rows)), None, rows
+
+    theirs = child_share(4)
+    sizes = [30 if k == theirs[0] else 10 for k in range(4)]
+    got = run_in_two([(1, functools.partial(job, rows)) for rows in sizes])
+    assert [table[0].tobytes() for table in got] == [
+        np.full((rows, 2), float(rows)).tobytes() for rows in sizes]
+    assert sorted(ran_here) == sorted([sizes[k] for k in range(4)
+                                       if k not in theirs] + [30])
+    assert len(forks) == 2
+    assert_no_child_left()

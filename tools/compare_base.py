@@ -530,6 +530,38 @@ def scales(run):
     return run.sha256()
 
 
+@case("failing simulate runs", FAILED_RUNS)
+def failures(run):
+    """simulate computes its ground truth in its two processes, and writes
+    config.json, labels.csv, truth.json and manifest.json only once every
+    session file is written; a failed run writes none of them, and an
+    earlier run's files stay.  No benchmark run and no other case fails in
+    simulate.  Scale every motion amplitude of the bundled clean profile by
+    1e6, with the reference sensor kept: its trigger fires at the first
+    sample, its first block falls outside its recording, and the run ends
+    with one DataError after the headband files.  Simulate it into a new
+    directory, and into one that holds a clean run's session: the exit
+    codes, the stripped stderr and the sha256 of every file left must
+    match."""
+    run.copy("field_session_18_clean.json", "clean.json")
+    run.copy("field_config.json", "config.json")
+    profile = run.load("field_session_18_clean.json")
+    for key in ("omega_components", "q_components"):
+        profile[key] = [[dict(comp, amplitude=comp["amplitude"] * 1e6)
+                         for comp in axis] for axis in profile[key]]
+    run.write("loud.json", profile)
+    run.cli("simulate --profile clean.json --config config.json --out reused --seed 7")
+    exits = []
+    for name in ("fresh", "reused"):
+        code = run.cli(f"simulate --profile loud.json --config config.json "
+                       f"--out {name} --seed 7", err=f"{name}.err", check=False)
+        exits.append(f"{name} simulate exit {code}\n")
+    return "".join(exits) + "".join(
+        "\n  ".join([name, *strip_warnings(
+            (run.work / f"{name}.err").read_text(encoding="utf-8"))]) + "\n"
+        for name in ("fresh", "reused")) + run.sha256()
+
+
 @case("reconstruct at seeds 1-5 and thresholds 0.05, 0.1 and 0.2")
 def cutoffs(run):
     """reconstruct takes each adaptive cutoff from two scalogram columns and
