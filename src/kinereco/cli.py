@@ -40,9 +40,9 @@ from . import __version__
 from .core import TimeSeries1, TimeSeries3
 from .errors import ConfigError, DataError, FormatError, KinerecoError
 from .evaluate import DEFAULT_MAX_SHIFT_FRACTION, DEFAULT_NRMSE_WINDOW_S, \
-    EventComparison, build_agreement_report
+    EventComparison, build_agreement_report, load_report, write_report
 from .ingest import check_number, finite_block, load_session, \
-    load_session_config, output_dir, read_json, read_table, table_clock, \
+    load_session_config, output_dir, read_table, table_clock, \
     write_json, write_table
 from .kinematics import KinematicsSet, ReferenceKinematics
 from .pipeline import PairRow, detect_channels, detect_session, \
@@ -412,15 +412,10 @@ def _cmd_evaluate(args) -> int:
     events = _load_comparisons(Path(args.hb), Path(args.ref), pairs)
     if not events:
         raise DataError("no overlapping hb/ref kinematics files found")
-    report = build_agreement_report(
-        events, nrmse_window=args.nrmse_window,
-        max_shift_fraction=args.max_shift_fraction,
-    )
-    report["manifest"] = manifest.to_dict()
-    report["manifest_sha256"] = manifest.sha256
     out = Path(args.out)
     output_dir(out.parent)
-    write_json(out, report)
+    write_report(out, build_agreement_report(
+        events, args.nrmse_window, args.max_shift_fraction), manifest)
     log.info("evaluate: %d events -> %s", len(events), out)
     return 0
 
@@ -429,19 +424,11 @@ def _cmd_report(args) -> int:
     if bool(args.hb) != bool(args.ref):
         raise ConfigError("report: --hb and --ref go together (the time "
                           "histories need both kinematics directories)")
-    in_path = Path(args.in_path)
-    report = read_json(in_path)
-    for key in ("events", "aggregate"):
-        if not isinstance(report, dict) or key not in report:
-            raise FormatError(f"{in_path}: not an agreement report "
-                              f"(missing key {key!r})")
+    report = load_report(args.in_path)
     # Every table and time history is rendered before any file is opened, so
     # a malformed input leaves no partial output behind.
-    try:
-        tables = report_tables(report["events"], report["aggregate"])
-    except FormatError as exc:
-        raise FormatError(f"{in_path}: {exc}") from None
-    pairs = {ev["pair_id"]: ev["label"] for ev in report["events"]}
+    tables = report_tables(report)
+    pairs = {ev.pair_id: ev.label for ev in report.events}
     overlays = []
     if args.hb and args.ref:
         for ev in _load_comparisons(Path(args.hb), Path(args.ref), pairs):
@@ -451,7 +438,7 @@ def _cmd_report(args) -> int:
                                  hb_mag, ref_mag))
     out = Path(args.out)
     output_dir(out)
-    comments = (f"manifest_sha256={report.get('manifest_sha256', 'unknown')}",)
+    comments = (f"manifest_sha256={report.manifest_sha256}",)
     for name, (names, columns) in tables.items():
         write_table(out / name, names, columns, comments, "%s")
     for name, hb_mag, ref_mag in overlays:

@@ -21,17 +21,20 @@ reported; the two are never conflated.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import TimeSeries1, best_shift, magnitude, same_clock, sample_on_grid
-from .errors import (DataError, DegenerateSignalError, KinerecoError,
-                     WindowError)
+from .errors import (DataError, DegenerateSignalError, FormatError,
+                     KinerecoError, WindowError)
+from .ingest import (Block, Bool, Count, ListOf, MapOf, Nullable, Number, Text,
+                     json_field, load_json, to_json, write_json)
 
 __all__ = [
     "CoraScore",
     "BlandAltmanReport",
+    "AgreementReport",
     "peak_resultant",
     "cora_score",
     "cora_band",
@@ -55,30 +58,39 @@ DEFAULT_NRMSE_WINDOW_S = 0.0244
 ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class CoraScore:
-    phase: float
-    magnitude: float
-    shape: float
-    total: float
-    band: str
+class _ReportBlock:
+    """Base of the agreement report's blocks: a bad value is a FormatError."""
+
+    _error = FormatError
+
+
+_NUMBER, _NUMBERS, _INT = Number(), ListOf(Number()), Count()
 
 
 @dataclass(frozen=True)
-class BlandAltmanReport:
+class CoraScore(_ReportBlock):
+    phase: float = json_field(_NUMBER)
+    magnitude: float = json_field(_NUMBER)
+    shape: float = json_field(_NUMBER)
+    total: float = json_field(_NUMBER)
+    band: str = json_field(Text())
+
+
+@dataclass(frozen=True)
+class BlandAltmanReport(_ReportBlock):
     """Peak-agreement statistics for one kinematic quantity.
 
     ``bias`` is headband minus reference, per event; ``normalized_bias``
     divides each bias by the maximum reference peak over the events supplied.
     """
 
-    bias: np.ndarray
-    mean_bias: float
-    sd_bias: float
-    loa_low: float
-    loa_high: float
-    normalized_bias: np.ndarray
-    mean_normalized_bias: float
+    bias: np.ndarray = json_field(_NUMBERS)
+    mean_bias: float = json_field(_NUMBER)
+    sd_bias: float = json_field(_NUMBER)
+    loa_low: float = json_field(_NUMBER)
+    loa_high: float = json_field(_NUMBER)
+    normalized_bias: np.ndarray = json_field(_NUMBERS)
+    mean_normalized_bias: float = json_field(_NUMBER)
 
 
 def cora_band(total: float) -> str:
@@ -300,21 +312,114 @@ def _common_pair(hb_series, ref_series):
     return sample_on_grid(hb_series, ref_series.times), ref_series
 
 
-def _ba_to_dict(report: BlandAltmanReport) -> dict:
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in asdict(report).items()}
+def _by_quantity(item):
+    """A block of ``item`` entries by quantity name."""
+    return MapOf(item, tuple(name for name, _, _ in QUANTITIES))
 
 
-def _mean_sd(totals: list[float]) -> tuple[float, float]:
-    """Mean and sample sd (0.0 for a single value) of CORA totals."""
+@dataclass(frozen=True)
+class HeadlineScore(_ReportBlock):
+    score: CoraScore = json_field(Block(CoraScore, inline=True))
+    per_axis: dict = json_field(MapOf(Nullable(Block(CoraScore)), tuple("xyz")))
+
+
+@dataclass(frozen=True)
+class PeakReport(_ReportBlock):
+    headband: float = json_field(_NUMBER)
+    reference: float = json_field(_NUMBER)
+    bias: float = json_field(_NUMBER)
+
+
+@dataclass(frozen=True)
+class NrmseReport(_ReportBlock):
+    nrms_pct: float = json_field(_NUMBER)
+    rms_abs: float = json_field(_NUMBER)
+    signed_mean_pct: float = json_field(_NUMBER)
+
+
+@dataclass(frozen=True)
+class EventReport(_ReportBlock):
+    pair_id: int = json_field(_INT)
+    label: str = json_field(Text())
+    cora: dict = json_field(_by_quantity(Block(HeadlineScore)))
+    peaks: dict = json_field(_by_quantity(Block(PeakReport)))
+    nrmse: dict = json_field(_by_quantity(Block(NrmseReport)))
+    f0_hz: float = json_field(Number("> 0"))
+
+
+@dataclass(frozen=True)
+class TTestReport(_ReportBlock):
+    t: float = json_field(_NUMBER)
+    p: float = json_field(_NUMBER)
+    significant: bool = json_field(Bool())
+
+
+@dataclass(frozen=True)
+class CoraStats(_ReportBlock):
+    mean: float = json_field(_NUMBER)
+    sd: float = json_field(_NUMBER)
+    n: int = json_field(_INT)
+
+
+@dataclass(frozen=True)
+class LabelReport(_ReportBlock):
+    n: int = json_field(_INT)
+    cora_mean: float = json_field(_NUMBER)
+    cora_sd: float = json_field(_NUMBER)
+    bland_altman: BlandAltmanReport | None = json_field(
+        Block(BlandAltmanReport), absent=None, default=None)
+
+
+@dataclass(frozen=True)
+class Aggregate(_ReportBlock):
+    bland_altman: dict = json_field(_by_quantity(Block(BlandAltmanReport)))
+    t_tests: dict = json_field(_by_quantity(Nullable(Block(TTestReport))))
+    cora_stats: dict = json_field(_by_quantity(Block(CoraStats)))
+    by_label: dict = json_field(MapOf(_by_quantity(Block(LabelReport))))
+
+
+@dataclass(frozen=True)
+class ReportParams(_ReportBlock):
+    nrmse_window_s: float = json_field(_NUMBER)
+    cora_max_shift_fraction: float = json_field(_NUMBER)
+    cora_corridor_weight: float = json_field(_NUMBER)
+
+
+@dataclass(frozen=True)
+class AgreementReport(_ReportBlock):
+    """``report.json``, less the manifest of the run that wrote it."""
+
+    events: tuple[EventReport, ...] = json_field(ListOf(Block(EventReport)))
+    aggregate: Aggregate = json_field(Block(Aggregate))
+    params: ReportParams = json_field(Block(ReportParams))
+    n_events: int = json_field(_INT)
+    manifest_sha256: str = json_field(Text(), default="unknown")
+
+
+def write_report(path, report: AgreementReport, manifest) -> None:
+    """Write ``report`` to ``path``, stamped with the run's ``RunManifest``."""
+    write_json(path, {**to_json(replace(report, manifest_sha256=manifest.sha256)),
+                      "manifest": manifest.to_dict()})
+
+
+def load_report(path) -> AgreementReport:
+    """The report at ``path``, whose manifest is not read."""
+    return load_json(path, AgreementReport, "the agreement report", ("manifest",))
+
+
+def _summary(rows) -> tuple[float, float, BlandAltmanReport | None]:
+    """Mean and sample sd (0.0 of one row) of the CORA totals of ``(label,
+    total, hb peak, ref peak)`` rows; Bland-Altman from 2 rows up, or None."""
+    _, totals, hb, ref = zip(*rows)
     sd = float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0
-    return float(np.mean(totals)), sd
+    ba = bland_altman(hb, ref) if len(rows) >= 2 else None
+    return float(np.mean(totals)), sd, ba
 
 
 def _compare_quantity(hb_series, ref_series, nrmse_window: float,
-                      max_shift_fraction: float) -> tuple[dict, dict, dict, float]:
-    """The CORA, peak and NRMSE entries of one quantity of one event, and
-    its headline CORA total."""
+                      max_shift_fraction: float,
+                      ) -> tuple[HeadlineScore, PeakReport, NrmseReport]:
+    """The CORA, peak and NRMSE entries of one quantity of one event."""
     hb_on_grid, ref_on_grid = _common_pair(hb_series, ref_series)
     hb_mag = magnitude(hb_on_grid)
     ref_mag = magnitude(ref_on_grid)
@@ -322,9 +427,8 @@ def _compare_quantity(hb_series, ref_series, nrmse_window: float,
     axes = {}
     for k, ax in enumerate("xyz"):
         try:
-            axes[ax] = asdict(cora_score(
-                ref_on_grid.component(k), hb_on_grid.component(k),
-                max_shift_fraction))
+            axes[ax] = cora_score(ref_on_grid.component(k),
+                                  hb_on_grid.component(k), max_shift_fraction)
         except (DegenerateSignalError, DataError):
             axes[ax] = None
     hb_peak, _ = peak_resultant(hb_mag)
@@ -335,89 +439,61 @@ def _compare_quantity(hb_series, ref_series, nrmse_window: float,
                  ref_mag.end_time - nrmse_window / 2)
     nrms_pct, rms_abs, signed_pct = nrmse_windowed(
         ref_mag, hb_mag, window=nrmse_window, center=center)
-    return ({**asdict(headline), "per_axis": axes},
-            {"headband": hb_peak, "reference": ref_peak,
-             "bias": hb_peak - ref_peak},
-            {"nrms_pct": nrms_pct, "rms_abs": rms_abs,
-             "signed_mean_pct": signed_pct},
-            headline.total)
+    return (HeadlineScore(headline, axes),
+            PeakReport(hb_peak, ref_peak, hb_peak - ref_peak),
+            NrmseReport(nrms_pct, rms_abs, signed_pct))
 
 
 def build_agreement_report(events: list[EventComparison],
                            nrmse_window: float = DEFAULT_NRMSE_WINDOW_S,
                            max_shift_fraction: float = DEFAULT_MAX_SHIFT_FRACTION,
-                           ) -> dict:
+                           ) -> AgreementReport:
     """Aggregate per-event CORA / peaks / NRMSE and session-level statistics.
 
     Each quantity is compared on the reference window grid, trimmed to the
     headband support (:func:`_common_pair`); CORA headline
     scores are computed on the resultant (per-axis scores are reported as
-    detail).  Returns a JSON-ready dictionary; see ``docs/formats.md`` for
-    the layout.  A comparison that fails raises its error with the pair id
-    and the quantity in front of its message (``pair 2 angular_velocity:
-    zero-variance reference curve``).
+    detail).  ``ingest.to_json`` of the report is its JSON object (see
+    ``docs/formats.md``).  A comparison that fails raises its error with the
+    pair id and the quantity in front of its message (``pair 2
+    angular_velocity: zero-variance reference curve``).
     """
     if not events:
         raise DataError("no paired events to evaluate")
-    per_event = []
-    per_quantity: dict[str, dict[str, list]] = {}
+    per_event, per_quantity = [], {}
     for ev in sorted(events, key=lambda e: e.pair_id):
-        entry = {"pair_id": ev.pair_id, "label": ev.label, "cora": {},
-                 "peaks": {}, "nrmse": {},
-                 "f0_hz": getattr(ev.headband, "f0", None)}
+        cora, peaks, nrmse = {}, {}, {}
         for name, hb_attr, ref_attr in QUANTITIES:
             hb_series = getattr(ev.headband, hb_attr)
             if hb_series is None:
                 continue
             try:
-                cora, peaks, nrmse, total = _compare_quantity(
+                cora[name], peaks[name], nrmse[name] = _compare_quantity(
                     hb_series, getattr(ev.reference, ref_attr), nrmse_window,
                     max_shift_fraction)
             except KinerecoError as exc:
                 raise type(exc)(f"pair {ev.pair_id} {name}: {exc}") from None
-            entry["cora"][name] = cora
-            entry["peaks"][name] = peaks
-            entry["nrmse"][name] = nrmse
-            store = per_quantity.setdefault(name, {
-                "headband": [], "reference": [], "labels": [], "totals": []})
-            store["headband"].append(peaks["headband"])
-            store["reference"].append(peaks["reference"])
-            store["labels"].append(ev.label)
-            store["totals"].append(total)
-        per_event.append(entry)
+            per_quantity.setdefault(name, []).append((
+                ev.label, cora[name].score.total, peaks[name].headband,
+                peaks[name].reference))
+        per_event.append(EventReport(ev.pair_id, ev.label, cora, peaks, nrmse,
+                                     ev.headband.f0))
 
-    aggregate: dict = {"bland_altman": {}, "t_tests": {}, "cora_stats": {},
-                       "by_label": {}}
-    for name, store in per_quantity.items():
-        hb, ref = store["headband"], store["reference"]
-        if len(hb) >= 2:
-            aggregate["bland_altman"][name] = _ba_to_dict(bland_altman(hb, ref))
+    aggregate = Aggregate({}, {}, {}, {})
+    for name, rows in per_quantity.items():
+        mean, sd, ba = _summary(rows)
+        if ba is not None:
+            aggregate.bland_altman[name] = ba
+            _, _, hb, ref = zip(*rows)
             try:
-                t, p, sig = paired_t_test(hb, ref)
-                aggregate["t_tests"][name] = {"t": t, "p": p, "significant": sig}
+                aggregate.t_tests[name] = TTestReport(*paired_t_test(hb, ref))
             except DataError:
-                aggregate["t_tests"][name] = None
-        totals = store["totals"]
-        mean, sd = _mean_sd(totals)
-        aggregate["cora_stats"][name] = {"mean": mean, "sd": sd,
-                                         "n": len(totals)}
-        for label in sorted(set(store["labels"])):
-            idx = [i for i, lb in enumerate(store["labels"]) if lb == label]
-            group = aggregate["by_label"].setdefault(label, {})
-            mean, sd = _mean_sd([totals[i] for i in idx])
-            entry = {"n": len(idx), "cora_mean": mean, "cora_sd": sd}
-            if len(idx) >= 2:
-                ba = bland_altman([hb[i] for i in idx], [ref[i] for i in idx])
-                entry["bland_altman"] = _ba_to_dict(ba)
-            group[name] = entry
-
-    return {
-        "params": {
-            "nrmse_window_s": nrmse_window,
-            "cora_max_shift_fraction": max_shift_fraction,
-            "cora_corridor_weight": 0.0,
-        },
-        "n_events": len(per_event),
-        "events": per_event,
-        "aggregate": aggregate,
-    }
+                aggregate.t_tests[name] = None
+        aggregate.cora_stats[name] = CoraStats(mean, sd, len(rows))
+        for label in sorted({row[0] for row in rows}):
+            group = [row for row in rows if row[0] == label]
+            aggregate.by_label.setdefault(label, {})[name] = LabelReport(
+                len(group), *_summary(group))
+    return AgreementReport(
+        tuple(per_event), aggregate,
+        ReportParams(nrmse_window, max_shift_fraction, 0.0), len(per_event))

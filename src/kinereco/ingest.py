@@ -125,16 +125,25 @@ class Number(Kind):
 
 
 class Count(Kind):
-    """An ``int`` from ``lo`` to ``hi``."""
+    """An ``int`` from ``lo`` to ``hi``, or any ``int`` without them."""
 
-    def __init__(self, lo: int, hi: int):
+    def __init__(self, lo: int | None = None, hi: int | None = None):
         self.lo, self.hi = lo, hi
 
     def load(self, value, what, error):
         if not (isinstance(value, int) and not isinstance(value, bool)
-                and self.lo <= value <= self.hi):
-            raise error(f"{what} must be an int from {self.lo} to {self.hi}, "
-                        f"got {value!r}")
+                and (self.lo is None or self.lo <= value <= self.hi)):
+            bound = "" if self.lo is None else f" from {self.lo} to {self.hi}"
+            raise error(f"{what} must be an int{bound}, got {value!r}")
+        return value
+
+
+class Bool(Kind):
+    """``true`` or ``false``."""
+
+    def load(self, value, what, error):
+        if not isinstance(value, bool):
+            raise error(f"{what} must be true or false, got {value!r}")
         return value
 
 
@@ -234,12 +243,26 @@ class MapOf(Kind):
         return {getattr(x, self.key_field): self.item.dump(x) for x in value}
 
 
+class Nullable(Kind):
+    """An ``item`` value, or null (None)."""
+
+    def __init__(self, item: Kind):
+        self.item, self.leaf, self.noun = item, item.leaf, item.noun
+
+    def load(self, value, what, error):
+        return None if value is None else self.item.load(value, what, error)
+
+    def dump(self, value):
+        return None if value is None else self.item.dump(value)
+
+
 def json_field(kind: Kind, key: str | None = None, *, absent=MISSING,
                **options):
     """A dataclass field held in a JSON object under ``key`` (by default its
     name) as a ``kind``; its class names the error of its values in
     ``_error``.  An object without the key gives the field ``absent`` if
     given, else its default; a field whose default is None also takes null.
+    A None field whose ``absent`` is None is left out of :func:`to_json`.
     ``options`` go to :func:`dataclasses.field`."""
     return field(metadata={"json": (kind, key, absent)}, **options)
 
@@ -249,17 +272,18 @@ def block_field(cls, **options):
     return json_field(Block(cls), default_factory=cls, **options)
 
 
-def _schema(cls):
+@functools.cache
+def _schema(cls) -> tuple:
     """``(field, kind, key, absent)`` of each JSON field of ``cls``."""
-    for f in fields(cls):
-        if "json" in f.metadata:
-            kind, key, absent = f.metadata["json"]
-            yield f, kind, key or f.name, absent
+    return tuple((f, kind, key or f.name, absent) for f in fields(cls)
+                 if "json" in f.metadata
+                 for kind, key, absent in [f.metadata["json"]])
 
 
-def _json_keys(cls) -> list[str]:
-    return [k for _, kind, key, _ in _schema(cls)
-            for k in (_json_keys(kind.cls) if kind.inline else [key])]
+@functools.cache
+def _json_keys(cls) -> tuple[str, ...]:
+    return tuple(k for _, kind, key, _ in _schema(cls)
+                 for k in (_json_keys(kind.cls) if kind.inline else [key]))
 
 
 def from_json(cls, obj, what: str, prefix: str, given=None, also=()):
@@ -292,11 +316,11 @@ def _field_values(cls, obj: dict, prefix: str) -> dict:
 def to_json(obj) -> dict:
     """The JSON object of ``obj`` that :func:`from_json` reads back."""
     out = {}
-    for f, kind, key, _ in _schema(type(obj)):
+    for f, kind, key, absent in _schema(type(obj)):
         value = getattr(obj, f.name)
         if kind.inline:
             out.update(to_json(value))
-        else:
+        elif value is not None or absent is not None:
             out[key] = None if value is None else kind.dump(value)
     return out
 

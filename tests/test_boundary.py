@@ -406,24 +406,46 @@ def report_path(small_pipeline, tmp_path_factory):
     return path
 
 
-def test_report_with_an_integer_beyond_float_range(report_path, tmp_path, capsys):
-    bad = edited(report_path, tmp_path / "report.json",
-                 put(["events", 0, "peaks", "angular_velocity", "headband"],
-                     10 ** 400))
+def report_error(report_path, tmp_path, capsys, edit):
+    """The one error line of ``report`` on a copy of the report with
+    ``edit``, which writes no output directory."""
+    bad = edited(report_path, tmp_path / "report.json", edit)
     code, err = run(["report", "--in", bad, "--out", tmp_path / "t"], capsys)
     assert (code, len(err)) == (1, 1)
-    assert err[0].startswith(f"kinereco: error: FormatError: {bad}: malformed "
-                             "agreement report (OverflowError: ")
     assert not (tmp_path / "t").exists()
+    return err[0].replace(str(bad), "<path>")
+
+
+def test_report_with_an_integer_beyond_float_range(report_path, tmp_path, capsys):
+    assert report_error(report_path, tmp_path, capsys, put(
+        ["events", 0, "peaks", "angular_velocity", "headband"], 10 ** 400)) \
+        == ("kinereco: error: FormatError: <path>: events[0].peaks."
+            "angular_velocity.headband must be a finite number, got an "
+            "integer of 401 digits")
 
 
 def test_report_with_a_non_integer_pair_id(report_path, tmp_path, capsys):
-    bad = edited(report_path, tmp_path / "report.json",
-                 put(["events", 0, "pair_id"], "1"))
-    code, err = run(["report", "--in", bad, "--out", tmp_path / "t"], capsys)
-    assert (code, len(err)) == (1, 1)
-    assert "malformed agreement report (TypeError: a pair_id is not an " \
-           "integer)" in err[0]
+    assert report_error(report_path, tmp_path, capsys,
+                        put(["events", 0, "pair_id"], "1")) == \
+        "kinereco: error: FormatError: <path>: events[0].pair_id must be an " \
+        "int, got '1'"
+
+
+def test_report_with_an_unknown_key(report_path, tmp_path, capsys):
+    """The parent accepted ``aggregate.extra`` silently."""
+    assert report_error(report_path, tmp_path, capsys,
+                        put(["aggregate", "extra"], 1)) == \
+        "kinereco: error: FormatError: <path>: aggregate has an unknown key " \
+        "'extra' (known keys: bland_altman, t_tests, cora_stats, by_label)"
+
+
+def test_report_with_a_missing_nested_key(report_path, tmp_path, capsys):
+    def drop(raw):
+        del raw["events"][0]["peaks"]["angular_velocity"]["headband"]
+
+    assert report_error(report_path, tmp_path, capsys, drop) == \
+        "kinereco: error: FormatError: <path>: events[0].peaks." \
+        "angular_velocity.headband is missing"
 
 
 class TestPairKeyedReading:

@@ -1252,18 +1252,19 @@ class TestErrorReporting:
             f"kinereco: error: FormatError: {bad}: invalid JSON (")
         assert not out.exists()
 
-    @pytest.mark.parametrize("content, key", [
-        ("{}", "events"), ('{"events": []}', "aggregate"), ("[]", "events"),
+    @pytest.mark.parametrize("content, message", [
+        ("{}", "events is missing"),
+        ('{"events": []}', "aggregate is missing"),
+        ("[]", "the agreement report must be an object, got list"),
     ], ids=["empty", "no_aggregate", "list"])
-    def test_report_without_required_key(self, tmp_path, capsys, content, key):
+    def test_report_without_required_key(self, tmp_path, capsys, content,
+                                         message):
         report = tmp_path / "report.json"
         report.write_text(content)
         code = main(["report", "--in", str(report), "--out", str(tmp_path / "t")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("kinereco: error: FormatError:")
-        assert repr(key) in err[0]
+        assert err == [f"kinereco: error: FormatError: {report}: {message}"]
         assert not (tmp_path / "t").exists()
 
     @staticmethod
@@ -1284,18 +1285,23 @@ class TestErrorReporting:
         line = self.rejected_report_line(
             tmp_path, capsys,
             {"events": [{"pair_id": 1, "label": "x"}], "aggregate": {}})
-        assert "'cora'" in line
+        assert line.endswith(": events[0].cora is missing")
 
     @staticmethod
     def minimal_report():
         score = {"phase": 0.9, "magnitude": 0.8, "shape": 0.7, "total": 0.8,
                  "band": "good"}
         ba = {"bias": [1.0], "mean_bias": 1.0, "sd_bias": 0.0, "loa_low": 1.0,
-              "loa_high": 1.0, "mean_normalized_bias": 0.1}
+              "loa_high": 1.0, "normalized_bias": [0.1],
+              "mean_normalized_bias": 0.1}
         return {
+            "params": {"nrmse_window_s": 0.0244, "cora_max_shift_fraction": 0.2,
+                       "cora_corridor_weight": 0.0},
+            "n_events": 1,
             "events": [{
-                "pair_id": 1, "label": "x",
-                "cora": {"angular_velocity": score},
+                "pair_id": 1, "label": "x", "f0_hz": 120.0,
+                "cora": {"angular_velocity": {**score, "per_axis": {
+                    "x": score, "y": score, "z": None}}},
                 "peaks": {"angular_velocity": {"headband": 1.0,
                                                "reference": 2.0, "bias": -1.0}},
                 "nrmse": {"angular_velocity": {"nrms_pct": 5.0, "rms_abs": 0.1,
@@ -1303,10 +1309,13 @@ class TestErrorReporting:
             }],
             "aggregate": {
                 "bland_altman": {"angular_velocity": ba},
-                "by_label": {"x": {"angular_velocity": {"n": 1,
-                                                        "bland_altman": ba}}},
+                "by_label": {"x": {"angular_velocity": {
+                    "n": 1, "cora_mean": 0.8, "cora_sd": 0.0,
+                    "bland_altman": ba}}},
                 "t_tests": {"angular_velocity": {"t": 1.0, "p": 0.5,
                                                  "significant": False}},
+                "cora_stats": {"angular_velocity": {"mean": 0.8, "sd": 0.0,
+                                                    "n": 1}},
             },
         }
 
@@ -1331,14 +1340,20 @@ class TestErrorReporting:
             parent = parent[step]
         del parent[path[-1]]
         line = self.rejected_report_line(tmp_path, capsys, content)
-        assert repr(path[-1]) in line
+        field = "".join(f"[{key}]" if type(key) is int else f".{key}"
+                        for key in path).lstrip(".")
+        assert line.endswith(f": {field} is missing")
 
     @pytest.mark.parametrize("path, value", [
         (("events", 0, "cora"), []),
         (("events", 0, "peaks", "angular_velocity", "bias"), "big"),
         (("events", 0), "not an event"),
         (("aggregate", "t_tests", "angular_velocity", "t"), None),
-    ], ids=["cora_list", "bias_text", "event_text", "t_null"])
+        (("aggregate", "t_tests", "angular_velocity", "significant"), "false"),
+        (("aggregate", "cora_stats", "angular_velocity", "n"), 1.0),
+        (("events", 0, "peaks", "omega"), {}),
+    ], ids=["cora_list", "bias_text", "event_text", "t_null",
+            "significant_text", "n_float", "unknown_quantity"])
     def test_report_wrong_type_writes_no_table(self, tmp_path, capsys, path,
                                                value):
         content = self.minimal_report()

@@ -2,7 +2,9 @@
 each case runs in exactly one step, and each step runs an existing case.
 No case is run here."""
 
+import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -177,3 +179,65 @@ def test_the_failures_case_compares_exits_error_lines_and_files(
                            fake_cli_tree(tmp_path / name, digest, error))
         assert capsys.readouterr().err == (
             "failing simulate runs: exit codes or stderr differ from the base\n")
+
+
+#: A stand-in for ``python -m kinereco.cli``: ``evaluate`` writes a report
+#: holding the tree's digest.txt and both manifest keys, ``report`` copies
+#: the file it reads to ``<out>/input.json``, and every other subcommand
+#: does nothing.
+FAKE_REPORT_CLI = '''
+import json, pathlib, sys
+args = sys.argv[1:]
+tree = pathlib.Path(__file__).resolve().parents[2]
+if args[0] == "evaluate":
+    pathlib.Path(args[args.index("--out") + 1]).write_text(json.dumps({
+        "events": [{"pair_id": 1, "f0_hz": 171.0, "label": "x"}],
+        "aggregate": {"t_tests": {"v": {"p": 0.5, "t": -2.0}}},
+        "digest": (tree / "digest.txt").read_text(),
+        "manifest": {"seed": 7}, "manifest_sha256": "ab"}))
+if args[0] == "report":
+    assert "--hb" not in args
+    out = pathlib.Path(args[args.index("--out") + 1])
+    out.mkdir()
+    (out / "input.json").write_text(pathlib.Path(args[2]).read_text())
+'''
+
+
+def test_the_reports_case_rewrites_the_report(tmp_path, capsys):
+    """report reads the report evaluate wrote, with the keys of every
+    object reversed, integral floats as ints and no manifest keys, written
+    compactly; the same files pass, another file fails."""
+    compare = load_script().compare
+
+    def tree(name, digest):
+        root = fake_cli_tree(tmp_path / name, digest, "")
+        (root / "src" / "kinereco" / "cli.py").write_text(FAKE_REPORT_CLI)
+        return root
+
+    head = tree("head", "d1")
+    assert compare("reports", head, tree("base", "d1"))
+    out = capsys.readouterr().out.splitlines()
+    rewritten = hashlib.sha256(
+        b'{"digest":"d1","aggregate":{"t_tests":{"v":{"t":-2,"p":0.5}}},'
+        b'"events":[{"label":"x","f0_hz":171,"pair_id":1}]}').hexdigest()
+    assert [line.split()[1] for line in out[:-1]] == [
+        "./config.json", "./profile.json", "./report.json",
+        "./rewritten.json", "./tables/input.json"]
+    assert [line.split()[0] for line in out[3:5]] == [rewritten] * 2
+    assert out[-1] == ("reports evaluate did not write: 5 files identical at "
+                       "head and base")
+    assert not compare("reports", head, tree("other", "d2"))
+    assert capsys.readouterr().err == (
+        "reports evaluate did not write: outputs differ from the base\n")
+
+
+def test_rewritten_reverses_keys_and_writes_integral_floats_as_ints():
+    rewritten = load_script().rewritten({
+        "events": [{"pair_id": 1, "f0_hz": 171.0, "label": "x"}],
+        "aggregate": {"t_tests": {"v": {"p": 0.5, "t": -2.0,
+                                        "significant": True}}},
+        "n": None})
+    assert json.dumps(rewritten) == (
+        '{"n": null, "aggregate": {"t_tests": {"v": {"significant": true, '
+        '"t": -2, "p": 0.5}}}, "events": [{"label": "x", "f0_hz": 171, '
+        '"pair_id": 1}]}')

@@ -13,6 +13,7 @@ from kinereco.evaluate import (DEFAULT_MAX_SHIFT_FRACTION, QUANTITIES,
                                bland_altman, build_agreement_report,
                                cora_band, cora_score, nrmse_windowed,
                                paired_t_test, peak_resultant)
+from kinereco.ingest import to_json
 from kinereco.kinematics import KinematicsSet, ReferenceKinematics
 
 
@@ -408,9 +409,9 @@ class TestMetricRelations:
         """Headband = (1+g) reference: phase 1, shape 1 and magnitude
         min(1+g, 1/(1+g)); each bias is g times the reference peak, and the
         mean normalized bias g mean(peaks) / max(peaks)."""
-        report = build_agreement_report([
+        report = to_json(build_agreement_report([
             pulse_event(k, amp, lambda x: (1 + g) * x)
-            for k, amp in enumerate((2.0, 5.0, 3.5), 1)])
+            for k, amp in enumerate((2.0, 5.0, 3.5), 1)]))
         assert len(report["events"]) == 3
         for name, _, _ in QUANTITIES:
             peaks = []
@@ -432,9 +433,9 @@ class TestMetricRelations:
         """Headband = the reference rolled by s samples, inside the shift
         bound: phase 1 - |s| / max_shift, with magnitude and shape 1."""
         shifts = (-7, 3, 12)
-        report = build_agreement_report([
+        report = to_json(build_agreement_report([
             pulse_event(k, 4.0, lambda x, s=s: np.roll(x, s, axis=0))
-            for k, s in enumerate(shifts, 1)])
+            for k, s in enumerate(shifts, 1)]))
         max_shift = round(DEFAULT_MAX_SHIFT_FRACTION * 400)
         for event, s in zip(report["events"], shifts):
             for name, _, _ in QUANTITIES:
@@ -453,10 +454,11 @@ class TestMetricRelations:
         halves = {"header": events[::2],
                   "goal_kick": [replace(ev, label="goal_kick")
                                 for ev in events[1::2]]}
-        report = build_agreement_report(halves["header"] + halves["goal_kick"])
+        report = to_json(build_agreement_report(halves["header"]
+                                                + halves["goal_kick"]))
         assert sorted(report["aggregate"]["by_label"]) == sorted(halves)
         for label, half in halves.items():
-            alone = build_agreement_report(half)["aggregate"]
+            alone = to_json(build_agreement_report(half))["aggregate"]
             group = report["aggregate"]["by_label"][label]
             assert sorted(group) == sorted(name for name, _, _ in QUANTITIES)
             for name, stats in group.items():

@@ -6,7 +6,7 @@ decided it on their own."""
 
 import itertools
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -15,12 +15,13 @@ import pytest
 
 from kinereco.cli import RunManifest, _load_comparisons, _write_events_csv, main
 from kinereco.core import TimeSeries3
-from kinereco.evaluate import (_ba_to_dict, bland_altman,
-                               build_agreement_report, peak_resultant)
+from kinereco.evaluate import (AgreementReport, bland_altman,
+                               build_agreement_report, load_report,
+                               peak_resultant)
 from kinereco.errors import ConfigError, DataError, FormatError
 from kinereco.ingest import (_DEG2RAD, CHANNEL_KINDS, G_STANDARD, Block,
                              ChannelSpec, ImuRecording, ListOf, MapOf,
-                             SensorSpec, SessionConfig, _check_overlap,
+                             Nullable, SensorSpec, SessionConfig, _check_overlap,
                              _column_indices, imu_csv_files,
                              load_session_config, parse_imu_csv, read_table,
                              table_clock, to_json, write_imu_csv, write_json,
@@ -139,20 +140,29 @@ def _old_write_report(out, report):
             fh.writelines(line + "\n" for line in lines)
 
 
+#: The ``params`` block ``evaluate`` writes at its default flags.
+PARAMS = {"nrmse_window_s": 0.0244, "cora_max_shift_fraction": 0.2,
+          "cora_corridor_weight": 0.0}
+
+
 def _minimal_report(t_test, by_label):
     score = {"phase": 0.9, "magnitude": 0.8, "shape": 0.7, "total": 0.8,
              "band": "good"}
     return {
+        "params": PARAMS, "n_events": 1,
         "events": [{
-            "pair_id": 1, "label": "x",
-            "cora": {"angular_velocity": score},
+            "pair_id": 1, "label": "x", "f0_hz": 120.0,
+            "cora": {"angular_velocity": {**score, "per_axis": {
+                "x": score, "y": None, "z": score}}},
             "peaks": {"angular_velocity": {"headband": 1.0, "reference": 2.0,
                                            "bias": -1.0}},
             "nrmse": {"angular_velocity": {"nrms_pct": 5.0, "rms_abs": 0.1,
                                            "signed_mean_pct": 1.0}},
         }],
         "aggregate": {"bland_altman": {}, "by_label": by_label,
-                      "t_tests": {"angular_velocity": t_test}},
+                      "t_tests": {"angular_velocity": t_test},
+                      "cora_stats": {"angular_velocity": {
+                          "mean": 0.8, "sd": 0.0, "n": 1}}},
     }
 
 
@@ -162,9 +172,7 @@ def session_report(small_pipeline):
     so that ``by_label`` carries a Bland-Altman row."""
     events = _load_comparisons(small_pipeline["kin"], small_pipeline["kin"],
                                {1: "a", 2: "a", 3: "b"})
-    report = build_agreement_report(events)
-    report["manifest_sha256"] = "0" * 64
-    return report
+    return replace(build_agreement_report(events), manifest_sha256="0" * 64)
 
 
 @pytest.mark.parametrize("case", [
@@ -175,9 +183,10 @@ def test_report_table_bytes(tmp_path, case, session_report):
             "n": 1, "cora_mean": 0.8, "cora_sd": 0.0}}}),
         "empty_by_label": _minimal_report(
             {"t": -2.5, "p": 0.0312345678, "significant": True}, {}),
-        "no_rows": {"events": [], "aggregate": {
-            "bland_altman": {}, "by_label": {}, "t_tests": {}}},
-        "session": session_report,
+        "no_rows": {"params": PARAMS, "n_events": 0, "events": [],
+                    "aggregate": {"bland_altman": {}, "by_label": {},
+                                  "t_tests": {}, "cora_stats": {}}},
+        "session": to_json(session_report),
     }[case]
     path = tmp_path / "report.json"
     write_json(path, report)
@@ -195,6 +204,9 @@ def test_report_table_bytes(tmp_path, case, session_report):
         scopes = [line.split(",", 1)[0] for line in
                   (tmp_path / "new" / "bland_altman.csv").read_text().splitlines()]
         assert "a" in scopes and "b" not in scopes
+        # A label of one event has no Bland-Altman block: absent, not null.
+        assert "bland_altman" not in report["aggregate"]["by_label"]["b"][
+            "angular_velocity"]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +303,7 @@ def _json_text(payload) -> str:
 
 def test_bland_altman_dict():
     report = bland_altman([1.5, 2.25, -0.5, 3.0], [1.0, 2.0, 0.25, 2.5])
-    new, old = _ba_to_dict(report), _old_ba_to_dict(report)
+    new, old = to_json(report), _old_ba_to_dict(report)
     assert new == old
     assert _json_text(new) == _json_text(old)
 
@@ -385,15 +397,19 @@ def _written(path, raw):
     return path
 
 
-@pytest.mark.parametrize("case", sorted(ROUND_TRIP))
-def test_load_of_a_dump_dumps_the_same_text(tmp_path, case):
+@pytest.mark.parametrize("case", sorted([*ROUND_TRIP, "session_report"]))
+def test_load_of_a_dump_dumps_the_same_text(tmp_path, case, request):
     """The schema reads back what it writes: ``to_json(load(dump(x)))``
     is the text of ``dump(x)``."""
-    x = ROUND_TRIP[case](tmp_path)
+    x = request.getfixturevalue(case) if case == "session_report" \
+        else ROUND_TRIP[case](tmp_path)
     path = tmp_path / "dumped.json"
     if isinstance(x, SessionProfile):
         dump_profile(x, path)
         loaded = load_profile(path)
+    elif isinstance(x, AgreementReport):
+        write_json(path, to_json(x))
+        loaded = load_report(path)
     else:
         write_json(path, config_to_json_dict(x))
         loaded = load_session_config(path)
@@ -412,7 +428,7 @@ def _accepted_keys(kind) -> set:
                     keys.add(key or f.name)
                 keys |= _accepted_keys(inner)
         return keys
-    if isinstance(kind, (ListOf, MapOf)):
+    if isinstance(kind, (ListOf, MapOf, Nullable)):
         return set(getattr(kind, "keys", None) or ()) | \
             _accepted_keys(kind.item)
     return set()
@@ -422,8 +438,10 @@ def test_every_accepted_key_is_documented():
     doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md"
            ).read_text()
     keys = (_accepted_keys(Block(SessionConfig))
-            | _accepted_keys(Block(SessionProfile)))
-    assert {"position_m", "width_s", "n_tones", "rate_hz", "gx"} <= keys
+            | _accepted_keys(Block(SessionProfile))
+            | _accepted_keys(Block(AgreementReport)))
+    assert {"position_m", "width_s", "n_tones", "rate_hz", "gx", "per_axis",
+            "significant", "angular_velocity", "z"} <= keys
     assert sorted(k for k in keys
                   if f'"{k}"' not in doc and f"`{k}`" not in doc) == []
 

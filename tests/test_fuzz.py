@@ -19,6 +19,7 @@ import math
 import random
 import traceback
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -135,8 +136,8 @@ REPORT_TYPE_CASES = (4, 31, 55, 59)
 def test_report_type_errors_name_the_field(inputs, small_pipeline, tmp_path,
                                            capsys):
     """``events[2].peaks.linear_acceleration = inf`` is reported as
-    ``malformed agreement report (TypeError: ...) at
-    events[2].peaks.linear_acceleration``."""
+    ``events[2].peaks.linear_acceleration must be an object, got float``,
+    and no output directory is made."""
     seen = []
     for case, kind, path, value, argv in json_cases(inputs, small_pipeline,
                                                     tmp_path):
@@ -147,10 +148,9 @@ def test_report_type_errors_name_the_field(inputs, small_pipeline, tmp_path,
                         for key in path).lstrip(".")
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            f"kinereco: error: FormatError: {argv[2]}: malformed agreement "
-            f"report ("), err
-        assert err[0].endswith(f") at {field}"), err
+        assert err == [f"kinereco: error: FormatError: {argv[2]}: {field} "
+                       f"must be an object, got {type(value).__name__}"]
+        assert not Path(argv[4]).exists()
         seen.append(case)
     assert seen == list(REPORT_TYPE_CASES)
 

@@ -8,6 +8,7 @@ import pytest
 
 from kinereco.cli import _load_comparisons, _read_events_csv, main
 from kinereco.evaluate import EventComparison, build_agreement_report
+from kinereco.ingest import to_json
 from kinereco.pipeline import (detect_channels, detect_session,
                                reconstruct_channels, reconstruct_pair)
 from kinereco.synth import simulate_session, write_simulated_session
@@ -34,7 +35,7 @@ def library_run(config, clean_session_small):
                                         "both")
         f0[row.pair_id] = kin.f0
         events.append(EventComparison(row.pair_id, row.label, kin, ref_kin))
-    return (pairs, unpaired), f0, build_agreement_report(events)
+    return (pairs, unpaired), f0, to_json(build_agreement_report(events))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,7 @@ def library_peaks(config, sim, pairs):
     ref_blocks = list(sim.reference_blocks)
     events = [EventComparison(row.pair_id, row.label, *reconstruct_pair(
         config, headband, ref_blocks, row, "diff")) for row in pairs]
-    report = build_agreement_report(events)
+    report = to_json(build_agreement_report(events))
     return ([ev.headband.f0 for ev in events],
             [ev["peaks"]["angular_velocity"] for ev in report["events"]])
 

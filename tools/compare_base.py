@@ -586,6 +586,42 @@ def cutoffs(run):
     return run.sha256("kin")
 
 
+def rewritten(node):
+    """``node`` with the keys of every object in reverse order and every
+    integral float as an int."""
+    if isinstance(node, dict):
+        return {key: rewritten(node[key]) for key in reversed(node)}
+    if isinstance(node, list):
+        return [rewritten(item) for item in node]
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    return node
+
+
+@case("reports evaluate did not write")
+def reports(run):
+    """report reads the agreement report through the schema evaluate writes
+    it by, and the benchmark and the cases above only report on what
+    evaluate wrote itself.  Simulate, detect, reconstruct and evaluate the
+    bundled clean profile, then write the report again compactly, with the
+    keys of every object in reverse order, every integral float as an int
+    and both manifest keys dropped, and run report on it without --hb/--ref:
+    every output file must have the same sha256."""
+    run.copy("field_session_18_clean.json", "profile.json")
+    run.copy("field_config.json", "config.json")
+    run.cli("simulate --profile profile.json --config config.json --out session --seed 7")
+    run.cli("detect --config config.json --in session --out events.csv")
+    run.cli("reconstruct --config config.json --in session --events events.csv --out kin")
+    run.cli("evaluate --config config.json --hb kin --ref kin --pairs events.csv "
+            "--out report.json")
+    report = json.loads((run.work / "report.json").read_text())
+    del report["manifest"], report["manifest_sha256"]
+    (run.work / "rewritten.json").write_text(
+        json.dumps(rewritten(report), separators=(",", ":")))
+    run.cli("report --in rewritten.json --out tables")
+    return run.sha256()
+
+
 def compare(name, head, base):
     """Run case ``name`` in both trees and report; True if the texts match."""
     fn, label, (differ, same, counted), match = CASES[name]
