@@ -1297,22 +1297,22 @@ def load_session_config(path) -> SessionConfig:
                      ("manifest_sha256",), {"name": Path(path).stem})
 
 
-def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, tuple, int]]:
-    """``(file, kinds, cells)`` of each CSV file of ``rec`` at ``path``, in
-    the layout :func:`parse_imu_csv` reads: ``path`` holds every channel on
-    the gyro's clock, and the ``<stem>_high.csv`` companion a high-g channel
-    at another rate.  ``cells`` is the file's data rows times its columns.
+def imu_csv_files(path, rec: ImuRecording) -> list[tuple[Path, tuple]]:
+    """``(file, kinds)`` of each CSV file of ``rec`` at ``path``, in the
+    layout :func:`parse_imu_csv` reads: ``path`` holds every channel on the
+    gyro's clock, and the ``<stem>_high.csv`` companion a high-g channel at
+    another rate.
     """
     rates = {kind: ts.sample_rate for kind in CHANNEL_KINDS
              if (ts := rec.channel(kind)) is not None}
-    return [(file, kinds, len(rec.channel(kinds[0])) * (1 + 3 * len(kinds)))
+    return [(file, kinds)
             for file, kinds, _ in _sensor_files(Path(path), rates)]
 
 
 def write_imu_csv(file, rec: ImuRecording, kinds,
                   header_comments: tuple[str, ...] = ()) -> Path:
-    """Write the ``kinds`` of ``rec`` to ``file``, one ``(file, kinds, _)``
-    of :func:`imu_csv_files`, in the canonical CSV layout (the inverse of
+    """Write the ``kinds`` of ``rec`` to ``file``, one ``(file, kinds)`` of
+    :func:`imu_csv_files`, in the canonical CSV layout (the inverse of
     parse), and return ``file``.
 
     The times are those of the first kind; a kind whose start, rate or
@@ -1340,13 +1340,16 @@ def write_imu_csv(file, rec: ImuRecording, kinds,
 
 def read_json(path):
     """The parsed content of a JSON file; a FormatError if it cannot be
-    opened or is not UTF-8 JSON."""
+    opened or is not UTF-8 JSON that Python can hold.  ``json.load`` raises
+    a ValueError for a syntax error, for bytes that are not UTF-8 and for an
+    integer of more digits than ``sys.get_int_max_str_digits()``, and a
+    RecursionError for arrays or objects nested too deep."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 

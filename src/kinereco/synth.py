@@ -91,12 +91,9 @@ class HarmonicComponent:
         env = np.exp(-((tau / self.width_s) ** 2))
         return self.amplitude * env * osc
 
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        return self.value_and_derivative(t)[1]
-
     def value_and_derivative(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(value(t), derivative(t))``, bit for bit, with the sine, the
-        cosine and the envelope computed once."""
+        """``(value(t), d/dt value(t))``, the value bit for bit, with the
+        sine, the cosine and the envelope computed once."""
         tau = t - self.center_s
         w = 2.0 * np.pi * self.freq_hz
         arg = w * tau + self.phase
@@ -115,10 +112,9 @@ class HarmonicComponent:
 _ENVELOPE_SUPPORT = 28.0
 
 
-def _axis_eval(components, t, deriv=False):
-    """Sum of the components (or of their derivatives) at ``t``."""
-    term = (lambda c, x: (c.derivative(x),)) if deriv else (lambda c, x: (c.value(x),))
-    return _axis_sums(components, t, term, 1)[0]
+def _axis_eval(components, t):
+    """Sum of the components at ``t``."""
+    return _axis_sums(components, t, lambda c, x: (c.value(x),), 1)[0]
 
 
 def _axis_sums(components, t, term, n: int) -> list:
@@ -193,8 +189,8 @@ _AXES = ListOf(ListOf(Block(HarmonicComponent)), 3)
 class MotionProfile:
     """Parametric rigid-body motion: omega(t) and q(t) per axis.
 
-    ``alpha_at`` is the exact analytic derivative of ``omega_at`` by
-    construction (only closed-form primitives are allowed).
+    The alpha of ``omega_alpha_at`` is the exact analytic derivative of
+    omega by construction (only closed-form primitives are allowed).
     """
 
     omega_components: tuple[tuple[HarmonicComponent, ...], ...] = json_field(
@@ -207,14 +203,10 @@ class MotionProfile:
         return np.column_stack([_axis_eval(self.omega_components[k], t)
                                 for k in range(3)])
 
-    def alpha_at(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return np.column_stack([_axis_eval(self.omega_components[k], t, deriv=True)
-                                for k in range(3)])
-
     def omega_alpha_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(omega_at(t), alpha_at(t))``, bit for bit, with each term's
-        sine, cosine and envelope computed once for both."""
+        """``(omega, alpha)`` at ``t``: ``omega_at(t)`` bit for bit, and its
+        derivative, with each term's sine, cosine and envelope computed once
+        for both."""
         t = np.asarray(t, dtype=np.float64)
         axes = [_axis_sums(self.omega_components[k], t,
                            HarmonicComponent.value_and_derivative, 2)
@@ -225,12 +217,6 @@ class MotionProfile:
         t = np.asarray(t, dtype=np.float64)
         return np.column_stack([_axis_eval(self.q_components[k], t)
                                 for k in range(3)])
-
-    def acceleration_at(self, t: np.ndarray, position, gravity=(0, 0, 0)) -> np.ndarray:
-        """Translational acceleration at a head-frame point, gravity included."""
-        t = np.asarray(t, dtype=np.float64)
-        return _rigid_acceleration(*self.omega_alpha_at(t), self.q_at(t),
-                                   position, gravity)
 
 
 def _rigid_acceleration(omega, alpha, q, position, gravity) -> np.ndarray:
@@ -334,9 +320,9 @@ class SimulatedSession:
     ``reference_job`` one that builds the reference device's blocks (None
     without a reference sensor).  They read only what
     :func:`simulate_session` left in this process, so each gives the same
-    recordings in any process forked after it:
-    :func:`write_simulated_session` builds each sensor in the process that
-    writes it.  ``headband``, ``reference_blocks`` and ``truth`` are built
+    recordings in any process forked after it: :func:`write_session`, the
+    one writer of a session, builds each sensor in the process that writes
+    it.  ``headband``, ``reference_blocks`` and ``truth`` are built
     in this process when first read, and kept.
     """
 
@@ -623,29 +609,25 @@ def _reference_blocks(profile: SessionProfile, config: SessionConfig,
     return tuple(blocks)
 
 
-def write_session(recordings, config: SessionConfig, path,
+def write_session(sim: SimulatedSession, path,
                   header_comments: tuple[str, ...] = ()) -> None:
-    """Write a session in the exact formats the ingest module reads.
+    """Write the simulated session ``sim`` in the exact formats the ingest
+    module reads: its sensors, each built in the process that writes it,
+    ``sim.config`` copied to config.json, then the ground-truth sidecars
+    labels.csv and truth.json.
 
-    Headband recordings land in ``<id>.csv`` (+ ``<id>_high.csv`` companion
-    when the high-g channel runs its own clock); reference recordings are
-    written one block per file as ``<id>_ev###.csv``.  The configuration is
-    copied to ``config.json``.
+    A headband sensor lands in ``<id>.csv`` (+ ``<id>_high.csv`` companion
+    when the high-g channel runs its own clock); the reference sensor's
+    blocks are written one block per file as ``<id>_ev###.csv``.
 
-    ``recordings`` are the recordings to write, or a
-    :class:`SimulatedSession` of ``config``, which is written whole: its
-    sensors, each built in the process that writes it, config.json, then
-    its ground-truth sidecars labels.csv and truth.json.  The jobs run in
-    two processes by :func:`kinereco.twoproc.run_in_two`, each with a cost
-    known before any job runs:
+    The jobs run in two processes by :func:`kinereco.twoproc.run_in_two`,
+    each with a cost known before any job runs: one job for the ground
+    truth, then one per sensor (:func:`_sensor_job`).
 
-    - Recordings already built are all checked first, then written one job
-      per file, whose cost is its cell count.
-    - A simulated session has one job for its ground truth, then one per
-      sensor.  A headband sensor's job builds its recording and writes its
-      files, and the reference job builds the blocks and writes them.  The
-      cost is the samples the job simulates plus the cells it writes, which
-      take about as long each: four per sample of a headband channel (one
+    - A headband sensor's job builds its recording and writes its files,
+      and the reference job builds the blocks and writes them.  The cost is
+      the samples the job simulates plus the cells it writes, which take
+      about as long each: four per sample of a headband channel (one
       simulated, three written; the time column is left out) and one per
       sample of a reference channel.  The reference's blocks are left out:
       they are known only once its trigger has run, and they hold a small
@@ -669,106 +651,51 @@ def write_session(recordings, config: SessionConfig, path,
 
     Each sensor is built by the same job and each file written by the same
     :func:`write_imu_csv` call in either process, so every byte is the one a
-    single process writes.  The outcome is the serial loop's, over the files
-    in the order above (for a simulated session, its headband sensors in
-    the config's order, then the reference): every sensor that can be built
-    is, and every file that can be written is, then the error of the
-    earliest failure is raised and no config.json or sidecar is written.
-    A truth job that fails hands back None, and the peaks are then computed
-    again after labels.csv, which raises their error where one process
-    writing in order raises it.
+    single process writes.  The outcome is the serial loop's, over the
+    sensors in the order above (the headband sensors in the config's order,
+    then the reference): every sensor that can be built is, and every file
+    that can be written is, then the error of the earliest failure is
+    raised and no config.json or sidecar is written.  A truth job that
+    fails hands back None, and the peaks are then computed again after
+    labels.csv, which raises their error where one process writing in
+    order raises it.
     """
-    sim = recordings if isinstance(recordings, SimulatedSession) else None
-    if sim is not None:
-        out = output_dir(path)
-        jobs = [(3 * _TRUTH_STAMPS * len(sim.profile.impacts),
-                 functools.partial(_truth_job, sim.profile, sim.config)),
-                *_sensor_jobs(sim, out, header_comments)]
-    else:
-        recordings = list(recordings)
-        if not recordings:
-            raise DataError("no recordings to write")
-        out = output_dir(path)
-        jobs = [(cells, functools.partial(_write_file, file, rec, kinds,
-                                          header_comments))
-                for target, rec in _recording_targets(recordings, config, out)
-                for file, kinds, cells in imu_csv_files(target, rec)]
-    returned = run_in_two(jobs)
+    out = output_dir(path)
+    config, duration = sim.config, sim.profile.duration_s
+    # (cost per sample, sensor, its build function)
+    sensors = [(4, spec, build) for spec, build in
+               zip(config.headband_sensors, sim.headband_jobs)]
+    if sim.reference_job is not None:
+        sensors.append((1, config.reference_sensor, sim.reference_job))
+    jobs = [(3 * _TRUTH_STAMPS * len(sim.profile.impacts),
+             functools.partial(_truth_job, sim.profile, config)),
+            *((weight * _channel_samples(spec, duration),
+               functools.partial(_sensor_job, out, spec, build,
+                                 header_comments))
+              for weight, spec, build in sensors)]
+    truth = run_in_two(jobs)[0]
     payload = config_to_json_dict(config)
     stamp = _manifest_stamp(header_comments)
     if stamp:
         payload["manifest_sha256"] = stamp
     write_json(out / "config.json", payload)
-    if sim is not None:
-        _write_sidecars(sim, out, returned[0], header_comments)
+    _write_sidecars(sim, out, truth, header_comments)
 
 
-def _recording_targets(recordings, config: SessionConfig, out: Path) -> list:
-    """``(main file, recording)`` of each recording, in the order they are
-    written, once every recording is checked against ``config``."""
-    targets = []
-    by_sensor: dict[str, list[ImuRecording]] = {}
-    for rec in recordings:
-        by_sensor.setdefault(rec.sensor_id, []).append(rec)
-    for sensor_id, recs in by_sensor.items():
-        spec = config.sensor(sensor_id)
-        if spec is None:
-            raise DataError(f"recording {sensor_id!r} has no sensor in the config")
-        if spec.role == "reference":
-            targets += _block_targets(
-                out, sensor_id, sorted(recs, key=lambda r: r.gyro.start_time))
-        else:
-            if len(recs) != 1:
-                raise DataError(
-                    f"headband sensor {sensor_id!r} has {len(recs)} recordings; "
-                    "expected one continuous stream"
-                )
-            targets.append((out / session_csv(sensor_id), recs[0]))
-    return targets
-
-
-def _block_targets(out: Path, sensor_id: str, blocks) -> list:
-    """``(main file, block)`` of each reference block, in order."""
-    return [(out / session_csv(sensor_id, k), block)
-            for k, block in enumerate(blocks, start=1)]
-
-
-def _sensor_jobs(sim: SimulatedSession, out: Path, header_comments) -> list:
-    """``(cost, job)`` of each sensor of ``sim`` (:func:`write_session`)."""
-    config, duration = sim.config, sim.profile.duration_s
-    jobs = [(4 * _channel_samples(spec, duration),
-             functools.partial(_write_headband, out / session_csv(spec.id),
-                               build, header_comments))
-            for spec, build in zip(config.headband_sensors, sim.headband_jobs)]
-    if sim.reference_job is not None:
-        ref_spec = config.reference_sensor
-        jobs.append((_channel_samples(ref_spec, duration),
-                     functools.partial(_write_blocks, out, ref_spec.id,
-                                       sim.reference_job, header_comments)))
-    return jobs
-
-
-def _write_file(file, rec, kinds, header_comments) -> None:
-    """:func:`write_imu_csv` as a job of :func:`run_in_two`, which hands
-    back None."""
-    write_imu_csv(file, rec, kinds, header_comments)
-
-
-def _write_headband(target: Path, build, header_comments) -> None:
-    _write_targets([(target, build())], header_comments)
-
-
-def _write_blocks(out: Path, sensor_id: str, build, header_comments) -> None:
-    _write_targets(_block_targets(out, sensor_id, build()), header_comments)
-
-
-def _write_targets(targets, header_comments) -> None:
-    """Write every CSV file of each ``(main file, recording)`` of
-    ``targets``, each whether or not an earlier one failed, then raise the
-    error of the earliest that failed."""
+def _sensor_job(out: Path, spec: SensorSpec, build, header_comments) -> None:
+    """Build the sensor ``spec`` by ``build`` (a headband recording, or the
+    reference's blocks) and write every CSV file of it in ``out``, each
+    whether or not an earlier one failed, then raise the error of the
+    earliest that failed."""
+    built = build()
+    if spec.role == "reference":
+        targets = [(session_csv(spec.id, k), block)
+                   for k, block in enumerate(built, start=1)]
+    else:
+        targets = [(session_csv(spec.id), built)]
     errors = []
     for target, rec in targets:
-        for file, kinds, _ in imu_csv_files(target, rec):
+        for file, kinds in imu_csv_files(out / target, rec):
             try:
                 write_imu_csv(file, rec, kinds, header_comments)
             except Exception as exc:
@@ -786,11 +713,9 @@ def _manifest_stamp(header_comments) -> str | None:
 
 def write_simulated_session(sim: SimulatedSession, path,
                             header_comments: tuple[str, ...] = ()) -> None:
-    """:func:`write_session` of ``sim``: its sensors, each built in the
-    process that writes it, config.json, then the ground-truth sidecars
-    labels.csv and truth.json, with the truth computed by one more job of
-    the same :func:`kinereco.twoproc.run_in_two` list."""
-    write_session(sim, sim.config, path, header_comments)
+    """:func:`write_session` of ``sim``, the call ``kinereco simulate``
+    makes."""
+    write_session(sim, path, header_comments)
 
 
 def _write_sidecars(sim: SimulatedSession, out: Path, truth,
@@ -952,13 +877,9 @@ def example_session_config() -> SessionConfig:
 # JSON (de)serialization of profiles and configurations
 
 
-def profile_to_json_dict(profile: SessionProfile) -> dict:
-    return to_json(profile)
-
-
 def dump_profile(profile: SessionProfile, path) -> Path:
     path = Path(path)
-    write_json(path, profile_to_json_dict(profile))
+    write_json(path, to_json(profile))
     return path
 
 

@@ -1,7 +1,7 @@
 # kinereco first: it sets OpenBLAS to one thread before numpy loads it, so
 # the test process runs one thread, as a kinereco command does, and
-# write_session forks its second process here too (given a simulated
-# session, it simulates each sensor in the process that writes it).
+# write_session forks its second process here too (it simulates each sensor
+# in the process that writes it).
 import kinereco  # noqa: F401  (isort: skip)
 
 import json
@@ -30,8 +30,9 @@ def rotation_about(axis: int, angle: float) -> np.ndarray:
 
 
 def write_recording(path, rec, header_comments=()):
-    """Write every CSV file of ``rec`` at ``path``, as write_session does."""
-    for file, kinds, _ in imu_csv_files(path, rec):
+    """Write every CSV file of ``rec`` at ``path``, as write_session writes
+    each sensor's."""
+    for file, kinds in imu_csv_files(path, rec):
         write_imu_csv(file, rec, kinds, header_comments)
 
 

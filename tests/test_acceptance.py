@@ -51,7 +51,7 @@ def test_c1_a3g1_closure_and_runtime():
             cases.append((
                 forward_sensors(motion, times, POSITIONS),
                 TimeSeries3(0.0, RATE, motion.omega_at(times)),
-                motion.alpha_at(times),
+                motion.omega_alpha_at(times)[1],
                 motion.q_at(times),
             ))
         worst_alpha = worst_q = worst_residual = 0.0

@@ -1225,8 +1225,12 @@ class TestErrorReporting:
         assert len(err) == 1
         assert err[0].startswith("kinereco: error: FormatError:")
 
-    @pytest.mark.parametrize("content", [b'{"sensors": [', b"\xff\xfe{}"],
-                             ids=["truncated", "not_utf8"])
+    @pytest.mark.parametrize("content", [
+        b'{"sensors": [', b"\xff\xfe{}",
+        # Python's integer-string limit (4300 digits by default), and a
+        # nesting deeper than the parser's recursion limit.
+        b'{"events": ' + b"1" * 5000 + b"}", b"[" * 200_000,
+    ], ids=["truncated", "not_utf8", "huge_int", "deep"])
     @pytest.mark.parametrize("bad_input", ["config", "profile", "report"])
     def test_invalid_json_gives_single_error_line(self, tmp_path, capsys,
                                                   config, bad_input, content):

@@ -30,7 +30,7 @@ from kinereco.pipeline import PairRow
 from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             NoiseSpec, PlannedImpact, SessionProfile,
                             config_to_json_dict, dump_profile, load_profile,
-                            profile_to_json_dict, standard_session_profile)
+                            standard_session_profile)
 
 from conftest import write_recording
 
@@ -368,7 +368,7 @@ def test_profile_json_dict(case):
         "generated": lambda: standard_session_profile(seed=3, n_per_tier=2),
         "custom": _custom_profile,
     }[case]()
-    new, old = profile_to_json_dict(profile), _old_profile_to_json_dict(profile)
+    new, old = to_json(profile), _old_profile_to_json_dict(profile)
     assert new == old
     assert _json_text(new) == _json_text(old)
 
@@ -631,7 +631,7 @@ def _assert_same_files_and_reads(tmp_path, spec, rec, name):
     comments = ("manifest_sha256=abc",)
     csvs = imu_csv_files(new_dir / name, rec)
     assert [write_imu_csv(file, rec, kinds, comments)
-            for file, kinds, _ in csvs] == [file for file, _, _ in csvs]
+            for file, kinds in csvs] == [file for file, _ in csvs]
     _old_write_imu_csv(old_dir / name, rec, comments)
     written = sorted(p.name for p in new_dir.iterdir())
     assert written == sorted(p.name for p in old_dir.iterdir())

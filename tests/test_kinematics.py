@@ -9,7 +9,7 @@ from kinereco.errors import (ConfigError, DataError, DegenerateSignalError,
 from kinereco.kinematics import (CONDITION_LIMIT, _skew, a3g1_solve,
                                  adaptive_filter, average_angular_velocity,
                                  five_point_derivative)
-from kinereco.synth import HarmonicComponent, MotionProfile
+from kinereco.synth import HarmonicComponent, MotionProfile, _rigid_acceleration
 from kinereco.wavelet import (Scalogram, butterworth_lowpass, cwt,
                               normalized_slices, select_cutoff, slice_index)
 
@@ -54,7 +54,10 @@ def random_motion(rng, n_components=3):
 
 def forward_sensors(motion, times, positions, gravity=(0.0, 0.0, 0.0)):
     """Exact rigid-body forward model: the independent oracle for the solve."""
-    return [series(motion.acceleration_at(times, r, gravity)) for r in positions]
+    omega, alpha = motion.omega_alpha_at(times)
+    q = motion.q_at(times)
+    return [series(_rigid_acceleration(omega, alpha, q, r, gravity))
+            for r in positions]
 
 
 class TestAverageAngularVelocity:
@@ -269,14 +272,15 @@ class TestA3g1Solve:
         accels = forward_sensors(motion, times, POSITIONS)
         omega = series(motion.omega_at(times))
         alpha, q, a4, residual = a3g1_solve(accels, omega, POSITIONS, REF_POINT)
-        alpha_true = motion.alpha_at(times)
+        alpha_true = motion.omega_alpha_at(times)[1]
         q_true = motion.q_at(times)
         scale_a = np.abs(alpha_true).max()
         scale_q = np.abs(q_true).max()
         assert np.abs(alpha.samples - alpha_true).max() / scale_a < 1e-6
         assert np.abs(q.samples - q_true).max() / scale_q < 1e-6
         assert residual.values.max() < 1e-9
-        a4_true = motion.acceleration_at(times, REF_POINT)
+        a4_true = _rigid_acceleration(*motion.omega_alpha_at(times), q_true,
+                                      REF_POINT, (0.0, 0.0, 0.0))
         assert np.abs(a4.samples - a4_true).max() / np.abs(a4_true).max() < 1e-6
 
     def test_gravity_shifts_q_only(self):

@@ -151,7 +151,7 @@ class TestWriteSession:
     def test_round_trip_through_files(self, tmp_path, config, clean_session_small):
         sim = clean_session_small
         out = tmp_path / "session"
-        write_session(list(sim.headband) + list(sim.reference_blocks), config, out)
+        write_session(sim, out)
         spec = config.sensor("bt_back")
         back = parse_imu_csv(out / "bt_back.csv", spec)
         orig = sim.headband[[s.id for s in config.headband_sensors].index("bt_back")]
@@ -161,10 +161,6 @@ class TestWriteSession:
         block = parse_reference_csv(out / f"{ref_spec.id}_ev001.csv", ref_spec)
         assert_allclose(block.gyro.samples, sim.reference_blocks[0].gyro.samples,
                         atol=1e-9)
-
-    def test_empty_recording_list_rejected(self, tmp_path, config):
-        with pytest.raises(DataError):
-            write_session([], config, tmp_path / "nothing")
 
     def test_full_session_has_detectable_events(self, config, skewed_session):
         # 18 planned impacts, three tiers, all trigger the 3 g / 3 ms rule
@@ -178,221 +174,6 @@ class TestWriteSession:
         assert labels.count("throw_in") == 6
         assert labels.count("goal_kick") == 6
         assert labels.count("corner_kick") == 6
-
-
-def serial_write_session(recordings, config, path, header_comments=()):
-    """write_session's CSV and config writes as one serial loop of
-    write_imu_csv calls, as it was before the writes were split: every CSV
-    file is written that can be, then the error of the earliest that failed
-    is raised."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    errors = []
-    by_sensor = {}
-    for rec in recordings:
-        by_sensor.setdefault(rec.sensor_id, []).append(rec)
-    for sensor_id, recs in by_sensor.items():
-        if config.sensor(sensor_id).role == "reference":
-            recs = sorted(recs, key=lambda r: r.gyro.start_time)
-            targets = [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
-                       for k, rec in enumerate(recs, start=1)]
-        else:
-            targets = [(out / f"{sensor_id}.csv", recs[0])]
-        for target, rec in targets:
-            for file, kinds, _ in imu_csv_files(target, rec):
-                try:
-                    write_imu_csv(file, rec, kinds, header_comments)
-                except Exception as exc:
-                    errors.append(exc)
-    if errors:
-        raise errors[0]
-    payload = synth.config_to_json_dict(config)
-    if header_comments:
-        payload["manifest_sha256"] = synth._manifest_stamp(header_comments)
-    write_json(out / "config.json", payload)
-
-
-class TestWriteInTwoProcesses:
-    """write_session forks once and splits the CSV files between the two
-    processes; the files, the return value and every error are the serial
-    loop's."""
-
-    COMMENTS = ("manifest_sha256=0",)
-
-    @pytest.fixture(scope="class")
-    def noisy_session(self, config):
-        profile = standard_session_profile(seed=13, with_noise=True,
-                                           n_per_tier=1)
-        return simulate_session(profile, config, seed=3)
-
-    @staticmethod
-    def recordings(sim):
-        return list(sim.headband) + list(sim.reference_blocks)
-
-    def assert_same_files(self, tmp_path, config, recordings):
-        new, old = tmp_path / "new", tmp_path / "old"
-        write_session(recordings, config, new, self.COMMENTS)
-        serial_write_session(recordings, config, old, self.COMMENTS)
-        names = sorted(p.name for p in old.iterdir())
-        assert sorted(p.name for p in new.iterdir()) == names
-        for name in names:
-            assert (new / name).read_bytes() == (old / name).read_bytes(), name
-        assert_no_child_left()
-        return names
-
-    @pytest.mark.parametrize("which", ["clean", "noisy"])
-    def test_same_bytes_as_the_serial_loop(self, tmp_path, config, forks,
-                                           clean_session_small, noisy_session,
-                                           which):
-        sim = clean_session_small if which == "clean" else noisy_session
-        names = self.assert_same_files(tmp_path, config, self.recordings(sim))
-        assert len(names) == 2 * 5 + len(sim.reference_blocks) + 1
-        assert len(forks) == 1
-
-    def test_one_file_starts_no_process(self, tmp_path, config, forks,
-                                        clean_session_small):
-        block = clean_session_small.reference_blocks[0]
-        assert self.assert_same_files(tmp_path, config, [block]) == [
-            "config.json", "mouthpiece_ev001.csv"]
-        assert forks == []
-
-    # -- errors ----------------------------------------------------------
-
-    def shares(self, tmp_path, config, recordings, monkeypatch):
-        """The CSV names each process writes: (parent's, child's), each in
-        the serial order, which ``self.serial`` keeps."""
-        own = []
-        real = ingest.write_table
-        monkeypatch.setattr(ingest, "write_table",
-                            lambda path, *args: own.append(Path(path).name))
-        serial_write_session(recordings, config, tmp_path / "serial")
-        self.serial, own[:] = list(own), []
-        write_session(recordings, config, tmp_path / "split")
-        monkeypatch.setattr(ingest, "write_table", real)
-        return own, [name for name in self.serial if name not in own]
-
-    def outcome(self, write, recordings, config, path):
-        """``(type, message)`` of the error ``write`` raises at ``path``, or
-        what it returns, and the bytes of each file it leaves there."""
-        shutil.rmtree(path, ignore_errors=True)
-        try:
-            result = write(recordings, config, path)
-        except BaseException as exc:
-            result = type(exc), str(exc)
-        finally:
-            assert_no_child_left()
-        return result, {p.name: p.read_bytes() for p in path.iterdir()}
-
-    def fail_on(self, monkeypatch, names, error=lambda path: DataError(
-            f"{path}: cannot write here")):
-        real = ingest.write_table
-
-        def failing(path, *args):
-            if Path(path).name in names:
-                raise error(path)
-            real(path, *args)
-
-        monkeypatch.setattr(ingest, "write_table", failing)
-
-    @pytest.mark.parametrize("case", [
-        "data_error", "os_error", "unpicklable", "killed", "child_only",
-        "parent_first", "child_first", "no_fork", "fork_eagain",
-        pytest.param("thread", marks=pytest.mark.skipif(
-            not Path("/proc/self/task").is_dir(),
-            reason="no /proc/self/task to count threads in")),
-    ])
-    def test_every_outcome_is_the_serial_loops(self, tmp_path, config,
-                                               monkeypatch, forks,
-                                               clean_session_small, case):
-        """A failure in one of the files of the child's share, in the child
-        alone, in both shares, and no child at all: the error or the files
-        are the serial loop's."""
-        recordings = self.recordings(clean_session_small)
-        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
-        forks.clear()
-        parent = os.getpid()
-
-        def enospc(path):
-            return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-
-        def unpicklable(path):
-            exc = DataError(f"{path}: cannot write here")
-            exc.hook = lambda: None
-            return exc
-
-        def in_the_child(act):
-            real = ingest.write_table
-
-            def write(path, *args):
-                if os.getpid() != parent:
-                    act(path)
-                real(path, *args)
-
-            monkeypatch.setattr(ingest, "write_table", write)
-
-        def unavailable():
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        def child_only(path):
-            if Path(path).name == theirs[0]:
-                raise enospc(path)
-
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        if case in ("parent_first", "child_first"):
-            earlier, later = ((own[0], theirs[-1]) if case == "parent_first"
-                              else (theirs[0], own[-1]))
-            assert self.serial.index(earlier) < self.serial.index(later)
-            self.fail_on(monkeypatch, {earlier, later})
-        elif case == "killed":
-            in_the_child(lambda path: os.kill(os.getpid(), signal.SIGKILL))
-        elif case == "child_only":
-            in_the_child(child_only)
-        elif case == "no_fork":
-            monkeypatch.delattr(os, "fork")
-        elif case == "fork_eagain":
-            monkeypatch.setattr(os, "fork", unavailable)
-        elif case == "thread":
-            other.start()
-        else:
-            error = {"data_error": lambda path: DataError(
-                         f"{path}: cannot write here"),
-                     "os_error": enospc, "unpicklable": unpicklable}[case]
-            self.fail_on(monkeypatch, {theirs[1]}, error)
-
-        try:
-            want = self.outcome(serial_write_session, recordings, config,
-                                tmp_path / "a")
-            got = self.outcome(write_session, recordings, config,
-                               tmp_path / "a")
-        finally:
-            release.set()
-            if other.ident is not None:
-                other.join(timeout=60)
-        assert got == want
-        no_child = case in ("no_fork", "fork_eagain", "thread")
-        assert len(forks) == (0 if no_child else 1)
-        result, files = got
-        if case.endswith("_first"):
-            assert result == (DataError,
-                              f"{tmp_path / 'a' / earlier}: cannot write here")
-            # Every other CSV file is written, whichever process failed.
-            assert sorted(files) == sorted(set(self.serial) - {earlier, later})
-        elif no_child or case in ("killed", "child_only"):
-            assert result is None
-
-    def test_interrupt_in_the_parent_waits_for_the_child(
-            self, tmp_path, config, monkeypatch, clean_session_small):
-        recordings = self.recordings(clean_session_small)
-        own, theirs = self.shares(tmp_path, config, recordings, monkeypatch)
-        serial_write_session(recordings, config, tmp_path / "b")
-        self.fail_on(monkeypatch, {own[0]}, lambda path: KeyboardInterrupt())
-        assert self.outcome(write_session, recordings, config,
-                            tmp_path / "a")[0][0] is KeyboardInterrupt
-        # The child wrote its whole share before it was waited for.
-        for name in theirs:
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name).read_bytes()
 
 
 def serial_write_simulated_session(sim, path, header_comments=()):
@@ -419,7 +200,7 @@ def serial_write_simulated_session(sim, path, header_comments=()):
             targets = [(out / f"{sensor_id}_ev{k:03d}.csv", rec)
                        for k, rec in enumerate(built, start=first_block)]
         for target, rec in targets:
-            for file, kinds, _ in imu_csv_files(target, rec):
+            for file, kinds in imu_csv_files(target, rec):
                 try:
                     write_imu_csv(file, rec, kinds, header_comments)
                 except Exception as exc:
@@ -495,19 +276,39 @@ class TestSimulateInTwoProcesses:
         return simulate_session(standard_session_profile(
             seed=13, with_noise=True, n_per_tier=1), config, seed=3)
 
-    @pytest.mark.parametrize("case", ["child_share", "killed",
-                                      "killed_in_truth", "truth_fails",
-                                      "labels", "no_fork", "fork_eagain"])
+    @staticmethod
+    def written(write, session, path, monkeypatch):
+        """The CSV files ``write(session, path)`` writes in this process, in
+        the order it writes them; labels.csv is left out."""
+        names, real = [], ingest.write_table
+        with monkeypatch.context() as spy:
+            spy.setattr(ingest, "write_table", lambda path, *args: (
+                names.append(Path(path).name), real(path, *args)))
+            write(session, path)
+        return [name for name in names if name != "labels.csv"]
+
+    @pytest.mark.parametrize("case", [
+        "child_share", "killed", "killed_in_truth", "truth_fails", "labels",
+        "parent_first", "child_first", "no_fork", "fork_eagain",
+        pytest.param("thread", marks=pytest.mark.skipif(
+            not Path("/proc/self/task").is_dir(),
+            reason="no /proc/self/task to count threads in")),
+    ])
     def test_every_outcome_is_the_serial_loops(self, tmp_path, monkeypatch,
                                                forks, session, case):
         """A file of the child's share that fails in both processes, a child
         killed by SIGKILL while it writes, after its truth job, or while it
         computes the truth, a truth that fails in both processes, a
-        labels.csv that cannot be written, no ``os.fork``, and a fork that
-        fails with EAGAIN: the files and the error are the serial loop's.
-        The truth is computed once per run, in the child, unless the child
-        dies in it, it fails, or there is no child."""
+        labels.csv that cannot be written, a failure in the parent's share
+        before one in the child's and the reverse, no ``os.fork``, a fork
+        that fails with EAGAIN, and another thread running: the files and
+        the error are the serial loop's.  The truth is computed once per
+        run, in the child, unless the child dies in it, it fails, or there
+        is no child."""
         parent = os.getpid()
+        # The CSV files in the serial loop's order.
+        serial = self.written(serial_write_simulated_session, session,
+                              tmp_path / "serial", monkeypatch)
         # The pid of each process that computed the truth, one a line.
         truth_calls, real_peaks = tmp_path / "truth_calls", synth._truth_peaks
         armed = []  # the case's fault, once the shares are known
@@ -528,20 +329,27 @@ class TestSimulateInTwoProcesses:
 
         monkeypatch.setattr(synth, "_truth_peaks", truth_peaks)
         # The CSV files this process writes; the child's are the others.
-        own, real = [], ingest.write_table
-        with monkeypatch.context() as spy:
-            spy.setattr(ingest, "write_table", lambda path, *args: (
-                own.append(Path(path).name), real(path, *args)))
-            synth.write_simulated_session(session, tmp_path / "shares")
+        own = self.written(synth.write_simulated_session, session,
+                           tmp_path / "shares", monkeypatch)
         assert truth_pids() == ["child"]
         csv = {p.name for p in (tmp_path / "shares").glob("*.csv")} - {
             "labels.csv"}
-        theirs = sorted(csv - set(own))
+        assert sorted(serial) == sorted(csv)
+        theirs = [name for name in serial if name not in own]
         assert own and theirs
+        failing = set()
+        if case in ("parent_first", "child_first"):
+            earlier, later = ((own[0], theirs[-1]) if case == "parent_first"
+                              else (theirs[0], own[-1]))
+            assert serial.index(earlier) < serial.index(later)
+            failing = {earlier, later}
         forks.clear()
         armed.append(True)
+        real = ingest.write_table
 
         def write(path, *args):
+            if Path(path).name in failing:
+                raise DataError(f"{path}: cannot write here")
             if case == "child_share" and Path(path).name == theirs[0]:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
                               str(path))
@@ -577,17 +385,33 @@ class TestSimulateInTwoProcesses:
         want = outcome(serial_write_simulated_session, tmp_path / "a")
         assert forks == []
         truth_calls.unlink(missing_ok=True)  # the serial loop's
-        got = outcome(synth.write_simulated_session, tmp_path / "a")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if case == "thread":
+            other.start()
+        try:
+            got = outcome(synth.write_simulated_session, tmp_path / "a")
+        finally:
+            release.set()
+            if other.ident is not None:
+                other.join(timeout=60)
         assert got == want
-        assert len(forks) == (case not in ("no_fork", "fork_eagain"))
+        no_child = case in ("no_fork", "fork_eagain", "thread")
+        assert len(forks) == (0 if no_child else 1)
         assert truth_pids() == {"killed_in_truth": ["child", "parent"],
                                 "truth_fails": ["child", "parent"],
                                 "no_fork": ["parent"],
-                                "fork_eagain": ["parent"]}.get(case, ["child"])
+                                "fork_eagain": ["parent"],
+                                "thread": ["parent"]}.get(case, ["child"])
         if case == "child_share":
             assert got[0] == (OSError, "[Errno 28] No space left on device: "
                               f"'{tmp_path / 'a' / theirs[0]}'")
             assert sorted(got[1]) == sorted(csv - {theirs[0]})
+        elif failing:
+            assert got[0] == (DataError,
+                              f"{tmp_path / 'a' / earlier}: cannot write here")
+            # Every other CSV file is written, whichever process failed.
+            assert sorted(got[1]) == sorted(csv - failing)
         elif case == "truth_fails":
             assert got[0] == (DataError, f"no truth in process {parent}")
             assert sorted(got[1]) == sorted(csv | {"config.json", "labels.csv"})
@@ -598,6 +422,32 @@ class TestSimulateInTwoProcesses:
             assert sorted(got[1]) == sorted(csv | {"config.json"})
         else:
             assert got[0] is None and "truth.json" in got[1]
+
+    def test_interrupt_in_the_parent_waits_for_the_child(
+            self, tmp_path, monkeypatch, forks, session):
+        serial = self.written(serial_write_simulated_session, session,
+                              tmp_path / "b", monkeypatch)
+        own = self.written(synth.write_simulated_session, session,
+                           tmp_path / "shares", monkeypatch)
+        theirs = [name for name in serial if name not in own]
+        assert own and theirs
+        forks.clear()
+        real = ingest.write_table
+
+        def write(path, *args):
+            if Path(path).name == own[0]:
+                raise KeyboardInterrupt
+            real(path, *args)
+
+        monkeypatch.setattr(ingest, "write_table", write)
+        with pytest.raises(KeyboardInterrupt):
+            synth.write_simulated_session(session, tmp_path / "a")
+        assert len(forks) == 1
+        assert_no_child_left()
+        # The child wrote its whole share before it was waited for.
+        for name in theirs:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
 
 
 def test_a_reference_block_outside_its_recording_is_one_data_error(
@@ -643,17 +493,15 @@ import json
 import os
 import sys
 import numpy as np
-from kinereco.core import TimeSeries3
-from kinereco.ingest import ImuRecording
-from kinereco.synth import example_session_config, write_session
-blocks = [ImuRecording("mouthpiece", TimeSeries3(t, 3200.0, np.zeros((401, 3))),
-                       accel_high=TimeSeries3(t, 3200.0, np.ones((401, 3))))
-          for t in (1.0, 2.0)]
+from kinereco.synth import (example_session_config, simulate_session,
+                            standard_session_profile, write_session)
+sim = simulate_session(standard_session_profile(
+    seed=11, with_noise=False, n_per_tier=1), example_session_config(), seed=5)
 threads = len(os.listdir("/proc/self/task"))
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 print("before", end="")
-write_session(blocks, example_session_config(), {str(tmp_path)!r})
+write_session(sim, {str(tmp_path)!r})
 print(" after")
 print(json.dumps([threads, len(forks)]))
 """
@@ -671,8 +519,10 @@ print(json.dumps([threads, len(forks)]))
     assert forks == (threads == 1)
     if first == "kinereco":
         assert threads == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "config.json", "mouthpiece_ev001.csv", "mouthpiece_ev002.csv"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 2 * 5 + 3 + 3
+    assert {"config.json", "labels.csv", "truth.json",
+            "mouthpiece_ev003.csv"} <= set(names)
 
 
 class TestProfileSerialization:
@@ -688,8 +538,8 @@ class TestProfileSerialization:
         t = np.linspace(0.0, 3.0, 500)
         assert_allclose(back.motion.omega_at(t), profile.motion.omega_at(t),
                         atol=1e-12)
-        assert_allclose(back.motion.alpha_at(t), profile.motion.alpha_at(t),
-                        atol=1e-12)
+        assert_allclose(back.motion.omega_alpha_at(t)[1],
+                        profile.motion.omega_alpha_at(t)[1], atol=1e-12)
 
     @pytest.mark.parametrize("n_tones", [0, -1])
     def test_burst_without_tones_rejected(self, tmp_path, n_tones):
@@ -737,8 +587,7 @@ class TestProfileSerialization:
         profile = standard_session_profile(seed=2, with_noise=False, n_per_tier=1)
         t = np.linspace(0.5, 2.5, 20001)
         dt = t[1] - t[0]
-        omega = profile.motion.omega_at(t)
-        alpha = profile.motion.alpha_at(t)
+        omega, alpha = profile.motion.omega_alpha_at(t)
         numeric = np.gradient(omega, dt, axis=0)
         scale = np.abs(alpha).max()
         assert np.abs(alpha[2:-2] - numeric[2:-2]).max() / scale < 1e-4
@@ -747,13 +596,13 @@ class TestProfileSerialization:
 class TestBundledData:
     def test_bundled_profiles_match_generator(self):
         from importlib.resources import files
-        from kinereco.synth import profile_to_json_dict
+        from kinereco.ingest import to_json
         import json as json_mod
         data = files("kinereco") / "profiles"
         for name, with_noise in (("field_session_18.json", True),
                                  ("field_session_18_clean.json", False)):
             bundled = json_mod.loads((data / name).read_text())
-            assert bundled == profile_to_json_dict(
+            assert bundled == to_json(
                 standard_session_profile(with_noise=with_noise))
 
 
@@ -784,11 +633,26 @@ class TestBurstChangesSelectedCutoff:
         assert f0s[1] >= f0s[0] or f0s[1] == 180.0
 
 
+def term_of(c, deriv):
+    """The value of ``c``, or with ``deriv`` its derivative, as a function
+    of ``t``."""
+    return (lambda t: c.value_and_derivative(t)[1]) if deriv else c.value
+
+
+def axis_eval(components, t, deriv=False):
+    """_axis_eval, or with ``deriv`` the sum of the derivatives as
+    omega_alpha_at takes it, from _axis_sums over value_and_derivative."""
+    if not deriv:
+        return _axis_eval(components, t)
+    return synth._axis_sums(components, t,
+                            HarmonicComponent.value_and_derivative, 2)[1]
+
+
 def full_axis_sum(components, t, deriv=False):
     """Every component evaluated over the whole of ``t``, envelope or not."""
     out = np.zeros_like(t)
     for c in components:
-        out += c.derivative(t) if deriv else c.value(t)
+        out += term_of(c, deriv)(t)
     return out
 
 
@@ -797,7 +661,7 @@ def masked_axis_sum(components, t, deriv=False):
     component runs its support mask over the whole of ``t``."""
     out = np.zeros_like(t)
     for c in components:
-        term = c.derivative if deriv else c.value
+        term = term_of(c, deriv)
         if c.width_s is None:
             out += term(t)
             continue
@@ -883,7 +747,7 @@ class TestWindowedEvaluation:
             if negate:
                 axes = self.negated_widths(axes)
             for comps in axes:
-                assert _axis_eval(comps, t, deriv).tobytes() == \
+                assert axis_eval(comps, t, deriv).tobytes() == \
                     full_axis_sum(comps, t, deriv).tobytes()
 
     def test_public_motion_api_with_negative_widths(self, bundled, times):
@@ -893,7 +757,7 @@ class TestWindowedEvaluation:
         t = times["unsorted"]
         for got, axes, deriv in (
                 (flipped.omega_at(t), motion.omega_components, False),
-                (flipped.alpha_at(t), motion.omega_components, True),
+                (flipped.omega_alpha_at(t)[1], motion.omega_components, True),
                 (flipped.q_at(t), motion.q_components, False)):
             want = np.column_stack([full_axis_sum(c, t, deriv) for c in axes])
             assert got.tobytes() == want.tobytes()
@@ -904,9 +768,10 @@ class TestWindowedEvaluation:
         for axes in (motion.omega_components, motion.q_components):
             for comps in axes:
                 for deriv in (False, True):
-                    got = _axis_eval(comps, t, deriv)
+                    got = axis_eval(comps, t, deriv)
                     assert got.dtype == np.float64 and got.shape == (0,)
-        for got in (motion.omega_at(t), motion.alpha_at(t), motion.q_at(t)):
+        for got in (motion.omega_at(t), *motion.omega_alpha_at(t),
+                    motion.q_at(t)):
             assert got.shape == (0, 3)
 
     @pytest.mark.parametrize("deriv", [False, True])
@@ -919,7 +784,7 @@ class TestWindowedEvaluation:
             t = np.array([stamp])
             for axes in (motion.omega_components, motion.q_components):
                 for comps in axes:
-                    assert _axis_eval(comps, t, deriv).tobytes() == \
+                    assert axis_eval(comps, t, deriv).tobytes() == \
                         full_axis_sum(comps, t, deriv).tobytes()
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -935,9 +800,9 @@ class TestWindowedEvaluation:
             t = edge + side * np.array([0.0, 0.5, 2.0]) * width
             for case in (t, t[[2, 0, 1]], t[:1]):
                 for deriv in (False, True):
-                    got = _axis_eval((c,), case, deriv)
+                    got = axis_eval((c,), case, deriv)
                     assert got.tobytes() == full_axis_sum((c,), case, deriv).tobytes()
-                    got = _axis_eval((probe(c),), case, deriv)
+                    got = axis_eval((probe(c),), case, deriv)
                     assert got.tobytes() == \
                         masked_axis_sum((probe(c),), case, deriv).tobytes()
                     kept += bool(np.isnan(got).any())
@@ -953,7 +818,7 @@ class TestWindowedEvaluation:
             for deriv in (False, True):
                 want = full_axis_sum((c,), t, deriv)
                 assert np.any(want != 0.0)
-                assert _axis_eval((c,), t, deriv).tobytes() == want.tobytes()
+                assert axis_eval((c,), t, deriv).tobytes() == want.tobytes()
 
     @staticmethod
     def assert_as_masked(components, t):
@@ -966,14 +831,14 @@ class TestWindowedEvaluation:
         ordered = np.sort(t)  # NaN last, as _axis_eval orders t
         for deriv in (False, True):
             with np.errstate(invalid="ignore"):  # sin(+-inf) of a full term
-                got = _axis_eval(components, t, deriv)
+                got = axis_eval(components, t, deriv)
                 assert got.tobytes() == masked_axis_sum(components, t, deriv).tobytes()
             assert got[finite].tobytes() == \
                 full_axis_sum(components, t[finite], deriv).tobytes()
             for c in components:
                 if c.width_s is None:
                     continue
-                got = _axis_eval((probe(c),), t, deriv)
+                got = axis_eval((probe(c),), t, deriv)
                 assert got.tobytes() == masked_axis_sum((probe(c),), t, deriv).tobytes()
                 assert not np.any(got[~finite])
         for c in components:
@@ -1053,8 +918,9 @@ class TestWindowedEvaluation:
 
     @staticmethod
     def separate_derivative(c, t):
-        """HarmonicComponent.derivative computed on its own, as it was
-        before value_and_derivative shared its arithmetic with value."""
+        """The derivative of ``c`` computed on its own, as
+        HarmonicComponent.derivative computed it before
+        value_and_derivative shared its arithmetic with value."""
         tau = t - c.center_s
         w = 2.0 * np.pi * c.freq_hz
         osc = np.sin(w * tau + c.phase)
@@ -1075,7 +941,6 @@ class TestWindowedEvaluation:
             value, derivative = c.value_and_derivative(t)
             assert value.tobytes() == c.value(t).tobytes()
             assert derivative.tobytes() == self.separate_derivative(c, t).tobytes()
-            assert c.derivative(t).tobytes() == derivative.tobytes()
 
     @pytest.mark.parametrize("order", ["sorted", "unsorted", "nan"])
     def test_omega_alpha_at_is_omega_at_and_alpha_at(self, bundled, times, order):
@@ -1084,7 +949,6 @@ class TestWindowedEvaluation:
         motion = bundled.motion
         omega, alpha = motion.omega_alpha_at(t)
         assert omega.tobytes() == motion.omega_at(t).tobytes()
-        assert alpha.tobytes() == motion.alpha_at(t).tobytes()
         for k, comps in enumerate(motion.omega_components):
             want = np.column_stack([masked_axis_sum(comps, t),
                                     masked_axis_sum(comps, t, True)])

@@ -9,27 +9,25 @@ import pytest
 
 from kinereco import twoproc
 from kinereco.errors import DataError
-from kinereco.ingest import imu_csv_files
 from kinereco.twoproc import read_in_two, run_in_two
 
 from conftest import assert_no_child_left
 
 
-def test_shares_balance_cost_largest_job_first(tmp_path, clean_session_small):
+def test_shares_balance_cost_largest_job_first():
     """The jobs this process ran are the only ones it saw; the child's
     appends stay in the child."""
-    sim = clean_session_small
-    cells = [c for r in list(sim.headband) + list(sim.reference_blocks)
-             for _, _, c in imu_csv_files(tmp_path / f"{r.sensor_id}.csv", r)]
+    costs = [300_308, 75_077, 124_802, 9_000, 300_308, 2_561, 216_054,
+             300_308, 75_077, 48_005, 12_803, 300_308, 5_000, 75_077]
     seen = []
     run_in_two([(c, functools.partial(seen.append, i))
-                for i, c in enumerate(cells)])
-    child = set(range(len(cells))) - set(seen)
+                for i, c in enumerate(costs)])
+    child = set(range(len(costs))) - set(seen)
     assert seen == sorted(seen) and child
-    mine = sum(cells[i] for i in seen)
-    theirs = sum(cells[i] for i in child)
-    assert abs(mine - theirs) <= max(cells)
-    assert cells[seen[0]] == max(cells)
+    mine = sum(costs[i] for i in seen)
+    theirs = sum(costs[i] for i in child)
+    assert abs(mine - theirs) <= max(costs)
+    assert costs[seen[0]] == max(costs)
     assert_no_child_left()
 
 
@@ -102,6 +100,13 @@ def test_every_job_runs_and_the_earliest_error_is_raised(tmp_path, forks,
 
 def test_no_job_starts_no_process(forks):
     run_in_two([])
+    assert forks == []
+
+
+def test_one_job_runs_here_and_starts_no_process(forks):
+    seen = []
+    assert run_in_two([(5, functools.partial(seen.append, 0))]) == [None]
+    assert seen == [0]
     assert forks == []
 
 
