@@ -288,7 +288,8 @@ class TestSimulateInTwoProcesses:
         return [name for name in names if name != "labels.csv"]
 
     @pytest.mark.parametrize("case", [
-        "child_share", "killed", "killed_in_truth", "truth_fails", "labels",
+        "child_share", "data_error", "os_error", "unpicklable", "build_fails",
+        "killed", "child_only", "killed_in_truth", "truth_fails", "labels",
         "parent_first", "child_first", "no_fork", "fork_eagain",
         pytest.param("thread", marks=pytest.mark.skipif(
             not Path("/proc/self/task").is_dir(),
@@ -296,15 +297,17 @@ class TestSimulateInTwoProcesses:
     ])
     def test_every_outcome_is_the_serial_loops(self, tmp_path, monkeypatch,
                                                forks, session, case):
-        """A file of the child's share that fails in both processes, a child
-        killed by SIGKILL while it writes, after its truth job, or while it
-        computes the truth, a truth that fails in both processes, a
-        labels.csv that cannot be written, a failure in the parent's share
-        before one in the child's and the reverse, no ``os.fork``, a fork
-        that fails with EAGAIN, and another thread running: the files and
-        the error are the serial loop's.  The truth is computed once per
-        run, in the child, unless the child dies in it, it fails, or there
-        is no child."""
+        """A file of the child's share that fails in both processes (with
+        ENOSPC, a DataError, or one that cannot be pickled), a sensor of the
+        child's share that cannot be built, a child killed by SIGKILL while
+        it writes, after its truth job, or while it computes the truth, a
+        file that fails in the child alone, a truth that fails in both
+        processes, a labels.csv that cannot be written, a failure in the
+        parent's share before one in the child's and the reverse, no
+        ``os.fork``, a fork that fails with EAGAIN, and another thread
+        running: the files and the error are the serial loop's.  The truth
+        is computed once per run, in the child, unless the child dies in it,
+        it fails, or there is no child."""
         parent = os.getpid()
         # The CSV files in the serial loop's order.
         serial = self.written(serial_write_simulated_session, session,
@@ -337,24 +340,54 @@ class TestSimulateInTwoProcesses:
         assert sorted(serial) == sorted(csv)
         theirs = [name for name in serial if name not in own]
         assert own and theirs
-        failing = set()
+
+        def cannot_write(path):
+            return DataError(f"{path}: cannot write here")
+
+        def enospc(path):
+            return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        def unpicklable(path):
+            exc = cannot_write(path)
+            exc.hook = lambda: None
+            return exc
+
+        # The error each failing CSV file raises, by its name.
+        failing = {"child_share": {theirs[0]: enospc},
+                   "data_error": {theirs[1]: cannot_write},
+                   "os_error": {theirs[1]: enospc},
+                   "unpicklable": {theirs[1]: unpicklable}}.get(case, {})
         if case in ("parent_first", "child_first"):
             earlier, later = ((own[0], theirs[-1]) if case == "parent_first"
                               else (theirs[0], own[-1]))
             assert serial.index(earlier) < serial.index(later)
-            failing = {earlier, later}
+            failing = {earlier: cannot_write, later: cannot_write}
+        # The first headband sensor of the child's share, and its files.
+        sensor = theirs[0].removesuffix(".csv")
+        assert sensor in [spec.id for spec in session.config.headband_sensors]
+        lost = csv & {theirs[0], f"{sensor}_high.csv"}
+        written = session
+        if case == "build_fails":
+            def cannot_build():
+                raise DataError(f"{sensor}: cannot build here")
+
+            written = replace(session, headband_jobs=tuple(
+                cannot_build if spec.id == sensor else build
+                for spec, build in zip(session.config.headband_sensors,
+                                       session.headband_jobs)))
         forks.clear()
         armed.append(True)
         real = ingest.write_table
 
         def write(path, *args):
-            if Path(path).name in failing:
-                raise DataError(f"{path}: cannot write here")
-            if case == "child_share" and Path(path).name == theirs[0]:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                              str(path))
-            if case == "killed" and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+            name = Path(path).name
+            if name in failing:
+                raise failing[name](path)
+            if os.getpid() != parent:
+                if case == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if case == "child_only" and name == theirs[0]:
+                    raise enospc(path)
             real(path, *args)
 
         def unavailable():
@@ -371,7 +404,7 @@ class TestSimulateInTwoProcesses:
             if case == "labels":  # a directory in its place
                 (path / "labels.csv").mkdir(parents=True)
             try:
-                result = write_session_files(session, path,
+                result = write_session_files(written, path,
                                              ("manifest_sha256=0",))
             except BaseException as exc:
                 result = type(exc), str(exc)
@@ -406,12 +439,15 @@ class TestSimulateInTwoProcesses:
         if case == "child_share":
             assert got[0] == (OSError, "[Errno 28] No space left on device: "
                               f"'{tmp_path / 'a' / theirs[0]}'")
-            assert sorted(got[1]) == sorted(csv - {theirs[0]})
-        elif failing:
-            assert got[0] == (DataError,
-                              f"{tmp_path / 'a' / earlier}: cannot write here")
+        if failing:
+            first = min(failing, key=serial.index)
+            error = failing[first](tmp_path / "a" / first)
+            assert got[0] == (type(error), str(error))
             # Every other CSV file is written, whichever process failed.
-            assert sorted(got[1]) == sorted(csv - failing)
+            assert sorted(got[1]) == sorted(csv - set(failing))
+        elif case == "build_fails":
+            assert got[0] == (DataError, f"{sensor}: cannot build here")
+            assert lost and sorted(got[1]) == sorted(csv - lost)
         elif case == "truth_fails":
             assert got[0] == (DataError, f"no truth in process {parent}")
             assert sorted(got[1]) == sorted(csv | {"config.json", "labels.csv"})
