@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeries3, magnitude
+from .core import TimeSeries3, magnitude, window_span
 from .detect import detect_impacts, extract_window as _extract_window
 from .errors import DataError, FormatError, WindowError
 from .ingest import (CHANNEL_KINDS, G_STANDARD, Block, Count, ImuRecording,
@@ -360,14 +360,25 @@ _BELOW_HALF_ULP = 2.0 ** -56
 #: a subnormal.
 _ENVELOPE_FLOOR = 2.0 ** -1000
 
+#: The base below which a burst is evaluated over its whole support: on a
+#: base of at most this, 2**-56 times it is at most the envelope's floor, so
+#: the skip rule may keep a sample at any decay.
+_BASE_FLOOR = _ENVELOPE_FLOOR / _BELOW_HALF_ULP
+
+#: The tone values one burst evaluates at once: each batch of tones is one
+#: sine over at most this many cells (512 KiB of temporaries).
+_TONE_CELLS = 1 << 16
+
 
 def _burst_waveform(t_rel: np.ndarray, base: np.ndarray, burst: BurstSpec,
                     amplitude: float, rng: np.random.Generator) -> np.ndarray:
     """Decaying in-band tones starting at t_rel = 0, to be added to ``base``.
 
     ``base`` has one row per sample of ``t_rel``; each of its columns gets its
-    own tones, drawn column after column.  The draws are per tone, so the
-    generator's state does not depend on how many samples are evaluated.
+    own tones, drawn column after column.  The draws are per tone, one
+    frequency and one phase each (``rng.uniform`` of them, as ``low + (high
+    - low) * rng.random()``), all in one call, so the generator's state does
+    not depend on how many samples are evaluated.
 
     A column's tones are evaluated only where they can change ``base +
     burst``; elsewhere its burst is +-0.0:
@@ -376,6 +387,9 @@ def _burst_waveform(t_rel: np.ndarray, base: np.ndarray, burst: BurstSpec,
       exactly 0.0;
     - where |amplitude| * exp(-t/tau) is not below ``_BELOW_HALF_ULP`` times
       the base, so the burst there is not below half an ulp of the base.
+
+    The tones are summed one after another, as one sine per tone would sum
+    them, from batches of at most ``_TONE_CELLS`` values.
     """
     out = np.zeros_like(base)
     if amplitude == 0.0 or burst.duration_s == 0.0:
@@ -385,18 +399,40 @@ def _burst_waveform(t_rel: np.ndarray, base: np.ndarray, burst: BurstSpec,
     t = t_rel[live]
     decay = np.exp(-t / tau)
     envelope = np.maximum(abs(amplitude) * decay, _ENVELOPE_FLOOR)
+    low = burst.center_hz - burst.bandwidth_hz / 2.0
+    high = burst.center_hz + burst.bandwidth_hz / 2.0
+    draws = rng.random(2 * burst.n_tones * base.shape[1]).reshape(
+        base.shape[1], burst.n_tones, 2)
+    omegas = 2.0 * np.pi * (low + (high - low) * draws[..., 0])
+    phases = 2.0 * np.pi * draws[..., 1]
     for column in range(base.shape[1]):
         keep = np.flatnonzero(
             envelope >= _BELOW_HALF_ULP * np.abs(base[live, column]))
         t_keep, decay_keep = t[keep], decay[keep]
         tones = np.zeros_like(t_keep)
-        for _ in range(burst.n_tones):
-            f = rng.uniform(burst.center_hz - burst.bandwidth_hz / 2.0,
-                            burst.center_hz + burst.bandwidth_hz / 2.0)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            tones += decay_keep * np.sin(2.0 * np.pi * f * t_keep + phi)
+        step = max(_TONE_CELLS // max(len(t_keep), 1), 1)
+        for first in range(0, burst.n_tones, step):
+            batch = slice(first, first + step)
+            for sine in np.sin(omegas[column, batch, None] * t_keep
+                               + phases[column, batch, None]):
+                tones += decay_keep * sine
         out[live[keep], column] = tones
     return amplitude / burst.n_tones * out
+
+
+def _burst_head(amplitude: float, tau: float, base_floor: float) -> float:
+    """How long after its impact a burst of ``amplitude`` and time constant
+    ``tau`` can move a sample of a base whose magnitude is at least
+    ``base_floor``: its whole support where that is at most ``_BASE_FLOOR``
+    (or NaN), and otherwise the time its envelope takes to fall to
+    ``_BELOW_HALF_ULP * base_floor``, one time constant more for the
+    roundings of the decay."""
+    support = _BURST_SUPPORT * tau
+    if not base_floor > _BASE_FLOOR:
+        return support
+    head = tau * (math.log(abs(amplitude))
+                  - math.log(_BELOW_HALF_ULP * base_floor) + 1.0)
+    return min(max(head, 0.0), support)
 
 
 def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
@@ -405,16 +441,23 @@ def _channel_noise(times: np.ndarray, sigma: float, burst_amp: float,
     if sigma > 0.0:
         out += rng.normal(scale=sigma, size=out.shape)
     if burst_amp > 0.0:
-        support = _BURST_SUPPORT * noise.burst.duration_s / 3.0
+        tau = noise.burst.duration_s / 3.0
+        # A lower bound of |out|: the noise's, then lowered over the rows
+        # each burst writes.
+        base_floor = float(np.abs(out).min(initial=np.inf))
         for t_imp in impact_times:
             # ``times`` is sorted, so the burst's samples lie in one window;
             # widened by a sample each side, _burst_waveform's own mask still
-            # decides which of them are live.  Each burst is bounded by the
-            # noise and the earlier bursts it is added to.
+            # decides which of them are live.  Beyond the window's head no
+            # sample passes its skip rule, and its burst there is +-0.0,
+            # which leaves a nonzero base as it is.
+            head = _burst_head(burst_amp, tau, base_floor)
             lo = max(int(np.searchsorted(times, t_imp)) - 1, 0)
-            hi = int(np.searchsorted(times, t_imp + support, side="right")) + 1
-            out[lo:hi] += _burst_waveform(times[lo:hi] - t_imp, out[lo:hi],
-                                          noise.burst, burst_amp, rng)
+            hi = int(np.searchsorted(times, t_imp + head, side="right")) + 1
+            window = out[lo:hi]
+            window += _burst_waveform(times[lo:hi] - t_imp, window,
+                                      noise.burst, burst_amp, rng)
+            base_floor = float(np.abs(window).min(initial=base_floor))
     return out
 
 
@@ -437,6 +480,38 @@ def _check_sample_ceiling(specs, duration: float) -> None:
 def _channel_samples(spec: SensorSpec, duration: float) -> int:
     """The samples of every channel of ``spec`` over ``duration``."""
     return sum(int(math.floor(duration * ch.rate)) + 1 for ch in spec.channels)
+
+
+def _stamps(duration: float, rate: float) -> np.ndarray:
+    """The sample stamps of a channel at ``rate`` over ``duration``."""
+    return np.arange(int(math.floor(duration * rate)) + 1) / rate
+
+
+def _channel_stream(seed: int, i_spec: int, i_ch: int) -> np.random.Generator:
+    """The noise stream of channel ``CHANNEL_KINDS[i_ch]`` of the sensor
+    ``i_spec``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(i_spec, i_ch)))
+
+
+def _motion_grids(motion: MotionProfile, t: np.ndarray, accel: bool) -> list:
+    """The motion at ``t`` that the channels sampled there read: omega, and
+    with ``accel`` also alpha and q (omega and alpha in one pass)."""
+    if not accel:
+        return [motion.omega_at(t)]
+    return [*motion.omega_alpha_at(t), motion.q_at(t)]
+
+
+def _reading(kind: str, grids: list, spec: SensorSpec, gravity) -> np.ndarray:
+    """The noiseless reading of ``spec``'s channel ``kind`` from the
+    :func:`_motion_grids` ``grids``: ``R^T omega`` for the gyro, ``R^T
+    (alpha x r + omega x (omega x r) + q + g)`` for an accelerometer, one
+    row per sample."""
+    if kind == "gyro":
+        head = grids[0]
+    else:
+        head = _rigid_acceleration(*grids, spec.position, gravity)
+    return head @ spec.orientation  # == (R^T @ head^T)^T
 
 
 def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
@@ -465,25 +540,14 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
     alone gives ``specs[1]`` different noise than simulating ``specs[:2]``.
     """
     _check_sample_ceiling(specs, duration)
-
-    def stamps_at(rate):
-        return np.arange(int(math.floor(duration * rate)) + 1) / rate
-
     accel_rates = {ch.rate for spec in specs for ch in spec.channels
                    if ch.kind != "gyro"}
 
     @functools.cache
     def on_grid(rate):
-        # Motion is shared by every channel sampled at the same rate: omega,
-        # and alpha and q where an accelerometer samples at that rate.
-        t = stamps_at(rate) + clock_offset
-        if rate not in accel_rates:
-            return [motion.omega_at(t)]
-        return [*motion.omega_alpha_at(t), motion.q_at(t)]
-
-    def motion_read_by(kind, rate):
-        # omega, and alpha and q for an accelerometer.
-        return on_grid(rate)[:1] if kind == "gyro" else on_grid(rate)
+        # Motion is shared by every channel sampled at the same rate.
+        return _motion_grids(motion, _stamps(duration, rate) + clock_offset,
+                             rate in accel_rates)
 
     local_impacts = [t - clock_offset for t in impact_times]
 
@@ -494,26 +558,20 @@ def simulate_sensors(motion: MotionProfile, specs: list[SensorSpec],
             ch = spec.channel(kind)
             if ch is None:
                 continue
-            grids = motion_read_by(kind, ch.rate)
             if kind == "gyro":
-                head, = grids
                 sigma, burst_amp = noise.gyro_sigma, noise.burst.gyro_amplitude
             else:
-                head = _rigid_acceleration(*grids, spec.position, gravity)
                 sigma, burst_amp = noise.accel_sigma, noise.burst.accel_amplitude
-            sensor_frame = head @ spec.orientation  # == (R^T @ head^T)^T
-            scale = noise.scale_for(spec.id)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(i_spec, i_ch)))
-            sensor_frame = sensor_frame + _channel_noise(
-                stamps_at(ch.rate), sigma, burst_amp * scale, noise,
-                local_impacts, rng)
-            channels[kind] = TimeSeries3(0.0, ch.rate, sensor_frame)
+            channels[kind] = TimeSeries3(0.0, ch.rate, _reading(
+                kind, on_grid(ch.rate), spec, gravity) + _channel_noise(
+                    _stamps(duration, ch.rate), sigma,
+                    burst_amp * noise.scale_for(spec.id), noise, local_impacts,
+                    _channel_stream(seed, i_spec, i_ch)))
         return ImuRecording(spec.id, **channels)
 
     for spec in specs:
         for ch in spec.channels:
-            motion_read_by(ch.kind, ch.rate)
+            on_grid(ch.rate)
     return [functools.partial(build, i, spec) for i, spec in enumerate(specs)]
 
 
@@ -552,7 +610,8 @@ def simulate_session(profile: SessionProfile, config: SessionConfig,
     Every channel's sample ceiling is checked here, and the headband motion
     is evaluated here on each channel rate's grid; each sensor's recordings
     are built by its job of the returned :class:`SimulatedSession`.  The
-    reference job evaluates the motion on its own grid, which only it reads.
+    reference job evaluates the motion on its own grid, which only it reads,
+    and only on the rows where its trigger can fire (:func:`_reference_blocks`).
     """
     # A scale of any other sensor would be read by no channel.
     check_keys(profile.noise.per_sensor_scale,
@@ -573,20 +632,149 @@ def simulate_session(profile: SessionProfile, config: SessionConfig,
     return SimulatedSession(profile, config, tuple(headband), reference)
 
 
+#: The reach of a windowed component in the reference trigger's screen, in
+#: widths: beyond it the component's envelope is below exp(-9) ~ 1.2e-4.
+_SCREEN_REACH = 3.0
+
+#: The relative margin the screen keeps between its bound and the trigger
+#: threshold, for the roundings of the motion, the rotation and the
+#: resultant (each a few ulps of the terms the bound sums).
+_SCREEN_MARGIN = 1e-6
+
+
 def _reference_blocks(profile: SessionProfile, config: SessionConfig,
                       seed: int) -> tuple[ImuRecording, ...]:
     """The reference device's blocks: its recording over the whole session,
     on its own clock and with its own clean noise, cut around each of its
-    own triggers."""
+    own triggers.
+
+    The recording is the one :func:`simulate_sensors` gives the reference
+    sensor alone with the clean noise and ``seed + 1``.  Its noise is drawn
+    over the whole session, but where the screen of :func:`_trigger_rows`
+    holds, its motion is evaluated only on the rows that screen picks: the
+    trigger can fire only within them, and they hold every block of a
+    trigger up to the roundings of their widening.  Where a block leaves
+    them anyway, or where the screen fails, the whole session is evaluated.
+    """
+    spec = config.reference_sensor
     clean = NoiseSpec(gyro_sigma=min(profile.noise.gyro_sigma, 0.02),
                       accel_sigma=min(profile.noise.accel_sigma, 0.3))
-    build, = simulate_sensors(
-        profile.motion, [config.reference_sensor], clean, profile.duration_s,
-        gravity=profile.gravity, seed=seed + 1,
-        impact_times=[imp.time_s for imp in profile.impacts],
-        clock_offset=profile.reference_clock_offset_s,
-    )
-    ref_rec = build()
+    noises = {}
+    for i_ch, kind in enumerate(CHANNEL_KINDS):
+        if (ch := spec.channel(kind)) is not None:
+            sigma = clean.gyro_sigma if kind == "gyro" else clean.accel_sigma
+            noises[kind] = _channel_noise(
+                _stamps(profile.duration_s, ch.rate), sigma, 0.0, clean, (),
+                _channel_stream(seed + 1, 0, i_ch))
+    rows = _trigger_rows(profile, config, noises)
+    blocks = None if rows is None else _cut_blocks(profile, config, noises,
+                                                   rows)
+    if blocks is None:
+        whole = {spec.channel(kind).rate: np.ones(len(noise), dtype=bool)
+                 for kind, noise in noises.items()}
+        blocks = _cut_blocks(profile, config, noises, whole)
+    return blocks
+
+
+def _screen_bound(motion: MotionProfile, position,
+                  gravity) -> tuple[list, float]:
+    """``(spans, bound)``: each windowed component's reach, ``_SCREEN_REACH``
+    widths each side of its center, as ``(start, end)`` in physical time,
+    and a bound of |alpha x r + omega x (omega x r) + q + g| at ``r =
+    position`` at any time outside every span.
+
+    Outside its span a windowed term is at most ``|A| e^-k^2`` (k the reach
+    in widths) and its derivative at most ``|A| e^-k^2 (2 pi |f| + 2 k /
+    |w|)``; an unwindowed term is at most ``|A|``, and its derivative
+    ``2 pi |f| |A|``.  Each axis sums its terms' bounds, and |omega|,
+    |alpha| and |q| are at most the norms of their axes' bounds."""
+    tail = math.exp(-_SCREEN_REACH ** 2)
+    spans = []
+    sums = {}
+    for key in ("omega_components", "q_components"):
+        value, slope = [0.0] * 3, [0.0] * 3
+        for k, axis in enumerate(getattr(motion, key)):
+            for c in axis:
+                a, w = abs(c.amplitude), 2.0 * math.pi * abs(c.freq_hz)
+                if c.width_s is None:
+                    value[k] += a
+                    slope[k] += w * a
+                    continue
+                width = abs(c.width_s)
+                reach = _SCREEN_REACH * width
+                spans.append((c.center_s - reach, c.center_s + reach))
+                value[k] += a * tail
+                slope[k] += a * tail * (w + 2.0 * _SCREEN_REACH / width)
+        sums[key] = math.hypot(*value), math.hypot(*slope)
+    (omega, alpha), (q, _) = sums["omega_components"], sums["q_components"]
+    r, g = math.hypot(*position), math.hypot(*gravity)
+    return spans, g + alpha * r + omega * omega * r + q
+
+
+def _trigger_rows(profile: SessionProfile, config: SessionConfig,
+                  noises: dict) -> dict | None:
+    """A mask per reference channel rate of the rows on which the reference
+    motion is evaluated; or None where the screen fails and the whole
+    session is.
+
+    The screen bounds the trigger channel's resultant outside the spans S of
+    :func:`_screen_bound`: that bound, through the rotation, plus the largest
+    noise the channel drew.  Where it is below the trigger threshold, by
+    ``_SCREEN_MARGIN``, the trigger fires only in S; the rows are S's, a
+    sample wider each side, widened by ``pre`` before and ``reference_post``
+    after, and two samples more, on every channel rate."""
+    spec = config.reference_sensor
+    kind = "accel_high" if "accel_high" in noises else "accel_low"
+    if kind not in noises:
+        return None
+    spans, head = _screen_bound(profile.motion, spec.position, profile.gravity)
+    bound = (head * float(np.linalg.norm(spec.orientation, 2))
+             + math.sqrt(3.0) * float(np.abs(noises[kind]).max(initial=0.0)))
+    if not bound * (1.0 + _SCREEN_MARGIN) < config.trigger.threshold:
+        return None
+    duration = profile.duration_s
+    stamps = _stamps(duration, spec.channel(kind).rate)
+    t = stamps + profile.reference_clock_offset_s
+    starts, ends = np.array(spans, dtype=np.float64).reshape(-1, 2).T
+    lo = np.maximum(t.searchsorted(starts) - 1, 0)
+    hi = np.minimum(t.searchsorted(ends, side="right") + 1, len(t))
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    first = stamps[lo] - config.window.pre
+    last = stamps[hi - 1] + config.window.reference_post
+    rows = {}
+    for rate in {spec.channel(k).rate for k in noises}:
+        grid = _stamps(duration, rate)
+        mask = rows[rate] = np.zeros(len(grid), dtype=bool)
+        for a, b in zip(np.maximum(grid.searchsorted(first) - 2, 0).tolist(),
+                        (grid.searchsorted(last, side="right") + 2).tolist()):
+            mask[a:b] = True
+    return rows
+
+
+def _cut_blocks(profile: SessionProfile, config: SessionConfig,
+                noises: dict, rows: dict) -> tuple[ImuRecording, ...] | None:
+    """The reference blocks of the recording whose motion is evaluated on
+    the ``rows`` masks (:func:`_trigger_rows`), and 0 elsewhere; or None
+    where a block leaves them.  The trigger runs on the resultant of that
+    recording, exact on the rows and 0 elsewhere."""
+    spec = config.reference_sensor
+    accel_rates = {spec.channel(kind).rate for kind in noises
+                   if kind != "gyro"}
+    index = {rate: np.flatnonzero(mask) for rate, mask in rows.items()}
+    grids = {rate: _motion_grids(
+        profile.motion,
+        _stamps(profile.duration_s, rate)[index[rate]]
+        + profile.reference_clock_offset_s, rate in accel_rates)
+        for rate in rows}
+    channels = {}
+    for kind, noise in noises.items():
+        rate = spec.channel(kind).rate
+        samples = np.zeros(noise.shape)
+        samples[index[rate]] = (_reading(kind, grids[rate], spec,
+                                         profile.gravity)
+                                + noise[index[rate]])
+        channels[kind] = TimeSeries3(0.0, rate, samples)
+    ref_rec = ImuRecording(spec.id, **channels)
     trig = magnitude(ref_rec.trigger_accel)
     # Dead time: the longer (headband) processing window, so post-impact
     # ringing cannot re-trigger a second block inside one event.
@@ -605,6 +793,10 @@ def _reference_blocks(profile: SessionProfile, config: SessionConfig,
                 f"trigger at {t0:.4f} s spans [{t0 - pre:.4f}, "
                 f"{t0 + post:.4f}] s, outside its recording "
                 f"[{gyro.start_time:.4f}, {gyro.end_time:.4f}] s") from None
+        for ch in spec.channels:
+            first, last = window_span(0.0, ch.rate, t0, pre, post)
+            if not rows[ch.rate][first:last + 1].all():
+                return None
         blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
     return tuple(blocks)
 
@@ -628,26 +820,30 @@ def write_session(sim: SimulatedSession, path,
       and the reference job builds the blocks and writes them.  The cost is
       the samples the job simulates plus the cells it writes, which take
       about as long each: four per sample of a headband channel (one
-      simulated, three written; the time column is left out) and one per
-      sample of a reference channel.  The reference's blocks are left out:
-      they are known only once its trigger has run, and they hold a small
-      share of its samples (12 % on the bundled 18-impact profile).
+      simulated, three written; the time column is left out).  The
+      reference job costs two per sample of its channels: it draws their
+      noise over the whole session, and evaluates the motion only on the
+      rows its trigger screen keeps (:func:`_trigger_rows`, 44 % of them on
+      the bundled 18-impact profile), which are known only once it has
+      drawn the noise; its blocks hold 12 % (47 ms for the 124 802 samples
+      of the bundled 18-impact profile's two 3200 Hz channels).
     - The truth job computes the analytic peaks of every impact
       (:func:`_truth_peaks`) and returns them as a table, which a child
       hands back through shared memory; this process writes the sidecars
       from it.  Its cost is three per stamp of the truth windows
       (``_TRUTH_STAMPS`` per impact): evaluating omega, alpha and q on a
       stamp takes about three quarters of the time a headband channel's
-      sample takes to simulate and write (42 ms for the 72 018 stamps of
-      the bundled 18-impact profile, against 60 ms for a headband sensor's
+      sample takes to simulate and write (44 ms for the 72 018 stamps of
+      the bundled 18-impact profile, against 58 ms for a headband sensor's
       75 077 samples).  Run after the join, it would add its whole time to
       the write.
 
     On the bundled profiles and config, and on the benchmark's, the split
     puts the truth and the reference job in the second process with two of
-    the five headband sensors, and the other three here.  The reference job
-    evaluates the motion on its own 3200 Hz grids over the whole session,
-    about 10 MB on the bundled profile, which so stay out of this process.
+    the five headband sensors, and the other three here.  The reference
+    job's arrays (about 12 MB at its peak on the bundled profile, its noise
+    and its channels over the whole session among them) so stay out of this
+    process.
 
     Each sensor is built by the same job and each file written by the same
     :func:`write_imu_csv` call in either process, so every byte is the one a
@@ -666,7 +862,7 @@ def write_session(sim: SimulatedSession, path,
     sensors = [(4, spec, build) for spec, build in
                zip(config.headband_sensors, sim.headband_jobs)]
     if sim.reference_job is not None:
-        sensors.append((1, config.reference_sensor, sim.reference_job))
+        sensors.append((2, config.reference_sensor, sim.reference_job))
     jobs = [(3 * _TRUTH_STAMPS * len(sim.profile.impacts),
              functools.partial(_truth_job, sim.profile, config)),
             *((weight * _channel_samples(spec, duration),

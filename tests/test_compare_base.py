@@ -5,7 +5,10 @@ No case is run here."""
 import hashlib
 import importlib.util
 import json
+import os
 import re
+
+import pytest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -241,3 +244,83 @@ def test_rewritten_reverses_keys_and_writes_integral_floats_as_ints():
         '{"n": null, "aggregate": {"t_tests": {"v": {"significant": true, '
         '"t": -2, "p": 0.5}}}, "events": [{"label": "x", "f0_hz": 171, '
         '"pair_id": 1}]}')
+
+
+#: A stand-in for ``python -m kinereco.cli simulate``: it writes the tree's
+#: digest.txt and the profile it reads to ``<out>``; on edge_start.json and
+#: edge_end.json it prints the tree's error.txt as its error line and exits
+#: 1.
+FAKE_SCREEN_CLI = '''
+import pathlib, sys
+args = sys.argv[1:]
+tree = pathlib.Path(__file__).resolve().parents[2]
+profile = args[args.index("--profile") + 1]
+out = pathlib.Path(args[args.index("--out") + 1])
+out.mkdir(parents=True, exist_ok=True)
+(out / "hb.csv").write_text((tree / "digest.txt").read_text())
+if profile in ("edge_start.json", "edge_end.json"):
+    sys.stderr.write("kinereco: error: " + (tree / "error.txt").read_text() + "\\n")
+    sys.exit(1)
+(out / "profile.json").write_text(pathlib.Path(profile).read_text())
+'''
+
+#: A profile with one sway tone and one windowed component on each motion
+#: axis list, and one impact.
+SCREEN_PROFILE = {
+    "duration_s": 2.0, "gravity": [0.0, 0.0, 9.80665],
+    "impacts": [{"label": "a", "time_s": 1.0}],
+    "omega_components": [[{"amplitude": 0.5, "freq_hz": 1.0, "width_s": None},
+                          {"amplitude": 5.0, "freq_hz": 30.0,
+                           "center_s": 1.09, "width_s": 0.058}], [], []],
+    "q_components": [[{"amplitude": 150.0, "freq_hz": 0.0,
+                       "center_s": 1.002, "width_s": 0.004}], [], []]}
+
+
+def test_the_screen_case_compares_exits_error_lines_and_files(
+        tmp_path, capsys):
+    """Ten simulate runs per tree, the two edge runs failing: the same exit
+    codes, error lines and files pass; another error line or another file
+    fails.  The sway copies scale the unwindowed components so that the
+    screen's bound lies 0.1 % either side of the threshold."""
+    script = load_script()
+
+    def tree(name, digest, error):
+        root = fake_cli_tree(tmp_path / name, digest, error)
+        package = root / "src" / "kinereco"
+        (package / "cli.py").write_text(FAKE_SCREEN_CLI)
+        for profile in ("field_session_18.json", "field_session_18_clean.json"):
+            (package / "profiles" / profile).write_text(json.dumps(SCREEN_PROFILE))
+        (package / "profiles" / "field_config.json").write_text(json.dumps({
+            "sensors": [{"role": "reference", "position_m": [0.075, 0.0, -0.035]}],
+            "trigger": {"threshold_g": 3.0}}))
+        return root
+
+    head = tree("head", "d1", "DataError: outside")
+    assert script.compare("screen", head, tree("base", "d1", "DataError: outside"))
+    out = capsys.readouterr().out.splitlines()
+    names = ["sway_0.999", "sway_1.001", "unsorted", "edge_impacts",
+             "clean_offset_-0.02", "clean_offset_0.02", "noisy_offset_-0.02",
+             "noisy_offset_0.02", "edge_start", "edge_end"]
+    assert out[:10] == [f"{name} simulate exit 0" for name in names[:8]] + [
+        "edge_start simulate exit 1", "edge_end simulate exit 1"]
+    assert out[10:14] == ["edge_start", "  kinereco: error: DataError: outside",
+                          "edge_end", "  kinereco: error: DataError: outside"]
+    assert out[-1] == ("the reference trigger's screen: the same error lines "
+                       "and 39 files identical at head and base")
+    written = [line.split()[1] for line in out[14:-1]]
+    assert written == sorted(
+        ["./config.json"] + [f"./{name}{suffix}" for name in names
+                             for suffix in (".err", ".json", "/hb.csv")]
+        + [f"./{name}/profile.json" for name in names[:8]], key=os.fsencode)
+    config = json.loads((tmp_path / "head" / "src" / "kinereco" / "profiles"
+                         / "field_config.json").read_text())
+    for ratio in (0.999, 1.001):
+        scale = script.sway_scale(SCREEN_PROFILE, config, ratio)
+        assert script.screen_bound(SCREEN_PROFILE, config, scale) == \
+            pytest.approx(ratio * 3.0 * 9.80665, rel=1e-12)
+    for name, digest, error in (("error", "d1", "DataError: inside"),
+                                ("files", "d2", "DataError: outside")):
+        assert not script.compare("screen", head, tree(name, digest, error))
+        assert capsys.readouterr().err == (
+            "the reference trigger's screen: exit codes, stderr or outputs "
+            "differ from the base\n")

@@ -177,3 +177,36 @@ def test_amplitude_scales_the_angular_velocity_peaks(
                  for path in (tmp_path / "session", small_pipeline["session"]))
     assert [ev["prv_rad_s"] for ev in got] == pytest.approx(
         [k * ev["prv_rad_s"] for ev in want], rel=1e-9)
+
+
+@pytest.mark.parametrize("shift", [-0.020, 0.005, 0.020, -0.400])
+def test_clock_offset_moves_the_refined_offsets(
+        shift, config, clean_profile_small, clean_session_small):
+    """A metamorphic relation: the reference clock shifted by a whole number
+    of reference samples keeps the pairs, their labels and (the headband
+    is the same) each cutoff; each refined offset, an estimate of the
+    headband clock minus the reference clock, moves by the shift within one
+    reference sample.
+
+    The reference screen picks the rows where the trigger can fire on the
+    reference's own clock.  A screen that left the offset out would pick
+    rows 20 ms away from the motion, which its widening by ``pre`` and
+    ``reference_post`` still covers, so those shifts give the same blocks.
+    At -400 ms (1280 samples at 3200 Hz, within the pairing's 0.5 s, and
+    the last block still inside the session) its rows would hold only the
+    quiet time before each impact: no trigger would fire, and the pairs
+    would go.
+    """
+    sim = simulate_session(
+        replace(clean_profile_small, reference_clock_offset_s=(
+            clean_profile_small.reference_clock_offset_s + shift)),
+        config, seed=5)
+    pairs = library_pairs(config, clean_session_small)
+    moved = library_pairs(config, sim)
+    assert [(r.pair_id, r.label) for r in moved] == [
+        (r.pair_id, r.label) for r in pairs]
+    for got, want in zip(moved, pairs):
+        assert got.t0_headband == want.t0_headband
+        assert abs(got.offset - want.offset - shift) <= 1.0 / 3200.0 + TIME_TOL
+    assert library_peaks(config, sim, moved)[0] == library_peaks(
+        config, clean_session_small, pairs)[0]

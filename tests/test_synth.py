@@ -17,10 +17,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kinereco.core import TimeSeries3, magnitude
-from kinereco.detect import detect_impacts
+from kinereco.detect import detect_impacts, extract_window
 from kinereco import ingest
 from kinereco.cli import RunManifest, main
-from kinereco.errors import DataError, FormatError
+from kinereco.errors import DataError, FormatError, WindowError
 from kinereco.ingest import (G_STANDARD, ChannelSpec, SensorSpec,
                              imu_csv_files, parse_imu_csv, parse_reference_csv,
                              write_imu_csv, write_json, write_table)
@@ -33,7 +33,7 @@ from kinereco.synth import (BurstSpec, HarmonicComponent, MotionProfile,
                             simulate_sensors, simulate_session,
                             standard_session_profile, write_session)
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, random_rotation
 
 
 def simulated(*args, **kwargs):
@@ -1237,3 +1237,343 @@ class TestChannelNoiseWindow:
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert a.samples.tobytes() == b.samples.tobytes()
+
+
+class FixedNoise:
+    """A stand-in generator whose Gaussian draw is ``base`` and whose uniform
+    draws are ``np.random.default_rng(seed)``'s, so that a test sets the
+    noise the bursts land on."""
+
+    def __init__(self, base, seed):
+        self.base, self.rng = base, np.random.default_rng(seed)
+
+    def normal(self, scale, size):
+        assert size == self.base.shape
+        return self.base.copy()
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+@pytest.fixture
+def burst_spans(monkeypatch):
+    """The number of samples each :func:`_burst_waveform` call is given."""
+    spans, real = [], synth._burst_waveform
+
+    def spy(t_rel, base, burst, amplitude, rng):
+        spans.append(len(t_rel))
+        return real(t_rel, base, burst, amplitude, rng)
+
+    monkeypatch.setattr(synth, "_burst_waveform", spy)
+    return spans
+
+
+class TestBurstHead:
+    """A burst is evaluated only up to where it can move a sample of a base
+    whose magnitude is at least m, the lower bound _channel_noise keeps;
+    the result is the burst added over the whole grid."""
+
+    def test_a_base_an_earlier_burst_lowers_to_zero(self, burst_spans):
+        """The first burst (at 0.5 s) cancels one base value exactly, so m
+        drops to 0 and the second burst (at 0.2 s) takes its whole span:
+        60 time constants after its impact, its tail lands on that zero.
+        With m kept at the noise's 1.0, its head would end 43 time
+        constants after its impact, and the zero would stay."""
+        rate = 1600.0
+        times = np.arange(int(1.0 * rate) + 1) / rate
+        burst = BurstSpec(gyro_amplitude=25.0, duration_s=0.015)
+        noise = NoiseSpec(gyro_sigma=1.0, burst=burst)
+        first = full_burst_waveform(times - 0.5, burst, 25.0,
+                                    np.random.default_rng(3))
+        j = int(np.flatnonzero((times > 0.502) & (np.abs(first) >= 1.0))[0])
+        base = np.ones((len(times), 3))
+        base[j, 0] = -first[j]
+        got = _channel_noise(times, 1.0, 25.0, noise, (0.5, 0.2),
+                             FixedNoise(base, 3))
+        want = full_grid_channel_noise(times, 1.0, 25.0, noise, (0.5, 0.2),
+                                       FixedNoise(base, 3))
+        assert got.tobytes() == want.tobytes()
+        assert got[j, 0] != 0.0
+        support = np.searchsorted(times, 0.2 + 750 * 0.005, side="right")
+        assert burst_spans[1] == min(support + 1, len(times)) - (
+            np.searchsorted(times, 0.2) - 1)
+
+    @pytest.mark.parametrize("steps, head", [(0, False), (1, True),
+                                             (-1, False)])
+    def test_a_base_at_the_floor(self, steps, head, burst_spans):
+        """m at 2**-944, and an ulp above and below it: above, 2**-56 m is
+        above the envelope's floor of 2**-1000, so no sample past the head
+        is kept, and the burst is cut there (697 of its 750 time
+        constants); at or below it, it takes its whole span."""
+        m = ulps(2.0 ** -944, steps)
+        rate = 3200.0
+        times = np.arange(int(0.5 * rate) + 1) / rate
+        burst = BurstSpec(gyro_amplitude=25.0, center_hz=500.0,
+                          bandwidth_hz=50.0, duration_s=0.0004)
+        noise = NoiseSpec(gyro_sigma=1.0, burst=burst)
+        rng = np.random.default_rng(9)
+        base = m * rng.choice([-1.0, 1.0], size=(len(times), 3))
+        base[::7] *= 2.0
+        got = _channel_noise(times, 1.0, 25.0, noise, (0.1,),
+                             FixedNoise(base, 4))
+        want = full_grid_channel_noise(times, 1.0, 25.0, noise, (0.1,),
+                                       FixedNoise(base, 4))
+        assert got.tobytes() == want.tobytes()
+        lo = np.searchsorted(times, 0.1) - 1
+        whole = np.searchsorted(times, 0.1 + 750 * 0.0004 / 3.0,
+                                side="right") + 1 - lo
+        assert (burst_spans[0] < 0.95 * whole) if head else (
+            burst_spans == [whole])
+
+    def test_many_tones_in_bounded_batches(self):
+        """1000 tones over 4000 live samples: the sines are evaluated in
+        batches of at most _TONE_CELLS values, not as one 32 MB matrix,
+        and sum to the tones evaluated one at a time."""
+        burst = BurstSpec(center_hz=300.0, bandwidth_hz=140.0, duration_s=0.3,
+                          n_tones=synth.MAX_BURST_TONES)
+        t_rel = np.arange(4000) / 1000.0
+        base = np.zeros((len(t_rel), 1))
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            got = _burst_waveform(t_rel, base, burst, 2.5, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = full_burst_waveform(t_rel, burst, 2.5, ref_rng)
+        assert got[:, 0].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert peak < 4 * 8 * synth._TONE_CELLS
+
+
+def full_reference_blocks(profile, config, seed):
+    """The reference blocks as simulate cut them before the screen: the
+    reference recording from simulate_sensors over the whole session, and
+    the trigger over all of it."""
+    clean = NoiseSpec(gyro_sigma=min(profile.noise.gyro_sigma, 0.02),
+                      accel_sigma=min(profile.noise.accel_sigma, 0.3))
+    rec, = simulated(profile.motion, [config.reference_sensor], clean,
+                     profile.duration_s, gravity=profile.gravity,
+                     seed=seed + 1,
+                     impact_times=[imp.time_s for imp in profile.impacts],
+                     clock_offset=profile.reference_clock_offset_s)
+    pre, post = config.window.pre, config.window.reference_post
+    blocks = []
+    for t0 in detect_impacts(magnitude(rec.trigger_accel),
+                             config.trigger.threshold,
+                             config.trigger.min_duration,
+                             min_separation=pre + config.window.headband_post):
+        rel = extract_window(rec, t0, pre, post)
+        blocks.append(rel.map(lambda kind, ts: ts.shifted(t0)))
+    return tuple(blocks)
+
+
+def assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.sensor_id == b.sensor_id
+        for kind in ingest.CHANNEL_KINDS:
+            x, y = a.channel(kind), b.channel(kind)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert (x.start_time, x.sample_rate) == (y.start_time,
+                                                         y.sample_rate)
+                assert x.samples.tobytes() == y.samples.tobytes()
+
+
+@pytest.fixture
+def screen_paths(monkeypatch):
+    """For each _cut_blocks call, whether it evaluated the reference
+    motion on a share of the rows (the screened path) or on all of them."""
+    paths, real = [], synth._cut_blocks
+
+    def spy(profile, config, noises, rows):
+        paths.append(not all(mask.all() for mask in rows.values()))
+        return real(profile, config, noises, rows)
+
+    monkeypatch.setattr(synth, "_cut_blocks", spy)
+    return paths
+
+
+def scaled_motion(profile, scale, windowed=True, unwindowed=True):
+    """``profile`` with the amplitudes of its windowed or unwindowed motion
+    components scaled by ``scale``."""
+    def axes(components):
+        return tuple(tuple(
+            replace(c, amplitude=c.amplitude * scale)
+            if (windowed if c.width_s is not None else unwindowed) else c
+            for c in axis) for axis in components)
+    motion = profile.motion
+    return replace(profile, motion=MotionProfile(
+        axes(motion.omega_components), axes(motion.q_components)))
+
+
+def moved(profile, dt):
+    """``profile`` with its impacts and windowed components ``dt`` later."""
+    def axes(components):
+        return tuple(tuple(c if c.width_s is None else
+                           replace(c, center_s=c.center_s + dt)
+                           for c in axis) for axis in components)
+    motion = profile.motion
+    return replace(
+        profile, impacts=tuple(replace(imp, time_s=imp.time_s + dt)
+                               for imp in profile.impacts),
+        motion=MotionProfile(axes(motion.omega_components),
+                             axes(motion.q_components)))
+
+
+class TestReferenceScreen:
+    """The reference job evaluates its motion only where its trigger can
+    fire, and cuts the same blocks as the whole grid does."""
+
+    @pytest.mark.parametrize("name", ["field_session_18.json",
+                                      "field_session_18_clean.json"])
+    def test_bundled_profiles_equal_the_full_grid(self, name, config,
+                                                  screen_paths):
+        """Seeds 1-5, with clock offsets: every block equals the full
+        grid's bit for bit, and each run takes the screened path."""
+        profile = load_profile(files("kinereco") / "profiles" / name)
+        for seed, offset in zip(range(1, 6), (0.0, -0.02, 0.005, 0.0123, 0.02)):
+            shifted = replace(profile, reference_clock_offset_s=offset)
+            assert_same_blocks(synth._reference_blocks(shifted, config, seed),
+                               full_reference_blocks(shifted, config, seed))
+        assert screen_paths == [True] * 5
+
+    def test_a_loud_profile_takes_the_full_grid(self, config,
+                                                clean_profile_small,
+                                                screen_paths):
+        """Motion 1e6 times the clean profile's: the bound fails, the whole
+        grid is evaluated, and its first block falls outside the
+        recording, as on the full grid."""
+        loud = scaled_motion(clean_profile_small, 1e6)
+        with pytest.raises(WindowError):
+            full_reference_blocks(loud, config, 7)
+        with pytest.raises(DataError, match=(
+                r"^reference sensor 'mouthpiece': the block of its trigger "
+                r"at 0\.0000 s spans \[-0\.0312, 0\.0938\] s, outside its "
+                r"recording \[0\.0000, 4\.5000\] s$")):
+            synth._reference_blocks(loud, config, 7)
+        assert screen_paths == [False]
+
+    @pytest.mark.parametrize("side, screened", [(-1.0, True), (1.0, False)])
+    def test_sway_at_the_threshold(self, side, screened, config,
+                                   clean_profile_small, screen_paths):
+        """The head sway scaled so that the bound lies 0.1 % below the
+        trigger threshold takes the screened path, and 0.1 % above it the
+        full grid; both cut the full grid's blocks."""
+        spec = config.reference_sensor
+        target = config.trigger.threshold * (1.0 + 1e-3 * side)
+
+        def bound(scale):
+            motion = scaled_motion(clean_profile_small, scale,
+                                   windowed=False).motion
+            head = synth._screen_bound(motion, spec.position,
+                                      clean_profile_small.gravity)[1]
+            return head * np.linalg.norm(spec.orientation, 2)
+
+        lo, hi = 1.0, 100.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if bound(mid) < target else (lo, mid)
+        profile = scaled_motion(clean_profile_small, lo, windowed=False)
+        assert bound(lo) == pytest.approx(target, rel=1e-9)
+        assert_same_blocks(synth._reference_blocks(profile, config, 3),
+                           full_reference_blocks(profile, config, 3))
+        assert screen_paths == [screened]
+
+    @pytest.mark.parametrize("scale", [25.0, 30.0])
+    def test_sway_that_fires_the_trigger(self, scale, config,
+                                         clean_profile_small, screen_paths):
+        """Head sway 25 or 30 times the profile's: its centripetal term alone
+        fires the trigger between the impacts, where no windowed component
+        reaches, so the bound fails and the whole grid is evaluated."""
+        profile = scaled_motion(clean_profile_small, scale, windowed=False)
+        blocks = synth._reference_blocks(profile, config, 3)
+        assert_same_blocks(blocks, full_reference_blocks(profile, config, 3))
+        assert len(blocks) > len(clean_profile_small.impacts)
+        assert screen_paths == [False]
+
+    def test_a_block_leaving_the_rows_takes_the_full_grid(
+            self, monkeypatch, config, clean_profile_small, screen_paths):
+        """Rows whose runs start 300 samples late still hold each trigger,
+        but not the start of its block: the blocks are cut from the whole
+        grid instead."""
+        real = synth._trigger_rows
+
+        def late(*args):
+            rows = real(*args)
+            return {rate: mask & np.roll(mask, 300) for rate, mask in rows.items()}
+
+        monkeypatch.setattr(synth, "_trigger_rows", late)
+        assert_same_blocks(synth._reference_blocks(clean_profile_small, config, 5),
+                           full_reference_blocks(clean_profile_small, config, 5))
+        assert screen_paths == [True, False]
+
+    @pytest.mark.parametrize("dt, trigger, block, end", [
+        (-0.985, "0.0122", "[-0.0191, 0.1059]", "4.5000"),
+        (1.45, "4.4469", "[4.4156, 4.5406]", "4.5000")])
+    def test_a_screened_block_outside_its_recording_is_one_data_error(
+            self, dt, trigger, block, end, tmp_path, config, capsys,
+            clean_profile_small, screen_paths):
+        """Impacts moved to within ``pre`` of the session's start, or
+        within ``reference_post`` of its end, on the screened path: simulate
+        exits with the full grid's one DataError, after writing the headband
+        files."""
+        profile = moved(clean_profile_small, dt)
+        with pytest.raises(DataError) as got:
+            synth._reference_blocks(profile, config, 7)
+        assert screen_paths == [True]
+        with pytest.raises(WindowError):
+            full_reference_blocks(profile, config, 7)
+        profile_path = dump_profile(profile, tmp_path / "profile.json")
+        config_path = tmp_path / "config.json"
+        write_json(config_path, synth.config_to_json_dict(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--profile", str(profile_path), "--config",
+                     str(config_path), "--out", str(out), "--seed", "7"]) == 1
+        line = ("reference sensor 'mouthpiece': the block of its trigger at "
+                f"{trigger} s spans {block} s, outside its recording "
+                f"[0.0000, {end}] s")
+        assert str(got.value) == line
+        assert capsys.readouterr().err == f"kinereco: error: DataError: {line}\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            file.name for spec in config.headband_sensors
+            for file, *_ in ingest.sensor_reads(
+                out / ingest.session_csv(spec.id), spec))
+
+    def test_rows_are_the_same_bits_on_a_subset(self, config):
+        """The motion, the sensor reading under random rotations and the
+        noise sum on gathered rows (the screened path's) equal those rows of
+        the whole arrays bit for bit."""
+        rng = np.random.default_rng(17)
+        profile = load_profile(files("kinereco") / "profiles"
+                               / "field_session_18.json")
+        t = synth._stamps(profile.duration_s, 3200.0) + 0.0123
+        grids = synth._motion_grids(profile.motion, t, True)
+        noise = rng.normal(scale=0.3, size=(len(t), 3))
+        specs = [config.reference_sensor] + [
+            replace(config.reference_sensor, orientation=random_rotation(rng))
+            for _ in range(3)]
+        whole = [{kind: synth._reading(kind, grids, spec, profile.gravity)
+                  + noise for kind in ("gyro", "accel_high")} for spec in specs]
+        for _ in range(25):
+            mask = np.zeros(len(t), dtype=bool)
+            for start in rng.integers(0, len(t), rng.integers(1, 20)):
+                mask[start:start + rng.integers(1, 4000)] = True
+            rows = np.flatnonzero(mask)
+            part = synth._motion_grids(profile.motion, t[rows], True)
+            for a, b in zip(part, grids):
+                assert a.tobytes() == b[rows].tobytes()
+            for spec, readings in zip(specs, whole):
+                for kind, full in readings.items():
+                    got = synth._reading(kind, part, spec, profile.gravity)
+                    assert (got + noise[rows]).tobytes() == full[rows].tobytes()
+        a = rng.normal(size=(5000, 3))
+        for _ in range(300):
+            r = random_rotation(rng)
+            lo, hi = sorted(rng.integers(0, 5001, 2))
+            assert (a[lo:hi] @ r).tobytes() == (a @ r)[lo:hi].tobytes()

@@ -37,6 +37,7 @@ import contextlib
 import difflib
 import hashlib
 import json
+import math
 import operator
 import os
 import re
@@ -61,6 +62,9 @@ BENCH_RUNS = ("outputs_sha256 differs",
               "{} benchmark runs with the same outputs_sha256", lambda line: True)
 SPAN_NAMES = ("the head lacks span names", "{} base names recorded",
               lambda line: True)
+RUNS_AND_FILES = ("exit codes, stderr or outputs differ",
+                  "the same error lines and {} files identical",
+                  lambda line: re.match(r"[0-9a-f]{64}  ", line) is not None)
 
 CASES = {}
 
@@ -560,6 +564,113 @@ def failures(run):
         "\n  ".join([name, *strip_warnings(
             (run.work / f"{name}.err").read_text(encoding="utf-8"))]) + "\n"
         for name in ("fresh", "reused")) + run.sha256()
+
+
+def screen_bound(profile, config, scale):
+    """The bound docs/formats.md gives for the reference trigger's resultant
+    away from the windowed motion components (3 widths each side), on
+    ``profile`` with its unwindowed components scaled by ``scale`` and
+    without noise, with the rotation's norm taken as 1."""
+    tail = math.exp(-9.0)
+    norms = {}
+    for key in ("omega_components", "q_components"):
+        value, slope = [0.0] * 3, [0.0] * 3
+        for k, axis in enumerate(profile[key]):
+            for comp in axis:
+                amplitude = abs(comp["amplitude"])
+                w = 2.0 * math.pi * abs(comp["freq_hz"])
+                if comp.get("width_s") is None:
+                    value[k] += scale * amplitude
+                    slope[k] += scale * amplitude * w
+                else:
+                    value[k] += amplitude * tail
+                    slope[k] += amplitude * tail * (w + 6.0 / abs(comp["width_s"]))
+        norms[key] = math.hypot(*value), math.hypot(*slope)
+    (omega, alpha), (q, _) = norms["omega_components"], norms["q_components"]
+    reference, = (s for s in config["sensors"] if s["role"] == "reference")
+    r = math.hypot(*reference["position_m"])
+    return math.hypot(*profile["gravity"]) + alpha * r + omega * omega * r + q
+
+
+def sway_scale(profile, config, ratio):
+    """The scale of ``profile``'s unwindowed components at which
+    :func:`screen_bound` is ``ratio`` times the trigger threshold."""
+    target = ratio * config["trigger"]["threshold_g"] * 9.80665
+    lo, hi = 1.0, 100.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if screen_bound(profile, config, mid) < target else (lo, mid)
+    return lo
+
+
+def moved(profile, dt):
+    """``profile`` with its impacts and windowed components ``dt`` later."""
+    for axes in (profile["omega_components"], profile["q_components"]):
+        for comp in (comp for axis in axes for comp in axis):
+            if comp.get("width_s") is not None:
+                comp["center_s"] += dt
+    for impact in profile["impacts"]:
+        impact["time_s"] += dt
+    return profile
+
+
+@case("the reference trigger's screen", RUNS_AND_FILES)
+def screen(run):
+    """The reference job evaluates its motion only where a bound says its
+    trigger can fire, and each headband burst only up to where it can move a
+    sample; the benchmark meets neither near its edges.  Simulate at seed 5:
+    copies of the clean profile with the head sway scaled so that the
+    screen's bound lies 0.1 % below and 0.1 % above the trigger threshold;
+    copies of the noisy profile with its impacts reversed, one impact twice
+    and one 0.2 ms after another, and with three more impacts at 0 s, 1 ms
+    before the end and at the end; copies of the clean and the noisy
+    profile with reference clock offsets of -20 ms and 20 ms; and copies of
+    the noisy profile moved so that its first impact lies within pre of the
+    start, or its last within reference_post of the end, which fail with
+    one DataError after the headband files.  The exit codes, the stripped
+    stderr of the failed runs and the sha256 of every file must match."""
+    run.copy("field_config.json", "config.json")
+    config = run.load("field_config.json")
+    names = []
+    for ratio in (0.999, 1.001):
+        profile = run.load("field_session_18_clean.json")
+        scale = sway_scale(profile, config, ratio)
+        for axes in (profile["omega_components"], profile["q_components"]):
+            for comp in (comp for axis in axes for comp in axis):
+                if comp.get("width_s") is None:
+                    comp["amplitude"] *= scale
+        names.append(f"sway_{ratio:g}")
+        run.write(f"{names[-1]}.json", profile)
+    profile = run.load("field_session_18.json")
+    impacts = profile["impacts"][::-1]
+    impacts += [dict(impacts[0]), dict(impacts[-1], time_s=impacts[-1]["time_s"] + 2e-4)]
+    names.append("unsorted")
+    run.write("unsorted.json", dict(profile, impacts=impacts))
+    end = profile["duration_s"]
+    names.append("edge_impacts")
+    run.write("edge_impacts.json", dict(profile, impacts=profile["impacts"] + [
+        {"label": "edge", "time_s": t} for t in (0.0, end - 1e-3, end)]))
+    for source, kind in (("field_session_18_clean.json", "clean"),
+                         ("field_session_18.json", "noisy")):
+        for offset in (-0.020, 0.020):
+            names.append(f"{kind}_offset_{offset:g}")
+            run.write(f"{names[-1]}.json",
+                      dict(run.load(source), reference_clock_offset_s=offset))
+    first, last = profile["impacts"][0]["time_s"], profile["impacts"][-1]["time_s"]
+    for name, dt in (("edge_start", 0.015 - first), ("edge_end", end - 0.05 - last)):
+        names.append(name)
+        run.write(f"{name}.json", moved(run.load("field_session_18.json"), dt))
+    exits, failed = [], []
+    for name in names:
+        code = run.cli(f"simulate --profile {name}.json --config config.json "
+                       f"--out {name} --seed 5", err=f"{name}.err", check=False)
+        exits.append(f"{name} simulate exit {code}\n")
+        if code:
+            failed.append(name)
+    return "".join(exits) + "".join(
+        "\n  ".join([name, *strip_warnings(
+            (run.work / f"{name}.err").read_text(encoding="utf-8"))]) + "\n"
+        for name in failed) + run.sha256()
 
 
 @case("reconstruct at seeds 1-5 and thresholds 0.05, 0.1 and 0.2")
